@@ -37,6 +37,7 @@ from __future__ import annotations
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -65,7 +66,6 @@ from repro.cluster.versions import VersionVector
 from repro.errors import ClusterError, InvalidQuery, ShardUnavailable
 from repro.obs.events import ClusterEvent, EventLog, RungDecision
 from repro.obs.trace_store import TraceStore
-from repro.obs import trace_store as tracing
 from repro.timber.stats import CostModel
 
 _CPU_OP_SECONDS = CostModel.cpu_op_cost
@@ -262,7 +262,7 @@ class ClusterCoordinator:
         replica's own ladder walk lives in its local event log).
         """
         store = self.trace_store
-        if store is None or tracing.bound():
+        if store is None or obs.current() is not obs.NULL_SPAN:
             return self._query_impl(query)
         with store.root(
             "cluster.query", category="cluster", kind=query.kind
@@ -296,8 +296,8 @@ class ClusterCoordinator:
             (rung,),
             latency,
         )
-        binding = tracing.current_span()
-        if binding.enabled:
+        binding = obs.current()
+        if binding.trace_id_hex:
             result = replace(result, trace_id=binding.trace_id_hex)
             if result.deadline_exceeded:
                 binding.set_status("deadline")
@@ -370,7 +370,7 @@ class ClusterCoordinator:
         """
         point = self.resolve_point(spec)
         store = self.trace_store
-        if store is None or tracing.bound():
+        if store is None or obs.current() is not obs.NULL_SPAN:
             cuboid, vector, _ = self._request(point, kind=kind)
             return cuboid, vector
         with store.root(
@@ -387,25 +387,15 @@ class ClusterCoordinator:
         self, point: LatticePoint, *, kind: str
     ) -> Tuple[Cuboid, VersionVector, float]:
         described = self.lattice.describe(point)
-        tspan = tracing.trace_span(
-            "cluster.request",
-            category="cluster",
-            point=described,
-            kind=kind,
-            shards=self.n_shards,
-        )
         with obs.span(
             "cluster.request",
             category="cluster",
             point=described,
             kind=kind,
             shards=self.n_shards,
-        ) as span, tspan:
+        ) as span:
             cuboid, vector, latency = self._gather(point, described, kind)
-            span.annotate(
-                cells=len(cuboid), modeled_seconds=round(latency, 6)
-            )
-            tspan.annotate(cells=len(cuboid)).set_sim(latency)
+            span.annotate(cells=len(cuboid)).set_sim(latency)
         obs.count("x3_cluster_requests_total", kind=kind)
         obs.observe("x3_cluster_request_modeled_seconds", latency)
         return cuboid, vector, latency
@@ -502,7 +492,7 @@ class ClusterCoordinator:
                         f"(round {round_index + 1})"
                     ),
                     versions=vector,
-                    trace_id=tracing.current_span().trace_id_hex,
+                    trace_id=obs.current().trace_id_hex,
                 )
             )
             self.sync_all()
@@ -553,13 +543,13 @@ class ClusterCoordinator:
                 )
                 for shard_id in range(self.n_shards)
             ]
-        # Capture the request's trace binding before the fan-out so the
-        # per-shard spans parent under it on whichever pool thread runs.
-        binding = tracing.capture()
+        # Each read runs in a copy of this context, so the per-shard
+        # spans parent under the request span on whichever pool thread
+        # runs them.
         futures = [
             self._pool.submit(
-                self._read_shard_bound,
-                binding,
+                copy_context().run,
+                self._read_shard,
                 op,
                 shard_id,
                 point,
@@ -569,20 +559,6 @@ class ClusterCoordinator:
             for shard_id in range(self.n_shards)
         ]
         return [future.result() for future in futures]
-
-    def _read_shard_bound(
-        self,
-        binding,
-        op: int,
-        shard_id: int,
-        point: LatticePoint,
-        fault: ReadFault,
-        expected_version: int,
-    ) -> _ShardReadOutcome:
-        with tracing.resume(binding):
-            return self._read_shard(
-                op, shard_id, point, fault, expected_version
-            )
 
     def _read_shard(
         self,
@@ -603,15 +579,12 @@ class ClusterCoordinator:
         replicas = self.shards[shard_id]
         # Deterministic span id per shard (key, not a shared counter):
         # the fan-out threads race, but the ids must not.
-        tspan = tracing.trace_span(
+        with obs.span(
             "cluster.shard",
             category="cluster",
             key=f"s{shard_id}",
             shard=shard_id,
-        )
-        with obs.span(
-            "cluster.shard", category="cluster", shard=shard_id
-        ) as span, tspan:
+        ) as span:
             for replica in replicas:
                 if not replica.healthy:
                     self._count_failover(events, op, shard_id, replica)
@@ -660,16 +633,11 @@ class ClusterCoordinator:
                 span.annotate(
                     replica=answer.replica,
                     tier=answer.tier,
-                    modeled_seconds=round(latency, 6),
-                )
-                tspan.annotate(
-                    replica=answer.replica,
-                    tier=answer.tier,
                     hedged=any(e.kind == "hedge" for e in events),
                     failover=any(e.kind == "failover" for e in events),
                 ).set_sim(latency)
                 return _ShardReadOutcome(answer, latency, events)
-            tspan.set_status("error").annotate(error="ShardUnavailable")
+            span.set_status("error").annotate(error="ShardUnavailable")
         raise ShardUnavailable(shard_id, -1, "no healthy replica")
 
     def _read_replica(
@@ -802,8 +770,6 @@ class ClusterCoordinator:
     ) -> Tuple[Cuboid, VersionVector, float]:
         with obs.span(
             "cluster.merge", category="cluster", shards=len(outcomes)
-        ), tracing.trace_span(
-            "cluster.merge", category="cluster", shards=len(outcomes)
         ):
             states = merge_states(
                 self._fn,
@@ -834,7 +800,7 @@ class ClusterCoordinator:
                 ),
                 versions=vector,
                 modeled_seconds=latency,
-                trace_id=tracing.current_span().trace_id_hex,
+                trace_id=obs.current().trace_id_hex,
             )
         )
         return cuboid, VersionVector(vector), latency
@@ -957,7 +923,7 @@ class ClusterCoordinator:
             replica=replica,
             detail=detail,
             modeled_seconds=modeled_seconds,
-            trace_id=tracing.current_span().trace_id_hex,
+            trace_id=obs.current().trace_id_hex,
         )
 
     def modeled_latencies(self) -> List[float]:

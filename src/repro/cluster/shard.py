@@ -95,10 +95,6 @@ class ShardReplica:
             options=options,
             cache_cells=cache_cells,
             incremental=self._incremental,
-            # Replicas recompute concurrently under the scatter pool;
-            # absorbing the process-global engine tracer there would
-            # capture sibling shards' spans and break determinism.
-            engine_trace=False,
         )
         # One lock per replica: a replica models a single-threaded
         # worker process, so its operations serialize; concurrency in

@@ -147,11 +147,9 @@ class CubeAlgorithm:
             cuboids, passes = self._compute(context, wanted)
             span.annotate(passes=passes)
         wall_seconds = time.perf_counter() - begin
-        tracer = obs.current_tracer()
-        if tracer.enabled and context.phases:
-            tracer.metrics.absorb_phases(
-                context.phases, algorithm=self.name
-            )
+        registry = obs.registry()
+        if registry is not None and context.phases:
+            registry.absorb_phases(context.phases, algorithm=self.name)
         if min_support > 0:
             cuboids = {
                 point: {

@@ -204,15 +204,12 @@ class BucAlgorithm(CubeAlgorithm):
             context.charge_spill(placements)
         context.bump("buc_partition_calls")
         context.bump("buc_placements", placements)
-        tracer = obs.current_tracer()
-        if tracer.enabled:
+        if obs.enabled():
             # The bucketing is a counting sort over the code domain —
             # record it under the sort counters so the trace still
             # accounts for every ordering pass the kernel performs.
-            tracer.metrics.counter("x3_sorts_total", kind="counting").inc()
-            tracer.metrics.counter(
-                "x3_sorted_items_total", kind="counting"
-            ).inc(placements)
+            obs.count("x3_sorts_total", kind="counting")
+            obs.count("x3_sorted_items_total", placements, kind="counting")
         return refined, slices
 
     # ------------------------------------------------------------------

@@ -105,12 +105,11 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
             context.cost.charge_read(encoded.encoded_pages)
             context.cost.charge_cpu(vector_lanes(n_rows))
             context.charge_spill(context.budget.capacity_entries)
-        if obs.enabled():
-            obs.count("x3_columnar_rows_total", n_rows)
-            obs.count("x3_columnar_cells_total", total_cells)
-            obs.count("x3_columnar_trie_nodes_total", sweep.nodes)
-            obs.count("x3_columnar_increments_total", sweep.increments)
-            obs.count("x3_columnar_passes_total", passes)
+        obs.count("x3_columnar_rows_total", n_rows)
+        obs.count("x3_columnar_cells_total", total_cells)
+        obs.count("x3_columnar_trie_nodes_total", sweep.nodes)
+        obs.count("x3_columnar_increments_total", sweep.increments)
+        obs.count("x3_columnar_passes_total", passes)
         context.budget.release_all()
         return sweep.cuboids, passes
 

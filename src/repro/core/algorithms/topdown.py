@@ -521,12 +521,9 @@ def _columnar_build(
     context.cost.charge_cpu(increments)
     if increments > context.budget.capacity_entries:
         context.charge_spill(increments)
-    tracer = obs.current_tracer()
-    if tracer.enabled:
-        tracer.metrics.counter("x3_sorts_total", kind="counting").inc()
-        tracer.metrics.counter(
-            "x3_sorted_items_total", kind="counting"
-        ).inc(increments)
+    if obs.enabled():
+        obs.count("x3_sorts_total", kind="counting")
+        obs.count("x3_sorted_items_total", increments, kind="counting")
     if identity_ops:
         context.cost.charge_cpu(identity_ops * increments)
     context.cost.charge_cpu(vector_lanes(increments))

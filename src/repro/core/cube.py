@@ -81,8 +81,8 @@ class ExecutionOptions:
         trace: collect an observability trace (:mod:`repro.obs`) for
             this run; the result's :attr:`CubeResult.trace` then holds
             spans (parse/timber/algorithm/engine layers) and the unified
-            metrics registry.  When a tracer is already active (inside
-            ``obs.trace()``), the run joins it regardless of this flag.
+            metrics registry.  Inside an ``obs.trace()`` session the
+            run joins that session regardless of this flag.
         encoding: which physical fact representation the algorithm
             iterates — ``"auto"`` lets each algorithm pick its fastest
             path (the BUC/TD families run on the dictionary-encoded

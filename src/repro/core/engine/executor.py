@@ -19,16 +19,18 @@ Every partition is an ordinary ``algorithm.run(points=...)`` call, so any
 registered algorithm — including AUTO's delegation — parallelizes without
 knowing about the engine.
 
-Observability (:mod:`repro.obs`): when tracing is on — an active
-``obs.trace()`` or ``ExecutionOptions(trace=True)`` — the run produces
-one coherent span tree (``engine.run`` > ``engine.plan`` /
+Observability (:mod:`repro.obs`): when a recording span is bound — an
+``obs.trace()`` session, a sampled request trace, or
+``ExecutionOptions(trace=True)`` opening a session of its own — the run
+produces one coherent span tree (``engine.run`` > ``engine.plan`` /
 ``engine.partition`` / ``engine.merge``, with algorithm and timber spans
-nested under each partition).  Thread workers report into the shared
-tracer directly; process workers record into a local tracer whose
-(picklable) spans ride back on the :class:`PartitionOutcome` and are
-absorbed into the parent trace.  After the run, the merged cost snapshot
-and engine metrics are folded into the tracer's metrics registry and the
-report is attached as ``result.trace``.
+nested under each partition).  Thread workers run in a copy of the
+dispatcher's context and report into the same trace directly; process
+workers bind a local session to the ``engine.run`` span's context, and
+their (picklable) spans ride back on the :class:`PartitionOutcome` to be
+adopted as-is.  After the run, the merged cost snapshot and engine
+metrics are folded into the session's metrics registry and the report is
+attached as ``result.trace``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ import threading
 import time
 import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
+from contextvars import copy_context
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro import obs
@@ -55,6 +60,7 @@ from repro.core.engine.partition import Partition, partition_points
 from repro.core.lattice import LatticePoint
 from repro.core.lattice_graph import partition_cut_edges
 from repro.core.properties import PropertyOracle
+from repro.obs.metrics import Counter
 
 PARTITIONS_PER_WORKER = 2
 """Oversubscription factor: more partitions than workers lets the pool
@@ -78,9 +84,7 @@ def _run_partition(
     encoding: str,
     points: Tuple[LatticePoint, ...],
     submitted_at: float,
-    traced: bool = False,
-    trace_parent: Optional[int] = None,
-    parent_pid: Optional[int] = None,
+    remote: Optional[obs.TraceContext] = None,
 ) -> PartitionOutcome:
     """One partition, run by whichever worker picks it up.
 
@@ -90,34 +94,30 @@ def _run_partition(
     registry's singletons keep per-run state on ``self``, which thread
     pools would race on.
 
-    Tracing: in a thread pool the process-wide active tracer is shared,
-    so the partition span lands in the parent trace directly (parented
-    to the ``engine.run`` span via ``trace_parent``).  In a process
-    pool the worker records into a local tracer whose records are
-    returned in the outcome for the parent to absorb.  The ``pid``
-    comparison (not ``shared.enabled``) decides which case this is: a
-    *forked* child inherits the parent's enabled active tracer, but
-    recording into that copy would be silently lost with the process.
+    Tracing: a thread worker runs in a copy of the dispatcher's context,
+    so the partition span lands in the parent trace directly, under the
+    bound ``engine.run`` span.  A process worker gets that span's
+    context as ``remote`` and records into a local session bound to it
+    (a *forked* child also inherits the parent's binding, but recording
+    into that copy would be lost with the process); its spans and
+    counters are returned in the outcome for the parent to take over.
+    The partition's span id is keyed by its index, so it is the same
+    either way.
     """
     from repro.core.algorithms.registry import new_instance
 
-    shared = obs.current_tracer()
-    in_parent_process = parent_pid is None or os.getpid() == parent_pid
-    local: Optional[obs.Tracer] = None
-    if traced and not (in_parent_process and shared.enabled):
-        local = obs.Tracer(enabled=True)
-    tracer = local if local is not None else shared
-
-    def _execute_one():
-        started_at = time.monotonic()
-        with tracer.span(
+    with (
+        obs.trace(remote=remote) if remote is not None else nullcontext()
+    ) as local:
+        started = time.monotonic()
+        with obs.span(
             "engine.partition",
             category="engine",
-            parent=None if local is not None else trace_parent,
+            key=f"p{partition_index}",
             index=partition_index,
             points=len(points),
         ) as span:
-            run_result = new_instance(algorithm).run(
+            result = new_instance(algorithm).run(
                 table,
                 oracle=oracle,
                 memory_entries=memory_entries,
@@ -125,25 +125,16 @@ def _run_partition(
                 min_support=min_support,
                 encoding=encoding,
             )
-            span.annotate(
-                sim_seconds=run_result.cost.simulated_seconds,
-                worker=_worker_id(),
-            )
-        return started_at, run_result
-
+            span.annotate(sim_seconds=result.cost.simulated_seconds)
+    spans = ()
+    counters = ()
     if local is not None:
-        with obs.activate(local):
-            started, result = _execute_one()
         spans = tuple(local.records())
         counters = tuple(
             (metric.name, metric.labels, metric.value)
             for metric in local.metrics.collect()
-            if isinstance(metric, obs.metrics.Counter)
+            if isinstance(metric, Counter)
         )
-    else:
-        started, result = _execute_one()
-        spans = ()
-        counters = ()
     finished = time.monotonic()
     return PartitionOutcome(
         index=partition_index,
@@ -225,28 +216,29 @@ def _make_pool(engine: str, max_workers: int) -> Executor:
 def execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
     """Run one cube computation under the given options.
 
-    Fast path first: with tracing off (no active tracer, no
-    ``options.trace``) the run proceeds exactly as before — no spans are
-    allocated and ``result.trace`` stays ``None``.
+    With nothing recording (no bound span, no ``options.trace``) the
+    run allocates no spans and ``result.trace`` stays ``None``.  A bound
+    trace is joined; ``options.trace`` outside any session opens one for
+    this run.
     """
-    active = obs.current_tracer()
-    if not active.enabled and not options.trace:
-        return _execute(table, options, obs.NULL_TRACER)
-    tracer = active if active.enabled else obs.Tracer(enabled=True)
-    with obs.activate(tracer):
-        result = _execute(table, options, tracer)
-    tracer.metrics.absorb_cost(result.cost, algorithm=result.algorithm)
-    if result.metrics is not None:
-        tracer.metrics.absorb_engine(
-            result.metrics, algorithm=result.algorithm
-        )
-    result.trace = tracer.trace()
+    if options.trace and obs.session() is None:
+        with obs.trace():
+            return execute(table, options)
+    result = _execute(table, options)
+    registry = obs.registry()
+    if registry is not None:
+        registry.absorb_cost(result.cost, algorithm=result.algorithm)
+        if result.metrics is not None:
+            registry.absorb_engine(
+                result.metrics, algorithm=result.algorithm
+            )
+    session = obs.session()
+    if session is not None:
+        result.trace = session.trace()
     return result
 
 
-def _execute(
-    table: FactTable, options: ExecutionOptions, tracer: "obs.Tracer"
-) -> CubeResult:
+def _execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
     total_begin = time.perf_counter()
     points: List[LatticePoint] = (
         list(options.points)
@@ -255,7 +247,7 @@ def _execute(
     )
     engine = options.effective_engine
     if engine == "serial" or options.workers <= 1 or len(points) <= 1:
-        with tracer.span(
+        with obs.span(
             "engine.run",
             category="engine",
             engine="serial",
@@ -264,7 +256,7 @@ def _execute(
         ):
             return _serial_result(table, options, points, total_begin)
 
-    with tracer.span(
+    with obs.span(
         "engine.run",
         category="engine",
         engine=engine,
@@ -273,11 +265,9 @@ def _execute(
         strategy=options.partition_strategy,
         points=len(points),
     ) as run_span:
-        trace_parent = run_span.span_id if tracer.enabled else None
-
         lattice = table.lattice
         partition_begin = time.perf_counter()
-        with tracer.span("engine.plan", category="engine"):
+        with obs.span("engine.plan", category="engine"):
             partitions: List[Partition] = partition_points(
                 lattice,
                 points,
@@ -295,13 +285,21 @@ def _execute(
         outcomes: List[PartitionOutcome] = []
         submit_offsets: List[float] = []
         pool = _make_pool(engine, max_workers)
+        # Threads inherit the binding through a context copy; processes
+        # cannot, so they get the run span's context in the payload.
+        in_processes = isinstance(pool, ProcessPoolExecutor)
+        remote = (
+            run_span.context if in_processes and run_span.enabled else None
+        )
         try:
             futures = []
             for part in partitions:
-                submit_offsets.append(tracer.now() if tracer.enabled else 0.0)
+                submit_offsets.append(run_span.now())
                 futures.append(
                     pool.submit(
-                        _run_partition,
+                        _run_partition
+                        if in_processes
+                        else partial(copy_context().run, _run_partition),
                         table,
                         part.index,
                         options.algorithm,
@@ -311,34 +309,25 @@ def _execute(
                         options.encoding,
                         part.points,
                         time.monotonic(),
-                        tracer.enabled,
-                        trace_parent,
-                        os.getpid(),
+                        remote,
                     )
                 )
             outcomes = [future.result() for future in futures]
         finally:
             pool.shutdown(wait=True)
 
-        if tracer.enabled:
-            # Absorb process-worker span batches into the parent trace
-            # (thread workers recorded into the shared tracer already and
-            # ship no spans).
-            for offset, outcome in zip(submit_offsets, outcomes):
-                if outcome.spans:
-                    tracer.absorb(
-                        outcome.spans,
-                        parent_id=trace_parent,
-                        shift=offset + outcome.queue_wait_seconds,
-                    )
-                for name, labels, value in outcome.counters:
-                    if value:
-                        tracer.metrics.counter(
-                            name, **dict(labels)
-                        ).inc(value)
+        # Take over what process workers shipped back (thread workers
+        # recorded into this trace already and ship nothing).
+        for offset, outcome in zip(submit_offsets, outcomes):
+            run_span.adopt(
+                outcome.spans, shift=offset + outcome.queue_wait_seconds
+            )
+            for name, labels, value in outcome.counters:
+                if value:
+                    obs.count(name, value, **dict(labels))
 
         merge_begin = time.perf_counter()
-        with tracer.span(
+        with obs.span(
             "engine.merge", category="engine", partitions=len(outcomes)
         ):
             cuboids = merge_cuboids(outcomes)

@@ -26,7 +26,7 @@ from repro.core.cube import CostSnapshot, WorkerCost
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 from repro.core.merge import merge_disjoint
-from repro.obs import SpanRecord
+from repro.obs import TraceSpan
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,11 @@ class PartitionOutcome:
     worker: str
     queue_wait_seconds: float
     wall_seconds: float
-    # Span records collected by a process worker's local tracer; empty
-    # for thread workers (they record into the shared tracer directly).
-    spans: Tuple[SpanRecord, ...] = ()
+    # Spans collected by a process worker's local session; empty for
+    # thread workers (they record into the dispatcher's trace directly).
+    spans: Tuple[TraceSpan, ...] = ()
     # Counter series (name, label items, value) from the same local
-    # tracer — sorts, join pairs, algorithm phases — which would
+    # session — sorts, join pairs, algorithm phases — which would
     # otherwise be lost with the worker process.
     counters: Tuple[Tuple[str, Tuple[Tuple[str, str], ...], float], ...] = ()
 

@@ -2,10 +2,14 @@
 
 One subsystem for everything the stack measures:
 
-- **Spans** (:class:`Tracer` / :class:`Span`): a hierarchical, thread-
-  safe trace of where time went — wall seconds *and* the deterministic
-  simulated seconds of the cost model — spanning the parser, the timber
-  storage layer, every cube algorithm and the parallel engine.
+- **Spans** (:mod:`repro.obs.span`): one span model — a finished
+  :class:`TraceSpan` record carrying wall seconds *and* the
+  deterministic simulated seconds of the cost model, an
+  :class:`OpenSpan` context manager, and a context-local binding —
+  spanning the parser, the timber storage layer, every cube algorithm,
+  the parallel engine, the serving ladder, the cluster and the HTTP
+  front door.  Spans land in the :class:`TraceSession` of an
+  ``obs.trace()`` block or in a request-scoped :class:`TraceStore`.
 - **Metrics** (:class:`MetricsRegistry`): counters / gauges /
   histograms absorbing the previously scattered sources
   (``EngineMetrics``, ``CostSnapshot``, buffer-pool stats, algorithm
@@ -30,13 +34,10 @@ or, when only the cube run matters::
 
 Instrumentation points call the module-level helpers (:func:`span`,
 :func:`count`), which are no-ops bound to a shared null singleton
-unless a tracer is active — tracing off costs one attribute check.
+unless a span is bound — tracing off costs one context-variable read.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
 
 from repro.obs.events import (
     ClusterEvent,
@@ -67,27 +68,23 @@ from repro.obs.propagate import (
     derive_span_id,
     parse_traceparent,
 )
-from repro.obs.trace_store import (
-    NULL_TRACE_SPAN,
-    TraceRecord,
-    TraceSpan,
-    TraceStore,
-    bound,
-    capture,
-    current_span,
-    resume,
-    trace_span,
-)
-from repro.obs.tracer import (
+from repro.obs.span import (
     NULL_SPAN,
-    NULL_TRACER,
-    Span,
-    SpanRecord,
+    OpenSpan,
     Trace,
-    Tracer,
-    activate,
-    current_tracer,
+    TraceSession,
+    TraceSpan,
+    count,
+    current,
+    enabled,
+    gauge,
+    observe,
+    registry,
+    session,
+    span,
+    trace,
 )
+from repro.obs.trace_store import TraceRecord, TraceStore
 
 __all__ = [
     "ClusterEvent",
@@ -102,91 +99,31 @@ __all__ = [
     "LiveTelemetry",
     "MetricsRegistry",
     "NULL_SPAN",
-    "NULL_TRACER",
-    "NULL_TRACE_SPAN",
+    "OpenSpan",
     "RequestEvent",
     "RungDecision",
-    "Span",
-    "SpanRecord",
     "TRACEPARENT_HEADER",
     "Trace",
     "TraceContext",
     "TraceRecord",
+    "TraceSession",
     "TraceSpan",
     "TraceStore",
-    "Tracer",
     "WindowSnapshot",
     "WriteEvent",
-    "activate",
-    "bound",
-    "capture",
     "chrome_trace_events",
     "chrome_trace_json",
     "collapsed_stacks",
     "count",
-    "current_span",
-    "current_tracer",
+    "current",
     "derive_span_id",
     "enabled",
     "gauge",
     "observe",
     "parse_traceparent",
     "prometheus_text",
-    "resume",
+    "registry",
+    "session",
     "span",
     "trace",
-    "trace_span",
 ]
-
-
-def enabled() -> bool:
-    """Is a live tracer currently active?"""
-    return current_tracer().enabled
-
-
-def span(
-    name: str,
-    category: str = "",
-    cost: Any = None,
-    parent: Optional[int] = None,
-    **attrs: Any,
-):
-    """Open a span on the active tracer (shared no-op when disabled)."""
-    return current_tracer().span(
-        name, category=category, cost=cost, parent=parent, **attrs
-    )
-
-
-def count(name: str, amount: float = 1.0, **labels: Any) -> None:
-    """Bump a counter on the active tracer's registry (no-op when off)."""
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.metrics.counter(name, **labels).inc(amount)
-
-
-def gauge(name: str, value: float, **labels: Any) -> None:
-    """Set a gauge on the active tracer's registry (no-op when off)."""
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.metrics.gauge(name, **labels).set(value)
-
-
-def observe(name: str, value: float, **labels: Any) -> None:
-    """Observe into a histogram on the active registry (no-op when off)."""
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.metrics.histogram(name, **labels).observe(value)
-
-
-@contextmanager
-def trace(
-    metrics: Optional[MetricsRegistry] = None,
-) -> Iterator[Tracer]:
-    """Activate a fresh enabled tracer for the ``with`` body.
-
-    Yields the :class:`Tracer`; call ``.trace()`` on it afterwards for
-    the exportable :class:`Trace` report.
-    """
-    tracer = Tracer(enabled=True, metrics=metrics)
-    with activate(tracer):
-        yield tracer

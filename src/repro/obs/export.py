@@ -26,7 +26,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     escape_label_value,
 )
-from repro.obs.tracer import SpanRecord
+from repro.obs.span import TraceSpan
 
 #: ``# HELP`` text for the well-known series; anything else gets a
 #: generated line so every exported family is self-describing.
@@ -84,7 +84,7 @@ def _split_thread(label: str) -> tuple:
 
 
 def chrome_trace_events(
-    records: Sequence[SpanRecord],
+    records: Sequence[TraceSpan],
 ) -> List[Dict[str, object]]:
     """Spans as ``trace_event`` dicts (complete events + thread names)."""
     tids: Dict[str, int] = {}
@@ -103,15 +103,17 @@ def chrome_trace_events(
                 }
             )
         args: Dict[str, object] = dict(record.attrs)
-        if record.sim_duration:
-            args["sim_seconds"] = round(record.sim_duration, 9)
+        if record.sim_seconds:
+            args["sim_seconds"] = round(record.sim_seconds, 9)
+        if record.status != "ok":
+            args.setdefault("status", record.status)
         events.append(
             {
                 "name": record.name,
                 "cat": record.category or "default",
                 "ph": "X",
-                "ts": round(record.start * 1e6, 3),
-                "dur": round(record.duration * 1e6, 3),
+                "ts": round(record.start_wall_seconds * 1e6, 3),
+                "dur": round(record.wall_seconds * 1e6, 3),
                 "pid": pid,
                 "tid": tids[record.thread],
                 "args": args,
@@ -121,7 +123,7 @@ def chrome_trace_events(
 
 
 def chrome_trace_json(
-    records: Sequence[SpanRecord],
+    records: Sequence[TraceSpan],
     metrics: Optional[MetricsRegistry] = None,
 ) -> str:
     """The full Chrome/Perfetto trace document."""
@@ -134,31 +136,27 @@ def chrome_trace_json(
     return json.dumps(document, indent=None, separators=(",", ":"))
 
 
-def collapsed_stacks(records: Sequence[SpanRecord]) -> str:
+def collapsed_stacks(records: Sequence[TraceSpan]) -> str:
     """Folded flamegraph lines: ``a;b;c <wall microseconds>``."""
     by_id = {record.span_id: record for record in records}
     lines: List[str] = []
     for record in records:
         stack: List[str] = []
-        cursor: Optional[SpanRecord] = record
+        cursor: Optional[TraceSpan] = record
         seen = set()
         while cursor is not None and cursor.span_id not in seen:
             seen.add(cursor.span_id)
             stack.append(cursor.name.replace(";", "_"))
-            cursor = (
-                by_id.get(cursor.parent_id)
-                if cursor.parent_id is not None
-                else None
-            )
+            cursor = by_id.get(cursor.parent_id)
         stack.reverse()
         # Self time: the span's duration minus its children's — folded
         # stacks weight each frame by exclusive time.
         child_time = sum(
-            child.duration
+            child.wall_seconds
             for child in records
             if child.parent_id == record.span_id
         )
-        weight = max(0.0, record.duration - child_time)
+        weight = max(0.0, record.wall_seconds - child_time)
         micros = int(weight * 1e6)
         if micros > 0:
             lines.append(";".join(stack) + f" {micros}")

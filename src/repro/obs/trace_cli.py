@@ -26,7 +26,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.export import chrome_trace_json
-from repro.obs.tracer import SpanRecord
+from repro.obs.span import TraceSpan
 
 #: Waterfall bar width in characters.
 BAR_WIDTH = 28
@@ -189,37 +189,6 @@ def render_waterfall(record: Dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# chrome conversion
-# ----------------------------------------------------------------------
-def to_span_records(record: Dict[str, Any]) -> List[SpanRecord]:
-    """Lift one trace's spans into :class:`SpanRecord` for the
-    existing Chrome exporter (hex ids become ints; the trace id labels
-    the synthetic thread so multi-trace exports stay separable)."""
-    thread = f"trace-{str(record.get('trace_id', ''))[:8]}"
-    out: List[SpanRecord] = []
-    for span in record.get("spans", []):
-        parent_hex = str(span.get("parent_id", ""))
-        attrs = dict(span.get("attrs", {}))
-        status = str(span.get("status", "ok"))
-        if status != "ok":
-            attrs.setdefault("status", status)
-        out.append(
-            SpanRecord(
-                span_id=int(str(span.get("span_id", "0")) or "0", 16),
-                parent_id=int(parent_hex, 16) if parent_hex else None,
-                name=str(span.get("name", "")),
-                category=str(span.get("category", "")),
-                start=float(span.get("start_wall_seconds", 0.0)),
-                duration=float(span.get("wall_seconds", 0.0)),
-                thread=thread,
-                sim_duration=float(span.get("sim_seconds", 0.0)),
-                attrs=attrs,
-            )
-        )
-    return out
-
-
-# ----------------------------------------------------------------------
 # the tool
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +275,15 @@ def run_list(args: argparse.Namespace) -> int:
 def run_show(args: argparse.Namespace) -> int:
     record = find_trace(load_traces(args.file), args.trace_id)
     if args.chrome_out:
-        document = chrome_trace_json(to_span_records(record))
+        # The trace id labels the one synthetic lane, so several
+        # exported traces stay separable when loaded together.
+        lane = f"trace-{str(record.get('trace_id', ''))[:8]}"
+        document = chrome_trace_json(
+            [
+                TraceSpan.from_dict(span, thread=lane)
+                for span in record.get("spans", [])
+            ]
+        )
         with open(args.chrome_out, "w", encoding="utf-8") as handle:
             handle.write(document)
         print(

@@ -1,21 +1,20 @@
-"""Bounded distributed-trace recording with head + tail sampling.
+"""Bounded request-trace recording with head + tail sampling.
 
-Where :mod:`repro.obs.propagate` defines trace *identity*, this module
-records what happened under one: a thread-safe :class:`TraceStore`
-holding finished traces, a per-thread binding stack so any layer can
-open child spans without threading a handle through every signature,
-and explicit :func:`capture` / :func:`resume` hand-off for work that
-crosses threads (the cluster scatter pool) or processes (engine
-workers, whose picklable :class:`~repro.obs.tracer.SpanRecord` batches
-are absorbed with remote parent ids).
+Where :mod:`repro.obs.propagate` defines trace *identity* and
+:mod:`repro.obs.span` the span model, this module is the request-scoped
+sink: a thread-safe :class:`TraceStore` whose :meth:`TraceStore.root`
+opens the root span of one request and which keeps the finished traces.
+Layers below open children with ``obs.span(...)`` exactly as they do
+inside an ``obs.trace()`` session.
 
 Sampling is two-stage:
 
 - **Head**: :class:`~repro.obs.propagate.HeadSampler` decides at the
   root, as a pure function of the trace id, whether a request records
   spans at all.  Unsampled requests still mint and propagate a context
-  (the ``traceparent`` response header stays truthful) but bind
-  nothing, so their per-span cost is zero.
+  (the ``traceparent`` response header stays truthful) and bind their
+  root (so no inner layer mints a competing one) but every child is
+  the shared no-op span, so their per-span cost is zero.
 - **Tail**: when a sampled trace finishes it is classified — traces
   with an error status, a ``deadline`` status, or a root modeled
   duration at or above the rolling p99 are *retained* in a separate
@@ -36,19 +35,8 @@ import json
 import threading
 import time
 from collections import OrderedDict, deque
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.propagate import (
     HeadSampler,
@@ -57,50 +45,13 @@ from repro.obs.propagate import (
     derive_span_id,
     parse_traceparent,
 )
-from repro.obs.tracer import SpanRecord
+from repro.obs.span import OpenSpan, TraceSpan
 
 #: Span / trace statuses, worst last.
 STATUSES = ("ok", "deadline", "error")
 
 #: Tail-retention reasons (`""` means the trace is in the normal ring).
 RETAIN_REASONS = ("error", "deadline", "slow")
-
-
-@dataclass(frozen=True)
-class TraceSpan:
-    """One finished span of a distributed trace — plain, picklable data.
-
-    Ids are fixed-width lower-case hex strings (32 for the trace, 16
-    for spans; ``parent_id`` is ``""`` on the root).  ``sim_seconds``
-    is the deterministic modeled duration; the two ``*wall_seconds``
-    fields are host timings, named so the determinism differ strips
-    them.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_id: str
-    name: str
-    category: str
-    status: str = "ok"
-    sim_seconds: float = 0.0
-    start_wall_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    attrs: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "category": self.category,
-            "status": self.status,
-            "sim_seconds": self.sim_seconds,
-            "start_wall_seconds": self.start_wall_seconds,
-            "wall_seconds": self.wall_seconds,
-            "attrs": dict(self.attrs),
-        }
 
 
 @dataclass(frozen=True)
@@ -127,352 +78,6 @@ class TraceRecord:
             "retained": self.retained,
             "spans": [span.to_dict() for span in self.spans],
         }
-
-
-class _NullTraceSpan:
-    """The do-nothing handle returned when no trace is bound.  One
-    instance; mirrors :data:`repro.obs.tracer.NULL_SPAN`."""
-
-    __slots__ = ()
-
-    enabled = False
-    trace_id_hex = ""
-    span_id_hex = ""
-    context: Optional[TraceContext] = None
-    traceparent = ""
-
-    def annotate(self, **attrs: Any) -> "_NullTraceSpan":
-        return self
-
-    def set_status(self, status: str) -> "_NullTraceSpan":
-        return self
-
-    def set_sim(self, seconds: float) -> "_NullTraceSpan":
-        return self
-
-    def absorb(self, records: Sequence[SpanRecord]) -> int:
-        return 0
-
-    def child(
-        self,
-        name: str,
-        category: str = "",
-        key: Optional[str] = None,
-        **attrs: Any,
-    ) -> "_NullTraceSpan":
-        return self
-
-    def __enter__(self) -> "_NullTraceSpan":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        return None
-
-
-NULL_TRACE_SPAN = _NullTraceSpan()
-
-
-class TraceSpanHandle:
-    """An open span bound to a :class:`TraceStore`; a context manager.
-
-    Child ids are *derived* from this span's id plus a stable key
-    (caller-supplied for fan-out work, a per-name sibling counter
-    otherwise), so concurrently created children get the same ids on
-    every replay regardless of thread interleaving.
-    """
-
-    __slots__ = (
-        "_store",
-        "context",
-        "parent_hex",
-        "name",
-        "category",
-        "attrs",
-        "status",
-        "sim_seconds",
-        "is_root",
-        "traceparent",
-        "_start",
-        "_siblings",
-        "_lock",
-    )
-
-    enabled = True
-
-    def __init__(
-        self,
-        store: "TraceStore",
-        context: TraceContext,
-        parent_hex: str,
-        name: str,
-        category: str,
-        attrs: Dict[str, Any],
-        is_root: bool = False,
-    ) -> None:
-        self._store = store
-        self.context = context
-        self.parent_hex = parent_hex
-        self.name = name
-        self.category = category
-        self.attrs = attrs
-        self.status = "ok"
-        self.sim_seconds = 0.0
-        self.is_root = is_root
-        self.traceparent = context.to_traceparent()
-        self._start = 0.0
-        self._siblings: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    @property
-    def trace_id_hex(self) -> str:
-        return self.context.trace_id_hex
-
-    @property
-    def span_id_hex(self) -> str:
-        return self.context.span_id_hex
-
-    def annotate(self, **attrs: Any) -> "TraceSpanHandle":
-        self.attrs.update(attrs)
-        return self
-
-    def set_status(self, status: str) -> "TraceSpanHandle":
-        self.status = status
-        return self
-
-    def set_sim(self, seconds: float) -> "TraceSpanHandle":
-        self.sim_seconds = seconds
-        return self
-
-    # ------------------------------------------------------------------
-    def child(
-        self,
-        name: str,
-        category: str = "",
-        key: Optional[str] = None,
-        **attrs: Any,
-    ) -> "TraceSpanHandle":
-        """Open a child span.  Pass ``key`` from fan-out call sites
-        (e.g. ``key=f"s{shard}"``) so sibling ids never depend on which
-        worker thread got there first."""
-        if key is None:
-            with self._lock:
-                n = self._siblings.get(name, 0)
-                self._siblings[name] = n + 1
-            key = f"{name}#{n}"
-        else:
-            key = f"{name}/{key}"
-        span_id = derive_span_id(self.context.span_id, key)
-        return TraceSpanHandle(
-            self._store,
-            self.context.child(span_id),
-            self.span_id_hex,
-            name,
-            category,
-            dict(attrs),
-        )
-
-    def absorb(self, records: Sequence[SpanRecord]) -> int:
-        """Absorb engine-worker :class:`SpanRecord` batches under this
-        span, remapping local int ids to derived trace span ids (the
-        remote-parent-id extension of the engine's picklable span
-        shipping).  Thread labels are dropped — they carry host pids.
-        """
-        if not records:
-            return 0
-        id_map: Dict[int, str] = {}
-        for record in records:
-            derived = derive_span_id(
-                self.context.span_id, f"engine#{record.span_id}"
-            )
-            id_map[record.span_id] = f"{derived:016x}"
-        absorbed = 0
-        for record in records:
-            parent_hex = (
-                id_map.get(record.parent_id)
-                if record.parent_id is not None
-                else None
-            )
-            if parent_hex is None:
-                parent_hex = self.span_id_hex
-            status = "error" if "error" in record.attrs else "ok"
-            self._store._record_span(
-                TraceSpan(
-                    trace_id=self.trace_id_hex,
-                    span_id=id_map[record.span_id],
-                    parent_id=parent_hex,
-                    name=record.name,
-                    category=record.category or "engine",
-                    status=status,
-                    sim_seconds=record.sim_duration,
-                    start_wall_seconds=record.start,
-                    wall_seconds=record.duration,
-                    attrs=dict(record.attrs),
-                )
-            )
-            absorbed += 1
-        return absorbed
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "TraceSpanHandle":
-        _stack().append(self)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        wall = time.perf_counter() - self._start
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        if exc_type is not None and self.status == "ok":
-            self.status = "error"
-            self.attrs.setdefault("error", exc_type.__name__)
-        span = TraceSpan(
-            trace_id=self.trace_id_hex,
-            span_id=self.span_id_hex,
-            parent_id=self.parent_hex,
-            name=self.name,
-            category=self.category,
-            status=self.status,
-            sim_seconds=self.sim_seconds,
-            start_wall_seconds=self._start,
-            wall_seconds=wall,
-            attrs=self.attrs,
-        )
-        self._store._record_span(span)
-        if self.is_root:
-            self._store._finalize(self, span)
-
-
-class _UnsampledRoot:
-    """The handle a head-unsampled request gets: carries the context
-    (so the ``traceparent`` response header stays truthful) and *binds*
-    (so downstream layers see the request as already traced and do not
-    mint a competing root), but records nothing — every child is the
-    shared null span."""
-
-    __slots__ = ("context", "traceparent")
-
-    enabled = False
-    trace_id_hex = ""
-    span_id_hex = ""
-
-    def __init__(self, context: TraceContext) -> None:
-        self.context = context
-        self.traceparent = context.to_traceparent()
-
-    def annotate(self, **attrs: Any) -> "_UnsampledRoot":
-        return self
-
-    def set_status(self, status: str) -> "_UnsampledRoot":
-        return self
-
-    def set_sim(self, seconds: float) -> "_UnsampledRoot":
-        return self
-
-    def absorb(self, records: Sequence[SpanRecord]) -> int:
-        return 0
-
-    def child(
-        self,
-        name: str,
-        category: str = "",
-        key: Optional[str] = None,
-        **attrs: Any,
-    ) -> _NullTraceSpan:
-        return NULL_TRACE_SPAN
-
-    def __enter__(self) -> "_UnsampledRoot":
-        _stack().append(self)
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        return None
-
-
-AnySpan = Union[TraceSpanHandle, _UnsampledRoot, _NullTraceSpan]
-
-#: What the per-thread binding stack holds (a sampled handle or the
-#: unsampled sentinel; never the null span).
-Binding = Union[TraceSpanHandle, _UnsampledRoot]
-
-
-# ----------------------------------------------------------------------
-# per-thread binding
-# ----------------------------------------------------------------------
-_tls = threading.local()
-
-
-def _stack() -> List[Binding]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def current_span() -> AnySpan:
-    """The innermost bound span on this thread (NULL when untraced)."""
-    stack = _stack()
-    return stack[-1] if stack else NULL_TRACE_SPAN
-
-
-def bound() -> bool:
-    """Is any trace binding (sampled or not) active on this thread?
-
-    Entry points use this to decide whether to open their own root: a
-    request that arrived head-unsampled is *bound* but not enabled, and
-    must not be re-minted by an inner layer.
-    """
-    return bool(_stack())
-
-
-def trace_span(
-    name: str,
-    category: str = "",
-    key: Optional[str] = None,
-    **attrs: Any,
-) -> AnySpan:
-    """Open a child of the current bound span (shared no-op when none).
-
-    The untraced cost is one thread-local read and a truthiness check —
-    the same zero-cost bar :data:`~repro.obs.tracer.NULL_SPAN` sets.
-    """
-    stack = _stack()
-    if not stack:
-        return NULL_TRACE_SPAN
-    return stack[-1].child(name, category=category, key=key, **attrs)
-
-
-def capture() -> Optional[Binding]:
-    """Snapshot the current binding for hand-off to another thread."""
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def resume(handle: Optional[Binding]) -> Iterator[None]:
-    """Re-bind a captured span on this thread for the ``with`` body.
-
-    The scatter pool captures before submit and resumes inside the
-    worker, so per-shard child spans parent under the coordinator's
-    request span no matter which pool thread runs them.  An unsampled
-    binding is re-bound too — it keeps inner entry points from minting
-    a competing root on the worker thread.
-    """
-    if handle is None:
-        yield
-        return
-    stack = _stack()
-    stack.append(handle)
-    try:
-        yield
-    finally:
-        if stack and stack[-1] is handle:
-            stack.pop()
 
 
 # ----------------------------------------------------------------------
@@ -541,50 +146,56 @@ class TraceStore:
         category: str = "request",
         traceparent: Optional[str] = None,
         **attrs: Any,
-    ) -> AnySpan:
-        """Open (and bind, when sampled) the root span of a request.
+    ) -> OpenSpan:
+        """Open the root span of a request; use as a context manager.
 
-        Use as a context manager.  The yielded handle always carries
-        ``.context`` and ``.traceparent``; when the head sampler says
-        no, it is an unsampled stub that records nothing.
+        The span always carries ``.context`` and ``.traceparent`` and
+        always binds; when the head sampler says no it records nothing.
         """
         joined = parse_traceparent(traceparent) is not None
         context = self.mint(traceparent)
         with self._lock:
             self.started += 1
         if not context.sampled:
-            return _UnsampledRoot(context)
-        root_context = TraceContext(
-            context.trace_id,
-            derive_span_id(context.span_id, f"root/{name}"),
-            True,
-        )
-        handle = TraceSpanHandle(
+            return OpenSpan(
+                None, context, 0, name, category, {}, 0.0, is_root=True
+            )
+        root = OpenSpan(
             self,
-            root_context,
-            parent_hex=context.span_id_hex if joined else "",
-            name=name,
-            category=category,
-            attrs=dict(attrs),
+            TraceContext(
+                context.trace_id,
+                derive_span_id(context.span_id, f"root/{name}"),
+                True,
+            ),
+            context.span_id if joined else 0,
+            name,
+            category,
+            attrs,
+            time.perf_counter(),
             is_root=True,
         )
         with self._lock:
             self.sampled += 1
-            self._open.setdefault(handle.trace_id_hex, [])
-        return handle
+            self._open.setdefault(root.trace_id_hex, [])
+        return root
 
     # ------------------------------------------------------------------
-    # recording (called by handles)
+    # recording (the SpanSink side)
     # ------------------------------------------------------------------
-    def _record_span(self, span: TraceSpan) -> None:
+    #: Request traces keep no metrics registry of their own.
+    metrics = None
+
+    def record(self, span: TraceSpan, root: bool = False) -> None:
         with self._lock:
             spans = self._open.get(span.trace_id)
             if spans is None:
                 return  # trace already finalized or never opened
             if len(spans) >= self.max_spans_per_trace:
                 self.dropped_spans += 1
-                return
-            spans.append(span)
+            else:
+                spans.append(span)
+        if root:
+            self._finalize(span)
 
     def _slow_threshold(self) -> float:
         """Nearest-rank p99 over the rolling duration window (0 when
@@ -597,7 +208,7 @@ class TraceStore:
         )
         return ordered[rank]
 
-    def _finalize(self, root: TraceSpanHandle, root_span: TraceSpan) -> None:
+    def _finalize(self, root_span: TraceSpan) -> None:
         trace_id = root_span.trace_id
         with self._lock:
             spans = self._open.pop(trace_id, [])

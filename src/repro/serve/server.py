@@ -95,7 +95,6 @@ from repro.obs.events import (
 )
 from repro.obs.live import LiveTelemetry
 from repro.obs.trace_store import TraceStore
-from repro.obs import trace_store as tracing
 from repro.serve.cache import CuboidCache
 from repro.serve.singleflight import SingleFlight
 from repro.timber.stats import CostModel
@@ -115,11 +114,6 @@ _PATCH_DELETE = {"COUNT"}
 
 # Modeled serve-side costs, on the cost model's simulated-seconds scale.
 _CPU_OP_SECONDS = CostModel.cpu_op_cost
-
-#: Serializes engine-traced recomputes across every server in the
-#: process: the session tracer is process-global, so two concurrently
-#: active private tracers would capture each other's spans.
-_ENGINE_TRACE_LOCK = threading.Lock()
 
 PointSpec = Union[LatticePoint, str]
 
@@ -253,16 +247,10 @@ class CubeServer:
             joins (or, at this server's edge, mints) a
             :class:`~repro.obs.propagate.TraceContext`; sampled
             requests record a span tree — ladder walk, single-flight
-            links, absorbed engine-worker spans — and stamp their trace
-            id on the request/eviction events.  ``None`` (the default)
-            keeps the query path exactly as before: zero tracing cost.
-        engine_trace: absorb the engine's span records into traced
-            recomputes.  The session tracer is process-global, so
-            servers whose recomputes may run concurrently in one
-            process (cluster replicas behind a scatter pool) must set
-            this False — a concurrently active private tracer would
-            capture the other threads' spans, breaking both span
-            parentage and replay determinism.
+            links, the engine's and algorithms' spans under each
+            recompute — and stamp their trace id on the
+            request/eviction events.  ``None`` (the default) keeps the
+            query path exactly as before: zero tracing cost.
     """
 
     def __init__(
@@ -278,7 +266,6 @@ class CubeServer:
         event_log_capacity: int = 4096,
         telemetry: Optional[LiveTelemetry] = None,
         trace_store: Optional[TraceStore] = None,
-        engine_trace: bool = True,
     ) -> None:
         self.table = table
         self.lattice = table.lattice
@@ -303,7 +290,6 @@ class CubeServer:
         self.events = EventLog(event_log_capacity)
         self.telemetry = telemetry if telemetry is not None else LiveTelemetry()
         self.trace_store = trace_store
-        self.engine_trace = engine_trace
         self._audit_local = threading.local()
         self.cache = CuboidCache(cache_cells, observer=self._on_cache_audit)
         self._flight = SingleFlight()
@@ -350,7 +336,7 @@ class CubeServer:
             point=self.lattice.describe(point),
             priority=priority,
             cells=cells,
-            trace_id=tracing.current_span().trace_id_hex,
+            trace_id=obs.current().trace_id_hex,
         )
         sink = getattr(self._audit_local, "sink", None)
         if sink is not None:
@@ -380,13 +366,13 @@ class CubeServer:
         it is exact at plus the full rung trail — the same trail the
         request log records, because it *is* that event's trail.
 
-        When a :class:`TraceStore` is attached and no upstream span is
-        bound (a direct caller, not the HTTP/cluster path), the query
-        opens its own trace root so standalone serving sessions are
-        traceable too.
+        When a :class:`TraceStore` is attached and no span is bound (a
+        direct caller, not the HTTP/cluster path or an ``obs.trace()``
+        session), the query opens its own trace root so standalone
+        serving sessions are traceable too.
         """
         store = self.trace_store
-        if store is None or tracing.bound():
+        if store is None or obs.current() is not obs.NULL_SPAN:
             return self._query_impl(query)
         with store.root(
             "serve.query", category="serve", kind=query.kind
@@ -412,8 +398,8 @@ class CubeServer:
             event.rungs,
             event.modeled_seconds,
         )
-        binding = tracing.current_span()
-        if binding.enabled:
+        binding = obs.current()
+        if binding.trace_id_hex:
             result = replace(result, trace_id=binding.trace_id_hex)
             if result.deadline_exceeded:
                 binding.set_status("deadline")
@@ -517,18 +503,12 @@ class CubeServer:
         this request — no racing readback from the log)."""
         described = self.lattice.describe(point)
         started = time.perf_counter()
-        tspan = tracing.trace_span(
-            "serve.request", category="serve", point=described, kind=kind
-        )
         with obs.span(
-            "serve.request",
-            category="serve",
-            point=described,
-        ) as span, tspan:
+            "serve.request", category="serve", point=described, kind=kind
+        ) as span:
             with self._capture_audit() as audit:
                 cuboid, version, tier, cost, rungs = self._resolve(point)
-            span.annotate(tier=tier, cells=len(cuboid))
-            tspan.annotate(tier=tier, cells=len(cuboid)).set_sim(cost)
+            span.annotate(tier=tier, cells=len(cuboid)).set_sim(cost)
         wall = time.perf_counter() - started
         obs.count("x3_serve_requests_total", tier=tier)
         with self._lock:
@@ -550,7 +530,7 @@ class CubeServer:
                 cells=len(cuboid),
                 rungs=rungs,
                 cache_audit=tuple(audit),
-                trace_id=tracing.current_span().trace_id_hex,
+                trace_id=obs.current().trace_id_hex,
             )
         )
         self.telemetry.record(event)
@@ -761,8 +741,8 @@ class CubeServer:
         )
         if shared:
             obs.count("x3_serve_singleflight_shared_total")
-            if tracing.current_span().enabled and leader_span:
-                with tracing.trace_span(
+            if leader_span:
+                with obs.span(
                     "serve.singleflight.join",
                     category="serve",
                     point=self.lattice.describe(point),
@@ -863,11 +843,6 @@ class CubeServer:
             category="serve",
             source=self.lattice.describe(source),
             target=self.lattice.describe(point),
-        ), tracing.trace_span(
-            "serve.rollup",
-            category="serve",
-            source=self.lattice.describe(source),
-            target=self.lattice.describe(point),
         ):
             out = rollup_cuboid(
                 self.lattice, source_cuboid, source, point
@@ -883,49 +858,18 @@ class CubeServer:
         publish: Optional[Callable[[Any], None]] = None,
     ) -> Tuple[Cuboid, float]:
         snapshot = FactTable(self.lattice, rows, self.table.aggregate)
-        tspan = tracing.trace_span(
-            "serve.recompute",
-            category="serve",
-            point=self.lattice.describe(point),
-            rows=len(rows),
-        )
-        # Only request a private engine trace when this server is
-        # allowed to (``engine_trace``; cluster replicas are not — their
-        # recomputes run concurrently and the session tracer is
-        # process-global) and no session tracer is already active (with
-        # one active the run joins the session trace, whose records
-        # would be the whole session, not this recompute).
-        want_engine_trace = (
-            tspan.enabled and self.engine_trace and not obs.enabled()
-        )
-        options = self.options.replace(points=(point,))
-        if want_engine_trace:
-            options = options.replace(trace=True)
         with obs.span(
             "serve.recompute",
             category="serve",
             point=self.lattice.describe(point),
             rows=len(rows),
-        ), tspan:
-            if publish is not None and tspan.enabled:
-                publish((tspan.trace_id_hex, tspan.span_id_hex))
-            if want_engine_trace:
-                # Serialize traced computes: two private tracers active
-                # at once would capture each other's spans.
-                with _ENGINE_TRACE_LOCK:
-                    result: CubeResult = compute_cube(snapshot, options)
-                if result.trace is not None:
-                    tspan.absorb(
-                        [
-                            record
-                            for record in result.trace.records
-                            if record.category
-                            in ("engine", "algorithm", "timber")
-                        ]
-                    )
-            else:
-                result = compute_cube(snapshot, options)
-            tspan.set_sim(result.cost.simulated_seconds)
+        ) as span:
+            if publish is not None and span.trace_id_hex:
+                publish((span.trace_id_hex, span.span_id_hex))
+            result: CubeResult = compute_cube(
+                snapshot, self.options.replace(points=(point,))
+            )
+            span.set_sim(result.cost.simulated_seconds)
         cost = result.cost.simulated_seconds
         with self._lock:
             self._measured_cost[point] = cost

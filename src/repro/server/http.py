@@ -757,11 +757,24 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else None
-        response = self.server.api.handle(
-            self.command, self.path, body, dict(self.headers.items())
-        )
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if declared.isascii() and declared.isdigit():
+            length = int(declared)
+            body = self.rfile.read(length) if length else None
+            response = self.server.api.handle(
+                self.command, self.path, body, dict(self.headers.items())
+            )
+        else:
+            # Where the body ends is unknown, so nothing more can be
+            # read off this connection: answer and hang up (sending
+            # ``Connection: close`` makes the handler do so).
+            response = ApiResponse.error(
+                400,
+                "invalid_query",
+                f"Content-Length must be a non-negative integer, got "
+                f"{declared!r}",
+                headers=(("Connection", "close"),),
+            )
         encoded = response.body.encode("utf-8")
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)

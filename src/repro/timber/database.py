@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.obs import current_tracer
+from repro import obs
 from repro.timber.buffer_pool import BufferPool
 from repro.timber.node_store import NodeRecord, NodeStore
 from repro.timber.pages import DEFAULT_PAGE_CAPACITY, Disk
@@ -55,7 +55,7 @@ class TimberDB:
     def load(self, source: Union[Document, str], name: str = "") -> int:
         """Load a document (tree or XML text).  Returns the doc id."""
         doc = source if isinstance(source, Document) else parse(source, name=name)
-        with current_tracer().span(
+        with obs.span(
             "timber.load", category="timber", cost=self.cost, doc=name
         ):
             doc_id = self.store.load_document(doc)
@@ -67,7 +67,7 @@ class TimberDB:
 
     def build_index(self) -> None:
         """(Re-)build the tag index; called lazily by index accessors."""
-        with current_tracer().span(
+        with obs.span(
             "timber.index.build", category="timber", cost=self.cost
         ):
             self.index.build(self.store)
@@ -76,7 +76,7 @@ class TimberDB:
 
     def build_value_index(self) -> None:
         """(Re-)build the (tag, value) index (lazy, like the tag index)."""
-        with current_tracer().span(
+        with obs.span(
             "timber.value_index.build", category="timber", cost=self.cost
         ):
             self.values.build(self.store)
@@ -147,9 +147,9 @@ class TimberDB:
         """Fold this DB's cost counters (page I/O, buffer hits/misses)
         into the active observability registry, labelled as the timber
         component.  No-op when tracing is off."""
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.metrics.absorb_cost(self.cost, component="timber")
+        registry = obs.registry()
+        if registry is not None:
+            registry.absorb_cost(self.cost, component="timber")
 
     def new_budget(
         self, capacity_entries: Optional[int] = None, fail_on_overflow: bool = False

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs import current_tracer
+from repro import obs
 from repro.timber.stats import CostModel, MemoryBudget
 
 SPAN_MIN_ITEMS = 32
@@ -51,13 +51,12 @@ def sorted_with_cost(
     """
     n = len(items)
     external = budget is not None and n > budget.capacity_entries
-    tracer = current_tracer()
-    if tracer.enabled:
+    if obs.enabled():
         kind = "external" if external else "quicksort"
-        tracer.metrics.counter("x3_sorts_total", kind=kind).inc()
-        tracer.metrics.counter("x3_sorted_items_total", kind=kind).inc(n)
+        obs.count("x3_sorts_total", kind=kind)
+        obs.count("x3_sorted_items_total", n, kind=kind)
         if external or n >= SPAN_MIN_ITEMS:
-            with tracer.span(
+            with obs.span(
                 "timber.sort",
                 category="timber",
                 cost=cost,
@@ -89,11 +88,10 @@ def charge_sort(
     cascade (page writes + reads per pass) when it does not.
     """
     external = budget is not None and n > budget.capacity_entries
-    tracer = current_tracer()
-    if tracer.enabled:
+    if obs.enabled():
         kind = "external" if external else "quicksort"
-        tracer.metrics.counter("x3_sorts_total", kind=kind).inc()
-        tracer.metrics.counter("x3_sorted_items_total", kind=kind).inc(n)
+        obs.count("x3_sorts_total", kind=kind)
+        obs.count("x3_sorted_items_total", n, kind=kind)
     if not external:
         cost.charge_cpu(quicksort_cost(n))
         return

@@ -77,12 +77,11 @@ def join_pairs(
     parent_child: bool = False,
 ) -> List[JoinPair]:
     """Materialized convenience wrapper over :func:`stack_tree_join`."""
-    from repro.obs import current_tracer
+    from repro import obs
 
-    tracer = current_tracer()
-    if tracer.enabled:
+    if obs.enabled():
         kind = "parent_child" if parent_child else "ancestor_descendant"
-        with tracer.span(
+        with obs.span(
             "timber.structural_join",
             category="timber",
             cost=cost,
@@ -96,9 +95,7 @@ def join_pairs(
                 )
             )
             span.annotate(pairs=len(pairs))
-        tracer.metrics.counter("x3_join_pairs_total", join="structural").inc(
-            len(pairs)
-        )
+        obs.count("x3_join_pairs_total", len(pairs), join="structural")
         return pairs
     return list(
         stack_tree_join(ancestors, descendants, cost, parent_child=parent_child)

@@ -201,10 +201,9 @@ def twig_join(db: TimberDB, pattern: TreePattern) -> List[TwigMatch]:
     :func:`repro.patterns.match.match_db`: a CHILD root axis anchors at
     document roots.
     """
-    from repro.obs import current_tracer
+    from repro import obs
 
-    tracer = current_tracer()
-    with tracer.span(
+    with obs.span(
         "timber.twig_join",
         category="timber",
         cost=db.cost,
@@ -214,8 +213,5 @@ def twig_join(db: TimberDB, pattern: TreePattern) -> List[TwigMatch]:
         if pattern.root_axis is EdgeAxis.CHILD:
             matches = [match for match in matches if match[0].level == 0]
         span.annotate(matches=len(matches))
-    if tracer.enabled:
-        tracer.metrics.counter("x3_join_pairs_total", join="twig").inc(
-            len(matches)
-        )
+    obs.count("x3_join_pairs_total", len(matches), join="twig")
     return matches

@@ -304,9 +304,9 @@ class XmlParser:
 
 def parse(text: str, name: str = "") -> Document:
     """Parse an XML string into a :class:`Document`."""
-    from repro.obs import current_tracer
+    from repro import obs
 
-    with current_tracer().span(
+    with obs.span(
         "xml.parse", category="parse", doc=name, chars=len(text)
     ):
         return XmlParser(text, name=name).parse()

@@ -5,7 +5,7 @@ import re
 
 from repro.obs import (
     MetricsRegistry,
-    SpanRecord,
+    TraceSpan,
     chrome_trace_events,
     chrome_trace_json,
     collapsed_stacks,
@@ -21,17 +21,20 @@ def _record(
     start=0.0,
     duration=0.001,
     thread="pid-42/worker-0",
+    sim=0.0,
     **attrs,
 ):
-    return SpanRecord(
-        span_id=span_id,
-        parent_id=parent_id,
+    return TraceSpan(
+        trace_id="",
+        span_id=f"{span_id:016x}",
+        parent_id=f"{parent_id:016x}" if parent_id else "",
         name=name,
         category=category,
-        start=start,
-        duration=duration,
-        thread=thread,
+        sim_seconds=sim,
+        start_wall_seconds=start,
+        wall_seconds=duration,
         attrs=attrs,
+        thread=thread,
     )
 
 
@@ -63,8 +66,7 @@ class TestChromeExport:
         assert names == {"worker-0", "main"}
 
     def test_sim_seconds_in_args(self):
-        record = _record(1)
-        record.sim_duration = 0.125
+        record = _record(1, sim=0.125)
         (event,) = [
             e for e in chrome_trace_events([record]) if e["ph"] == "X"
         ]

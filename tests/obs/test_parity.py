@@ -58,11 +58,11 @@ def test_parallel_parity(workers):
 
 def test_process_engine_parity_and_span_propagation():
     """Process workers ship their span batches back on the outcome; the
-    parent absorbs them into one coherent tree.  A forked child inherits
-    the parent's enabled active tracer, so this exercises the pid-based
-    local-tracer decision in ``_run_partition``.  Where the host cannot
-    fork, the pool falls back to threads (RuntimeWarning) and the shared
-    tracer path must produce the same tree shape."""
+    parent adopts them into one coherent tree.  A forked child inherits
+    the parent's bound span, so this exercises the worker-side session
+    bound to the shipped context in ``_run_partition``.  Where the host
+    cannot fork, the pool falls back to threads (RuntimeWarning) and the
+    copied-context path must produce the same tree shape."""
     import warnings
 
     table = small_workload().fact_table()
@@ -83,7 +83,7 @@ def test_process_engine_parity_and_span_propagation():
     ids = {s.span_id for s in trace.records}
     assert len(ids) == len(trace.records)
     assert all(
-        s.parent_id is None or s.parent_id in ids for s in trace.records
+        s.parent_id == "" or s.parent_id in ids for s in trace.records
     )
     assert "algorithm" in trace.categories()
 
@@ -96,6 +96,9 @@ def test_process_engine_parity_and_span_propagation():
             algorithm="BUC", workers=2, engine="thread", trace=True
         ),
     )
+    # ... and so must the span ids: derived, not allocated, so a worker
+    # in another process computes what a pool thread would have.
+    assert {s.span_id for s in threaded.trace.records} == ids
     for name in ("x3_sorts_total", "x3_sorted_items_total"):
         assert trace.metrics.total(name) == pytest.approx(
             threaded.trace.metrics.total(name)
@@ -128,14 +131,14 @@ def test_timber_buffer_counters_parity():
     metrics equal the cost model's buffer counters."""
     from repro.datagen.publications import figure1_document
 
-    with obs.trace() as tracer:
+    with obs.trace() as session:
         db = TimberDB(buffer_pages=4)
         db.load(figure1_document(), name="parity")
         db.postings("publication")
         db.postings("name")
         db.publish_metrics()
     snapshot = db.cost.snapshot()
-    registry = tracer.metrics
+    registry = session.metrics
     assert snapshot["buffer_hits"] + snapshot["buffer_misses"] > 0
     assert registry.total("x3_buffer_hits_total") == snapshot["buffer_hits"]
     assert (

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro import obs
+from repro.obs import TraceSpan, chrome_trace_events
 from repro.obs.trace_cli import (
     canonical_line,
     filter_traces,
@@ -11,9 +13,8 @@ from repro.obs.trace_cli import (
     load_traces,
     main,
     render_waterfall,
-    to_span_records,
 )
-from repro.obs.trace_store import TraceStore, trace_span
+from repro.obs.trace_store import TraceStore
 
 
 @pytest.fixture
@@ -21,7 +22,7 @@ def trace_file(tmp_path):
     """A real store dump: three traces (ok / error / keyed fan-out)."""
     store = TraceStore(seed=21)
     with store.root("serve.query", category="serve") as root:
-        with trace_span("serve.recompute", category="serve"):
+        with obs.span("serve.recompute", category="serve"):
             pass
         root.set_sim(0.002)
     with pytest.raises(RuntimeError):
@@ -30,7 +31,7 @@ def trace_file(tmp_path):
             raise RuntimeError("boom")
     with store.root("cluster.query", category="cluster") as root:
         for shard in range(3):
-            with trace_span(
+            with obs.span(
                 "cluster.shard", key=f"s{shard}", shard=shard
             ):
                 pass
@@ -121,22 +122,31 @@ class TestWaterfall:
 
 class TestChromeConversion:
     def test_span_records_carry_remapped_ids(self, trace_file):
+        """(Named for the converter it used to pin.)  A dumped span
+        loads back into the one record type with its ids as dumped."""
         records = load_traces(trace_file)
         fanout = next(r for r in records if len(r["spans"]) == 4)
-        spans = to_span_records(fanout)
-        assert len(spans) == 4
-        root = next(s for s in spans if s.parent_id is None)
+        spans = [
+            TraceSpan.from_dict(span, thread="lane")
+            for span in fanout["spans"]
+        ]
+        assert [span.to_dict() for span in spans] == fanout["spans"]
+        root = next(s for s in spans if s.parent_id == "")
         children = [s for s in spans if s.parent_id == root.span_id]
         assert len(children) == 3
-        assert all(
-            s.thread == f"trace-{fanout['trace_id'][:8]}" for s in spans
-        )
+        assert all(s.thread == "lane" for s in spans)
 
     def test_non_ok_status_lands_in_attrs(self, trace_file):
         records = load_traces(trace_file)
         bad = next(r for r in records if r["status"] == "error")
-        spans = to_span_records(bad)
-        assert any(s.attrs.get("status") == "error" for s in spans)
+        events = chrome_trace_events(
+            [TraceSpan.from_dict(span) for span in bad["spans"]]
+        )
+        assert any(
+            event["args"].get("status") == "error"
+            for event in events
+            if event["ph"] == "X"
+        )
 
 
 class TestMain:
@@ -199,6 +209,12 @@ class TestMain:
             if event["ph"] == "X"
         }
         assert "cluster.shard" in names
+        lanes = {
+            event["args"]["name"]
+            for event in document["traceEvents"]
+            if event["ph"] == "M"
+        }
+        assert lanes == {f"trace-{fanout['trace_id'][:8]}"}
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["list", str(tmp_path / "nope.jsonl")]) == 1

@@ -1,20 +1,19 @@
 """Unit tests for the bounded trace store (repro.obs.trace_store)."""
 
+import contextvars
 import json
 import threading
 
 import pytest
 
-from repro.obs.tracer import SpanRecord
-from repro.obs.trace_store import (
-    NULL_TRACE_SPAN,
-    TraceStore,
-    bound,
-    capture,
-    current_span,
-    resume,
-    trace_span,
-)
+from repro import obs
+from repro.obs import NULL_SPAN
+from repro.obs.trace_store import TraceStore
+
+
+def bound():
+    """Is any span (recording or not) bound in this context?"""
+    return obs.current() is not NULL_SPAN
 
 
 def make_store(**kwargs):
@@ -28,7 +27,7 @@ class TestRoot:
         with store.root("http.request", category="http") as root:
             assert root.enabled
             assert bound()
-            assert current_span() is root
+            assert obs.current() is root
         assert not bound()
         traces = store.traces()
         assert len(traces) == 1
@@ -65,8 +64,8 @@ class TestRoot:
             assert not root.enabled
             assert bound()  # bound so inner layers do not re-mint
             assert root.traceparent.endswith("-00")
-            child = trace_span("inner")
-            assert child is NULL_TRACE_SPAN
+            child = obs.span("inner")
+            assert child is NULL_SPAN
         assert store.traces() == ()
         assert store.stats()["started"] == 1
         assert store.stats()["sampled"] == 0
@@ -90,8 +89,8 @@ class TestSpans:
     def test_children_nest_and_share_the_trace_id(self):
         store = make_store()
         with store.root("r") as root:
-            with trace_span("a", category="serve") as a:
-                with trace_span("b") as b:
+            with obs.span("a", category="serve") as a:
+                with obs.span("b") as b:
                     assert b.trace_id_hex == root.trace_id_hex
                     assert b.parent_hex == a.span_id_hex
                 assert a.parent_hex == root.span_id_hex
@@ -144,7 +143,7 @@ class TestSpans:
         store = make_store()
         with pytest.raises(RuntimeError):
             with store.root("r"):
-                with trace_span("inner"):
+                with obs.span("inner"):
                     raise RuntimeError("boom")
         record = store.traces()[0]
         assert record.status == "error"
@@ -173,7 +172,7 @@ class TestSpans:
         store = make_store(max_spans_per_trace=3)
         with store.root("r"):
             for n in range(10):
-                with trace_span(f"s{n}"):
+                with obs.span(f"s{n}"):
                     pass
         record = store.traces()[0]
         # 3 spans kept (the cap); the root arrives after the cap fills
@@ -182,42 +181,41 @@ class TestSpans:
 
 
 class TestAbsorb:
+    """Spans a process worker shipped back land in the request trace
+    as they are: the worker derived their ids from the span it was
+    handed, so nothing is remapped."""
+
+    @staticmethod
+    def shipped(context):
+        with obs.trace(remote=context) as local:
+            with obs.span("engine.partition", category="engine", key="p0"):
+                with obs.span(
+                    "algo.NAIVE", category="algorithm"
+                ) as algo:
+                    algo.set_sim(0.2)
+        return local.records()
+
     def test_engine_records_remap_ids_under_the_span(self):
+        """(Named for the bridge it used to pin.)  A worker's records
+        need no id remap any more: they sit under the span as shipped."""
         store = make_store()
-        records = [
-            SpanRecord(
-                span_id=1,
-                parent_id=None,
-                name="engine.run",
-                category="engine",
-                start=0.0,
-                duration=0.5,
-                thread="pid-9/worker-0",
-                sim_duration=0.25,
-            ),
-            SpanRecord(
-                span_id=2,
-                parent_id=1,
-                name="algo.NAIVE",
-                category="algorithm",
-                start=0.1,
-                duration=0.4,
-                thread="pid-9/worker-0",
-                sim_duration=0.2,
-            ),
-        ]
         with store.root("r") as root:
-            assert root.absorb(records) == 2
+            records = self.shipped(root.context)
+            root.adopt(records)
             root_span_id = root.span_id_hex
         record = store.traces()[0]
         by_name = {span.name: span for span in record.spans}
-        top = by_name["engine.run"]
+        top = by_name["engine.partition"]
         child = by_name["algo.NAIVE"]
-        # the orphan engine root reparents under the absorbing span;
-        # the child keeps its (remapped) engine parent
+        # the worker's top span parents under the adopting span; its
+        # child keeps the parent it was recorded with
         assert top.parent_id == root_span_id
         assert child.parent_id == top.span_id
-        assert top.span_id != "0000000000000001"  # remapped, not raw
+        # appended as shipped: same ids, nothing remapped
+        assert sorted(
+            (top, child), key=lambda span: span.name
+        ) == sorted(records, key=lambda span: span.name)
+        assert child.sim_seconds == 0.2
         assert {span.trace_id for span in record.spans} == {
             record.trace_id
         }
@@ -226,44 +224,38 @@ class TestAbsorb:
         outs = []
         for _ in range(2):
             store = make_store(seed=5)
-            records = [
-                SpanRecord(
-                    span_id=7,
-                    parent_id=None,
-                    name="engine.run",
-                    category="engine",
-                    start=0.0,
-                    duration=0.1,
-                    thread="t",
-                )
-            ]
             with store.root("r") as root:
-                root.absorb(records)
+                root.adopt(self.shipped(root.context))
             outs.append(
                 [span.span_id for span in store.traces()[0].spans]
             )
         assert outs[0] == outs[1]
+        assert len(set(outs[0])) == 3
 
     def test_absorb_empty_is_zero(self):
         store = make_store()
         with store.root("r") as root:
-            assert root.absorb([]) == 0
+            root.adopt([])
+        assert len(store.traces()[0].spans) == 1
 
 
 class TestCaptureResume:
+    """Hand-off is ``contextvars.copy_context().run``: the copy carries
+    the binding, a fresh context carries none."""
+
     def test_cross_thread_handoff_keeps_the_parent(self):
         store = make_store()
         seen = {}
 
-        def worker(handle):
-            with resume(handle):
-                with trace_span("pool.work") as span:
-                    seen["trace"] = span.trace_id_hex
-                    seen["parent"] = span.parent_hex
+        def worker():
+            with obs.span("pool.work") as span:
+                seen["trace"] = span.trace_id_hex
+                seen["parent"] = span.parent_hex
 
         with store.root("r") as root:
-            handle = capture()
-            thread = threading.Thread(target=worker, args=(handle,))
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(worker,)
+            )
             thread.start()
             thread.join()
             expected_parent = root.span_id_hex
@@ -273,21 +265,30 @@ class TestCaptureResume:
         assert len(store.traces()[0].spans) == 2
 
     def test_resume_none_is_a_noop(self):
-        with resume(None):
+        def body():
             assert not bound()
-            assert trace_span("x") is NULL_TRACE_SPAN
+            assert obs.span("x") is NULL_SPAN
+
+        store = make_store()
+        with store.root("r"):
+            contextvars.Context().run(body)
 
     def test_capture_without_binding_is_none(self):
-        assert capture() is None
+        seen = []
+        contextvars.copy_context().run(lambda: seen.append(bound()))
+        assert seen == [False]
 
     def test_unsampled_binding_resumes_without_recording(self):
         store = make_store(sample_rate=0.0)
-        with store.root("r"):
-            handle = capture()
-        assert handle is not None
-        with resume(handle):
+
+        def body():
             assert bound()
-            assert trace_span("x") is NULL_TRACE_SPAN
+            assert obs.span("x") is NULL_SPAN
+
+        with store.root("r"):
+            handed = contextvars.copy_context()
+        handed.run(body)
+        assert store.traces() == ()
 
 
 class TestStoreBounds:
@@ -344,7 +345,7 @@ class TestJsonl:
     def test_canonical_lines_parse_and_sort_keys(self):
         store = make_store()
         with store.root("r") as root:
-            with trace_span("inner"):
+            with obs.span("inner"):
                 pass
             root.set_sim(0.5)
         text = store.to_jsonl()
@@ -362,7 +363,7 @@ class TestJsonl:
             store = make_store(seed=11)
             for n in range(3):
                 with store.root("r", n=n) as root:
-                    with trace_span("inner", key=f"k{n}"):
+                    with obs.span("inner", key=f"k{n}"):
                         pass
                     root.set_sim(0.01 * (n + 1))
             return store.to_jsonl()

@@ -1,18 +1,13 @@
-"""Unit tests for the hierarchical span tracer."""
+"""Unit tests for the span model inside an ``obs.trace()`` session."""
 
+import contextvars
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
-from repro.obs import (
-    NULL_SPAN,
-    NULL_TRACER,
-    SpanRecord,
-    Tracer,
-    activate,
-    current_tracer,
-)
+from repro.obs import NULL_SPAN, TraceContext
 
 
 class FakeCost:
@@ -27,191 +22,247 @@ class FakeCost:
 
 class TestDisabledPath:
     def test_disabled_span_is_the_shared_singleton(self):
-        tracer = Tracer(enabled=False)
-        # Zero allocations: every disabled span() call returns the one
-        # module-level singleton, identically.
-        first = tracer.span("a", category="x", anything=1)
-        second = tracer.span("b")
+        # Zero allocations: with nothing bound every span() call
+        # returns the one module-level singleton, identically.
+        first = obs.span("a", category="x", anything=1)
+        second = obs.span("b")
         assert first is NULL_SPAN
         assert second is NULL_SPAN
         assert first.enabled is False
+        # ... and so does every child of a span that is not recording
+        assert NULL_SPAN.child("c", key="k") is NULL_SPAN
 
     def test_disabled_span_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        assert len(tracer) == 0
-        assert tracer.records() == []
+        with obs.span("a") as a:
+            with obs.span("b"):
+                # the no-op never binds, so nothing nests under it
+                assert obs.current() is NULL_SPAN
+        assert a.attrs == {}
+        assert obs.session() is None
 
     def test_null_span_annotate_is_noop(self):
         assert NULL_SPAN.annotate(x=1) is NULL_SPAN
+        assert NULL_SPAN.set_sim(1.0).set_status("error") is NULL_SPAN
+        assert NULL_SPAN.attrs == {}
+        assert NULL_SPAN.sim_seconds == 0.0
+        assert NULL_SPAN.status == "ok"
 
     def test_default_active_tracer_is_disabled(self):
-        assert current_tracer().enabled is False
+        assert obs.current() is NULL_SPAN
         assert obs.enabled() is False
+        assert obs.registry() is None
 
     def test_module_helpers_are_noops_when_disabled(self):
-        before = len(NULL_TRACER.metrics)
         obs.count("x3_nope_total", 5)
         obs.gauge("x3_nope", 1)
         obs.observe("x3_nope_seconds", 0.1)
-        assert len(NULL_TRACER.metrics) == before
+        assert obs.registry() is None
         assert obs.span("x") is NULL_SPAN
 
 
 class TestNesting:
     def test_parent_child_from_thread_stack(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        records = {r.name: r for r in tracer.records()}
+        with obs.trace() as session:
+            with obs.span("outer"):
+                with obs.span("inner"):
+                    pass
+        records = {r.name: r for r in session.records()}
         assert records["inner"].parent_id == records["outer"].span_id
-        assert records["outer"].parent_id is None
+        assert records["outer"].parent_id == ""
 
     def test_explicit_parent_wins(self):
-        tracer = Tracer()
-        with tracer.span("root") as root:
-            pass
-        with tracer.span("adopted", parent=root.span_id):
-            pass
-        records = {r.name: r for r in tracer.records()}
-        assert records["adopted"].parent_id == root.span_id
+        with obs.trace() as session:
+            with obs.span("root") as root:
+                pass
+            with obs.span("elsewhere"):
+                with root.child("adopted"):
+                    pass
+        records = {r.name: r for r in session.records()}
+        assert records["adopted"].parent_id == root.span_id_hex
 
     def test_records_sorted_by_start(self):
-        tracer = Tracer()
-        for name in ("a", "b", "c"):
-            with tracer.span(name):
-                pass
-        assert [r.name for r in tracer.records()] == ["a", "b", "c"]
+        with obs.trace() as session:
+            for name in ("a", "b", "c"):
+                with obs.span(name):
+                    pass
+        assert [r.name for r in session.records()] == ["a", "b", "c"]
 
     def test_attrs_and_annotate(self):
-        tracer = Tracer()
-        with tracer.span("s", category="engine", points=4) as span:
-            span.annotate(groups=7)
-        record = tracer.records()[0]
+        with obs.trace() as session:
+            with obs.span("s", category="engine", points=4) as span:
+                span.annotate(groups=7)
+        record = session.records()[0]
         assert record.category == "engine"
         assert record.attrs == {"points": 4, "groups": 7}
 
     def test_error_attr_on_exception(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
-                raise RuntimeError("nope")
-        assert tracer.records()[0].attrs["error"] == "RuntimeError"
+        with obs.trace() as session:
+            with pytest.raises(RuntimeError):
+                with obs.span("boom"):
+                    raise RuntimeError("nope")
+        record = session.records()[0]
+        assert record.attrs["error"] == "RuntimeError"
+        assert record.status == "error"
+
+    def test_span_ids_are_derived_not_allocated(self):
+        def run():
+            with obs.trace() as session:
+                with obs.span("a"):
+                    with obs.span("b"):
+                        pass
+                    with obs.span("b"):
+                        pass
+            return [r.span_id for r in session.records()]
+
+        first, second = run(), run()
+        assert first == second
+        assert len(set(first)) == 3
 
 
 class TestSimulatedTime:
     def test_sim_duration_from_cost_model(self):
-        tracer = Tracer()
         cost = FakeCost()
         cost.seconds = 1.0
-        with tracer.span("work", cost=cost):
-            cost.seconds = 3.5
-        record = tracer.records()[0]
-        assert record.sim_start == 1.0
-        assert record.sim_duration == pytest.approx(2.5)
+        with obs.trace() as session:
+            with obs.span("work", cost=cost):
+                cost.seconds = 3.5
+        record = session.records()[0]
+        assert record.sim_seconds == pytest.approx(2.5)
 
     def test_no_cost_means_zero_sim(self):
-        tracer = Tracer()
-        with tracer.span("work"):
-            pass
-        assert tracer.records()[0].sim_duration == 0.0
+        with obs.trace() as session:
+            with obs.span("work"):
+                pass
+        assert session.records()[0].sim_seconds == 0.0
+
+    def test_explicit_sim_without_a_cost_model(self):
+        with obs.trace() as session:
+            with obs.span("work") as span:
+                span.set_sim(0.25)
+        assert session.records()[0].sim_seconds == 0.25
 
 
 class TestActivation:
-    def test_activate_installs_and_restores(self):
-        tracer = Tracer()
-        assert current_tracer() is not tracer
-        with activate(tracer):
-            assert current_tracer() is tracer
-            assert obs.enabled()
-        assert current_tracer().enabled is False
-
     def test_nested_activation_restores_previous(self):
-        outer, inner = Tracer(), Tracer()
-        with activate(outer):
-            with activate(inner):
-                assert current_tracer() is inner
-            assert current_tracer() is outer
+        with obs.trace() as outer:
+            with obs.trace() as inner:
+                assert obs.session() is inner
+                with obs.span("in"):
+                    pass
+            assert obs.session() is outer
+            with obs.span("out"):
+                pass
+        assert obs.session() is None
+        assert [r.name for r in inner.records()] == ["in"]
+        assert [r.name for r in outer.records()] == ["out"]
 
     def test_obs_trace_contextmanager(self):
-        with obs.trace() as tracer:
+        with obs.trace() as session:
+            assert obs.enabled()
             with obs.span("hello", category="test"):
                 pass
             obs.count("x3_hello_total", 2)
-        report = tracer.trace()
+        assert not obs.enabled()
+        report = session.trace()
         assert report.span_names() == ["hello"]
         assert report.metrics.total("x3_hello_total") == 2
 
-    def test_worker_threads_share_the_active_tracer(self):
-        with obs.trace() as tracer:
+    def test_binding_is_context_local_not_process_global(self):
+        seen = {}
+
+        def work():
+            seen["bare"] = obs.current()
+
+        with obs.trace():
+            # a plain thread starts from an empty context: unbound
+            bare = threading.Thread(target=work)
+            bare.start()
+            bare.join()
+        assert seen["bare"] is NULL_SPAN
+
+
+class TestAbsorb:
+    """A process worker binds a session to the dispatcher's span
+    context and ships its finished spans back to be adopted."""
+
+    def _shipped(self, context):
+        with obs.trace(remote=context) as local:
+            with obs.span("engine.partition", category="engine", key="p0"):
+                with obs.span("algo.BUC", category="algorithm"):
+                    pass
+        return local.records()
+
+    def test_adopt_keeps_ids_and_shifts_time(self):
+        with obs.trace() as session:
+            with obs.span("engine.run") as run:
+                shipped = self._shipped(run.context)
+                # a thread worker would have derived the very same id
+                expected = run.child("engine.partition", key="p0")
+                run.adopt(shipped, shift=10.0)
+        records = {r.name: r for r in session.records()}
+        top = records["engine.partition"]
+        child = records["algo.BUC"]
+        assert top.parent_id == run.span_id_hex
+        assert child.parent_id == top.span_id
+        assert top.span_id == expected.span_id_hex  # as shipped
+        by_name = {r.name: r for r in shipped}
+        assert top == replace(
+            by_name["engine.partition"],
+            start_wall_seconds=top.start_wall_seconds,
+        )
+        assert top.start_wall_seconds == pytest.approx(
+            by_name["engine.partition"].start_wall_seconds + 10.0
+        )
+        assert child.start_wall_seconds == pytest.approx(
+            by_name["algo.BUC"].start_wall_seconds + 10.0
+        )
+
+    def test_absorb_empty_is_noop(self):
+        with obs.trace() as session:
+            with obs.span("engine.run") as run:
+                run.adopt([], shift=1.0)
+        assert len(session) == 1
+        NULL_SPAN.adopt(self._shipped(TraceContext(7, 9, True)))
+
+    def test_unsampled_remote_context_records_nothing(self):
+        assert self._shipped(TraceContext(7, 9, False)) == []
+
+
+class TestHandOff:
+    def test_copied_context_carries_the_binding_to_a_thread(self):
+        with obs.trace() as session:
             with obs.span("dispatch") as root:
-                def work():
-                    with obs.span("worker", parent=root.span_id):
+
+                def work(index):
+                    with obs.span("worker", key=f"w{index}"):
                         pass
-                threads = [threading.Thread(target=work) for _ in range(2)]
+
+                threads = [
+                    threading.Thread(
+                        target=contextvars.copy_context().run,
+                        args=(work, index),
+                    )
+                    for index in range(2)
+                ]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join()
-        records = tracer.records()
-        workers = [r for r in records if r.name == "worker"]
+        workers = [r for r in session.records() if r.name == "worker"]
         assert len(workers) == 2
-        assert all(r.parent_id == root.span_id for r in workers)
+        assert all(r.parent_id == root.span_id_hex for r in workers)
+        assert len({r.span_id for r in workers}) == 2
         # two distinct worker thread labels, one dispatcher label
         assert len({r.thread for r in workers}) == 2
 
 
-class TestAbsorb:
-    def test_absorb_remaps_ids_and_shifts_time(self):
-        parent = Tracer()
-        with parent.span("engine.run") as run:
-            pass
-        shipped = [
-            SpanRecord(
-                span_id=1,
-                parent_id=None,
-                name="engine.partition",
-                category="engine",
-                start=0.0,
-                duration=0.5,
-                thread="pid-1/worker",
-            ),
-            SpanRecord(
-                span_id=2,
-                parent_id=1,
-                name="algo.BUC",
-                category="algorithm",
-                start=0.1,
-                duration=0.4,
-                thread="pid-1/worker",
-            ),
-        ]
-        parent.absorb(shipped, parent_id=run.span_id, shift=10.0)
-        records = {r.name: r for r in parent.records()}
-        top = records["engine.partition"]
-        child = records["algo.BUC"]
-        assert top.parent_id == run.span_id
-        assert child.parent_id == top.span_id
-        assert top.span_id != 1  # remapped to a fresh id
-        assert top.start == pytest.approx(10.0)
-        assert child.start == pytest.approx(10.1)
-
-    def test_absorb_empty_is_noop(self):
-        tracer = Tracer()
-        tracer.absorb([], parent_id=None, shift=1.0)
-        assert len(tracer) == 0
-
-
 class TestTraceReport:
     def _traced(self):
-        tracer = Tracer()
-        with tracer.span("a", category="engine"):
-            with tracer.span("b", category="algorithm"):
-                pass
-        return tracer.trace()
+        with obs.trace() as session:
+            with obs.span("a", category="engine"):
+                with obs.span("b", category="algorithm"):
+                    pass
+        return session.trace()
 
     def test_helpers(self):
         report = self._traced()

@@ -9,6 +9,7 @@ rows *at the version the response reports* — the serving contract of
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -104,6 +105,56 @@ class TestSocketBasics:
         )
         assert status == 404
         assert decoded["error"]["kind"] == "unknown_cube"
+
+
+class TestHostileContentLength:
+    @staticmethod
+    def raw_exchange(front, request):
+        with socket.create_connection(
+            (front.host, front.port), timeout=10
+        ) as connection:
+            connection.sendall(request)
+            chunks = []
+            while True:  # the server must hang up: read to EOF
+                chunk = connection.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        return head.decode("latin-1"), body
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_rejected_with_a_typed_400_and_the_server_survives(
+        self, stack, length
+    ):
+        front, *_ = stack
+        head, body = self.raw_exchange(
+            front,
+            (
+                "POST /api/v1/cubes/cube/aggregate HTTP/1.1\r\n"
+                "Host: x3\r\n"
+                f"Content-Length: {length}\r\n"
+                "\r\n"
+                "{}"
+            ).encode("ascii"),
+        )
+        status_line, *header_lines = head.split("\r\n")
+        assert status_line.split()[1] == "400"
+        assert "connection: close" in [
+            line.lower() for line in header_lines
+        ]
+        error = json.loads(body.decode())["error"]
+        assert error["kind"] == "invalid_query"
+        assert "Content-Length" in error["message"]
+        assert length in error["message"]
+        # ... and the next connection is served as if nothing happened
+        status, decoded = http_post(
+            front.host,
+            front.port,
+            "/api/v1/cubes/cube/aggregate",
+            {"point": "$m1:rigid, $m2:rigid, $m3:rigid"},
+        )
+        assert status == 200, decoded
 
 
 class TestConcurrentBitIdentity:
