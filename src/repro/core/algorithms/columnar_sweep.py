@@ -24,6 +24,10 @@ cuboids:
   C-speed fast paths); ids decode back to string group keys with the
   reversed mixed-radix divmod.
 
+The trie walk (:func:`sweep_trie`) takes its leaf as an argument:
+the algorithm's leaf aggregates a cuboid, :func:`census`'s only counts
+the distinct group ids (the cell census of Sec. 3.6's space budgets).
+
 Aggregation folds measures in base-row order — the same fold order as
 NAIVE and COUNTER — so finalized floats are **bit-identical** to the dict
 engine, which is what the differential battery asserts.
@@ -39,16 +43,17 @@ execution, re-reading the encoded table per extra pass.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple, cast
+from typing import Any, Callable, Dict, List, Sequence, Tuple, cast
 
 from repro import obs
 from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
-from repro.core.bindings import GroupKey
+from repro.core.bindings import FactTable, GroupKey
 from repro.core.columnar import (
     VECTOR_LANES,
     ColumnarFactTable,
     KeptAxis,
     RowGroups,
+    count_group_ids,
     extend_group_ids,
     fold_group_ids,
     make_group_decoder,
@@ -57,7 +62,101 @@ from repro.core.columnar import (
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 
-__all__ = ["ColumnarSweepAlgorithm", "VECTOR_LANES"]
+__all__ = ["ColumnarSweepAlgorithm", "VECTOR_LANES", "census", "sweep_trie"]
+
+#: What the trie walk hands a leaf: the lattice point, its group-id
+#: column, whether any row fanned out into several ids, and the kept
+#: axes (for decoding ids back to keys).
+Leaf = Callable[[LatticePoint, List[RowGroups], bool, List[KeptAxis]], None]
+
+
+def sweep_trie(
+    encoded: ColumnarFactTable,
+    points: Sequence[LatticePoint],
+    leaf: Leaf,
+) -> int:
+    """Walk the prefix trie of ``points`` over the encoded columns.
+
+    One :func:`extend_group_ids` per trie edge, shared by every point
+    below it; ``leaf`` is called once per distinct point with the
+    finished group-id column.  Returns the number of edges extended
+    (each one batched pass over the rows).
+    """
+    lattice = encoded.lattice
+    nodes = 0
+
+    def descend(
+        position: int,
+        prefix: List[RowGroups],
+        has_multi: bool,
+        subset: List[LatticePoint],
+        kept: List[KeptAxis],
+    ) -> None:
+        nonlocal nodes
+        if position == lattice.axis_count:
+            # All points in this bucket are the same tuple.
+            leaf(subset[0], prefix, has_multi, kept)
+            return
+        states = lattice.axis_states[position]
+        buckets: Dict[int, List[LatticePoint]] = {}
+        for point in subset:
+            buckets.setdefault(point[position], []).append(point)
+        for state in sorted(buckets):
+            if states.is_dropped(state):
+                # Dropped axis: the group-id column passes through
+                # unchanged (LND keeps every fact, adds no key part).
+                descend(position + 1, prefix, has_multi, buckets[state], kept)
+                continue
+            column = encoded.columns[position]
+            extended, extended_multi = extend_group_ids(
+                prefix,
+                has_multi,
+                encoded.state_view(position, state),
+                column.radix,
+            )
+            nodes += 1
+            descend(
+                position + 1,
+                extended,
+                extended_multi,
+                buckets[state],
+                kept + [(column.dictionary, column.radix)],
+            )
+
+    with obs.span(
+        "columnar.sweep",
+        category="columnar",
+        points=len(points),
+        facts=encoded.n_rows,
+    ):
+        descend(0, [0] * encoded.n_rows, False, list(points), [])
+    return nodes
+
+
+def _encode(table: FactTable) -> ColumnarFactTable:
+    with obs.span(
+        "columnar.encode", category="columnar", facts=len(table.rows)
+    ):
+        return table.columnar()
+
+
+def census(
+    table: FactTable, points: Sequence[LatticePoint]
+) -> Dict[LatticePoint, int]:
+    """Cell count of the cuboid at each of ``points``: the sweep with a
+    count-only leaf — no measure fold, no key decode, no cuboid held."""
+    sizes: Dict[LatticePoint, int] = {}
+
+    def leaf(
+        point: LatticePoint,
+        prefix: List[RowGroups],
+        has_multi: bool,
+        kept: List[KeptAxis],
+    ) -> None:
+        sizes[point] = count_group_ids(prefix, has_multi)
+
+    sweep_trie(_encode(table), points, leaf)
+    return sizes
 
 
 class ColumnarSweepAlgorithm(CubeAlgorithm):
@@ -67,10 +166,7 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
         self, context: ExecutionContext, points: List[LatticePoint]
     ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
         table = context.table
-        with obs.span(
-            "columnar.encode", category="columnar", facts=len(table.rows)
-        ):
-            encoded = table.columnar()
+        encoded = _encode(table)
         n_rows = encoded.n_rows
 
         # One sequential scan of the encoded table; the encode work is
@@ -80,14 +176,10 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
         context.cost.charge_cpu(encoded.encoded_entries)
         context.cost.charge_cpu(vector_lanes(n_rows))
 
-        sweep = _Sweep(context, encoded, table.aggregate.fn)
-        with obs.span(
-            "columnar.sweep",
-            category="columnar",
-            points=len(points),
-            facts=n_rows,
-        ):
-            sweep.descend(0, [0] * n_rows, False, list(points), [])
+        sweep = _Sweep(context, encoded.measures, table.aggregate.fn)
+        nodes = sweep_trie(encoded, points, sweep.leaf)
+        # Every trie edge is one batched pass over the rows.
+        context.cost.charge_cpu(nodes * vector_lanes(n_rows))
 
         total_cells = sweep.total_cells
         passes = max(
@@ -95,7 +187,7 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
         )
         context.bump("columnar_cells", total_cells)
         context.bump("columnar_increments", sweep.increments)
-        context.bump("columnar_nodes", sweep.nodes)
+        context.bump("columnar_nodes", nodes)
         context.bump("columnar_passes", passes)
         context.budget.acquire(
             min(total_cells, context.budget.capacity_entries)
@@ -107,7 +199,7 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
             context.charge_spill(context.budget.capacity_entries)
         obs.count("x3_columnar_rows_total", n_rows)
         obs.count("x3_columnar_cells_total", total_cells)
-        obs.count("x3_columnar_trie_nodes_total", sweep.nodes)
+        obs.count("x3_columnar_trie_nodes_total", nodes)
         obs.count("x3_columnar_increments_total", sweep.increments)
         obs.count("x3_columnar_passes_total", passes)
         context.budget.release_all()
@@ -115,77 +207,33 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
 
 
 class _Sweep:
-    """One sweep's mutable state (fresh per run; thread-safe by isolation)."""
+    """One sweep's aggregating leaf and its tallies (fresh per run;
+    thread-safe by isolation)."""
 
     def __init__(
         self,
         context: ExecutionContext,
-        encoded: ColumnarFactTable,
+        measures: Any,
         fn: Any,
     ) -> None:
         self.context = context
-        self.encoded = encoded
+        self.measures = measures
         self.fn = fn
-        self.fn_name = fn.name
         self.cuboids: Dict[LatticePoint, Cuboid] = {}
         self.total_cells = 0
         self.increments = 0
-        self.nodes = 0
 
-    # ------------------------------------------------------------------
-    # the prefix trie over requested points
-    # ------------------------------------------------------------------
-    def descend(
+    def leaf(
         self,
-        position: int,
+        point: LatticePoint,
         prefix: List[RowGroups],
         has_multi: bool,
-        points: List[LatticePoint],
         kept: List[KeptAxis],
     ) -> None:
-        lattice = self.context.lattice
-        if position == lattice.axis_count:
-            # All points in this bucket are the same tuple.
-            self.cuboids[points[0]] = self._leaf(prefix, has_multi, kept)
-            return
-        states = lattice.axis_states[position]
-        buckets: Dict[int, List[LatticePoint]] = {}
-        for point in points:
-            buckets.setdefault(point[position], []).append(point)
-        for state in sorted(buckets):
-            subset = buckets[state]
-            if states.is_dropped(state):
-                # Dropped axis: the group-id column passes through
-                # unchanged (LND keeps every fact, adds no key part).
-                self.descend(position + 1, prefix, has_multi, subset, kept)
-                continue
-            column = self.encoded.columns[position]
-            view = self.encoded.state_view(position, state)
-            extended, extended_multi = extend_group_ids(
-                prefix, has_multi, view, column.radix
-            )
-            self.nodes += 1
-            self.context.cost.charge_cpu(vector_lanes(len(prefix)))
-            self.descend(
-                position + 1,
-                extended,
-                extended_multi,
-                subset,
-                kept + [(column.dictionary, column.radix)],
-            )
-
-    # ------------------------------------------------------------------
-    # leaf: aggregate one cuboid from the group-id column
-    # ------------------------------------------------------------------
-    def _leaf(
-        self,
-        prefix: List[RowGroups],
-        has_multi: bool,
-        kept: List[KeptAxis],
-    ) -> Cuboid:
+        """Aggregate one cuboid from its group-id column."""
         fn = self.fn
         cells, increments = fold_group_ids(
-            fn, prefix, has_multi, self.encoded.measures
+            fn, prefix, has_multi, self.measures
         )
         self.increments += increments
         self.total_cells += len(cells)
@@ -196,7 +244,7 @@ class _Sweep:
         # The sweep never emits null digits (radix == len(dictionary)),
         # so every decoded key is a full string tuple.
         decode = make_group_decoder(kept)
-        return {
+        self.cuboids[point] = {
             cast(GroupKey, decode(gid)): finalize(state)
             for gid, state in cells.items()
         }

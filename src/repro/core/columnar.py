@@ -222,6 +222,21 @@ def fold_group_ids(
     return cells, increments
 
 
+def count_group_ids(prefix: List[RowGroups], has_multi: bool) -> int:
+    """Number of distinct group ids in one group-id column — the cell
+    count of the cuboid :func:`fold_group_ids` would build from it,
+    without folding a measure or decoding a key."""
+    if not has_multi:
+        ids = set(prefix)
+        ids.discard(None)
+        return len(ids)
+    ids = {g for g in prefix if type(g) is int}
+    for g in prefix:
+        if type(g) is tuple:
+            ids.update(g)
+    return len(ids)
+
+
 def make_group_decoder(
     kept: Sequence[KeptAxis],
 ) -> Callable[[int], DecodedKey]:

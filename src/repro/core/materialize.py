@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.algorithms.columnar_sweep import census
 from repro.core.bindings import FactTable
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
 from repro.core.groupby import Cuboid, cuboid_from_rows
@@ -60,19 +61,17 @@ def cuboid_sizes(
     lattice: CubeLattice,
     points: Optional[Iterable[LatticePoint]] = None,
 ) -> Dict[LatticePoint, int]:
-    """Exact cell counts per cuboid (the advisor's space estimates).
+    """Exact cell counts per cuboid (the advisor's space estimates and
+    the unit of the serving cache's budget).
 
-    ``points`` restricts the census to a subset — the serving layer uses
-    this to refresh size estimates for just the lattice points a write
-    batch touched instead of re-scanning the whole lattice.
+    One count-only pass of the columnar sweep's prefix trie over
+    ``table.columnar()`` (DESIGN.md Sec. 5f): a cuboid's cell count is
+    the number of distinct group ids at its leaf.  ``points`` restricts
+    the census to a subset of the lattice.
     """
-    sizes: Dict[LatticePoint, int] = {}
-    for point in points if points is not None else lattice.points():
-        keys = set()
-        for row in table.rows:
-            keys.update(table.key_combinations(row, point))
-        sizes[point] = len(keys)
-    return sizes
+    wanted = list(points if points is not None else lattice.points())
+    counts = census(table, wanted)
+    return {point: counts[point] for point in wanted}
 
 
 def _service_cost(

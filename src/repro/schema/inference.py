@@ -48,15 +48,27 @@ def infer_dtd(docs: Iterable[Document]) -> Dtd:
             instance_counts[tag] += 1
             if node.text:
                 has_text.add(tag)
-            counts = Counter(child.tag for child in node.children)
-            presence = child_presence.setdefault(tag, Counter())
-            for child_tag, count in counts.items():
-                presence[child_tag] += 1
-                if count >= 2:
-                    child_repeat.setdefault(tag, set()).add(child_tag)
-            attrs = attr_presence.setdefault(tag, Counter())
-            for attr in node.attrs:
-                attrs[attr] += 1
+            # Leaves dominate a document: touch the per-tag counters
+            # (created once per tag) only for nodes that have something
+            # to count.
+            if node.children:
+                presence = child_presence.get(tag)
+                if presence is None:
+                    presence = child_presence[tag] = Counter()
+                seen: Set[str] = set()
+                for child in node.children:
+                    child_tag = child.tag
+                    if child_tag in seen:
+                        child_repeat.setdefault(tag, set()).add(child_tag)
+                    else:
+                        seen.add(child_tag)
+                        presence[child_tag] += 1
+            if node.attrs:
+                attrs = attr_presence.get(tag)
+                if attrs is None:
+                    attrs = attr_presence[tag] = Counter()
+                for attr in node.attrs:
+                    attrs[attr] += 1
 
     dtd = Dtd(root=root_tag or None)
     for tag in sorted(instance_counts):

@@ -227,9 +227,13 @@ class CubeServer:
         oracle: property oracle proving disjointness/coverage for the
             rollup tier and the view advisor; ``None`` is the pessimistic
             oracle, which disables rollups (never unsound, never fast).
-        options: engine configuration for recomputes and view
-            materialization (algorithm, workers, engine, ...).  The
-            ``points`` field is managed by the server and must be unset.
+        options: engine configuration.  ``algorithm`` names the kernel
+            of the recompute rung (one point per job); the jobs that ask
+            for many points at once — :meth:`warm` and view
+            materialization — run the COLUMNAR sweep whatever it says.
+            Every other field (workers, engine, memory, trace, ...)
+            governs both.  The ``points`` field is managed by the server
+            and must be unset.
         cache_cells: budget of the cuboid cache, in cells.
         view_cells: when > 0 (and no explicit ``selection``), run the
             Sec. 3.6 advisor with this space budget and materialize its
@@ -321,6 +325,31 @@ class CubeServer:
         """The current (version, rows) pair, atomically."""
         with self._lock:
             return self._version, tuple(self.table.rows)
+
+    def _snapshot_table(self) -> Tuple[int, FactTable]:
+        """The current version and a private copy of the table at it —
+        what every engine job reads, so it can run outside the lock."""
+        with self._lock:
+            return self._version, FactTable(
+                self.lattice, self.table.rows, self.table.aggregate
+            )
+
+    def _engine_options(
+        self, points: Sequence[LatticePoint]
+    ) -> ExecutionOptions:
+        """``self.options`` for one engine job over ``points``.
+
+        A one-point job (the recompute rung) runs ``options.algorithm``.
+        A job that asks for several points at once (warm-up, view
+        materialisation) runs the COLUMNAR sweep, which pays one encode
+        and shares the trie prefixes across all of them; on one point
+        the encode alone costs more than a NAIVE scan (DESIGN.md
+        Sec. 5c, "Set-up").  Every other field carries over.
+        """
+        algorithm = "COLUMNAR" if len(points) > 1 else self.options.algorithm
+        return self.options.replace(
+            algorithm=algorithm, points=tuple(points)
+        )
 
     # ------------------------------------------------------------------
     # cache audit plumbing
@@ -867,7 +896,7 @@ class CubeServer:
             if publish is not None and span.trace_id_hex:
                 publish((span.trace_id_hex, span.span_id_hex))
             result: CubeResult = compute_cube(
-                snapshot, self.options.replace(points=(point,))
+                snapshot, self._engine_options((point,))
             )
             span.set_sim(result.cost.simulated_seconds)
         cost = result.cost.simulated_seconds
@@ -903,9 +932,7 @@ class CubeServer:
             category="serve",
             views=len(points),
         ):
-            result = compute_cube(
-                self.table, self.options.replace(points=tuple(points))
-            )
+            result = compute_cube(self.table, self._engine_options(points))
         share = result.cost.simulated_seconds / max(1, len(points))
         for view_point in points:
             self._views[view_point] = dict(result.cuboids[view_point])
@@ -913,11 +940,21 @@ class CubeServer:
 
     def sizes(self) -> Dict[LatticePoint, int]:
         """Exact per-point cell counts (cached; recomputed after writes
-        only when asked again)."""
+        only when asked again).
+
+        The census runs outside the lock on a table snapshot, so reads
+        and writes proceed meanwhile; it is cached only if no write
+        overtook it (the caller still gets the fresh count).
+        """
         with self._lock:
-            if self._sizes is None:
-                self._sizes = cuboid_sizes(self.table, self.lattice)
-            return dict(self._sizes)
+            if self._sizes is not None:
+                return dict(self._sizes)
+            version, snapshot = self._snapshot_table()
+        sizes = cuboid_sizes(snapshot, self.lattice)
+        with self._lock:
+            if self._version == version:
+                self._sizes = sizes
+        return dict(sizes)
 
     def warm(
         self,
@@ -929,7 +966,8 @@ class CubeServer:
         Candidates (default: the whole lattice) are ranked by modeled
         benefit density — recompute cost saved per cell — and admitted
         greedily within ``budget_cells`` (default: the cache budget).
-        The chosen cuboids are computed in one engine run, so a parallel
+        The chosen cuboids are computed in one engine run of the
+        columnar sweep (see :meth:`_engine_options`), so a parallel
         configuration warms in parallel.  Returns the warmed points.
         """
         budget = (
@@ -969,16 +1007,11 @@ class CubeServer:
             space += size
         if not chosen:
             return []
-        with self._lock:
-            version = self._version
-            snapshot_rows = list(self.table.rows)
-        snapshot = FactTable(self.lattice, snapshot_rows, self.table.aggregate)
+        version, snapshot = self._snapshot_table()
         with obs.span(
             "serve.warm", category="serve", points=len(chosen)
         ):
-            result = compute_cube(
-                snapshot, self.options.replace(points=tuple(chosen))
-            )
+            result = compute_cube(snapshot, self._engine_options(chosen))
         share = result.cost.simulated_seconds / len(chosen)
         warmed: List[LatticePoint] = []
         with self._lock:

@@ -9,6 +9,9 @@ property tests) without pytest in the loop.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.datagen.workload import WorkloadConfig, build_workload
 
@@ -36,6 +39,16 @@ def messy_workload(**overrides):
     defaults = dict(coverage=False, disjoint=False, seed=9)
     defaults.update(overrides)
     return small_workload(**defaults)
+
+
+def vary_measures(table: FactTable) -> FactTable:
+    """Give rows distinct, order-sensitive measures so SUM/AVG/MIN/MAX
+    actually exercise fold order (the generators use constant measures)."""
+    rows = [
+        replace(row, measure=((index * 37) % 11) + (index % 3) * 0.125 + 0.25)
+        for index, row in enumerate(table.rows)
+    ]
+    return FactTable(table.lattice, rows, table.aggregate)
 
 
 class PreparedWorkload:

@@ -11,8 +11,6 @@ facts, memory-pressure multipass, engine partitioning, and iceberg
 filtering.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.aggregates import AggregateSpec, registered_functions
@@ -28,6 +26,7 @@ from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
 from repro.datagen.workload import WorkloadConfig, build_workload
+from repro.testing import vary_measures
 
 # ----------------------------------------------------------------------
 # workload matrix
@@ -57,16 +56,6 @@ WORKLOAD_CONFIGS = {
 }
 
 
-def _vary_measures(table: FactTable) -> FactTable:
-    """Give rows distinct, order-sensitive measures so SUM/AVG/MIN/MAX
-    actually exercise fold order (the generators use constant measures)."""
-    rows = [
-        replace(row, measure=((index * 37) % 11) + (index % 3) * 0.125 + 0.25)
-        for index, row in enumerate(table.rows)
-    ]
-    return FactTable(table.lattice, rows, table.aggregate)
-
-
 def _with_aggregate(table: FactTable, function: str) -> FactTable:
     spec = (
         AggregateSpec()
@@ -81,7 +70,7 @@ def tables():
     out = {}
     for name, config in WORKLOAD_CONFIGS.items():
         workload = build_workload(config)
-        table = _vary_measures(workload.fact_table())
+        table = vary_measures(workload.fact_table())
         out[name] = (table, workload.oracle(table))
     return out
 

@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.bindings import FactTable
+from repro.core.cube import ExecutionOptions, compute_cube
+from repro.core.incremental import ingest_rows, retract_rows, split_rows
 from repro.core.materialize import (
     MaterializedCube,
     cuboid_sizes,
     select_views,
 )
 from repro.core.properties import PropertyOracle
+from repro.datagen.workload import WorkloadConfig, build_workload
 from tests.conftest import small_workload
 
 
@@ -30,13 +33,97 @@ def messy():
     return table, oracle
 
 
+def assert_census_matches_naive(table, points=None):
+    """``cuboid_sizes`` against the oracle: the length of every NAIVE
+    cuboid, for exactly the requested points."""
+    sizes = cuboid_sizes(table, table.lattice, points)
+    wanted = list(points) if points is not None else list(
+        table.lattice.points()
+    )
+    reference = compute_cube(
+        table, ExecutionOptions(algorithm="NAIVE", points=wanted)
+    )
+    assert sizes == {
+        point: len(reference.cuboids[point]) for point in wanted
+    }
+
+
+#: The datagen grid (coverage x disjointness x density) plus the
+#: DBLP-shaped generator, whose author axis is multi-valued.
+CENSUS_GRID = [
+    WorkloadConfig(
+        kind="treebank", n_facts=50, n_axes=3, density=density,
+        coverage=coverage, disjoint=disjoint, seed=7,
+    )
+    for density in ("sparse", "dense")
+    for coverage in (True, False)
+    for disjoint in (True, False)
+] + [WorkloadConfig(kind="dblp", n_facts=40, seed=3)]
+
+
 class TestSizes:
     def test_sizes_match_naive(self, clean):
         table, _ = clean
-        sizes = cuboid_sizes(table, table.lattice)
-        cube = compute_cube(table, "NAIVE")
-        for point, size in sizes.items():
-            assert size == len(cube.cuboids[point])
+        assert_census_matches_naive(table)
+
+    @pytest.mark.parametrize("config", CENSUS_GRID, ids=lambda c: c.name)
+    def test_grid_matches_naive(self, config):
+        assert_census_matches_naive(build_workload(config).fact_table())
+
+    def test_grid_exercises_multi_valued_axes(self):
+        """The parity above is only worth its name if some table fans
+        rows out into several group ids (the Sec. 3.3 cross product)."""
+        multi = 0
+        for config in CENSUS_GRID:
+            encoded = build_workload(config).fact_table().columnar()
+            multi += any(
+                encoded.state_view(position, state).per_row is not None
+                for position, states in enumerate(
+                    encoded.lattice.axis_states
+                )
+                for state in range(len(states.states))
+                if not states.is_dropped(state)
+            )
+        assert multi >= 2
+
+    def test_empty_table(self, clean):
+        table, _ = clean
+        empty = FactTable(table.lattice, [], table.aggregate)
+        sizes = cuboid_sizes(empty, empty.lattice)
+        assert sizes == {point: 0 for point in empty.lattice.points()}
+
+    def test_points_subset(self, messy):
+        table, _ = messy
+        lattice = table.lattice
+        subset = [lattice.top, lattice.bottom, lattice.top]
+        assert_census_matches_naive(table, subset)
+        assert list(cuboid_sizes(table, lattice, iter(subset))) == [
+            lattice.top, lattice.bottom,
+        ]
+
+    def test_follows_ingest_and_retract(self, messy):
+        """A census after a write reads the re-encoded table, not the
+        memoized twin of the rows before it."""
+        table, _ = messy
+        initial, delta = split_rows(table, 0.6)
+        live = FactTable(table.lattice, list(initial), table.aggregate)
+        assert_census_matches_naive(live)
+        ingest_rows(live, delta)
+        assert_census_matches_naive(live)
+        retract_rows(live, list(initial)[:10])
+        assert_census_matches_naive(live)
+        assert cuboid_sizes(live, live.lattice) != cuboid_sizes(
+            table, table.lattice
+        )
+
+    def test_never_scans_rows(self, clean, monkeypatch):
+        table, _ = clean
+
+        def forbidden(self, row, point):
+            raise AssertionError("the census must not scan fact rows")
+
+        monkeypatch.setattr(FactTable, "key_combinations", forbidden)
+        assert cuboid_sizes(table, table.lattice)
 
 
 class TestSelection:

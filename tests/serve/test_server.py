@@ -7,17 +7,22 @@ the version reported with the answer.
 """
 
 import threading
+from collections import Counter
 
 import pytest
 
+import repro.serve.server as server_module
+from repro import obs
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import IncrementalCube, split_rows
+from repro.core.materialize import cuboid_sizes
+from repro.core.query import Query
 from repro.core.rollup import derivable
 from repro.errors import CubeError
 from repro.serve import CubeServer, TIERS
-from repro.testing import messy_workload, small_workload
+from repro.testing import messy_workload, small_workload, vary_measures
 
 
 def fresh(**overrides):
@@ -42,6 +47,19 @@ def with_aggregate(table, function):
         else AggregateSpec(function, "@m")
     )
     return FactTable(table.lattice, list(table.rows), aggregate=spec)
+
+
+def assert_resident_exactly(server, table):
+    """Every cached cuboid is bit-identical to serial NAIVE over the
+    table's current rows."""
+    for point in server.cache.points():
+        assert server.cache.peek(point) == reference_cuboid(
+            table, table.rows, point
+        ), table.lattice.describe(point)
+
+
+def span_names(session):
+    return Counter(record.name for record in session.records())
 
 
 def assert_serves_exactly(server, table):
@@ -271,6 +289,94 @@ class TestWarm:
         assert sum(sizes[point] for point in warmed) <= smallest
 
 
+    @pytest.mark.parametrize(
+        "function", ["COUNT", "SUM", "MIN", "MAX", "AVG"]
+    )
+    def test_warmed_cuboids_equal_naive_and_stay_equal(self, function):
+        """What the sweep admits is what NAIVE would have computed, so
+        the in-place write patches continue the same left fold."""
+        table, oracle = fresh(
+            n_facts=60, coverage=False, disjoint=False, seed=9
+        )
+        table = vary_measures(with_aggregate(table, function))
+        initial, delta = split_rows(table, 0.8)
+        live = FactTable(table.lattice, list(initial), table.aggregate)
+        server = CubeServer(live, oracle, cache_cells=100000)
+        assert set(server.warm()) == set(live.lattice.points())
+        assert_resident_exactly(server, live)
+        server.insert(delta)
+        assert_resident_exactly(server, live)
+        server.delete(delta)
+        assert_resident_exactly(server, live)
+        assert_serves_exactly(server, live)
+
+    def test_explicit_options_reach_bulk_and_single_point_jobs(self):
+        """``options=`` names the recompute algorithm and lends its
+        workers/engine to the warm-up sweep."""
+        table, oracle = fresh()
+        options = ExecutionOptions(
+            algorithm="TD", workers=2, engine="thread"
+        )
+        server = CubeServer(
+            table, oracle, options=options, cache_cells=100000
+        )
+        with obs.trace() as session:
+            warmed = server.warm()
+        names = span_names(session)
+        assert names["algo.COLUMNAR"] >= 1 and "algo.TD" not in names
+        assert names["engine.partition"] >= 2
+        assert set(warmed) == set(table.lattice.points())
+        assert_resident_exactly(server, table)
+
+        cold = CubeServer(table, oracle, options=options, cache_cells=0)
+        point = table.lattice.top
+        with obs.trace() as session:
+            answer = cold.query(Query(point=point)).as_cuboid()
+        names = span_names(session)
+        assert names["algo.TD"] == 1 and "algo.COLUMNAR" not in names
+        assert answer == reference_cuboid(table, table.rows, point)
+
+    def test_set_up_stays_columnar(self, monkeypatch):
+        """Counts, not wall: the bulk set-up jobs are columnar sweeps
+        that never touch a fact row; only the one-point recompute rung
+        runs the row kernel."""
+        table, oracle = fresh(n_axes=6, n_facts=60)
+        points = list(table.lattice.points())
+        assert len(points) == 64
+        cells = sum(
+            len(cuboid)
+            for cuboid in compute_cube(
+                table, ExecutionOptions(algorithm="NAIVE")
+            ).cuboids.values()
+        )
+        row_scans = []
+        original = FactTable.key_combinations
+
+        def spy(self, row, point):
+            row_scans.append(point)
+            return original(self, row, point)
+
+        monkeypatch.setattr(FactTable, "key_combinations", spy)
+        server = CubeServer(table, oracle, cache_cells=2 * cells)
+        with obs.trace() as session:
+            sizes = server.sizes()
+        assert span_names(session)["columnar.sweep"] == 1
+        assert "algo.NAIVE" not in span_names(session)
+        with obs.trace() as session:
+            warmed = server.warm()
+        assert span_names(session)["columnar.sweep"] == 1
+        assert "algo.NAIVE" not in span_names(session)
+        assert set(warmed) == set(points)
+        assert sum(sizes.values()) == cells
+        assert row_scans == []
+
+        with obs.trace() as session:
+            server._recompute(list(table.rows), points[0])
+        assert span_names(session)["algo.NAIVE"] == 1
+        assert "columnar.sweep" not in span_names(session)
+        assert len(row_scans) == len(table.rows)
+
+
 class TestWrites:
     @pytest.mark.parametrize(
         "function", ["COUNT", "SUM", "MIN", "MAX", "AVG"]
@@ -436,6 +542,48 @@ class TestConcurrency:
         assert server.cuboid(point) == reference_cuboid(
             live, live.rows, point
         )
+
+
+    def test_census_does_not_block_writes(self, monkeypatch):
+        table, oracle = fresh(n_facts=60)
+        initial, delta = split_rows(table, 0.8)
+        live = FactTable(table.lattice, list(initial), table.aggregate)
+        server = CubeServer(live, oracle)
+        before = cuboid_sizes(live, live.lattice)
+        entered = threading.Event()
+        release = threading.Event()
+
+        def slow_census(snapshot, lattice, points=None):
+            entered.set()
+            assert release.wait(timeout=5.0)
+            return cuboid_sizes(snapshot, lattice, points)
+
+        monkeypatch.setattr(server_module, "cuboid_sizes", slow_census)
+        outcome = {}
+        census = threading.Thread(
+            target=lambda: outcome.update(sizes=server.sizes())
+        )
+        census.start()
+        assert entered.wait(timeout=5.0)
+        writer = threading.Thread(
+            target=lambda: outcome.update(version=server.insert(delta))
+        )
+        writer.start()
+        writer.join(timeout=5.0)
+        # The write finished while the census was still counting.
+        assert not writer.is_alive() and outcome["version"] == 1
+        assert census.is_alive()
+        release.set()
+        census.join(timeout=10.0)
+        assert not census.is_alive()
+
+        # The overtaken census answered for its own snapshot and was
+        # not cached: the next call counts the table the write left.
+        assert outcome["sizes"] == before
+        monkeypatch.undo()
+        after = cuboid_sizes(live, live.lattice)
+        assert after != before
+        assert server.sizes() == after
 
 
 class TestStats:
