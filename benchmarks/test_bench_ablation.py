@@ -12,7 +12,7 @@ A3 — buffer sensitivity: the memory budget drives external-sort I/O in
 import pytest
 
 from benchmarks.conftest import bench_once
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.datagen.workload import WorkloadConfig, build_workload
 from repro.patterns.match import match_document
@@ -69,16 +69,18 @@ class TestA1SharedExtraction:
 class TestA2IdentityTracking:
     def test_identity_tracking(self, benchmark, clean_workload):
         table = clean_workload.fact_table()
-        safe = bench_once(benchmark, lambda: compute_cube(table, "BUC"))
-        fast = compute_cube(table, "BUCOPT")
+        safe = bench_once(benchmark, lambda: compute_cube(
+            table, ExecutionOptions(algorithm="BUC")
+        ))
+        fast = compute_cube(table, ExecutionOptions(algorithm="BUCOPT"))
         # The bookkeeping is pure overhead when disjointness holds.
         assert fast.simulated_seconds < safe.simulated_seconds
         assert fast.same_contents(safe)
 
     def test_td_identity_overhead(self, clean_workload):
         table = clean_workload.fact_table()
-        td = compute_cube(table, "TD")
-        tdopt = compute_cube(table, "TDOPT")
+        td = compute_cube(table, ExecutionOptions(algorithm="TD"))
+        tdopt = compute_cube(table, ExecutionOptions(algorithm="TDOPT"))
         assert tdopt.simulated_seconds < td.simulated_seconds
 
 
@@ -89,17 +91,19 @@ class TestA3BufferSensitivity:
         result = bench_once(
             benchmark,
             lambda: compute_cube(
-                table, "TD", memory_entries=memory_entries
+                table, ExecutionOptions(algorithm="TD", memory_entries=memory_entries)
             ),
         )
         benchmark.extra_info["simulated_seconds"] = result.simulated_seconds
-        benchmark.extra_info["page_writes"] = result.cost["page_writes"]
+        benchmark.extra_info["page_writes"] = result.cost.page_writes
 
     def test_io_monotone_in_budget(self, clean_workload):
         table = clean_workload.fact_table()
-        tight = compute_cube(table, "TD", memory_entries=64)
-        roomy = compute_cube(table, "TD", memory_entries=100_000)
-        assert tight.cost["page_writes"] > roomy.cost["page_writes"]
+        tight = compute_cube(table, ExecutionOptions(algorithm="TD", memory_entries=64))
+        roomy = compute_cube(
+            table, ExecutionOptions(algorithm="TD", memory_entries=100_000)
+        )
+        assert tight.cost.page_writes > roomy.cost.page_writes
         assert tight.simulated_seconds > roomy.simulated_seconds
         assert tight.same_contents(roomy)
 
@@ -114,7 +118,8 @@ class TestCounterMemorySweep:
         result = bench_once(
             benchmark,
             lambda: compute_cube(
-                table, "COUNTER", memory_entries=memory_entries
+                table,
+                ExecutionOptions(algorithm="COUNTER", memory_entries=memory_entries),
             ),
         )
         benchmark.extra_info["passes"] = result.passes
@@ -123,13 +128,15 @@ class TestCounterMemorySweep:
         table = clean_workload.fact_table()
         passes = [
             compute_cube(
-                table, "COUNTER", memory_entries=memory
+                table, ExecutionOptions(algorithm="COUNTER", memory_entries=memory)
             ).passes
             for memory in (400, 2000, 100_000)
         ]
         assert passes[0] >= passes[1] >= passes[2] == 1
         results = [
-            compute_cube(table, "COUNTER", memory_entries=memory)
+            compute_cube(
+                table, ExecutionOptions(algorithm="COUNTER", memory_entries=memory)
+            )
             for memory in (400, 100_000)
         ]
         assert results[0].same_contents(results[1])

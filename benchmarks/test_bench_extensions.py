@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import bench_once
 from repro.core.bindings import FactTable
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.core.incremental import IncrementalCube, split_rows
 from repro.core.materialize import MaterializedCube, select_views
@@ -42,14 +42,18 @@ class TestA4Iceberg:
     def test_iceberg_buc(self, benchmark, dense_table):
         result = bench_once(
             benchmark,
-            lambda: compute_cube(dense_table, "BUC", min_support=10),
+            lambda: compute_cube(
+                dense_table, ExecutionOptions(algorithm="BUC", min_support=10)
+            ),
         )
         benchmark.extra_info["simulated_seconds"] = result.simulated_seconds
 
     def test_pruning_saves_cost(self, dense_table):
-        full = compute_cube(dense_table, "BUC")
-        iceberg = compute_cube(dense_table, "BUC", min_support=10)
-        assert iceberg.cost["cpu_ops"] < full.cost["cpu_ops"]
+        full = compute_cube(dense_table, ExecutionOptions(algorithm="BUC"))
+        iceberg = compute_cube(
+            dense_table, ExecutionOptions(algorithm="BUC", min_support=10)
+        )
+        assert iceberg.cost.cpu_ops < full.cost.cpu_ops
         assert iceberg.total_cells() < full.total_cells()
 
 
@@ -98,13 +102,13 @@ class TestA5LatticePruning:
         assert saved > 0
 
     def test_pruning_saves_cost_and_stays_correct(self, pub_table):
-        full = compute_cube(pub_table, "BUC")
+        full = compute_cube(pub_table, ExecutionOptions(algorithm="BUC"))
         pruned, saved = compute_cube_pruned(
             pub_table, self._schema(), "publication", algorithm="BUC"
         )
         assert saved > 0
         assert pruned.same_contents(full)
-        assert pruned.cost["cpu_ops"] < full.cost["cpu_ops"]
+        assert pruned.cost.cpu_ops < full.cost.cpu_ops
 
 
 class TestA6Materialization:
@@ -129,9 +133,10 @@ class TestA6Materialization:
         oracle = PropertyOracle.from_flags(dense_table.lattice, True, True)
         selection = select_views(dense_table, oracle, space_budget=3000)
         assert selection.coverage_ratio() > 0.9
-        naive = compute_cube(dense_table, "NAIVE")
+        naive = compute_cube(dense_table, ExecutionOptions(algorithm="NAIVE"))
         build_cost = compute_cube(
-            dense_table, "BUC", points=list(selection.chosen)
+            dense_table,
+            ExecutionOptions(algorithm="BUC", points=list(selection.chosen)),
         ).simulated_seconds
         assert build_cost < naive.simulated_seconds
 
@@ -165,7 +170,7 @@ class TestA7Incremental:
         incremental_wall = time.perf_counter() - begin
 
         begin = time.perf_counter()
-        reference = compute_cube(dense_table, "COUNTER")
+        reference = compute_cube(dense_table, ExecutionOptions(algorithm="COUNTER"))
         recompute_wall = time.perf_counter() - begin
 
         assert live.as_result().same_contents(reference)

@@ -6,7 +6,7 @@ BUCOPT/TDOPT buy little despite wrong results, TDOPTALL is very fast
 import pytest
 
 from benchmarks.conftest import bench_once
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 
 ALGORITHMS = ["COUNTER", "BUC", "BUCOPT", "TD", "TDOPT", "TDOPTALL"]
 
@@ -29,7 +29,9 @@ def test_fig9_shape(dense_nocov_nodisj):
 
 
 def test_fig9_optimized_results_are_wrong(dense_nocov_nodisj):
-    reference = compute_cube(dense_nocov_nodisj.table, "NAIVE")
+    reference = compute_cube(
+        dense_nocov_nodisj.table, ExecutionOptions(algorithm="NAIVE")
+    )
     for name in ("BUCOPT", "TDOPT", "TDOPTALL"):
         assert not dense_nocov_nodisj.run(name).same_contents(reference), (
             f"{name} should be incorrect in the fig9 regime"

@@ -5,7 +5,7 @@ the DBLP DTD (Sec. 4.5)."""
 import pytest
 
 from benchmarks.conftest import bench_once
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 
 ALGORITHMS = [
     "COUNTER", "BUC", "BUCOPT", "BUCCUST", "TD", "TDOPT", "TDOPTALL",
@@ -36,7 +36,7 @@ def test_fig10_shape(dblp):
 
 
 def test_fig10_correctness_split(dblp):
-    reference = compute_cube(dblp.table, "NAIVE")
+    reference = compute_cube(dblp.table, ExecutionOptions(algorithm="NAIVE"))
     correct = {"COUNTER", "BUC", "BUCCUST", "TD", "TDCUST"}
     for name in ALGORITHMS:
         matches = dblp.run(name).same_contents(reference)

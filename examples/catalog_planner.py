@@ -13,7 +13,7 @@ This example shows the planner path a downstream system would use:
 Run:  python examples/catalog_planner.py
 """
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.estimate import CostEstimator
 from repro.core.export import cube_from_xml, cube_to_xml
 from repro.core.extract import extract_fact_table
@@ -39,7 +39,9 @@ def main() -> None:
     print("\nactual:")
     actual = {}
     for name in ALGORITHMS:
-        result = compute_cube(table, name, memory_entries=4000)
+        result = compute_cube(
+            table, ExecutionOptions(algorithm=name, memory_entries=4000)
+        )
         actual[name] = result.simulated_seconds
         print(f"   {name:<9}  {result.simulated_seconds:.4f} sim-s")
     predicted_winner = estimator.rank(ALGORITHMS)[0]
@@ -52,7 +54,7 @@ def main() -> None:
 
     # The business question: product counts by (category, brand), with
     # PC-AD recovering the nested vendor shapes.
-    cube = compute_cube(table, actual_winner)
+    cube = compute_cube(table, ExecutionOptions(algorithm=actual_winner))
     cuboid = cube.cuboid_by_description("$c:PC-AD, $b:PC-AD")
     top = sorted(cuboid.items(), key=lambda kv: -kv[1])[:5]
     print("\nbusiest (category, brand) cells (all vendor shapes):")

@@ -10,7 +10,7 @@ algorithms (BUCCUST / TDCUST) get speed *and* correctness.
 Run:  python examples/dblp_analytics.py
 """
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
 from repro.datagen.dblp import DblpConfig, dblp_dtd, dblp_query, generate_dblp
@@ -40,14 +40,15 @@ def main() -> None:
     print("  (author repeats and may be missing; month may be missing;")
     print("   year and journal are mandatory and unique - as the DTD says)")
 
-    reference = compute_cube(table, "NAIVE")
+    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     print(f"\n{'algorithm':<10} {'sim-s':>8}  correct")
     for name in (
         "COUNTER", "BUC", "BUCOPT", "BUCCUST",
         "TD", "TDOPT", "TDOPTALL", "TDCUST",
     ):
         result = compute_cube(
-            table, name, oracle=oracle, memory_entries=30_000
+            table,
+            ExecutionOptions(algorithm=name, oracle=oracle, memory_entries=30_000),
         )
         ok = result.same_contents(reference)
         print(f"{name:<10} {result.simulated_seconds:>8.3f}  {ok}")

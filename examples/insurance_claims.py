@@ -22,7 +22,7 @@ import random
 from repro.core.aggregates import AggregateSpec
 from repro.core.axes import AxisSpec
 from repro.core.bindings import FactTable
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.core.incremental import IncrementalCube, split_rows
 from repro.core.materialize import MaterializedCube, select_views
@@ -87,7 +87,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("== total payout by (region, peril) ==")
     payout_table = extract_fact_table(doc, payout_query)
-    payout_cube = compute_cube(payout_table, "BUC")
+    payout_cube = compute_cube(payout_table, ExecutionOptions(algorithm="BUC"))
     cuboid = payout_cube.cuboid_by_description(
         "$r:PC-AD, $p:rigid, $a:LND"
     )
@@ -97,13 +97,15 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n== iceberg: (region, peril, adjuster) cells with >= 8 claims ==")
     count_table = extract_fact_table(doc, count_query)
-    iceberg = compute_cube(count_table, "BUC", min_support=8)
+    iceberg = compute_cube(
+        count_table, ExecutionOptions(algorithm="BUC", min_support=8)
+    )
     top_point = count_table.lattice.point_by_description(
         "$r:rigid, $p:rigid, $a:rigid"
     )
+    full = compute_cube(count_table, ExecutionOptions(algorithm="BUC"))
     print(f"   {len(iceberg.cuboids[top_point])} qualifying cells "
-          f"(full cuboid has "
-          f"{len(compute_cube(count_table, 'BUC').cuboids[top_point])})")
+          f"(full cuboid has {len(full.cuboids[top_point])})")
 
     # ------------------------------------------------------------------
     print("\n== summarizability-checked roll-up ==")
@@ -111,7 +113,7 @@ def main() -> None:
     lattice = count_table.lattice
     source = lattice.point_by_description("$r:LND, $p:rigid, $a:rigid")
     target = lattice.point_by_description("$r:LND, $p:rigid, $a:LND")
-    count_cube = compute_cube(count_table, "COUNTER")
+    count_cube = compute_cube(count_table, ExecutionOptions(algorithm="COUNTER"))
     ok, reason = derivable(lattice, source, target, oracle)
     print(f"   derive peril totals from (peril, adjuster)? {ok}")
     print(f"   reason: {reason}")
@@ -131,7 +133,7 @@ def main() -> None:
     print("\n== materialized views under a 1500-cell budget ==")
     selection = select_views(count_table, oracle, space_budget=1500)
     materialized = MaterializedCube(count_table, selection, oracle)
-    reference = compute_cube(count_table, "NAIVE")
+    reference = compute_cube(count_table, ExecutionOptions(algorithm="NAIVE"))
     materialized.verify_against(reference)
     print(f"   chose {len(selection.chosen)} cuboids "
           f"({selection.space_used} cells); "
@@ -150,7 +152,7 @@ def main() -> None:
     print("   incremental result == full recompute: verified")
 
     try:
-        compute_cube(payout_table, "BUC", min_support=3)
+        compute_cube(payout_table, ExecutionOptions(algorithm="BUC", min_support=3))
     except CubeError as error:
         print(f"\n(guard rails work too: {error})")
 

@@ -9,7 +9,7 @@ motivation section discusses.
 Run:  python examples/quickstart.py
 """
 
-from repro import compute_cube, extract_fact_table, parse_x3_query
+from repro import ExecutionOptions, compute_cube, extract_fact_table, parse_x3_query
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 
 
@@ -34,7 +34,7 @@ def main() -> None:
     print(f"fact table: {len(table)} facts")
 
     # 5. Compute the cube.
-    cube = compute_cube(table, algorithm="BUC")
+    cube = compute_cube(table, ExecutionOptions(algorithm="BUC"))
     print(f"\n{cube.summary()}\n")
 
     # 6. The cuboids the paper's motivation walks through.

@@ -10,7 +10,7 @@ measurements ran on.
 Run:  python examples/timber_store.py
 """
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_from_db
 from repro.datagen.publications import figure1_document, query1
 from repro.patterns.match import match_db
@@ -64,7 +64,7 @@ def main() -> None:
     table = extract_from_db(db, query1())
     print(f"\nextraction touched {db.cost.io.page_reads} page reads, "
           f"{db.cost.io.buffer_hits} buffer hits")
-    cube = compute_cube(table, "COUNTER")
+    cube = compute_cube(table, ExecutionOptions(algorithm="COUNTER"))
     print(cube.summary())
 
 

@@ -30,9 +30,7 @@ Quickstart::
 
 :class:`ExecutionOptions` is the single options object for every
 execution surface (``compute_cube``, ``CubeSession.compute``, the bench
-harness, both CLIs); the legacy keyword form
-``compute_cube(table, algorithm="BUC", ...)`` still works but emits a
-``DeprecationWarning``.
+harness, both CLIs).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 per-figure reproduction results.
@@ -49,8 +47,8 @@ from repro.core import (
     X3Query,
     compute_cube,
     extract_fact_table,
-    parse_x3_query,
 )
+from repro.lang import parse_x3_query
 from repro.patterns import TreePattern, parse_pattern
 from repro.timber import TimberDB
 from repro.warehouse import CubeSession, XmlWarehouse

@@ -21,8 +21,8 @@ from typing import List, Optional
 from repro.core.cube import ENGINE_CHOICES, ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
-from repro.core.xq_parser import parse_x3_query
 from repro.errors import X3Error
+from repro.lang.compiler import parse_x3_query
 from repro.xmlmodel.parser import parse_file
 
 

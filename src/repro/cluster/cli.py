@@ -29,6 +29,7 @@ from repro.core.bindings import FactRow, FactTable
 from repro.core.cube import ENGINE_CHOICES, ExecutionOptions, compute_cube
 from repro.core.lattice import LatticePoint
 from repro.core.properties import PropertyOracle
+from repro.core.query import Query
 from repro.errors import X3Error
 from repro.obs.trace_store import TraceStore
 from repro.serve.cli import load_table, sample_points
@@ -282,7 +283,7 @@ def replay(
                 )
                 current_rows = current_rows + list(batch)
             write_epoch += 1
-        cuboid, _vector = coordinator.cuboid_versioned(point)
+        cuboid = coordinator.query(Query(point=point)).as_cuboid()
         if args.validate:
             key = (write_epoch, point)
             if key not in reference_cache:

@@ -35,42 +35,30 @@ the consistency check validates against.
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.core.aggregates import AggregateFunction
-from repro.core.bindings import FactRow, FactTable, GroupKey
+from repro.core.bindings import FactRow, FactTable
 from repro.core.cube import ExecutionOptions
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 from repro.core.merge import finalize_states, merge_states
 from repro.core.properties import PropertyOracle
-from repro.core.query import (
-    Query,
-    QueryExplanation,
-    QueryResult,
-    ShardPlan,
-    finish_query,
-    kept_axis_name,
-    resolve_point_spec,
-    resolve_target,
-)
+from repro.core.query import Answer, CubeBackend, Plan, Query, ShardPlan
 from repro.cluster.chaos import NO_FAULT, ChaosEngine, ReadFault
 from repro.cluster.partition import partition_rows
 from repro.cluster.shard import ShardAnswer, ShardReplica
 from repro.cluster.versions import VersionVector
-from repro.errors import ClusterError, InvalidQuery, ShardUnavailable
+from repro.errors import ClusterError, ShardUnavailable
 from repro.obs.events import ClusterEvent, EventLog, RungDecision
 from repro.obs.trace_store import TraceStore
 from repro.timber.stats import CostModel
 
 _CPU_OP_SECONDS = CostModel.cpu_op_cost
-
-PointSpec = Union[LatticePoint, str]
 
 
 @dataclass(frozen=True)
@@ -114,7 +102,7 @@ class _ShardReadOutcome:
     events: List[ClusterEvent]
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(CubeBackend):
     """Serve cube queries over N hash-partitioned shards x R replicas.
 
     Args:
@@ -144,6 +132,8 @@ class ClusterCoordinator:
             matter which scatter pool thread ran them, and the
             replicas' local ladder spans nest below those.
     """
+
+    name = "cluster"
 
     def __init__(
         self,
@@ -241,151 +231,30 @@ class ClusterCoordinator:
         self.close()
 
     # ------------------------------------------------------------------
-    # point resolution
+    # versions
     # ------------------------------------------------------------------
-    def resolve_point(self, spec: PointSpec) -> LatticePoint:
-        return resolve_point_spec(self.lattice, spec)
-
     @property
     def version_vector(self) -> VersionVector:
-        with self._lock:
-            return VersionVector(tuple(self._expected))
-
-    # ------------------------------------------------------------------
-    # the unified CubeBackend surface (shared with CubeServer)
-    # ------------------------------------------------------------------
-    def query(self, query: Query) -> QueryResult:
-        """Answer one :class:`~repro.core.query.Query` over the cluster.
-
-        The scatter-gather path has no per-request ladder: the rung
-        trail is a single synthesized ``scatter-gather`` decision (each
-        replica's own ladder walk lives in its local event log).
-        """
-        store = self.trace_store
-        if store is None or obs.current() is not obs.NULL_SPAN:
-            return self._query_impl(query)
-        with store.root(
-            "cluster.query", category="cluster", kind=query.kind
-        ) as root:
-            result = self._query_impl(query)
-            if root.enabled:
-                root.set_sim(result.modeled_seconds).annotate(
-                    point=result.point
-                )
-            return result
-
-    def _query_impl(self, query: Query) -> QueryResult:
-        self._check_measure(query.measure)
-        point = resolve_target(self.lattice, query)
-        cuboid, vector, latency = self._request(point, kind=query.kind)
-        rung = RungDecision(
-            rung="scatter-gather",
-            taken=True,
-            reason=(
-                f"merged {self.n_shards} shard state(s) at vector "
-                f"{list(vector.versions)}"
-            ),
-        )
-        result = finish_query(
-            self.lattice,
-            query,
-            point,
-            cuboid,
-            vector.versions,
-            "scatter-gather",
-            (rung,),
-            latency,
-        )
-        binding = obs.current()
-        if binding.trace_id_hex:
-            result = replace(result, trace_id=binding.trace_id_hex)
-            if result.deadline_exceeded:
-                binding.set_status("deadline")
-        return result
-
-    def explain_query(self, query: Query) -> QueryExplanation:
-        """The scatter plan, without executing the gather.
-
-        For each shard: which replica the coordinator would consult
-        (the first healthy one), and the rung *that replica's* ladder
-        predicts it would answer from right now.  Pure — no events, no
-        cache effects, no fault injection.
-        """
-        self._check_measure(query.measure)
-        point = resolve_target(self.lattice, query)
-        plans: List[ShardPlan] = []
-        for shard_id in range(self.n_shards):
-            replica = next(
-                (r for r in self.shards[shard_id] if r.healthy), None
-            )
-            if replica is None:
-                plans.append(
-                    ShardPlan(
-                        shard=shard_id, replica=-1, tier="unavailable"
-                    )
-                )
-                continue
-            local = replica.server.explain(point)
-            plans.append(
-                ShardPlan(
-                    shard=shard_id,
-                    replica=replica.replica,
-                    tier=local.tier,
-                    rungs=local.rungs,
-                )
-            )
-        return QueryExplanation(
-            backend="cluster",
-            kind=query.kind,
-            point=self.lattice.describe(point),
-            version=self.version_token(),
-            tier="scatter-gather",
-            rungs=(),
-            shards=tuple(plans),
-        )
+        return VersionVector(self.version_token())
 
     def version_token(self) -> Tuple[int, ...]:
         with self._lock:
             return tuple(self._expected)
 
-    def _check_measure(self, measure: Optional[str]) -> None:
-        served = self.aggregate.function.upper()
-        if measure is not None and measure.upper() != served:
-            raise InvalidQuery(
-                f"this cube serves measure {served!r}, not {measure!r}"
-            )
-
     # ------------------------------------------------------------------
     # reads: scatter, degrade gracefully, gather, merge states
     # ------------------------------------------------------------------
-    def cuboid_versioned(
-        self, spec: PointSpec, *, kind: str = "cuboid"
-    ) -> Tuple[Cuboid, VersionVector]:
+    def _answer(self, point: LatticePoint, kind: str) -> Answer:
         """One cuboid plus the version vector it is exact for.
 
-        The returned vector is always a state the write log actually
-        produced: inconsistent gathers (a replica answering at the
-        wrong version) are rejected, lagging replicas synced, and the
-        scatter retried up to ``max_read_rounds`` times.
+        The vector is always a state the write log actually produced:
+        inconsistent gathers (a replica answering at the wrong version)
+        are rejected, lagging replicas synced, and the scatter retried
+        up to ``max_read_rounds`` times.  The scatter-gather path has no
+        per-request ladder, so the rung trail is one synthesized
+        ``scatter-gather`` decision (each replica's own ladder walk
+        lives in its local event log).
         """
-        point = self.resolve_point(spec)
-        store = self.trace_store
-        if store is None or obs.current() is not obs.NULL_SPAN:
-            cuboid, vector, _ = self._request(point, kind=kind)
-            return cuboid, vector
-        with store.root(
-            "cluster.query", category="cluster", kind=kind
-        ) as root:
-            cuboid, vector, latency = self._request(point, kind=kind)
-            if root.enabled:
-                root.set_sim(latency).annotate(
-                    point=self.lattice.describe(point)
-                )
-            return cuboid, vector
-
-    def _request(
-        self, point: LatticePoint, *, kind: str
-    ) -> Tuple[Cuboid, VersionVector, float]:
         described = self.lattice.describe(point)
         with obs.span(
             "cluster.request",
@@ -398,65 +267,45 @@ class ClusterCoordinator:
             span.annotate(cells=len(cuboid)).set_sim(latency)
         obs.count("x3_cluster_requests_total", kind=kind)
         obs.observe("x3_cluster_request_modeled_seconds", latency)
-        return cuboid, vector, latency
-
-    # ------------------------------------------------------------------
-    # deprecated positional query surface (PR 6 shims)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _warn_positional(name: str) -> None:
-        warnings.warn(
-            f"ClusterCoordinator.{name}(...) positional queries are "
-            f"deprecated; pass ClusterCoordinator.query(Query(...)) "
-            f"instead",
-            DeprecationWarning,
-            stacklevel=3,
+        rung = RungDecision(
+            rung="scatter-gather",
+            taken=True,
+            reason=(
+                f"merged {self.n_shards} shard state(s) at vector "
+                f"{list(vector)}"
+            ),
         )
+        return cuboid, vector, "scatter-gather", (rung,), latency
 
-    def cuboid(self, spec: PointSpec) -> Cuboid:
-        self._warn_positional("cuboid")
-        return self.query(Query(point=spec)).as_cuboid()
-
-    def cell(self, spec: PointSpec, key: GroupKey) -> Optional[float]:
-        self._warn_positional("cell")
-        return self.query(
-            Query(point=spec, kind="cell", key=key)
-        ).as_cell()
-
-    def slice(self, spec: PointSpec, axis_index: int, value: str) -> Cuboid:
-        self._warn_positional("slice")
-        point = self.resolve_point(spec)
-        return self.query(
-            Query(
-                point=point,
-                kind="slice",
-                axis=kept_axis_name(self.lattice, point, axis_index),
-                value=value,
-            )
-        ).as_cuboid()
-
-    def dice(
-        self, spec: PointSpec, predicates: Dict[int, Sequence[str]]
-    ) -> Cuboid:
-        self._warn_positional("dice")
-        point = self.resolve_point(spec)
-        return self.query(
-            Query(
-                point=point,
-                kind="dice",
-                filters=tuple(
-                    (
-                        kept_axis_name(self.lattice, point, index),
-                        tuple(values),
+    def _plan(self, point: LatticePoint) -> Plan:
+        """The scatter plan.  For each shard: which replica the
+        coordinator would consult (the first healthy one), and the rung
+        *that replica's* ladder predicts it would answer from."""
+        plans: List[ShardPlan] = []
+        query = Query(point=point)
+        for shard_id, replicas in enumerate(self.shards):
+            replica = next((r for r in replicas if r.healthy), None)
+            if replica is None:
+                plans.append(
+                    ShardPlan(
+                        shard=shard_id, replica=-1, tier="unavailable"
                     )
-                    for index, values in predicates.items()
-                ),
+                )
+                continue
+            local = replica.server.explain_query(query)
+            plans.append(
+                ShardPlan(
+                    shard=shard_id,
+                    replica=replica.replica,
+                    tier=local.tier,
+                    rungs=local.rungs,
+                )
             )
-        ).as_cuboid()
+        return self.version_token(), "scatter-gather", (), tuple(plans)
 
     def _gather(
         self, point: LatticePoint, described: str, kind: str
-    ) -> Tuple[Cuboid, VersionVector, float]:
+    ) -> Tuple[Cuboid, Tuple[int, ...], float]:
         last_vector: Optional[Tuple[int, ...]] = None
         for round_index in range(self.max_read_rounds):
             with self._lock:
@@ -767,7 +616,7 @@ class ClusterCoordinator:
         vector: Tuple[int, ...],
         described: str,
         kind: str,
-    ) -> Tuple[Cuboid, VersionVector, float]:
+    ) -> Tuple[Cuboid, Tuple[int, ...], float]:
         with obs.span(
             "cluster.merge", category="cluster", shards=len(outcomes)
         ):
@@ -803,7 +652,7 @@ class ClusterCoordinator:
                 trace_id=obs.current().trace_id_hex,
             )
         )
-        return cuboid, VersionVector(vector), latency
+        return cuboid, vector, latency
 
     # ------------------------------------------------------------------
     # writes: serialized fan-out through the incremental delta path
@@ -925,6 +774,39 @@ class ClusterCoordinator:
             modeled_seconds=modeled_seconds,
             trace_id=obs.current().trace_id_hex,
         )
+
+    def health(self) -> Dict[str, Any]:
+        """Shard/replica health: ``down`` when some shard has no healthy
+        replica left, ``degraded`` when any replica is crashed or lags
+        the write log."""
+        replicas = [
+            [replica.healthy for replica in shard] for shard in self.shards
+        ]
+        healthy = sum(sum(shard) for shard in replicas)
+        total = sum(len(shard) for shard in replicas)
+        lagging = sum(
+            1
+            for shard in self.shards
+            for replica in shard
+            if replica.healthy and replica.lagging
+        )
+        if not all(any(shard) for shard in replicas):
+            status = "down"
+        elif healthy == total and not lagging:
+            status = "ok"
+        else:
+            status = "degraded"
+        return {
+            "kind": "cluster",
+            "status": status,
+            "shards": self.n_shards,
+            "replicas_per_shard": self.n_replicas,
+            "healthy_replicas": healthy,
+            "total_replicas": total,
+            "lagging_replicas": lagging,
+            "replica_health": replicas,
+            "version": list(self.version_token()),
+        }
 
     def modeled_latencies(self) -> List[float]:
         """Per-request modeled latencies, in request order."""

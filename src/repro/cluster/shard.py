@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.bindings import FactRow, FactTable
 from repro.core.cube import ExecutionOptions
-from repro.core.groupby import Cuboid
 from repro.core.incremental import IncrementalCube
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.merge import (
@@ -35,6 +34,7 @@ from repro.core.merge import (
     states_from_finalized,
 )
 from repro.core.properties import PropertyOracle
+from repro.core.query import Query
 from repro.errors import ClusterError, ShardUnavailable
 from repro.serve.server import CubeServer
 
@@ -158,10 +158,14 @@ class ShardReplica:
         with self._lock:
             if self._crashed:
                 raise ShardUnavailable(self.shard, self.replica, "crashed")
-            cuboid, version = self.server.cuboid_versioned(point)
-            event = self.server.events.requests()[-1]
+            # Tier, version and cost come from the answer itself, not
+            # from the tail of the request log: another read of this
+            # server may have logged in between.
+            result = self.server.query(Query(point=point))
             if self._state_exact:
-                states = states_from_finalized(self._aggregate, cuboid)
+                states = states_from_finalized(
+                    self._aggregate, result.as_cuboid()
+                )
             else:
                 assert self._incremental is not None
                 states = dict(self._incremental.state_cuboid(point))
@@ -169,17 +173,10 @@ class ShardReplica:
                 shard=self.shard,
                 replica=self.replica,
                 states=states,
-                version=version,
-                modeled_seconds=event.modeled_seconds,
-                tier=event.tier,
+                version=result.version[0],
+                modeled_seconds=result.modeled_seconds,
+                tier=result.tier,
             )
-
-    def cuboid(self, point: LatticePoint) -> Cuboid:
-        """The replica's finalized local cuboid (debug/inspection)."""
-        with self._lock:
-            if self._crashed:
-                raise ShardUnavailable(self.shard, self.replica, "crashed")
-            return self.server.cuboid_versioned(point)[0]
 
     # ------------------------------------------------------------------
     # writes

@@ -5,8 +5,6 @@ Public surface re-exported here:
 - :class:`~repro.core.axes.AxisSpec` — one ``X^3`` clause entry: a path
   binding plus its permitted relaxations;
 - :class:`~repro.core.query.X3Query` — the full cube specification;
-- :func:`~repro.core.xq_parser.parse_x3_query` — the paper's FLWOR text
-  syntax (Query 1);
 - :class:`~repro.core.lattice.CubeLattice` — the relaxed-cube lattice of
   Fig. 3;
 - :func:`~repro.core.extract.extract_fact_table` — one evaluation of the
@@ -28,7 +26,6 @@ from repro.core.cube import (
 from repro.core.extract import extract_fact_table
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.query import X3Query
-from repro.core.xq_parser import parse_x3_query
 
 __all__ = [
     "AggregateSpec",
@@ -43,5 +40,4 @@ __all__ = [
     "CubeLattice",
     "LatticePoint",
     "X3Query",
-    "parse_x3_query",
 ]

@@ -7,27 +7,22 @@ The one public way to run a cube computation is::
 
 :class:`ExecutionOptions` is the single options object threaded through
 ``compute_cube``, :class:`repro.warehouse.CubeSession`, the bench harness
-and both CLIs.  The historical keyword surface
-(``compute_cube(table, "BUC", oracle=..., memory_entries=...)``) still
-works through a thin shim that emits :class:`DeprecationWarning`.
+and both CLIs.
 
 Cost accounting is typed: :class:`CubeResult.cost` is a
 :class:`CostSnapshot` (page I/O, CPU ops, simulated and wall seconds,
-plus a per-worker breakdown when the parallel engine ran).  Dict-style
-reads (``result.cost["simulated_seconds"]``) keep working during the
-deprecation window via :meth:`CostSnapshot.__getitem__`.
+plus a per-worker breakdown when the parallel engine ran); read its
+attributes, or :meth:`CostSnapshot.as_dict` for a flat mapping.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -48,8 +43,6 @@ from repro.errors import CubeError
 ENGINE_CHOICES = ("auto", "serial", "thread", "process")
 PARTITION_STRATEGIES = ("balanced", "antichain", "axis")
 ENCODING_CHOICES = ("auto", "columnar", "dict")
-
-_UNSET: Any = object()
 
 
 # ----------------------------------------------------------------------
@@ -245,32 +238,6 @@ class CostSnapshot:
         out["n_workers"] = len(self.workers)
         return out
 
-    # ------------------------------------------------------------------
-    # deprecated dict-style reads
-    # ------------------------------------------------------------------
-    def _warn_dict_access(self) -> None:
-        warnings.warn(
-            "dict-style CostSnapshot access is deprecated; read the "
-            "attribute directly or use .as_dict()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> float:
-        self._warn_dict_access()
-        try:
-            return self.as_dict()[key]
-        except KeyError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Optional[float] = None) -> Optional[float]:
-        self._warn_dict_access()
-        return self.as_dict().get(key, default)
-
-    def keys(self) -> Iterator[str]:
-        self._warn_dict_access()
-        return iter(self.as_dict())
-
 
 def _coerce_cost(
     cost: Union[CostSnapshot, Mapping[str, float], None]
@@ -382,64 +349,22 @@ class CubeResult:
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
-def _options_from_legacy(
-    algorithm: Optional[str],
-    legacy: Dict[str, Any],
-) -> ExecutionOptions:
-    warnings.warn(
-        "compute_cube(table, algorithm, oracle=..., ...) keyword arguments "
-        "are deprecated; pass compute_cube(table, ExecutionOptions(...)) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionOptions(algorithm=algorithm or "NAIVE", **legacy)
-
-
 def compute_cube(
-    table: FactTable,
-    algorithm: Union[str, ExecutionOptions, None] = None,
-    options: Optional[ExecutionOptions] = None,
-    *,
-    oracle: Any = _UNSET,
-    memory_entries: Any = _UNSET,
-    points: Any = _UNSET,
-    min_support: Any = _UNSET,
+    table: FactTable, options: Optional[ExecutionOptions] = None
 ) -> CubeResult:
-    """Compute the cube of an extracted fact table.
-
-    Primary signature::
+    """Compute the cube of an extracted fact table::
 
         compute_cube(table, ExecutionOptions(algorithm="BUC", workers=4))
-        compute_cube(table, options=ExecutionOptions(...))
 
-    The legacy keyword surface (``algorithm`` as a string plus ``oracle``,
-    ``memory_entries``, ``points``, ``min_support``) is still accepted but
-    emits :class:`DeprecationWarning`; it builds the same
-    :class:`ExecutionOptions` under the hood.
+    ``options`` defaults to ``ExecutionOptions()`` (serial NAIVE over
+    the whole lattice).
     """
-    if isinstance(algorithm, ExecutionOptions):
-        if options is not None:
-            raise CubeError("pass ExecutionOptions once, not twice")
-        options, algorithm = algorithm, None
-    legacy = {
-        name: value
-        for name, value in (
-            ("oracle", oracle),
-            ("memory_entries", memory_entries),
-            ("points", points),
-            ("min_support", min_support),
+    if options is None:
+        options = ExecutionOptions()
+    elif not isinstance(options, ExecutionOptions):
+        raise CubeError(
+            f"compute_cube takes ExecutionOptions, got {options!r}"
         )
-        if value is not _UNSET
-    }
-    if options is not None:
-        if algorithm is not None or legacy:
-            raise CubeError(
-                "pass either ExecutionOptions or the legacy keyword "
-                "arguments, not both"
-            )
-    else:
-        options = _options_from_legacy(algorithm, legacy)
 
     from repro.core.engine import execute
 

@@ -7,15 +7,14 @@ Two layers live here:
   syntax, how to build its cube lattice, and how to build the grouping
   tree pattern (rigid and most-relaxed) that Sec. 2 defines.
 - The **unified serving API**: one frozen :class:`Query` request, one
-  :class:`QueryResult` envelope, and the :class:`CubeBackend` protocol
-  both runtime surfaces (:class:`repro.serve.CubeServer` and
-  :class:`repro.cluster.ClusterCoordinator`) satisfy.  Before this
-  contract existed the two backends duplicated the ``cuboid`` /
-  ``cuboid_versioned`` / ``cell`` / ``slice`` / ``dice`` method shapes
-  with positional ``PointSpec`` arguments and no shared type; the HTTP
-  front door (:mod:`repro.server`), the CLIs and the tests all speak
-  :class:`Query` now, and the old positional signatures survive only as
-  deprecated shims.
+  :class:`QueryResult` envelope, and :class:`CubeBackend`, the read
+  core both runtime surfaces (:class:`repro.serve.CubeServer` and
+  :class:`repro.cluster.ClusterCoordinator`) inherit.  A backend
+  supplies one thing — the cuboid of one lattice point, with the
+  version, rung trail and modeled cost it came at — and the core turns
+  it into every query kind, so the HTTP front door
+  (:mod:`repro.server`), the CLIs and the tests all speak
+  :class:`Query` to either backend.
 """
 
 from __future__ import annotations
@@ -23,23 +22,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    ClassVar,
     Dict,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
+from repro import obs
 from repro.core.axes import AxisSpec
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactRow, GroupKey
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.errors import InvalidQuery, QueryError, StaleVersion
 from repro.obs.events import RungDecision
+from repro.obs.live import LiveTelemetry
+from repro.obs.trace_store import TraceStore
 from repro.patterns.pattern import EdgeAxis, PatternNode, TreePattern
 from repro.patterns.relaxation import Relaxation, most_relaxed_pattern
 
@@ -377,10 +378,13 @@ class ShardPlan:
 class QueryExplanation:
     """The backend's plan for a query, without executing it.
 
-    For a single server this wraps the sound-source ladder walk of
-    :meth:`repro.serve.CubeServer.explain`; for a cluster it is the
-    scatter plan — which replica each shard would ask, and the rung that
-    replica would answer from — assembled from the replicas' own
+    For a single server this is the sound-source ladder walk (DESIGN.md
+    Sec. 5c): every rung in order, each with the verdict the server
+    would reach right now — taken, rejected (with the disjoint/covered
+    proof verdicts where the rollup rung is concerned), or not reached
+    because a cheaper rung answers first.  For a cluster it is the
+    scatter plan — which replica each shard would ask, and the rung
+    that replica would answer from — assembled from the replicas' own
     ladders.
     """
 
@@ -391,6 +395,29 @@ class QueryExplanation:
     tier: str
     rungs: Tuple[RungDecision, ...]
     shards: Tuple[ShardPlan, ...] = ()
+
+    def render(self) -> str:
+        """Human-readable decision tree (the ``x3-serve explain`` body).
+
+        The plan is for the *cuboid* the query reads; what the query
+        kind does to that cuboid afterwards costs no rung.
+        """
+        version = ", ".join(str(component) for component in self.version)
+        lines = [
+            f"explain cuboid {self.point} @ version {version} -> {self.tier}"
+        ]
+        for index, decision in enumerate(self.rungs, start=1):
+            if decision.taken:
+                mark = "*"
+            elif decision.reason.startswith("not reached"):
+                mark = "."
+            else:
+                mark = "x"
+            lines.append(
+                f"  {index}. {decision.rung:<11} {mark} {decision.reason}"
+            )
+        lines.append("  (sound-source ladder, DESIGN.md Sec. 5c)")
+        return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -414,41 +441,178 @@ class QueryExplanation:
         }
 
 
-@runtime_checkable
-class CubeBackend(Protocol):
-    """What every cube-serving backend speaks: the serving contract.
+#: What a backend hands the read core for one lattice point: the
+#: cuboid, the version token it is exact at, the rung that resolved it,
+#: the full rung trail, and the modeled seconds paid.
+Answer = Tuple[
+    Dict[GroupKey, float],
+    Tuple[int, ...],
+    str,
+    Tuple[RungDecision, ...],
+    float,
+]
 
-    :class:`repro.serve.CubeServer` and
-    :class:`repro.cluster.ClusterCoordinator` both satisfy it (enforced
-    by a conformance test parametrized over the two), and the HTTP
-    front door (:mod:`repro.server`) is written against it alone.
+#: A backend's plan for one lattice point: version token, resolving
+#: rung, rung trail, per-shard plans (empty on a single server).
+Plan = Tuple[
+    Tuple[int, ...],
+    str,
+    Tuple[RungDecision, ...],
+    Tuple[ShardPlan, ...],
+]
+
+
+class CubeBackend:
+    """The read core every cube-serving backend inherits.
+
+    Roll-up, drill-down, slice, dice and cell are views of one cuboid
+    (Gray et al.; Sec. 2 of the paper has one operator), so a backend
+    answers exactly one question — *the cuboid of this lattice point,
+    at which version, from which source* (:meth:`_answer`; the
+    sound-source ladder in :class:`repro.serve.CubeServer`,
+    scatter-gather in :class:`repro.cluster.ClusterCoordinator`) — and
+    plans it without executing (:meth:`_plan`).  Everything around that
+    is here and therefore identical on both: the trace root, the
+    measure check, point resolution, the kind-specific view, the
+    read-version fence and the result envelope.
+
+    The contract a subclass fills in: ``lattice``, ``aggregate``,
+    ``trace_store``, the :attr:`name` class attribute, :meth:`_answer`,
+    :meth:`_plan`, :meth:`version_token`, :meth:`insert` and
+    :meth:`delete`; :meth:`health`, :meth:`prometheus`, :meth:`close`
+    and ``telemetry`` have defaults.  The HTTP front door
+    (:mod:`repro.server`) is written against this class alone.
     """
 
+    #: "serve" or "cluster": names the backend in explanations and
+    #: prefixes its span names (``serve.query`` / ``cluster.query``).
+    name: ClassVar[str]
+
     lattice: CubeLattice
+    aggregate: AggregateSpec
+    #: When set and no span is bound (a direct caller, not the HTTP or
+    #: cluster path or an ``obs.trace()`` session), every query opens
+    #: its own trace root, so standalone sessions are traceable too.
+    trace_store: Optional[TraceStore] = None
+    #: Sliding-window telemetry, where the backend keeps one.
+    telemetry: Optional[LiveTelemetry] = None
 
-    def query(self, query: Query) -> QueryResult:
-        """Answer one :class:`Query` (the only read path)."""
-        ...
+    # ------------------------------------------------------------------
+    # what a backend supplies
+    # ------------------------------------------------------------------
+    def _answer(self, point: LatticePoint, kind: str) -> Answer:
+        """Obtain the cuboid for one lattice point (``kind`` labels the
+        backend's own request log and spans)."""
+        raise NotImplementedError
 
-    def explain_query(self, query: Query) -> QueryExplanation:
-        """The plan for ``query``, without executing it."""
-        ...
+    def _plan(self, point: LatticePoint) -> Plan:
+        """How :meth:`_answer` would obtain ``point`` right now; pure —
+        no events, no cache effects, no fault injection."""
+        raise NotImplementedError
 
     def version_token(self) -> Tuple[int, ...]:
         """The current version token reads can be fenced against."""
-        ...
+        raise NotImplementedError
 
     def insert(self, rows: Sequence[FactRow]) -> object:
         """Ingest delta facts; returns the backend's version token."""
-        ...
+        raise NotImplementedError
 
     def delete(self, rows: Sequence[FactRow]) -> object:
         """Retract delta facts; returns the backend's version token."""
-        ...
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # the one read path
+    # ------------------------------------------------------------------
+    def query(self, query: Query) -> QueryResult:
+        """Answer one :class:`Query` (the single read path).
+
+        Resolves the target point (drilldown refines it one step finer
+        on the requested axis), obtains its cuboid once, and wraps the
+        kind-specific view of it in a :class:`QueryResult` carrying the
+        version it is exact at plus the full rung trail.
+        """
+        store = self.trace_store
+        if store is None or obs.current() is not obs.NULL_SPAN:
+            return self._query(query)
+        with store.root(
+            f"{self.name}.query", category=self.name, kind=query.kind
+        ) as root:
+            result = self._query(query)
+            if root.enabled:
+                root.set_sim(result.modeled_seconds).annotate(
+                    tier=result.tier, point=result.point
+                )
+            return result
+
+    def _query(self, query: Query) -> QueryResult:
+        point = self._target(query)
+        binding = obs.current()
+        result = finish_query(
+            self.lattice,
+            query,
+            point,
+            *self._answer(point, query.kind),
+            trace_id=binding.trace_id_hex,
+        )
+        if result.deadline_exceeded and result.trace_id:
+            binding.set_status("deadline")
+        return result
+
+    def explain_query(self, query: Query) -> QueryExplanation:
+        """The plan for ``query``, without executing it."""
+        point = self._target(query)
+        version, tier, rungs, shards = self._plan(point)
+        return QueryExplanation(
+            backend=self.name,
+            kind=query.kind,
+            point=self.lattice.describe(point),
+            version=version,
+            tier=tier,
+            rungs=rungs,
+            shards=shards,
+        )
+
+    def _target(self, query: Query) -> LatticePoint:
+        """Reject a query for another measure, then resolve the lattice
+        point it reads."""
+        if query.measure is not None:
+            served = self.aggregate.function.upper()
+            if query.measure.upper() != served:
+                raise InvalidQuery(
+                    f"measure {query.measure!r} does not match this "
+                    f"cube's aggregate {served}"
+                )
+        return resolve_target(self.lattice, query)
+
+    def resolve_point(self, spec: PointSpec) -> LatticePoint:
+        """Accept a lattice point or its description string
+        (:class:`InvalidQuery` on anything outside this lattice)."""
+        return resolve_point_spec(self.lattice, spec)
+
+    # ------------------------------------------------------------------
+    # lifecycle and introspection defaults
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Release what the backend holds (nothing, by default)."""
+
+    def health(self) -> Dict[str, Any]:
+        """This backend's ``/healthz`` entry; ``status`` is ``"ok"``,
+        ``"degraded"`` or ``"down"``."""
+        return {
+            "kind": "server",
+            "status": "ok",
+            "version": list(self.version_token()),
+        }
+
+    def prometheus(self) -> str:
+        """Prometheus exposition text of the backend's own metrics."""
+        return ""
 
 
 # ----------------------------------------------------------------------
-# shared resolution helpers (used by both backends)
+# resolution helpers of the read core
 # ----------------------------------------------------------------------
 def resolve_point_spec(lattice: CubeLattice, spec: PointSpec) -> LatticePoint:
     """Resolve a point spec against a lattice (:class:`InvalidQuery` on
@@ -506,21 +670,6 @@ def drilldown_point(
     return candidates[0]
 
 
-def kept_axis_name(
-    lattice: CubeLattice, point: LatticePoint, axis_index: int
-) -> str:
-    """Inverse of :func:`_kept_axis_index`: the axis name behind a
-    kept-axis position (the coordinate system of the legacy positional
-    ``slice``/``dice`` signatures)."""
-    kept = lattice.kept_axes(point)
-    if not 0 <= axis_index < len(kept):
-        raise InvalidQuery(
-            f"kept-axis index {axis_index} out of range for "
-            f"{lattice.describe(point)} ({len(kept)} kept axes)"
-        )
-    return lattice.axes[kept[axis_index]].name
-
-
 def _kept_axis_index(
     lattice: CubeLattice, point: LatticePoint, axis: str
 ) -> int:
@@ -571,9 +720,10 @@ def finish_query(
     tier: str,
     rungs: Tuple[RungDecision, ...],
     modeled_seconds: float,
+    trace_id: str = "",
 ) -> QueryResult:
     """Apply the query's kind-specific view of the resolved cuboid and
-    wrap it in the result envelope (shared by both backends)."""
+    wrap it in the result envelope."""
     from repro.core.rollup import dice_cuboid, slice_cuboid
 
     check_read_version(query.read_version, version)
@@ -609,4 +759,5 @@ def finish_query(
             query.deadline_seconds is not None
             and modeled_seconds > query.deadline_seconds
         ),
+        trace_id=trace_id,
     )

@@ -28,6 +28,7 @@ from repro.lang.compiler import (
     compile_text,
     compile_x3,
     modeled_lang_seconds,
+    parse_x3_query,
 )
 from repro.lang.parser import Parser, parse_statement, parse_statements
 from repro.lang.tokens import Token, TokenKind, tokenize
@@ -56,6 +57,7 @@ __all__ = [
     "modeled_lang_seconds",
     "parse_statement",
     "parse_statements",
+    "parse_x3_query",
     "pretty",
     "tokenize",
 ]

@@ -40,7 +40,7 @@ from repro.lang.ast import (
     Statement,
     X3Statement,
 )
-from repro.lang.parser import Parser
+from repro.lang.parser import Parser, parse_statement
 from repro.lang.tokens import TokenKind, tokenize
 from repro.patterns.relaxation import Relaxation
 from repro.server.model import BoundCube, CubeCatalog
@@ -201,8 +201,7 @@ def compile_x3(statement: X3Statement) -> X3Query:
 
     Semantic errors (unbound variables, paths not relative to the fact
     variable, unknown relaxations, bad aggregates) raise
-    :class:`QueryParseError` — the contract of the legacy
-    :func:`repro.core.xq_parser.parse_x3_query` front end this backs.
+    :class:`QueryParseError`, like the syntax errors before them.
     """
     fact_var = statement.fact_var
     paths: Dict[str, str] = {}
@@ -282,6 +281,32 @@ def compile_x3(statement: X3Statement) -> X3Query:
             line=statement.pos.line,
             column=statement.pos.column,
         ) from None
+
+
+def parse_x3_query(text: str) -> X3Query:
+    """Parse the paper's augmented FLWOR text (Query 1) into an
+    :class:`X3Query`::
+
+        for $b in doc("book.xml")//publication,
+            $n in $b/author/name,
+            $y in $b/year
+        X^3 $b/@id by $n (LND, SP, PC-AD),
+            $y (LND)
+        return COUNT($b).
+
+    ``X^3`` may also be written ``X3``, ``X~3`` or ``X"3`` (OCR
+    variants of the operator glyph).  The fact variable is whichever
+    variable the ``doc()`` binding introduces; every axis path must be
+    relative to it.  Raises :class:`QueryParseError` (with the source
+    position where one can be pinned) on any malformed input.
+    """
+    statement = parse_statement(text)
+    if not isinstance(statement, X3Statement):
+        raise QueryParseError(
+            "query must have the shape: for ... X^3 <measure> by ... "
+            "return AGG(...)"
+        )
+    return compile_x3(statement)
 
 
 # ======================================================================

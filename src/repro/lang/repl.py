@@ -387,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_demo_table() -> object:
     from repro.core.extract import extract_fact_table
-    from repro.core.xq_parser import parse_x3_query
     from repro.datagen.publications import QUERY1_TEXT, figure1_document
+    from repro.lang.compiler import parse_x3_query
 
     return extract_fact_table(
         [figure1_document()], parse_x3_query(QUERY1_TEXT)
@@ -448,9 +448,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0 if ok else 1
         return interact(repl)  # pragma: no cover - interactive only
     finally:
-        closer = getattr(backend, "close", None)
-        if callable(closer):
-            closer()
+        backend.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

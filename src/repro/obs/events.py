@@ -20,7 +20,7 @@ sequence number under its lock (events are never lost to a race and
 never duplicated; only overwritten when the ring wraps, which the
 ``dropped`` counter reports).  The log exports JSON Lines, one event
 per line, so a serving session's decisions can be replayed, diffed
-against ``explain()`` output, and attached to CI runs as artifacts.
+against ``explain_query()`` output, and attached to CI runs as artifacts.
 """
 
 from __future__ import annotations

@@ -9,17 +9,20 @@ exact under concurrent incremental writes.
 
 Typical use::
 
+    from repro.core.query import Query
     from repro.serve import CubeServer
 
     server = CubeServer(table, oracle, cache_cells=4096, view_cells=512)
     server.warm()
-    cuboid = server.cuboid("$n:rigid, $p:LND, $y:rigid")
+    query = Query(point="$n:rigid, $p:LND, $y:rigid")
+    print(server.explain_query(query).render())   # the ladder, unexecuted
+    cuboid = server.query(query).as_cuboid()
     server.insert(delta_rows)         # caches patched or evicted soundly
     print(server.stats().summary())
 """
 
 from repro.serve.cache import CacheEntryInfo, CacheStats, CuboidCache
-from repro.serve.server import CubeServer, Explanation, ServeStats, TIERS
+from repro.serve.server import CubeServer, ServeStats, TIERS
 from repro.serve.singleflight import SingleFlight
 
 __all__ = [
@@ -27,7 +30,6 @@ __all__ = [
     "CacheStats",
     "CubeServer",
     "CuboidCache",
-    "Explanation",
     "ServeStats",
     "SingleFlight",
     "TIERS",

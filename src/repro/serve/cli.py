@@ -34,8 +34,8 @@ from repro.core.cube import ENGINE_CHOICES, ExecutionOptions
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
 from repro.core.query import Query
-from repro.core.xq_parser import parse_x3_query
 from repro.errors import InvalidQuery, X3Error
+from repro.lang.compiler import parse_x3_query
 from repro.serve.server import TIERS, CubeServer
 from repro.xmlmodel.parser import parse_file
 
@@ -271,10 +271,11 @@ def explain_main(argv: List[str]) -> int:
 
     mismatches = 0
     for point in queries:
-        explanation = server.explain(point)
+        query = Query(point=point)
+        explanation = server.explain_query(query)
         print(explanation.render())
         if args.verify:
-            result = server.query(Query(point=point))
+            result = server.query(query)
             agrees = result.tier == explanation.tier
             mismatches += 0 if agrees else 1
             print(

@@ -42,24 +42,23 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro import obs
-from repro.core.bindings import FactRow, FactTable, GroupKey
+from repro.core.bindings import FactRow, FactTable
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
 from repro.core.groupby import Cuboid
 from repro.core.incremental import (
@@ -71,21 +70,13 @@ from repro.core.incremental import (
 from repro.core.lattice import LatticePoint
 from repro.core.materialize import ViewSelection, cuboid_sizes, select_views
 from repro.core.properties import PropertyOracle
-from repro.core.query import (
-    Query,
-    QueryExplanation,
-    QueryResult,
-    finish_query,
-    kept_axis_name,
-    resolve_point_spec,
-    resolve_target,
-)
+from repro.core.query import Answer, CubeBackend, Plan, PointSpec
 from repro.core.rollup import (
     ROLLUP_AGGREGATES,
     derivable,
     rollup_cuboid,
 )
-from repro.errors import CubeError, InvalidQuery
+from repro.errors import CubeError
 from repro.obs.events import (
     EventLog,
     EvictionRecord,
@@ -114,8 +105,6 @@ _PATCH_DELETE = {"COUNT"}
 
 # Modeled serve-side costs, on the cost model's simulated-seconds scale.
 _CPU_OP_SECONDS = CostModel.cpu_op_cost
-
-PointSpec = Union[LatticePoint, str]
 
 
 @dataclass(frozen=True)
@@ -168,41 +157,17 @@ class ServeStats:
         )
 
 
-@dataclass(frozen=True)
-class Explanation:
-    """The ladder decision tree for one query, *without* executing it.
+class _Ladder(NamedTuple):
+    """One walk of the sound-source ladder: what was decided, and the
+    resident input the deciding rung reads."""
 
-    Produced by :meth:`CubeServer.explain`: every rung of the
-    sound-source ladder (DESIGN.md Sec. 5c) in order, each with the
-    verdict the server would reach right now — taken, rejected (with
-    the disjoint/covered proof verdicts where the rollup rung is
-    concerned), or not reached because a cheaper rung answers first.
-    """
-
-    point: str  #: described lattice point
-    kind: str  #: query kind the explanation is for
-    version: int  #: table version the plan is valid at
-    tier: str  #: the rung the query would resolve at
-    rungs: Tuple[RungDecision, ...]
-
-    def render(self) -> str:
-        """Human-readable decision tree (the ``x3-serve explain`` body)."""
-        lines = [
-            f"explain {self.kind} {self.point} @ version "
-            f"{self.version} -> {self.tier}"
-        ]
-        for index, decision in enumerate(self.rungs, start=1):
-            if decision.taken:
-                mark = "*"
-            elif decision.reason.startswith("not reached"):
-                mark = "."
-            else:
-                mark = "x"
-            lines.append(
-                f"  {index}. {decision.rung:<11} {mark} {decision.reason}"
-            )
-        lines.append("  (sound-source ladder, DESIGN.md Sec. 5c)")
-        return "\n".join(lines)
+    version: int  #: table version the decision is valid at
+    tier: str  #: the rung that answers
+    rungs: Tuple[RungDecision, ...]  #: all five verdicts, ladder order
+    #: the cache hit, the fresh view, or the (source point, private
+    #: copy) pair of the rollup rung; ``None`` for the two rungs that
+    #: read base data (incremental, recompute)
+    source: Any
 
 
 @dataclass
@@ -218,7 +183,7 @@ class _Counters:
     evicted_points: int = 0
 
 
-class CubeServer:
+class CubeServer(CubeBackend):
     """Concurrent cube serving over one :class:`FactTable`.
 
     Args:
@@ -257,6 +222,9 @@ class CubeServer:
             query path exactly as before: zero tracing cost.
     """
 
+    name = "serve"
+    telemetry: LiveTelemetry
+
     def __init__(
         self,
         table: FactTable,
@@ -287,6 +255,7 @@ class CubeServer:
                 "the IncrementalCube must maintain the served table"
             )
         self._incremental = incremental
+        self.aggregate = table.aggregate
         self._aggregate = table.aggregate.function.upper()
         self._lock = threading.RLock()
         self._version = 0
@@ -309,17 +278,16 @@ class CubeServer:
             self._materialize_views(self.selection.chosen)
 
     # ------------------------------------------------------------------
-    # point resolution helpers
+    # versions and snapshots
     # ------------------------------------------------------------------
-    def resolve_point(self, spec: PointSpec) -> LatticePoint:
-        """Accept a lattice point or its description string
-        (:class:`InvalidQuery` on anything outside this lattice)."""
-        return resolve_point_spec(self.lattice, spec)
-
     @property
     def version(self) -> int:
         with self._lock:
             return self._version
+
+    def version_token(self) -> Tuple[int, ...]:
+        """The current version as a 1-vector (CubeBackend contract)."""
+        return (self.version,)
 
     def snapshot(self) -> Tuple[int, Tuple[FactRow, ...]]:
         """The current (version, rows) pair, atomically."""
@@ -384,159 +352,19 @@ class CubeServer:
             self._audit_local.sink = previous
 
     # ------------------------------------------------------------------
-    # reads — the CubeBackend query path
+    # reads — what CubeBackend.query / explain_query ask of this backend
     # ------------------------------------------------------------------
-    def query(self, query: Query) -> QueryResult:
-        """Answer one :class:`Query` (the single read path).
-
-        Resolves the target point (drilldown refines it one step finer
-        on the requested axis), walks the sound-source ladder once, and
-        wraps the answer in a :class:`QueryResult` carrying the version
-        it is exact at plus the full rung trail — the same trail the
-        request log records, because it *is* that event's trail.
-
-        When a :class:`TraceStore` is attached and no span is bound (a
-        direct caller, not the HTTP/cluster path or an ``obs.trace()``
-        session), the query opens its own trace root so standalone
-        serving sessions are traceable too.
-        """
-        store = self.trace_store
-        if store is None or obs.current() is not obs.NULL_SPAN:
-            return self._query_impl(query)
-        with store.root(
-            "serve.query", category="serve", kind=query.kind
-        ) as root:
-            result = self._query_impl(query)
-            if root.enabled:
-                root.set_sim(result.modeled_seconds).annotate(
-                    tier=result.tier, point=result.point
-                )
-            return result
-
-    def _query_impl(self, query: Query) -> QueryResult:
-        self._check_measure(query.measure)
-        point = resolve_target(self.lattice, query)
-        cuboid, version, event = self._serve(point, kind=query.kind)
-        result = finish_query(
-            self.lattice,
-            query,
-            point,
-            cuboid,
-            (version,),
-            event.tier,
-            event.rungs,
-            event.modeled_seconds,
-        )
-        binding = obs.current()
-        if binding.trace_id_hex:
-            result = replace(result, trace_id=binding.trace_id_hex)
-            if result.deadline_exceeded:
-                binding.set_status("deadline")
-        return result
-
-    def explain_query(self, query: Query) -> QueryExplanation:
-        """The ladder plan for ``query``, without executing it."""
-        self._check_measure(query.measure)
-        point = resolve_target(self.lattice, query)
-        explanation = self.explain(point, kind=query.kind)
-        return QueryExplanation(
-            backend="serve",
-            kind=query.kind,
-            point=explanation.point,
-            version=(explanation.version,),
-            tier=explanation.tier,
-            rungs=explanation.rungs,
-        )
-
-    def version_token(self) -> Tuple[int, ...]:
-        """The current version as a 1-vector (CubeBackend contract)."""
-        return (self.version,)
-
-    def _check_measure(self, measure: Optional[str]) -> None:
-        if measure is not None and measure.upper() != self._aggregate:
-            raise InvalidQuery(
-                f"measure {measure!r} does not match this cube's "
-                f"aggregate {self._aggregate}"
-            )
-
-    # ------------------------------------------------------------------
-    # reads — deprecated positional shims
-    # ------------------------------------------------------------------
-    def _warn_positional(self, name: str) -> None:
-        warnings.warn(
-            f"CubeServer.{name}(...) positional queries are deprecated; "
-            f"pass CubeServer.query(Query(...)) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def cuboid(self, spec: PointSpec) -> Cuboid:
-        self._warn_positional("cuboid")
-        return self.query(Query(point=spec)).as_cuboid()
-
-    def cell(self, spec: PointSpec, key: GroupKey) -> Optional[float]:
-        self._warn_positional("cell")
-        return self.query(Query(point=spec, kind="cell", key=key)).as_cell()
-
-    def slice(self, spec: PointSpec, axis_index: int, value: str) -> Cuboid:
-        """Classic OLAP slice over the resolved cuboid (``axis_index``
-        counts the point's *kept* axes).  Deprecated shim over
-        :meth:`query`."""
-        self._warn_positional("slice")
-        point = self.resolve_point(spec)
-        return self.query(
-            Query(
-                point=point,
-                kind="slice",
-                axis=kept_axis_name(self.lattice, point, axis_index),
-                value=value,
-            )
-        ).as_cuboid()
-
-    def dice(
-        self, spec: PointSpec, predicates: Dict[int, Sequence[str]]
-    ) -> Cuboid:
-        self._warn_positional("dice")
-        point = self.resolve_point(spec)
-        return self.query(
-            Query(
-                point=point,
-                kind="dice",
-                filters=tuple(
-                    (
-                        kept_axis_name(self.lattice, point, index),
-                        tuple(values),
-                    )
-                    for index, values in predicates.items()
-                ),
-            )
-        ).as_cuboid()
-
-    # ------------------------------------------------------------------
-    # reads — the versioned core
-    # ------------------------------------------------------------------
-    def cuboid_versioned(
-        self, spec: PointSpec, *, kind: str = "cuboid"
-    ) -> Tuple[Cuboid, int]:
-        """One cuboid plus the table version it is exact for."""
-        cuboid, version, _ = self._serve(
-            self.resolve_point(spec), kind=kind
-        )
-        return cuboid, version
-
-    def _serve(
-        self, point: LatticePoint, *, kind: str
-    ) -> Tuple[Cuboid, int, RequestEvent]:
-        """Walk the ladder once; returns the answer, its version, and
-        the stamped request event (whose rung trail belongs to exactly
-        this request — no racing readback from the log)."""
+    def _answer(self, point: LatticePoint, kind: str) -> Answer:
+        """Walk the ladder once and log the request.  The rung trail
+        returned is the stamped request event's own trail — it belongs
+        to exactly this request, no racing readback from the log."""
         described = self.lattice.describe(point)
         started = time.perf_counter()
         with obs.span(
             "serve.request", category="serve", point=described, kind=kind
         ) as span:
             with self._capture_audit() as audit:
-                cuboid, version, tier, cost, rungs = self._resolve(point)
+                cuboid, version, tier, rungs, cost = self._resolve(point)
             span.annotate(tier=tier, cells=len(cuboid)).set_sim(cost)
         wall = time.perf_counter() - started
         obs.count("x3_serve_requests_total", tier=tier)
@@ -563,90 +391,59 @@ class CubeServer:
             )
         )
         self.telemetry.record(event)
-        return cuboid, version, event
+        return cuboid, (version,), tier, rungs, cost
 
-    # ------------------------------------------------------------------
-    # explain — the ladder decision tree, without executing
-    # ------------------------------------------------------------------
-    def explain(
-        self, spec: PointSpec, *, kind: str = "cuboid"
-    ) -> Explanation:
-        """Which ladder rung *would* answer this query right now, and
-        why every cheaper rung was rejected — without executing the
-        query, touching cache priorities, or emitting events.
-
-        The verdict agrees with the rung :meth:`cuboid` records in the
-        request log when no write intervenes, because both walk the
-        same decision procedure over the same locked snapshot.
-        """
-        point = self.resolve_point(spec)
-        rungs: List[RungDecision] = []
+    def _plan(self, point: LatticePoint) -> Plan:
+        """The ladder walk alone: touches no cache priority, counter or
+        event.  It agrees with the trail :meth:`_answer` records when no
+        write intervenes, because both are :meth:`_walk_ladder` over
+        the same locked state."""
         with self._lock:
-            version = self._version
-            hit = self.cache.peek(point)
-            if hit is not None:
-                rungs.append(
-                    RungDecision(
-                        "cache", True,
-                        f"resident in cache ({len(hit)} cells)",
-                    )
-                )
-            else:
-                rungs.append(RungDecision("cache", False, "not resident"))
-                view = self._fresh_view(point)
-                if view is not None:
-                    rungs.append(
-                        RungDecision(
-                            "view", True,
-                            f"materialized view ({len(view)} cells)",
-                        )
-                    )
-                else:
-                    rungs.append(
-                        RungDecision("view", False, self._view_reason(point))
-                    )
-                    source, reason = self._rollup_source(point)
-                    if source is not None:
-                        rungs.append(RungDecision("rollup", True, reason))
-                    else:
-                        rungs.append(RungDecision("rollup", False, reason))
-                        if self._incremental is not None:
-                            rungs.append(
-                                RungDecision(
-                                    "incremental", True,
-                                    "maintained cells answer directly",
-                                )
-                            )
-                        else:
-                            rungs.append(
-                                RungDecision(
-                                    "incremental", False,
-                                    "no IncrementalCube attached",
-                                )
-                            )
-                            rungs.append(
-                                RungDecision(
-                                    "recompute", True,
-                                    self._recompute_reason(
-                                        len(self.table.rows)
-                                    ),
-                                )
-                            )
-        completed = self._finish_rungs(rungs)
-        tier = next(d.rung for d in completed if d.taken)
-        return Explanation(
-            point=self.lattice.describe(point),
-            kind=kind,
-            version=version,
-            tier=tier,
-            rungs=completed,
-        )
+            ladder = self._walk_ladder(point)
+        return (ladder.version,), ladder.tier, ladder.rungs, ()
 
-    @staticmethod
-    def _recompute_reason(rows: int) -> str:
-        return (
-            f"engine recompute over a {rows}-row snapshot "
-            "(the base operator; always sound)"
+    # ------------------------------------------------------------------
+    # the sound-source ladder
+    # ------------------------------------------------------------------
+    def _walk_ladder(self, point: LatticePoint) -> _Ladder:
+        """Decide which rung answers ``point`` right now, and why every
+        cheaper one cannot — the one place a rung verdict is made, for
+        explain and serve alike.  Call with the lock held.  Pure: the
+        cache is only peeked; executing the decision is
+        :meth:`_resolve`'s job."""
+        rungs: List[RungDecision] = []
+
+        def reject(rung: str, reason: str) -> None:
+            rungs.append(RungDecision(rung, False, reason))
+
+        def take(rung: str, reason: str, source: Any = None) -> _Ladder:
+            rungs.append(RungDecision(rung, True, reason))
+            # Every trail lists all five rungs, in ladder order.
+            for later in TIERS[len(rungs):]:
+                reject(later, f"not reached (resolved at {rung})")
+            return _Ladder(self._version, rung, tuple(rungs), source)
+
+        hit = self.cache.peek(point)
+        if hit is not None:
+            return take("cache", f"resident in cache ({len(hit)} cells)", hit)
+        reject("cache", "not resident")
+        view = self._fresh_view(point)
+        if view is not None:
+            return take(
+                "view", f"materialized view ({len(view)} cells)", view
+            )
+        reject("view", self._view_reason(point))
+        source, reason = self._rollup_source(point)
+        if source is not None:
+            return take("rollup", reason, source)
+        reject("rollup", reason)
+        if self._incremental is not None:
+            return take("incremental", "maintained cells answer directly")
+        reject("incremental", "no IncrementalCube attached")
+        return take(
+            "recompute",
+            f"engine recompute over a {len(self.table.rows)}-row snapshot "
+            "(the base operator; always sound)",
         )
 
     def _view_reason(self, point: LatticePoint) -> str:
@@ -656,94 +453,37 @@ class CubeServer:
             return "no materialized views configured"
         return "not among the advisor-chosen views"
 
-    @staticmethod
-    def _finish_rungs(
-        rungs: List[RungDecision],
-    ) -> Tuple[RungDecision, ...]:
-        """Pad the decision trail with not-reached entries so every
-        event and explanation lists all five rungs, in ladder order."""
-        examined = {decision.rung for decision in rungs}
-        taken = next(
-            (decision.rung for decision in rungs if decision.taken), "?"
-        )
-        padded = list(rungs)
-        for tier in TIERS:
-            if tier not in examined:
-                padded.append(
-                    RungDecision(
-                        tier, False, f"not reached (resolved at {taken})"
-                    )
-                )
-        padded.sort(key=lambda decision: TIERS.index(decision.rung))
-        return tuple(padded)
-
-    # ------------------------------------------------------------------
-    # the sound-source ladder
-    # ------------------------------------------------------------------
     def _resolve(
         self, point: LatticePoint
-    ) -> Tuple[Cuboid, int, str, float, Tuple[RungDecision, ...]]:
-        rungs: List[RungDecision] = []
+    ) -> Tuple[Cuboid, int, str, Tuple[RungDecision, ...], float]:
+        """Execute the ladder's decision for ``point``: the cuboid, the
+        table version it is exact at, the rung, the trail, the cost."""
         with self._lock:
-            version = self._version
-            hit = self.cache.get(point)
-            if hit is not None:
+            # get() is what counts the hit or miss and refreshes a hit's
+            # priority; the walk only peeks, and sees the same cache
+            # because the lock is held across both.
+            if self.cache.get(point) is not None:
                 obs.count("x3_serve_cache_hits_total")
-                rungs.append(
-                    RungDecision(
-                        "cache", True,
-                        f"resident in cache ({len(hit)} cells)",
-                    )
-                )
+            else:
+                obs.count("x3_serve_cache_misses_total")
+            version, tier, rungs, source = self._walk_ladder(point)
+            if tier in ("cache", "view"):
                 return (
-                    dict(hit), version, "cache", self._touch_cost(hit),
-                    self._finish_rungs(rungs),
+                    dict(source), version, tier, rungs,
+                    self._touch_cost(source),
                 )
-            obs.count("x3_serve_cache_misses_total")
-            rungs.append(RungDecision("cache", False, "not resident"))
-            view = self._fresh_view(point)
-            if view is not None:
-                rungs.append(
-                    RungDecision(
-                        "view", True,
-                        f"materialized view ({len(view)} cells)",
-                    )
-                )
-                return (
-                    dict(view), version, "view", self._touch_cost(view),
-                    self._finish_rungs(rungs),
-                )
-            rungs.append(
-                RungDecision("view", False, self._view_reason(point))
-            )
-            source, rollup_reason = self._rollup_source(point)
-            if source is None:
-                rungs.append(RungDecision("rollup", False, rollup_reason))
-                if self._incremental is not None:
-                    rungs.append(
-                        RungDecision(
-                            "incremental", True,
-                            "maintained cells answer directly",
-                        )
-                    )
-                    # Fresh dict from the maintained cells; the cache
-                    # gets its own private copy so later in-place
-                    # patches never reach the caller's object.
-                    cuboid = self._incremental.cuboid(point)
-                    cost = self._touch_cost(cuboid)
-                    self.cache.put(point, dict(cuboid), cost)
-                    return (
-                        cuboid, version, "incremental", cost,
-                        self._finish_rungs(rungs),
-                    )
-                rungs.append(
-                    RungDecision(
-                        "incremental", False, "no IncrementalCube attached"
-                    )
-                )
+            if tier == "incremental":
+                assert self._incremental is not None
+                # Fresh dict from the maintained cells; the cache gets
+                # its own private copy so later in-place patches never
+                # reach the caller's object.
+                cuboid = self._incremental.cuboid(point)
+                cost = self._touch_cost(cuboid)
+                self.cache.put(point, dict(cuboid), cost)
+                return cuboid, version, tier, rungs, cost
+            if tier == "recompute":
                 snapshot_rows = list(self.table.rows)
-        if source is not None:
-            rungs.append(RungDecision("rollup", True, rollup_reason))
+        if tier == "rollup":
             # Rollup arithmetic runs outside the lock on a source copied
             # under it; admit only if no write overtook the derivation.
             source_point, source_cuboid = source
@@ -753,14 +493,7 @@ class CubeServer:
             with self._lock:
                 if self._version == version:
                     self.cache.put(point, dict(cuboid), cost)
-            return (
-                cuboid, version, "rollup", cost, self._finish_rungs(rungs)
-            )
-        rungs.append(
-            RungDecision(
-                "recompute", True, self._recompute_reason(len(snapshot_rows))
-            )
-        )
+            return cuboid, version, tier, rungs, cost
         # Recompute outside the lock, deduplicated per (point, version).
         # The leader publishes its trace span identity into the flight so
         # followers can link their join spans to the span that computed.
@@ -790,10 +523,7 @@ class CubeServer:
                     if point in self._stale_views:
                         self._views[point] = dict(cuboid)
                         self._stale_views.discard(point)
-        return (
-            dict(cuboid), version, "recompute", cost,
-            self._finish_rungs(rungs),
-        )
+        return dict(cuboid), version, tier, rungs, cost
 
     def _fresh_view(self, point: LatticePoint) -> Optional[Cuboid]:
         if point in self._stale_views:

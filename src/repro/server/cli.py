@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.core.bindings import FactTable
 from repro.core.cube import ENGINE_CHOICES, ExecutionOptions
 from repro.core.properties import PropertyOracle
+from repro.core.query import CubeBackend
 from repro.errors import X3Error
 from repro.obs.live import LiveTelemetry
 from repro.obs.trace_store import TraceStore
@@ -205,7 +206,7 @@ def build_backend(
     args: argparse.Namespace,
     table: FactTable,
     trace_store: Optional[TraceStore] = None,
-) -> Union[CubeServer, ClusterCoordinator]:
+) -> CubeBackend:
     oracle = (
         PropertyOracle.from_data(table) if args.oracle == "data" else None
     )
@@ -386,9 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 1 if failed else 0
     finally:
-        closer = getattr(backend, "close", None)
-        if callable(closer):
-            closer()
+        backend.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -38,14 +38,13 @@ from typing import (
     Any,
     Dict,
     Iterator,
-    List,
     Mapping,
     Optional,
     Set,
     Tuple,
 )
 
-from repro.core.query import Query
+from repro.core.query import CubeBackend, Query
 from repro.errors import (
     InvalidQuery,
     Overloaded,
@@ -215,8 +214,7 @@ class X3Api:
         admission: the admission budget (default: 64 in flight).
         registry: front-door metrics registry; a private one is created
             when omitted.  ``/metrics`` concatenates this registry's
-            exposition with each distinct backend's own (via
-            ``prometheus()`` where the backend offers it).
+            exposition with each distinct backend's ``prometheus()``.
         trace_store: optional distributed-tracing store.  When set,
             every request parses (or mints) a W3C ``traceparent``,
             binds the request root span around routing so backend spans
@@ -592,63 +590,31 @@ class X3Api:
     # ------------------------------------------------------------------
     # health
     # ------------------------------------------------------------------
-    def _healthz(self) -> ApiResponse:
-        """Per-backend shard/replica health, summarized once per
-        distinct backend (two cubes over one backend report it once,
-        under the first cube name that uses it)."""
-        backends: Dict[str, Any] = {}
+    def _distinct_backends(self) -> Iterator[Tuple[str, CubeBackend]]:
+        """Every distinct backend once, under the first cube name that
+        uses it (two cubes over one backend report it once)."""
         seen: Set[int] = set()
-        degraded = False
         for name in self.catalog.names():
             backend = self.catalog.get(name).backend
-            if id(backend) in seen:
-                continue
-            seen.add(id(backend))
-            shards = getattr(backend, "shards", None)
-            if shards is not None:
-                replicas = [
-                    [replica.healthy for replica in shard]
-                    for shard in shards
-                ]
-                healthy = sum(sum(shard) for shard in replicas)
-                total = sum(len(shard) for shard in replicas)
-                lagging = sum(
-                    1
-                    for shard in shards
-                    for replica in shard
-                    if replica.healthy and replica.lagging
-                )
-                shard_down = any(
-                    not any(shard) for shard in replicas
-                )
-                degraded = degraded or healthy < total or lagging > 0
-                backends[name] = {
-                    "kind": "cluster",
-                    "status": (
-                        "down"
-                        if shard_down
-                        else ("ok" if healthy == total and not lagging
-                              else "degraded")
-                    ),
-                    "shards": len(replicas),
-                    "replicas_per_shard": (
-                        len(replicas[0]) if replicas else 0
-                    ),
-                    "healthy_replicas": healthy,
-                    "total_replicas": total,
-                    "lagging_replicas": lagging,
-                    "replica_health": replicas,
-                    "version": list(backend.version_token()),
-                }
-            else:
-                backends[name] = {
-                    "kind": "server",
-                    "status": "ok",
-                    "version": list(backend.version_token()),
-                }
-        status = "degraded" if degraded else "ok"
+            if id(backend) not in seen:
+                seen.add(id(backend))
+                yield name, backend
+
+    def _healthz(self) -> ApiResponse:
+        """Per-backend shard/replica health."""
+        backends = {
+            name: backend.health()
+            for name, backend in self._distinct_backends()
+        }
+        degraded = any(
+            health["status"] != "ok" for health in backends.values()
+        )
         return ApiResponse.json(
-            200, {"status": status, "backends": backends}
+            200,
+            {
+                "status": "degraded" if degraded else "ok",
+                "backends": backends,
+            },
         )
 
     # ------------------------------------------------------------------
@@ -672,26 +638,18 @@ class X3Api:
                     f"have been sampled, or was ring-evicted)",
                 )
             return ApiResponse.json(200, record.to_dict())
-        exemplars: List[Dict[str, Any]] = []
-        seen: Set[int] = set()
-        for name in self.catalog.names():
-            backend = self.catalog.get(name).backend
-            if id(backend) in seen:
-                continue
-            seen.add(id(backend))
-            telemetry = getattr(backend, "telemetry", None)
-            if telemetry is None:
-                continue
-            for exemplar in telemetry.exemplars():
-                exemplars.append(
-                    {
-                        "cube": name,
-                        "tier": exemplar.tier,
-                        "bucket_le": exemplar.bucket_le,
-                        "trace_id": exemplar.trace_id,
-                        "modeled_seconds": exemplar.modeled_seconds,
-                    }
-                )
+        exemplars = [
+            {
+                "cube": name,
+                "tier": exemplar.tier,
+                "bucket_le": exemplar.bucket_le,
+                "trace_id": exemplar.trace_id,
+                "modeled_seconds": exemplar.modeled_seconds,
+            }
+            for name, backend in self._distinct_backends()
+            if backend.telemetry is not None
+            for exemplar in backend.telemetry.exemplars()
+        ]
         summaries = [
             {
                 "trace_id": record.trace_id,
@@ -730,16 +688,10 @@ class X3Api:
             self.registry.gauge("x3_trace_retained_total").set(
                 float(stats["retained"])
             )
-        chunks: List[str] = [prometheus_text(self.registry)]
-        seen: Set[int] = set()
-        for name in self.catalog.names():
-            backend = self.catalog.get(name).backend
-            if id(backend) in seen:
-                continue
-            seen.add(id(backend))
-            exporter = getattr(backend, "prometheus", None)
-            if callable(exporter):
-                chunks.append(exporter())
+        chunks = [prometheus_text(self.registry)] + [
+            backend.prometheus()
+            for _, backend in self._distinct_backends()
+        ]
         return ApiResponse(
             status=200,
             body="".join(chunks),

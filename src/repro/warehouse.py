@@ -29,8 +29,8 @@ from repro.core.extract import extract_from_documents
 from repro.core.groupby import Cuboid
 from repro.core.properties import PropertyOracle
 from repro.core.query import X3Query
-from repro.core.xq_parser import parse_x3_query
 from repro.errors import QueryError
+from repro.lang.compiler import parse_x3_query
 from repro.schema.dtd import Dtd
 from repro.schema.inference import infer_dtd
 from repro.xmlmodel.nodes import Document

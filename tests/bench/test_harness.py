@@ -25,9 +25,9 @@ class TestRunAlgorithm:
     def test_validation_flag(self):
         workload = build_workload(tiny_config())
         table = workload.fact_table()
-        from repro.core.cube import compute_cube
+        from repro.core.cube import ExecutionOptions, compute_cube
 
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         run = run_algorithm(table, "COUNTER", reference=reference)
         assert run.correct is True
 

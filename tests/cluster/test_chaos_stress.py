@@ -8,8 +8,10 @@ import pytest
 from repro.cluster import ChaosEngine, ClusterCoordinator, get_profile
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
+from repro.core.query import Query
 from repro.serve.cli import sample_points
 from repro.testing import small_workload
+from tests.conftest import cuboid_of
 
 N_REQUESTS = 100
 N_SHARDS = 4
@@ -62,7 +64,8 @@ class TestChaosStress:
                         rows = rows + removed
                         removed = []
                     epoch += 1
-                cuboid, vector = cluster.cuboid_versioned(point)
+                result = cluster.query(Query(point=point))
+                cuboid, vector = result.as_cuboid(), result.version
                 key = (epoch, point)
                 if key not in reference_cache:
                     reference_cache[key] = reference_cuboid(
@@ -110,7 +113,7 @@ class TestChaosStress:
                 hedge_deadline_seconds=0.05,
             ) as cluster:
                 answers = [
-                    tuple(sorted(cluster.cuboid(point).items()))
+                    tuple(sorted(cuboid_of(cluster, point).items()))
                     for point in points
                 ]
                 trail = [

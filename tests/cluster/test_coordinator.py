@@ -12,8 +12,10 @@ from repro.cluster import (
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
+from repro.core.query import Query
 from repro.errors import ClusterError, CubeError, ShardUnavailable
 from repro.testing import messy_workload, small_workload
+from tests.conftest import cuboid_of
 
 
 def fresh(**overrides):
@@ -47,7 +49,7 @@ def assert_cluster_serves_exactly(coordinator, table, rows=None):
     rows = table.rows if rows is None else rows
     for point in table.lattice.points():
         expected = reference_cuboid(table, rows, point)
-        got = coordinator.cuboid(point)
+        got = cuboid_of(coordinator, point)
         if table.aggregate.function == "COUNT":
             assert got == expected, table.lattice.describe(point)
         else:
@@ -87,15 +89,15 @@ class TestHealthyCluster:
         table, oracle = fresh()
         with ClusterCoordinator(table, 3, 2, oracle=oracle) as c:
             assert c.version_vector == VersionVector.zero(3)
-            _, vector = c.cuboid_versioned(first_point(table))
-            assert vector == VersionVector.zero(3)
+            answered = c.query(Query(point=first_point(table))).version
+            assert VersionVector(answered) == VersionVector.zero(3)
 
     def test_rejects_foreign_point(self):
         table, oracle = fresh()
         other = small_workload(n_axes=2).fact_table()
         with ClusterCoordinator(table, 2, 1, oracle=oracle) as c:
             with pytest.raises(CubeError):
-                c.cuboid(first_point(other))
+                cuboid_of(c, first_point(other))
 
     def test_rejects_bad_geometry(self):
         table, _ = fresh()
@@ -113,18 +115,15 @@ class TestOlapOperations:
         server = CubeServer(table, oracle)
         point = first_point(table)
         with ClusterCoordinator(table, 4, 2, oracle=oracle) as c:
-            cuboid = server.cuboid(point)
+            cuboid = cuboid_of(server, point)
             some_key = next(iter(cuboid))
-            assert c.cell(point, some_key) == server.cell(
-                point, some_key
-            )
-            value = some_key[0]
-            assert c.slice(point, 0, value) == server.slice(
-                point, 0, value
-            )
-            assert c.dice(point, {0: [value]}) == server.dice(
-                point, {0: [value]}
-            )
+            axis, value = table.lattice.axes[0].name, some_key[0]
+            for query in (
+                Query(point=point, kind="cell", key=some_key),
+                Query(point=point, kind="slice", axis=axis, value=value),
+                Query(point=point, kind="dice", filters=((axis, [value]),)),
+            ):
+                assert c.query(query).payload == server.query(query).payload
 
 
 class TestWrites:
@@ -154,8 +153,8 @@ class TestWrites:
         rows = list(table.rows)
         with ClusterCoordinator(table, 3, 2, oracle=oracle) as c:
             written = c.delete(rows[:4])
-            _, read_vector = c.cuboid_versioned(first_point(table))
-            assert read_vector == written
+            answered = c.query(Query(point=first_point(table))).version
+            assert VersionVector(answered) == written
 
 
 class TestFailover:
@@ -174,7 +173,7 @@ class TestFailover:
             for replica in c.shards[1]:
                 replica.crash()
             with pytest.raises(ShardUnavailable):
-                c.cuboid(first_point(table))
+                cuboid_of(c, first_point(table))
 
     def test_heal_all_restores_service(self):
         table, oracle = fresh()
@@ -224,7 +223,7 @@ class TestStaleReplicas:
             rogue = c.shards[0][0]
             rogue.apply("delete", list(rogue.table.rows[:1]))
             with pytest.raises(ClusterError):
-                c.cuboid(first_point(table))
+                cuboid_of(c, first_point(table))
             assert c.stats().rejects >= 1
             kinds = [e.kind for e in c.events.cluster_events()]
             assert "reject" in kinds
@@ -244,7 +243,7 @@ class TestHedgedReads:
             hedge_deadline_seconds=0.01,
         ) as c:
             point = first_point(table)
-            assert c.cuboid(point) == reference_cuboid(
+            assert cuboid_of(c, point) == reference_cuboid(
                 table, table.rows, point
             )
             assert c.stats().hedges >= 1
@@ -266,13 +265,13 @@ class TestHedgedReads:
             table, 2, 2, oracle=oracle, chaos=slow_chaos(),
             hedge_deadline_seconds=0.01,
         ) as hedged:
-            hedged.cuboid(first_point(table))
+            cuboid_of(hedged, first_point(table))
             hedged_latency = hedged.modeled_latencies()[0]
         with ClusterCoordinator(
             table, 2, 2, oracle=oracle, chaos=slow_chaos(),
             hedge_deadline_seconds=None,
         ) as unhedged:
-            unhedged.cuboid(first_point(table))
+            cuboid_of(unhedged, first_point(table))
             unhedged_latency = unhedged.modeled_latencies()[0]
         assert hedged_latency < unhedged_latency
         assert unhedged_latency >= 5.0
@@ -284,7 +283,7 @@ class TestObservability:
         rows = list(table.rows)
         with ClusterCoordinator(table, 3, 1, oracle=oracle) as c:
             c.delete(rows[:2])
-            c.cuboid(first_point(table))
+            cuboid_of(c, first_point(table))
             events = c.events.cluster_events()
             reads = [e for e in events if e.kind == "read"]
             writes = [e for e in events if e.kind == "write"]
@@ -297,7 +296,7 @@ class TestObservability:
         table, oracle = fresh()
         with obs.trace() as tracer:
             with ClusterCoordinator(table, 2, 2, oracle=oracle) as c:
-                c.cuboid(first_point(table))
+                cuboid_of(c, first_point(table))
         trace = tracer.trace()
         assert "x3_cluster_requests_total" in trace.to_prometheus()
         names = set(trace.span_names())
@@ -309,7 +308,7 @@ class TestObservability:
         with ClusterCoordinator(table, 4, 2, oracle=oracle) as c:
             points = list(table.lattice.points())[:3]
             for point in points:
-                c.cuboid(point)
+                cuboid_of(c, point)
             stats = c.stats()
             assert stats.requests == 3
             assert stats.shards == 4 and stats.replicas == 2

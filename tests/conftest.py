@@ -10,9 +10,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.extract import extract_fact_table
+from repro.core.query import Query
 from repro.datagen.publications import figure1_document, query1
 from repro.testing import messy_workload as _messy_workload
 from repro.testing import small_workload
+
+
+def cuboid_of(backend, point):
+    """The cuboid at ``point`` through the backend's one read path."""
+    return backend.query(Query(point=point)).as_cuboid()
 
 
 @pytest.fixture()

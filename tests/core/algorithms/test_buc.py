@@ -1,17 +1,17 @@
 """Unit tests for the bottom-up family (Sec. 3.4)."""
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
 from tests.conftest import small_workload
 
 
 class TestBucCorrectness:
     def test_bottom_group_counts_each_fact_once(self, fig1_table):
-        cube = compute_cube(fig1_table, "BUC")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="BUC"))
         assert cube.cuboids[fig1_table.lattice.bottom] == {(): 4.0}
 
     def test_overlapping_partitions_replicate(self, fig1_table):
-        cube = compute_cube(fig1_table, "BUC")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="BUC"))
         point = fig1_table.lattice.point_by_description(
             "$n:rigid, $p:LND, $y:LND"
         )
@@ -22,7 +22,7 @@ class TestBucCorrectness:
 
 class TestBucOptWrongness:
     def test_first_value_placement_undercounts(self, fig1_table):
-        cube = compute_cube(fig1_table, "BUCOPT")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="BUCOPT"))
         point = fig1_table.lattice.point_by_description(
             "$n:rigid, $p:LND, $y:LND"
         )
@@ -38,8 +38,8 @@ class TestCosts:
         table = small_workload(
             disjoint=True, coverage=True, n_facts=200, n_axes=4
         ).fact_table()
-        safe = compute_cube(table, "BUC")
-        fast = compute_cube(table, "BUCOPT")
+        safe = compute_cube(table, ExecutionOptions(algorithm="BUC"))
+        fast = compute_cube(table, ExecutionOptions(algorithm="BUCOPT"))
         assert fast.simulated_seconds < safe.simulated_seconds
         assert fast.same_contents(safe)
 
@@ -47,8 +47,8 @@ class TestCosts:
         table = small_workload(
             density="sparse", n_facts=200, n_axes=4
         ).fact_table()
-        buc = compute_cube(table, "BUC")
-        td = compute_cube(table, "TD")
+        buc = compute_cube(table, ExecutionOptions(algorithm="BUC"))
+        td = compute_cube(table, ExecutionOptions(algorithm="TD"))
         assert buc.simulated_seconds < td.simulated_seconds
 
 
@@ -58,10 +58,12 @@ class TestBucCust:
             disjoint=False, coverage=True, n_facts=150, seed=23
         )
         table = workload.fact_table()
-        naive = compute_cube(table, "NAIVE")
+        naive = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         # With a truthful per-axis oracle BUCCUST stays correct.
         truthful = PropertyOracle.from_data(table)
-        cust = compute_cube(table, "BUCCUST", oracle=truthful)
+        cust = compute_cube(
+            table, ExecutionOptions(algorithm="BUCCUST", oracle=truthful)
+        )
         assert cust.same_contents(naive)
 
     def test_buccust_between_buc_and_bucopt(self):
@@ -75,12 +77,12 @@ class TestBucCust:
         oracle = PropertyOracle.from_schema(
             table.lattice, dblp_dtd(), "article"
         )
-        buc = compute_cube(table, "BUC")
-        bucopt = compute_cube(table, "BUCOPT")
-        cust = compute_cube(table, "BUCCUST", oracle=oracle)
+        buc = compute_cube(table, ExecutionOptions(algorithm="BUC"))
+        bucopt = compute_cube(table, ExecutionOptions(algorithm="BUCOPT"))
+        cust = compute_cube(table, ExecutionOptions(algorithm="BUCCUST", oracle=oracle))
         assert bucopt.simulated_seconds <= cust.simulated_seconds
         assert cust.simulated_seconds <= buc.simulated_seconds
         # ... while staying correct, unlike BUCOPT.
-        naive = compute_cube(table, "NAIVE")
+        naive = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         assert cust.same_contents(naive)
         assert not bucopt.same_contents(naive)

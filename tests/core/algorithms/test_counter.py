@@ -1,6 +1,6 @@
 """Unit tests for the COUNTER algorithm's memory behaviour (Sec. 3.3)."""
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from tests.conftest import small_workload
 
 
@@ -10,13 +10,19 @@ def table_of(**overrides):
 
 class TestPasses:
     def test_single_pass_when_fits(self, fig1_table):
-        cube = compute_cube(fig1_table, "COUNTER", memory_entries=10_000)
+        cube = compute_cube(
+            fig1_table, ExecutionOptions(algorithm="COUNTER", memory_entries=10_000)
+        )
         assert cube.passes == 1
 
     def test_multipass_when_tight(self):
         table = table_of(density="sparse", n_facts=120, n_axes=4)
-        roomy = compute_cube(table, "COUNTER", memory_entries=100_000)
-        tight = compute_cube(table, "COUNTER", memory_entries=100)
+        roomy = compute_cube(
+            table, ExecutionOptions(algorithm="COUNTER", memory_entries=100_000)
+        )
+        tight = compute_cube(
+            table, ExecutionOptions(algorithm="COUNTER", memory_entries=100)
+        )
         assert roomy.passes == 1
         assert tight.passes > 1
         # Results stay correct either way.
@@ -28,22 +34,26 @@ class TestPasses:
                 density="sparse", n_facts=100, n_axes=n_axes
             )
             return compute_cube(
-                table, "COUNTER", memory_entries=500
+                table, ExecutionOptions(algorithm="COUNTER", memory_entries=500)
             ).passes
 
         assert passes(5) >= passes(3)
 
     def test_thrashing_costs_io(self):
         table = table_of(density="sparse", n_facts=120, n_axes=4)
-        roomy = compute_cube(table, "COUNTER", memory_entries=100_000)
-        tight = compute_cube(table, "COUNTER", memory_entries=100)
-        assert tight.cost["page_reads"] > roomy.cost["page_reads"]
+        roomy = compute_cube(
+            table, ExecutionOptions(algorithm="COUNTER", memory_entries=100_000)
+        )
+        tight = compute_cube(
+            table, ExecutionOptions(algorithm="COUNTER", memory_entries=100)
+        )
+        assert tight.cost.page_reads > roomy.cost.page_reads
         assert tight.simulated_seconds > roomy.simulated_seconds
 
 
 class TestCombinatorialIncrement:
     def test_multi_valued_fact_increments_combinations(self, fig1_table):
-        cube = compute_cube(fig1_table, "COUNTER")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="COUNTER"))
         point = fig1_table.lattice.point_by_description(
             "$n:rigid, $p:rigid, $y:rigid"
         )
@@ -62,6 +72,6 @@ class TestCombinatorialIncrement:
                 table = table_of(
                     coverage=coverage, disjoint=disjoint, n_facts=50
                 )
-                counter = compute_cube(table, "COUNTER")
-                naive = compute_cube(table, "NAIVE")
+                counter = compute_cube(table, ExecutionOptions(algorithm="COUNTER"))
+                naive = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
                 assert counter.same_contents(naive)

@@ -10,7 +10,7 @@ Across every summarizability regime and density:
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
 from tests.conftest import small_workload
 
@@ -38,7 +38,7 @@ def build(coverage, disjoint, density, seed=17, n_facts=60):
     oracle = PropertyOracle.from_flags(
         table.lattice, disjoint, coverage
     )
-    reference = compute_cube(table, "NAIVE")
+    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     return table, oracle, reference
 
 
@@ -48,7 +48,9 @@ class TestMatrix:
     def test_always_correct_algorithms(self, coverage, disjoint, density):
         table, oracle, reference = build(coverage, disjoint, density)
         for name in ALWAYS:
-            result = compute_cube(table, name, oracle=oracle)
+            result = compute_cube(
+                table, ExecutionOptions(algorithm=name, oracle=oracle)
+            )
             assert result.same_contents(reference), (
                 f"{name} wrong on coverage={coverage} disjoint={disjoint} "
                 f"{density}: {result.diff(reference)[:3]}"
@@ -57,7 +59,9 @@ class TestMatrix:
     def test_disjointness_dependent(self, coverage, disjoint, density):
         table, oracle, reference = build(coverage, disjoint, density)
         for name in NEEDS_DISJOINT:
-            result = compute_cube(table, name, oracle=oracle)
+            result = compute_cube(
+                table, ExecutionOptions(algorithm=name, oracle=oracle)
+            )
             if disjoint:
                 assert result.same_contents(reference), (
                     f"{name} must be correct when disjointness holds: "
@@ -68,7 +72,9 @@ class TestMatrix:
         self, coverage, disjoint, density
     ):
         table, oracle, reference = build(coverage, disjoint, density)
-        result = compute_cube(table, "TDOPTALL", oracle=oracle)
+        result = compute_cube(
+            table, ExecutionOptions(algorithm="TDOPTALL", oracle=oracle)
+        )
         if coverage and disjoint:
             assert result.same_contents(reference), result.diff(reference)[:3]
 
@@ -82,7 +88,9 @@ class TestExpectedWrongness:
             coverage=True, disjoint=False, density="dense", n_facts=120
         )
         for name in NEEDS_DISJOINT:
-            result = compute_cube(table, name, oracle=oracle)
+            result = compute_cube(
+                table, ExecutionOptions(algorithm=name, oracle=oracle)
+            )
             assert not result.same_contents(reference), (
                 f"{name} should double-count on non-disjoint data"
             )
@@ -91,13 +99,15 @@ class TestExpectedWrongness:
         table, oracle, reference = build(
             coverage=False, disjoint=True, density="dense", n_facts=120
         )
-        result = compute_cube(table, "TDOPTALL", oracle=oracle)
+        result = compute_cube(
+            table, ExecutionOptions(algorithm="TDOPTALL", oracle=oracle)
+        )
         assert not result.same_contents(reference)
 
     def test_figure1_wrongness(self, fig1_table):
-        reference = compute_cube(fig1_table, "NAIVE")
+        reference = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
         for name in NEEDS_DISJOINT + NEEDS_BOTH:
-            result = compute_cube(fig1_table, name)
+            result = compute_cube(fig1_table, ExecutionOptions(algorithm=name))
             assert not result.same_contents(reference)
 
 
@@ -134,10 +144,12 @@ class TestSumAggregateEquivalence:
             fact_id_path="",
         )
         table = extract_fact_table(doc, query)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         for name in ALWAYS:
             oracle = PropertyOracle.from_data(table)
-            result = compute_cube(table, name, oracle=oracle)
+            result = compute_cube(
+                table, ExecutionOptions(algorithm=name, oracle=oracle)
+            )
             assert result.same_contents(reference), (
                 f"{name} with {function}: {result.diff(reference)[:3]}"
             )
@@ -168,10 +180,12 @@ class TestMinMaxEquivalence:
             fact_id_path="",
         )
         table = extract_fact_table(Document(root), query)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         from repro.core.properties import PropertyOracle
 
         oracle = PropertyOracle.from_data(table)
         for name in ALWAYS:
-            result = compute_cube(table, name, oracle=oracle)
+            result = compute_cube(
+                table, ExecutionOptions(algorithm=name, oracle=oracle)
+            )
             assert result.same_contents(reference), (name, function)

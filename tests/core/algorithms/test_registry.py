@@ -46,22 +46,28 @@ class TestAuto:
         assert "AUTO" in available()
 
     def test_auto_delegates_and_is_correct(self, fig1_table):
-        from repro.core.cube import compute_cube
+        from repro.core.cube import ExecutionOptions, compute_cube
         from repro.core.properties import PropertyOracle
 
         oracle = PropertyOracle.from_data(fig1_table)
-        result = compute_cube(fig1_table, "AUTO", oracle=oracle)
+        result = compute_cube(
+            fig1_table, ExecutionOptions(algorithm="AUTO", oracle=oracle)
+        )
         assert result.algorithm.startswith("AUTO->")
-        assert result.same_contents(compute_cube(fig1_table, "NAIVE"))
+        assert result.same_contents(compute_cube(
+            fig1_table, ExecutionOptions(algorithm="NAIVE")
+        ))
 
     def test_auto_with_pessimistic_default(self, fig1_table):
-        from repro.core.cube import compute_cube
+        from repro.core.cube import ExecutionOptions, compute_cube
 
-        result = compute_cube(fig1_table, "AUTO")
-        assert result.same_contents(compute_cube(fig1_table, "NAIVE"))
+        result = compute_cube(fig1_table, ExecutionOptions(algorithm="AUTO"))
+        assert result.same_contents(compute_cube(
+            fig1_table, ExecutionOptions(algorithm="NAIVE")
+        ))
 
     def test_auto_picks_safe_choice_on_clean_data(self):
-        from repro.core.cube import compute_cube
+        from repro.core.cube import ExecutionOptions, compute_cube
         from repro.core.properties import PropertyOracle
         from tests.conftest import small_workload
 
@@ -70,8 +76,10 @@ class TestAuto:
         ).fact_table()
         oracle = PropertyOracle.from_flags(table.lattice, True, True)
         result = compute_cube(
-            table, "AUTO", oracle=oracle, memory_entries=500
+            table, ExecutionOptions(algorithm="AUTO", oracle=oracle, memory_entries=500)
         )
         # Sparse, high-dimensional, disjoint: the advisor goes bottom-up.
         assert result.algorithm == "AUTO->BUCOPT"
-        assert result.same_contents(compute_cube(table, "NAIVE"))
+        assert result.same_contents(compute_cube(
+            table, ExecutionOptions(algorithm="NAIVE")
+        ))

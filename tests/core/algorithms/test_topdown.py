@@ -1,30 +1,32 @@
 """Unit tests for the top-down family (Sec. 3.5)."""
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
 from tests.conftest import small_workload
 
 
 class TestTd:
     def test_correct_everywhere(self, fig1_table):
-        naive = compute_cube(fig1_table, "NAIVE")
-        td = compute_cube(fig1_table, "TD")
+        naive = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        td = compute_cube(fig1_table, ExecutionOptions(algorithm="TD"))
         assert td.same_contents(naive)
 
     def test_cost_scales_with_lattice_size(self):
         small = small_workload(n_axes=2, n_facts=100).fact_table()
         large = small_workload(n_axes=5, n_facts=100).fact_table()
-        cheap = compute_cube(small, "TD")
-        costly = compute_cube(large, "TD")
+        cheap = compute_cube(small, ExecutionOptions(algorithm="TD"))
+        costly = compute_cube(large, ExecutionOptions(algorithm="TD"))
         # 2^5/2^2 = 8x the cuboids: at least several times the cost.
         assert costly.simulated_seconds > 4 * cheap.simulated_seconds
 
     def test_external_sorts_when_budget_tiny(self):
         table = small_workload(n_facts=200).fact_table()
-        cube = compute_cube(table, "TD", memory_entries=64)
-        roomy = compute_cube(table, "TD", memory_entries=1_000_000)
+        cube = compute_cube(table, ExecutionOptions(algorithm="TD", memory_entries=64))
+        roomy = compute_cube(
+            table, ExecutionOptions(algorithm="TD", memory_entries=1_000_000)
+        )
         assert cube.same_contents(roomy)
-        assert cube.cost["page_writes"] > roomy.cost["page_writes"]
+        assert cube.cost.page_writes > roomy.cost.page_writes
 
 
 class TestTdOpt:
@@ -34,13 +36,13 @@ class TestTdOpt:
         table = small_workload(
             coverage=False, disjoint=True, n_facts=150, seed=31
         ).fact_table()
-        naive = compute_cube(table, "NAIVE")
-        tdopt = compute_cube(table, "TDOPT")
+        naive = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+        tdopt = compute_cube(table, ExecutionOptions(algorithm="TDOPT"))
         assert tdopt.same_contents(naive)
 
     def test_double_counts_without_disjointness(self, fig1_table):
-        naive = compute_cube(fig1_table, "NAIVE")
-        tdopt = compute_cube(fig1_table, "TDOPT")
+        naive = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        tdopt = compute_cube(fig1_table, ExecutionOptions(algorithm="TDOPT"))
         point = fig1_table.lattice.point_by_description(
             "$n:LND, $p:rigid, $y:LND"
         )
@@ -56,8 +58,8 @@ class TestTdOpt:
 
     def test_cheaper_than_td(self):
         table = small_workload(n_facts=200, n_axes=4).fact_table()
-        td = compute_cube(table, "TD")
-        tdopt = compute_cube(table, "TDOPT")
+        td = compute_cube(table, ExecutionOptions(algorithm="TD"))
+        tdopt = compute_cube(table, ExecutionOptions(algorithm="TDOPT"))
         assert tdopt.simulated_seconds < td.simulated_seconds
 
 
@@ -66,9 +68,11 @@ class TestTdOptAll:
         table = small_workload(
             density="dense", n_facts=300, n_axes=5
         ).fact_table()
-        td = compute_cube(table, "TD")
-        tdoptall = compute_cube(table, "TDOPTALL")
-        assert tdoptall.same_contents(compute_cube(table, "NAIVE"))
+        td = compute_cube(table, ExecutionOptions(algorithm="TD"))
+        tdoptall = compute_cube(table, ExecutionOptions(algorithm="TDOPTALL"))
+        assert tdoptall.same_contents(compute_cube(
+            table, ExecutionOptions(algorithm="NAIVE")
+        ))
         assert tdoptall.simulated_seconds < td.simulated_seconds / 5
 
     def test_undercounts_on_coverage_gap(self):
@@ -95,8 +99,8 @@ class TestTdOptAll:
             fact_id_path="",
         )
         table = extract_fact_table(doc, query)
-        naive = compute_cube(table, "NAIVE")
-        tdoptall = compute_cube(table, "TDOPTALL")
+        naive = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+        tdoptall = compute_cube(table, ExecutionOptions(algorithm="TDOPTALL"))
         b_point = table.lattice.point_by_description("$a:LND, $b:rigid")
         assert naive.cuboids[b_point][("u",)] == 2.0
         assert tdoptall.cuboids[b_point][("u",)] == 1.0  # f2 lost
@@ -104,8 +108,8 @@ class TestTdOptAll:
     def test_structural_twin_assumption(self, fig1_table):
         """TDOPTALL equates structurally relaxed points with their rigid
         twins - visibly wrong on Figure 1 (PC-AD finds Smith)."""
-        naive = compute_cube(fig1_table, "NAIVE")
-        tdoptall = compute_cube(fig1_table, "TDOPTALL")
+        naive = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        tdoptall = compute_cube(fig1_table, ExecutionOptions(algorithm="TDOPTALL"))
         pcad_point = fig1_table.lattice.point_by_description(
             "$n:PC-AD, $p:LND, $y:LND"
         )
@@ -128,8 +132,8 @@ class TestTdCust:
         oracle = PropertyOracle.from_schema(
             table.lattice, dblp_dtd(), "article"
         )
-        naive = compute_cube(table, "NAIVE")
-        cust = compute_cube(table, "TDCUST", oracle=oracle)
+        naive = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+        cust = compute_cube(table, ExecutionOptions(algorithm="TDCUST", oracle=oracle))
         assert cust.same_contents(naive)
 
     def test_between_td_and_tdopt(self):
@@ -143,13 +147,15 @@ class TestTdCust:
         oracle = PropertyOracle.from_schema(
             table.lattice, dblp_dtd(), "article"
         )
-        td = compute_cube(table, "TD")
-        tdopt = compute_cube(table, "TDOPT")
-        cust = compute_cube(table, "TDCUST", oracle=oracle)
+        td = compute_cube(table, ExecutionOptions(algorithm="TD"))
+        tdopt = compute_cube(table, ExecutionOptions(algorithm="TDOPT"))
+        cust = compute_cube(table, ExecutionOptions(algorithm="TDCUST", oracle=oracle))
         assert tdopt.simulated_seconds < cust.simulated_seconds
         assert cust.simulated_seconds < td.simulated_seconds
 
     def test_pessimistic_oracle_degenerates_to_safe(self, fig1_table):
-        naive = compute_cube(fig1_table, "NAIVE")
-        cust = compute_cube(fig1_table, "TDCUST")  # default: nothing holds
+        naive = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        cust = compute_cube(
+            fig1_table, ExecutionOptions(algorithm="TDCUST")
+        )  # default: nothing holds
         assert cust.same_contents(naive)

@@ -1,7 +1,7 @@
 """Direct tests for the Sec. 4.6 advisor on derived table statistics."""
 
 from repro.core.advisor import recommend_for_table
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
 from tests.conftest import small_workload
 
@@ -55,10 +55,14 @@ class TestRecommendForTable:
                 oracle = PropertyOracle.from_data(table)
                 rec = recommend_for_table(table, oracle, 4000)
                 result = compute_cube(
-                    table, rec.algorithm, oracle=oracle,
-                    memory_entries=4000,
+                    table,
+                    ExecutionOptions(
+                        algorithm=rec.algorithm,
+                        oracle=oracle,
+                        memory_entries=4000,
+                    ),
                 )
-                reference = compute_cube(table, "NAIVE")
+                reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
                 assert result.same_contents(reference), rec
 
     def test_rationales_cite_the_paper(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.estimate import CostEstimator, TableStatistics
 from tests.conftest import small_workload
 
@@ -35,7 +35,7 @@ class TestExpectations:
     def test_expected_cells_close_to_actual(self):
         table = prepared()
         estimator = CostEstimator(table)
-        cube = compute_cube(table, "NAIVE")
+        cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         actual = cube.total_cells()
         predicted = estimator.total_cells()
         assert predicted == pytest.approx(actual, rel=0.8)
@@ -52,7 +52,7 @@ class TestRankingFidelity:
     def _actual(self, table, algorithms, memory):
         return {
             name: compute_cube(
-                table, name, memory_entries=memory
+                table, ExecutionOptions(algorithm=name, memory_entries=memory)
             ).simulated_seconds
             for name in algorithms
         }

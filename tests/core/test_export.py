@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cube import CubeResult, compute_cube
+from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
 from repro.core.export import cube_from_xml, cube_to_xml
 from repro.datagen.publications import query1
 from repro.errors import CubeError
@@ -12,7 +12,7 @@ from repro.errors import CubeError
 
 class TestRoundTrip:
     def test_figure1_cube_round_trips(self, fig1_table):
-        cube = compute_cube(fig1_table, "BUC")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="BUC"))
         text = cube_to_xml(cube, query=query1())
         again = cube_from_xml(text, fig1_table.lattice)
         assert again.same_contents(cube)
@@ -20,7 +20,7 @@ class TestRoundTrip:
         assert again.aggregate == "COUNT"
 
     def test_axes_metadata_written(self, fig1_table):
-        cube = compute_cube(fig1_table, "NAIVE")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
         text = cube_to_xml(cube, query=query1())
         assert 'name="$n"' in text
         assert 'path="author/name"' in text
@@ -28,14 +28,16 @@ class TestRoundTrip:
 
     def test_partial_cube(self, fig1_table):
         top = fig1_table.lattice.top
-        cube = compute_cube(fig1_table, "NAIVE", points=[top])
+        cube = compute_cube(
+            fig1_table, ExecutionOptions(algorithm="NAIVE", points=[top])
+        )
         again = cube_from_xml(
             cube_to_xml(cube), fig1_table.lattice
         )
         assert list(again.cuboids) == [top]
 
     def test_null_components_round_trip(self, fig1_table):
-        cube = compute_cube(fig1_table, "NAIVE")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
         point = fig1_table.lattice.top
         cube.cuboids[point][(None, "p1", "2003")] = 7.0
         again = cube_from_xml(cube_to_xml(cube), fig1_table.lattice)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.errors import CubeError
 from tests.conftest import small_workload
 
@@ -15,8 +15,10 @@ def table():
 class TestIcebergSemantics:
     def test_filtered_equals_postfiltered_naive(self, table):
         support = 5
-        full = compute_cube(table, "NAIVE")
-        iceberg = compute_cube(table, "NAIVE", min_support=support)
+        full = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+        iceberg = compute_cube(
+            table, ExecutionOptions(algorithm="NAIVE", min_support=support)
+        )
         for point, cuboid in full.cuboids.items():
             expected = {
                 key: value
@@ -30,17 +32,25 @@ class TestIcebergSemantics:
     )
     def test_all_correct_algorithms_agree(self, table, algorithm):
         support = 4
-        reference = compute_cube(table, "NAIVE", min_support=support)
-        result = compute_cube(table, algorithm, min_support=support)
+        reference = compute_cube(
+            table, ExecutionOptions(algorithm="NAIVE", min_support=support)
+        )
+        result = compute_cube(
+            table, ExecutionOptions(algorithm=algorithm, min_support=support)
+        )
         assert result.same_contents(reference), algorithm
 
     def test_zero_support_is_full_cube(self, table):
-        assert compute_cube(table, "BUC", min_support=0).same_contents(
-            compute_cube(table, "BUC")
+        assert compute_cube(
+            table, ExecutionOptions(algorithm="BUC", min_support=0)
+        ).same_contents(
+            compute_cube(table, ExecutionOptions(algorithm="BUC"))
         )
 
     def test_high_support_leaves_only_big_groups(self, table):
-        iceberg = compute_cube(table, "BUC", min_support=len(table))
+        iceberg = compute_cube(
+            table, ExecutionOptions(algorithm="BUC", min_support=len(table))
+        )
         bottom = table.lattice.bottom
         # Only the grand-total group can reach support == |facts|.
         for point, cuboid in iceberg.cuboids.items():
@@ -51,14 +61,14 @@ class TestIcebergSemantics:
 
 class TestIcebergPruning:
     def test_buc_prunes_work(self, table):
-        full = compute_cube(table, "BUC")
-        iceberg = compute_cube(table, "BUC", min_support=8)
-        assert iceberg.cost["cpu_ops"] < full.cost["cpu_ops"]
+        full = compute_cube(table, ExecutionOptions(algorithm="BUC"))
+        iceberg = compute_cube(table, ExecutionOptions(algorithm="BUC", min_support=8))
+        assert iceberg.cost.cpu_ops < full.cost.cpu_ops
 
     def test_higher_support_prunes_more(self, table):
-        low = compute_cube(table, "BUC", min_support=2)
-        high = compute_cube(table, "BUC", min_support=20)
-        assert high.cost["cpu_ops"] < low.cost["cpu_ops"]
+        low = compute_cube(table, ExecutionOptions(algorithm="BUC", min_support=2))
+        high = compute_cube(table, ExecutionOptions(algorithm="BUC", min_support=20))
+        assert high.cost.cpu_ops < low.cost.cpu_ops
 
 
 class TestIcebergValidation:
@@ -78,4 +88,4 @@ class TestIcebergValidation:
         )
         table = extract_fact_table(doc, query)
         with pytest.raises(CubeError):
-            compute_cube(table, "BUC", min_support=2)
+            compute_cube(table, ExecutionOptions(algorithm="BUC", min_support=2))

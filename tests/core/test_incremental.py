@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.bindings import FactTable
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import IncrementalCube, split_rows
 from repro.errors import CubeError
 from tests.conftest import small_workload
@@ -22,7 +22,7 @@ class TestInsert:
         cube.insert(delta)
         reference = compute_cube(
             FactTable(table.lattice, table.rows, aggregate=table.aggregate),
-            "NAIVE",
+            ExecutionOptions(algorithm="NAIVE"),
         )
         assert cube.as_result().same_contents(reference)
 
@@ -31,7 +31,7 @@ class TestInsert:
         live = FactTable(table.lattice, [], aggregate=table.aggregate)
         cube = IncrementalCube(live)
         cube.insert(table.rows)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         assert cube.as_result().same_contents(reference)
 
     def test_batched_equals_single_shot(self):
@@ -52,7 +52,7 @@ class TestInsert:
             n_facts=80, coverage=False, disjoint=False, seed=5
         )
         cube = IncrementalCube(table)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         assert cube.as_result().same_contents(reference)
 
     def test_update_count_reported(self):
@@ -74,7 +74,7 @@ class TestDelete:
         cube.delete(list(churn))
         reference = compute_cube(
             FactTable(table.lattice, keep, aggregate=table.aggregate),
-            "NAIVE",
+            ExecutionOptions(algorithm="NAIVE"),
         )
         assert cube.as_result().same_contents(reference)
 
@@ -123,7 +123,7 @@ class TestAggregates:
         cube.insert(delta)
         reference = compute_cube(
             FactTable(table.lattice, table.rows, aggregate=table.aggregate),
-            "NAIVE",
+            ExecutionOptions(algorithm="NAIVE"),
         )
         assert cube.as_result().same_contents(reference)
 

@@ -171,7 +171,7 @@ class TestMaterializedCube:
         table, oracle = clean
         selection = select_views(table, oracle, space_budget=2000)
         materialized = MaterializedCube(table, selection, oracle)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         materialized.verify_against(reference)
         assert materialized.stats["direct"] + materialized.stats[
             "rolled_up"
@@ -181,7 +181,7 @@ class TestMaterializedCube:
         table, oracle = messy
         selection = select_views(table, oracle, space_budget=2000)
         materialized = MaterializedCube(table, selection, oracle)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         materialized.verify_against(reference)
         # Everything not materialized had to be recomputed from base.
         assert materialized.stats["rolled_up"] == 0
@@ -190,6 +190,6 @@ class TestMaterializedCube:
         table, oracle = clean
         selection = select_views(table, oracle, space_budget=2000)
         materialized = MaterializedCube(table, selection, oracle)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         point = table.lattice.bottom
         assert materialized.cell(point, ()) == reference.cuboids[point][()]

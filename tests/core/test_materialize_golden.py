@@ -10,7 +10,7 @@ direct ``compute_cube``.
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.materialize import MaterializedCube, select_views
 from repro.core.properties import PropertyOracle
 from repro.testing import messy_workload, small_workload
@@ -95,7 +95,7 @@ class TestAnsweringInvariant:
     def test_every_point_matches_direct_compute(self, which):
         table, oracle, _, selection = _selection(which)
         materialized = MaterializedCube(table, selection, oracle)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         for point in table.lattice.points():
             assert materialized.cuboid(point) == reference.cuboids[point], (
                 table.lattice.describe(point)

@@ -1,5 +1,5 @@
-"""Unit tests for ExecutionOptions, the deprecation shim, CostSnapshot
-dict-compat, and the CubeResult.diff union fix."""
+"""Unit tests for ExecutionOptions, the one ``compute_cube`` signature,
+CostSnapshot, and the CubeResult.diff union fix."""
 
 import warnings
 
@@ -54,69 +54,25 @@ class TestComputeCubeShim:
             )
         assert result.algorithm == "COUNTER"
 
-    def test_legacy_kwargs_warn_and_match(self, fig1_table):
-        with pytest.warns(DeprecationWarning):
-            legacy = compute_cube(
-                fig1_table, "BUC", points=[fig1_table.lattice.top]
-            )
-        modern = compute_cube(
-            fig1_table,
-            ExecutionOptions(
-                algorithm="BUC", points=(fig1_table.lattice.top,)
-            ),
-        )
-        assert legacy.same_contents(modern)
-        assert legacy.algorithm == modern.algorithm == "BUC"
-
-    def test_legacy_min_support_preserved(self, fig1_table):
-        with pytest.warns(DeprecationWarning):
-            legacy = compute_cube(fig1_table, "NAIVE", min_support=2.0)
-        modern = compute_cube(
-            fig1_table, ExecutionOptions(min_support=2.0)
-        )
-        assert legacy.same_contents(modern)
-
-    def test_bare_call_warns_but_defaults_to_naive(self, fig1_table):
-        with pytest.warns(DeprecationWarning):
-            result = compute_cube(fig1_table, "NAIVE")
+    def test_no_options_defaults_to_serial_naive(self, fig1_table):
+        result = compute_cube(fig1_table)
         assert result.algorithm == "NAIVE"
-
-    def test_legacy_call_warns_exactly_once_with_identical_results(
-        self, fig1_table
-    ):
-        """One legacy call → exactly one DeprecationWarning, and the
-        shim's result is indistinguishable from the options path."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = compute_cube(fig1_table, "BUC", min_support=1.0)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "ExecutionOptions" in str(deprecations[0].message)
-
-        modern = compute_cube(
-            fig1_table,
-            ExecutionOptions(algorithm="BUC", min_support=1.0),
+        assert result.same_contents(
+            compute_cube(fig1_table, ExecutionOptions())
         )
-        assert legacy.same_contents(modern)
-        assert legacy.algorithm == modern.algorithm
-        assert legacy.aggregate == modern.aggregate
 
     def test_mixing_options_and_legacy_rejected(self, fig1_table):
-        with pytest.raises(CubeError):
-            compute_cube(
-                fig1_table,
-                "BUC",
-                options=ExecutionOptions(),
-            )
-        with pytest.raises(CubeError):
-            compute_cube(
-                fig1_table,
-                ExecutionOptions(),
-                min_support=1.0,
-            )
-        with pytest.raises(CubeError):
+        """ExecutionOptions is the one signature: the PR 1 surface (a
+        bare algorithm string, ``oracle=``/``memory_entries=``/
+        ``points=``/``min_support=`` keywords) is gone, not shimmed."""
+        with pytest.raises(CubeError, match="ExecutionOptions"):
+            compute_cube(fig1_table, "BUC")
+        with pytest.raises(TypeError):
+            compute_cube(fig1_table, "BUC", options=ExecutionOptions())
+        for legacy in ("oracle", "memory_entries", "points", "min_support"):
+            with pytest.raises(TypeError):
+                compute_cube(fig1_table, ExecutionOptions(), **{legacy: None})
+        with pytest.raises(TypeError):
             compute_cube(
                 fig1_table,
                 ExecutionOptions(),
@@ -133,16 +89,14 @@ class TestCostSnapshot:
         assert result.cost.wall_seconds > 0
         assert result.simulated_seconds == result.cost.simulated_seconds
 
-    def test_dict_style_reads_warn_but_work(self, fig1_table):
-        result = compute_cube(fig1_table, ExecutionOptions(algorithm="BUC"))
-        with pytest.warns(DeprecationWarning):
-            value = result.cost["simulated_seconds"]
-        assert value == result.cost.simulated_seconds
-        with pytest.warns(DeprecationWarning):
-            assert result.cost.get("missing", 7.0) == 7.0
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                result.cost["no_such_counter"]
+    def test_attributes_are_the_only_read(self, fig1_table):
+        """No dict-style access: attributes, or ``as_dict()`` for a flat
+        mapping."""
+        cost = compute_cube(fig1_table, ExecutionOptions(algorithm="BUC")).cost
+        with pytest.raises(TypeError):
+            cost["simulated_seconds"]
+        assert not hasattr(cost, "get") and not hasattr(cost, "keys")
+        assert cost.as_dict()["simulated_seconds"] == cost.simulated_seconds
 
     def test_as_dict_for_csv(self):
         snapshot = CostSnapshot(cpu_ops=5, page_reads=2, simulated_seconds=0.5)

@@ -1,6 +1,6 @@
 """Unit tests for schema-driven lattice pruning (Sec. 3.7)."""
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.core.prune import (
     axis_state_aliases,
@@ -111,7 +111,7 @@ class TestComputePruned:
         pruned, saved = compute_cube_pruned(
             table, rigid_schema(), "publication"
         )
-        full = compute_cube(table, "NAIVE")
+        full = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         assert saved == 30 - 8
         assert pruned.same_contents(full)
 
@@ -122,7 +122,7 @@ class TestComputePruned:
         pruned, _ = compute_cube_pruned(
             table, rigid_schema(), "publication"
         )
-        full = compute_cube(table, "NAIVE")
+        full = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         assert not pruned.same_contents(full)
 
     def test_sound_schema_on_figure1(self):
@@ -133,6 +133,6 @@ class TestComputePruned:
         pruned, saved = compute_cube_pruned(
             table, nesting_schema(), "publication"
         )
-        full = compute_cube(table, "NAIVE")
+        full = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         assert pruned.same_contents(full)
         assert saved >= 0

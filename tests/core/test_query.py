@@ -67,7 +67,7 @@ class TestFlwor:
         assert text.rstrip().endswith("return COUNT($b).")
 
     def test_render_parse_round_trip(self):
-        from repro.core.xq_parser import parse_x3_query
+        from repro.lang import parse_x3_query
 
         original = query1()
         again = parse_x3_query(original.to_flwor())

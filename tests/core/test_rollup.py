@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
 from repro.core.rollup import (
     best_source_for,
@@ -22,7 +22,7 @@ def clean():
     workload = small_workload(n_facts=80, coverage=True, disjoint=True)
     table = workload.fact_table()
     oracle = PropertyOracle.from_flags(table.lattice, True, True)
-    cube = compute_cube(table, "NAIVE")
+    cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     return table, oracle, cube
 
 
@@ -75,7 +75,7 @@ class TestRollup:
             assert rolled == cube.cuboids[target], lattice.describe(target)
 
     def test_unsafe_rollup_reproduces_paper_wrong_answer(self, fig1_table):
-        cube = compute_cube(fig1_table, "NAIVE")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
         oracle = PropertyOracle.from_data(fig1_table)
         lattice = fig1_table.lattice
         source = lattice.point_by_description("$n:rigid, $p:rigid, $y:rigid")
@@ -119,7 +119,7 @@ class TestSliceDice:
 
 class TestHelpers:
     def test_point_query(self, fig1_table):
-        cube = compute_cube(fig1_table, "NAIVE")
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
         point = fig1_table.lattice.point_by_description(
             "$n:LND, $p:LND, $y:rigid"
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
 from repro.datagen.dblp import DBLP_DTD, DblpConfig, generate_dblp
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
@@ -80,7 +80,7 @@ class TestXmlWarehouse:
             ("2003",): 2.0, ("2004",): 1.0, ("2005",): 1.0,
         }
         # The chosen algorithm must be a correct one on this data.
-        reference = compute_cube(session.table, "NAIVE")
+        reference = compute_cube(session.table, ExecutionOptions(algorithm="NAIVE"))
         assert cube.same_contents(reference)
 
     def test_declared_dtd_drives_oracle(self):

@@ -1,10 +1,11 @@
-"""Unit tests for the augmented FLWOR parser (Query 1 syntax)."""
+"""Unit tests for the augmented FLWOR parser (Query 1 syntax),
+:func:`repro.lang.parse_x3_query`."""
 
 import pytest
 
-from repro.core.xq_parser import parse_x3_query
 from repro.datagen.publications import QUERY1_TEXT
 from repro.errors import QueryParseError
+from repro.lang import parse_x3_query
 from repro.patterns.pattern import EdgeAxis
 from repro.patterns.relaxation import Relaxation
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
 from repro.datagen.catalog import CatalogConfig, catalog_query, generate_catalog
@@ -38,7 +38,7 @@ class TestCubing:
 
     def test_pcad_recovers_nested_shapes(self, table):
         lattice = table.lattice
-        cube = compute_cube(table, "BUC")
+        cube = compute_cube(table, ExecutionOptions(algorithm="BUC"))
         rigid = cube.cuboids[
             lattice.point_by_description("$c:rigid, $b:LND")
         ]
@@ -55,17 +55,19 @@ class TestCubing:
         assert sum(brand_relaxed.values()) > sum(brand_rigid.values())
 
     def test_all_safe_algorithms_agree(self, table):
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         oracle = PropertyOracle.from_data(table)
         for name in ("COUNTER", "BUC", "TD", "BUCCUST", "TDCUST"):
-            assert compute_cube(table, name, oracle=oracle).same_contents(
+            assert compute_cube(
+                table, ExecutionOptions(algorithm=name, oracle=oracle)
+            ).same_contents(
                 reference
             ), name
 
     def test_sum_measure(self):
         doc = generate_catalog(CatalogConfig(n_products=100, seed=7))
         table = extract_fact_table(doc, catalog_query("SUM"))
-        cube = compute_cube(table, "NAIVE")
+        cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         total = cube.cuboids[table.lattice.bottom][()]
         expected = sum(
             float(price.text)

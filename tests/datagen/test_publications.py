@@ -40,7 +40,7 @@ class TestFigure1:
         validate_regions(fig1_doc)
 
     def test_query1_text_parses_to_query1(self):
-        from repro.core.xq_parser import parse_x3_query
+        from repro.lang import parse_x3_query
 
         parsed = parse_x3_query(QUERY1_TEXT)
         built = query1()

@@ -4,7 +4,7 @@ fact table, and the resulting cubes must match cell for cell."""
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_from_db, extract_from_documents
 from repro.datagen.catalog import CatalogConfig, catalog_query, generate_catalog
 from repro.datagen.dblp import DblpConfig, dblp_query, generate_dblp
@@ -68,6 +68,6 @@ def test_db_backend_matches_memory(build):
                 (v.value, v.mask) for v in their_axis
             )
 
-    memory_cube = compute_cube(memory_table, "NAIVE")
-    db_cube = compute_cube(db_table, "NAIVE")
+    memory_cube = compute_cube(memory_table, ExecutionOptions(algorithm="NAIVE"))
+    db_cube = compute_cube(db_table, ExecutionOptions(algorithm="NAIVE"))
     assert memory_cube.same_contents(db_cube)

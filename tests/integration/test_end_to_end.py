@@ -1,6 +1,7 @@
 """End-to-end integration: text query -> XML text -> cube, both backends."""
 
 from repro import (
+    ExecutionOptions,
     TimberDB,
     compute_cube,
     extract_fact_table,
@@ -36,7 +37,7 @@ class TestFullPipeline:
         doc = parse(SALES_XML)
         query = parse_x3_query(QUERY)
         table = extract_fact_table(doc, query)
-        cube = compute_cube(table, "BUC")
+        cube = compute_cube(table, ExecutionOptions(algorithm="BUC"))
         # region rigid: sale3's region hides under division (PC-AD/SP
         # territory); sale4 has none at all.
         rigid = cube.cuboid_by_description("$r:rigid, $i:LND")
@@ -49,20 +50,25 @@ class TestFullPipeline:
     def test_db_backend_identical(self):
         query = parse_x3_query(QUERY)
         memory_cube = compute_cube(
-            extract_fact_table(parse(SALES_XML), query), "NAIVE"
+            extract_fact_table(parse(SALES_XML), query),
+            ExecutionOptions(algorithm="NAIVE"),
         )
         db = TimberDB()
         db.load(SALES_XML)
-        db_cube = compute_cube(extract_fact_table(db, query), "NAIVE")
+        db_cube = compute_cube(
+            extract_fact_table(db, query), ExecutionOptions(algorithm="NAIVE")
+        )
         assert memory_cube.same_contents(db_cube)
 
     def test_all_algorithms_agree_via_data_oracle(self):
         query = parse_x3_query(QUERY)
         table = extract_fact_table(parse(SALES_XML), query)
         oracle = PropertyOracle.from_data(table)
-        reference = compute_cube(table, "NAIVE")
+        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         for name in ("COUNTER", "BUC", "TD", "BUCCUST", "TDCUST"):
-            assert compute_cube(table, name, oracle=oracle).same_contents(
+            assert compute_cube(
+                table, ExecutionOptions(algorithm=name, oracle=oracle)
+            ).same_contents(
                 reference
             )
 
@@ -70,7 +76,7 @@ class TestFullPipeline:
         text = QUERY.replace("COUNT($s)", "SUM($s/amount)")
         query = parse_x3_query(text)
         table = extract_fact_table(parse(SALES_XML), query)
-        cube = compute_cube(table, "NAIVE")
+        cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         items = cube.cuboid_by_description("$r:LND, $i:rigid")
         assert items[("pen",)] == 16.0  # 10 + 5 + 1
         assert items[("ink",)] == 12.0  # 10 + 2
@@ -82,6 +88,6 @@ class TestMultiDocumentWarehouse:
         docs = [parse(SALES_XML, name="a"), parse(SALES_XML, name="b")]
         table = extract_fact_table(docs, query)
         assert len(table) == 8
-        cube = compute_cube(table, "COUNTER")
+        cube = compute_cube(table, ExecutionOptions(algorithm="COUNTER"))
         items = cube.cuboid_by_description("$r:LND, $i:rigid")
         assert items[("pen",)] == 6.0

@@ -7,7 +7,7 @@ are fully deterministic (seeded ``random.Random``), so these values are
 stable across hosts and Python versions in scope.
 """
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.datagen.workload import WorkloadConfig, build_workload
 
 CONFIG = WorkloadConfig(
@@ -23,7 +23,7 @@ CONFIG = WorkloadConfig(
 
 def golden_cube():
     table = build_workload(CONFIG).fact_table()
-    return table, compute_cube(table, "NAIVE")
+    return table, compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
 
 
 class TestGoldenTreebank:
@@ -79,4 +79,6 @@ class TestGoldenTreebank:
     def test_every_algorithm_reproduces_the_golden_cube(self):
         table, reference = golden_cube()
         for name in ("COUNTER", "BUC", "TD"):
-            assert compute_cube(table, name).same_contents(reference)
+            assert compute_cube(
+                table, ExecutionOptions(algorithm=name)
+            ).same_contents(reference)

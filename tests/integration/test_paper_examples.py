@@ -4,14 +4,14 @@ Each test quotes the paper's statement it verifies against Figure 1 and
 Query 1.
 """
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.datagen.publications import figure1_document, query1
 
 
 def cube():
     table = extract_fact_table(figure1_document(), query1())
-    return table, compute_cube(table, "NAIVE")
+    return table, compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
 
 
 class TestSection1Motivation:

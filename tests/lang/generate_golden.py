@@ -13,8 +13,8 @@ from pathlib import Path
 
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
-from repro.core.xq_parser import parse_x3_query
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
+from repro.lang import parse_x3_query
 from repro.lang.ast import pretty
 from repro.lang.compiler import CompiledDefinition, compile_statement
 from repro.lang.parser import parse_statement

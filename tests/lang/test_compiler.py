@@ -5,7 +5,6 @@ import pytest
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
 from repro.core.query import Query, X3Query
-from repro.core.xq_parser import parse_x3_query
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.errors import (
     InvalidQuery,
@@ -13,6 +12,7 @@ from repro.errors import (
     QueryParseError,
     UnknownCube,
 )
+from repro.lang import parse_x3_query
 from repro.lang.compiler import (
     LANG_SECONDS_PER_STATEMENT,
     LANG_SECONDS_PER_TOKEN,

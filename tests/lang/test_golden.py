@@ -21,8 +21,8 @@ from repro.cluster import ClusterCoordinator
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
 from repro.core.query import Query
-from repro.core.xq_parser import parse_x3_query
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
+from repro.lang import parse_x3_query
 from repro.lang.ast import X3Statement, pretty
 from repro.lang.compiler import (
     CompiledDefinition,

@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
-from repro.core.xq_parser import parse_x3_query
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
+from repro.lang import parse_x3_query
 from repro.lang.repl import Repl, _table, main
 from repro.serve import CubeServer
 from repro.server.model import CubeCatalog, LogicalCube

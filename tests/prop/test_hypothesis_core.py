@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.axes import AxisSpec
 from repro.core.bindings import AnnotatedValue, FactRow, FactTable
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
 from repro.core.lattice import CubeLattice
 from repro.core.properties import PropertyOracle
@@ -60,10 +60,10 @@ def random_fact_table(draw):
 @given(random_fact_table())
 @settings(max_examples=50, deadline=None)
 def test_always_correct_algorithms_agree(table):
-    reference = compute_cube(table, "NAIVE")
+    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     oracle = PropertyOracle.from_data(table)
     for name in ("COUNTER", "BUC", "TD", "BUCCUST", "TDCUST"):
-        result = compute_cube(table, name, oracle=oracle)
+        result = compute_cube(table, ExecutionOptions(algorithm=name, oracle=oracle))
         assert result.same_contents(reference), (
             name, result.diff(reference)[:3],
         )
@@ -72,11 +72,13 @@ def test_always_correct_algorithms_agree(table):
 @given(random_fact_table())
 @settings(max_examples=50, deadline=None)
 def test_optimized_agree_exactly_when_property_holds(table):
-    reference = compute_cube(table, "NAIVE")
+    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     oracle = PropertyOracle.from_data(table)
     if oracle.globally_disjoint():
         for name in ("BUCOPT", "TDOPT"):
-            assert compute_cube(table, name).same_contents(reference), name
+            assert compute_cube(
+                table, ExecutionOptions(algorithm=name)
+            ).same_contents(reference), name
     if oracle.globally_disjoint() and oracle.globally_covered():
         # All-rigid masks only: structural twin assumption also safe when
         # every value binds rigidly.
@@ -86,13 +88,15 @@ def test_optimized_agree_exactly_when_property_holds(table):
             for value in row.axes[0]
         )
         if all_rigid:
-            assert compute_cube(table, "TDOPTALL").same_contents(reference)
+            assert compute_cube(
+                table, ExecutionOptions(algorithm="TDOPTALL")
+            ).same_contents(reference)
 
 
 @given(random_fact_table())
 @settings(max_examples=50, deadline=None)
 def test_bottom_cuboid_counts_all_facts(table):
-    cube = compute_cube(table, "NAIVE")
+    cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     bottom = cube.cuboids[table.lattice.bottom]
     if table.rows:
         fn = table.aggregate.fn

@@ -1,0 +1,197 @@
+"""Explain and execute cannot disagree.
+
+``CubeServer`` decides its ladder in one function (``_walk_ladder``);
+``explain_query`` returns that decision, ``query`` executes it.  Over
+random schedules of warm / insert / delete / query / eviction — with and
+without an attached ``IncrementalCube``, materialized views, and a
+non-distributive aggregate — whenever no write intervenes the two report
+the *same padded rung trail*, reasons included; explaining leaves no
+trace; and every answer equals serial NAIVE at its version.  On the
+cluster, each shard's plan is what that replica's own server explains.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import ClusterCoordinator
+from repro.core.aggregates import AggregateSpec
+from repro.core.bindings import FactTable
+from repro.core.cube import ExecutionOptions, compute_cube
+from repro.core.incremental import IncrementalCube
+from repro.core.query import Query, drilldown_point
+from repro.errors import InvalidQuery
+from repro.serve import CubeServer
+from repro.testing import small_workload
+
+WORKLOAD = small_workload(n_facts=48)
+BASE = WORKLOAD.fact_table()
+ORACLE = WORKLOAD.oracle(BASE)
+POINTS = BASE.lattice.topo_finer_first()
+INITIAL, POOL = list(BASE.rows[:36]), list(BASE.rows[36:])
+BATCH = 3
+
+#: mode -> (aggregate function, attach an IncrementalCube, view budget)
+MODES = {
+    "plain": ("COUNT", False, 0),
+    "incremental": ("COUNT", True, 0),
+    "views": ("COUNT", False, 60),
+    "non-distributive": ("AVG", False, 0),
+}
+
+point_index = st.integers(min_value=0, max_value=len(POINTS) - 1)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("query"), point_index),
+        st.tuples(st.just("drilldown"), point_index),
+        st.tuples(st.just("evict"), point_index),
+        st.tuples(st.just("warm"), st.integers(20, 200)),
+        st.tuples(st.just("insert"), st.just(0)),
+        st.tuples(st.just("delete"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def fresh_table(function):
+    spec = (
+        AggregateSpec()
+        if function == "COUNT"
+        else AggregateSpec(function, "@m")
+    )
+    return FactTable(BASE.lattice, list(INITIAL), aggregate=spec)
+
+
+def naive(table, rows, description):
+    point = table.lattice.point_by_description(description)
+    snapshot = FactTable(table.lattice, list(rows), table.aggregate)
+    return compute_cube(
+        snapshot, ExecutionOptions(algorithm="NAIVE", points=(point,))
+    ).cuboids[point]
+
+
+def footprint(server):
+    """Everything an explain must leave untouched."""
+    return (
+        server.stats(),
+        server.events.total,
+        sorted(
+            (entry.point, entry.hits, entry.priority)
+            for entry in server.cache.entries()
+        ),
+    )
+
+
+def read_query(lattice, op, index):
+    """A plain read of the point, or a drilldown from it on the first
+    axis that still has a finer state."""
+    point = POINTS[index]
+    if op == "drilldown":
+        for axis in lattice.axes:
+            try:
+                drilldown_point(lattice, point, axis.name)
+            except InvalidQuery:
+                continue
+            return Query(point=point, kind="drilldown", axis=axis.name)
+    return Query(point=point)
+
+
+class Writes:
+    """The insert/delete half of a schedule, mirrored on a row list."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.rows = list(INITIAL)
+        self.pool = list(POOL)
+
+    def apply(self, op):
+        if op == "insert" and self.pool:
+            batch, self.pool = self.pool[:BATCH], self.pool[BATCH:]
+            self.backend.insert(batch)
+            self.rows += batch
+        elif op == "delete" and len(self.rows) > BATCH:
+            batch, self.rows = self.rows[:BATCH], self.rows[BATCH:]
+            self.backend.delete(batch)
+            self.pool += batch
+
+
+@given(
+    mode=st.sampled_from(sorted(MODES)),
+    cache_cells=st.sampled_from([0, 24, 4096]),
+    schedule=operations,
+)
+@settings(max_examples=60, deadline=None)
+def test_server_explain_is_what_query_then_does(mode, cache_cells, schedule):
+    function, incremental, view_cells = MODES[mode]
+    table = fresh_table(function)
+    server = CubeServer(
+        table,
+        ORACLE,
+        cache_cells=cache_cells,
+        view_cells=view_cells,
+        incremental=IncrementalCube(table) if incremental else None,
+    )
+    writes = Writes(server)
+    for op, argument in schedule:
+        if op == "warm":
+            server.warm(budget_cells=argument)
+        elif op == "evict":
+            server.cache.invalidate(POINTS[argument])
+        elif op in ("insert", "delete"):
+            writes.apply(op)
+        else:
+            query = read_query(table.lattice, op, argument)
+            before = footprint(server)
+            plan = server.explain_query(query)
+            assert footprint(server) == before
+            result = server.query(query)
+            assert plan.rungs == result.rungs
+            assert (plan.tier, plan.version, plan.point) == (
+                result.tier, result.version, result.point
+            )
+            assert result.rungs == server.events.requests()[-1].rungs
+            assert result.as_cuboid() == naive(
+                table, writes.rows, result.point
+            )
+
+
+@given(
+    n_shards=st.sampled_from([1, 2]),
+    function=st.sampled_from(["COUNT", "AVG"]),
+    schedule=operations,
+)
+@settings(max_examples=25, deadline=None)
+def test_cluster_plans_are_the_replicas_own(n_shards, function, schedule):
+    table = fresh_table(function)
+    with ClusterCoordinator(
+        table, n_shards, 2, oracle=ORACLE, cache_cells=64
+    ) as cluster:
+        writes = Writes(cluster)
+        for op, argument in schedule:
+            if op in ("insert", "delete"):
+                writes.apply(op)
+            elif op == "evict":
+                for shard in cluster.shards:
+                    shard[0].server.cache.invalidate(POINTS[argument])
+            elif op != "warm":
+                query = read_query(table.lattice, op, argument)
+                plan = cluster.explain_query(query)
+                assert [shard.shard for shard in plan.shards] == list(
+                    range(n_shards)
+                )
+                for shard in plan.shards:
+                    server = cluster.shards[shard.shard][shard.replica].server
+                    local = server.explain_query(
+                        Query(point=plan.point)
+                    )
+                    assert (shard.tier, shard.rungs) == (
+                        local.tier, local.rungs
+                    )
+                result = cluster.query(query)
+                assert plan.point == result.point
+                expected = naive(table, writes.rows, result.point)
+                got = result.as_cuboid()
+                assert set(got) == set(expected)
+                assert all(
+                    abs(got[key] - expected[key]) <= 1e-9 for key in got
+                )

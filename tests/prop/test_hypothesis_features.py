@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.axes import AxisSpec
 from repro.core.bindings import AnnotatedValue, FactRow, FactTable
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.export import cube_from_xml, cube_to_xml
 from repro.core.lattice import CubeLattice
 from repro.core.materialize import MaterializedCube, select_views
@@ -43,8 +43,10 @@ def random_table(draw):
 @given(random_table(), st.integers(min_value=1, max_value=6))
 @settings(max_examples=50, deadline=None)
 def test_iceberg_equals_postfiltered_full(table, support):
-    full = compute_cube(table, "BUC")
-    iceberg = compute_cube(table, "BUC", min_support=support)
+    full = compute_cube(table, ExecutionOptions(algorithm="BUC"))
+    iceberg = compute_cube(
+        table, ExecutionOptions(algorithm="BUC", min_support=support)
+    )
     for point, cuboid in full.cuboids.items():
         expected = {
             key: value for key, value in cuboid.items() if value >= support
@@ -58,7 +60,7 @@ def test_materialized_cube_answers_everything(table):
     oracle = PropertyOracle.from_data(table)
     selection = select_views(table, oracle, space_budget=500)
     materialized = MaterializedCube(table, selection, oracle)
-    reference = compute_cube(table, "NAIVE")
+    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     for point in table.lattice.points():
         assert materialized.cuboid(point) == reference.cuboids[point]
 
@@ -66,6 +68,6 @@ def test_materialized_cube_answers_everything(table):
 @given(random_table())
 @settings(max_examples=40, deadline=None)
 def test_cube_xml_round_trip(table):
-    cube = compute_cube(table, "NAIVE")
+    cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     again = cube_from_xml(cube_to_xml(cube), table.lattice)
     assert again.same_contents(cube)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.core.aggregates import AggregateSpec
 from repro.core.axes import AxisSpec
 from repro.core.bindings import AnnotatedValue, FactRow, FactTable
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import IncrementalCube
 from repro.core.lattice import CubeLattice
 from repro.errors import CubeError
@@ -72,7 +72,7 @@ def test_insert_then_delete_round_trips(initial, delta, function):
     reference_table = FactTable(
         CubeLattice(_axes()), list(initial), aggregate=_spec(function)
     )
-    reference = compute_cube(reference_table, "NAIVE")
+    reference = compute_cube(reference_table, ExecutionOptions(algorithm="NAIVE"))
     maintained = live.as_result()
     for point in lattice.points():
         assert maintained.cuboids[point] == reference.cuboids[point]
@@ -125,7 +125,7 @@ def test_partial_deletion_matches_recompute(rows, function):
 
     reference = compute_cube(
         FactTable(CubeLattice(_axes()), list(kept), aggregate=_spec(function)),
-        "NAIVE",
+        ExecutionOptions(algorithm="NAIVE"),
     )
     for point in lattice.points():
         assert live.cuboid(point) == reference.cuboids[point]

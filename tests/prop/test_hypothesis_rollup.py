@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.axes import AxisSpec
 from repro.core.bindings import AnnotatedValue, FactRow, FactTable
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import IncrementalCube
 from repro.core.lattice import CubeLattice
 from repro.core.properties import PropertyOracle
@@ -50,7 +50,7 @@ def random_table(draw):
 @given(random_table())
 @settings(max_examples=50, deadline=None)
 def test_derivable_implies_rollup_correct(table):
-    cube = compute_cube(table, "NAIVE")
+    cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     oracle = PropertyOracle.from_data(table)
     lattice = table.lattice
     for source in lattice.points():
@@ -74,7 +74,8 @@ def test_incremental_equals_recompute(table):
     )
     live.insert(rows)
     reference = compute_cube(
-        FactTable(table.lattice, rows, aggregate=table.aggregate), "NAIVE"
+        FactTable(table.lattice, rows, aggregate=table.aggregate),
+        ExecutionOptions(algorithm="NAIVE"),
     )
     assert live.as_result().same_contents(reference)
 

@@ -1,18 +1,25 @@
-"""Tests for CubeServer.explain(): the ladder decision tree.
+"""Tests for CubeServer.explain_query(): the ladder decision tree.
 
-The load-bearing contract: ``explain()`` is side-effect-free, and the
-tier it predicts is the tier ``cuboid()`` actually records in the
+The load-bearing contract: ``explain_query()`` is side-effect-free, and
+the trail it predicts is the trail ``query()`` actually records in the
 request log when no write intervenes — verified here over a 100-query
-deterministic replay, which is also the acceptance criterion the CLI's
-``--verify`` flag re-checks end to end.
+deterministic replay, which is also what the CLI's ``--verify`` flag
+re-checks end to end.  (Both run the one ``_walk_ladder``; the random
+schedules are in ``tests/prop/test_hypothesis_explain.py``.)
 """
 
 import pytest
 
+from repro.core.query import Query
 from repro.errors import CubeError, InvalidQuery
 from repro.serve import CubeServer, TIERS
 from repro.serve.cli import sample_points
 from repro.testing import small_workload
+from tests.conftest import cuboid_of
+
+
+def explain(server, point):
+    return server.explain_query(Query(point=point))
 
 
 def fresh(**overrides):
@@ -25,14 +32,14 @@ class TestExplainShape:
     def test_lists_all_rungs_in_ladder_order(self):
         table, oracle = fresh()
         server = CubeServer(table, oracle)
-        explanation = server.explain(table.lattice.topo_finer_first()[0])
+        explanation = explain(server, table.lattice.topo_finer_first()[0])
         assert tuple(d.rung for d in explanation.rungs) == TIERS
         assert sum(1 for d in explanation.rungs if d.taken) == 1
 
     def test_cold_server_recomputes(self):
         table, oracle = fresh()
         server = CubeServer(table, oracle)
-        explanation = server.explain(table.lattice.topo_finer_first()[0])
+        explanation = explain(server, table.lattice.topo_finer_first()[0])
         assert explanation.tier == "recompute"
         by_rung = {d.rung: d for d in explanation.rungs}
         assert by_rung["cache"].reason == "not resident"
@@ -42,8 +49,8 @@ class TestExplainShape:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.topo_finer_first()[0]
-        server.cuboid(point)
-        explanation = server.explain(point)
+        cuboid_of(server, point)
+        explanation = explain(server, point)
         assert explanation.tier == "cache"
         assert "resident in cache" in explanation.rungs[0].reason
         assert all(
@@ -55,8 +62,8 @@ class TestExplainShape:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         points = table.lattice.topo_finer_first()
-        server.cuboid(points[0])  # finest cuboid derives the rest
-        explanation = server.explain(points[-1])
+        cuboid_of(server, points[0])  # finest cuboid derives the rest
+        explanation = explain(server, points[-1])
         rollup = next(
             d for d in explanation.rungs if d.rung == "rollup"
         )
@@ -69,8 +76,8 @@ class TestExplainShape:
         points = table.lattice.topo_finer_first()
         # Only the coarsest cuboid is resident: it cannot derive any
         # finer point, so the rollup rung is examined and rejected.
-        server.cuboid(points[-1])
-        explanation = server.explain(points[0])
+        cuboid_of(server, points[-1])
+        explanation = explain(server, points[0])
         rollup = next(
             d for d in explanation.rungs if d.rung == "rollup"
         )
@@ -82,8 +89,8 @@ class TestExplainShape:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.topo_finer_first()[0]
-        server.cuboid(point)
-        text = server.explain(point).render()
+        cuboid_of(server, point)
+        text = explain(server, point).render()
         assert text.splitlines()[0].endswith("-> cache")
         assert "1. cache       *" in text
         assert ". not reached" in text
@@ -95,9 +102,9 @@ class TestExplainShape:
         # Both shapes of bad spec raise the structured taxonomy error
         # (InvalidQuery is a CubeError, so old callers keep working).
         with pytest.raises(InvalidQuery):
-            server.explain("$nope:warp")
+            explain(server, "$nope:warp")
         with pytest.raises(CubeError):
-            server.explain(tuple(99 for _ in table.lattice.axis_states))
+            explain(server, tuple(99 for _ in table.lattice.axis_states))
 
 
 class TestExplainIsPure:
@@ -105,7 +112,7 @@ class TestExplainIsPure:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.topo_finer_first()[0]
-        server.cuboid(point)
+        cuboid_of(server, point)
         before_stats = server.stats()
         before_events = server.events.total
         before_entries = {
@@ -113,7 +120,7 @@ class TestExplainIsPure:
             for entry in server.cache.entries()
         }
         for target in list(table.lattice.points()):
-            server.explain(target)
+            explain(server, target)
         assert server.events.total == before_events
         after_stats = server.stats()
         assert after_stats.requests == before_stats.requests
@@ -133,26 +140,24 @@ class TestExplainAgreesWithExecution:
         )
         replay = sample_points(table.lattice, 100, seed=13)
         for point in replay:
-            explanation = server.explain(point)
-            server.cuboid(point)
+            explanation = explain(server, point)
+            cuboid_of(server, point)
             recorded = server.events.requests()[-1]
             assert recorded.tier == explanation.tier, (
                 f"explain predicted {explanation.tier} but execution "
                 f"recorded {recorded.tier} for "
                 f"{table.lattice.describe(point)}"
             )
-            # The recorded decision trail matches the explanation's
-            # rejected rungs too, not just the final verdict.
+            # The recorded decision trail is the explanation's, reasons
+            # and rejected rungs included, not just the final verdict.
             assert tuple(d.rung for d in recorded.rungs) == TIERS
-            assert [d.taken for d in recorded.rungs] == [
-                d.taken for d in explanation.rungs
-            ]
+            assert recorded.rungs == explanation.rungs
 
     def test_every_tier_appears_somewhere(self):
         table, oracle = fresh(n_facts=120, seed=21)
         server = CubeServer(table, oracle, cache_cells=256)
         for point in sample_points(table.lattice, 100, seed=13):
-            server.cuboid(point)
+            cuboid_of(server, point)
         tiers_seen = {
             event.tier for event in server.events.requests()
         }
@@ -162,10 +167,10 @@ class TestExplainAgreesWithExecution:
         table, oracle = fresh(n_facts=60, seed=5)
         server = CubeServer(table, oracle, cache_cells=4096)
         point = table.lattice.topo_finer_first()[0]
-        server.cuboid(point)
-        before = server.explain(point)
+        cuboid_of(server, point)
+        before = explain(server, point)
         assert before.tier == "cache"
         version = server.insert([table.rows[0]])
-        after = server.explain(point)
-        assert after.version == version
+        after = explain(server, point)
+        assert after.version == (version,)
         assert before.version != after.version

@@ -23,6 +23,7 @@ from repro.core.rollup import derivable
 from repro.errors import CubeError
 from repro.serve import CubeServer, TIERS
 from repro.testing import messy_workload, small_workload, vary_measures
+from tests.conftest import cuboid_of
 
 
 def fresh(**overrides):
@@ -65,7 +66,7 @@ def span_names(session):
 def assert_serves_exactly(server, table):
     for point in table.lattice.points():
         expected = reference_cuboid(table, table.rows, point)
-        assert server.cuboid(point) == expected, table.lattice.describe(
+        assert cuboid_of(server, point) == expected, table.lattice.describe(
             point
         )
 
@@ -125,8 +126,8 @@ class TestLadder:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.top
-        server.cuboid(point)
-        server.cuboid(point)
+        cuboid_of(server, point)
+        cuboid_of(server, point)
         tiers = server.stats().tiers
         assert tiers["recompute"] == 1 and tiers["cache"] == 1
 
@@ -135,21 +136,21 @@ class TestLadder:
         server = CubeServer(table, oracle, view_cells=600)
         assert server.selection is not None and server.selection.chosen
         view_point = server.selection.chosen[0]
-        server.cuboid(view_point)
+        cuboid_of(server, view_point)
         assert server.stats().tiers["view"] == 1
 
     def test_rollup_tier_derives_from_cached_finer(self):
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         finest = table.lattice.top
-        server.cuboid(finest)
+        cuboid_of(server, finest)
         coarser = next(
             point
             for point in table.lattice.topo_finer_first()
             if point != finest
             and derivable(table.lattice, finest, point, oracle)[0]
         )
-        cuboid = server.cuboid(coarser)
+        cuboid = cuboid_of(server, coarser)
         assert server.stats().tiers["rollup"] == 1
         assert cuboid == reference_cuboid(table, table.rows, coarser)
 
@@ -157,7 +158,7 @@ class TestLadder:
         table, _ = fresh()
         server = CubeServer(table, oracle=None)
         for point in table.lattice.points():
-            server.cuboid(point)
+            cuboid_of(server, point)
         assert server.stats().tiers["rollup"] == 0
 
     def test_incremental_tier(self):
@@ -167,7 +168,7 @@ class TestLadder:
             table, oracle=None, cache_cells=0, incremental=cube
         )
         point = table.lattice.top
-        assert server.cuboid(point) == reference_cuboid(
+        assert cuboid_of(server, point) == reference_cuboid(
             table, table.rows, point
         )
         assert server.stats().tiers["incremental"] == 1
@@ -188,26 +189,39 @@ class TestQuerySurface:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         description = table.lattice.describe(table.lattice.top)
-        assert server.cuboid(description) == server.cuboid(
-            table.lattice.top
+        assert cuboid_of(server, description) == cuboid_of(
+            server, table.lattice.top
         )
 
     def test_cell(self):
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.top
-        cuboid = server.cuboid(point)
+        cuboid = cuboid_of(server, point)
         key = next(iter(cuboid))
-        assert server.cell(point, key) == cuboid[key]
-        assert server.cell(point, ("no", "such", "key")) is None
+
+        def cell(key):
+            return server.query(
+                Query(point=point, kind="cell", key=key)
+            ).as_cell()
+
+        assert cell(key) == cuboid[key]
+        assert cell(("no", "such", "key")) is None
 
     def test_slice_restricts_one_axis(self):
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.top
-        cuboid = server.cuboid(point)
+        cuboid = cuboid_of(server, point)
         value = next(iter(cuboid))[0]
-        sliced = server.slice(point, 0, value)
+        sliced = server.query(
+            Query(
+                point=point,
+                kind="slice",
+                axis=table.lattice.axes[0].name,
+                value=value,
+            )
+        ).as_cuboid()
         assert sliced == {
             key[1:]: cell
             for key, cell in cuboid.items()
@@ -218,9 +232,16 @@ class TestQuerySurface:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.top
-        cuboid = server.cuboid(point)
+        cuboid = cuboid_of(server, point)
         key = next(iter(cuboid))
-        diced = server.dice(point, {0: [key[0]], 1: [key[1]]})
+        first, second = table.lattice.axes[:2]
+        diced = server.query(
+            Query(
+                point=point,
+                kind="dice",
+                filters=((first.name, [key[0]]), (second.name, [key[1]])),
+            )
+        ).as_cuboid()
         assert key in diced
         assert all(
             k[0] == key[0] and k[1] == key[1] for k in diced
@@ -230,15 +251,15 @@ class TestQuerySurface:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         with pytest.raises(CubeError):
-            server.cuboid((99, 99, 99))
+            cuboid_of(server, (99, 99, 99))
 
     def test_returned_cuboids_are_copies(self):
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.top
-        first = server.cuboid(point)
+        first = cuboid_of(server, point)
         first[("tampered",)] = 1.0
-        assert ("tampered",) not in server.cuboid(point)
+        assert ("tampered",) not in cuboid_of(server, point)
 
 
 class TestConstruction:
@@ -483,7 +504,7 @@ class TestConcurrency:
         results = []
         threads = [
             threading.Thread(
-                target=lambda: results.append(server.cuboid(point))
+                target=lambda: results.append(cuboid_of(server, point))
             )
             for _ in range(4)
         ]
@@ -521,9 +542,9 @@ class TestConcurrency:
         outcome = {}
 
         def read():
-            outcome["cuboid"], outcome["version"] = (
-                server.cuboid_versioned(point)
-            )
+            result = server.query(Query(point=point))
+            outcome["cuboid"] = result.as_cuboid()
+            outcome["version"] = result.version[0]
 
         reader = threading.Thread(target=read)
         reader.start()
@@ -539,7 +560,7 @@ class TestConcurrency:
         )
         # ...but never admitted: the next read recomputes fresh.
         server._recompute = original
-        assert server.cuboid(point) == reference_cuboid(
+        assert cuboid_of(server, point) == reference_cuboid(
             live, live.rows, point
         )
 
@@ -591,8 +612,8 @@ class TestStats:
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.top
-        server.cuboid(point)
-        server.cuboid(point)
+        cuboid_of(server, point)
+        cuboid_of(server, point)
         text = server.stats().summary()
         assert "2 requests" in text
         assert "cache=1" in text and "recompute=1" in text
@@ -603,7 +624,7 @@ class TestStats:
         server = CubeServer(table, oracle)
         point = table.lattice.top
         for _ in range(5):
-            server.cuboid(point)
+            cuboid_of(server, point)
         stats = server.stats()
         assert stats.modeled_cost_seconds < stats.cold_cost_seconds
         assert stats.modeled_speedup > 1.0

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.bindings import FactTable
 from repro.core.incremental import IncrementalCube, split_rows
+from repro.core.query import Query
 from repro.serve import CubeServer
 from repro.testing import small_workload
 from tests.serve.test_server import reference_cuboid
@@ -71,8 +72,8 @@ def test_concurrent_reads_match_serial_recompute(attach_incremental):
         try:
             for _ in range(READS_PER_READER):
                 point = rng.choice(points)
-                cuboid, version = server.cuboid_versioned(point)
-                local.append((point, version, cuboid))
+                result = server.query(Query(point=point))
+                local.append((point, result.version[0], result.as_cuboid()))
         except Exception as error:  # pragma: no cover - failure path
             read_errors.append(error)
         with observations_lock:

@@ -11,6 +11,7 @@ from repro.serve.cli import sample_points
 from repro.serve.top import main, render_dashboard
 from repro.testing import small_workload
 from repro.xmlmodel.serializer import serialize
+from tests.conftest import cuboid_of
 
 
 @pytest.fixture()
@@ -27,7 +28,7 @@ def served_workload():
     table = workload.fact_table()
     server = CubeServer(table, workload.oracle(table), cache_cells=256)
     for point in sample_points(table.lattice, 50, seed=3):
-        server.cuboid(point)
+        cuboid_of(server, point)
     return server
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
+from repro.core.query import CubeBackend
 from repro.datagen.publications import figure1_document, query1
 from repro.errors import Overloaded
 from repro.serve import CubeServer
@@ -62,7 +63,7 @@ class TestAdmissionController:
             AdmissionController(0)
 
 
-class _BlockingBackend:
+class _BlockingBackend(CubeBackend):
     """A CubeBackend whose query path parks until released."""
 
     def __init__(self, inner):

@@ -7,7 +7,7 @@ answers, same error taxonomy, same versioning semantics.  This is the
 contract the HTTP front door (and everything above it) relies on.
 """
 
-import warnings
+import json
 
 import pytest
 
@@ -23,6 +23,7 @@ from repro.core.query import (
 )
 from repro.errors import InvalidQuery, StaleVersion
 from repro.serve import CubeServer
+from repro.server import CubeCatalog, LogicalCube, X3Api
 from repro.testing import small_workload
 
 BACKENDS = ("serve", "cluster")
@@ -180,32 +181,43 @@ class TestVersioning:
             backend.query(Query(point=fine_point, read_version=bad))
 
 
-class TestDeprecatedShims:
-    def test_positional_reads_warn_once_and_still_answer(
-        self, backend, fine_point
-    ):
-        lattice = backend.lattice
-        point = lattice.point_by_description(fine_point)
-        expected = backend.query(Query(point=fine_point)).as_cuboid()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert backend.cuboid(point) == expected
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "deprecated" in str(caught[0].message)
-        assert "Query" in str(caught[0].message)
+class TestOneReadPath:
+    """Both backends inherit :class:`CubeBackend`'s read path, so one
+    mistake earns one error and the pre-``Query`` surfaces are gone."""
 
-    def test_each_positional_method_warns(self, backend, fine_point):
-        lattice = backend.lattice
-        point = lattice.point_by_description(fine_point)
-        some_key = sorted(
-            backend.query(Query(point=fine_point)).as_cuboid()
-        )[0]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend.cell(point, some_key)
-            backend.slice(point, 0, str(some_key[0]))
-            backend.dice(point, {0: (str(some_key[0]),)})
-        assert [
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ] == [True, True, True]
+    BAD_MEASURE = "measure 'SUM' does not match this cube's aggregate COUNT"
+
+    def test_one_error_for_one_mistake(self, backend, fine_point):
+        query = Query(point=fine_point, measure="SUM")
+        for read in (backend.query, backend.explain_query):
+            with pytest.raises(InvalidQuery) as caught:
+                read(query)
+            assert str(caught.value) == self.BAD_MEASURE
+
+        catalog = CubeCatalog()
+        catalog.register(
+            LogicalCube.from_lattice("cube", backend.lattice), backend
+        )
+        response = X3Api(catalog).handle(
+            "POST",
+            "/api/v1/cubes/cube/aggregate",
+            json.dumps({"point": fine_point, "measure": "SUM"}).encode(),
+        )
+        assert response.status == 400
+        # Spelled out byte for byte: the same literal for either backend.
+        assert response.body == (
+            '{\n "error": {\n  "kind": "invalid_query",\n'
+            f'  "message": "{self.BAD_MEASURE}"\n }}\n}}\n'
+        )
+
+    def test_the_backend_defines_no_read_path_of_its_own(self, backend):
+        own = vars(type(backend))
+        for shared in (
+            "query", "explain_query", "resolve_point",
+            "_query", "_query_impl", "_check_measure",
+        ):
+            assert shared not in own, shared
+        for removed in (
+            "cuboid", "cell", "slice", "dice", "cuboid_versioned", "explain",
+        ):
+            assert not hasattr(backend, removed), removed

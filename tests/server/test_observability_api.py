@@ -147,6 +147,46 @@ class TestHealthz:
             assert decoded["backends"]["pubs"]["status"] == "down"
             assert decoded["status"] == "degraded"
 
+    def test_body_is_pinned_for_both_backend_kinds(self):
+        """Every key, in order, for a server and a cluster with one
+        crashed and one lagging replica — the bodies ``X3Api`` served
+        before each backend reported its own ``health()``."""
+        table = make_table()
+        server = CubeServer(table, None)
+        with ClusterCoordinator(
+            table, 2, 2, hedge_deadline_seconds=None
+        ) as cluster:
+            cluster.shards[0][0].crash()
+            cluster.shards[1][1].apply("delete", [], defer=True)
+            catalog = CubeCatalog()
+            for name, backend in (
+                ("sharded", cluster), ("single", server), ("alias", server)
+            ):
+                catalog.register(
+                    LogicalCube.from_lattice(name, backend.lattice), backend
+                )
+            response = X3Api(catalog).handle("GET", "/api/v1/healthz")
+        expected = {
+            "status": "degraded",
+            "backends": {
+                # One entry per distinct backend, under the first cube
+                # name (sorted) that uses it.
+                "alias": {"kind": "server", "status": "ok", "version": [0]},
+                "sharded": {
+                    "kind": "cluster",
+                    "status": "degraded",
+                    "shards": 2,
+                    "replicas_per_shard": 2,
+                    "healthy_replicas": 3,
+                    "total_replicas": 4,
+                    "lagging_replicas": 1,
+                    "replica_health": [[False, True], [True, True]],
+                    "version": [0, 0],
+                },
+            },
+        }
+        assert response.body == json.dumps(expected, indent=1) + "\n"
+
     def test_post_is_method_not_allowed(self):
         api = make_api(
             CubeServer(make_table(), None)

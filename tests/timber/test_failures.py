@@ -8,7 +8,7 @@ with positioned errors.
 
 import pytest
 
-from repro.core.cube import compute_cube
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_from_db
 from repro.datagen.publications import figure1_document, query1
 from repro.errors import MemoryBudgetExceeded, XmlParseError
@@ -59,14 +59,20 @@ class TestBudgetExhaustion:
             budget.acquire(1)
 
     def test_algorithms_survive_minimal_budget(self, fig1_table):
-        reference = compute_cube(fig1_table, "NAIVE")
+        reference = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
         for name in ("COUNTER", "BUC", "TD"):
-            result = compute_cube(fig1_table, name, memory_entries=1)
+            result = compute_cube(
+                fig1_table, ExecutionOptions(algorithm=name, memory_entries=1)
+            )
             assert result.same_contents(reference), name
 
     def test_minimal_budget_costs_more(self, fig1_table):
-        roomy = compute_cube(fig1_table, "TD", memory_entries=100_000)
-        starved = compute_cube(fig1_table, "TD", memory_entries=4)
+        roomy = compute_cube(
+            fig1_table, ExecutionOptions(algorithm="TD", memory_entries=100_000)
+        )
+        starved = compute_cube(
+            fig1_table, ExecutionOptions(algorithm="TD", memory_entries=4)
+        )
         assert starved.simulated_seconds > roomy.simulated_seconds
 
 
@@ -105,7 +111,7 @@ class TestEmptyInputs:
         lattice = query1().lattice()
         table = FactTable(lattice, [])
         for name in ("NAIVE", "COUNTER", "BUC", "TD", "TDOPT", "TDOPTALL"):
-            result = compute_cube(table, name)
+            result = compute_cube(table, ExecutionOptions(algorithm=name))
             assert all(
                 cuboid == {} for cuboid in result.cuboids.values()
             ), name

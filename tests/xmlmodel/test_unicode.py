@@ -47,7 +47,7 @@ class TestUnicodeThroughTheStore:
 class TestUnicodeGroupingValues:
     def test_cube_keys_preserve_unicode(self):
         from repro.core.axes import AxisSpec
-        from repro.core.cube import compute_cube
+        from repro.core.cube import ExecutionOptions, compute_cube
         from repro.core.extract import extract_fact_table
         from repro.core.query import X3Query
 
@@ -60,6 +60,6 @@ class TestUnicodeGroupingValues:
             fact_id_path="",
         )
         table = extract_fact_table(doc, query)
-        cube = compute_cube(table, "BUC")
+        cube = compute_cube(table, ExecutionOptions(algorithm="BUC"))
         cuboid = cube.cuboid_by_description("$g:rigid")
         assert cuboid == {("日本",): 2.0, ("España",): 1.0}
