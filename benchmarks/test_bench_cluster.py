@@ -20,8 +20,8 @@ import pytest
 
 from repro.bench.runner import bench_artifact_path, write_bench_artifact
 from repro.cluster import ClusterCoordinator
-from repro.core.query import Query
-from repro.serve.cli import sample_points
+from repro.obs.live import percentile
+from repro.serve.replay import replay, sample_points
 
 from benchmarks.test_bench_serve import REPO_ROOT
 
@@ -33,19 +33,11 @@ SHARD_COUNTS = (1, 2, 4, 8)
 REPLICAS = 2
 
 
-def percentile(values, fraction):
-    ordered = sorted(values)
-    rank = min(
-        len(ordered) - 1, max(0, int(round(fraction * (len(ordered) - 1))))
-    )
-    return ordered[rank]
-
-
 @pytest.fixture(scope="module")
 def cluster_curves(dense_cov_disj):
     table = dense_cov_disj.table
     oracle = dense_cov_disj.oracle
-    replay = sample_points(table.lattice, REQUESTS, SEED)
+    points = sample_points(table.lattice, REQUESTS, SEED)
     curves = []
     for n_shards in SHARD_COUNTS:
         with ClusterCoordinator(
@@ -56,8 +48,7 @@ def cluster_curves(dense_cov_disj):
             cache_cells=0,
             hedge_deadline_seconds=None,
         ) as cluster:
-            for point in replay:
-                cluster.query(Query(point=point))
+            replay(cluster, points)
             latencies = cluster.modeled_latencies()
             stats = cluster.stats()
         total = sum(latencies)

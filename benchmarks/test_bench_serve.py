@@ -17,7 +17,7 @@ import pytest
 from repro.bench.runner import bench_artifact_path, write_bench_artifact
 from repro.core.query import Query
 from repro.serve import CubeServer
-from repro.serve.cli import sample_points
+from repro.serve.replay import sample_points
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT_PATH = bench_artifact_path("serve", REPO_ROOT)

@@ -30,7 +30,7 @@ Quickstart::
 
 :class:`ExecutionOptions` is the single options object for every
 execution surface (``compute_cube``, ``CubeSession.compute``, the bench
-harness, both CLIs).
+harness, the ``x3`` command line).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 per-figure reproduction results.

@@ -6,7 +6,8 @@
   (Figs. 4-10), each an axis sweep or a bar chart;
 - :mod:`repro.bench.report` — ASCII series/table rendering of the same
   rows the paper plots;
-- :mod:`repro.bench.runner` — the ``x3-bench`` CLI.
+- :mod:`repro.bench.runner` — what ``x3 bench`` runs, and the artifact
+  scheme.
 """
 
 from repro.bench.harness import AlgorithmRun, run_workload

@@ -72,9 +72,9 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from repro.core.query import Query
 from repro.serve import CubeServer
-from repro.serve.cli import sample_points
+from repro.obs.live import percentile
+from repro.serve.replay import replay, sample_points
 from repro.testing import treebank_workload
 
 #: Metric name -> direction; "lower" fails when the value grows, and
@@ -126,7 +126,7 @@ def collect_metrics() -> Dict[str, float]:
     parallel = prepared.run("NAIVE", workers=WORKERS, engine="thread")
 
     table = prepared.table
-    replay = sample_points(table.lattice, REPLAY_REQUESTS, REPLAY_SEED)
+    points = sample_points(table.lattice, REPLAY_REQUESTS, REPLAY_SEED)
 
     def replay_server(cache_cells: int, trace_store=None) -> CubeServer:
         server = CubeServer(
@@ -135,8 +135,7 @@ def collect_metrics() -> Dict[str, float]:
             cache_cells=cache_cells,
             trace_store=trace_store,
         )
-        for point in replay:
-            server.query(Query(point=point))
+        replay(server, points)
         return server
 
     from repro.core.materialize import cuboid_sizes
@@ -169,15 +168,11 @@ def collect_metrics() -> Dict[str, float]:
         cache_cells=0,
         hedge_deadline_seconds=None,
     ) as cluster:
-        for point in replay:
-            cluster.query(Query(point=point))
-        latencies = sorted(cluster.modeled_latencies())
-    cluster_p95 = latencies[
-        min(len(latencies) - 1, int(round(0.95 * (len(latencies) - 1))))
-    ]
+        replay(cluster, points)
+        cluster_p95 = percentile(cluster.modeled_latencies(), 0.95)
 
-    server_p95 = _server_replay_p95(prepared, replay)
-    lang_p95 = _lang_replay_p95(prepared, replay)
+    server_p95 = _server_replay_p95(prepared, points)
+    lang_p95 = _lang_replay_p95(prepared, points)
 
     counter = prepared.run("COUNTER", workers=1)
     columnar = prepared.run("COLUMNAR", workers=1)
@@ -217,16 +212,13 @@ def collect_metrics() -> Dict[str, float]:
     }
 
 
-def _server_replay_p95(prepared, replay) -> float:
+def _server_replay_p95(prepared, points) -> float:
     """p95 modeled latency of the replay through the HTTP API core.
 
     The replay runs single-threaded through
     :meth:`repro.server.X3Api.handle` — the full front-door path minus
     the socket — and the latencies are the *modeled* seconds each JSON
     response reports, so the quantile is deterministic."""
-    import json
-
-    from repro.obs.live import percentile
     from repro.server import CubeCatalog, LogicalCube, X3Api
 
     table = prepared.table
@@ -237,7 +229,7 @@ def _server_replay_p95(prepared, replay) -> float:
     )
     api = X3Api(catalog)
     latencies = []
-    for point in replay:
+    for point in points:
         body = json.dumps(
             {"point": table.lattice.describe(point)}
         ).encode("utf-8")
@@ -251,7 +243,7 @@ def _server_replay_p95(prepared, replay) -> float:
     return percentile(latencies, 0.95)
 
 
-def _lang_replay_p95(prepared, replay) -> float:
+def _lang_replay_p95(prepared, points) -> float:
     """p95 modeled latency of the replay as X^3QL text statements.
 
     The same points as :func:`_server_replay_p95`, phrased as ``ROLLUP``
@@ -260,9 +252,6 @@ def _lang_replay_p95(prepared, replay) -> float:
     includes the deterministic parse+compile charge, so the ratio over
     the JSON replay isolates exactly the language layer's modeled
     overhead."""
-    import json
-
-    from repro.obs.live import percentile
     from repro.server import CubeCatalog, LogicalCube, X3Api
 
     table = prepared.table
@@ -273,7 +262,7 @@ def _lang_replay_p95(prepared, replay) -> float:
     )
     api = X3Api(catalog)
     latencies = []
-    for point in replay:
+    for point in points:
         assignments = []
         for part in table.lattice.describe(point).split(", "):
             axis, _, label = part.partition(":")

@@ -1,17 +1,6 @@
-"""The ``x3-bench`` command line interface.
-
-Examples::
-
-    x3-bench --figure fig5                 # one figure, default scale
-    x3-bench --all                         # every figure
-    x3-bench --figure fig6 --scale 2 --axes 2 3 4 5 6 7
-    x3-bench --figure fig10 --validate     # also check against NAIVE
-    x3-bench --all --csv results.csv
-    x3-bench --figure fig6 --workers 4 --engine thread
-    x3-bench --smoke                       # CI smoke: serial vs parallel
-
-Also runnable as ``python -m repro.bench.runner``.
-"""
+"""What ``x3 bench`` runs: the figure sweeps, the scaling experiment and
+the CI smoke, plus the ``BENCH_<name>.json`` artifact scheme every
+benchmark writer shares."""
 
 from __future__ import annotations
 
@@ -23,14 +12,12 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.bench.figures import FIGURES, run_figure
 from repro.bench.harness import (
-    DUEL_FACTS,
     AlgorithmRun,
     run_buc_td_duel,
     run_columnar_duel,
     run_smoke,
 )
 from repro.bench.report import format_figure, format_runs_csv, format_smoke
-from repro.core.cube import ENGINE_CHOICES
 
 #: Version tag stamped into every ``BENCH_<name>.json`` artifact.
 BENCH_ARTIFACT_SCHEMA = "x3-bench/v1"
@@ -80,103 +67,8 @@ def runs_payload(runs: List[AlgorithmRun]) -> Dict[str, Any]:
     return {"runs": [run.as_row() for run in runs]}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="x3-bench",
-        description=(
-            "Regenerate the evaluation figures of 'X^3: A Cube Operator"
-            " for XML OLAP' (ICDE 2007)."
-        ),
-    )
-    parser.add_argument(
-        "--figure",
-        choices=sorted(FIGURES),
-        help="run a single figure",
-    )
-    parser.add_argument(
-        "--all", action="store_true", help="run every figure"
-    )
-    parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="run the Sec. 4.4 scaling experiment",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="fact-count multiplier (default 1.0)",
-    )
-    parser.add_argument(
-        "--axes",
-        type=int,
-        nargs="+",
-        help="restrict the axis sweep (e.g. --axes 2 3 4)",
-    )
-    parser.add_argument(
-        "--memory",
-        type=int,
-        default=None,
-        help="operator memory budget in entries (default: per figure)",
-    )
-    parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="check every run against the NAIVE oracle",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker pool size for the parallel engine (default 1)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_CHOICES,
-        default="auto",
-        help="execution engine (default auto: serial for 1 worker,"
-        " thread pool otherwise)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the CI smoke benchmark (serial vs parallel on a small"
-        " workload) and exit non-zero on any result mismatch",
-    )
-    parser.add_argument(
-        "--duel-facts",
-        type=int,
-        default=DUEL_FACTS,
-        metavar="N",
-        help="fact count for the columnar-vs-dict duel appended to the"
-        f" smoke run (default {DUEL_FACTS}; 0 disables the duel)",
-    )
-    parser.add_argument(
-        "--artifact-dir",
-        metavar="DIR",
-        help="write the run's BENCH_<name>.json artifact into DIR"
-        " (BENCH_engine.json for --smoke, BENCH_figures.json for"
-        " figure runs) via the unified artifact scheme",
-    )
-    parser.add_argument(
-        "--csv", metavar="PATH", help="also dump all runs as CSV"
-    )
-    parser.add_argument(
-        "--dat",
-        metavar="DIR",
-        help="also write gnuplot-ready .dat series per figure",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="trace the whole benchmark run and write a Chrome"
-        " trace_event JSON file (chrome://tracing / Perfetto)",
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """One ``x3 bench`` invocation; ``--trace-out`` traces all of it."""
     if args.trace_out:
         from repro import obs
 
@@ -204,8 +96,6 @@ def validate_trace_file(path: str) -> Optional[str]:
     is the gate CI relies on: a benchmark run that silently produced an
     empty or malformed trace must fail the job, not upload garbage.
     """
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -281,7 +171,7 @@ def _run(args: argparse.Namespace) -> int:
             print(f"wrote {len(runs)} runs to {args.csv}")
         return 0
     if not args.figure and not args.all and not args.scaling:
-        build_parser().print_help()
+        args.print_help()
         return 2
     if args.scaling:
         from repro.bench.scaling import format_scaling, run_scaling
@@ -322,6 +212,3 @@ def _run(args: argparse.Namespace) -> int:
         print(f"wrote {len(all_runs)} runs to {args.csv}")
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

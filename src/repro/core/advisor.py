@@ -90,18 +90,13 @@ def recommend_for_table(
     memory_entries: int,
 ) -> Recommendation:
     """Derive the cube characteristics from the table, then decide."""
+    # Imported here: materialize -> cube -> algorithms -> AUTO -> advisor.
+    from repro.core.materialize import cuboid_sizes
+
     lattice = table.lattice
-    cells = 0
-    for point in lattice.points():
-        keys = set()
-        for row in table.rows:
-            keys.update(table.key_combinations(row, point))
-        cells += len(keys)
-    n_facts = max(1, len(table))
-    top_keys = set()
-    for row in table.rows:
-        top_keys.update(table.key_combinations(row, lattice.top))
-    dense = len(top_keys) < 0.5 * n_facts
+    sizes = cuboid_sizes(table, lattice)
+    cells = sum(sizes.values())
+    dense = sizes[lattice.top] < 0.5 * max(1, len(table))
     return choose_algorithm(
         oracle,
         dense=dense,

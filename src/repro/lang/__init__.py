@@ -1,8 +1,8 @@
 """X^3QL: the textual query language front door.
 
 The pipeline is ``tokenize`` → ``parse_statement`` → ``compile_text``;
-the :mod:`repro.lang.repl` module drives it interactively (the
-``x3-sql`` console script) and :mod:`repro.server.http` exposes it as
+the :mod:`repro.lang.repl` module drives it interactively (``x3
+sql``) and :mod:`repro.server.http` exposes it as
 ``POST /api/v1/query``.
 """
 

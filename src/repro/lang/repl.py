@@ -1,26 +1,18 @@
-"""The ``x3-sql`` interactive shell for X^3QL.
+"""The ``x3 sql`` interactive shell for X^3QL.
 
-Usage::
-
-    x3-sql --query query.xq data.xml            # interactive shell
-    x3-sql --demo                               # Figure-1 workload
-    x3-sql --demo -c "ROLLUP default BY n:detail, y:detail"
-    echo "ROLLUP default BY y:detail;" | x3-sql --demo
-
-Boots the same backends as ``x3-server`` (a single
+``x3`` boots the same backends as ``x3 server`` (a single
 :class:`~repro.serve.CubeServer` or a sharded cluster behind the
-:class:`~repro.core.query.CubeBackend` API), registers the cube in a
-:class:`~repro.server.model.CubeCatalog`, and evaluates X^3QL
-statements against it.  Interactive niceties: readline line editing
-with a persistent history file, multi-line continuation driven by the
-parser's ``incomplete`` flag (an unfinished FLWOR keeps prompting),
+:class:`~repro.core.query.CubeBackend` API) and registers the cube in a
+:class:`~repro.server.model.CubeCatalog`; the :class:`Repl` here
+evaluates X^3QL statements against it.  Interactive niceties: readline
+line editing with a persistent history file, multi-line continuation
+driven by the parser's ``incomplete`` flag (an unfinished FLWOR keeps prompting),
 aligned table output or ``\\json`` mode, and ``\\``-prefixed meta
 commands (``\\help`` lists them).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import IO, List, Optional, Sequence
@@ -324,132 +316,20 @@ def interact(repl: Repl) -> int:  # pragma: no cover - interactive only
             return 0
 
 
-# ----------------------------------------------------------------------
-# entry point
-# ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="x3-sql",
-        description=(
-            "Interactive X^3QL shell over a CubeServer or a sharded "
-            "cluster (same backends as x3-server)."
-        ),
-    )
-    parser.add_argument(
-        "files", nargs="*", help="XML input files (or use --demo)"
-    )
-    parser.add_argument(
-        "--query", help="file holding the X^3 FLWOR cube definition"
-    )
-    parser.add_argument(
-        "--demo",
-        action="store_true",
-        help="serve the paper's Figure-1 publication workload "
-        "(no files needed)",
-    )
-    parser.add_argument(
-        "--cube-name",
-        default="default",
-        help="catalog name of the served cube (default 'default')",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("serve", "cluster"),
-        default="serve",
-        help="single CubeServer or a sharded ClusterCoordinator",
-    )
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--replicas", type=int, default=2)
-    parser.add_argument("--cache-cells", type=int, default=4096)
-    parser.add_argument(
-        "--oracle", choices=("data", "none"), default="data"
-    )
-    parser.add_argument("--algorithm", default="NAIVE")
-    parser.add_argument(
-        "--engine",
-        default="auto",
-        help="execution engine for recomputes (default auto)",
-    )
-    parser.add_argument(
-        "-c",
-        "--execute",
-        action="append",
-        metavar="STMT",
-        help="execute a statement and exit (repeatable)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="JSON output instead of aligned tables",
-    )
-    return parser
-
-
-def _load_demo_table() -> object:
-    from repro.core.extract import extract_fact_table
-    from repro.datagen.publications import QUERY1_TEXT, figure1_document
-    from repro.lang.compiler import parse_x3_query
-
-    return extract_fact_table(
-        [figure1_document()], parse_x3_query(QUERY1_TEXT)
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.demo:
-            if args.files or args.query:
-                raise X3Error(
-                    "--demo replaces the files and --query arguments"
-                )
-            table = _load_demo_table()
-        else:
-            if not args.files or not args.query:
-                raise X3Error(
-                    "need XML files and --query (or --demo)"
-                )
-            from repro.serve.cli import load_table
-
-            table = load_table(args)
-    except (OSError, X3Error) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-    from repro.server.cli import build_backend
-    from repro.server.model import LogicalCube
-
-    backend = build_backend(args, table)  # type: ignore[arg-type]
-    catalog = CubeCatalog()
-    catalog.register(
-        LogicalCube.from_lattice(
-            args.cube_name,
-            backend.lattice,
-            measure=table.aggregate.function.upper(),  # type: ignore[attr-defined]
-            description=f"x3-sql session ({args.backend})",
-        ),
-        backend,
-    )
-    repl = Repl(catalog, json_output=args.json)
-    try:
-        if args.execute:
-            ok = True
-            for statement in args.execute:
-                try:
-                    ok = repl.execute(statement) and ok
-                except EOFError:
-                    break
-            return 0 if ok else 1
-        if not sys.stdin.isatty():
+def run(repl: Repl, statements: Optional[Sequence[str]]) -> int:
+    """``-c`` statements, else piped stdin, else the interactive loop."""
+    if statements:
+        ok = True
+        for statement in statements:
             try:
-                ok = repl.execute(sys.stdin.read())
+                ok = repl.execute(statement) and ok
             except EOFError:
-                ok = True
-            return 0 if ok else 1
-        return interact(repl)  # pragma: no cover - interactive only
-    finally:
-        backend.close()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+                break
+        return 0 if ok else 1
+    if not sys.stdin.isatty():
+        try:
+            ok = repl.execute(sys.stdin.read())
+        except EOFError:
+            ok = True
+        return 0 if ok else 1
+    return interact(repl)  # pragma: no cover - interactive only

@@ -1,15 +1,7 @@
-"""The ``x3-trace`` command line tool: explore dumped trace JSONL.
+"""What ``x3 trace`` does: explore dumped trace JSONL.
 
-Usage::
-
-    x3-trace list traces.jsonl
-    x3-trace list traces.jsonl --status error --retained
-    x3-trace show traces.jsonl 4fd2a3b1...          # waterfall tree
-    x3-trace show traces.jsonl 4fd2 --chrome-out t.json
-    x3-trace list traces.jsonl --jsonl              # canonical re-dump
-
-Input is the canonical JSONL the serving stack writes (``x3-server
---trace-jsonl`` / ``x3-cluster --trace-jsonl`` or
+Input is the canonical JSONL the serving stack writes (``x3 server
+--trace-jsonl`` / ``x3 cluster --trace-jsonl`` or
 ``TraceStore.write_jsonl``): one JSON object per finished trace, spans
 inline.  ``show`` renders one trace as an indented waterfall — children
 under parents, bars proportional to wall time — or converts it to the
@@ -22,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.export import chrome_trace_json
 from repro.obs.span import TraceSpan
+from repro.obs.trace_store import TraceStore
 
 #: Waterfall bar width in characters.
 BAR_WIDTH = 28
@@ -191,56 +183,6 @@ def render_waterfall(record: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # the tool
 # ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="x3-trace",
-        description=(
-            "Explore trace JSONL dumped by x3-server/x3-cluster "
-            "--trace-jsonl: list traces, render waterfalls, export "
-            "Chrome trace_event JSON."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    list_cmd = sub.add_parser(
-        "list", help="summarize every trace in the file"
-    )
-    list_cmd.add_argument("file", help="trace JSONL file")
-    list_cmd.add_argument(
-        "--status",
-        choices=("ok", "deadline", "error"),
-        help="only traces with this worst-span status",
-    )
-    list_cmd.add_argument(
-        "--name", help="only traces whose root name contains this"
-    )
-    list_cmd.add_argument(
-        "--retained",
-        action="store_true",
-        help="only tail-retained traces (error/deadline/slow)",
-    )
-    list_cmd.add_argument(
-        "--jsonl",
-        action="store_true",
-        help="emit the matching records as canonical JSONL instead of "
-        "a table (what the CI determinism diff compares)",
-    )
-
-    show_cmd = sub.add_parser(
-        "show", help="render one trace as a waterfall tree"
-    )
-    show_cmd.add_argument("file", help="trace JSONL file")
-    show_cmd.add_argument(
-        "trace_id", help="trace id (any unambiguous prefix)"
-    )
-    show_cmd.add_argument(
-        "--chrome-out",
-        metavar="PATH",
-        help="write the trace as Chrome trace_event JSON instead",
-    )
-    return parser
-
-
 def run_list(args: argparse.Namespace) -> int:
     records = filter_traces(
         load_traces(args.file),
@@ -295,16 +237,16 @@ def run_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "list":
-            return run_list(args)
-        return run_show(args)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+def report_store(store: TraceStore, jsonl: Optional[str]) -> None:
+    """The ``--trace`` summary ``x3 server`` and ``x3 cluster`` print,
+    plus the ``--trace-jsonl`` dump ``x3 trace`` reads back."""
+    stats = store.stats()
+    print(
+        f"tracing: {stats['started']} started, "
+        f"{stats['sampled']} sampled, "
+        f"{stats['retained']} tail-retained, "
+        f"{stats['stored']} stored"
+    )
+    if jsonl:
+        count = store.write_jsonl(jsonl)
+        print(f"wrote {count} traces to {jsonl}")

@@ -1,7 +1,7 @@
-"""``x3-top`` — a live terminal dashboard over a cube-serving session.
+"""``x3 top`` — a live terminal dashboard over a cube-serving session.
 
 Like ``top`` for the sound-source ladder: the tool replays the same
-deterministic skewed workload as ``x3-serve`` against a
+deterministic skewed workload as ``x3 serve`` against a
 :class:`~repro.serve.server.CubeServer` and renders, per sliding
 window, the latency quantiles (modeled and wall), hit ratio, eviction
 churn and SLO burn rate, plus the tier breakdown, the hottest lattice
@@ -21,19 +21,11 @@ attaches to a smoke run.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from repro.core.query import Query
-from repro.errors import X3Error
-from repro.obs.live import WINDOW_QUANTILES, LiveTelemetry, WindowSnapshot
-from repro.serve.cli import (
-    add_workload_args,
-    build_server,
-    load_table,
-    sample_points,
-)
+from repro.core.query import Query, QueryResult
+from repro.obs.live import WINDOW_QUANTILES, WindowSnapshot
 from repro.serve.server import TIERS, CubeServer
 
 #: ANSI "clear screen, cursor home" prefix used between watch frames.
@@ -125,98 +117,35 @@ def render_dashboard(
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="x3-top",
-        description=(
-            "Live serving dashboard: sliding-window latency quantiles, "
-            "SLO burn, hottest lattice points and cache residency."
-        ),
-    )
-    add_workload_args(parser)
-    parser.add_argument(
-        "--watch",
-        action="store_true",
-        help="redraw the dashboard while the replay runs",
-    )
-    parser.add_argument(
-        "--interval",
-        type=int,
-        default=20,
-        help="with --watch: requests between redraws (default 20)",
-    )
-    parser.add_argument(
-        "--slo",
-        type=float,
-        default=0.01,
-        help="SLO threshold on modeled request latency, in simulated"
-        " seconds (default 0.01)",
-    )
-    parser.add_argument(
-        "--windows",
-        type=float,
-        nargs="+",
-        default=[60.0, 300.0],
-        help="sliding-window lengths in seconds (default 60 300)",
-    )
-    parser.add_argument(
-        "--top-k",
-        type=int,
-        default=5,
-        help="hottest lattice points shown per window (default 5)",
-    )
-    parser.add_argument(
-        "--html",
-        metavar="PATH",
-        help="also write the standalone HTML serving report",
-    )
-    parser.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        help="also write the structured event log as JSON Lines",
-    )
-    return parser
+def watcher(
+    server: CubeServer, interval: int
+) -> Callable[[int, Query, QueryResult], None]:
+    """The ``--watch`` replay hook: redraw every ``interval`` requests."""
+
+    def redraw(index: int, query: Query, result: QueryResult) -> None:
+        if (index + 1) % max(1, interval) == 0:
+            sys.stdout.write(CLEAR + render_dashboard(server) + "\n")
+            sys.stdout.flush()
+
+    return redraw
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        table = load_table(args)
-    except (OSError, X3Error) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    telemetry = LiveTelemetry(
-        windows=args.windows,
-        slo_modeled_seconds=args.slo,
-        top_k=args.top_k,
-    )
-    try:
-        server = build_server(args, table, telemetry=telemetry)
-        if args.warm:
-            server.warm()
-        replay = sample_points(table.lattice, args.requests, args.seed)
-        for index, point in enumerate(replay, start=1):
-            server.query(Query(point=point))
-            if args.watch and index % max(1, args.interval) == 0:
-                sys.stdout.write(CLEAR + render_dashboard(server) + "\n")
-                sys.stdout.flush()
-    except X3Error as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if args.watch:
+def report(
+    server: CubeServer,
+    watch: bool,
+    jsonl: Optional[str],
+    html: Optional[str],
+) -> None:
+    """The final dashboard plus the ``--jsonl`` / ``--html`` artifacts."""
+    if watch:
         sys.stdout.write(CLEAR)
     print(render_dashboard(server))
-    if args.jsonl:
-        written = server.events.write_jsonl(args.jsonl)
-        print(f"wrote {written} events to {args.jsonl}")
-    if args.html:
+    if jsonl:
+        written = server.events.write_jsonl(jsonl)
+        print(f"wrote {written} events to {jsonl}")
+    if html:
         from repro.bench.report import format_serving_html
 
-        with open(args.html, "w", encoding="utf-8") as handle:
+        with open(html, "w", encoding="utf-8") as handle:
             handle.write(format_serving_html(server))
-        print(f"wrote HTML serving report to {args.html}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+        print(f"wrote HTML serving report to {html}")

@@ -12,7 +12,7 @@ Sub-modules:
 - :mod:`repro.server.loadgen` — the deterministic closed-loop load
   generator that drives a live front door and reports latency
   distributions on both time bases;
-- :mod:`repro.server.cli` — the ``x3-server`` entry point.
+- :mod:`repro.server.cli` — what ``x3 server`` runs over its backend.
 """
 
 from repro.server.http import (

@@ -51,11 +51,11 @@ class TestFigureDat:
 
 class TestRunnerDatFlag:
     def test_runner_writes_dat(self, tmp_path, capsys):
-        from repro.bench.runner import main
+        from repro.cli import main
 
         code = main(
             [
-                "--figure", "fig4", "--scale", "0.25", "--axes", "2",
+                "bench", "--figure", "fig4", "--scale", "0.25", "--axes", "2",
                 "--dat", str(tmp_path),
             ]
         )

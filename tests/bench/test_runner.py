@@ -1,16 +1,23 @@
 """Unit tests for the x3-bench CLI."""
 
-from repro.bench.runner import build_parser, main
+from repro import cli
+
+
+def main(argv):
+    return cli.main(["bench", *argv])
+
+
+def parse(argv):
+    return cli.build_parser().parse_args(["bench", *argv])
 
 
 class TestParser:
     def test_figure_choices(self):
-        parser = build_parser()
-        args = parser.parse_args(["--figure", "fig4"])
+        args = parse(["--figure", "fig4"])
         assert args.figure == "fig4"
 
     def test_defaults(self):
-        args = build_parser().parse_args(["--all"])
+        args = parse(["--all"])
         assert args.scale == 1.0
         assert args.memory is None
         assert not args.validate

@@ -9,7 +9,7 @@ from repro.cluster import ChaosEngine, ClusterCoordinator, get_profile
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.query import Query
-from repro.serve.cli import sample_points
+from repro.serve.replay import sample_points
 from repro.testing import small_workload
 from tests.conftest import cuboid_of
 

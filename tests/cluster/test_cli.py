@@ -4,11 +4,18 @@ import json
 
 import pytest
 
-from repro.cluster.cli import main, parse_shards, plan_writes, percentile
+from repro import cli
+from repro.cluster.cli import parse_shards
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.errors import X3Error
+from repro.obs.live import percentile
+from repro.serve.replay import plan_writes
 from repro.testing import small_workload
 from repro.xmlmodel.serializer import serialize
+
+
+def main(argv):
+    return cli.main(["cluster", *argv])
 
 
 @pytest.fixture()

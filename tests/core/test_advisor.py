@@ -69,3 +69,30 @@ class TestRecommendForTable:
         table = small_workload(n_facts=40).fact_table()
         rec, _ = recommend(table, True, True, memory=100_000)
         assert "Sec" in rec.rationale or "Fig" in rec.rationale
+
+    def test_characteristics_come_from_the_columnar_census(
+        self, monkeypatch
+    ):
+        """The table statistics are the exact NAIVE cell counts, taken
+        by the count-only sweep, never by a per-point row scan."""
+        from repro.core import advisor
+        from repro.core.bindings import FactTable
+
+        table = small_workload(n_facts=120, n_axes=3, seed=4).fact_table()
+        cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+        seen = {}
+
+        def spy(oracle, **characteristics):
+            seen.update(characteristics)
+            return "decided"
+
+        def no_row_scan(self, row, point):
+            raise AssertionError("recommend_for_table scanned rows")
+
+        monkeypatch.setattr(advisor, "choose_algorithm", spy)
+        monkeypatch.setattr(FactTable, "key_combinations", no_row_scan)
+        oracle = PropertyOracle.from_flags(table.lattice, False, False)
+        assert recommend_for_table(table, oracle, 4000) == "decided"
+        assert seen["cube_cells_estimate"] == cube.total_cells()
+        top = len(cube.cuboids[table.lattice.top])
+        assert seen["dense"] == (top < 0.5 * len(table))

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.cli import main
+from repro import cli
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.xmlmodel.serializer import serialize
+
+
+def main(argv):
+    return cli.main(["cube", *argv])
 
 
 @pytest.fixture()

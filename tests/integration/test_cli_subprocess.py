@@ -31,7 +31,7 @@ def inputs(tmp_path):
 class TestX3CubeProcess:
     def test_basic_run(self, inputs):
         query, data = inputs
-        proc = run_module("repro.cli", "--query", query, data)
+        proc = run_module("repro.cli", "cube", "--query", query, data)
         assert proc.returncode == 0, proc.stderr
         assert "4 facts, 30 cuboids" in proc.stdout
 
@@ -39,7 +39,7 @@ class TestX3CubeProcess:
         query, _ = inputs
         broken = tmp_path / "broken.xml"
         broken.write_text("<a><b></a>")
-        proc = run_module("repro.cli", "--query", query, str(broken))
+        proc = run_module("repro.cli", "cube", "--query", query, str(broken))
         assert proc.returncode == 1
         assert "error:" in proc.stderr
 
@@ -47,13 +47,13 @@ class TestX3CubeProcess:
 class TestX3BenchProcess:
     def test_single_figure(self):
         proc = run_module(
-            "repro.bench.runner",
+            "repro.cli", "bench",
             "--figure", "fig4", "--scale", "0.25", "--axes", "2",
         )
         assert proc.returncode == 0, proc.stderr
         assert "fig4" in proc.stdout
 
     def test_no_args_usage(self):
-        proc = run_module("repro.bench.runner")
+        proc = run_module("repro.cli", "bench")
         assert proc.returncode == 2
         assert "usage" in proc.stdout

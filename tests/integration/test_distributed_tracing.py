@@ -25,7 +25,7 @@ from repro.core.query import Query
 from repro.obs.trace_cli import BAR_WIDTH, render_waterfall
 from repro.obs.trace_store import TraceStore
 from repro.serve import CubeServer
-from repro.serve.cli import sample_points
+from repro.serve.replay import sample_points
 from repro.testing import small_workload
 
 

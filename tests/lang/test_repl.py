@@ -5,13 +5,18 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.lang import parse_x3_query
-from repro.lang.repl import Repl, _table, main
+from repro.lang.repl import Repl, _table
 from repro.serve import CubeServer
 from repro.server.model import CubeCatalog, LogicalCube
+
+
+def main(argv):
+    return cli.main(["sql", *argv])
 
 
 @pytest.fixture(scope="module")

@@ -4,17 +4,20 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import cli, obs
 from repro.obs import TraceSpan, chrome_trace_events
 from repro.obs.trace_cli import (
     canonical_line,
     filter_traces,
     find_trace,
     load_traces,
-    main,
     render_waterfall,
 )
 from repro.obs.trace_store import TraceStore
+
+
+def main(argv):
+    return cli.main(["trace", *argv])
 
 
 @pytest.fixture

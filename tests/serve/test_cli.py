@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
-from repro.serve.cli import main
 from repro.xmlmodel.serializer import serialize
+
+
+def main(argv):
+    return cli.main(["serve", *argv])
 
 
 @pytest.fixture()

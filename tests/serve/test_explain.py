@@ -13,7 +13,7 @@ import pytest
 from repro.core.query import Query
 from repro.errors import CubeError, InvalidQuery
 from repro.serve import CubeServer, TIERS
-from repro.serve.cli import sample_points
+from repro.serve.replay import sample_points
 from repro.testing import small_workload
 from tests.conftest import cuboid_of
 

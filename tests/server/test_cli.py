@@ -4,10 +4,15 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
-from repro.server.cli import main, parse_tokens
+from repro.server.cli import parse_tokens
 from repro.errors import X3Error
 from repro.xmlmodel.serializer import serialize
+
+
+def main(argv):
+    return cli.main(["server", *argv])
 
 
 @pytest.fixture()
