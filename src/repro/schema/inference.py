@@ -46,7 +46,7 @@ def infer_dtd(docs: Iterable[Document]) -> Dtd:
         for node in doc.elements:
             tag = node.tag
             instance_counts[tag] += 1
-            if node.text:
+            if tag not in has_text and node.text:
                 has_text.add(tag)
             # Leaves dominate a document: touch the per-tag counters
             # (created once per tag) only for nodes that have something

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import PatternParseError
 from repro.xmlmodel.nodes import Document, Element
@@ -126,6 +126,7 @@ def evaluate_path(
     intermediate matches).
     """
     frontier: List[Element] = [context]
+    seen: Set[int]
     for step in steps[:-1]:
         next_frontier: List[Element] = []
         seen = set()
@@ -154,7 +155,7 @@ def evaluate_path(
                     seen.add(id(owner))
                     results.append((owner, value))
         return results
-    out: List[Element] = []
+    out: List[PathTarget] = []
     seen = set()
     for node in frontier:
         for match in axis_nodes(node, last):
@@ -189,7 +190,7 @@ def select(doc: Document, path: str) -> List[PathTarget]:
         if not rest:
             return list(matches)
         out: List[PathTarget] = []
-        seen = set()
+        seen: Set[int] = set()
         for node in matches:
             for result in evaluate_path(node, rest):
                 key = id(result[0]) if isinstance(result, tuple) else id(result)

@@ -3,22 +3,30 @@
 An XML document is modelled as a tree of :class:`Element` nodes.  Each
 element owns an ordered attribute mapping and a text value (the
 concatenation of its direct text children; mixed content keeps document
-order in ``text_chunks``).  After construction, :meth:`Document.reindex`
-assigns every element a *region encoding* ``(start, end, level)``:
+order in ``text_chunks``).  Every element of a :class:`Document` carries
+a *region encoding* ``(start, end, level)`` — assigned by the parser
+while it builds the tree, and by :meth:`Document.reindex` for trees
+built or mutated by hand (the two agree exactly):
 
 - ``start``: preorder position of the opening tag,
 - ``end``:   position after the closing tag (so a descendant ``d`` of ``a``
   satisfies ``a.start < d.start`` and ``d.end < a.end``),
 - ``level``: depth from the root (root at level 0).
 
+One position is spent on every open and every close, so an element with
+``k`` proper descendants has ``end - start == 2k + 1``, and those
+descendants are the contiguous preorder slice
+``doc.elements[node_id + 1 : node_id + 1 + k]``.
+
 The encoding is what the structural-join algorithms in
-:mod:`repro.timber.structural_join` operate on, and it is also convenient
-for fast ancestor tests in the in-memory matcher.
+:mod:`repro.timber.structural_join` operate on, what fact extraction
+(:mod:`repro.core.extract`) evaluates descendant steps on, and it is
+also convenient for fast ancestor tests in the in-memory matcher.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import XmlStructureError
 
@@ -32,10 +40,10 @@ class Element:
         text_chunks: direct text content pieces in document order.
         children: child elements in document order.
         parent: parent element, or None for a root.
-        start, end, level: region encoding, assigned by
+        start, end, level: region encoding, assigned by the parser or
             :meth:`Document.reindex` (``-1`` until then).
         node_id: document-order ordinal among elements (0-based), assigned
-            by :meth:`Document.reindex`.
+            with the region encoding.
     """
 
     __slots__ = (
@@ -74,14 +82,28 @@ class Element:
     @property
     def text(self) -> str:
         """Direct text content (concatenated chunks, stripped)."""
-        return "".join(self.text_chunks).strip()
+        chunks = self.text_chunks
+        if len(chunks) == 1:
+            return chunks[0].strip()
+        return "".join(chunks).strip()
 
     def full_text(self) -> str:
         """Text of this element and all descendants, in document order."""
-        parts = list(self.text_chunks)
-        for child in self.children:
-            parts.append(child.full_text())
-        return "".join(parts).strip()
+        # One frame per open element: its unvisited children and the text
+        # gathered so far.  (An explicit stack: depth is bounded by
+        # memory, not by the interpreter's recursion limit.)
+        frames = [(iter(self.children), list(self.text_chunks))]
+        while True:
+            children, parts = frames[-1]
+            child = next(children, None)
+            if child is not None:
+                frames.append((iter(child.children), list(child.text_chunks)))
+                continue
+            frames.pop()
+            text = "".join(parts).strip()
+            if not frames:
+                return text
+            frames[-1][1].append(text)
 
     def append_text(self, chunk: str) -> None:
         """Append a raw text chunk (used by the parser; keeps order)."""
@@ -186,8 +208,9 @@ class Element:
 class Document:
     """A parsed XML document: a root element plus index bookkeeping.
 
-    Use :meth:`reindex` after any structural mutation; parsing and the data
-    generators call it for you.
+    Use :meth:`reindex` after any structural mutation; the constructor
+    calls it for you, and the parser hands over the index it assigned
+    while building (:meth:`from_indexed`).
     """
 
     def __init__(self, root: Element, name: str = "") -> None:
@@ -198,27 +221,50 @@ class Document:
         self._elements: List[Element] = []
         self.reindex()
 
+    @classmethod
+    def from_indexed(
+        cls, root: Element, elements: List[Element], name: str = ""
+    ) -> "Document":
+        """Adopt a tree whose builder already assigned every element's
+        ``start/end/level/node_id`` and collected ``elements`` in
+        preorder, exactly as :meth:`reindex` would have."""
+        doc = cls.__new__(cls)
+        doc.root = root
+        doc.name = name
+        doc._elements = elements
+        return doc
+
     # ------------------------------------------------------------------
     def reindex(self) -> None:
         """(Re-)assign region encodings and node ids in document order."""
-        self._elements = []
+        elements: List[Element] = []
         counter = 0
-        order = 0
-
-        def visit(node: Element, level: int) -> None:
-            nonlocal counter, order
+        level = 0
+        # Explicit stack (a parent is pushed a second time, to be closed
+        # after its children) so tree depth is bounded by memory, not by
+        # the interpreter's recursion limit.
+        stack: List[Tuple[Element, bool]] = [(self.root, False)]
+        while stack:
+            node, closing = stack.pop()
+            if closing:
+                node.end = counter
+                counter += 1
+                level -= 1
+                continue
             node.start = counter
+            counter += 1
             node.level = level
-            node.node_id = order
-            self._elements.append(node)
-            counter += 1
-            order += 1
-            for child in node.children:
-                visit(child, level + 1)
-            node.end = counter
-            counter += 1
-
-        visit(self.root, 0)
+            node.node_id = len(elements)
+            elements.append(node)
+            if node.children:
+                level += 1
+                stack.append((node, True))
+                for child in reversed(node.children):
+                    stack.append((child, False))
+            else:
+                node.end = counter
+                counter += 1
+        self._elements = elements
 
     # ------------------------------------------------------------------
     @property
@@ -239,7 +285,7 @@ class Document:
     def iter_tags(self) -> Iterable[str]:
         """Distinct tags appearing in the document (document order of
         first occurrence)."""
-        seen = set()
+        seen: Set[str] = set()
         for node in self._elements:
             if node.tag not in seen:
                 seen.add(node.tag)

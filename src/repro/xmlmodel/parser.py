@@ -1,4 +1,4 @@
-"""A hand-written recursive-descent parser for the XML subset we support.
+"""A hand-written scanning parser for the XML subset we support.
 
 Supported constructs: the XML declaration, elements with attributes
 (single- or double-quoted), character data, the five predefined entities
@@ -14,11 +14,29 @@ entity expansion.
 The parser is deliberately strict: mismatched tags, stray ``<``, duplicate
 attributes and unterminated constructs raise :class:`XmlParseError` with a
 line/column position.
+
+How it runs.  One loop over an explicit stack of open elements, so input
+depth is bounded by memory and not by the interpreter's recursion limit.
+The loop *scans* instead of stepping a character at a time: ``str.find``
+jumps over text runs and to the ends of comments, CDATA sections and
+PIs, one compiled pattern reads a whole start tag with its attributes,
+and entity expansion runs only on runs that contain ``&``.  Every
+element gets its region encoding ``(start, end, level)``, its
+``node_id`` and its slot in the preorder ``elements`` list as it is
+opened and closed, so the :class:`Document` is indexed the moment the
+root closes (no second walk).
+
+The error-path contract.  The patterns only ever *accept*: a tag they do
+not match — or match but with a bad first name character, a duplicate
+attribute or a bad entity — is read again by the per-character
+:class:`_TagReader`, which owns every error message and position of a
+tag.  The hot path therefore never has to know why a tag is wrong.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import re
+from typing import Dict, List, NoReturn, Optional, Tuple
 
 from repro.errors import XmlParseError
 from repro.xmlmodel.nodes import Document, Element
@@ -31,8 +49,37 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
+_WHITESPACE = " \t\r\n"
 _NAME_START_EXTRA = "_:"
 _NAME_EXTRA = "_:.-"
+
+# ``\w`` is exactly ``str.isalnum()`` plus ``_``, so this class is
+# ``_is_name_char``.  No class spells ``str.isalpha()`` (``[^\W\d]`` lets
+# ``²`` and ``½`` through), so the first character of every matched name
+# is checked with ``_is_name_start``.  The whitespace class is spelled
+# out because ``\s`` is wider than what the grammar skips.
+_NAME_CHAR = r"[\w:.\-]"
+_NAME = rf"{_NAME_CHAR}+"
+_S = rf"[{_WHITESPACE}]*"
+_VALUE = r"(?:\"[^\"]*\"|'[^']*')"
+# The lookahead pins the tag to its maximal run of name characters, as
+# the reader takes it: without it "<ab='1'>" would backtrack into tag
+# "a", attribute "b".
+_START_TAG = re.compile(
+    rf"<({_NAME})(?!{_NAME_CHAR})((?:{_S}{_NAME}{_S}={_S}{_VALUE})*){_S}(/?)>"
+)
+_ATTRIBUTE = re.compile(rf"({_NAME}){_S}={_S}(?:\"([^\"]*)\"|'([^']*)')")
+_NOT_WHITESPACE = re.compile(rf"[^{_WHITESPACE}]")
+_DOCTYPE_DELIMITER = re.compile(r"[\[\]>]")
+
+# ``&`` up to the next ``;`` (or to the end of the run when there is none).
+_ENTITY = re.compile(r"&([^;]*)(;?)")
+# Past its leading zeros a legal code point has at most 7 decimal or 6
+# hex digits; a longer run is out of range and is never converted (it
+# may be a hostile megabyte of digits).
+_CHAR_REFERENCE = re.compile(
+    r"#(?:0*([0-9]{1,7})|[xX]0*([0-9a-fA-F]{1,6}))"
+)
 
 
 def _is_name_start(char: str) -> bool:
@@ -43,263 +90,339 @@ def _is_name_char(char: str) -> bool:
     return char.isalnum() or char in _NAME_EXTRA
 
 
-class _Cursor:
-    """Position tracker over the input text."""
+class _EntityError(Exception):
+    """A bad reference inside a run; the caller knows the position."""
+
+
+def _decode_entity(match: "re.Match[str]") -> str:
+    entity = match.group(1)
+    if not match.group(2):
+        raise _EntityError("unterminated entity reference")
+    predefined = _PREDEFINED_ENTITIES.get(entity)
+    if predefined is not None:
+        return predefined
+    if entity.startswith("#"):
+        reference = _CHAR_REFERENCE.fullmatch(entity)
+        if reference is not None:
+            decimal, hexadecimal = reference.groups()
+            code = int(decimal) if decimal else int(hexadecimal, 16)
+            if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                return chr(code)
+        raise _EntityError(f"bad character reference &{entity};")
+    raise _EntityError(f"unknown entity &{entity};")
+
+
+class _TagReader:
+    """The per-character reading of *one* tag: the miss path.
+
+    It accepts exactly the tags the compiled patterns accept (so a tag
+    they miss for a reason of their own still parses), and it is the one
+    place that knows which message and which position each malformed tag
+    is reported with.
+    """
 
     __slots__ = ("text", "pos", "length")
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, pos: int) -> None:
         self.text = text
-        self.pos = 0
+        self.pos = pos
         self.length = len(text)
 
-    def eof(self) -> bool:
-        return self.pos >= self.length
+    def fail(self, message: str) -> NoReturn:
+        _fail(self.text, self.pos, message)
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < self.length else ""
 
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
+    def skip_whitespace(self) -> None:
+        while self.pos < self.length and self.text[self.pos] in _WHITESPACE:
+            self.pos += 1
 
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
+    def name(self) -> str:
+        if self.pos >= self.length or not _is_name_start(self.peek()):
+            self.fail("expected a name")
+        begin = self.pos
+        self.pos += 1
+        while self.pos < self.length and _is_name_char(self.text[self.pos]):
+            self.pos += 1
+        return self.text[begin : self.pos]
 
-    def line_col(self) -> Tuple[int, int]:
-        line = self.text.count("\n", 0, self.pos) + 1
-        last_nl = self.text.rfind("\n", 0, self.pos)
-        column = self.pos - last_nl
-        return line, column
-
-
-class XmlParser:
-    """Recursive-descent parser producing a :class:`Document`."""
-
-    def __init__(self, text: str, name: str = "") -> None:
-        self._cur = _Cursor(text)
-        self._name = name
-
-    # ------------------------------------------------------------------
-    def parse(self) -> Document:
-        """Parse the whole input and return a Document."""
-        self._skip_prolog()
-        root = self._parse_element()
-        self._skip_misc()
-        if not self._cur.eof():
-            self._fail("trailing content after document element")
-        return Document(root, name=self._name)
-
-    # ------------------------------------------------------------------
-    # error helper
-    # ------------------------------------------------------------------
-    def _fail(self, message: str) -> None:
-        line, column = self._cur.line_col()
-        raise XmlParseError(message, line=line, column=column)
-
-    # ------------------------------------------------------------------
-    # prolog / misc
-    # ------------------------------------------------------------------
-    def _skip_whitespace(self) -> None:
-        cur = self._cur
-        while not cur.eof() and cur.peek() in " \t\r\n":
-            cur.advance()
-
-    def _skip_prolog(self) -> None:
-        self._skip_whitespace()
-        if self._cur.startswith("<?xml"):
-            end = self._cur.text.find("?>", self._cur.pos)
-            if end < 0:
-                self._fail("unterminated XML declaration")
-            self._cur.pos = end + 2
-        self._skip_misc()
-        if self._cur.startswith("<!DOCTYPE"):
-            self._skip_doctype()
-        self._skip_misc()
-
-    def _skip_misc(self) -> None:
-        """Skip whitespace, comments and PIs between markup."""
+    def attributes(self, tag: str) -> Dict[str, str]:
+        attrs: Dict[str, str] = {}
         while True:
-            self._skip_whitespace()
-            if self._cur.startswith("<!--"):
-                self._skip_comment()
-            elif self._cur.startswith("<?"):
-                self._skip_pi()
-            else:
-                return
-
-    def _skip_comment(self) -> None:
-        end = self._cur.text.find("-->", self._cur.pos + 4)
-        if end < 0:
-            self._fail("unterminated comment")
-        self._cur.pos = end + 3
-
-    def _skip_pi(self) -> None:
-        end = self._cur.text.find("?>", self._cur.pos + 2)
-        if end < 0:
-            self._fail("unterminated processing instruction")
-        self._cur.pos = end + 2
-
-    def _skip_doctype(self) -> None:
-        # Skip "<!DOCTYPE ... >" balancing an optional internal subset [...].
-        cur = self._cur
-        cur.advance(len("<!DOCTYPE"))
-        depth = 0
-        while not cur.eof():
-            char = cur.peek()
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-                if depth < 0:
-                    self._fail("unbalanced ']' in DOCTYPE")
-            elif char == ">" and depth == 0:
-                cur.advance()
-                return
-            cur.advance()
-        self._fail("unterminated DOCTYPE declaration")
-
-    # ------------------------------------------------------------------
-    # names / attributes
-    # ------------------------------------------------------------------
-    def _parse_name(self) -> str:
-        cur = self._cur
-        if cur.eof() or not _is_name_start(cur.peek()):
-            self._fail("expected a name")
-        begin = cur.pos
-        cur.advance()
-        while not cur.eof() and _is_name_char(cur.peek()):
-            cur.advance()
-        return cur.text[begin : cur.pos]
-
-    def _parse_attributes(self, tag: str) -> dict:
-        attrs: dict = {}
-        cur = self._cur
-        while True:
-            self._skip_whitespace()
-            if cur.eof() or cur.peek() in "/>":
+            self.skip_whitespace()
+            if self.pos >= self.length or self.peek() in "/>":
                 return attrs
-            name = self._parse_name()
-            self._skip_whitespace()
-            if cur.peek() != "=":
-                self._fail(f"expected '=' after attribute {name!r} of <{tag}>")
-            cur.advance()
-            self._skip_whitespace()
-            quote = cur.peek()
+            name = self.name()
+            self.skip_whitespace()
+            if self.peek() != "=":
+                self.fail(f"expected '=' after attribute {name!r} of <{tag}>")
+            self.pos += 1
+            self.skip_whitespace()
+            quote = self.peek()
             if quote not in "\"'":
-                self._fail(f"attribute {name!r} value must be quoted")
-            cur.advance()
-            end = cur.text.find(quote, cur.pos)
+                self.fail(f"attribute {name!r} value must be quoted")
+            self.pos += 1
+            end = self.text.find(quote, self.pos)
             if end < 0:
-                self._fail(f"unterminated value for attribute {name!r}")
-            raw = cur.text[cur.pos : end]
-            cur.pos = end + 1
+                self.fail(f"unterminated value for attribute {name!r}")
+            raw = self.text[self.pos : end]
+            self.pos = end + 1
             if name in attrs:
-                self._fail(f"duplicate attribute {name!r} on <{tag}>")
-            attrs[name] = self._expand_entities(raw)
+                self.fail(f"duplicate attribute {name!r} on <{tag}>")
+            attrs[name] = _expand_entities(raw, self.text, self.pos)
 
-    # ------------------------------------------------------------------
-    # entities
-    # ------------------------------------------------------------------
-    def _expand_entities(self, raw: str) -> str:
-        if "&" not in raw:
-            return raw
-        out = []
-        index = 0
-        while index < len(raw):
-            char = raw[index]
-            if char != "&":
-                out.append(char)
-                index += 1
-                continue
-            semi = raw.find(";", index + 1)
-            if semi < 0:
-                self._fail("unterminated entity reference")
-            entity = raw[index + 1 : semi]
-            out.append(self._decode_entity(entity))
-            index = semi + 1
-        return "".join(out)
+    def start_tag(self) -> Tuple[str, Dict[str, str], bool]:
+        """``(tag, attrs, self_closing)`` of the start tag at ``pos``."""
+        self.pos += 1  # the "<"
+        tag = self.name()
+        attrs = self.attributes(tag)
+        if self.text.startswith("/>", self.pos):
+            self.pos += 2
+            return tag, attrs, True
+        if self.peek() != ">":
+            self.fail(f"malformed start tag <{tag}>")
+        self.pos += 1
+        return tag, attrs, False
 
-    def _decode_entity(self, entity: str) -> str:
-        if entity in _PREDEFINED_ENTITIES:
-            return _PREDEFINED_ENTITIES[entity]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            try:
-                return chr(int(entity[2:], 16))
-            except ValueError:
-                self._fail(f"bad character reference &{entity};")
-        if entity.startswith("#"):
-            try:
-                return chr(int(entity[1:]))
-            except ValueError:
-                self._fail(f"bad character reference &{entity};")
-        self._fail(f"unknown entity &{entity};")
-        raise AssertionError("unreachable")
+    def close_tag(self, open_tag: str) -> None:
+        """Read the ``</name >`` at ``pos``, which must close ``open_tag``."""
+        self.pos += 2  # the "</"
+        closing = self.name()
+        if closing != open_tag:
+            self.fail(f"mismatched closing tag </{closing}> for <{open_tag}>")
+        self.skip_whitespace()
+        if self.peek() != ">":
+            self.fail(f"malformed closing tag </{closing}>")
+        self.pos += 1
 
-    # ------------------------------------------------------------------
-    # elements / content
-    # ------------------------------------------------------------------
-    def _parse_element(self) -> Element:
-        cur = self._cur
-        if cur.peek() != "<":
-            self._fail("expected '<' to open an element")
-        cur.advance()
-        tag = self._parse_name()
-        attrs = self._parse_attributes(tag)
-        element = Element(tag, attrs=attrs)
-        self._skip_whitespace()
-        if cur.startswith("/>"):
-            cur.advance(2)
-            return element
-        if cur.peek() != ">":
-            self._fail(f"malformed start tag <{tag}>")
-        cur.advance()
-        self._parse_content(element)
-        return element
 
-    def _parse_content(self, element: Element) -> None:
-        cur = self._cur
-        while True:
-            if cur.eof():
-                self._fail(f"unexpected end of input inside <{element.tag}>")
-            if cur.startswith("</"):
-                cur.advance(2)
-                closing = self._parse_name()
-                if closing != element.tag:
-                    self._fail(
-                        f"mismatched closing tag </{closing}> for <{element.tag}>"
-                    )
-                self._skip_whitespace()
-                if cur.peek() != ">":
-                    self._fail(f"malformed closing tag </{closing}>")
-                cur.advance()
-                return
-            if cur.startswith("<!--"):
-                self._skip_comment()
-            elif cur.startswith("<![CDATA["):
-                element.append_text(self._parse_cdata())
-            elif cur.startswith("<?"):
-                self._skip_pi()
-            elif cur.peek() == "<":
-                element.append(self._parse_element())
-            else:
-                element.append_text(self._parse_text())
+def _fail(text: str, pos: int, message: str) -> NoReturn:
+    line = text.count("\n", 0, pos) + 1
+    column = pos - text.rfind("\n", 0, pos)
+    raise XmlParseError(message, line=line, column=column)
 
-    def _parse_cdata(self) -> str:
-        cur = self._cur
-        cur.advance(len("<![CDATA["))
-        end = cur.text.find("]]>", cur.pos)
-        if end < 0:
-            self._fail("unterminated CDATA section")
-        raw = cur.text[cur.pos : end]
-        cur.pos = end + 3
+
+def _expand_entities(raw: str, text: str, error_pos: int) -> str:
+    """``raw`` with its references expanded; a bad one is reported at
+    ``error_pos`` (the end of the run, where the old cursor stood)."""
+    if "&" not in raw:
         return raw
+    try:
+        return _ENTITY.sub(_decode_entity, raw)
+    except _EntityError as error:
+        _fail(text, error_pos, str(error))
 
-    def _parse_text(self) -> str:
-        cur = self._cur
-        begin = cur.pos
-        while not cur.eof() and cur.peek() != "<":
-            cur.advance()
-        return self._expand_entities(cur.text[begin : cur.pos])
+
+def _skip_whitespace(text: str, pos: int) -> int:
+    match = _NOT_WHITESPACE.search(text, pos)
+    return match.start() if match else len(text)
+
+
+def _skip_past(text: str, pos: int, opener: str, closer: str, what: str) -> int:
+    """The position after ``closer``, searched from behind ``opener``."""
+    end = text.find(closer, pos + len(opener))
+    if end < 0:
+        _fail(text, pos, f"unterminated {what}")
+    return end + len(closer)
+
+
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, comments and PIs between markup."""
+    while True:
+        pos = _skip_whitespace(text, pos)
+        if text.startswith("<!--", pos):
+            pos = _skip_past(text, pos, "<!--", "-->", "comment")
+        elif text.startswith("<?", pos):
+            pos = _skip_past(text, pos, "<?", "?>", "processing instruction")
+        else:
+            return pos
+
+
+def _skip_doctype(text: str, pos: int) -> int:
+    # Skip "<!DOCTYPE ... >" balancing an optional internal subset [...].
+    pos += len("<!DOCTYPE")
+    depth = 0
+    while True:
+        match = _DOCTYPE_DELIMITER.search(text, pos)
+        if match is None:
+            _fail(text, len(text), "unterminated DOCTYPE declaration")
+        pos = match.start()
+        char = text[pos]
+        if char == "[":
+            depth += 1
+        elif char == "]":
+            depth -= 1
+            if depth < 0:
+                _fail(text, pos, "unbalanced ']' in DOCTYPE")
+        elif depth == 0:
+            return pos + 1
+        pos += 1
+
+
+def _skip_prolog(text: str) -> int:
+    pos = _skip_whitespace(text, 0)
+    if text.startswith("<?xml", pos):
+        pos = _skip_past(text, pos, "<?", "?>", "XML declaration")
+    pos = _skip_misc(text, pos)
+    if text.startswith("<!DOCTYPE", pos):
+        pos = _skip_doctype(text, pos)
+    return _skip_misc(text, pos)
+
+
+def _fast_attributes(attr_text: str) -> Optional[Dict[str, str]]:
+    """The attribute mapping of a matched start tag, or None when the
+    tag has to be re-read by :class:`_TagReader` to raise its error (bad
+    first name character, duplicate attribute, bad entity)."""
+    attrs: Dict[str, str] = {}
+    pairs = _ATTRIBUTE.findall(attr_text)
+    for name, double_quoted, single_quoted in pairs:
+        if not _is_name_start(name[0]):
+            return None
+        attrs[name] = double_quoted or single_quoted
+    if len(attrs) != len(pairs):
+        return None
+    if "&" in attr_text:
+        try:
+            for name, raw in attrs.items():
+                if "&" in raw:
+                    attrs[name] = _ENTITY.sub(_decode_entity, raw)
+        except _EntityError:
+            return None
+    return attrs
+
+
+def _parse_document(text: str, name: str) -> Document:
+    pos = _skip_prolog(text)
+    if not text.startswith("<", pos):
+        _fail(text, pos, "expected '<' to open an element")
+
+    find = text.find
+    startswith = text.startswith
+    match_start_tag = _START_TAG.match
+    length = len(text)
+
+    elements: List[Element] = []
+    # Every name the start-tag pattern has validated, mapped to itself: a
+    # later "<name>" is recognised by one lookup, and equal tags of
+    # different elements are one string.
+    names: Dict[str, str] = {}
+    # A holder stands above the root so that the loop has no root case:
+    # the document element is done when the stack is back to the holder.
+    holder = Element("#document")
+    stack = [holder]  # the open elements
+    parent = holder  # == stack[-1]
+    counter = 0  # next region position
+
+    while True:
+        # ---- ``pos`` is at the "<" of a start tag --------------------
+        attrs: Optional[Dict[str, str]] = None
+        self_closing = False
+        gt = find(">", pos)
+        known = names.get(text[pos + 1 : gt]) if gt > 0 else None
+        if known is not None:  # "<name>" with a name seen before
+            tag = known
+            pos = gt + 1
+        else:
+            match = match_start_tag(text, pos)
+            if match is not None:
+                tag, attr_text, slash = match.groups()
+                if not _is_name_start(tag[0]):
+                    match = None
+                elif attr_text:
+                    attrs = _fast_attributes(attr_text)
+                    if attrs is None:
+                        match = None
+            if match is not None:
+                tag = names.setdefault(tag, tag)
+                self_closing = slash == "/"
+                pos = match.end()
+            else:
+                reader = _TagReader(text, pos)
+                tag, attrs, self_closing = reader.start_tag()
+                pos = reader.pos
+
+        element = Element(tag)
+        if attrs:
+            element.attrs = attrs
+        element.parent = parent
+        parent.children.append(element)
+        element.start = counter
+        counter += 1
+        element.level = len(stack) - 1
+        element.node_id = len(elements)
+        elements.append(element)
+        if self_closing:
+            element.end = counter
+            counter += 1
+            if parent is holder:
+                break
+        else:
+            stack.append(element)
+            parent = element
+
+        # ---- content of ``parent`` up to the next start tag ----------
+        while True:
+            lt = find("<", pos)
+            if lt < 0:
+                # A bad reference in the text that runs into the end of
+                # the input is reported before the missing close tag.
+                _expand_entities(text[pos:], text, length)
+                _fail(
+                    text,
+                    length,
+                    f"unexpected end of input inside <{parent.tag}>",
+                )
+            if lt > pos:
+                chunk = text[pos:lt]
+                if "&" in chunk:
+                    chunk = _expand_entities(chunk, text, lt)
+                parent.text_chunks.append(chunk)
+                pos = lt
+            following = text[pos + 1 : pos + 2]
+            if following == "/":
+                tag = parent.tag
+                after = pos + 2 + len(tag)
+                if startswith(tag, pos + 2) and startswith(">", after):
+                    pos = after + 1
+                else:  # "</name >", or malformed
+                    reader = _TagReader(text, pos)
+                    reader.close_tag(tag)
+                    pos = reader.pos
+                parent.end = counter
+                counter += 1
+                stack.pop()
+                parent = stack[-1]
+                if parent is holder:
+                    break
+            elif following == "!":
+                if startswith("<!--", pos):
+                    pos = _skip_past(text, pos, "<!--", "-->", "comment")
+                elif startswith("<![CDATA[", pos):
+                    begin = pos + len("<![CDATA[")
+                    end = find("]]>", begin)
+                    if end < 0:
+                        _fail(text, begin, "unterminated CDATA section")
+                    if end > begin:
+                        parent.text_chunks.append(text[begin:end])
+                    pos = end + 3
+                else:
+                    break  # not markup we know: _TagReader names it
+            elif following == "?":
+                pos = _skip_past(
+                    text, pos, "<?", "?>", "processing instruction"
+                )
+            else:
+                break  # a start tag
+        if parent is holder:
+            break
+
+    pos = _skip_misc(text, pos)
+    if pos < length:
+        _fail(text, pos, "trailing content after document element")
+    root = elements[0]
+    root.parent = None
+    return Document.from_indexed(root, elements, name=name)
 
 
 def parse(text: str, name: str = "") -> Document:
@@ -309,7 +432,7 @@ def parse(text: str, name: str = "") -> Document:
     with obs.span(
         "xml.parse", category="parse", doc=name, chars=len(text)
     ):
-        return XmlParser(text, name=name).parse()
+        return _parse_document(text, name)
 
 
 def parse_file(path: str, name: Optional[str] = None) -> Document:

@@ -7,7 +7,7 @@ property-based tests in ``tests/xmlmodel`` assert this.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Tuple, Union
 
 from repro.xmlmodel.nodes import Document, Element
 
@@ -36,40 +36,53 @@ def _open_tag(element: Element) -> str:
     return "".join(parts)
 
 
-def _serialize_compact(element: Element, out: List[str]) -> None:
-    out.append(_open_tag(element))
-    if not element.children and not element.text_chunks:
-        out.append("/>")
-        return
-    out.append(">")
+def _serialize_compact(root: Element, out: List[str]) -> None:
     # Interleave text chunks and children the way Element stores them:
-    # all direct text first is a simplification we avoid by emitting text
-    # chunks before children only when there are no children, otherwise
-    # text first then children (mixed content order within children is not
-    # tracked by the model; warehouse data is element- or text-only).
-    for chunk in element.text_chunks:
-        out.append(escape_text(chunk))
-    for child in element.children:
-        _serialize_compact(child, out)
-    out.append(f"</{element.tag}>")
+    # text first then children (mixed content order within children is
+    # not tracked by the model; warehouse data is element- or text-only).
+    # A string on the stack is a close tag waiting for the children
+    # pushed above it (an explicit stack: depth is bounded by memory).
+    stack: List[Union[Element, str]] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(_open_tag(item))
+        if not item.children and not item.text_chunks:
+            out.append("/>")
+            continue
+        out.append(">")
+        for chunk in item.text_chunks:
+            out.append(escape_text(chunk))
+        stack.append(f"</{item.tag}>")
+        stack.extend(reversed(item.children))
 
 
-def _serialize_pretty(element: Element, out: List[str], indent: int) -> None:
-    pad = "  " * indent
-    out.append(pad + _open_tag(element))
-    text = element.text
-    if not element.children and not text:
-        out.append("/>\n")
-        return
-    out.append(">")
-    if text:
-        out.append(escape_text(text))
-    if element.children:
+def _serialize_pretty(root: Element, out: List[str]) -> None:
+    stack: List[Union[Tuple[Element, int], str]] = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        element, indent = item
+        pad = "  " * indent
+        out.append(pad + _open_tag(element))
+        text = element.text
+        if not element.children and not text:
+            out.append("/>\n")
+            continue
+        out.append(">")
+        if text:
+            out.append(escape_text(text))
+        if not element.children:
+            out.append(f"</{element.tag}>\n")
+            continue
         out.append("\n")
-        for child in element.children:
-            _serialize_pretty(child, out, indent + 1)
-        out.append(pad)
-    out.append(f"</{element.tag}>\n")
+        stack.append(f"{pad}</{element.tag}>\n")
+        for child in reversed(element.children):
+            stack.append((child, indent + 1))
 
 
 def serialize(node: Union[Document, Element], pretty: bool = False) -> str:
@@ -84,7 +97,7 @@ def serialize(node: Union[Document, Element], pretty: bool = False) -> str:
     root = node.root if isinstance(node, Document) else node
     out: List[str] = []
     if pretty:
-        _serialize_pretty(root, out, 0)
+        _serialize_pretty(root, out)
     else:
         _serialize_compact(root, out)
     return "".join(out)

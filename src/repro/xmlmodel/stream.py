@@ -1,24 +1,27 @@
-"""Streaming (SAX-style) XML events on top of the recursive parser's
-tokenizer.
+"""SAX-style XML events over a parsed tree.
 
-Warehouse loaders often want events rather than a materialized tree —
-to infer schemas, count tags, or filter subtrees from inputs too large
-to hold.  :func:`iter_events` yields
+Warehouse loaders often want events rather than a tree to walk — to
+infer schemas, count tags, or filter subtrees.  :func:`iter_events`
+yields
 
 - ``("start", tag, attrs)``
 - ``("text", data)``         (non-whitespace character data)
 - ``("end", tag)``
 
 in document order, with the same strictness and entity handling as
-:func:`repro.xmlmodel.parser.parse` (it is implemented by a parse whose
-builder emits events, so the two can never disagree — a property the
-tests exploit).
+:func:`repro.xmlmodel.parser.parse`: it *is* that parse, followed by a
+walk of the finished tree, so the two can never disagree (a property the
+tests exploit).  The price is that the whole document is materialized —
+memory is O(document), not O(depth), and a malformed input raises before
+the first event — so this is an event *view*, not a way to read inputs
+too large to hold.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union, cast
 
+from repro.errors import XmlParseError
 from repro.xmlmodel.nodes import Document, Element
 from repro.xmlmodel.parser import parse
 
@@ -37,22 +40,24 @@ def iter_events(text: str) -> Iterator[Event]:
 def tree_events(source: Union[Document, Element]) -> Iterator[Event]:
     """Events of an already-built tree (document order)."""
     root = source.root if isinstance(source, Document) else source
-
-    def walk(element: Element) -> Iterator[Event]:
-        yield ("start", element.tag, dict(element.attrs))
-        for chunk in element.text_chunks:
+    # A string on the stack is the tag of an element whose children are
+    # above it (an explicit stack: depth is bounded by memory).
+    stack: List[Union[Element, str]] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            yield ("end", item)
+            continue
+        yield ("start", item.tag, dict(item.attrs))
+        for chunk in item.text_chunks:
             if chunk.strip():
                 yield ("text", chunk)
-        for child in element.children:
-            yield from walk(child)
-        yield ("end", element.tag)
-
-    yield from walk(root)
+        stack.append(item.tag)
+        stack.extend(reversed(item.children))
 
 
 def count_tags(text: str) -> Dict[str, int]:
-    """Tag frequencies from the event stream (no tree retained by the
-    caller)."""
+    """Tag frequencies from the event stream."""
     counts: Dict[str, int] = {}
     for event in iter_events(text):
         if event[0] == "start":
@@ -63,22 +68,19 @@ def count_tags(text: str) -> Dict[str, int]:
 def build_from_events(events: Iterator[Event]) -> Document:
     """Reassemble a document from an event stream (inverse of
     :func:`tree_events`)."""
-    from repro.errors import XmlParseError
-
     stack: List[Element] = []
-    root: Element = None  # type: ignore[assignment]
+    root: Optional[Element] = None
     for event in events:
         kind = event[0]
         if kind == "start":
-            element = Element(event[1], attrs=event[2])
+            _, tag, attrs = cast(StartEvent, event)
+            element = Element(tag, attrs=attrs)
             if stack:
                 stack[-1].append(element)
             elif root is None:
-                pass
+                root = element
             else:
                 raise XmlParseError("multiple roots in event stream")
-            if root is None and not stack:
-                root = element
             stack.append(element)
         elif kind == "text":
             if not stack:
