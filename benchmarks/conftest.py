@@ -1,80 +1,11 @@
-"""Shared benchmark fixtures.
-
-Each figure's workload is extracted once per session (the paper's
-protocol: pattern evaluation is materialized up front and excluded from
-the cubing measurement).  Benchmarks then time ``compute_cube`` runs via
-pytest-benchmark (wall clock) while the simulated-seconds cost series —
-the reproducible signal — is validated by shape assertions.
-
-The workload machinery lives in :mod:`repro.testing`; this conftest
-binds the figure settings as session fixtures and marks every collected
-benchmark ``bench`` + ``slow``.
-"""
-
-from __future__ import annotations
+"""Everything collected under ``benchmarks/`` is ``bench`` + ``slow``:
+tier-1 and the CI fast job deselect it, ``pytest benchmarks/e2e`` runs
+it."""
 
 import pytest
-
-from repro.datagen.workload import WorkloadConfig
-from repro.testing import (  # noqa: F401  (re-exported for the bench files)
-    BENCH_AXES,
-    BENCH_MEMORY,
-    PreparedWorkload,
-    bench_once,
-    treebank_workload as _treebank,
-)
 
 
 def pytest_collection_modifyitems(items):
     for item in items:
         item.add_marker(pytest.mark.bench)
         item.add_marker(pytest.mark.slow)
-
-
-@pytest.fixture(scope="session")
-def sparse_nocov_disj():
-    """Figs. 4/5 setting (scaled down)."""
-    return _treebank("sparse", coverage=False, disjoint=True)
-
-
-@pytest.fixture(scope="session")
-def sparse_nocov_disj_small():
-    """Fig. 4's smaller population for the scaling comparison."""
-    return _treebank("sparse", coverage=False, disjoint=True, n_facts=100)
-
-
-@pytest.fixture(scope="session")
-def dense_nocov_disj():
-    """Fig. 6 setting."""
-    return _treebank("dense", coverage=False, disjoint=True)
-
-
-@pytest.fixture(scope="session")
-def sparse_cov_disj():
-    """Fig. 7 setting.
-
-    600 facts so the sparse cube exceeds the counter budget — at the
-    paper's 10^5 scale the sparse cube never fits memory either.
-    """
-    return _treebank("sparse", coverage=True, disjoint=True, n_facts=600)
-
-
-@pytest.fixture(scope="session")
-def dense_cov_disj():
-    """Fig. 8 setting."""
-    return _treebank("dense", coverage=True, disjoint=True)
-
-
-@pytest.fixture(scope="session")
-def dense_nocov_nodisj():
-    """Fig. 9 setting."""
-    return _treebank("dense", coverage=False, disjoint=False)
-
-
-@pytest.fixture(scope="session")
-def dblp():
-    """Fig. 10 setting (DBLP, 4 axes, schema oracle)."""
-    return PreparedWorkload(
-        WorkloadConfig(kind="dblp", n_facts=1200, n_axes=4),
-        memory_entries=30_000,
-    )

@@ -1,13 +1,13 @@
 """Byte-for-byte determinism differ for benchmark artifacts.
 
-CI runs the benchmark writers twice in one job and pipes both outputs
-through this module: every JSON artifact and JSONL event log the suite
-produces must be **identical across runs** once the wall-clock noise is
-stripped.  The modeled numbers (simulated seconds, cell counts, modeled
-speedups, event sequences) are deterministic by construction — host
-timing is the only thing allowed to differ — so any surviving diff is a
-real nondeterminism bug (an unstable iteration order, an unseeded
-random, a race) and fails the build.
+CI runs the benchmark writers twice in one job (the figure sweeps once,
+against the committed ``BENCH_figures.json``) and pipes each pair through
+this module: every JSON artifact and JSONL event log must be **identical
+across runs** once the wall-clock noise is stripped.  The modeled numbers
+(simulated seconds, cell counts, modeled speedups, event sequences) are
+deterministic by construction — host timing is the only thing allowed to
+differ — so any surviving diff is a real nondeterminism bug (an unstable
+iteration order, an unseeded random, a race) and fails the build.
 
 Normalization: volatile keys are removed recursively, everything else
 is re-serialized canonically (sorted keys) and compared byte for byte::

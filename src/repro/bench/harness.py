@@ -6,7 +6,7 @@ Each run reports two time measures:
   page I/O), which is what reproduces the *shape* of the paper's figures
   independent of host speed;
 - ``wall_seconds`` — real elapsed time of the Python execution, captured
-  for completeness and used by the pytest-benchmark targets.
+  for completeness (``benchmarks/e2e`` is the wall-clock benchmark).
 
 Parallel runs (``workers > 1``) additionally report the engine's modeled
 critical path (``par_sim_seconds``: the busiest worker's simulated
@@ -22,13 +22,12 @@ we, recording ``correct=False``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.algorithms.registry import COLUMNAR_CAPABLE
 from repro.core.bindings import FactTable
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
-from repro.core.properties import PropertyOracle
 from repro.datagen.workload import Workload, WorkloadConfig, build_workload
 
 
@@ -52,12 +51,6 @@ class AlgorithmRun:
     merge_seconds: float = 0.0
     queue_wait_seconds: float = 0.0
     encoding: str = "auto"
-    #: The full cube result, kept only when ``run_algorithm`` is told to
-    #: (``keep_result=True``) so a duel can reuse one run's output as the
-    #: next run's reference without recomputing.  Never serialized.
-    result: Optional[CubeResult] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def modeled_speedup(self) -> float:
@@ -86,35 +79,29 @@ class AlgorithmRun:
             "encoding": self.encoding,
         }
 
+    @classmethod
+    def from_row(cls, row: Mapping[str, Any]) -> "AlgorithmRun":
+        """An artifact row (see :meth:`as_row`) back into a run; keys
+        the artifact adds around the row (``figure``) are ignored."""
+        renamed = {
+            "axes": "n_axes",
+            "facts": "n_facts",
+            "sim_seconds": "simulated_seconds",
+        }
+        known = {spec.name for spec in fields(cls)}
+        values = {renamed.get(key, key): value for key, value in row.items()}
+        return cls(**{k: v for k, v in values.items() if k in known})
+
 
 def run_algorithm(
     table: FactTable,
-    algorithm: Optional[str] = None,
-    oracle: Optional[PropertyOracle] = None,
-    memory_entries: Optional[int] = None,
+    options: ExecutionOptions,
     reference: Optional[CubeResult] = None,
     workload_name: str = "",
     n_facts: int = 0,
     dnf_simulated_limit: Optional[float] = None,
-    options: Optional[ExecutionOptions] = None,
-    keep_result: bool = False,
 ) -> AlgorithmRun:
-    """Time one algorithm over an extracted fact table.
-
-    Pass either an ``algorithm`` name plus the oracle/memory shorthands,
-    or a full :class:`ExecutionOptions` (which wins and may carry
-    ``workers``/``engine`` for parallel runs).  ``keep_result=True``
-    attaches the :class:`CubeResult` to the run so it can serve as the
-    reference for a later run without a second compute.
-    """
-    if options is None:
-        options = ExecutionOptions(
-            algorithm=algorithm or "NAIVE",
-            oracle=oracle,
-            memory_entries=memory_entries,
-        )
-    elif algorithm is not None:
-        options = options.replace(algorithm=algorithm)
+    """Time one run of ``options`` over an extracted fact table."""
     begin = time.perf_counter()
     result = compute_cube(table, options)
     wall = time.perf_counter() - begin
@@ -145,7 +132,6 @@ def run_algorithm(
             metrics.queue_wait_seconds if metrics is not None else 0.0
         ),
         encoding=options.encoding,
-        result=result if keep_result else None,
     )
 
 
@@ -170,16 +156,14 @@ def run_workload(
     algorithms: Sequence[str],
     memory_entries: Optional[int] = None,
     validate: bool = False,
-    dnf_simulated_limit: Optional[float] = None,
-    workers: int = 1,
-    engine: str = "auto",
-    encodings: Sequence[str] = ("auto",),
+    variants: Sequence[Mapping[str, Any]] = ({},),
 ) -> List[AlgorithmRun]:
     """Extract once, then time each algorithm (the paper's protocol).
 
-    ``encodings`` times every algorithm once per entry — the duel
-    figures pass ``("dict", "auto")`` to race the legacy kernels against
-    the columnar ones on the same extracted table.
+    ``variants`` times every algorithm once per entry, each a set of
+    :class:`ExecutionOptions` overrides on the same extracted table: the
+    kernel-duel figure passes the two encodings, the smoke a serial and
+    a parallel engine.
     """
     table = workload.fact_table()
     oracle = workload.oracle(table)
@@ -189,27 +173,22 @@ def run_workload(
         if validate
         else None
     )
-    runs: List[AlgorithmRun] = []
-    for algorithm in algorithms:
-        for encoding in encodings:
-            runs.append(
-                run_algorithm(
-                    table,
-                    options=ExecutionOptions(
-                        algorithm=algorithm,
-                        oracle=oracle,
-                        memory_entries=memory_entries,
-                        workers=workers,
-                        engine=engine,
-                        encoding=encoding,
-                    ),
-                    reference=reference,
-                    workload_name=workload.name,
-                    n_facts=len(table),
-                    dnf_simulated_limit=dnf_simulated_limit,
-                )
-            )
-    return runs
+    return [
+        run_algorithm(
+            table,
+            ExecutionOptions(
+                algorithm=algorithm,
+                oracle=oracle,
+                memory_entries=memory_entries,
+                **variant,
+            ),
+            reference=reference,
+            workload_name=workload.name,
+            n_facts=len(table),
+        )
+        for algorithm in algorithms
+        for variant in variants
+    ]
 
 
 def run_config(
@@ -217,38 +196,16 @@ def run_config(
     algorithms: Sequence[str],
     memory_entries: Optional[int] = None,
     validate: bool = False,
-    dnf_simulated_limit: Optional[float] = None,
-    workers: int = 1,
-    engine: str = "auto",
-    encodings: Sequence[str] = ("auto",),
+    variants: Sequence[Mapping[str, Any]] = ({},),
 ) -> List[AlgorithmRun]:
     """Build the workload from its config, then run."""
     return run_workload(
-        build_workload(config),
-        algorithms,
-        memory_entries=memory_entries,
-        validate=validate,
-        dnf_simulated_limit=dnf_simulated_limit,
-        workers=workers,
-        engine=engine,
-        encodings=encodings,
+        build_workload(config), algorithms, memory_entries, validate, variants
     )
 
 
 SMOKE_ALGORITHMS = ("NAIVE", "COUNTER", "COLUMNAR", "BUC", "TD")
 SMOKE_CONFIG = WorkloadConfig(kind="treebank", n_facts=80, n_axes=3)
-
-#: The columnar-vs-dict duel setting: the dense low-dimensional regime
-#: where the advisor picks the counter strategy, at 10^5 facts.
-DUEL_FACTS = 100_000
-DUEL_CONFIG = WorkloadConfig(
-    kind="treebank",
-    n_facts=DUEL_FACTS,
-    n_axes=3,
-    density="dense",
-    coverage=True,
-    disjoint=True,
-)
 
 
 def run_smoke(workers: int = 4, engine: str = "thread") -> List[AlgorithmRun]:
@@ -258,168 +215,12 @@ def run_smoke(workers: int = 4, engine: str = "thread") -> List[AlgorithmRun]:
     be result-identical to its serial twin (the engine's contract), so a
     ``correct=False`` row fails the smoke.
     """
-    workload = build_workload(SMOKE_CONFIG)
-    table = workload.fact_table()
-    oracle = workload.oracle(table)
-    prepare_columnar(table, SMOKE_ALGORITHMS)
-    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
-    runs: List[AlgorithmRun] = []
-    for algorithm in SMOKE_ALGORITHMS:
-        for n_workers in (1, workers):
-            runs.append(
-                run_algorithm(
-                    table,
-                    options=ExecutionOptions(
-                        algorithm=algorithm,
-                        oracle=oracle,
-                        workers=n_workers,
-                        engine="serial" if n_workers == 1 else engine,
-                    ),
-                    reference=reference,
-                    workload_name=workload.name,
-                    n_facts=len(table),
-                )
-            )
-    return runs
-
-
-def run_columnar_duel(
-    n_facts: int = DUEL_FACTS,
-    memory_entries: Optional[int] = None,
-) -> "tuple[List[AlgorithmRun], Dict[str, object]]":
-    """The columnar-vs-dict duel: COUNTER and COLUMNAR, head to head.
-
-    One workload (dense / covered / disjoint — the regime where the
-    advisor picks the counter strategy), both kernels timed serially on
-    the same extracted table with the encoding pre-built (see
-    :func:`prepare_columnar`).  The COLUMNAR run is validated against
-    the COUNTER result, so a kernel divergence fails the smoke.
-
-    Returns ``(runs, summary)`` where ``summary`` carries the modeled
-    and wall speedups the artifact and perf gate report.
-    """
-    config = WorkloadConfig(
-        kind=DUEL_CONFIG.kind,
-        n_facts=n_facts,
-        n_axes=DUEL_CONFIG.n_axes,
-        density=DUEL_CONFIG.density,
-        coverage=DUEL_CONFIG.coverage,
-        disjoint=DUEL_CONFIG.disjoint,
-    )
-    workload = build_workload(config)
-    table = workload.fact_table()
-    oracle = workload.oracle(table)
-    prepare_columnar(table, ("COLUMNAR",))
-    counter = run_algorithm(
-        table,
-        options=ExecutionOptions(
-            algorithm="COUNTER", oracle=oracle, memory_entries=memory_entries
+    return run_config(
+        SMOKE_CONFIG,
+        SMOKE_ALGORITHMS,
+        validate=True,
+        variants=(
+            {"workers": 1, "engine": "serial"},
+            {"workers": workers, "engine": engine},
         ),
-        workload_name=workload.name,
-        n_facts=len(table),
-        keep_result=True,
     )
-    columnar = run_algorithm(
-        table,
-        options=ExecutionOptions(
-            algorithm="COLUMNAR", oracle=oracle, memory_entries=memory_entries
-        ),
-        reference=counter.result,
-        workload_name=workload.name,
-        n_facts=len(table),
-    )
-    summary = {
-        "workload": workload.name,
-        "facts": len(table),
-        "counter_sim_seconds": round(counter.simulated_seconds, 6),
-        "columnar_sim_seconds": round(columnar.simulated_seconds, 6),
-        "counter_wall_seconds": round(counter.wall_seconds, 6),
-        "columnar_wall_seconds": round(columnar.wall_seconds, 6),
-        "modeled_speedup": round(
-            counter.simulated_seconds / columnar.simulated_seconds, 3
-        ),
-        "wall_speedup": round(
-            counter.wall_seconds / columnar.wall_seconds, 3
-        ),
-        "identical": bool(columnar.correct),
-    }
-    return [counter, columnar], summary
-
-
-def run_buc_td_duel(
-    n_facts: int = DUEL_FACTS,
-    memory_entries: Optional[int] = None,
-) -> "Tuple[List[AlgorithmRun], Dict[str, object]]":
-    """The BUC/TD kernel duel: dict path vs columnar path, per algorithm.
-
-    Same workload as the columnar duel (dense / covered / disjoint at
-    10^5 facts).  For each of BUC and TD the legacy dict kernel is timed
-    with ``encoding="dict"`` and the columnar kernel with the default
-    encoding; the columnar run is validated against the dict run's
-    result, so any kernel divergence fails the smoke.  The summary is
-    flat (``buc_``/``td_`` prefixed) so the perf gate can lift the
-    speedups straight into its metric set.
-    """
-    config = WorkloadConfig(
-        kind=DUEL_CONFIG.kind,
-        n_facts=n_facts,
-        n_axes=DUEL_CONFIG.n_axes,
-        density=DUEL_CONFIG.density,
-        coverage=DUEL_CONFIG.coverage,
-        disjoint=DUEL_CONFIG.disjoint,
-    )
-    workload = build_workload(config)
-    table = workload.fact_table()
-    oracle = workload.oracle(table)
-    prepare_columnar(table, ("BUC", "TD"))
-    runs: List[AlgorithmRun] = []
-    summary: Dict[str, object] = {
-        "workload": workload.name,
-        "facts": len(table),
-    }
-    for algorithm in ("BUC", "TD"):
-        dict_run = run_algorithm(
-            table,
-            options=ExecutionOptions(
-                algorithm=algorithm,
-                oracle=oracle,
-                memory_entries=memory_entries,
-                encoding="dict",
-            ),
-            workload_name=workload.name,
-            n_facts=len(table),
-            keep_result=True,
-        )
-        columnar_run = run_algorithm(
-            table,
-            options=ExecutionOptions(
-                algorithm=algorithm,
-                oracle=oracle,
-                memory_entries=memory_entries,
-            ),
-            reference=dict_run.result,
-            workload_name=workload.name,
-            n_facts=len(table),
-        )
-        runs.extend((dict_run, columnar_run))
-        prefix = algorithm.lower()
-        summary[f"{prefix}_dict_sim_seconds"] = round(
-            dict_run.simulated_seconds, 6
-        )
-        summary[f"{prefix}_columnar_sim_seconds"] = round(
-            columnar_run.simulated_seconds, 6
-        )
-        summary[f"{prefix}_dict_wall_seconds"] = round(
-            dict_run.wall_seconds, 6
-        )
-        summary[f"{prefix}_columnar_wall_seconds"] = round(
-            columnar_run.wall_seconds, 6
-        )
-        summary[f"{prefix}_modeled_speedup"] = round(
-            dict_run.simulated_seconds / columnar_run.simulated_seconds, 3
-        )
-        summary[f"{prefix}_wall_speedup"] = round(
-            dict_run.wall_seconds / columnar_run.wall_seconds, 3
-        )
-        summary[f"{prefix}_identical"] = bool(columnar_run.correct)
-    return runs, summary

@@ -1,6 +1,6 @@
 """Write figure series as gnuplot-ready ``.dat`` files.
 
-``x3-bench --dat DIR`` drops one file per figure::
+``x3 bench --dat DIR`` drops one file per figure::
 
     # fig5: Sparse cubes, 10^5 trees; coverage fails, disjointness holds
     # axes COUNTER BUC BUCOPT TD TDOPT
@@ -16,25 +16,22 @@ from __future__ import annotations
 import os
 from typing import List
 
-from repro.bench.figures import FigureSpec, series_of
+from repro.bench.figures import FigureSpec, Sweep
 from repro.bench.harness import AlgorithmRun
 
 
 def figure_dat(spec: FigureSpec, runs: List[AlgorithmRun]) -> str:
     """Render one figure's series as a .dat text block."""
-    series = series_of(runs)
-    axis_values = sorted({run.n_axes for run in runs})
+    sweep = Sweep(runs)
     lines = [
         f"# {spec.figure_id}: {spec.title}",
-        "# axes " + " ".join(spec.algorithms),
+        "# axes " + " ".join(sweep.sim),
     ]
-    for axis in axis_values:
-        row = [str(axis)]
-        for algorithm in spec.algorithms:
-            cells = dict(series.get(algorithm, []))
-            row.append(
-                f"{cells[axis]:.6f}" if axis in cells else "nan"
-            )
+    for axis in sweep.axes:
+        row = [str(axis)] + [
+            f"{cells[axis]:.6f}" if axis in cells else "nan"
+            for cells in sweep.sim.values()
+        ]
         lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
 

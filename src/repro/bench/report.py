@@ -4,9 +4,10 @@ plus a dependency-free HTML serving report for CI artifacts."""
 from __future__ import annotations
 
 import html
-from typing import TYPE_CHECKING, List
+import textwrap
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.bench.figures import FigureSpec, series_of
+from repro.bench.figures import Claim, FigureSpec, Sweep, series_name
 from repro.bench.harness import AlgorithmRun
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> bench)
@@ -15,44 +16,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> bench)
 
 def format_figure(spec: FigureSpec, runs: List[AlgorithmRun]) -> str:
     """Render one figure's runs: a series table (axes sweep) or a bar
-    chart (single-point figures like Fig. 10)."""
-    lines = [
-        f"== {spec.figure_id}: {spec.title}",
-        f"   expected shape: {spec.expected_shape}",
-        "",
-    ]
-    series = series_of(runs)
-    axis_values = sorted({run.n_axes for run in runs})
-    if len(axis_values) > 1:
+    chart (single-point figures like Fig. 10), then the figure's claims
+    with their outcome on these runs."""
+    lines = [f"== {spec.figure_id}: {spec.title}", ""]
+    sweep = Sweep(runs)
+    if len(sweep.axes) > 1:
         header = ["algorithm".ljust(10)] + [
-            f"{axis:>10}" for axis in axis_values
+            f"{axis:>10}" for axis in sweep.axes
         ]
         lines.append("   sim-seconds by # of axes")
         lines.append("   " + " ".join(header))
         for algorithm in spec.algorithms:
-            cells = dict(series.get(algorithm, []))
+            cells = sweep.sim.get(algorithm, {})
             row = [algorithm.ljust(10)] + [
                 f"{cells[axis]:>10.3f}" if axis in cells else " " * 10
-                for axis in axis_values
+                for axis in sweep.axes
             ]
             lines.append("   " + " ".join(row))
     else:
         lines.append("   sim-seconds (bar chart)")
         peak = max(run.simulated_seconds for run in runs) or 1.0
         for run in runs:
-            name = (
-                run.algorithm
-                if run.encoding == "auto"
-                else f"{run.algorithm}[{run.encoding}]"
-            )
             bar = "#" * max(1, int(40 * run.simulated_seconds / peak))
             flag = "" if run.correct in (None, True) else "  [INCORRECT]"
             lines.append(
-                f"   {name:<10} {run.simulated_seconds:>10.3f} "
+                f"   {series_name(run):<10} {run.simulated_seconds:>10.3f} "
                 f"{bar}{flag}"
             )
     wrong = [run for run in runs if run.correct is False]
-    if wrong and len(axis_values) > 1:
+    if wrong and len(sweep.axes) > 1:
         names = sorted({run.algorithm for run in wrong})
         lines.append(
             f"   note: incorrect results (as the paper expects here): "
@@ -65,23 +57,26 @@ def format_figure(spec: FigureSpec, runs: List[AlgorithmRun]) -> str:
             f"   note: COUNTER multi-pass thrash up to {worst.passes} "
             f"passes at {worst.n_axes} axes"
         )
-    return "\n".join(lines)
-
-
-def format_runs_csv(runs: List[AlgorithmRun]) -> str:
-    """Machine-readable dump of all runs."""
-    header = (
-        "workload,algorithm,axes,facts,sim_seconds,wall_seconds,"
-        "cells,passes,correct,dnf,workers,engine,par_sim_seconds,"
-        "merge_seconds,queue_wait_seconds,encoding"
-    )
-    lines = [header]
-    for run in runs:
-        row = run.as_row()
+    lines.append("   claims:")
+    for claim, outcome in spec.check(runs):
         lines.append(
-            ",".join(str(row[column]) for column in header.split(","))
+            textwrap.fill(
+                f"{claim_mark(claim, outcome)} {claim.text}",
+                width=78,
+                initial_indent="   ",
+                subsequent_indent="     ",
+            )
         )
     return "\n".join(lines)
+
+
+def claim_mark(claim: Claim, outcome: Optional[bool]) -> str:
+    """How a claim's outcome is reported: ✓ holds, ✗ does not."""
+    if outcome is None:
+        return "? (not evaluable on this sweep)"
+    if outcome:
+        return "✓"
+    return "✗" if claim.reproduced else "✗ (known deviation)"
 
 
 def format_smoke(runs: List[AlgorithmRun]) -> str:

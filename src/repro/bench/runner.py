@@ -1,6 +1,6 @@
-"""What ``x3 bench`` runs: the figure sweeps, the scaling experiment and
-the CI smoke, plus the ``BENCH_<name>.json`` artifact scheme every
-benchmark writer shares."""
+"""What ``x3 bench`` runs: the figure sweeps (gated on their claims), the
+scaling experiment and the CI smoke, plus the ``BENCH_<name>.json``
+artifact scheme they share with the perf gate."""
 
 from __future__ import annotations
 
@@ -11,60 +11,30 @@ import sys
 from typing import Any, Dict, List, Optional, Union
 
 from repro.bench.figures import FIGURES, run_figure
-from repro.bench.harness import (
-    AlgorithmRun,
-    run_buc_td_duel,
-    run_columnar_duel,
-    run_smoke,
-)
-from repro.bench.report import format_figure, format_runs_csv, format_smoke
+from repro.bench.harness import run_smoke
+from repro.bench.report import format_figure, format_smoke
 
 #: Version tag stamped into every ``BENCH_<name>.json`` artifact.
 BENCH_ARTIFACT_SCHEMA = "x3-bench/v1"
 
 
-def bench_artifact_path(
-    name: str, root: Union[str, pathlib.Path, None] = None
-) -> pathlib.Path:
-    """The canonical path of one bench artifact: ``BENCH_<name>.json``.
-
-    ``root`` defaults to the current working directory (CI runs every
-    tool from the repository root); benchmark tests pass the repo root
-    explicitly.
-    """
-    base = pathlib.Path(root) if root is not None else pathlib.Path.cwd()
-    return base / f"BENCH_{name}.json"
-
-
 def write_bench_artifact(
-    name: str,
-    payload: Dict[str, Any],
-    root: Union[str, pathlib.Path, None] = None,
+    name: str, payload: Dict[str, Any], root: Union[str, pathlib.Path]
 ) -> pathlib.Path:
-    """Write one benchmark artifact under the unified naming scheme.
+    """Write ``root/BENCH_<name>.json``.
 
-    Every benchmark writer in the repository — the engine smoke, the
-    figure sweeps, the serve and cluster benchmark suites, the perf
-    gate — routes its JSON output through here so artifacts share one
-    name pattern (``BENCH_<name>.json``), one schema tag and one
-    serialization (sorted keys would churn diffs: insertion order is
+    The engine smoke and the figure sweeps route their JSON output
+    through here so artifacts share one name pattern, one schema tag and
+    one serialization (sorted keys would churn diffs: insertion order is
     kept, matching how each payload is assembled).
     """
-    path = bench_artifact_path(name, root)
-    document = {
-        "artifact": name,
-        "schema": BENCH_ARTIFACT_SCHEMA,
-        **payload,
-    }
+    path = pathlib.Path(root) / f"BENCH_{name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    document = {"artifact": name, "schema": BENCH_ARTIFACT_SCHEMA, **payload}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
     return path
-
-
-def runs_payload(runs: List[AlgorithmRun]) -> Dict[str, Any]:
-    """A JSON-ready payload for a list of algorithm runs."""
-    return {"runs": [run.as_row() for run in runs]}
 
 
 def run(args: argparse.Namespace) -> int:
@@ -121,41 +91,12 @@ def _run(args: argparse.Namespace) -> int:
     if args.smoke:
         runs = run_smoke(workers=max(2, args.workers))
         print(format_smoke(runs))
-        duel_summary: Optional[Dict[str, Any]] = None
-        buc_td_summary: Optional[Dict[str, Any]] = None
-        if args.duel_facts > 0:
-            duel_runs, duel_summary = run_columnar_duel(args.duel_facts)
-            runs.extend(duel_runs)
-            print(
-                "columnar duel @ {facts} facts: modeled {modeled}x,"
-                " wall {wall}x vs COUNTER (identical={identical})".format(
-                    facts=duel_summary["facts"],
-                    modeled=duel_summary["modeled_speedup"],
-                    wall=duel_summary["wall_speedup"],
-                    identical=duel_summary["identical"],
-                )
-            )
-            buc_td_runs, buc_td_summary = run_buc_td_duel(args.duel_facts)
-            runs.extend(buc_td_runs)
-            for name in ("buc", "td"):
-                print(
-                    "{algo} duel @ {facts} facts: modeled {modeled}x,"
-                    " wall {wall}x vs dict kernel"
-                    " (identical={identical})".format(
-                        algo=name.upper(),
-                        facts=buc_td_summary["facts"],
-                        modeled=buc_td_summary[f"{name}_modeled_speedup"],
-                        wall=buc_td_summary[f"{name}_wall_speedup"],
-                        identical=buc_td_summary[f"{name}_identical"],
-                    )
-                )
         if args.artifact_dir:
-            payload = runs_payload(runs)
-            if duel_summary is not None:
-                payload["columnar_duel"] = duel_summary
-            if buc_td_summary is not None:
-                payload["buc_td_duel"] = buc_td_summary
-            path = write_bench_artifact("engine", payload, args.artifact_dir)
+            path = write_bench_artifact(
+                "engine",
+                {"runs": [run.as_row() for run in runs]},
+                args.artifact_dir,
+            )
             print(f"wrote {path}")
         failed = [run for run in runs if run.correct is False]
         if failed:
@@ -165,10 +106,6 @@ def _run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as handle:
-                handle.write(format_runs_csv(runs) + "\n")
-            print(f"wrote {len(runs)} runs to {args.csv}")
         return 0
     if not args.figure and not args.all and not args.scaling:
         args.print_help()
@@ -181,7 +118,10 @@ def _run(args: argparse.Namespace) -> int:
         if not args.figure and not args.all:
             return 0
     figure_ids = sorted(FIGURES) if args.all else [args.figure]
-    all_runs: List[AlgorithmRun] = []
+    # Claims describe a spec's own sweep: an override prints them only.
+    enforce = args.scale == 1.0 and args.axes is None and args.memory is None
+    rows: List[Dict[str, Any]] = []
+    broken: List[str] = []
     for figure_id in figure_ids:
         spec, runs = run_figure(
             figure_id,
@@ -192,23 +132,26 @@ def _run(args: argparse.Namespace) -> int:
             workers=args.workers,
             engine=args.engine,
         )
-        all_runs.extend(runs)
+        rows.extend({"figure": figure_id, **run.as_row()} for run in runs)
         print(format_figure(spec, runs))
         print()
+        if enforce:
+            broken.extend(
+                f"{figure_id}: recorded reproduced={claim.reproduced},"
+                f" measured {outcome}: {claim.text}"
+                for claim, outcome in spec.check(runs)
+                if outcome is not None and outcome != claim.reproduced
+            )
         if args.dat:
             from repro.bench.plots import write_figure_dat
 
             path = write_figure_dat(args.dat, spec, runs)
             print(f"wrote {path}")
-    if args.artifact_dir and all_runs:
-        payload = {"figures": figure_ids, **runs_payload(all_runs)}
+    if args.artifact_dir and rows:
         path = write_bench_artifact(
-            "figures", payload, args.artifact_dir
+            "figures", {"figures": figure_ids, "runs": rows}, args.artifact_dir
         )
         print(f"wrote {path}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(format_runs_csv(all_runs) + "\n")
-        print(f"wrote {len(all_runs)} runs to {args.csv}")
-    return 0
-
+    for text in broken:
+        print(f"claim gate FAILED: {text}", file=sys.stderr)
+    return 1 if broken else 0

@@ -35,7 +35,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, cast
 from repro import obs
 from repro.bench import runner as bench
 from repro.bench.figures import FIGURES
-from repro.bench.harness import DUEL_FACTS
 from repro.cluster import cli as cluster
 from repro.cluster.chaos import PROFILES
 from repro.cluster.coordinator import ClusterCoordinator
@@ -512,7 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command(
         "bench", bench.run,
         "Regenerate the evaluation figures of 'X^3: A Cube Operator for"
-        " XML OLAP' (ICDE 2007).",
+        " XML OLAP' (ICDE 2007) and check the paper's statements about"
+        " them: exit 1 when a claim's outcome on a figure's own sweep"
+        " differs from the one its FigureSpec records (with --scale,"
+        " --axes or --memory the claims are printed, not enforced).",
         "engine", "validate", "trace_out",
     )
     sub.set_defaults(print_help=sub.print_help)
@@ -550,22 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
         " workload) and exit non-zero on any result mismatch",
     )
     sub.add_argument(
-        "--duel-facts",
-        type=int,
-        default=DUEL_FACTS,
-        metavar="N",
-        help="fact count for the columnar-vs-dict duel appended to the"
-        f" smoke run (default {DUEL_FACTS}; 0 disables the duel)",
-    )
-    sub.add_argument(
         "--artifact-dir",
         metavar="DIR",
         help="write the run's BENCH_<name>.json artifact into DIR"
         " (BENCH_engine.json for --smoke, BENCH_figures.json for"
         " figure runs) via the unified artifact scheme",
-    )
-    sub.add_argument(
-        "--csv", metavar="PATH", help="also dump all runs as CSV"
     )
     sub.add_argument(
         "--dat",

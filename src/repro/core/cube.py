@@ -41,7 +41,6 @@ from repro.core.properties import PropertyOracle
 from repro.errors import CubeError
 
 ENGINE_CHOICES = ("auto", "serial", "thread", "process")
-PARTITION_STRATEGIES = ("balanced", "antichain", "axis")
 ENCODING_CHOICES = ("auto", "columnar", "dict")
 
 
@@ -68,9 +67,6 @@ class ExecutionOptions:
         engine: ``"auto"`` | ``"serial"`` | ``"thread"`` | ``"process"``.
             ``auto`` resolves to ``serial`` for one worker and ``thread``
             otherwise (see :mod:`repro.core.engine`).
-        partition_strategy: how the lattice is split across workers —
-            ``"balanced"`` (weighted LPT bins), ``"antichain"`` (contiguous
-            rank slices) or ``"axis"`` (per-axis-state subtrees).
         trace: collect an observability trace (:mod:`repro.obs`) for
             this run; the result's :attr:`CubeResult.trace` then holds
             spans (parse/timber/algorithm/engine layers) and the unified
@@ -94,7 +90,6 @@ class ExecutionOptions:
     min_support: float = 0.0
     workers: int = 1
     engine: str = "auto"
-    partition_strategy: str = "balanced"
     trace: bool = False
     encoding: str = "auto"
 
@@ -107,11 +102,6 @@ class ExecutionOptions:
             raise CubeError(
                 f"unknown engine {self.engine!r}; choose from "
                 f"{ENGINE_CHOICES}"
-            )
-        if self.partition_strategy not in PARTITION_STRATEGIES:
-            raise CubeError(
-                f"unknown partition strategy {self.partition_strategy!r}; "
-                f"choose from {PARTITION_STRATEGIES}"
             )
         if self.encoding not in ENCODING_CHOICES:
             raise CubeError(

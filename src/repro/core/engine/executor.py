@@ -171,7 +171,6 @@ def _serial_result(
     wall = time.perf_counter() - total_begin
     result.metrics = EngineMetrics(
         engine="serial",
-        strategy=options.partition_strategy,
         requested_workers=options.workers,
         workers_used=1,
         partitions=(
@@ -262,7 +261,6 @@ def _execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
         engine=engine,
         algorithm=options.algorithm,
         workers=options.workers,
-        strategy=options.partition_strategy,
         points=len(points),
     ) as run_span:
         lattice = table.lattice
@@ -274,7 +272,6 @@ def _execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
                 n_partitions=min(
                     len(points), options.workers * PARTITIONS_PER_WORKER
                 ),
-                strategy=options.partition_strategy,
             )
             cut_edges = partition_cut_edges(
                 lattice, [list(part.points) for part in partitions]
@@ -350,7 +347,6 @@ def _execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
         )
         metrics = EngineMetrics(
             engine=engine,
-            strategy=options.partition_strategy,
             requested_workers=options.workers,
             workers_used=len({outcome.worker for outcome in outcomes}),
             partitions=stats,

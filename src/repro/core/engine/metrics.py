@@ -49,7 +49,6 @@ class EngineMetrics:
     """What the engine did and what each stage cost."""
 
     engine: str
-    strategy: str
     requested_workers: int
     workers_used: int
     partitions: Tuple[PartitionStats, ...]
@@ -68,26 +67,11 @@ class EngineMetrics:
         """Total time partitions sat queued before a worker picked them up."""
         return sum(stats.queue_wait_seconds for stats in self.partitions)
 
-    def per_worker_wall_seconds(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for stats in self.partitions:
-            out[stats.worker] = out.get(stats.worker, 0.0) + stats.wall_seconds
-        return out
-
-    def per_worker_simulated_seconds(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for stats in self.partitions:
-            out[stats.worker] = (
-                out.get(stats.worker, 0.0) + stats.simulated_seconds
-            )
-        return out
-
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
         """Flat summary for the bench CSV / reports."""
         return {
             "engine": self.engine,
-            "strategy": self.strategy,
             "requested_workers": self.requested_workers,
             "workers_used": self.workers_used,
             "n_partitions": len(self.partitions),
@@ -104,7 +88,7 @@ class EngineMetrics:
     def summary(self) -> str:
         sizes = self.partition_sizes
         return (
-            f"engine={self.engine} strategy={self.strategy} "
+            f"engine={self.engine} "
             f"workers={self.workers_used}/{self.requested_workers} "
             f"partitions={len(sizes)} sizes={sizes} "
             f"cut_edges={self.cut_edges} "

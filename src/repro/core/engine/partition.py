@@ -3,20 +3,12 @@
 Every cube algorithm in :mod:`repro.core.algorithms` accepts a ``points``
 restriction and computes those cuboids from the base fact table alone, so
 *any* disjoint cover of the requested points yields a correct parallel
-plan — strategies differ only in load balance and in how much intra-run
-reuse (roll-up sharing along lattice edges) stays inside one partition:
+plan.  The engine uses weighted LPT: points sorted by estimated cost,
+greedily assigned to the lightest bin — the best load balance, ignoring
+lattice edges.
 
-- ``balanced`` (default): weighted LPT — points sorted by estimated cost,
-  greedily assigned to the lightest bin.  Best balance, ignores edges.
-- ``antichain``: the topo order (rank levels) chopped into contiguous
-  weight-balanced runs.  Level slices are antichains, and consecutive
-  levels share roll-up edges, so cut edges stay low.
-- ``axis``: per-axis-state subtrees of the first axis (each bin is a
-  product sub-lattice over the remaining axes), round-robined into the
-  requested bin count.
-
-All strategies are deterministic: same lattice, same points, same bin
-count -> same partitions, independent of dict order or hashing.
+The split is deterministic: same lattice, same points, same bin count
+-> same partitions, independent of dict order or hashing.
 """
 
 from __future__ import annotations
@@ -48,68 +40,10 @@ def point_weight(lattice: CubeLattice, point: LatticePoint) -> float:
     return 1.0 + len(lattice.kept_axes(point))
 
 
-def _balanced(
-    lattice: CubeLattice,
-    points: List[LatticePoint],
-    n_partitions: int,
-) -> List[List[LatticePoint]]:
-    weighted = sorted(
-        points,
-        key=lambda point: (-point_weight(lattice, point), point),
-    )
-    bins: List[List[LatticePoint]] = [[] for _ in range(n_partitions)]
-    loads = [0.0] * n_partitions
-    for point in weighted:
-        lightest = min(range(n_partitions), key=lambda i: (loads[i], i))
-        bins[lightest].append(point)
-        loads[lightest] += point_weight(lattice, point)
-    return bins
-
-
-def _antichain(
-    lattice: CubeLattice,
-    points: List[LatticePoint],
-    n_partitions: int,
-) -> List[List[LatticePoint]]:
-    ordered: List[LatticePoint] = []
-    for _, level in lattice.level_slices(points):
-        ordered.extend(level)
-    total = sum(point_weight(lattice, point) for point in ordered)
-    target = total / n_partitions
-    bins: List[List[LatticePoint]] = [[]]
-    load = 0.0
-    for point in ordered:
-        if load >= target and len(bins) < n_partitions:
-            bins.append([])
-            load = 0.0
-        bins[-1].append(point)
-        load += point_weight(lattice, point)
-    return bins
-
-
-def _axis(
-    lattice: CubeLattice,
-    points: List[LatticePoint],
-    n_partitions: int,
-) -> List[List[LatticePoint]]:
-    bins: List[List[LatticePoint]] = [[] for _ in range(n_partitions)]
-    for state, subtree in lattice.axis_state_slices(0, points):
-        bins[state % n_partitions].extend(subtree)
-    return bins
-
-
-_STRATEGIES = {
-    "balanced": _balanced,
-    "antichain": _antichain,
-    "axis": _axis,
-}
-
-
 def partition_points(
     lattice: CubeLattice,
     points: Sequence[LatticePoint],
     n_partitions: int,
-    strategy: str = "balanced",
 ) -> List[Partition]:
     """Disjoint cover of ``points`` in at most ``n_partitions`` slices.
 
@@ -119,27 +53,19 @@ def partition_points(
     """
     if n_partitions < 1:
         raise CubeError(f"need at least one partition, got {n_partitions}")
-    try:
-        split = _STRATEGIES[strategy]
-    except KeyError:
-        raise CubeError(
-            f"unknown partition strategy {strategy!r}; available: "
-            f"{sorted(_STRATEGIES)}"
-        ) from None
-    wanted = list(points)
-    n_partitions = min(n_partitions, max(1, len(wanted)))
-    out: List[Partition] = []
-    for raw in split(lattice, wanted, n_partitions):
-        if not raw:
-            continue
-        ordered = tuple(sorted(raw))
-        out.append(
-            Partition(
-                index=len(out),
-                points=ordered,
-                weight=sum(
-                    point_weight(lattice, point) for point in ordered
-                ),
-            )
-        )
-    return out
+    weighted = sorted(
+        points,
+        key=lambda point: (-point_weight(lattice, point), point),
+    )
+    n_partitions = min(n_partitions, max(1, len(weighted)))
+    bins: List[List[LatticePoint]] = [[] for _ in range(n_partitions)]
+    loads = [0.0] * n_partitions
+    for point in weighted:
+        lightest = min(range(n_partitions), key=lambda i: (loads[i], i))
+        bins[lightest].append(point)
+        loads[lightest] += point_weight(lattice, point)
+    filled = [(raw, load) for raw, load in zip(bins, loads) if raw]
+    return [
+        Partition(index=index, points=tuple(sorted(raw)), weight=load)
+        for index, (raw, load) in enumerate(filled)
+    ]

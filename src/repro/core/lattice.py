@@ -15,7 +15,7 @@ relaxed pattern last; ``finer``/``coarser`` here follow that reading:
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.axes import AxisSpec
 from repro.core.states import AxisStates
@@ -136,45 +136,6 @@ class CubeLattice:
 
     def _rank(self, point: LatticePoint) -> Tuple[int, LatticePoint]:
         return (self.rank(point), point)
-
-    # ------------------------------------------------------------------
-    # partitioning views (used by repro.core.engine)
-    # ------------------------------------------------------------------
-    def level_slices(
-        self, points: Optional[Sequence[LatticePoint]] = None
-    ) -> List[Tuple[int, List[LatticePoint]]]:
-        """Points grouped by rank, finest level first.
-
-        Each slice is an antichain (no lattice edge runs inside a level),
-        which makes contiguous runs of slices natural units for parallel
-        cubing.
-        """
-        census: Dict[int, List[LatticePoint]] = {}
-        for point in points if points is not None else self.points():
-            census.setdefault(self.rank(point), []).append(point)
-        return [
-            (rank, sorted(census[rank])) for rank in sorted(census)
-        ]
-
-    def axis_state_slices(
-        self,
-        position: int,
-        points: Optional[Sequence[LatticePoint]] = None,
-    ) -> List[Tuple[int, List[LatticePoint]]]:
-        """Points grouped by one axis's state index: the per-axis subtrees
-        of the lattice (each slice is itself a product sub-lattice over the
-        remaining axes)."""
-        if not 0 <= position < self.axis_count:
-            raise IndexError(
-                f"axis position {position} out of range "
-                f"(lattice has {self.axis_count} axes)"
-            )
-        slices: Dict[int, List[LatticePoint]] = {}
-        for point in points if points is not None else self.points():
-            slices.setdefault(point[position], []).append(point)
-        return [
-            (state, sorted(slices[state])) for state in sorted(slices)
-        ]
 
     # ------------------------------------------------------------------
     # presentation

@@ -1,10 +1,9 @@
-"""Shared test/benchmark helpers (importable under ``PYTHONPATH=src``).
+"""Shared test/perf-gate helpers (importable under ``PYTHONPATH=src``).
 
-Both ``tests/conftest.py`` and ``benchmarks/conftest.py`` used to carry
-their own copies of the workload builders; this module is the single
-home.  The conftests keep only the thin ``@pytest.fixture`` wrappers so
-that plain functions stay importable from anywhere (goldens, scripts,
-property tests) without pytest in the loop.
+The single home of the workload builders: ``tests/conftest.py`` keeps
+only thin ``@pytest.fixture`` wrappers, so the plain functions stay
+importable from anywhere (goldens, the perf gate, property tests)
+without pytest in the loop.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def vary_measures(table: FactTable) -> FactTable:
 
 
 class PreparedWorkload:
-    """A workload extracted once, reusable across benchmark runs."""
+    """A workload extracted once, reusable across runs."""
 
     def __init__(
         self, config: WorkloadConfig, memory_entries: int = BENCH_MEMORY
@@ -82,9 +81,6 @@ class PreparedWorkload:
             ),
         )
 
-    def simulated(self, algorithm: str) -> float:
-        return self.run(algorithm).simulated_seconds
-
 
 def treebank_workload(
     density, coverage, disjoint, n_facts=300, n_axes=BENCH_AXES
@@ -100,12 +96,3 @@ def treebank_workload(
             disjoint=disjoint,
         )
     )
-
-
-def bench_once(benchmark, func):
-    """Run a cube computation exactly once under pytest-benchmark.
-
-    Cube runs are deterministic and seconds-long; multiple rounds add
-    nothing but wall time.
-    """
-    return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)

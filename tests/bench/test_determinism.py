@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.bench.determinism import (
     diff_json,
     diff_jsonl,
@@ -142,15 +140,17 @@ class TestCli:
         assert main(["--jsonl", str(a), str(b)]) == 0
 
     def test_real_engine_artifacts_are_deterministic(self, tmp_path):
-        """End to end: two smoke-shaped duels produce identical artifacts."""
-        pytest.importorskip("repro.bench.harness")
-        from repro.bench.harness import run_buc_td_duel
+        """End to end: two runs of the kernel-duel figure (both
+        encodings of BUC and TD) produce identical artifacts."""
+        from repro.bench.figures import run_figure
         from repro.bench.runner import write_bench_artifact
 
         for sub in ("one", "two"):
             (tmp_path / sub).mkdir()
-            _, summary = run_buc_td_duel(n_facts=300)
-            write_bench_artifact("duel", {"buc_td_duel": summary}, tmp_path / sub)
+            _, runs = run_figure("figD", scale=0.003)
+            write_bench_artifact(
+                "duel", {"runs": [run.as_row() for run in runs]}, tmp_path / sub
+            )
         assert (
             diff_json(
                 str(tmp_path / "one" / "BENCH_duel.json"),

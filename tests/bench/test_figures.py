@@ -1,6 +1,6 @@
 """Unit tests for the per-figure experiment definitions."""
 
-from repro.bench.figures import FIGURES, run_figure, series_of
+from repro.bench.figures import FIGURES, Sweep, run_figure
 
 
 class TestSpecs:
@@ -53,8 +53,7 @@ class TestSpecs:
 
     def test_duel_series_split_by_encoding(self):
         spec, runs = run_figure("figD", scale=0.002)
-        series = series_of(runs)
-        assert set(series) == {"BUC", "BUC[dict]", "TD", "TD[dict]"}
+        assert set(Sweep(runs).sim) == {"BUC", "BUC[dict]", "TD", "TD[dict]"}
 
 
 class TestRunFigure:
@@ -65,7 +64,7 @@ class TestRunFigure:
 
     def test_series_pivot(self):
         _, runs = run_figure("fig4", scale=0.3, axes=[2, 3])
-        series = series_of(runs)
-        assert set(series) == set(FIGURES["fig4"].algorithms)
-        for points in series.values():
-            assert [x for x, _ in points] == [2, 3]
+        sweep = Sweep(runs)
+        assert set(sweep.sim) == set(FIGURES["fig4"].algorithms)
+        for by_axes in sweep.sim.values():
+            assert sorted(by_axes) == sweep.axes == [2, 3]

@@ -1,7 +1,12 @@
 """Unit tests for the benchmark harness."""
 
 from repro.bench.harness import run_algorithm, run_config, run_workload
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.datagen.workload import WorkloadConfig, build_workload
+
+
+def options(algorithm):
+    return ExecutionOptions(algorithm=algorithm)
 
 
 def tiny_config(**overrides):
@@ -14,7 +19,7 @@ class TestRunAlgorithm:
     def test_measures_filled(self):
         workload = build_workload(tiny_config())
         table = workload.fact_table()
-        run = run_algorithm(table, "BUC", workload_name="w")
+        run = run_algorithm(table, options("BUC"), workload_name="w")
         assert run.algorithm == "BUC"
         assert run.workload == "w"
         assert run.simulated_seconds > 0
@@ -25,23 +30,31 @@ class TestRunAlgorithm:
     def test_validation_flag(self):
         workload = build_workload(tiny_config())
         table = workload.fact_table()
-        from repro.core.cube import ExecutionOptions, compute_cube
-
-        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
-        run = run_algorithm(table, "COUNTER", reference=reference)
+        reference = compute_cube(table, options("NAIVE"))
+        run = run_algorithm(table, options("COUNTER"), reference=reference)
         assert run.correct is True
 
     def test_dnf_marking(self):
         workload = build_workload(tiny_config())
         table = workload.fact_table()
-        run = run_algorithm(table, "TD", dnf_simulated_limit=1e-9)
+        run = run_algorithm(table, options("TD"), dnf_simulated_limit=1e-9)
         assert run.dnf
 
     def test_as_row_keys(self):
         workload = build_workload(tiny_config())
-        run = run_algorithm(workload.fact_table(), "BUC")
+        run = run_algorithm(workload.fact_table(), options("BUC"))
         row = run.as_row()
         assert {"algorithm", "sim_seconds", "cells", "passes"} <= set(row)
+
+    def test_artifact_row_round_trips(self):
+        from repro.bench.harness import AlgorithmRun
+
+        workload = build_workload(tiny_config())
+        run = run_algorithm(
+            workload.fact_table(), options("BUC"), workload_name="w"
+        )
+        back = AlgorithmRun.from_row({"figure": "fig4", **run.as_row()})
+        assert back.as_row() == run.as_row()
 
 
 class TestRunWorkload:

@@ -2,7 +2,7 @@
 
 from repro.bench.figures import FIGURES
 from repro.bench.harness import AlgorithmRun
-from repro.bench.report import format_figure, format_runs_csv
+from repro.bench.report import format_figure
 
 
 def run(algorithm="BUC", n_axes=2, sim=0.5, correct=None, passes=1):
@@ -57,11 +57,23 @@ class TestFormatFigure:
         ]
         assert "incorrect" in format_figure(spec, runs)
 
+    def test_claims_follow_the_table(self):
+        spec = FIGURES["fig10"]
+        sims = dict(zip(spec.algorithms, (9, 3, 1, 2, 8, 5, 4, 7)))
+        wrong = ("BUCOPT", "TDOPT", "TDOPTALL")
+        runs = [
+            run(a, 4, float(sims[a]), correct=a not in wrong)
+            for a in spec.algorithms
+        ]
+        text = format_figure(spec, runs)
+        claims = text[text.index("claims:"):]
+        assert "✗ (known deviation) COUNTER wins" in claims
+        assert "✓ BUCCUST is better than BUC" in claims
+        assert "?" not in claims
 
-class TestCsv:
-    def test_header_and_rows(self):
-        text = format_runs_csv([run()])
-        lines = text.splitlines()
-        assert lines[0].startswith("workload,algorithm")
-        assert len(lines) == 2
-        assert "BUC" in lines[1]
+    def test_unvalidated_correctness_claim_is_not_evaluable(self):
+        spec = FIGURES["fig10"]
+        runs = [run(a, 4, 0.3) for a in spec.algorithms]
+        assert "? (not evaluable on this sweep) the correctness split" in (
+            format_figure(spec, runs)
+        )

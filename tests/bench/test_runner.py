@@ -1,6 +1,10 @@
-"""Unit tests for the x3-bench CLI."""
+"""Unit tests for the ``x3 bench`` CLI."""
+
+import pytest
 
 from repro import cli
+from repro.bench.figures import FIGURES
+from tests.bench.test_figure_claims import committed_runs, with_sim
 
 
 def main(argv):
@@ -35,18 +39,51 @@ class TestMain:
         assert "fig4" in out
         assert "BUC" in out
 
-    def test_csv_export(self, tmp_path, capsys):
-        target = tmp_path / "runs.csv"
-        code = main(
-            [
-                "--figure", "fig4", "--scale", "0.25", "--axes", "2",
-                "--csv", str(target),
-            ]
+
+class TestClaimGate:
+    """Exit status follows the claims on a spec's own sweep only; the
+    sweeps come from the committed artifact, so nothing is recomputed."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        from repro.bench import runner
+
+        runs = dict(committed_runs())
+        monkeypatch.setattr(
+            runner,
+            "run_figure",
+            lambda figure_id, **_: (FIGURES[figure_id], runs[figure_id]),
         )
-        assert code == 0
-        content = target.read_text()
-        assert content.startswith("workload,algorithm")
-        assert "BUC" in content
+        return runs
+
+    def test_committed_sweeps_pass_with_every_claim_marked(
+        self, sweeps, capsys
+    ):
+        assert main(["--all", "--validate"]) == 0
+        out = capsys.readouterr().out
+        claims = sum(len(spec.claims) for spec in FIGURES.values())
+        assert out.count("✓") + out.count("✗") == claims
+        assert out.count("✗ (known deviation)") == 4
+        assert "?" not in out
+
+    def test_a_reproduced_claim_that_fails_exits_one(self, sweeps, capsys):
+        sweeps["fig7"] = with_sim(sweeps["fig7"], "BUC", 9.9)
+        assert main(["--figure", "fig7"]) == 1
+        err = capsys.readouterr().err
+        assert "claim gate FAILED: fig7: recorded reproduced=True" in err
+
+    def test_a_deviation_that_holds_exits_one(self, sweeps, capsys):
+        sweeps["fig10"] = with_sim(sweeps["fig10"], "COUNTER", 0.001)
+        assert main(["--figure", "fig10"]) == 1
+        err = capsys.readouterr().err
+        assert "claim gate FAILED: fig10: recorded reproduced=False" in err
+
+    def test_an_overridden_sweep_prints_but_does_not_enforce(
+        self, sweeps, capsys
+    ):
+        sweeps["fig10"] = with_sim(sweeps["fig10"], "COUNTER", 0.001)
+        assert main(["--figure", "fig10", "--memory", "500"]) == 0
+        assert "✓ COUNTER wins" in capsys.readouterr().out
 
 
 class TestScalingFlag:

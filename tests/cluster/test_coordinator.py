@@ -14,7 +14,9 @@ from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.query import Query
 from repro.errors import ClusterError, CubeError, ShardUnavailable
-from repro.testing import messy_workload, small_workload
+from repro.obs.live import percentile
+from repro.serve.replay import replay, sample_points
+from repro.testing import messy_workload, small_workload, treebank_workload
 from tests.conftest import cuboid_of
 
 
@@ -317,3 +319,44 @@ class TestObservability:
             assert stats.modeled_cost_seconds > 0
             assert len(c.modeled_latencies()) == 3
             assert "requests" in stats.summary()
+
+
+class TestShardCountSweep:
+    """One 60-request replay over cold replicas at 1, 2 and 4 shards:
+    each shard recomputes a slice that shrinks with the shard count
+    while the gather adds one merge op per output cell, so fan-out must
+    pay off in modeled time."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        prepared = treebank_workload("dense", coverage=True, disjoint=True)
+        table = prepared.table
+        points = sample_points(table.lattice, 60, 13)
+        out = {}
+        for n_shards in (1, 2, 4):
+            with ClusterCoordinator(
+                table,
+                n_shards,
+                2,
+                oracle=prepared.oracle,
+                cache_cells=0,
+                hedge_deadline_seconds=None,
+            ) as cluster:
+                replay(cluster, points)
+                out[n_shards] = (cluster.stats(), cluster.modeled_latencies())
+        return out
+
+    def test_throughput_rises_and_p95_shrinks(self, sweep):
+        throughput = [
+            stats.requests / sum(latencies)
+            for stats, latencies in sweep.values()
+        ]
+        assert throughput == sorted(set(throughput)), throughput
+        p95 = [percentile(latencies, 0.95) for _, latencies in sweep.values()]
+        assert p95 == sorted(set(p95), reverse=True), p95
+
+    def test_rows_and_merged_cells_do_not_depend_on_sharding(self, sweep):
+        for n_shards, (stats, _) in sweep.items():
+            assert len(stats.per_shard_rows) == n_shards
+        assert len({sum(s.per_shard_rows) for s, _ in sweep.values()}) == 1
+        assert len({s.merged_cells for s, _ in sweep.values()}) == 1

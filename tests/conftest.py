@@ -1,8 +1,8 @@
 """Shared fixtures: the running example and small controlled workloads.
 
 The workload builders themselves live in :mod:`repro.testing` (one copy,
-also used by ``benchmarks/conftest.py``); this file only binds them as
-pytest fixtures.
+also used by the perf gate); this file only binds them as pytest
+fixtures.
 """
 
 from __future__ import annotations

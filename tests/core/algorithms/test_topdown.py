@@ -27,6 +27,7 @@ class TestTd:
         )
         assert cube.same_contents(roomy)
         assert cube.cost.page_writes > roomy.cost.page_writes
+        assert cube.simulated_seconds > roomy.simulated_seconds
 
 
 class TestTdOpt:

@@ -336,19 +336,13 @@ class TestColumnarBucTdKernels:
 # the engine's partition workers on columnar inputs
 # ----------------------------------------------------------------------
 class TestColumnarUnderEngine:
-    @pytest.mark.parametrize(
-        "strategy", ["balanced", "antichain", "axis"]
-    )
-    def test_thread_engine_partitions(self, tables, strategy):
+    def test_thread_engine_partitions(self, tables):
         table, _ = tables["messy"]
         reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         result = compute_cube(
             table,
             ExecutionOptions(
-                algorithm="COLUMNAR",
-                workers=3,
-                engine="thread",
-                partition_strategy=strategy,
+                algorithm="COLUMNAR", workers=3, engine="thread"
             ),
         )
         exact_equal(result, reference, list(table.lattice.points()))

@@ -33,8 +33,6 @@ class TestExecutionOptions:
             ExecutionOptions(workers=0)
         with pytest.raises(CubeError):
             ExecutionOptions(engine="warp")
-        with pytest.raises(CubeError):
-            ExecutionOptions(partition_strategy="magic")
 
 
 class TestComputeCubeShim:

@@ -39,8 +39,8 @@ OLD_OPTIONS = {
     " --replicas --cache-cells --oracle --algorithm --engine -c"
     " --execute --json",
     "bench": "--figure --all --scaling --scale --axes --memory"
-    " --validate --workers --engine --smoke --duel-facts"
-    " --artifact-dir --csv --dat --trace-out",
+    " --validate --workers --engine --smoke --artifact-dir --dat"
+    " --trace-out",
 }
 
 #: What a subcommand gained by sharing a whole option group; each is
@@ -157,9 +157,9 @@ class TestDeclaredOnce:
                 assert seen.setdefault(option, action) is action, (
                     f"{option} is declared again for {name}"
                 )
-        # 63 distinct flags before the fold, 63 declarations after it
-        # (-c/--execute is one action with two spellings).
-        assert len({id(action) for action in seen.values()}) == 63
+        # 61 distinct flags, exactly 61 declarations (-c/--execute is
+        # one action with two spellings).
+        assert len({id(action) for action in seen.values()}) == 61
 
     def test_trace_is_apart(self, tree):
         # ``x3 trace`` reads a dump instead of loading data, and its

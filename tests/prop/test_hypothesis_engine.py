@@ -50,12 +50,9 @@ workload_params = st.tuples(
     params=workload_params,
     algorithm=st.sampled_from(ALGORITHMS),
     workers=st.sampled_from(WORKER_COUNTS),
-    strategy=st.sampled_from(["balanced", "antichain", "axis"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_parallel_engine_matches_serial_naive(
-    params, algorithm, workers, strategy
-):
+def test_parallel_engine_matches_serial_naive(params, algorithm, workers):
     table, oracle, reference = _prepared(*params)
     result = compute_cube(
         table,
@@ -64,13 +61,11 @@ def test_parallel_engine_matches_serial_naive(
             oracle=oracle,
             workers=workers,
             engine="thread" if workers > 1 else "auto",
-            partition_strategy=strategy,
         ),
     )
     assert result.same_contents(reference), (
         algorithm,
         workers,
-        strategy,
         result.diff(reference)[:3],
     )
 

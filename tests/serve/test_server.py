@@ -22,7 +22,13 @@ from repro.core.query import Query
 from repro.core.rollup import derivable
 from repro.errors import CubeError
 from repro.serve import CubeServer, TIERS
-from repro.testing import messy_workload, small_workload, vary_measures
+from repro.serve.replay import replay, sample_points
+from repro.testing import (
+    messy_workload,
+    small_workload,
+    treebank_workload,
+    vary_measures,
+)
 from tests.conftest import cuboid_of
 
 
@@ -635,3 +641,30 @@ class TestStats:
         assert stats.requests == 0
         assert stats.hit_rate == 0.0
         assert stats.version == 0
+
+
+class TestCacheBudgetSweep:
+    """One skewed 120-request replay under growing cache budgets."""
+
+    def test_hit_rate_and_cost_follow_the_budget(self):
+        prepared = treebank_workload("dense", coverage=True, disjoint=True)
+        table = prepared.table
+        points = sample_points(table.lattice, 120, 13)
+        total_cells = sum(cuboid_sizes(table, table.lattice).values())
+        sweep = []
+        for fraction in (0.0, 0.05, 0.25, 1.0):
+            server = CubeServer(
+                table, prepared.oracle, cache_cells=int(total_cells * fraction)
+            )
+            replay(server, points)
+            sweep.append(server.stats())
+        rates = [stats.hit_rate for stats in sweep]
+        assert rates == sorted(rates), rates
+        assert rates[0] == 0.0  # zero budget answers nothing above recompute
+        for stats in sweep[1:]:
+            assert stats.modeled_cost_seconds < stats.cold_cost_seconds
+        cold, full = sweep[0], sweep[-1]
+        assert full.modeled_cost_seconds < cold.modeled_cost_seconds
+        assert full.hit_rate > 0.5
+        assert full.modeled_speedup > 1.0
+        assert full.cache["evictions"] == 0
