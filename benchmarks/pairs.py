@@ -1,0 +1,288 @@
+"""Alternating parent/change pairs of one ``benchmarks/e2e`` workload.
+
+The procedure a change that claims a wall-clock gain has to follow on a
+small shared host (choosing-metrics Sec. 8; PRs 14 and 17 scripted it by
+hand): run the parent commit and the change N times each, one process at
+a time, in pairs whose first side alternates, and compare the medians
+against the parent's own spread.  Each side is a *checkout*; its own
+``benchmarks/e2e/run.py --workload W --seed S --trace 0`` is what runs,
+so both sides build what they time from their own source.
+
+    python3 benchmarks/pairs.py --parent /root/scratch/parent --change . \\
+        --workload cluster_scatter --seed 17 --pairs 10
+
+prints every raw reading of ``setup_s`` (the one metric a claim has been
+made on so far; lower is better) and ``peak_rss_mb``, then the
+EXPERIMENTS.md table row (median, q1-q3, wins, delta of the medians,
+``peak_rss_mb``) and whether the Sec. 8 rule for claiming a gain is met.
+Runs last ``run_seconds`` of the parent's ``BENCHMARK.json``: a claim is
+made at the length the benchmark sets.  A pair is *refused* — listed
+with its reason, kept out of the statistics, exit status 1 — when a run
+is ``correct: false`` or the two sides did not do the same work
+(``plan_digest``, ``tier_digest``, ``tiers_first_pass`` or
+``cube_algorithm`` differ).
+
+This file only reads what ``run.py`` prints (the ``INFO`` line and the
+driver's JSON line); it imports nothing from either checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+#: The end-to-end metric that is paired, and the one reported beside it.
+METRIC, MEMORY = "setup_s", "peak_rss_mb"
+#: What two runs of one pair must agree on to have done the same work.
+SAME_WORK = ("plan_digest", "tier_digest", "tiers_first_pass", "cube_algorithm")
+#: Fewer pairs than this are reported, never claimed (Sec. 8).
+CLAIM_PAIRS = 10
+
+
+@dataclass(frozen=True)
+class Run:
+    """What one ``run.py --trace 0`` printed."""
+
+    correct: bool
+    attempted: int
+    failed: int
+    metrics: Dict[str, float]
+    info: Dict[str, Any]
+
+    @classmethod
+    def from_stdout(cls, stdout: str) -> "Run":
+        """Read the driver's JSON line (the last one) and the ``INFO``
+        line above it."""
+        lines = [line for line in stdout.splitlines() if line.strip()]
+        if not lines:
+            raise ValueError("the run printed nothing")
+        try:
+            contract = json.loads(lines[-1])
+            metrics = {
+                name: float(entry["value"])
+                for name, entry in contract["metrics"].items()
+            }
+            correct = bool(contract["correct"])
+            attempted = int(contract["attempted"])
+            failed = int(contract["failed"])
+        except (ValueError, KeyError, TypeError) as error:
+            raise ValueError(
+                f"last line is not the driver's JSON object: {lines[-1]!r}"
+            ) from error
+        info: Dict[str, Any] = {}
+        for line in lines[:-1]:
+            if line.startswith("INFO "):
+                info = json.loads(line[len("INFO "):])
+        return cls(correct, attempted, failed, metrics, info)
+
+
+def refusal(parent: Run, change: Run) -> Optional[str]:
+    """Why this pair may not be compared (None when it may)."""
+    for side, run in (("parent", parent), ("change", change)):
+        if not run.correct:
+            return (
+                f"{side} run is correct: false"
+                f" ({run.failed}/{run.attempted} ops failed)"
+            )
+    for key in SAME_WORK:
+        if parent.info.get(key) != change.info.get(key):
+            return (
+                f"{key} differs: parent {parent.info.get(key)!r},"
+                f" change {change.info.get(key)!r}"
+            )
+    return None
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)``, the quartiles interpolated between the
+    readings (a single reading is all three)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """The statistics of the accepted pairs, for one metric (lower is
+    better)."""
+
+    parent: Tuple[float, ...]
+    change: Tuple[float, ...]
+
+    @property
+    def wins(self) -> int:
+        """Pairs in which the change reads lower (ties count for
+        neither side)."""
+        return sum(c < p for p, c in zip(self.parent, self.change))
+
+    @property
+    def losses(self) -> int:
+        return sum(c > p for p, c in zip(self.parent, self.change))
+
+    @property
+    def delta(self) -> float:
+        """Change of the median, as a fraction of the parent's."""
+        parent = quartiles(self.parent)[1]
+        return (quartiles(self.change)[1] - parent) / parent
+
+    def claimable(self) -> bool:
+        """Sec. 8: at least ten pairs, the change wins at least nine
+        tenths of them, and the change's median is lower by more than
+        the parent's inter-quartile distance."""
+        q1, parent_median, q3 = quartiles(self.parent)
+        return (
+            len(self.parent) >= CLAIM_PAIRS
+            and 10 * self.wins >= 9 * len(self.parent)
+            and parent_median - quartiles(self.change)[1] > q3 - q1
+        )
+
+
+def _spread(values: Sequence[float], digits: int) -> str:
+    if len(values) < 3:  # too few for quartiles: the readings themselves
+        return " / ".join(f"{value:.{digits}f}" for value in values)
+    q1, median, q3 = quartiles(values)
+    return f"{median:.{digits}f} ({q1:.{digits}f}–{q3:.{digits}f})"
+
+
+def table_row(label: str, timing: Comparison, memory: Comparison) -> str:
+    """The EXPERIMENTS.md row (columns: workload, pairs, parent median
+    (q1-q3), change median (q1-q3), change wins, delta median,
+    ``peak_rss_mb`` parent -> change)."""
+    pairs = len(timing.parent)
+    cells = [
+        label,
+        str(pairs),
+        _spread(timing.parent, 3),
+        _spread(timing.change, 3),
+        f"{timing.wins}/{pairs}",
+        f"{100 * timing.delta:+.1f} %".replace("-", "−"),
+        f"{quartiles(memory.parent)[1]:.1f} → {quartiles(memory.change)[1]:.1f}",
+    ]
+    return "| " + " | ".join(cells) + " |"
+
+
+def report(label: str, pairs: Sequence[Tuple[Run, Run]]) -> List[str]:
+    """Every line printed after the runs: the raw readings in the order
+    run, refused pairs with their reason, the row, the verdict."""
+    accepted: List[Tuple[Run, Run]] = []
+    lines: List[str] = []
+    for number, (parent, change) in enumerate(pairs, start=1):
+        reason = refusal(parent, change)
+        if reason is not None:
+            lines.append(f"pair {number} REFUSED: {reason}")
+        else:
+            accepted.append((parent, change))
+    if not accepted:
+        return lines + ["no pair accepted"]
+
+    def comparison(name: str) -> Comparison:
+        return Comparison(
+            tuple(parent.metrics[name] for parent, _ in accepted),
+            tuple(change.metrics[name] for _, change in accepted),
+        )
+
+    timing, memory = comparison(METRIC), comparison(MEMORY)
+    for side, values in (("parent", timing.parent), ("change", timing.change)):
+        readings = " ".join(f"{value:.3f}" for value in values)
+        lines.append(f"{side} {METRIC}, in the order run: {readings}")
+    for side, values in (("parent", memory.parent), ("change", memory.change)):
+        readings = " ".join(f"{value:.1f}" for value in values)
+        lines.append(f"{side} {MEMORY}: {readings}")
+    (failed_p, attempted_p), (failed_c, attempted_c) = [
+        (sum(run.failed for run in side), sum(run.attempted for run in side))
+        for side in zip(*accepted)
+    ]
+    lines.append(
+        f"failed ops parent {failed_p}/{attempted_p},"
+        f" change {failed_c}/{attempted_c}"
+    )
+    lines.append(table_row(label, timing, memory))
+    # A gain bought with a larger share of failed operations is no gain.
+    fails_more = failed_c * attempted_p > failed_p * attempted_c
+    met = timing.claimable() and not fails_more
+    q1, _, q3 = quartiles(timing.parent)
+    lines.append(
+        f"claim rule (>= {CLAIM_PAIRS} pairs, wins >= 9/10 of them, medians"
+        f" further apart than the parent's q3 - q1 = {q3 - q1:.3f}, no larger"
+        f" share of failed ops): {'met' if met else 'NOT met'}"
+        f" ({timing.wins} wins, {timing.losses} losses,"
+        f" {len(timing.parent) - timing.wins - timing.losses} ties"
+        f"{', the change fails more ops' if fails_more else ''})"
+    )
+    return lines
+
+
+# ----------------------------------------------------------------------
+# running
+# ----------------------------------------------------------------------
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
+    """One untraced run of ``checkout``'s own benchmark, in a fresh
+    interpreter started in that checkout."""
+    completed = subprocess.run(
+        [
+            sys.executable,
+            str(checkout / "benchmarks" / "e2e" / "run.py"),
+            "--workload", workload,
+            "--seed", str(seed),
+            "--seconds", str(seconds),
+            "--trace", "0",
+        ],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    try:
+        return Run.from_stdout(completed.stdout)
+    except ValueError as error:
+        raise SystemExit(
+            f"{checkout}: {error}\n{completed.stderr[-2000:]}"
+        ) from error
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="benchmarks/pairs.py", description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True,
+                        help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=17)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    declared = json.loads((parent / "BENCHMARK.json").read_text())
+    seconds = float(declared["run_seconds"])
+
+    pairs: List[Tuple[Run, Run]] = []
+    for number in range(args.pairs):
+        order = ("parent", "change") if number % 2 == 0 else ("change", "parent")
+        runs = {}
+        for side in order:
+            runs[side] = run_once(
+                parent if side == "parent" else change,
+                args.workload, args.seed, seconds,
+            )
+            print(
+                f"pair {number + 1}/{args.pairs} {side}:"
+                f" {METRIC}={runs[side].metrics[METRIC]:.4f}"
+                f" {MEMORY}={runs[side].metrics[MEMORY]:.1f}",
+                flush=True,
+            )
+        pairs.append((runs["parent"], runs["change"]))
+
+    print("\n".join(report(f"`{args.workload}`, `--seed {args.seed}`", pairs)))
+    return 0 if all(refusal(*pair) is None for pair in pairs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

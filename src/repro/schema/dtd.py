@@ -206,25 +206,35 @@ class Dtd:
         """Cardinality sequences of every declared path from/to; None on
         cycles that reach ``to_tag``."""
         paths: List[List[Cardinality]] = []
-        saw_cycle = [False]
+        reaches: Dict[str, bool] = {}  # tag -> can it reach ``to_tag``?
 
-        def walk(tag: str, trail: List[Cardinality], visited: Tuple[str, ...]) -> None:
+        def walk(
+            tag: str, trail: List[Cardinality], visited: Tuple[str, ...]
+        ) -> bool:
+            """False as soon as a cycle that reaches ``to_tag`` is met:
+            the answer is None whatever the rest of the walk finds."""
             if len(trail) > max_depth:
-                return
+                return True
             decl = self.get(tag)
             if decl is None:
-                return
+                return True
             for child, card in decl.children.items():
                 if child == to_tag:
                     paths.append(trail + [card])
                 if child in visited:
-                    if to_tag in self.reachable_tags(child) or child == to_tag:
-                        saw_cycle[0] = True
+                    if child not in reaches:
+                        reaches[child] = (
+                            child == to_tag
+                            or to_tag in self.reachable_tags(child)
+                        )
+                    if reaches[child]:
+                        return False
                     continue
-                walk(child, trail + [card], visited + (child,))
+                if not walk(child, trail + [card], visited + (child,)):
+                    return False
+            return True
 
-        walk(from_tag, [], (from_tag,))
-        if saw_cycle[0]:
+        if not walk(from_tag, [], (from_tag,)):
             return None
         return paths
 

@@ -19,7 +19,7 @@ property that the sampled data itself violates (tested property-based in
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Dict, Iterable, Set
 
 from repro.schema.dtd import AttributeDecl, Cardinality, Dtd, ElementDecl
@@ -32,53 +32,53 @@ def infer_dtd(docs: Iterable[Document]) -> Dtd:
     Uses per-tag presence counting, so a child type that first appears on
     the N-th instance of its parent (N > 1) is correctly marked optional.
     """
-    doc_list = list(docs)
     instance_counts: Counter = Counter()
-    child_presence: Dict[str, Counter] = {}
-    child_repeat: Dict[str, Set[str]] = {}
-    attr_presence: Dict[str, Counter] = {}
+    child_presence: Dict[str, Counter] = defaultdict(Counter)
+    child_repeat: Dict[str, Set[str]] = defaultdict(set)
+    attr_presence: Dict[str, Counter] = defaultdict(Counter)
     has_text: Set[str] = set()
     root_tag = ""
 
-    for doc in doc_list:
+    # One pass per tag over its posting list (the rows carrying it), not
+    # one visit per element: what is counted is counted per tag anyway.
+    for doc in docs:
+        table = doc.region_table()
+        tags, parents, attrs = table.tags, table.parents, table.attrs
         if not root_tag:
-            root_tag = doc.root.tag
-        for node in doc.elements:
-            tag = node.tag
-            instance_counts[tag] += 1
-            if tag not in has_text and node.text:
+            root_tag = tags[0]
+        for tag, node_ids in table.postings.items():
+            instance_counts[tag] += len(node_ids)
+            if tag not in has_text and table.has_text(node_ids):
                 has_text.add(tag)
-            # Leaves dominate a document: touch the per-tag counters
-            # (created once per tag) only for nodes that have something
-            # to count.
-            if node.children:
-                presence = child_presence.get(tag)
-                if presence is None:
-                    presence = child_presence[tag] = Counter()
-                seen: Set[str] = set()
-                for child in node.children:
-                    child_tag = child.tag
-                    if child_tag in seen:
-                        child_repeat.setdefault(tag, set()).add(child_tag)
-                    else:
-                        seen.add(child_tag)
-                        presence[child_tag] += 1
-            if node.attrs:
-                attrs = attr_presence.get(tag)
-                if attrs is None:
-                    attrs = attr_presence[tag] = Counter()
-                for attr in node.attrs:
-                    attrs[attr] += 1
+            # The parents of this tag's elements: each distinct one has
+            # the child; one that is listed twice has it repeated.
+            above = [parents[node_id] for node_id in node_ids]
+            distinct = set(above)
+            if len(distinct) < len(above):
+                seen: Set[int] = set()
+                for parent in above:
+                    if parent in seen:
+                        child_repeat[tags[parent]].add(tag)
+                    seen.add(parent)
+            distinct.discard(-1)  # the root has no parent
+            for parent_tag, present in Counter(
+                map(tags.__getitem__, distinct)
+            ).items():
+                child_presence[parent_tag][tag] += present
+            attr_presence[tag].update(
+                name
+                for held in map(attrs.__getitem__, node_ids)
+                if held
+                for name in held
+            )
 
     dtd = Dtd(root=root_tag or None)
     for tag in sorted(instance_counts):
         decl = ElementDecl(tag, has_text=tag in has_text)
         total = instance_counts[tag]
-        for child_tag, present in sorted(
-            child_presence.get(tag, Counter()).items()
-        ):
+        for child_tag, present in sorted(child_presence[tag].items()):
             absent = present < total
-            repeat = child_tag in child_repeat.get(tag, ())
+            repeat = child_tag in child_repeat[tag]
             if absent and repeat:
                 decl.children[child_tag] = Cardinality.STAR
             elif absent:
@@ -87,9 +87,7 @@ def infer_dtd(docs: Iterable[Document]) -> Dtd:
                 decl.children[child_tag] = Cardinality.PLUS
             else:
                 decl.children[child_tag] = Cardinality.ONE
-        for attr, present in sorted(
-            attr_presence.get(tag, Counter()).items()
-        ):
+        for attr, present in sorted(attr_presence[tag].items()):
             decl.attributes[attr] = AttributeDecl(
                 attr, required=present == total
             )

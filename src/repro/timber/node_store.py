@@ -3,8 +3,9 @@
 Loading a document writes one :class:`NodeRecord` per element, in document
 order, so sequential scans are page-friendly.  Records carry the region
 encoding, the tag, the parent's node id, the direct text value, and the
-attribute map — everything the pattern evaluator needs without going back
-to the in-memory tree.
+attribute map — one row of the document's
+:class:`~repro.xmlmodel.nodes.RegionTable`, which is what loading reads
+(a parsed document is stored without its tree ever being built).
 """
 
 from __future__ import annotations
@@ -80,18 +81,28 @@ class NodeStore:
         doc_id = len(self._doc_names)
         self._doc_names.append(doc.name or f"doc{doc_id}")
         addresses: List[RecordAddress] = []
-        for element in doc.elements:
-            parent_id = element.parent.node_id if element.parent is not None else -1
+        table = doc.region_table()  # a record is one row of the region table
+        for node_id, (tag, start, end, level, parent_id, text, attrs) in enumerate(
+            zip(
+                table.tags,
+                table.starts,
+                table.ends,
+                table.levels,
+                table.parents,
+                table.text_of(range(len(table))),
+                table.attrs,
+            )
+        ):
             record = NodeRecord(
                 doc_id=doc_id,
-                node_id=element.node_id,
-                tag=element.tag,
-                start=element.start,
-                end=element.end,
-                level=element.level,
+                node_id=node_id,
+                tag=tag,
+                start=start,
+                end=end,
+                level=level,
                 parent_id=parent_id,
-                text=element.text,
-                attrs=tuple(element.attrs.items()),
+                text=text,
+                attrs=tuple(attrs.items()) if attrs else (),
             )
             addresses.append(self._append_record(record))
         self._directory.append(addresses)

@@ -164,4 +164,4 @@ class XmlWarehouse:
         )
 
     def fact_count(self, fact_tag: str) -> int:
-        return sum(len(doc.find_all(fact_tag)) for doc in self.documents)
+        return sum(doc.tag_count(fact_tag) for doc in self.documents)

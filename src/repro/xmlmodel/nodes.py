@@ -1,12 +1,12 @@
-"""Tree node model with TIMBER-style region encoding.
+"""Node model with TIMBER-style region encoding: a table and a tree.
 
 An XML document is modelled as a tree of :class:`Element` nodes.  Each
 element owns an ordered attribute mapping and a text value (the
 concatenation of its direct text children; mixed content keeps document
 order in ``text_chunks``).  Every element of a :class:`Document` carries
 a *region encoding* ``(start, end, level)`` — assigned by the parser
-while it builds the tree, and by :meth:`Document.reindex` for trees
-built or mutated by hand (the two agree exactly):
+while it scans, and by :meth:`Document.reindex` for trees built or
+mutated by hand (the two agree exactly):
 
 - ``start``: preorder position of the opening tag,
 - ``end``:   position after the closing tag (so a descendant ``d`` of ``a``
@@ -22,11 +22,19 @@ The encoding is what the structural-join algorithms in
 :mod:`repro.timber.structural_join` operate on, what fact extraction
 (:mod:`repro.core.extract`) evaluates descendant steps on, and it is
 also convenient for fast ancestor tests in the in-memory matcher.
+
+The same document has a second shape, the :class:`RegionTable`: one row
+per element in preorder, held as flat columns, plus the per-tag posting
+lists.  The parser writes the table and nothing else; everything that
+only *reads* a document (extraction, schema inference, the node store,
+the event view) reads the table, and the :class:`Element` tree is a view
+a :class:`Document` materialises the first time someone asks for it.
+Exactly one of the two is the truth at any time — see :class:`Document`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import XmlStructureError
 
@@ -205,34 +213,221 @@ class Element:
         return "".join(bits)
 
 
+#: One cell of :attr:`RegionTable.texts`: no direct text, one chunk (the
+#: common case, stored bare), or the chunks of mixed content in order.
+TextCell = Union[None, str, List[str]]
+
+
+class RegionTable:
+    """A document as flat preorder columns: row ``i`` is the element
+    whose ``node_id`` is ``i``.
+
+    Attributes:
+        tags: element name (equal names are one string).
+        parents: ``node_id`` of the parent, ``-1`` for the root.
+        starts, ends, levels: the region encoding.
+        texts: direct text chunks (:data:`TextCell`).
+        attrs: the attribute mapping, or None when there is none.
+        postings: tag -> the ``node_id`` s carrying it, ascending (which
+            is document order), keyed in order of first occurrence.
+
+    The proper descendants of row ``i`` are the rows
+    ``i + 1 .. i + size(i)``; a posting list is sorted, so the
+    descendants with one tag are a slice of it found by bisection.
+    """
+
+    __slots__ = (
+        "tags",
+        "parents",
+        "starts",
+        "ends",
+        "levels",
+        "texts",
+        "attrs",
+        "postings",
+    )
+
+    def __init__(self) -> None:
+        self.tags: List[str] = []
+        self.parents: List[int] = []
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+        self.levels: List[int] = []
+        self.texts: List[TextCell] = []
+        self.attrs: List[Optional[Dict[str, str]]] = []
+        self.postings: Dict[str, List[int]] = {}
+
+    @classmethod
+    def from_elements(cls, elements: Sequence[Element]) -> "RegionTable":
+        """The table of an indexed tree, read off its elements as they
+        stand: content (tag, text, attributes) is the elements' current
+        content, structure is the index their last ``reindex()`` gave
+        them."""
+        table = cls()
+        table.tags = [node.tag for node in elements]
+        table.parents = [
+            node.parent.node_id if node.parent is not None else -1
+            for node in elements
+        ]
+        table.starts = [node.start for node in elements]
+        table.ends = [node.end for node in elements]
+        table.levels = [node.level for node in elements]
+        table.texts = [
+            node.text_chunks[0]
+            if len(node.text_chunks) == 1
+            else node.text_chunks or None
+            for node in elements
+        ]
+        table.attrs = [node.attrs or None for node in elements]
+        postings = table.postings
+        for node_id, tag in enumerate(table.tags):
+            try:
+                postings[tag].append(node_id)
+            except KeyError:  # the first element with this tag
+                postings[tag] = [node_id]
+        return table
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def ids(self, tag: str) -> Sequence[int]:
+        """The posting list of ``tag`` (empty for a tag never seen)."""
+        return self.postings.get(tag, ())
+
+    def size(self, node_id: int) -> int:
+        """The number of proper descendants of a row."""
+        return (self.ends[node_id] - self.starts[node_id]) // 2
+
+    # The layout of a text cell (:data:`TextCell`) is known to the
+    # methods of this class only; everyone else goes through them.
+    def append_text(self, node_id: int, chunk: str) -> None:
+        """Add a direct text chunk to a row (how the parser writes
+        text): the cell stays bare while the chunk is the only one."""
+        texts = self.texts
+        cell = texts[node_id]
+        if cell is None:
+            texts[node_id] = chunk
+        elif isinstance(cell, str):
+            texts[node_id] = [cell, chunk]
+        else:
+            cell.append(chunk)
+
+    def chunks(self, node_id: int) -> List[str]:
+        """Direct text chunks of a row (``Element.text_chunks``)."""
+        cell = self.texts[node_id]
+        if cell is None:
+            return []
+        return [cell] if isinstance(cell, str) else cell
+
+    def text_of(self, node_ids: Iterable[int]) -> List[str]:
+        """Direct text of the given rows (``Element.text`` of each)."""
+        return [
+            cell.strip()
+            if isinstance(cell, str)
+            else "".join(cell).strip() if cell is not None else ""
+            for cell in map(self.texts.__getitem__, node_ids)
+        ]
+
+    def has_text(self, node_ids: Iterable[int]) -> bool:
+        """Whether some given row has direct text (``Element.text`` not
+        empty); stops at the first that has."""
+        for cell in map(self.texts.__getitem__, node_ids):
+            if cell is not None and (
+                cell if isinstance(cell, str) else "".join(cell)
+            ).strip():
+                return True
+        return False
+
+    def build_elements(self) -> List[Element]:
+        """The :class:`Element` tree of this table, in preorder; the
+        elements adopt the table's chunk lists and attribute mappings."""
+        elements: List[Element] = []
+        for node_id, (tag, parent_id, start, end, level, attrs) in enumerate(
+            zip(
+                self.tags,
+                self.parents,
+                self.starts,
+                self.ends,
+                self.levels,
+                self.attrs,
+            )
+        ):
+            node = Element(tag)
+            if attrs is not None:
+                node.attrs = attrs
+            node.text_chunks = self.chunks(node_id)
+            node.start = start
+            node.end = end
+            node.level = level
+            node.node_id = node_id
+            if parent_id >= 0:
+                elements[parent_id].append(node)
+            elements.append(node)
+        return elements
+
+
 class Document:
-    """A parsed XML document: a root element plus index bookkeeping.
+    """An XML document: a region table, or a root element plus its index.
+
+    Who owns the truth.  A parsed document starts as the parser's
+    :class:`RegionTable` and has no tree.  The first read of
+    :attr:`root` or :attr:`elements` (or anything that returns an
+    :class:`Element`) builds the tree from the table, once, and drops
+    the table: from then on the tree is the truth, exactly as for a
+    document built from a hand-made tree.  :meth:`region_table` of such
+    a document derives a new table from the tree on every call (one
+    pass per column: call it once per use and keep the result), so a
+    reader of the table can never see text or attributes that a later
+    mutation of the tree has replaced.
 
     Use :meth:`reindex` after any structural mutation; the constructor
-    calls it for you, and the parser hands over the index it assigned
-    while building (:meth:`from_indexed`).
+    calls it for you.
     """
 
     def __init__(self, root: Element, name: str = "") -> None:
         if root.parent is not None:
             raise XmlStructureError("document root must not have a parent")
-        self.root = root
         self.name = name
+        self._table: Optional[RegionTable] = None
+        self._root = root
         self._elements: List[Element] = []
         self.reindex()
 
     @classmethod
-    def from_indexed(
-        cls, root: Element, elements: List[Element], name: str = ""
-    ) -> "Document":
-        """Adopt a tree whose builder already assigned every element's
-        ``start/end/level/node_id`` and collected ``elements`` in
-        preorder, exactly as :meth:`reindex` would have."""
+    def from_table(cls, table: RegionTable, name: str = "") -> "Document":
+        """A document that is ``table`` (what the parser returns)."""
         doc = cls.__new__(cls)
-        doc.root = root
         doc.name = name
-        doc._elements = elements
+        doc._table = table
         return doc
+
+    # ------------------------------------------------------------------
+    def region_table(self) -> RegionTable:
+        """The region table: the document itself (O(1)) while no one has
+        touched the tree, otherwise derived from the tree as it stands
+        now — O(document) on every call, nothing is cached."""
+        if self._table is not None:
+            return self._table
+        return RegionTable.from_elements(self._elements)
+
+    def _build_tree(self) -> None:
+        assert self._table is not None
+        self._elements = self._table.build_elements()
+        self._root = self._elements[0]
+        self._table = None
+
+    @property
+    def root(self) -> Element:
+        if self._table is not None:
+            self._build_tree()
+        return self._root
+
+    @property
+    def elements(self) -> List[Element]:
+        """All elements in document order (index == ``node_id``)."""
+        if self._table is not None:
+            self._build_tree()
+        return self._elements
 
     # ------------------------------------------------------------------
     def reindex(self) -> None:
@@ -267,42 +462,48 @@ class Document:
         self._elements = elements
 
     # ------------------------------------------------------------------
-    @property
-    def elements(self) -> List[Element]:
-        """All elements in document order (index == ``node_id``)."""
-        return self._elements
-
     def element_count(self) -> int:
+        if self._table is not None:
+            return len(self._table)
         return len(self._elements)
 
     def by_id(self, node_id: int) -> Element:
         """Look up an element by its document-order id."""
         try:
-            return self._elements[node_id]
+            return self.elements[node_id]
         except IndexError:
             raise XmlStructureError(f"no element with node_id {node_id}") from None
 
     def iter_tags(self) -> Iterable[str]:
         """Distinct tags appearing in the document (document order of
         first occurrence)."""
-        seen: Set[str] = set()
-        for node in self._elements:
-            if node.tag not in seen:
-                seen.add(node.tag)
-                yield node.tag
+        if self._table is not None:
+            return iter(self._table.postings)
+        return iter(dict.fromkeys(node.tag for node in self._elements))
+
+    def tag_count(self, tag: str) -> int:
+        """How many elements carry ``tag`` (a posting-list length while
+        the table is the document)."""
+        if self._table is not None:
+            return len(self._table.ids(tag))
+        return sum(node.tag == tag for node in self._elements)
 
     def find_all(self, tag: str) -> List[Element]:
         """All elements with the given tag in document order."""
-        return [node for node in self._elements if node.tag == tag]
+        if self._table is not None and not self._table.ids(tag):
+            return []  # a miss leaves the tree unbuilt
+        return [node for node in self.elements if node.tag == tag]
 
     def max_depth(self) -> int:
         """Maximum element level (root is 0)."""
+        if self._table is not None:
+            return max(self._table.levels)
         return max(node.level for node in self._elements)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        tag = self._table.tags[0] if self._table is not None else self._root.tag
         return (
-            f"<Document {self.name or self.root.tag!r}"
-            f" elements={len(self._elements)}>"
+            f"<Document {self.name or tag!r} elements={self.element_count()}>"
         )
 
 

@@ -20,11 +20,14 @@ depth is bounded by memory and not by the interpreter's recursion limit.
 The loop *scans* instead of stepping a character at a time: ``str.find``
 jumps over text runs and to the ends of comments, CDATA sections and
 PIs, one compiled pattern reads a whole start tag with its attributes,
-and entity expansion runs only on runs that contain ``&``.  Every
-element gets its region encoding ``(start, end, level)``, its
-``node_id`` and its slot in the preorder ``elements`` list as it is
-opened and closed, so the :class:`Document` is indexed the moment the
-root closes (no second walk).
+and entity expansion runs only on runs that contain ``&``.  It builds no
+tree: every element is one row appended to the columns of a
+:class:`~repro.xmlmodel.nodes.RegionTable` — tag, parent, region
+encoding ``(start, end, level)``, text, attributes — and one entry in
+its tag's posting list, so the only containers the scan allocates are
+the ones that hold content (an attribute mapping, a list for mixed
+content).  The :class:`Document` it returns *is* that table; the
+``Element`` tree appears if and when someone asks for it.
 
 The error-path contract.  The patterns only ever *accept*: a tag they do
 not match — or match but with a bad first name character, a duplicate
@@ -39,7 +42,7 @@ import re
 from typing import Dict, List, NoReturn, Optional, Tuple
 
 from repro.errors import XmlParseError
-from repro.xmlmodel.nodes import Document, Element
+from repro.xmlmodel.nodes import Document, RegionTable
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -292,7 +295,7 @@ def _fast_attributes(attr_text: str) -> Optional[Dict[str, str]]:
     return attrs
 
 
-def _parse_document(text: str, name: str) -> Document:
+def _parse_table(text: str) -> RegionTable:
     pos = _skip_prolog(text)
     if not text.startswith("<", pos):
         _fail(text, pos, "expected '<' to open an element")
@@ -302,16 +305,18 @@ def _parse_document(text: str, name: str) -> Document:
     match_start_tag = _START_TAG.match
     length = len(text)
 
-    elements: List[Element] = []
+    table = RegionTable()
+    tags, parents = table.tags, table.parents
+    starts, ends, levels = table.starts, table.ends, table.levels
+    texts, attr_maps = table.texts, table.attrs
+    postings = table.postings
+    append_text = table.append_text
     # Every name the start-tag pattern has validated, mapped to itself: a
     # later "<name>" is recognised by one lookup, and equal tags of
     # different elements are one string.
     names: Dict[str, str] = {}
-    # A holder stands above the root so that the loop has no root case:
-    # the document element is done when the stack is back to the holder.
-    holder = Element("#document")
-    stack = [holder]  # the open elements
-    parent = holder  # == stack[-1]
+    stack: List[int] = []  # the open elements, by node id
+    parent = -1  # == stack[-1]; -1 stands above the root
     counter = 0  # next region position
 
     while True:
@@ -342,24 +347,27 @@ def _parse_document(text: str, name: str) -> Document:
                 tag, attrs, self_closing = reader.start_tag()
                 pos = reader.pos
 
-        element = Element(tag)
-        if attrs:
-            element.attrs = attrs
-        element.parent = parent
-        parent.children.append(element)
-        element.start = counter
+        node = len(tags)
+        tags.append(tag)
+        parents.append(parent)
+        starts.append(counter)
         counter += 1
-        element.level = len(stack) - 1
-        element.node_id = len(elements)
-        elements.append(element)
+        levels.append(len(stack))
+        texts.append(None)  # none yet; append_text is the only writer
+        attr_maps.append(attrs or None)
+        try:
+            postings[tag].append(node)
+        except KeyError:  # the first element with this tag
+            postings[tag] = [node]
         if self_closing:
-            element.end = counter
+            ends.append(counter)
             counter += 1
-            if parent is holder:
+            if parent < 0:
                 break
         else:
-            stack.append(element)
-            parent = element
+            ends.append(-1)  # set when the element closes
+            stack.append(node)
+            parent = node
 
         # ---- content of ``parent`` up to the next start tag ----------
         while True:
@@ -371,17 +379,17 @@ def _parse_document(text: str, name: str) -> Document:
                 _fail(
                     text,
                     length,
-                    f"unexpected end of input inside <{parent.tag}>",
+                    f"unexpected end of input inside <{tags[parent]}>",
                 )
             if lt > pos:
                 chunk = text[pos:lt]
                 if "&" in chunk:
                     chunk = _expand_entities(chunk, text, lt)
-                parent.text_chunks.append(chunk)
+                append_text(parent, chunk)
                 pos = lt
             following = text[pos + 1 : pos + 2]
             if following == "/":
-                tag = parent.tag
+                tag = tags[parent]
                 after = pos + 2 + len(tag)
                 if startswith(tag, pos + 2) and startswith(">", after):
                     pos = after + 1
@@ -389,12 +397,13 @@ def _parse_document(text: str, name: str) -> Document:
                     reader = _TagReader(text, pos)
                     reader.close_tag(tag)
                     pos = reader.pos
-                parent.end = counter
+                ends[parent] = counter
                 counter += 1
                 stack.pop()
-                parent = stack[-1]
-                if parent is holder:
+                if not stack:
+                    parent = -1
                     break
+                parent = stack[-1]
             elif following == "!":
                 if startswith("<!--", pos):
                     pos = _skip_past(text, pos, "<!--", "-->", "comment")
@@ -404,7 +413,7 @@ def _parse_document(text: str, name: str) -> Document:
                     if end < 0:
                         _fail(text, begin, "unterminated CDATA section")
                     if end > begin:
-                        parent.text_chunks.append(text[begin:end])
+                        append_text(parent, text[begin:end])
                     pos = end + 3
                 else:
                     break  # not markup we know: _TagReader names it
@@ -414,15 +423,13 @@ def _parse_document(text: str, name: str) -> Document:
                 )
             else:
                 break  # a start tag
-        if parent is holder:
+        if parent < 0:
             break
 
     pos = _skip_misc(text, pos)
     if pos < length:
         _fail(text, pos, "trailing content after document element")
-    root = elements[0]
-    root.parent = None
-    return Document.from_indexed(root, elements, name=name)
+    return table
 
 
 def parse(text: str, name: str = "") -> Document:
@@ -431,8 +438,10 @@ def parse(text: str, name: str = "") -> Document:
 
     with obs.span(
         "xml.parse", category="parse", doc=name, chars=len(text)
-    ):
-        return _parse_document(text, name)
+    ) as span:
+        table = _parse_table(text)
+        span.annotate(elements=len(table))
+        return Document.from_table(table, name=name)
 
 
 def parse_file(path: str, name: Optional[str] = None) -> Document:

@@ -1,4 +1,4 @@
-"""SAX-style XML events over a parsed tree.
+"""SAX-style XML events over a parsed document.
 
 Warehouse loaders often want events rather than a tree to walk — to
 infer schemas, count tags, or filter subtrees.  :func:`iter_events`
@@ -9,12 +9,12 @@ yields
 - ``("end", tag)``
 
 in document order, with the same strictness and entity handling as
-:func:`repro.xmlmodel.parser.parse`: it *is* that parse, followed by a
-walk of the finished tree, so the two can never disagree (a property the
-tests exploit).  The price is that the whole document is materialized —
-memory is O(document), not O(depth), and a malformed input raises before
-the first event — so this is an event *view*, not a way to read inputs
-too large to hold.
+:func:`repro.xmlmodel.parser.parse`: it *is* that parse, followed by one
+pass over the rows of the document's region table, so the two can never
+disagree (a property the tests exploit).  No :class:`Element` is built
+on the way, but the whole table is: memory is O(document), not O(depth),
+and a malformed input raises before the first event — so this is an
+event *view*, not a way to read inputs too large to hold.
 """
 
 from __future__ import annotations
@@ -37,32 +37,29 @@ def iter_events(text: str) -> Iterator[Event]:
     yield from tree_events(doc)
 
 
-def tree_events(source: Union[Document, Element]) -> Iterator[Event]:
-    """Events of an already-built tree (document order)."""
-    root = source.root if isinstance(source, Document) else source
-    # A string on the stack is the tag of an element whose children are
-    # above it (an explicit stack: depth is bounded by memory).
-    stack: List[Union[Element, str]] = [root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            yield ("end", item)
-            continue
-        yield ("start", item.tag, dict(item.attrs))
-        for chunk in item.text_chunks:
+def tree_events(doc: Document) -> Iterator[Event]:
+    """Events of a document (document order), read off its table; an
+    element's text chunks follow its start event."""
+    table = doc.region_table()
+    open_tags: List[str] = []  # one per level (depth is bounded by memory)
+    for node_id, (tag, level, attrs) in enumerate(
+        zip(table.tags, table.levels, table.attrs)
+    ):
+        while len(open_tags) > level:
+            yield ("end", open_tags.pop())
+        yield ("start", tag, dict(attrs) if attrs else {})
+        for chunk in table.chunks(node_id):
             if chunk.strip():
                 yield ("text", chunk)
-        stack.append(item.tag)
-        stack.extend(reversed(item.children))
+        open_tags.append(tag)
+    while open_tags:
+        yield ("end", open_tags.pop())
 
 
 def count_tags(text: str) -> Dict[str, int]:
-    """Tag frequencies from the event stream."""
-    counts: Dict[str, int] = {}
-    for event in iter_events(text):
-        if event[0] == "start":
-            counts[event[1]] = counts.get(event[1], 0) + 1
-    return counts
+    """Tag frequencies: the lengths of the posting lists."""
+    doc = parse(text)
+    return {tag: doc.tag_count(tag) for tag in doc.iter_tags()}
 
 
 def build_from_events(events: Iterator[Event]) -> Document:

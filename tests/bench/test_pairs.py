@@ -1,0 +1,196 @@
+"""The statistics of ``benchmarks/pairs.py`` on canned ``run.py`` output
+(no benchmark is run here)."""
+
+import json
+
+import pytest
+
+from benchmarks.pairs import Comparison, Run, quartiles, refusal, report
+
+INFO = {
+    "plan_digest": "a8fbb343206a5c8b",
+    "tier_digest": "01cb3d5a3968d22e",
+    "tiers_first_pass": {"scatter-gather": 160},
+    "cube_algorithm": "AUTO->BUCOPT",
+    "facts": 4000,
+}
+
+
+def stdout(setup_s, rss=100.0, correct=True, failed=0, **info):
+    """What ``run.py --workload W --trace 0`` ends with."""
+    contract = {
+        "correct": correct,
+        "attempted": 1226,
+        "failed": failed,
+        "metrics": {
+            "setup_s": {"value": setup_s, "unit": "s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+        },
+    }
+    return "\n".join(
+        [
+            "== cluster_scatter  seed=17 scale=full  end to end",
+            f" *setup_s    {setup_s} s",
+            "  ops attempted=1226 failed=0 NAIVE checks passed",
+            "INFO " + json.dumps({**INFO, **info}, sort_keys=True),
+            json.dumps(contract),
+            "",
+        ]
+    )
+
+
+def runs(parent, change, **change_info):
+    return [
+        (
+            Run.from_stdout(stdout(p, rss=118.0)),
+            Run.from_stdout(stdout(c, rss=107.0, **change_info)),
+        )
+        for p, c in zip(parent, change)
+    ]
+
+
+class TestReadingARun:
+    def test_contract_and_info_lines(self):
+        run = Run.from_stdout(stdout(0.166, rss=107.05))
+        assert run.correct and (run.attempted, run.failed) == (1226, 0)
+        assert run.metrics == {"setup_s": 0.166, "peak_rss_mb": 107.05}
+        assert run.info["plan_digest"] == "a8fbb343206a5c8b"
+
+    @pytest.mark.parametrize(
+        "text", ["", "Traceback (most recent call last):\nBoom", '{"a": 1}']
+    )
+    def test_anything_else_is_an_error(self, text):
+        with pytest.raises(ValueError):
+            Run.from_stdout(text)
+
+
+class TestRefusal:
+    def test_equal_work_is_accepted(self):
+        ((parent, change),) = runs([0.2], [0.1])
+        assert refusal(parent, change) is None
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("plan_digest", "ffff"),
+            ("tier_digest", "ffff"),
+            ("tiers_first_pass", {"scatter-gather": 159, "cache": 1}),
+            ("cube_algorithm", "AUTO->COUNTER"),
+        ],
+    )
+    def test_different_work_is_refused(self, key, value):
+        ((parent, change),) = runs([0.2], [0.1], **{key: value})
+        assert refusal(parent, change).startswith(f"{key} differs")
+
+    def test_an_incorrect_run_is_refused_on_either_side(self):
+        good = Run.from_stdout(stdout(0.2))
+        bad = Run.from_stdout(stdout(0.1, correct=False, failed=3))
+        assert "change run is correct: false (3/1226" in refusal(good, bad)
+        assert "parent run is correct: false" in refusal(bad, good)
+
+
+class TestStatistics:
+    def test_quartiles_interpolate(self):
+        assert quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+        assert quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+        assert quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+    def test_wins_losses_and_ties(self):
+        compared = Comparison((0.20, 0.20, 0.20), (0.10, 0.30, 0.20))
+        assert (compared.wins, compared.losses) == (1, 1)
+        assert Comparison((0.2,), (0.15,)).delta == pytest.approx(-0.25)
+
+    # PR 17's ten seed-17 readings (EXPERIMENTS.md).
+    PARENT = (0.660, 0.666, 0.637, 0.554, 0.616, 0.598, 0.520, 0.524, 0.566, 0.631)
+    CHANGE = (0.248, 0.229, 0.210, 0.216, 0.192, 0.206, 0.180, 0.190, 0.195, 0.192)
+
+    def test_a_clear_gain_is_claimable(self):
+        compared = Comparison(self.PARENT, self.CHANGE)
+        assert compared.wins == 10 and compared.claimable()
+        assert compared.delta == pytest.approx(-0.67, abs=0.005)
+
+    def test_nine_of_ten_is_enough_and_eight_is_not(self):
+        nine = self.CHANGE[:9] + (0.7,)
+        assert Comparison(self.PARENT, nine).claimable()
+        eight = self.CHANGE[:8] + (0.7, 0.7)
+        assert not Comparison(self.PARENT, eight).claimable()
+
+    def test_a_tie_is_not_a_win(self):
+        tied = self.CHANGE[:8] + self.PARENT[8:]
+        assert Comparison(self.PARENT, tied).wins == 8
+        assert not Comparison(self.PARENT, tied).claimable()
+
+    def test_medians_inside_the_parents_spread_are_not_a_gain(self):
+        parent = (0.20, 0.30, 0.25, 0.35, 0.22, 0.28, 0.31, 0.24, 0.27, 0.33)
+        change = tuple(value - 0.01 for value in parent)  # wins 10/10
+        compared = Comparison(parent, change)
+        assert compared.wins == 10 and not compared.claimable()
+
+    def test_fewer_than_ten_pairs_are_reported_not_claimed(self):
+        nine = Comparison(self.PARENT[:9], self.CHANGE[:9])
+        assert nine.wins == 9 and not nine.claimable()
+
+    def test_a_slower_change_is_not_a_gain(self):
+        assert not Comparison(self.CHANGE, self.PARENT).claimable()
+
+
+class TestReport:
+    def test_the_row_and_every_reading(self):
+        lines = report(
+            "`cluster_scatter`, `--seed 17`",
+            runs(TestStatistics.PARENT, TestStatistics.CHANGE),
+        )
+        assert lines[0] == (
+            "parent setup_s, in the order run: 0.660 0.666 0.637 0.554"
+            " 0.616 0.598 0.520 0.524 0.566 0.631"
+        )
+        assert lines[1].startswith("change setup_s, in the order run: 0.248 ")
+        assert "failed ops parent 0/12260, change 0/12260" in lines
+        assert (
+            # (PR 17 printed 0.636 and 0.200 from the unrounded readings)
+            "| `cluster_scatter`, `--seed 17` | 10 | 0.607 (0.557–0.635) |"
+            " 0.201 (0.192–0.214) | 10/10 | −67.0 % | 118.0 → 107.0 |"
+        ) in lines
+        assert lines[-1].startswith("claim rule") and ": met (10 wins" in lines[-1]
+
+    def test_a_gain_that_fails_more_operations_is_not_met(self):
+        """``correct: true`` runs can still fail operations; the verdict
+        compares the shares (ISSUE 19: "no larger share of failed ops")."""
+        pairs = runs(TestStatistics.PARENT, TestStatistics.CHANGE)
+        flaky = Run.from_stdout(stdout(0.248, rss=107.0, failed=2))
+        lines = report("w", [(pairs[0][0], flaky)] + pairs[1:])
+        assert "failed ops parent 0/12260, change 2/12260" in lines
+        assert ": NOT met (10 wins, 0 losses, 0 ties, the change fails" in (
+            lines[-1]
+        )
+        # The same two failures on the parent's side do not count against
+        # the change.
+        flaky = Run.from_stdout(stdout(0.660, rss=118.0, failed=2))
+        lines = report("w", [(flaky, pairs[0][1])] + pairs[1:])
+        assert "failed ops parent 2/12260, change 0/12260" in lines
+        assert ": met (10 wins" in lines[-1]
+
+    def test_two_pairs_list_their_readings(self):
+        lines = report("w", runs([0.618, 0.579], [0.194, 0.187]))
+        assert "| w | 2 | 0.618 / 0.579 | 0.194 / 0.187 | 2/2 | −68.2 % |" in (
+            lines[-2]
+        )
+
+    def test_a_refused_pair_is_named_and_left_out(self):
+        pairs = runs([0.2, 0.2, 0.2], [0.1, 0.1, 0.1])
+        pairs[1] = (
+            pairs[1][0],
+            Run.from_stdout(stdout(0.001, plan_digest="ffff")),
+        )
+        lines = report("w", pairs)
+        assert lines[0].startswith("pair 2 REFUSED: plan_digest differs")
+        assert "| w | 2 | 0.200 / 0.200 | 0.100 / 0.100 | 2/2 |" in lines[-2]
+
+    def test_nothing_to_report_when_every_pair_is_refused(self):
+        pairs = [
+            (
+                Run.from_stdout(stdout(0.2)),
+                Run.from_stdout(stdout(0.1, correct=False)),
+            )
+        ]
+        assert report("w", pairs)[-1] == "no pair accepted"

@@ -14,6 +14,7 @@ from repro.core.query import Query
 from repro.datagen.publications import figure1_document, query1
 from repro.testing import messy_workload as _messy_workload
 from repro.testing import small_workload
+from repro.xmlmodel.nodes import Element
 
 
 def cuboid_of(backend, point):
@@ -45,3 +46,19 @@ def regular_workload():
 def messy_workload():
     """Neither summarizability property holds."""
     return _messy_workload()
+
+
+@pytest.fixture()
+def count_elements(monkeypatch):
+    """A function returning how many ``Element`` s have been constructed
+    since the fixture was set up (the guard that a code path reads the
+    region table and never builds the tree)."""
+    built = [0]
+    construct = Element.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(Element, "__init__", counting)
+    return lambda: built[0]

@@ -134,3 +134,74 @@ class TestXmlWarehouse:
         warehouse.add(serialize(figure1_document()))
         session = warehouse.query(QUERY1_TEXT)
         assert session.result.total_cells() > 0
+
+
+def _treebank_family(**knobs):
+    from repro.datagen.treebank import (
+        TreebankConfig,
+        generate_treebank,
+        treebank_query,
+    )
+
+    config = TreebankConfig(n_facts=60, **knobs)
+    return generate_treebank(config), treebank_query(config)
+
+
+def _catalog_family():
+    from repro.datagen.catalog import (
+        CatalogConfig,
+        catalog_query,
+        generate_catalog,
+    )
+
+    return generate_catalog(CatalogConfig(n_products=60)), catalog_query("SUM")
+
+
+def _dblp_family():
+    from repro.datagen.dblp import dblp_query
+
+    return generate_dblp(DblpConfig(n_articles=60)), dblp_query()
+
+
+def _publications_family():
+    from repro.datagen.publications import query1, random_publications
+
+    return random_publications(60, seed=3), query1()
+
+
+#: family -> () -> (generated document, its shipped query)
+DATAGEN_FAMILIES = {
+    "figure1": lambda: (figure1_document(), QUERY1_TEXT),
+    "publications": _publications_family,
+    "treebank-messy": lambda: _treebank_family(
+        n_axes=4, coverage=False, disjoint=False, seed=5
+    ),
+    "treebank-dense": lambda: _treebank_family(n_axes=6, density="dense"),
+    "dblp": _dblp_family,
+    "catalog": _catalog_family,
+}
+
+
+class TestIngestBuildsNoTree:
+    """``add(text)`` + ``query(q)`` reads the parser's region table: not
+    one ``Element`` is constructed on the way (ISSUE 19)."""
+
+    @pytest.mark.parametrize("family", sorted(DATAGEN_FAMILIES))
+    def test_zero_elements(self, family, count_elements):
+        built, query = DATAGEN_FAMILIES[family]()
+        text = serialize(built)
+        before = count_elements()  # the generators build trees
+        warehouse = XmlWarehouse()
+        warehouse.add(text)
+        session = warehouse.query(query)
+        fact_tag = session.query.fact_tag
+        assert len(session.table) == warehouse.fact_count(fact_tag) > 0
+        assert session.recommend().algorithm
+        assert count_elements() == before
+
+    def test_the_guard_counts(self, count_elements):
+        warehouse = XmlWarehouse()
+        doc = warehouse.add(serialize(figure1_document()))
+        before = count_elements()
+        assert doc.root.tag == "database"  # the tree's first touch
+        assert count_elements() - before == doc.element_count()

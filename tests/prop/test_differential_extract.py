@@ -207,6 +207,178 @@ def test_facts_nested_in_facts_extract_equal():
 
 
 # ----------------------------------------------------------------------
+# (v) what a set-at-a-time join can get wrong (ISSUE 19): the in-memory
+# extractor evaluates a path once for all facts, so the order in which
+# one fact sights its values is no longer the order of a walk
+# ----------------------------------------------------------------------
+NESTED_PHRASES = (
+    "<t>"
+    "<s id='1'><np k='o'><w>a</w><np k='i'><w>b</w><pp><w>c</w></pp></np>"
+    "<w>d</w></np><w>e</w></s>"
+    "<s id='2'><pp><np><w>f</w></np></pp>"
+    "<s id='3'><np><np><np><w>g</w></np><w>h</w></np><w>g</w></np></s>"
+    "<np><w>i</w></np></s>"
+    "<s id='4'/>"
+    "<s id='5'><np><np><np><w>j</w></np></np><np><w>k</w></np></np></s>"
+    "</t>"
+)
+
+
+def _both_shapes(text):
+    """The parsed document (a table) and an equal hand-built one (a
+    tree whose table is derived)."""
+    return parse(text), Document(parse(text).root.detach())
+
+
+def test_nested_frontiers_extract_equal():
+    # A child of the outer <np> that follows the inner <np> in the
+    # document is sighted *before* the inner one's children by the
+    # per-fact walk; facts nest in facts on top.
+    paths = ["np//w", "//np//w", "//np/w", "*//*", "//*/*", "np/np//w/@k",
+             "//np//np/w", "//w"]
+    for doc in _both_shapes(NESTED_PHRASES):
+        for relaxations in RELAXATIONS.values():
+            query = _query("s", paths, relaxations)
+            table = assert_same_rows([doc], query)
+            assert [row.fact_id for row in table.rows] == [
+                (0, node_id) for node_id in doc.region_table().ids("s")
+            ]
+            assert_same_rows_db([doc], query)
+    # The order is the walk's, not the document's: under the outer <np>
+    # "d" is bound before "b".
+    table = extract_from_documents(
+        [parse(NESTED_PHRASES)], _query("s", ["//np/w"], RELAXATIONS["LND"])
+    )
+    assert [value.value for value in table.rows[0].axes[0]] == ["a", "d", "b"]
+    # ... and a node reached twice keeps the place of its first sighting:
+    # the innermost <np> of the last fact is sighted from the outermost
+    # (before its sibling's subtree) and again from the middle one.
+    table = extract_from_documents(
+        [parse(NESTED_PHRASES)],
+        _query("s", ["//np//np/w"], RELAXATIONS["LND"]),
+    )
+    assert [value.value for value in table.rows[-1].axes[0]] == ["j", "k"]
+
+
+def test_attribute_steps_under_descendant_steps_extract_equal():
+    text = (
+        "<r><f><a k='1'><b k='2' j='x'/><b k='1'/></a><c j='y'><a k='3'/></c>"
+        "</f><f k='own'><b/></f><f><c><c><a k='1' j='x'/></c></c></f></r>"
+    )
+    paths = ["//@k", "//a/@k", "//a//@k", "a//@k", "//c//a/@j", "*//@j",
+             "@k", "//*/@k"]
+    for doc in _both_shapes(text):
+        for relaxations in RELAXATIONS.values():
+            query = _query("f", paths, relaxations)
+            assert_same_rows([doc], query)
+            assert_same_rows_db([doc], query)
+
+
+def test_existence_prefixes_that_fail_for_some_facts_extract_equal():
+    # SP binds ``author//name`` only where ``author`` exists; PC-AD binds
+    # ``//name`` regardless: the masks differ fact by fact.
+    text = (
+        "<db>"
+        "<p><author><name>n1</name></author></p>"
+        "<p><authors><author><name>n2</name></author></authors></p>"
+        "<p><author/><editor><name>n3</name></editor></p>"
+        "<p><editor><name>n4</name></editor></p>"
+        "<p><author><x><name>n5</name></x></author><name>n6</name></p>"
+        "<p/>"
+        "</db>"
+    )
+    paths = ["author/name", "authors/author/name", "editor/name", "*/x/name"]
+    for doc in _both_shapes(text):
+        seen = set()
+        for relaxations in RELAXATIONS.values():
+            query = _query("p", paths, relaxations)
+            table = assert_same_rows([doc], query)
+            seen |= {
+                value.mask for row in table.rows for value in row.axes[0]
+            }
+            assert_same_rows_db([doc], query)
+        assert len(seen) > 2  # some states bind, some do not
+
+
+def test_multi_chunk_and_cdata_text_extract_equal():
+    text = (
+        "<r><f><v>one<i/>two</v><v><![CDATA[one]]>two</v>"
+        "<v> pad<!-- c -->ded </v><v><![CDATA[ <raw> & ]]></v><v/>"
+        "<v>&lt;raw&gt; <![CDATA[&]]></v></f>"
+        "<f><v>x<?pi?>y<w>z</w></v><v>\n  <w>1</w>\n  2\n</v></f></r>"
+    )
+    for doc in _both_shapes(text):
+        for function in ("COUNT", "SUM"):
+            query = _query(
+                "f",
+                ["v", "//w", "v/*", "//*"],
+                RELAXATIONS["PC-AD"],
+                AggregateSpec(function, "v/w"),
+            )
+            table = assert_same_rows([doc], query)
+            assert_same_rows_db([doc], query)
+        values = [value.value for value in table.rows[0].axes[0]]
+        assert values == ["onetwo", "padded", "<raw> &", ""]
+
+
+def test_multi_document_warehouses_of_tables_and_trees_extract_equal():
+    built = [
+        random_publications(30, seed=1),
+        figure1_document(),
+        generate_treebank(MESSY),  # no fact of this query
+        random_publications(30, seed=2),
+    ]
+    parsed = _round_trip(built)
+    mixed = [built[0], parsed[1], parsed[2], built[3]]
+    tables = [
+        assert_same_rows(docs, query1()) for docs in (built, parsed, mixed)
+    ]
+    assert tables[0].rows == tables[1].rows == tables[2].rows
+    assert {row.fact_id[0] for row in tables[0].rows} == {0, 1, 3}
+    assert_same_rows_db(parsed, query1())
+    # One shared binding across documents, too.
+    annotated = [
+        value
+        for row in tables[1].rows
+        for axis in row.axes
+        for value in axis
+    ]
+    assert len({id(value) for value in annotated}) == len(set(annotated))
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+def test_very_deep_and_very_wide_documents_extract_and_pickle(shape):
+    size = 100_000
+    if shape == "deep":
+        text = (
+            "<a>" * size + "<f id='1'><g>v</g><a><g>u</g></a></f>"
+            + "</a>" * size
+        )
+        facts = 1
+    else:
+        text = (
+            "<r>"
+            + "".join(f"<f><g>v{n % 7}</g></f>" for n in range(size))
+            + "</r>"
+        )
+        facts = size
+    doc = parse(text)
+    query = _query("f", ["g", "//g", "a/g"], RELAXATIONS["PC-AD"])
+    table = extract_from_documents([doc], query)
+    assert len(table.rows) == facts
+    assert [value.value for value in table.rows[0].axes[1]] == (
+        ["v", "u"] if shape == "deep" else ["v0"]
+    )
+    assert pickle.loads(pickle.dumps(table)).rows == table.rows
+    # The parsed document is flat columns: it pickles at any depth.
+    again = pickle.loads(pickle.dumps(doc))
+    assert again.region_table().tags == doc.region_table().tags
+    assert again.region_table().postings == doc.region_table().postings
+    assert extract_from_documents([again], query).rows == table.rows
+    assert doc.max_depth() == (size + 2 if shape == "deep" else 2)
+
+
+# ----------------------------------------------------------------------
 # Hypothesis: random trees, random paths
 # ----------------------------------------------------------------------
 TESTS = st.sampled_from(["a", "b", "item", "x1", "_u", "*"])

@@ -403,6 +403,90 @@ def test_reindex_after_parse_changes_nothing_on_mutants(text):
 
 
 # ----------------------------------------------------------------------
+# (v) the table the parser writes is the table of its own tree
+# ----------------------------------------------------------------------
+def table_columns(table):
+    return (
+        list(table.tags),
+        list(table.parents),
+        list(zip(table.starts, table.ends, table.levels)),
+        [table.chunks(node_id) for node_id in range(len(table))],
+        [list((held or {}).items()) for held in table.attrs],
+        [(tag, list(node_ids)) for tag, node_ids in table.postings.items()],
+    )
+
+
+def assert_table_is_its_tree(text):
+    """ISSUE 19: parse writes a table; materialising its tree and
+    re-deriving the table from that tree (before and after a
+    ``reindex()``) changes no cell, and neither does deriving it from
+    the tree the reference parser builds."""
+    doc = parse(text)
+    written = table_columns(doc.region_table())
+    elements = list(doc.elements)  # the tree's first touch
+    assert [
+        (
+            node.tag,
+            node.parent.node_id if node.parent is not None else -1,
+            (node.start, node.end, node.level),
+            node.text_chunks,
+            list(node.attrs.items()),
+        )
+        for node in elements
+    ] == list(zip(*written[:5]))
+    assert [node.node_id for node in elements] == list(range(len(elements)))
+    assert table_columns(doc.region_table()) == written
+    doc.reindex()
+    assert table_columns(doc.region_table()) == written
+    assert table_columns(reference_parse(text).region_table()) == written
+    # Identity: every way to reach an element reaches the same object.
+    assert doc.root is elements[0]
+    assert all(a is b for a, b in zip(doc.elements, elements))
+    for node in elements:
+        assert all(child.parent is node for child in node.children)
+        assert node.parent is None or node in node.parent.children
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+@pytest.mark.parametrize("family", sorted(DATAGEN_DOCUMENTS))
+def test_table_is_its_tree_on_datagen_families(family, pretty):
+    assert_table_is_its_tree(
+        serialize(DATAGEN_DOCUMENTS[family](), pretty=pretty)
+    )
+
+
+def test_table_is_its_tree_on_the_corpus():
+    accepted = [
+        text for text in CORPUS if outcome(reference_parse, text)[0] == "tree"
+    ]
+    assert len(accepted) > 40
+    for text in accepted:
+        assert_table_is_its_tree(text)
+
+
+@given(random_element())
+@settings(max_examples=80, deadline=None)
+def test_table_is_its_tree_on_random_trees(element):
+    doc = Document(element.detach())
+    for pretty in (False, True):
+        assert_table_is_its_tree(serialize(doc, pretty=pretty))
+    # ... and a hand-built tree has the table its serialisation parses to.
+    assert table_columns(doc.region_table()) == table_columns(
+        parse(serialize(doc)).region_table()
+    )
+
+
+@given(mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_table_is_its_tree_on_mutants(text):
+    if outcome(reference_parse, text)[0] == "tree":
+        try:
+            assert_table_is_its_tree(text)
+        except XmlParseError:
+            assert has_lenient_reference(text), text
+
+
+# ----------------------------------------------------------------------
 # the pattern's name class is the reader's name class
 # ----------------------------------------------------------------------
 def test_name_pattern_is_the_name_character_predicate():

@@ -135,3 +135,101 @@ class TestDtd:
         dtd = build_pub_dtd()
         dtd.declare(ElementDecl("year", has_text=False))
         assert dtd.get("year").has_text is False
+
+
+def _paths_between_exhaustive(dtd, from_tag, to_tag, max_depth=16):
+    """``Dtd._paths_between`` as it was before it learnt to stop at the
+    first cycle that reaches ``to_tag``: the whole walk, reachability
+    recomputed at every back edge.  The reference the verdicts are
+    pinned against."""
+    paths = []
+    saw_cycle = [False]
+
+    def walk(tag, trail, visited):
+        if len(trail) > max_depth:
+            return
+        decl = dtd.get(tag)
+        if decl is None:
+            return
+        for child, card in decl.children.items():
+            if child == to_tag:
+                paths.append(trail + [card])
+            if child in visited:
+                if to_tag in dtd.reachable_tags(child) or child == to_tag:
+                    saw_cycle[0] = True
+                continue
+            walk(child, trail + [card], visited + (child,))
+
+    walk(from_tag, [], (from_tag,))
+    return None if saw_cycle[0] else paths
+
+
+def _inferred_treebank_dtd() -> Dtd:
+    from repro.datagen.treebank import TreebankConfig, generate_treebank
+    from repro.schema.inference import infer_dtd
+
+    config = TreebankConfig(
+        n_facts=150, n_axes=4, coverage=False, disjoint=False, seed=3
+    )
+    return infer_dtd([generate_treebank(config)])
+
+
+def _inferred_publications_dtd() -> Dtd:
+    from repro.datagen.publications import random_publications
+    from repro.schema.inference import infer_dtd
+
+    return infer_dtd([random_publications(80, seed=5)])
+
+
+class TestDescendantCardinalityOnInferredSchemas:
+    """The oracle asks ``from//to`` of schemas inferred from data; on the
+    treebank one (filler phrases nest in each other) nearly every walk
+    meets a cycle."""
+
+    @pytest.mark.parametrize(
+        "build", [_inferred_treebank_dtd, _inferred_publications_dtd]
+    )
+    def test_every_verdict_is_the_exhaustive_walks(self, build):
+        dtd = build()
+        for from_tag in dtd.tags:
+            for to_tag in dtd.tags:
+                assert dtd._paths_between(
+                    from_tag, to_tag, 16
+                ) == _paths_between_exhaustive(dtd, from_tag, to_tag), (
+                    from_tag,
+                    to_tag,
+                )
+
+    def test_pinned_verdicts(self):
+        treebank = _inferred_treebank_dtd()
+        verdict = treebank.descendant_step_cardinality
+        assert verdict("treebank", "sentence") is Cardinality.PLUS
+        assert verdict("sentence", "w") is Cardinality.STAR  # via a cycle
+        assert verdict("sentence", "m1") is Cardinality.STAR
+        assert verdict("np", "np") is Cardinality.STAR
+        assert verdict("phrase", "m2") is Cardinality.STAR
+        assert verdict("phrase", "w") is None
+        assert verdict("w", "sentence") is None
+        publications = _inferred_publications_dtd()
+        verdict = publications.descendant_step_cardinality
+        assert verdict("database", "publication") is Cardinality.PLUS
+        assert verdict("publication", "name") is Cardinality.STAR
+        assert verdict("author", "name") is Cardinality.ONE
+        assert verdict("author", "year") is None
+
+    def test_reachability_is_computed_once_per_tag_per_question(
+        self, monkeypatch
+    ):
+        dtd = _inferred_treebank_dtd()
+        calls = []
+        reachable_tags = dtd.reachable_tags
+        monkeypatch.setattr(
+            dtd,
+            "reachable_tags",
+            lambda tag: calls.append(tag) or reachable_tags(tag),
+        )
+        for to_tag in dtd.tags:
+            del calls[:]
+            dtd.descendant_step_cardinality("sentence", to_tag)
+            # (the exhaustive walk asks thousands of times here)
+            assert len(calls) == len(set(calls)) <= len(dtd.tags), to_tag

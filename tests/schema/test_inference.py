@@ -7,6 +7,7 @@ from repro.schema.dtd import Cardinality
 from repro.schema.inference import infer_dtd
 from repro.xmlmodel.nodes import Document, Element
 from repro.xmlmodel.parser import parse
+from tests.prop.test_hypothesis_xml import random_element
 
 
 class TestInference:
@@ -101,3 +102,69 @@ def test_inferred_cardinalities_are_sound(doc):
                 assert card.may_be_absent
             if observed > 1:
                 assert card.may_repeat
+
+
+# ----------------------------------------------------------------------
+# differential: inference reads a document's region table tag by tag
+# (ISSUE 19); the definition, element by element over the tree, is the
+# oracle
+# ----------------------------------------------------------------------
+def _inferred_by_definition(docs):
+    instances = {}
+    for doc in docs:
+        for node in doc.elements:
+            instances.setdefault(node.tag, []).append(node)
+    declared = {}
+    for tag, nodes in instances.items():
+        children = {}
+        for child_tag in {c.tag for node in nodes for c in node.children}:
+            counts = [len(node.find_children(child_tag)) for node in nodes]
+            absent, repeat = min(counts) == 0, max(counts) > 1
+            children[child_tag] = (
+                Cardinality.STAR if absent and repeat
+                else Cardinality.OPTIONAL if absent
+                else Cardinality.PLUS if repeat
+                else Cardinality.ONE
+            )
+        attributes = {
+            name: all(name in node.attrs for node in nodes)
+            for name in {name for node in nodes for name in node.attrs}
+        }
+        has_text = any(node.text for node in nodes)
+        declared[tag] = (has_text, children, attributes)
+    return docs[0].elements[0].tag, declared
+
+
+def _declarations(dtd):
+    return dtd.root, {
+        tag: (
+            dtd.get(tag).has_text,
+            dict(dtd.get(tag).children),
+            {
+                name: decl.required
+                for name, decl in dtd.get(tag).attributes.items()
+            },
+        )
+        for tag in dtd.tags
+    }
+
+
+def test_inference_is_the_definition_on_every_datagen_family():
+    from repro.xmlmodel.serializer import serialize
+    from tests.prop.test_differential_parser import DATAGEN_DOCUMENTS
+
+    built = [build() for _, build in sorted(DATAGEN_DOCUMENTS.items())]
+    for docs in [[doc] for doc in built] + [built]:
+        parsed = [parse(serialize(doc, pretty=True)) for doc in docs]
+        expected = _inferred_by_definition(docs)
+        assert _declarations(infer_dtd(docs)) == expected
+        # (read off the parser's table, before the oracle builds the tree)
+        assert _declarations(infer_dtd(parsed)) == expected
+        assert _inferred_by_definition(parsed) == expected
+
+
+@given(random_element())
+@settings(max_examples=150, deadline=None)
+def test_inference_is_the_definition_on_random_trees(element):
+    doc = Document(element.detach())
+    assert _declarations(infer_dtd([doc])) == _inferred_by_definition([doc])
