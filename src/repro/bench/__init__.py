@@ -7,7 +7,9 @@
 - :mod:`repro.bench.report` — ASCII series/table rendering of the same
   rows the paper plots;
 - :mod:`repro.bench.runner` — what ``x3 bench`` runs, and the artifact
-  scheme.
+  scheme;
+- :mod:`repro.bench.determinism` — the exact comparison of a fresh record
+  with the committed one (``BENCH_figures.json``, ``BENCH_smoke.json``).
 """
 
 from repro.bench.harness import AlgorithmRun, run_workload

@@ -1,18 +1,20 @@
 """Byte-for-byte determinism differ for benchmark artifacts.
 
-CI runs the benchmark writers twice in one job (the figure sweeps once,
-against the committed ``BENCH_figures.json``) and pipes each pair through
-this module: every JSON artifact and JSONL event log must be **identical
-across runs** once the wall-clock noise is stripped.  The modeled numbers
-(simulated seconds, cell counts, modeled speedups, event sequences) are
-deterministic by construction — host timing is the only thing allowed to
-differ — so any surviving diff is a real nondeterminism bug (an unstable
-iteration order, an unseeded random, a race) and fails the build.
+CI regenerates the two committed records (``BENCH_figures.json``,
+``BENCH_smoke.json`` — tier-1 regenerates the latter too) and runs the
+seeded cluster replay twice, and pipes each pair through this module:
+every JSON artifact and JSONL event log must be **identical** once the
+wall-clock noise is stripped.  The modeled numbers (simulated seconds,
+cell counts, hit rates, event sequences) are deterministic by
+construction — host timing is the only thing allowed to differ — so a
+surviving diff is either a modeled change (commit the regenerated
+record with it) or a nondeterminism bug (an unstable iteration order,
+an unseeded random, a race), and fails the build.
 
 Normalization: volatile keys are removed recursively, everything else
 is re-serialized canonically (sorted keys) and compared byte for byte::
 
-    python -m repro.bench.determinism a/BENCH_engine.json b/BENCH_engine.json
+    python -m repro.bench.determinism fresh/BENCH_smoke.json BENCH_smoke.json
     python -m repro.bench.determinism --jsonl a/events.jsonl b/events.jsonl
 
 A key is volatile when it measures host time: ``wall_seconds`` and any

@@ -21,14 +21,23 @@ we, recording ``correct=False``).
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.cluster import ClusterCoordinator
 from repro.core.algorithms.registry import COLUMNAR_CAPABLE
 from repro.core.bindings import FactTable
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
+from repro.core.materialize import cuboid_sizes
+from repro.core.query import CubeBackend
 from repro.datagen.workload import Workload, WorkloadConfig, build_workload
+from repro.obs.live import percentile
+from repro.obs.trace_store import TraceStore
+from repro.serve import CubeServer
+from repro.serve.replay import replay, sample_points
+from repro.server import CubeCatalog, LogicalCube, X3Api
 
 
 @dataclass
@@ -53,8 +62,10 @@ class AlgorithmRun:
     encoding: str = "auto"
 
     @property
-    def modeled_speedup(self) -> float:
-        """Total simulated work over the schedule's critical path."""
+    def work_over_path(self) -> float:
+        """Total simulated work over the schedule's critical path: how
+        evenly the partitions load the workers, not a speedup (the rows'
+        own ``wall_seconds`` say what the pool cost on this host)."""
         if self.par_sim_seconds <= 0.0:
             return 1.0
         return self.simulated_seconds / self.par_sim_seconds
@@ -208,7 +219,7 @@ SMOKE_ALGORITHMS = ("NAIVE", "COUNTER", "COLUMNAR", "BUC", "TD")
 SMOKE_CONFIG = WorkloadConfig(kind="treebank", n_facts=80, n_axes=3)
 
 
-def run_smoke(workers: int = 4, engine: str = "thread") -> List[AlgorithmRun]:
+def run_smoke(workers: int = 2, engine: str = "thread") -> List[AlgorithmRun]:
     """The CI smoke benchmark: a small workload, serial and parallel.
 
     Every serial run is validated against NAIVE; every parallel run must
@@ -224,3 +235,129 @@ def run_smoke(workers: int = 4, engine: str = "thread") -> List[AlgorithmRun]:
             {"workers": workers, "engine": engine},
         ),
     )
+
+
+REPLAY_CONFIG = WorkloadConfig(
+    kind="treebank", n_facts=300, n_axes=4,
+    density="dense", coverage=True, disjoint=True,
+)
+REPLAY_REQUESTS = 80
+REPLAY_SEED = 13
+#: The text front door may model at most this much over the JSON one.
+X3QL_P95_CEILING = 1.10
+
+
+def run_replays() -> Dict[str, Dict[str, float]]:
+    """The serving half of the smoke record: one seeded request mix
+    replayed through every front door, modeled numbers only.
+
+    ``serve_cold`` has no cache (every request recomputes), ``serve_warm``
+    a budget of the whole lattice, ``serve_warm_traced`` the same under a
+    :class:`TraceStore` at full sampling (spans observe modeled time,
+    they never spend it); ``cluster_cold`` scatter-gathers over 4 shards
+    x 2 cold replicas; ``api_json`` / ``api_x3ql`` go through
+    :meth:`X3Api.handle` — routing, logical-model binding, JSON — as
+    ``POST .../aggregate`` bodies and as X^3QL ``ROLLUP`` text, whose
+    per-token compile charge is the whole difference between the two.
+    """
+    workload = build_workload(REPLAY_CONFIG)
+    table = workload.fact_table()
+    oracle = workload.oracle(table)
+    lattice = table.lattice
+    points = sample_points(lattice, REPLAY_REQUESTS, REPLAY_SEED)
+    total_cells = sum(cuboid_sizes(table, lattice).values())
+
+    def summary(
+        latencies: List[float], servers: Sequence[CubeServer]
+    ) -> Dict[str, float]:
+        stats = [server.stats() for server in servers]
+        recomputed = sum(each.tiers.get("recompute", 0) for each in stats)
+        total = 0.0  # added left to right, as the backends' own counters
+        for latency in latencies:  # are: sum() is compensated from 3.12 on
+            total += latency
+        return {
+            "modeled_seconds": total,
+            "hit_rate": 1.0 - recomputed / sum(each.requests for each in stats),
+            "modeled_p95_seconds": percentile(latencies, 0.95),
+        }
+
+    def replayed(
+        backend: CubeBackend, servers: Sequence[CubeServer]
+    ) -> Dict[str, float]:
+        latencies: List[float] = []
+        replay(
+            backend,
+            points,
+            after=lambda _i, _q, result: latencies.append(result.modeled_seconds),
+        )
+        return summary(latencies, servers)
+
+    def served(
+        cache_cells: int, trace_store: Optional[TraceStore] = None
+    ) -> Dict[str, float]:
+        server = CubeServer(
+            table, oracle, cache_cells=cache_cells, trace_store=trace_store
+        )
+        return replayed(server, [server])
+
+    def through_api(path: str, body: Callable[[str], str]) -> Dict[str, float]:
+        server = CubeServer(table, oracle)
+        catalog = CubeCatalog()
+        catalog.register(LogicalCube.from_lattice("smoke", lattice), server)
+        api = X3Api(catalog)
+        latencies = []
+        for point in points:
+            text = body(lattice.describe(point))
+            response = api.handle("POST", path, text.encode("utf-8"))
+            if response.status != 200:
+                raise RuntimeError(f"{path} {text!r}: {response.body!r}")
+            latencies.append(float(json.loads(response.body)["modeled_seconds"]))
+        return summary(latencies, [server])
+
+    def rollup_text(described: str) -> str:
+        levels = [part.lstrip("$") for part in described.split(", ")]
+        by = ", ".join(level for level in levels if not level.endswith(":LND"))
+        return "ROLLUP smoke" + (f" BY {by}" if by else "")
+
+    with ClusterCoordinator(
+        table, 4, 2, oracle=oracle, cache_cells=0, hedge_deadline_seconds=None
+    ) as cluster:
+        cluster_cold = replayed(
+            cluster,
+            [replica.server for shard in cluster.shards for replica in shard],
+        )
+    return {
+        "serve_cold": served(0),
+        "serve_warm": served(total_cells),
+        "serve_warm_traced": served(total_cells, TraceStore(seed=REPLAY_SEED)),
+        "cluster_cold": cluster_cold,
+        "api_json": through_api(
+            "/api/v1/cubes/smoke/aggregate",
+            lambda described: json.dumps({"point": described}),
+        ),
+        "api_x3ql": through_api("/api/v1/query", rollup_text),
+    }
+
+
+def smoke_failures(
+    runs: Sequence[AlgorithmRun], replays: Mapping[str, Mapping[str, float]]
+) -> List[str]:
+    """Why this smoke fails, one line each; empty when it passes."""
+    failures = []
+    wrong = sorted({run.algorithm for run in runs if run.correct is False})
+    if wrong:
+        failures.append(f"wrong results from {', '.join(wrong)}")
+    if replays["serve_warm_traced"] != replays["serve_warm"]:
+        failures.append(
+            "tracing leaked into the cost model: serve_warm_traced"
+            f" {dict(replays['serve_warm_traced'])} != serve_warm"
+            f" {dict(replays['serve_warm'])}"
+        )
+    x3ql = replays["api_x3ql"]["modeled_p95_seconds"]
+    bound = X3QL_P95_CEILING * replays["api_json"]["modeled_p95_seconds"]
+    if x3ql > bound:
+        failures.append(
+            f"X^3QL modeled p95 {x3ql:.3e} is above {X3QL_P95_CEILING:.2f}x"
+            f" the JSON endpoint's ({bound:.3e})"
+        )
+    return failures

@@ -1,17 +1,12 @@
-"""Rendering of figure and serving results: ASCII for the terminal,
-plus a dependency-free HTML serving report for CI artifacts."""
+"""ASCII rendering of figure and smoke results for the terminal."""
 
 from __future__ import annotations
 
-import html
 import textwrap
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Mapping, Optional
 
 from repro.bench.figures import Claim, FigureSpec, Sweep, series_name
-from repro.bench.harness import AlgorithmRun
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> bench)
-    from repro.serve.server import CubeServer
+from repro.bench.harness import REPLAY_REQUESTS, REPLAY_SEED, AlgorithmRun
 
 
 def format_figure(spec: FigureSpec, runs: List[AlgorithmRun]) -> str:
@@ -79,148 +74,50 @@ def claim_mark(claim: Claim, outcome: Optional[bool]) -> str:
     return "✗" if claim.reproduced else "✗ (known deviation)"
 
 
-def format_smoke(runs: List[AlgorithmRun]) -> str:
-    """Render the smoke benchmark: serial vs parallel per algorithm."""
+def format_smoke(
+    runs: List[AlgorithmRun], replays: Mapping[str, Mapping[str, float]]
+) -> str:
+    """Render the smoke: serial vs parallel per algorithm, then the
+    serving replays.
+
+    ``work/path`` is modeled work over the schedule's critical path (how
+    evenly the partitions load the workers); ``serial/wall`` is the
+    serial twin's wall seconds over the row's own — the speedup this
+    host measured, below 1.00x wherever the pool lost.
+    """
     lines = [
         "== smoke: parallel engine vs serial, "
         f"{runs[0].workload if runs else '?'}",
         f"   {'algorithm':<10} {'workers':>7} {'engine':>8} "
-        f"{'sim-s':>10} {'par-sim-s':>10} {'speedup':>8} {'wall-s':>10} "
-        f"{'ok':>4}",
+        f"{'sim-s':>10} {'par-sim-s':>10} {'work/path':>9} {'wall-s':>10} "
+        f"{'serial/wall':>11} {'ok':>4}",
     ]
+    serial_wall = {
+        run.algorithm: run.wall_seconds for run in runs if run.workers == 1
+    }
     for run in runs:
         ok = "-" if run.correct is None else ("yes" if run.correct else "NO")
+        wall_ratio = serial_wall[run.algorithm] / run.wall_seconds
         lines.append(
             f"   {run.algorithm:<10} {run.workers:>7} {run.engine:>8} "
             f"{run.simulated_seconds:>10.4f} {run.par_sim_seconds:>10.4f} "
-            f"{run.modeled_speedup:>7.2f}x {run.wall_seconds:>10.4f} "
-            f"{ok:>4}"
+            f"{run.work_over_path:>8.2f}x {run.wall_seconds:>10.4f} "
+            f"{wall_ratio:>10.2f}x {ok:>4}"
         )
+    lines += [
+        "",
+        f"== smoke: {REPLAY_REQUESTS}-request seed-{REPLAY_SEED} replays,"
+        " modeled seconds",
+        f"   {'replay':<18} {'total':>12} {'hit rate':>9} {'p95':>12}",
+    ]
+    for name, row in replays.items():
+        lines.append(
+            f"   {name:<18} {row['modeled_seconds']:>12.6f} "
+            f"{row['hit_rate']:>9.2%} {row['modeled_p95_seconds']:>12.4e}"
+        )
+    ratio = (
+        replays["api_x3ql"]["modeled_p95_seconds"]
+        / replays["api_json"]["modeled_p95_seconds"]
+    )
+    lines.append(f"   X^3QL p95 / JSON p95 = {ratio:.4f}")
     return "\n".join(lines)
-
-
-_HTML_STYLE = """
-body { font-family: monospace; margin: 2em; color: #222; }
-h1 { font-size: 1.3em; } h2 { font-size: 1.1em; margin-top: 1.5em; }
-table { border-collapse: collapse; margin: 0.5em 0; }
-th, td { border: 1px solid #bbb; padding: 0.25em 0.7em; text-align: right; }
-th { background: #eee; } td.l, th.l { text-align: left; }
-p.note { color: #666; }
-""".strip()
-
-
-def _html_table(headers: List[str], rows: List[List[str]]) -> List[str]:
-    """One table; a header or cell starting with ``<`` is left-aligned."""
-
-    def cell(tag: str, text: str) -> str:
-        left = text.startswith("<")
-        body = html.escape(text[1:] if left else text)
-        attr = " class='l'" if left else ""
-        return f"<{tag}{attr}>{body}</{tag}>"
-
-    lines = ["<table>"]
-    lines.append("<tr>" + "".join(cell("th", h) for h in headers) + "</tr>")
-    for row in rows:
-        lines.append("<tr>" + "".join(cell("td", c) for c in row) + "</tr>")
-    lines.append("</table>")
-    return lines
-
-
-def format_serving_html(server: "CubeServer") -> str:
-    """A standalone HTML serving report: the ``x3-top`` dashboard as
-    tables (windows, ladder rungs, hottest points, cache residency).
-
-    No chart libraries and no external assets — the file is attached
-    as a CI artifact and has to render anywhere.
-    """
-    from repro.obs.live import WINDOW_QUANTILES
-    from repro.serve.server import TIERS
-
-    stats = server.stats()
-    snapshots = server.telemetry.refresh_gauges()
-    out: List[str] = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset='utf-8'>",
-        "<title>x3 serving report</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        "<h1>x3 serving report</h1>",
-        "<p>"
-        + html.escape(
-            f"version {stats.version}: {stats.requests} requests, "
-            f"hit rate {stats.hit_rate:.0%}, modeled "
-            f"{stats.modeled_cost_seconds:.4f}s vs cold "
-            f"{stats.cold_cost_seconds:.4f}s "
-            f"({stats.modeled_speedup:.1f}x), {stats.writes} writes"
-        )
-        + "</p>",
-        "<h2>sliding windows</h2>",
-    ]
-    quantile_heads = [
-        f"p{int(q * 100):02d} modeled" for q in WINDOW_QUANTILES
-    ]
-    out += _html_table(
-        ["<window", "requests"]
-        + quantile_heads
-        + ["hit ratio", "churn", "SLO burn"],
-        [
-            [
-                f"<{snap.window_seconds:g}s",
-                str(snap.requests),
-            ]
-            + [
-                f"{snap.modeled_quantiles[q]:.3e}" for q in WINDOW_QUANTILES
-            ]
-            + [
-                f"{snap.hit_ratio:.0%}",
-                str(snap.evictions),
-                f"{snap.slo_burn_rate:.2f}",
-            ]
-            for snap in snapshots
-        ],
-    )
-    out.append(
-        "<p class='note'>modeled-latency quantiles (simulated seconds); "
-        "SLO burn = violating fraction / error budget</p>"
-    )
-    out.append("<h2>sound-source ladder</h2>")
-    out += _html_table(
-        ["<rung", "requests"],
-        [
-            [f"<{tier}", str(stats.tiers.get(tier, 0))]
-            for tier in TIERS
-            if stats.tiers.get(tier, 0)
-        ],
-    )
-    if snapshots and snapshots[0].top_points:
-        out.append(
-            "<h2>hottest lattice points "
-            f"({snapshots[0].window_seconds:g}s window)</h2>"
-        )
-        out += _html_table(
-            ["<point", "requests"],
-            [
-                [f"<{point}", str(count)]
-                for point, count in snapshots[0].top_points
-            ],
-        )
-    out.append(
-        "<h2>cache residency "
-        f"({stats.cache_used_cells}/{stats.cache_budget_cells} cells)</h2>"
-    )
-    entries = sorted(
-        server.cache.entries(), key=lambda e: (-e.size, e.point)
-    )
-    out += _html_table(
-        ["<point", "cells", "hits", "priority"],
-        [
-            [
-                f"<{server.lattice.describe(entry.point)}",
-                str(entry.size),
-                str(entry.hits),
-                f"{entry.priority:.4e}",
-            ]
-            for entry in entries
-        ],
-    )
-    out.append("</body></html>")
-    return "\n".join(out)

@@ -1,6 +1,6 @@
 """What ``x3 bench`` runs: the figure sweeps (gated on their claims), the
-scaling experiment and the CI smoke, plus the ``BENCH_<name>.json``
-artifact scheme they share with the perf gate."""
+scaling experiment and the smoke (engine runs + serving replays), plus
+the ``BENCH_<name>.json`` artifact scheme they share."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sys
 from typing import Any, Dict, List, Optional, Union
 
 from repro.bench.figures import FIGURES, run_figure
-from repro.bench.harness import run_smoke
+from repro.bench.harness import run_replays, run_smoke, smoke_failures
 from repro.bench.report import format_figure, format_smoke
 
 #: Version tag stamped into every ``BENCH_<name>.json`` artifact.
@@ -23,7 +23,7 @@ def write_bench_artifact(
 ) -> pathlib.Path:
     """Write ``root/BENCH_<name>.json``.
 
-    The engine smoke and the figure sweeps route their JSON output
+    The smoke and the figure sweeps route their JSON output
     through here so artifacts share one name pattern, one schema tag and
     one serialization (sorted keys would churn diffs: insertion order is
     kept, matching how each payload is assembled).
@@ -89,24 +89,22 @@ def validate_trace_file(path: str) -> Optional[str]:
 
 def _run(args: argparse.Namespace) -> int:
     if args.smoke:
-        runs = run_smoke(workers=max(2, args.workers))
-        print(format_smoke(runs))
+        # The committed BENCH_smoke.json is the flagless invocation's
+        # record (2 workers, thread pool); tier-1 and CI compare only that.
+        runs = run_smoke(workers=max(2, args.workers), engine=args.engine)
+        replays = run_replays()
+        print(format_smoke(runs, replays))
         if args.artifact_dir:
             path = write_bench_artifact(
-                "engine",
-                {"runs": [run.as_row() for run in runs]},
+                "smoke",
+                {"runs": [run.as_row() for run in runs], "replays": replays},
                 args.artifact_dir,
             )
             print(f"wrote {path}")
-        failed = [run for run in runs if run.correct is False]
-        if failed:
-            names = sorted({run.algorithm for run in failed})
-            print(
-                f"smoke FAILED: wrong results from {', '.join(names)}",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+        failures = smoke_failures(runs, replays)
+        for text in failures:
+            print(f"smoke FAILED: {text}", file=sys.stderr)
+        return 1 if failures else 0
     if not args.figure and not args.all and not args.scaling:
         args.print_help()
         return 2

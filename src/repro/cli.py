@@ -548,14 +548,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--smoke",
         action="store_true",
-        help="run the CI smoke benchmark (serial vs parallel on a small"
-        " workload) and exit non-zero on any result mismatch",
+        help="run the smoke benchmark (serial vs parallel on a small"
+        " workload, then the seeded serving replays) and exit non-zero on"
+        " any result mismatch; without other flags it reproduces the"
+        " committed BENCH_smoke.json",
     )
     sub.add_argument(
         "--artifact-dir",
         metavar="DIR",
         help="write the run's BENCH_<name>.json artifact into DIR"
-        " (BENCH_engine.json for --smoke, BENCH_figures.json for"
+        " (BENCH_smoke.json for --smoke, BENCH_figures.json for"
         " figure runs) via the unified artifact scheme",
     )
     sub.add_argument(

@@ -14,9 +14,11 @@ position of the offending clause and keep the HTTP 400 mapping;
 
 The compile cost is folded into the serving model's simulated clock as
 a deterministic token-count model (:func:`modeled_lang_seconds`): real
-wall time would make the perfgate's ``lang_parse_compile_overhead_ratio``
-metric machine-dependent, while a per-token charge is reproducible
-bit-for-bit and still scales with statement complexity.
+wall time would make the smoke record's ``api_x3ql`` replay (``x3 bench
+--smoke``, held to 1.10x the JSON endpoint's modeled p95 and compared
+exactly with the committed ``BENCH_smoke.json``) machine-dependent, while
+a per-token charge is reproducible bit-for-bit and still scales with
+statement complexity.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 One deterministic request mix (:func:`sample_points`), one deterministic
 write plan (:func:`plan_writes`) and the one loop that runs them against
 a :class:`~repro.core.query.CubeBackend` (:func:`replay`).  ``x3 serve``,
-``x3 serve explain --verify``, ``x3 top``, ``x3 cluster``, the perf gate
-and the serve/cluster benchmarks all replay through here, so a request
-mix means the same thing in every artifact.
+``x3 serve explain --verify``, ``x3 top``, ``x3 cluster`` and the
+replays of ``x3 bench --smoke`` all run through here, so a request mix
+means the same thing in every artifact.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Layering, outermost first:
 - :class:`X3Api` — the transport-independent core: route parsing, JSON
   decoding, auth, admission, error mapping.  ``handle()`` takes
   ``(method, path, body, headers)`` and returns an
-  :class:`ApiResponse`, so tests (and the perf gate) drive the complete
+  :class:`ApiResponse`, so tests (and the smoke replays) drive the complete
   request path without sockets;
 - :class:`~repro.core.query.CubeBackend` — the only thing the API calls
   into.  A single :class:`~repro.serve.CubeServer` and a

@@ -12,8 +12,7 @@ wall-clock columns vary with the host.
 Every response feeds three sinks:
 
 - a :class:`LoadReport` with per-request records and latency quantiles
-  on both time bases (the modeled p95 is the number the perf gate
-  pins);
+  on both time bases (only the modeled one repeats run to run);
 - optionally a :class:`~repro.obs.live.LiveTelemetry` instance, each
   answer re-entering the standard serving-telemetry pipeline as a
   synthesized :class:`~repro.obs.events.RequestEvent`;

@@ -1,8 +1,8 @@
-"""Shared test/perf-gate helpers (importable under ``PYTHONPATH=src``).
+"""Shared test helpers (importable under ``PYTHONPATH=src``).
 
 The single home of the workload builders: ``tests/conftest.py`` keeps
 only thin ``@pytest.fixture`` wrappers, so the plain functions stay
-importable from anywhere (goldens, the perf gate, property tests)
+importable from anywhere (goldens, property tests)
 without pytest in the loop.
 """
 

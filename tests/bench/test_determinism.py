@@ -1,7 +1,12 @@
 """The determinism differ: wall-clock keys ignored, everything else exact."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import repro
 from repro.bench.determinism import (
     diff_json,
     diff_jsonl,
@@ -140,21 +145,24 @@ class TestCli:
         assert main(["--jsonl", str(a), str(b)]) == 0
 
     def test_real_engine_artifacts_are_deterministic(self, tmp_path):
-        """End to end: two runs of the kernel-duel figure (both
-        encodings of BUC and TD) produce identical artifacts."""
-        from repro.bench.figures import run_figure
-        from repro.bench.runner import write_bench_artifact
-
-        for sub in ("one", "two"):
-            (tmp_path / sub).mkdir()
-            _, runs = run_figure("figD", scale=0.003)
-            write_bench_artifact(
-                "duel", {"runs": [run.as_row() for run in runs]}, tmp_path / sub
+        """End to end, across interpreters: the smoke record written by
+        two processes with different hash seeds is the same record, so
+        no number in it hangs on a set's or a str-keyed dict's order
+        (one interpreter has one seed and could not see that)."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for seed in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "bench", "--smoke",
+                 "--artifact-dir", str(tmp_path / seed)],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                check=True,
+                capture_output=True,
             )
         assert (
             diff_json(
-                str(tmp_path / "one" / "BENCH_duel.json"),
-                str(tmp_path / "two" / "BENCH_duel.json"),
+                str(tmp_path / "1" / "BENCH_smoke.json"),
+                str(tmp_path / "2" / "BENCH_smoke.json"),
             )
             is None
         )

@@ -1,5 +1,8 @@
 """Unit tests for the ``x3 bench`` CLI."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro import cli
@@ -84,6 +87,76 @@ class TestClaimGate:
         sweeps["fig10"] = with_sim(sweeps["fig10"], "COUNTER", 0.001)
         assert main(["--figure", "fig10", "--memory", "500"]) == 0
         assert "✓ COUNTER wins" in capsys.readouterr().out
+
+
+COMMITTED_SMOKE = pathlib.Path(__file__).resolve().parents[2] / "BENCH_smoke.json"
+
+
+class TestSmokeRecord:
+    """``x3 bench --smoke`` with no other flag regenerates the committed
+    ``BENCH_smoke.json`` exactly (wall-clock keys aside); any other
+    ``--engine`` / ``--workers`` writes a record nothing is compared with."""
+
+    def regenerate(self, tmp_path, *flags):
+        assert main(["--smoke", "--artifact-dir", str(tmp_path), *flags]) == 0
+        return tmp_path / "BENCH_smoke.json"
+
+    def test_default_invocation_reproduces_the_committed_record(
+        self, tmp_path, capsys
+    ):
+        from repro.bench.determinism import diff_json
+
+        fresh = self.regenerate(tmp_path)
+        problem = diff_json(str(fresh), str(COMMITTED_SMOKE))
+        assert problem is None, (
+            f"fresh vs committed BENCH_smoke.json: {problem}\n"
+            "a modeled number moved: if intended, commit the output of"
+            " `x3 bench --smoke --artifact-dir .`"
+        )
+        out = capsys.readouterr().out
+        assert "work/path" in out and "serial/wall" in out
+        assert "speedup" not in out
+
+    def test_the_gate_bites_and_names_the_number_that_moved(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.bench.determinism import diff_json
+        from repro.lang import compiler
+
+        monkeypatch.setattr(compiler, "LANG_SECONDS_PER_TOKEN", 6e-8)
+        fresh = self.regenerate(tmp_path)
+        problem = diff_json(str(fresh), str(COMMITTED_SMOKE))
+        assert problem is not None
+        assert problem.startswith("$.replays.api_x3ql.modeled_p95_seconds")
+
+    def test_engine_flag_reaches_the_smoke(self, tmp_path):
+        fresh = json.loads(
+            self.regenerate(tmp_path, "--engine", "process").read_text()
+        )
+        committed = json.loads(COMMITTED_SMOKE.read_text())
+        pools = {run["engine"] for run in fresh["runs"] if run["workers"] > 1}
+        assert pools == {"process"}
+        assert {run["engine"] for run in committed["runs"]} == {
+            "serial", "thread"
+        }
+        assert fresh["replays"] == committed["replays"]
+
+    def test_a_leaking_tracer_or_a_slow_text_door_fails_the_smoke(self):
+        from repro.bench.harness import smoke_failures
+
+        replays = json.loads(COMMITTED_SMOKE.read_text())["replays"]
+        assert smoke_failures([], replays) == []
+        leaked = dict(replays["serve_warm_traced"], modeled_seconds=1.0)
+        failures = smoke_failures(
+            [], {**replays, "serve_warm_traced": leaked}
+        )
+        assert len(failures) == 1 and "tracing leaked" in failures[0]
+        slow = dict(
+            replays["api_x3ql"],
+            modeled_p95_seconds=1.2 * replays["api_json"]["modeled_p95_seconds"],
+        )
+        failures = smoke_failures([], {**replays, "api_x3ql": slow})
+        assert len(failures) == 1 and "1.10x" in failures[0]
 
 
 class TestScalingFlag:

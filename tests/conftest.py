@@ -1,8 +1,7 @@
 """Shared fixtures: the running example and small controlled workloads.
 
-The workload builders themselves live in :mod:`repro.testing` (one copy,
-also used by the perf gate); this file only binds them as pytest
-fixtures.
+The workload builders themselves live in :mod:`repro.testing` (one
+copy); this file only binds them as pytest fixtures.
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ import json
 import pytest
 
 from repro import cli
-from repro.bench.report import format_serving_html
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.serve import CubeServer
 from repro.serve.replay import sample_points
-from repro.serve.top import render_dashboard
+from repro.serve.top import format_serving_html, render_dashboard
 from repro.testing import small_workload
 from repro.xmlmodel.serializer import serialize
 from tests.conftest import cuboid_of
