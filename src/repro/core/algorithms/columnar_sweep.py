@@ -11,15 +11,21 @@ cuboids:
   their per-axis states, so two points that keep axis 0 in the same state
   share the column combine for axis 0 (one pass, many cuboids);
 - a trie edge extends a whole **group-id column** at once with a
-  mixed-radix multiply-add (``gid * radix + code``) — one list
-  comprehension over an ``array('q')`` state view, no per-row dict or
-  tuple work;
-- a row with no value under a kept state carries ``None`` — the coverage
-  gap of Sec. 2 — and drops out of every cuboid below that edge, exactly
-  the ``key_combinations`` contract;
-- a row with several distinct values fans out into a tuple of group ids
-  (the Sec. 3.3 cross product); the codes are distinct by construction,
-  so a fact still counts once per group;
+  mixed-radix multiply-add (``gid * radix + code``) — list
+  comprehensions over a state view, no per-row branch on what a cell
+  holds.  The column is long-form: two flat lists ``(rows, gids)``, one
+  entry per (base row, group) pair in base-row order
+  (:func:`~repro.core.columnar.extend_group_ids`);
+- a row with no value under a kept state — the coverage gap of Sec. 2 —
+  loses its entries at that edge, so it is in no cuboid below it
+  (the ``key_combinations`` contract) and costs nothing below it
+  either;
+- a row with several distinct values gets one entry per value (the
+  Sec. 3.3 cross product); the codes are distinct by construction, so a
+  fact still counts once per group;
+- while no row has been dropped or fanned out, ``rows`` is ``None``
+  (entry ``k`` is row ``k``) and the dense single-valued path reads the
+  views and the measure column directly;
 - at a leaf, integer group ids index a counter dict (COUNT and SUM use
   C-speed fast paths); ids decode back to string group keys with the
   reversed mixed-radix divmod.
@@ -27,6 +33,8 @@ cuboids:
 The trie walk (:func:`sweep_trie`) takes its leaf as an argument:
 the algorithm's leaf aggregates a cuboid, :func:`census`'s only counts
 the distinct group ids (the cell census of Sec. 3.6's space budgets).
+A leaf that reads no measure — the census, a COUNT cube — needs only
+``gids``, so the edges of the last axis skip building ``rows``.
 
 Aggregation folds measures in base-row order — the same fold order as
 NAIVE and COUNTER — so finalized floats are **bit-identical** to the dict
@@ -43,7 +51,7 @@ execution, re-reading the encoded table per extra pass.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro import obs
 from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
@@ -52,7 +60,6 @@ from repro.core.columnar import (
     VECTOR_LANES,
     ColumnarFactTable,
     KeptAxis,
-    RowGroups,
     count_group_ids,
     extend_group_ids,
     fold_group_ids,
@@ -65,37 +72,44 @@ from repro.core.lattice import LatticePoint
 __all__ = ["ColumnarSweepAlgorithm", "VECTOR_LANES", "census", "sweep_trie"]
 
 #: What the trie walk hands a leaf: the lattice point, its group-id
-#: column, whether any row fanned out into several ids, and the kept
-#: axes (for decoding ids back to keys).
-Leaf = Callable[[LatticePoint, List[RowGroups], bool, List[KeptAxis]], None]
+#: column ``(rows, gids)`` and the kept axes (for decoding ids back to
+#: keys).
+Leaf = Callable[
+    [LatticePoint, Optional[Sequence[int]], List[int], List[KeptAxis]], None
+]
 
 
 def sweep_trie(
     encoded: ColumnarFactTable,
     points: Sequence[LatticePoint],
     leaf: Leaf,
+    reads_measures: bool = True,
 ) -> int:
     """Walk the prefix trie of ``points`` over the encoded columns.
 
     One :func:`extend_group_ids` per trie edge, shared by every point
     below it; ``leaf`` is called once per distinct point with the
-    finished group-id column.  Returns the number of edges extended
+    finished group-id column.  A leaf that reads no measure passes
+    ``reads_measures=False``: the edges of the last axis — most of the
+    trie — then build only ``gids``, and the ``rows`` such a leaf is
+    handed is not to be read.  Returns the number of edges extended
     (each one batched pass over the rows).
     """
     lattice = encoded.lattice
+    last = lattice.axis_count - 1
     nodes = 0
 
     def descend(
         position: int,
-        prefix: List[RowGroups],
-        has_multi: bool,
+        rows: Optional[Sequence[int]],
+        gids: List[int],
         subset: List[LatticePoint],
         kept: List[KeptAxis],
     ) -> None:
         nonlocal nodes
         if position == lattice.axis_count:
             # All points in this bucket are the same tuple.
-            leaf(subset[0], prefix, has_multi, kept)
+            leaf(subset[0], rows, gids, kept)
             return
         states = lattice.axis_states[position]
         buckets: Dict[int, List[LatticePoint]] = {}
@@ -105,20 +119,21 @@ def sweep_trie(
             if states.is_dropped(state):
                 # Dropped axis: the group-id column passes through
                 # unchanged (LND keeps every fact, adds no key part).
-                descend(position + 1, prefix, has_multi, buckets[state], kept)
+                descend(position + 1, rows, gids, buckets[state], kept)
                 continue
             column = encoded.columns[position]
-            extended, extended_multi = extend_group_ids(
-                prefix,
-                has_multi,
+            extended_rows, extended = extend_group_ids(
+                rows,
+                gids,
                 encoded.state_view(position, state),
                 column.radix,
+                keep_rows=reads_measures or position < last,
             )
             nodes += 1
             descend(
                 position + 1,
+                extended_rows,
                 extended,
-                extended_multi,
                 buckets[state],
                 kept + [(column.dictionary, column.radix)],
             )
@@ -129,7 +144,7 @@ def sweep_trie(
         points=len(points),
         facts=encoded.n_rows,
     ):
-        descend(0, [0] * encoded.n_rows, False, list(points), [])
+        descend(0, None, [0] * encoded.n_rows, list(points), [])
     return nodes
 
 
@@ -149,13 +164,13 @@ def census(
 
     def leaf(
         point: LatticePoint,
-        prefix: List[RowGroups],
-        has_multi: bool,
+        rows: Optional[Sequence[int]],
+        gids: List[int],
         kept: List[KeptAxis],
     ) -> None:
-        sizes[point] = count_group_ids(prefix, has_multi)
+        sizes[point] = count_group_ids(gids)
 
-    sweep_trie(_encode(table), points, leaf)
+    sweep_trie(_encode(table), points, leaf, reads_measures=False)
     return sizes
 
 
@@ -176,8 +191,11 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
         context.cost.charge_cpu(encoded.encoded_entries)
         context.cost.charge_cpu(vector_lanes(n_rows))
 
-        sweep = _Sweep(context, encoded.measures, table.aggregate.fn)
-        nodes = sweep_trie(encoded, points, sweep.leaf)
+        fn = table.aggregate.fn
+        sweep = _Sweep(context, encoded.measures, fn)
+        nodes = sweep_trie(
+            encoded, points, sweep.leaf, reads_measures=fn.name != "COUNT"
+        )
         # Every trie edge is one batched pass over the rows.
         context.cost.charge_cpu(nodes * vector_lanes(n_rows))
 
@@ -226,15 +244,13 @@ class _Sweep:
     def leaf(
         self,
         point: LatticePoint,
-        prefix: List[RowGroups],
-        has_multi: bool,
+        rows: Optional[Sequence[int]],
+        gids: List[int],
         kept: List[KeptAxis],
     ) -> None:
         """Aggregate one cuboid from its group-id column."""
         fn = self.fn
-        cells, increments = fold_group_ids(
-            fn, prefix, has_multi, self.measures
-        )
+        cells, increments = fold_group_ids(fn, rows, gids, self.measures)
         self.increments += increments
         self.total_cells += len(cells)
         self.context.cost.charge_cpu(vector_lanes(increments))

@@ -50,7 +50,7 @@ keep the digits of the surviving axes, recombine — no string keys touched
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro import obs
 from repro.core.aggregates import AggregateFunction
@@ -490,8 +490,8 @@ def _columnar_build(
     n = encoded.n_rows
     context.charge_encoded_scan(encoded.encoded_pages)
     context.bump("td_base_sorts")
-    prefix: List[Any] = [0] * n
-    has_multi = False
+    rows: Optional[Sequence[int]] = None
+    gids = [0] * n
     axes: List[Tuple[int, Tuple[str, ...], int]] = []
     for position, states in enumerate(lattice.axis_states):
         state = point[position]
@@ -505,14 +505,12 @@ def _columnar_build(
         else:
             radix = column.radix
             missing = None
-        prefix, has_multi = extend_group_ids(
-            prefix, has_multi, view, radix, missing_code=missing
+        rows, gids = extend_group_ids(
+            rows, gids, view, radix, missing_code=missing
         )
         context.cost.charge_cpu(vector_lanes(n))
         axes.append((position, column.dictionary, radix))
-    cells, increments = fold_group_ids(
-        fn, prefix, has_multi, encoded.measures
-    )
+    cells, increments = fold_group_ids(fn, rows, gids, encoded.measures)
     # The dict path groups by comparison-sorting the placement column;
     # this kernel buckets bounded integer gids — a counting sort over
     # the code domain, charged linearly (one scalar placement op per

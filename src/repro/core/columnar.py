@@ -26,6 +26,14 @@ incrementing, coverage gaps excluded), and the single-pass sweep kernel
 (:mod:`repro.core.algorithms.columnar_sweep`) reads the per-state
 :class:`StateView` projections this module caches.
 
+The kernels group rows through a **group-id column** built one kept axis
+at a time (:func:`extend_group_ids`) and consumed by
+:func:`fold_group_ids` / :func:`count_group_ids`.  It is long-form: two
+flat integer lists ``(rows, gids)`` with one entry per (base row, group)
+pair, in base-row order — no entry for a row a coverage gap excluded,
+several for a row in several groups, and ``rows=None`` while the column
+is still one entry per row.
+
 Page accounting: the encoded form is what a columnar scan reads.
 Dictionary codes pack roughly eight times denser than the pointer-rich
 row form (``ENTRIES_PER_PAGE = 128``), so the simulated storage layer
@@ -38,7 +46,16 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.bindings import AnnotatedValue, FactRow, FactTable, GroupKey
 from repro.core.lattice import CubeLattice, LatticePoint
@@ -53,11 +70,6 @@ COLUMNAR_ENTRIES_PER_PAGE = 1024
 #: integer/float op over an ``array`` buffer; the model prices it at one
 #: op per 8 rows versus the dict engine's one op per row.
 VECTOR_LANES = 8
-
-#: Per-row group state inside a columnar kernel: ``None`` (row excluded —
-#: a coverage gap), a single mixed-radix group id, or a tuple of group
-#: ids (multi-valued cross product).
-RowGroups = Any
 
 #: (dictionary, radix) per kept axis, accumulated along a sweep path or a
 #: top-down build.  ``radix`` may exceed ``len(dictionary)`` by one when
@@ -75,166 +87,112 @@ def vector_lanes(rows: int) -> int:
 
 
 def extend_group_ids(
-    prefix: List[RowGroups],
-    has_multi: bool,
+    rows: Optional[Sequence[int]],
+    gids: List[int],
     view: StateView,
     radix: int,
     missing_code: Optional[int] = None,
-) -> Tuple[List[RowGroups], bool]:
-    """Extend every row's group id(s) with one kept axis's codes.
+    keep_rows: bool = True,
+) -> Tuple[Optional[Sequence[int]], List[int]]:
+    """Extend a group-id column with one kept axis's codes.
 
-    The mixed-radix multiply-add ``gid * radix + code`` appends one digit
-    per kept axis; a row with several distinct codes fans out into a
-    tuple of ids (the Sec. 3.3 cross product).
+    The column is the long-form pair ``(rows, gids)``: entry ``k`` says
+    base row ``rows[k]`` belongs to group ``gids[k]``.  An excluded row
+    has no entry, a row in several groups has one entry per group, and
+    ``rows is None`` means the identity (entry ``k`` is row ``k``), which
+    a dense single-valued path keeps to the bottom without ever
+    gathering.  The mixed-radix multiply-add ``gid * radix + code``
+    appends one digit per kept axis; a row with several distinct codes
+    fans each of its entries out into one entry per code (the Sec. 3.3
+    cross product).  Entries stay in base-row order, a row's own in
+    product order (earlier axes vary slowest), so a fold over the
+    column adds measures in the order NAIVE does.
 
     ``missing_code`` selects the coverage-gap behaviour: ``None`` drops
-    the row (``key_combinations`` semantics — the sweep and BUC paths),
-    while an integer assigns that digit to the gap (the Sec. 3.5 null
-    padding of ``augmented_keys`` — the top-down roll-up paths, which
-    pass ``missing_code=len(dictionary)`` and ``radix=len(dictionary)+1``).
+    the row's entries (``key_combinations`` semantics — the sweep and
+    BUC paths), while an integer assigns that digit to the gap (the
+    Sec. 3.5 null padding of ``augmented_keys`` — the top-down roll-up
+    paths, which pass ``missing_code=len(dictionary)`` and
+    ``radix=len(dictionary)+1``).
+
+    ``keep_rows=False`` skips building a new ``rows`` and returns
+    ``None`` where one would have been built: for the edge above a
+    consumer that reads only ``gids`` (:func:`count_group_ids`, a COUNT
+    fold).
     """
+    source = range(len(gids)) if rows is None else rows
     flat = view.flat
-    if flat is not None and not has_multi:
-        # The vectorized fast path: every row single-valued, ids ints.
-        if missing_code is None:
-            return (
-                [
-                    None if (g is None or c < 0) else g * radix + c
-                    for g, c in zip(prefix, flat)
-                ],
-                False,
-            )
+    if flat is None:
+        per_row = view.per_row
+        assert per_row is not None
+        gap: Tuple[int, ...] = () if missing_code is None else (missing_code,)
         return (
+            [r for r in source for _ in per_row[r] or gap]
+            if keep_rows
+            else None,
             [
-                None
-                if g is None
-                else g * radix + (missing_code if c < 0 else c)
-                for g, c in zip(prefix, flat)
+                g * radix + c
+                for r, g in zip(source, gids)
+                for c in per_row[r] or gap
             ],
-            False,
         )
-    out: List[RowGroups] = []
-    append = out.append
-    if flat is not None:
-        for g, c in zip(prefix, flat):
-            if g is None or (c < 0 and missing_code is None):
-                append(None)
-                continue
-            code = missing_code if c < 0 else c
-            if type(g) is int:
-                append(g * radix + code)
-            else:
-                append(tuple(gid * radix + code for gid in g))
-        return out, True
-    rows = view.per_row
-    assert rows is not None
-    multi = has_multi
-    for g, codes in zip(prefix, rows):
-        if g is None or (not codes and missing_code is None):
-            append(None)
-            continue
-        if not codes:
-            codes = (missing_code,)  # type: ignore[assignment]
-        if type(g) is int:
-            if len(codes) == 1:
-                append(g * radix + codes[0])
-            else:
-                multi = True
-                append(tuple(g * radix + c for c in codes))
-        else:
-            if len(codes) == 1:
-                code = codes[0]
-                append(tuple(gid * radix + code for gid in g))
-            else:
-                append(
-                    tuple(gid * radix + c for gid in g for c in codes)
-                )
-    return out, multi
+    # One code per entry, read once by whichever branch runs.
+    codes: Iterable[int] = (
+        flat if rows is None else map(flat.__getitem__, rows)
+    )
+    if not view.missing:
+        return rows, [g * radix + c for g, c in zip(gids, codes)]
+    if missing_code is not None:
+        return rows, [
+            g * radix + (missing_code if c < 0 else c)
+            for g, c in zip(gids, codes)
+        ]
+    return (
+        [r for r in source if flat[r] >= 0] if keep_rows else None,
+        [g * radix + c for g, c in zip(gids, codes) if c >= 0],
+    )
 
 
 def fold_group_ids(
     fn: Any,
-    prefix: List[RowGroups],
-    has_multi: bool,
+    rows: Optional[Sequence[int]],
+    gids: List[int],
     measures: "array[float]",
 ) -> Tuple[Dict[int, Any], int]:
     """Aggregate one group-id column into ``gid -> partial state`` cells.
 
-    Measures fold in base-row order — the same fold order as NAIVE — so
-    finalized floats are bit-identical to the dict engine.  COUNT and SUM
-    take C-speed fast paths whose results equal the generic fold exactly
-    (integer counts; left-to-right float addition from ``fn.new()``).
+    Measures fold in entry order — base-row order, the same fold order
+    as NAIVE — so finalized floats are bit-identical to the dict engine.
+    COUNT (which never reads ``rows``) and SUM take C-speed fast paths
+    whose results equal the generic fold exactly (integer counts;
+    left-to-right float addition from ``fn.new()``).
 
     Returns ``(cells, increments)``; the cell values are mergeable
     partial states (``fn.finalize`` pending).
     """
-    increments = 0
-    cells: Dict[int, Any]
     if fn.name == "COUNT":
-        if has_multi:
-            counter: Counter[int] = Counter(
-                g for g in prefix if type(g) is int
-            )
-            for g in prefix:
-                if type(g) is tuple:
-                    counter.update(g)
-                    increments += len(g)
-            increments += len(prefix) - prefix.count(None)
-            increments -= sum(1 for g in prefix if type(g) is tuple)
-        else:
-            counter = Counter(g for g in prefix if g is not None)
-            increments = len(prefix) - prefix.count(None)
-        cells = dict(counter)
-    elif fn.name == "SUM" and not has_multi:
-        cells = {}
+        return dict(Counter(gids)), len(gids)
+    values: Iterable[float] = (
+        measures if rows is None else map(measures.__getitem__, rows)
+    )
+    cells: Dict[int, Any] = {}
+    if fn.name == "SUM":
         get = cells.get
-        for g, measure in zip(prefix, measures):
-            if g is not None:
-                cells[g] = get(g, 0.0) + measure
-        increments = len(prefix) - prefix.count(None)
+        for g, measure in zip(gids, values):
+            cells[g] = get(g, 0.0) + measure
     else:
-        cells = {}
         new = fn.new
         add = fn.add
-        if has_multi:
-            for g, measure in zip(prefix, measures):
-                if g is None:
-                    continue
-                if type(g) is int:
-                    cells[g] = add(
-                        cells[g] if g in cells else new(), measure
-                    )
-                    increments += 1
-                else:
-                    for gid in g:
-                        cells[gid] = add(
-                            cells[gid] if gid in cells else new(),
-                            measure,
-                        )
-                        increments += 1
-        else:
-            for g, measure in zip(prefix, measures):
-                if g is not None:
-                    cells[g] = add(
-                        cells[g] if g in cells else new(), measure
-                    )
-            increments = len(prefix) - prefix.count(None)
-    return cells, increments
+        for g, measure in zip(gids, values):
+            cells[g] = add(cells[g] if g in cells else new(), measure)
+    return cells, len(gids)
 
 
-def count_group_ids(prefix: List[RowGroups], has_multi: bool) -> int:
+def count_group_ids(gids: List[int]) -> int:
     """Number of distinct group ids in one group-id column — the cell
     count of the cuboid :func:`fold_group_ids` would build from it,
     without folding a measure or decoding a key."""
-    if not has_multi:
-        ids = set(prefix)
-        ids.discard(None)
-        return len(ids)
-    ids = {g for g in prefix if type(g) is int}
-    for g in prefix:
-        if type(g) is tuple:
-            ids.update(g)
-    return len(ids)
+    return len(set(gids))
 
 
 def make_group_decoder(

@@ -20,11 +20,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.bindings import FactTable
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.schema.dtd import Dtd
-from repro.schema.properties import (
-    PropertyVerdict,
-    axis_coverage,
-    axis_disjointness,
-)
+from repro.schema.properties import axis_coverage, path_cardinality
 
 
 class PropertyOracle:
@@ -78,16 +74,19 @@ class PropertyOracle:
             for state in range(len(states.states)):
                 applied = states.structural_state(state)
                 binding, prefix = axis.steps_for_state(applied)
-                binding_nav = axis.nav_steps(binding)
-                disjoint[(position, state)] = axis_disjointness(
-                    dtd, fact_tag, binding_nav
-                ) is PropertyVerdict.HOLDS
-                cov = axis_coverage(dtd, fact_tag, binding_nav)
-                if prefix and cov is PropertyVerdict.HOLDS:
-                    cov = axis_coverage(
+                # One walk of the DTD answers both questions.
+                card = path_cardinality(
+                    dtd, fact_tag, axis.nav_steps(binding)
+                )
+                disjoint[(position, state)] = (
+                    card is not None and not card.may_repeat
+                )
+                holds = card is not None and not card.may_be_absent
+                if prefix and holds:
+                    holds = axis_coverage(
                         dtd, fact_tag, axis.nav_steps(prefix)
-                    )
-                covered[(position, state)] = cov is PropertyVerdict.HOLDS
+                    ).guaranteed
+                covered[(position, state)] = holds
         return PropertyOracle(lattice, disjoint, covered)
 
     @staticmethod

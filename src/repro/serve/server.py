@@ -269,11 +269,14 @@ class CubeServer(CubeBackend):
         # modeled recompute cost per point, measured on first recompute
         self._measured_cost: Dict[LatticePoint, float] = {}
         self._sizes: Optional[Dict[LatticePoint, int]] = None
+        self._snapshot: Optional[FactTable] = None
         self._views: Dict[LatticePoint, Cuboid] = {}
         self._stale_views: Set[LatticePoint] = set()
         self.selection = selection
         if selection is None and view_cells > 0:
-            self.selection = select_views(table, self.oracle, view_cells)
+            self.selection = select_views(
+                self._snapshot_table()[1], self.oracle, view_cells
+            )
         if self.selection is not None and self.selection.chosen:
             self._materialize_views(self.selection.chosen)
 
@@ -295,12 +298,20 @@ class CubeServer(CubeBackend):
             return self._version, tuple(self.table.rows)
 
     def _snapshot_table(self) -> Tuple[int, FactTable]:
-        """The current version and a private copy of the table at it —
-        what every engine job reads, so it can run outside the lock."""
+        """The current version and the private copy of the table at it —
+        what every engine job reads, so it can run outside the lock.
+
+        One copy per version, shared by every job until the next write
+        drops it (:meth:`_finish_write`); no job mutates it, so its
+        memoised columnar encoding and state views are built once per
+        version however many jobs read them.
+        """
         with self._lock:
-            return self._version, FactTable(
-                self.lattice, self.table.rows, self.table.aggregate
-            )
+            if self._snapshot is None:
+                self._snapshot = FactTable(
+                    self.lattice, self.table.rows, self.table.aggregate
+                )
+            return self._version, self._snapshot
 
     def _engine_options(
         self, points: Sequence[LatticePoint]
@@ -309,9 +320,11 @@ class CubeServer(CubeBackend):
 
         A one-point job (the recompute rung) runs ``options.algorithm``.
         A job that asks for several points at once (warm-up, view
-        materialisation) runs the COLUMNAR sweep, which pays one encode
-        and shares the trie prefixes across all of them; on one point
-        the encode alone costs more than a NAIVE scan (DESIGN.md
+        materialisation) runs the COLUMNAR sweep, which shares the trie
+        prefixes across all of them over the version's one encoding
+        (:meth:`_snapshot_table`).  The one-point rung does not switch
+        on that encoding being there: right after a write it is not,
+        and the encode alone costs more than a NAIVE scan (DESIGN.md
         Sec. 5c, "Set-up").  Every other field carries over.
         """
         algorithm = "COLUMNAR" if len(points) > 1 else self.options.algorithm
@@ -482,7 +495,7 @@ class CubeServer(CubeBackend):
                 self.cache.put(point, dict(cuboid), cost)
                 return cuboid, version, tier, rungs, cost
             if tier == "recompute":
-                snapshot_rows = list(self.table.rows)
+                snapshot = self._snapshot_table()[1]
         if tier == "rollup":
             # Rollup arithmetic runs outside the lock on a source copied
             # under it; admit only if no write overtook the derivation.
@@ -499,7 +512,7 @@ class CubeServer(CubeBackend):
         # followers can link their join spans to the span that computed.
         (cuboid, cost), shared, leader_span = self._flight.do_meta(
             (point, version),
-            lambda publish: self._recompute(snapshot_rows, point, publish),
+            lambda publish: self._recompute(snapshot, point, publish),
         )
         if shared:
             obs.count("x3_serve_singleflight_shared_total")
@@ -612,16 +625,15 @@ class CubeServer(CubeBackend):
 
     def _recompute(
         self,
-        rows: List[FactRow],
+        snapshot: FactTable,
         point: LatticePoint,
         publish: Optional[Callable[[Any], None]] = None,
     ) -> Tuple[Cuboid, float]:
-        snapshot = FactTable(self.lattice, rows, self.table.aggregate)
         with obs.span(
             "serve.recompute",
             category="serve",
             point=self.lattice.describe(point),
-            rows=len(rows),
+            rows=len(snapshot.rows),
         ) as span:
             if publish is not None and span.trace_id_hex:
                 publish((span.trace_id_hex, span.span_id_hex))
@@ -662,7 +674,9 @@ class CubeServer(CubeBackend):
             category="serve",
             views=len(points),
         ):
-            result = compute_cube(self.table, self._engine_options(points))
+            result = compute_cube(
+                self._snapshot_table()[1], self._engine_options(points)
+            )
         share = result.cost.simulated_seconds / max(1, len(points))
         for view_point in points:
             self._views[view_point] = dict(result.cuboids[view_point])
@@ -672,9 +686,11 @@ class CubeServer(CubeBackend):
         """Exact per-point cell counts (cached; recomputed after writes
         only when asked again).
 
-        The census runs outside the lock on a table snapshot, so reads
-        and writes proceed meanwhile; it is cached only if no write
-        overtook it (the caller still gets the fresh count).
+        The census runs outside the lock on the version's table
+        snapshot, so reads and writes proceed meanwhile; it is cached
+        only if no write overtook it (the caller still gets the fresh
+        count).  The encoding it builds stays with the snapshot: a
+        :meth:`warm` at the same version reuses it.
         """
         with self._lock:
             if self._sizes is not None:
@@ -698,7 +714,9 @@ class CubeServer(CubeBackend):
         greedily within ``budget_cells`` (default: the cache budget).
         The chosen cuboids are computed in one engine run of the
         columnar sweep (see :meth:`_engine_options`), so a parallel
-        configuration warms in parallel.  Returns the warmed points.
+        configuration warms in parallel; it reads the snapshot
+        :meth:`sizes` counted, encoded once per version.  Returns the
+        warmed points (none if a write overtook the run).
         """
         budget = (
             self.cache.budget_cells if budget_cells is None else budget_cells
@@ -818,6 +836,7 @@ class CubeServer(CubeBackend):
         self._version += 1
         self._counters.writes += 1
         self._sizes = None  # size census is stale now
+        self._snapshot = None  # and so are the copy and its encoding
         obs.count("x3_serve_writes_total")
         return self._version
 

@@ -1,15 +1,21 @@
-"""Unit tests for the columnar encoding itself (layout, views, caching)."""
+"""Unit tests for the columnar encoding itself (layout, views, caching)
+and for the group-id kernel that reads it."""
 
 import pickle
+from array import array
 
 import pytest
 
-from repro.core.aggregates import AggregateSpec
+from repro.core.aggregates import AggregateSpec, get_function
 from repro.core.axes import AxisSpec
 from repro.core.bindings import AnnotatedValue, FactRow, FactTable
 from repro.core.columnar import (
     COLUMNAR_ENTRIES_PER_PAGE,
     ColumnarFactTable,
+    StateView,
+    count_group_ids,
+    extend_group_ids,
+    fold_group_ids,
 )
 from repro.core.incremental import ingest_rows, retract_rows
 from repro.core.lattice import CubeLattice
@@ -257,3 +263,107 @@ class TestRoundTripAggregates:
         table = small_workload(n_facts=6).fact_table()
         direct = ColumnarFactTable.from_table(table)
         assert direct.snapshot() == table.columnar().snapshot()
+
+
+def flat_view(codes):
+    return StateView(
+        flat=array("q", codes),
+        per_row=None,
+        missing=sum(1 for code in codes if code < 0),
+    )
+
+
+def per_row_view(codes):
+    return StateView(
+        flat=None,
+        per_row=tuple(tuple(row) for row in codes),
+        missing=sum(1 for row in codes if not row),
+    )
+
+
+class TestGroupIdKernel:
+    """The long-form ``(rows, gids)`` column on hand-built views."""
+
+    def test_flat_without_gaps_keeps_the_identity(self):
+        rows, gids = extend_group_ids(
+            None, [0, 0, 0], flat_view([1, 0, 1]), 2
+        )
+        assert rows is None and gids == [1, 0, 1]
+        rows, gids = extend_group_ids(
+            rows, gids, flat_view([2, 2, 0]), 3
+        )
+        assert rows is None and gids == [5, 2, 3]
+
+    def test_flat_with_gaps_compacts_the_rows(self):
+        rows, gids = extend_group_ids(
+            None, [0, 0, 0, 0], flat_view([1, -1, 0, 1]), 2
+        )
+        assert rows == [0, 2, 3] and gids == [1, 0, 1]
+        # The next axis is read through ``rows``: row 1's code is
+        # never looked at, row 3 drops out here.
+        rows, gids = extend_group_ids(
+            rows, gids, flat_view([0, 9, 1, -1]), 2
+        )
+        assert rows == [0, 2] and gids == [2, 1]
+        # A gap-free axis below a compacted column gathers, drops none.
+        same, gids = extend_group_ids(
+            rows, gids, flat_view([1, 0, 0, 1]), 2
+        )
+        assert same == [0, 2] and gids == [5, 2]
+
+    def test_fan_out_is_row_order_then_product_order(self):
+        rows, gids = extend_group_ids(
+            None, [0, 0, 0], per_row_view([(0, 1), (), (1,)]), 2
+        )
+        assert rows == [0, 0, 2] and gids == [0, 1, 1]
+        rows, gids = extend_group_ids(
+            rows, gids, per_row_view([(0, 1), (0,), (1, 0)]), 2
+        )
+        # Row 0: ids 0 then 1, each times codes 0 then 1 (the earlier
+        # axis varies slowest); row 2: id 1 times codes 1 then 0.
+        assert rows == [0, 0, 0, 0, 2, 2]
+        assert gids == [0, 1, 2, 3, 3, 2]
+        # A flat axis under a fanned-out column: one code per entry.
+        rows, gids = extend_group_ids(
+            rows, gids, flat_view([1, 0, -1]), 2
+        )
+        assert rows == [0, 0, 0, 0] and gids == [1, 3, 5, 7]
+
+    def test_missing_code_assigns_the_null_digit(self):
+        rows, gids = extend_group_ids(
+            None, [0, 0, 0], flat_view([1, -1, 0]), 3, missing_code=2
+        )
+        assert rows is None and gids == [1, 2, 0]
+        rows, gids = extend_group_ids(
+            rows, gids, per_row_view([(), (0, 1), (1,)]), 3, missing_code=2
+        )
+        assert rows == [0, 1, 1, 2] and gids == [5, 6, 7, 1]
+
+    @pytest.mark.parametrize(
+        "view",
+        [flat_view([1, -1, 0]), per_row_view([(0, 1), (), (1,)])],
+    )
+    def test_keep_rows_false_builds_the_same_gids(self, view):
+        rows, gids = extend_group_ids(None, [0, 0, 0], view, 2)
+        assert rows is not None
+        assert extend_group_ids(
+            None, [0, 0, 0], view, 2, keep_rows=False
+        ) == (None, gids)
+
+    def test_folds_read_measures_through_rows(self):
+        measures = array("d", [1.5, 9.0, 2.25])
+        rows, gids = [0, 0, 2], [4, 7, 7]
+        assert count_group_ids(gids) == 2
+        assert fold_group_ids(
+            get_function("COUNT"), None, gids, measures
+        ) == ({4: 1, 7: 2}, 3)
+        assert fold_group_ids(
+            get_function("SUM"), rows, gids, measures
+        ) == ({4: 1.5, 7: 3.75}, 3)
+        assert fold_group_ids(
+            get_function("MIN"), rows, gids, measures
+        ) == ({4: 1.5, 7: 1.5}, 3)
+        # The identity column pairs entry k with row k.
+        assert fold_group_ids(
+            get_function("SUM"), None, gids, measures
+        ) == ({4: 1.5, 7: 11.25}, 3)

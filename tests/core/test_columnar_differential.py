@@ -12,8 +12,11 @@ filtering.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregates import AggregateSpec, registered_functions
+from repro.core.algorithms.columnar_sweep import census
 from repro.core.algorithms.registry import (
     ALWAYS_CORRECT,
     COLUMNAR_CAPABLE,
@@ -27,6 +30,7 @@ from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
 from repro.datagen.workload import WorkloadConfig, build_workload
 from repro.testing import vary_measures
+from tests.prop.test_hypothesis_columnar import random_fact_table
 
 # ----------------------------------------------------------------------
 # workload matrix
@@ -154,6 +158,66 @@ class TestColumnarAgainstNaive:
         reference = compute_cube(empty, ExecutionOptions(algorithm="NAIVE"))
         result = compute_cube(empty, ExecutionOptions(algorithm="COLUMNAR"))
         assert result.cuboids == reference.cuboids
+
+
+@given(
+    random_fact_table(aggregate=AggregateSpec("AVG", "@m")),
+    st.sampled_from(["COUNT", "SUM", "AVG", "MIN"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_group_id_kernel_callers_equal_naive(table, function):
+    """All three callers of the ``(rows, gids)`` kernel — the census,
+    the sweep and TD's base build — on random tables with gaps and
+    fan-out; floats by ``==``."""
+    table = _with_aggregate(table, function)
+    points = list(table.lattice.points())
+    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+    assert census(table, points) == {
+        point: len(reference.cuboids[point]) for point in points
+    }
+    for algorithm in ("COLUMNAR", "TD"):
+        result = compute_cube(table, ExecutionOptions(algorithm=algorithm))
+        exact_equal(result, reference, points)
+
+
+#: The three table shapes of ``benchmarks/e2e`` (``http_keepalive``
+#: shares ``api_hot``'s) at seed 17, and what the sweep counted on them
+#: before the group-id column went long-form: increments (entries
+#: folded), cells, trie edges and modeled seconds must not move.
+E2E_SHAPED = {
+    "xml_to_cube": (
+        dict(n_facts=1200, n_axes=4, density="sparse",
+             coverage=False, disjoint=False),
+        (96147, 88288, 80, 1.6201020000000002),
+    ),
+    "api_hot": (
+        dict(n_facts=1800, n_axes=6, density="dense",
+             coverage=True, disjoint=True),
+        (115200, 11912, 63, 0.036667200000000004),
+    ),
+    "cluster_scatter": (
+        dict(n_facts=4000, n_axes=6, density="dense",
+             coverage=True, disjoint=True),
+        (256000, 13957, 63, 0.07719619999999999),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(E2E_SHAPED))
+def test_sweep_counters_pinned_on_e2e_shapes(shape):
+    config, pinned = E2E_SHAPED[shape]
+    table = build_workload(
+        WorkloadConfig(kind="treebank", seed=17, **config)
+    ).fact_table()
+    result = compute_cube(
+        table, ExecutionOptions(algorithm="COLUMNAR", trace=True)
+    )
+    registry = result.trace.metrics
+    counted = tuple(
+        registry.value(f"x3_algo_columnar_{name}_total", algorithm="COLUMNAR")
+        for name in ("increments", "cells", "nodes")
+    )
+    assert counted + (result.cost.simulated_seconds,) == pinned
 
 
 # ----------------------------------------------------------------------

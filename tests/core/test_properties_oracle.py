@@ -1,9 +1,16 @@
 """Unit tests for the summarizability property oracles."""
 
+import repro.core.properties as oracle_module
 from repro.core.extract import extract_from_documents
 from repro.core.properties import PropertyOracle, oracle_from
 from repro.datagen.dblp import DblpConfig, dblp_dtd, dblp_query, generate_dblp
 from repro.datagen.publications import figure1_document, query1
+from repro.schema.inference import infer_dtd
+from repro.schema.properties import (
+    axis_coverage,
+    axis_disjointness,
+    path_cardinality,
+)
 
 
 def fig1_table():
@@ -84,6 +91,56 @@ class TestSchemaOracle:
         assert not oracle.axis_covered(1, 0)
         assert oracle.axis_covered(2, 0)         # year
         assert oracle.axis_covered(3, 0)         # journal
+
+
+    def test_one_walk_per_state_agrees_with_the_verdict_functions(
+        self, monkeypatch
+    ):
+        """Both properties are read off one ``path_cardinality`` of the
+        binding path, and equal what the two stand-alone verdict
+        functions say about it (SP existence prefixes included)."""
+        walks = []
+
+        def counting(dtd, fact_tag, steps):
+            walks.append(tuple(steps))
+            return path_cardinality(dtd, fact_tag, steps)
+
+        monkeypatch.setattr(oracle_module, "path_cardinality", counting)
+        saw_prefix = False
+        for lattice, dtd, fact_tag in (
+            (dblp_query().lattice(), dblp_dtd(), "article"),
+            (
+                query1().lattice(),
+                infer_dtd([figure1_document()]),
+                query1().fact_tag,
+            ),
+        ):
+            del walks[:]
+            oracle = PropertyOracle.from_schema(lattice, dtd, fact_tag)
+            pairs = [
+                (position, state)
+                for position, states in enumerate(lattice.axis_states)
+                for state in range(len(states.states))
+            ]
+            assert len(walks) == len(pairs)
+            for position, state in pairs:
+                states = lattice.axis_states[position]
+                axis = states.axis
+                binding, prefix = axis.steps_for_state(
+                    states.structural_state(state)
+                )
+                steps = axis.nav_steps(binding)
+                assert oracle.axis_disjoint(position, state) == (
+                    axis_disjointness(dtd, fact_tag, steps).guaranteed
+                )
+                covered = axis_coverage(dtd, fact_tag, steps).guaranteed
+                if prefix:
+                    saw_prefix = True
+                    covered = covered and axis_coverage(
+                        dtd, fact_tag, axis.nav_steps(prefix)
+                    ).guaranteed
+                assert oracle.axis_covered(position, state) == covered
+        assert saw_prefix
 
 
 class TestDispatcher:

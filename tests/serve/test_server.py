@@ -6,6 +6,7 @@ bit-identical to a serial NAIVE recomputation over the table rows at
 the version reported with the answer.
 """
 
+import sys
 import threading
 from collections import Counter
 
@@ -15,6 +16,7 @@ import repro.serve.server as server_module
 from repro import obs
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactTable
+from repro.core.columnar import ColumnarFactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import IncrementalCube, split_rows
 from repro.core.materialize import cuboid_sizes
@@ -398,7 +400,7 @@ class TestWarm:
         assert row_scans == []
 
         with obs.trace() as session:
-            server._recompute(list(table.rows), points[0])
+            server._recompute(server._snapshot_table()[1], points[0])
         assert span_names(session)["algo.NAIVE"] == 1
         assert "columnar.sweep" not in span_names(session)
         assert len(row_scans) == len(table.rows)
@@ -611,6 +613,89 @@ class TestConcurrency:
         after = cuboid_sizes(live, live.lattice)
         assert after != before
         assert server.sizes() == after
+
+
+class TestSnapshotPerVersion:
+    """One table copy — so one encode, one set of state views — per
+    version, whichever jobs read it."""
+
+    @pytest.fixture()
+    def encodes(self, monkeypatch):
+        """Counts of ``from_table`` calls and of state-view builds."""
+        counts = Counter()
+        from_table = ColumnarFactTable.from_table.__func__
+        build_view = ColumnarFactTable._build_view
+
+        def counting_from_table(cls, table):
+            counts["encode"] += 1
+            return from_table(cls, table)
+
+        def counting_build_view(self, axis_position, state_index):
+            counts[(id(self), axis_position, state_index)] += 1
+            return build_view(self, axis_position, state_index)
+
+        monkeypatch.setattr(
+            ColumnarFactTable, "from_table", classmethod(counting_from_table)
+        )
+        monkeypatch.setattr(
+            ColumnarFactTable, "_build_view", counting_build_view
+        )
+        return counts
+
+    def test_sizes_and_warm_encode_once(self, encodes):
+        table, oracle = fresh(n_facts=60)
+        server = CubeServer(table, oracle, cache_cells=100000)
+        server.sizes()
+        assert set(server.warm()) == set(table.lattice.points())
+        assert encodes.pop("encode") == 1
+        assert encodes and set(encodes.values()) == {1}
+
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_a_write_between_jobs_encodes_again(self, encodes, op):
+        table, oracle = fresh(n_facts=60)
+        initial, delta = split_rows(table, 0.8)
+        rows = initial if op == "insert" else table.rows
+        live = FactTable(table.lattice, list(rows), table.aggregate)
+        server = CubeServer(live, oracle, cache_cells=100000)
+        before = server.sizes()
+        stale = server._snapshot_table()[1]
+        getattr(server, op)(delta)
+        assert set(server.warm()) == set(live.lattice.points())
+        assert encodes["encode"] == 2
+        assert server._snapshot_table()[1] is not stale
+        # What was warmed and counted is the table the write left.
+        assert_resident_exactly(server, live)
+        assert server.sizes() == cuboid_sizes(live, live.lattice) != before
+
+    def test_threads_at_one_version_read_one_snapshot(self):
+        table, oracle = fresh(n_facts=60)
+        server = CubeServer(table, oracle)
+        expected = cuboid_sizes(table, table.lattice)
+        seen, failures = [], []
+        start = threading.Barrier(4)
+
+        def job():
+            try:
+                start.wait(timeout=5.0)
+                seen.append(server._snapshot_table())
+                assert server.sizes() == expected
+            except Exception as error:  # surfaced by the assert below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=job) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == [] and len(seen) == 4
+        assert all(version == 0 for version, _ in seen)
+        assert len({id(snapshot) for _, snapshot in seen}) == 1
 
 
 class TestStats:
