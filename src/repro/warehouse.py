@@ -16,6 +16,7 @@ remains usable on its own.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.advisor import (  # noqa: F401  (choose_algorithm re-exported)
@@ -38,22 +39,36 @@ from repro.xmlmodel.parser import parse
 
 
 class CubeSession:
-    """One query against a warehouse: extraction + computation + reads."""
+    """One query against a warehouse: extraction + computation + reads.
+
+    ``schema`` is what the oracle is derived from when first read: a
+    DTD, or the documents of the table (their DTD is then inferred).
+    """
 
     def __init__(
         self,
         query: X3Query,
         table: FactTable,
-        oracle: PropertyOracle,
+        schema: Union[Dtd, Tuple[Document, ...]],
         memory_entries: int,
     ) -> None:
         self.query = query
         self.table = table
-        self.oracle = oracle
         self.memory_entries = memory_entries
+        self._schema = schema
         self._result: Optional[CubeResult] = None
 
     # ------------------------------------------------------------------
+    @cached_property
+    def oracle(self) -> PropertyOracle:
+        """Sec. 3.7 verdicts for this query's lattice, derived once."""
+        schema = self._schema
+        return PropertyOracle.from_schema(
+            self.table.lattice,
+            schema if isinstance(schema, Dtd) else infer_dtd(schema),
+            self.query.fact_tag,
+        )
+
     def recommend(self) -> Recommendation:
         """Sec. 4.6 advice for this query's data."""
         return recommend_for_table(
@@ -118,8 +133,8 @@ class XmlWarehouse:
 
     Args:
         dtd: a known schema; when omitted, one is inferred from the
-            loaded documents the first time a query needs it (the
-            customized algorithms then use inferred cardinalities).
+            loaded documents the first time a session's oracle is read
+            (the customized algorithms then use inferred cardinalities).
         memory_entries: operator budget handed to every session.
     """
 
@@ -156,12 +171,11 @@ class XmlWarehouse:
             query if isinstance(query, X3Query) else parse_x3_query(query)
         )
         table = extract_from_documents(self.documents, structured)
-        oracle = PropertyOracle.from_schema(
-            table.lattice, self.dtd, structured.fact_tag
-        )
-        return CubeSession(
-            structured, table, oracle, self.memory_entries
-        )
+        # The declared DTD, or else these very documents: a later ``add``
+        # must not reach the session.
+        declared = self._declared_dtd
+        schema = tuple(self.documents) if declared is None else declared
+        return CubeSession(structured, table, schema, self.memory_entries)
 
     def fact_count(self, fact_tag: str) -> int:
         return sum(doc.tag_count(fact_tag) for doc in self.documents)

@@ -17,23 +17,37 @@ line/column position.
 
 How it runs.  One loop over an explicit stack of open elements, so input
 depth is bounded by memory and not by the interpreter's recursion limit.
-The loop *scans* instead of stepping a character at a time: ``str.find``
-jumps over text runs and to the ends of comments, CDATA sections and
-PIs, one compiled pattern reads a whole start tag with its attributes,
-and entity expansion runs only on runs that contain ``&``.  It builds no
-tree: every element is one row appended to the columns of a
-:class:`~repro.xmlmodel.nodes.RegionTable` — tag, parent, region
-encoding ``(start, end, level)``, text, attributes — and one entry in
-its tag's posting list, so the only containers the scan allocates are
-the ones that hold content (an attribute mapping, a list for mixed
-content).  The :class:`Document` it returns *is* that table; the
-``Element`` tree appears if and when someone asks for it.
+The loop reads *parts*: behind the prolog the text is cut at every ``<``
+by ``str.split``, one window of ``_WINDOW`` characters at a time, so a
+part is one tag and the text run behind it, and one C call has found
+every tag of the window.  Three shapes are read from the part alone: the
+open element's ``/name>`` closes it, a part that starts with it closes
+it and leaves its tail to the parent as text, and a part whose head
+before the first ``>`` is a name some start tag has been validated with
+opens an element whose first text cell is the tail.  Every other part —
+a first sighting, attributes or ``/>``, ``</name >``, a comment, CDATA
+section or PI, a run with ``&``, the root's own end, anything malformed
+— is read *at its position in the text* (summed from the lengths of the
+parts, only then) by what has always read it: one compiled pattern for
+a whole start tag, ``str.find`` to the end of a comment, CDATA section
+or PI, entity expansion for a run with ``&``, :class:`_TagReader` for
+the rest.  The text from the position they return to the next ``<`` is
+a chunk of the open element, and the loop goes on with the part behind
+that ``<``.  It builds no tree: every element is one row appended to
+the columns of a :class:`~repro.xmlmodel.nodes.RegionTable` — tag,
+parent, region encoding ``(start, end, level)``, text, attributes — and
+one entry in its tag's posting list, so the only containers the scan
+allocates are the ones that hold content (an attribute mapping, a list
+for mixed content) and one window's parts.  The :class:`Document` it
+returns *is* that table; the ``Element`` tree appears if and when
+someone asks for it.
 
-The error-path contract.  The patterns only ever *accept*: a tag they do
-not match — or match but with a bad first name character, a duplicate
-attribute or a bad entity — is read again by the per-character
-:class:`_TagReader`, which owns every error message and position of a
-tag.  The hot path therefore never has to know why a tag is wrong.
+The error-path contract.  The hot shapes and the patterns only ever
+*accept*: a tag they do not match — or match but with a bad first name
+character, a duplicate attribute or a bad entity — is read again by the
+per-character :class:`_TagReader`, which owns every error message and
+position of a tag.  The hot path therefore never has to know why a tag
+is wrong.
 """
 
 from __future__ import annotations
@@ -74,6 +88,12 @@ _START_TAG = re.compile(
 _ATTRIBUTE = re.compile(rf"({_NAME}){_S}={_S}(?:\"([^\"]*)\"|'([^']*)')")
 _NOT_WHITESPACE = re.compile(rf"[^{_WHITESPACE}]")
 _DOCTYPE_DELIMITER = re.compile(r"[\[\]>]")
+
+# Characters cut into parts at a time (up to the next "<"): cutting the
+# whole document at once would hold a second copy of it beside the table.
+_WINDOW = 1 << 16
+# The closer of the root and of what is above it: no part holds a "<".
+_NO_CLOSER = "<"
 
 # ``&`` up to the next ``;`` (or to the end of the run when there is none).
 _ENTITY = re.compile(r"&([^;]*)(;?)")
@@ -301,7 +321,6 @@ def _parse_table(text: str) -> RegionTable:
         _fail(text, pos, "expected '<' to open an element")
 
     find = text.find
-    startswith = text.startswith
     match_start_tag = _START_TAG.match
     length = len(text)
 
@@ -311,120 +330,147 @@ def _parse_table(text: str) -> RegionTable:
     texts, attr_maps = table.texts, table.attrs
     postings = table.postings
     append_text = table.append_text
-    # Every name the start-tag pattern has validated, mapped to itself: a
-    # later "<name>" is recognised by one lookup, and equal tags of
-    # different elements are one string.
-    names: Dict[str, str] = {}
-    stack: List[int] = []  # the open elements, by node id
-    parent = -1  # == stack[-1]; -1 stands above the root
+    # Every name a start tag has been validated with -> the one string
+    # all its elements carry, and the part that closes such an element.
+    names: Dict[str, Tuple[str, str]] = {}
+    stack: List[Tuple[int, str]] = []  # (parent, closer) to go back to
+    parent = -1  # the open element; -1 stands above the root
+    closer = _NO_CLOSER  # "/name>" of the open element
     counter = 0  # next region position
 
-    while True:
-        # ---- ``pos`` is at the "<" of a start tag --------------------
-        attrs: Optional[Dict[str, str]] = None
-        self_closing = False
-        gt = find(">", pos)
-        known = names.get(text[pos + 1 : gt]) if gt > 0 else None
-        if known is not None:  # "<name>" with a name seen before
-            tag = known
-            pos = gt + 1
-        else:
-            match = match_start_tag(text, pos)
-            if match is not None:
-                tag, attr_text, slash = match.groups()
-                if not _is_name_start(tag[0]):
-                    match = None
-                elif attr_text:
-                    attrs = _fast_attributes(attr_text)
-                    if attrs is None:
-                        match = None
-            if match is not None:
-                tag = names.setdefault(tag, tag)
-                self_closing = slash == "/"
-                pos = match.end()
-            else:
-                reader = _TagReader(text, pos)
-                tag, attrs, self_closing = reader.start_tag()
-                pos = reader.pos
-
-        node = len(tags)
-        tags.append(tag)
-        parents.append(parent)
-        starts.append(counter)
-        counter += 1
-        levels.append(len(stack))
-        texts.append(None)  # none yet; append_text is the only writer
-        attr_maps.append(attrs or None)
-        try:
-            postings[tag].append(node)
-        except KeyError:  # the first element with this tag
-            postings[tag] = [node]
-        if self_closing:
-            ends.append(counter)
-            counter += 1
-            if parent < 0:
-                break
-        else:
-            ends.append(-1)  # set when the element closes
-            stack.append(node)
-            parent = node
-
-        # ---- content of ``parent`` up to the next start tag ----------
-        while True:
-            lt = find("<", pos)
-            if lt < 0:
-                # A bad reference in the text that runs into the end of
-                # the input is reported before the missing close tag.
-                _expand_entities(text[pos:], text, length)
-                _fail(
-                    text,
-                    length,
-                    f"unexpected end of input inside <{tags[parent]}>",
-                )
-            if lt > pos:
-                chunk = text[pos:lt]
-                if "&" in chunk:
-                    chunk = _expand_entities(chunk, text, lt)
-                append_text(parent, chunk)
-                pos = lt
-            following = text[pos + 1 : pos + 2]
-            if following == "/":
-                tag = tags[parent]
-                after = pos + 2 + len(tag)
-                if startswith(tag, pos + 2) and startswith(">", after):
-                    pos = after + 1
-                else:  # "</name >", or malformed
-                    reader = _TagReader(text, pos)
-                    reader.close_tag(tag)
-                    pos = reader.pos
+    # One window per pass; ``pos`` is at a "<" in content or at the end.
+    while parent >= 0 or not tags:
+        if pos >= length:
+            _fail(text, length, f"unexpected end of input inside <{tags[parent]}>")
+        limit = find("<", pos + _WINDOW)
+        if limit < 0:
+            limit = length
+        parts = text[pos + 1 : limit].split("<")
+        # The "<" of parts[mark] is at mark_lt: a miss sums the lengths
+        # from there to learn where it is, and moves the mark past it.
+        mark, mark_lt = 0, pos
+        pos = limit
+        numbered = enumerate(parts)
+        for index, part in numbered:
+            if part == closer:  # "</name>" of the open element, no text
                 ends[parent] = counter
                 counter += 1
-                stack.pop()
-                if not stack:
-                    parent = -1
+                parent, closer = stack.pop()
+                continue
+            head, sep, tail = part.partition(">")
+            known = names.get(head)
+            if known is not None and sep and "&" not in tail:  # "<name>"
+                levels.append(len(stack))
+                stack.append((parent, closer))
+                tag, closer = known
+                parents.append(parent)
+                parent = len(tags)
+                tags.append(tag)
+                starts.append(counter)
+                counter += 1
+                texts.append(tail or None)  # append_text writes the rest
+                attr_maps.append(None)
+                postings[tag].append(parent)
+                ends.append(-1)  # set when the element closes
+                continue
+            if "&" not in tail and part.startswith(closer):  # "</name>text"
+                ends[parent] = counter
+                counter += 1
+                parent, closer = stack.pop()
+                append_text(parent, tail)
+                continue
+
+            # ---- not a hot shape: read at its absolute position ------
+            lt = mark_lt + len("<".join(parts[mark : index + 1])) - len(part)
+            # Above the root only a start tag may stand.
+            first = part[:1] if parent >= 0 else ""
+            if first == "/":  # "</name >", "&" behind, malformed
+                reader = _TagReader(text, lt)
+                reader.close_tag(tags[parent])
+                at = reader.pos
+                ends[parent] = counter
+                counter += 1
+                parent, closer = stack.pop()
+                if parent < 0:
+                    pos = at
                     break
-                parent = stack[-1]
-            elif following == "!":
-                if startswith("<!--", pos):
-                    pos = _skip_past(text, pos, "<!--", "-->", "comment")
-                elif startswith("<![CDATA[", pos):
-                    begin = pos + len("<![CDATA[")
-                    end = find("]]>", begin)
-                    if end < 0:
-                        _fail(text, begin, "unterminated CDATA section")
-                    if end > begin:
-                        append_text(parent, text[begin:end])
-                    pos = end + 3
+            elif first == "!" and part.startswith("!--"):
+                at = _skip_past(text, lt, "<!--", "-->", "comment")
+            elif first == "!" and part.startswith("![CDATA["):
+                begin = lt + len("<![CDATA[")
+                end = find("]]>", begin)
+                if end < 0:
+                    _fail(text, begin, "unterminated CDATA section")
+                if end > begin:
+                    append_text(parent, text[begin:end])
+                at = end + 3
+            elif first == "?":
+                at = _skip_past(text, lt, "<?", "?>", "processing instruction")
+            else:  # a start tag (or not markup we know: _TagReader names it)
+                attrs: Optional[Dict[str, str]] = None
+                match = match_start_tag(text, lt)
+                if match is not None:
+                    tag, attr_text, slash = match.groups()
+                    if not _is_name_start(tag[0]):
+                        match = None
+                    elif attr_text:
+                        attrs = _fast_attributes(attr_text)
+                        if attrs is None:
+                            match = None
+                if match is not None:
+                    self_closing = slash == "/"
+                    at = match.end()
                 else:
-                    break  # not markup we know: _TagReader names it
-            elif following == "?":
-                pos = _skip_past(
-                    text, pos, "<?", "?>", "processing instruction"
-                )
-            else:
-                break  # a start tag
-        if parent < 0:
-            break
+                    reader = _TagReader(text, lt)
+                    tag, attrs, self_closing = reader.start_tag()
+                    at = reader.pos
+                known = names.get(tag)
+                if known is None:
+                    known = names[tag] = (tag, f"/{tag}>")
+                    postings[tag] = []
+                tag = known[0]
+                node = len(tags)
+                tags.append(tag)
+                parents.append(parent)
+                starts.append(counter)
+                counter += 1
+                levels.append(len(stack))
+                texts.append(None)
+                attr_maps.append(attrs or None)
+                postings[tag].append(node)
+                if self_closing:
+                    ends.append(counter)
+                    counter += 1
+                    if parent < 0:
+                        pos = at
+                        break
+                else:
+                    ends.append(-1)
+                    stack.append((parent, closer))
+                    # The root's end is never hot: its position is needed.
+                    closer = known[1] if parent >= 0 else _NO_CLOSER
+                    parent = node
+
+            # ---- resume: the text up to the next "<" is a chunk of the
+            # open element, and the part behind that "<" is read next
+            after = lt + 1 + len(part)
+            if at > after:  # a "<" in a comment, a value: pass those parts
+                lt = after
+                after = find("<", at)
+                if after < 0:
+                    after = length
+                for index, part in numbered:
+                    lt += 1 + len(part)
+                    if lt >= after:
+                        break
+            if after > at:
+                chunk = text[at:after]
+                if "&" in chunk:
+                    chunk = _expand_entities(chunk, text, after)
+                append_text(parent, chunk)
+            mark, mark_lt = index + 1, after
+            if after > limit:
+                pos = after
 
     pos = _skip_misc(text, pos)
     if pos < length:
@@ -445,7 +491,8 @@ def parse(text: str, name: str = "") -> Document:
 
 
 def parse_file(path: str, name: Optional[str] = None) -> Document:
-    """Parse an XML file (UTF-8) into a :class:`Document`."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse an XML file (UTF-8, with or without a byte-order mark)
+    into a :class:`Document`."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     return parse(text, name=name if name is not None else path)

@@ -8,6 +8,7 @@ from repro.datagen.dblp import DBLP_DTD, DblpConfig, generate_dblp
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.errors import QueryError
 from repro.schema.dtd_parser import parse_dtd
+from repro.schema.inference import infer_dtd
 from repro.warehouse import Recommendation, XmlWarehouse, choose_algorithm
 from repro.xmlmodel.serializer import serialize
 
@@ -205,3 +206,99 @@ class TestIngestBuildsNoTree:
         before = count_elements()
         assert doc.root.tag == "database"  # the tree's first touch
         assert count_elements() - before == doc.element_count()
+
+
+def verdicts(oracle):
+    """Every (disjoint, covered) verdict an oracle holds, as plain data."""
+    return [
+        (
+            position,
+            state,
+            oracle.axis_disjoint(position, state),
+            oracle.axis_covered(position, state),
+        )
+        for position, states in enumerate(oracle.lattice.axis_states)
+        for state in range(len(states.states))
+    ]
+
+
+class TestOracleIsDerivedOnFirstRead:
+    """``add`` + ``query`` infer no DTD and build no oracle (ISSUE 23): a
+    caller who brings its own oracle to ``CubeServer`` never pays for
+    one; whoever reads ``session.oracle`` pays once, and gets what
+    ``query`` used to build."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        import repro.warehouse as module
+
+        counts = {"infer_dtd": 0, "from_schema": 0}
+        from_schema = PropertyOracle.from_schema
+
+        def counting_infer(docs):
+            counts["infer_dtd"] += 1
+            return infer_dtd(docs)
+
+        def counting_from_schema(*args):
+            counts["from_schema"] += 1
+            return from_schema(*args)
+
+        monkeypatch.setattr(module, "infer_dtd", counting_infer)
+        monkeypatch.setattr(
+            PropertyOracle, "from_schema", staticmethod(counting_from_schema)
+        )
+        return counts
+
+    def test_query_derives_nothing_and_the_first_read_once(self, calls):
+        warehouse = XmlWarehouse()
+        warehouse.add(serialize(figure1_document()))
+        session = warehouse.query(QUERY1_TEXT)
+        assert calls == {"infer_dtd": 0, "from_schema": 0}
+        first = session.oracle
+        assert calls == {"infer_dtd": 1, "from_schema": 1}
+        session.recommend()
+        session.properties_report()
+        session.compute()
+        assert session.oracle is first
+        assert calls == {"infer_dtd": 1, "from_schema": 1}
+
+    def test_a_declared_dtd_is_never_inferred(self, calls):
+        built, query = _dblp_family()
+        warehouse = XmlWarehouse(dtd=parse_dtd(DBLP_DTD))
+        warehouse.add(serialize(built))
+        session = warehouse.query(query)
+        assert calls == {"infer_dtd": 0, "from_schema": 0}
+        assert verdicts(session.oracle) == verdicts(
+            PropertyOracle.from_schema(
+                session.table.lattice, parse_dtd(DBLP_DTD), "article"
+            )
+        )
+        assert calls == {"infer_dtd": 0, "from_schema": 2}
+
+    @pytest.mark.parametrize("family", sorted(DATAGEN_FAMILIES))
+    def test_lazy_equals_eager(self, family):
+        built, query = DATAGEN_FAMILIES[family]()
+        warehouse = XmlWarehouse()
+        doc = warehouse.add(serialize(built))
+        session = warehouse.query(query)
+        fact_tag = session.query.fact_tag
+        # Added behind the query: not in the table, so not in the oracle.
+        warehouse.add(f"<{doc.root.tag}><{fact_tag}/></{doc.root.tag}>")
+        eager = PropertyOracle.from_schema(
+            session.table.lattice, infer_dtd([doc]), fact_tag
+        )
+        assert verdicts(session.oracle) == verdicts(eager)
+
+    def test_a_later_add_reaches_the_next_session_only(self):
+        text = (
+            'for $f in doc("d.xml")//f, $a in $f/a '
+            "X^3 $f by $a (LND) return COUNT($f)."
+        )
+        warehouse = XmlWarehouse()
+        warehouse.add("<db><f><a>1</a></f><f><a>2</a></f></db>")
+        session = warehouse.query(text)
+        warehouse.add("<db><f/></db>")  # a fact without its axis
+        assert session.properties_report() == {"$a": (True, True)}
+        assert warehouse.query(text).properties_report() == {
+            "$a": (True, False)
+        }

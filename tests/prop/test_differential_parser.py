@@ -12,7 +12,16 @@ points, and nesting deeper than the reference's recursion limit); they
 are asserted one by one, and :func:`has_lenient_reference` keeps exactly
 that class — nothing else — from failing the equality check when the
 fuzzer stumbles into it.
+
+Since ISSUE 23 the parser reads the content as the parts of
+``str.split("<")``, one window of ``parser._WINDOW`` characters at a
+time, so the corpus, the mutants and the table-is-its-tree check run
+again with windows of 1, 2 and 7 characters (:data:`WINDOWS`): every
+tag then starts a window, and every construct that may hold a ``<``
+straddles one.
 """
+
+from unittest import mock
 
 import re
 
@@ -25,6 +34,7 @@ from repro.datagen.dblp import DblpConfig, generate_dblp
 from repro.datagen.publications import figure1_document, random_publications
 from repro.datagen.treebank import TreebankConfig, generate_treebank
 from repro.errors import XmlParseError
+from repro.xmlmodel import parser
 from repro.xmlmodel.nodes import Document
 from repro.xmlmodel.parser import _NAME_CHAR, _is_name_char, parse
 from repro.xmlmodel.serializer import serialize
@@ -244,10 +254,51 @@ CORPUS = [
     "﻿<a/>",
     "junk<a/>",
     "<a></a></a>",
+    # where the part loop cuts (ISSUE 23): a "<" that is not markup,
+    # directly before and after a run the hot shapes refuse ...
+    '<a>t&amp;u<b x="<"/>v&amp;w</a>',
+    "<a>t&amp;u<b x='<'>k</b>v&amp;w</a>",
+    "<a>t&amp;u<!-- < <b> -->v&amp;w</a>",
+    "<a>t&amp;u<![CDATA[<b>&amp;]]>v&amp;w</a>",
+    "<a>t&amp;u<?pi <b> ?>v&amp;w</a>",
+    "<a><b>1</b><!-- </b> <b> --><b>2</b></a>",
+    # ... ">" where it is only a character ...
+    "<a>x>y</a>",
+    "<a><b>x</b>y>z<b>></b></a>",
+    "<a x='>'>></a>",
+    '<a><b x=">">y</b></a>',
+    # ... closers and starts that are nearly a hot shape ...
+    "<a><b>x</b ></a>",
+    "<a><b>x</b\n></a>",
+    "<a><b>x</b >y</a>",
+    "<a><b/>text</a>",
+    "<a><b>x</b><b/>text<b>y</b></a>",
+    "<a><b>x</b><b >y</b></a>",
+    "<a><a>x</a>y</a>",
+    "<a><a></a></a></a>",
+    "<a><b>x</b><b",
+    "<a><b>x</b><b>",
+    "<a><b>x</b></b",
+    "<a><b>x</b>&bad;",
+    "<a><b>x</b>y&amp;z",
+    "<a><b>x&amp;</b>&#65;<b>&bad;</b></a>",
+    "<a><b>x</b></a>&amp;",
+    # ... and what may stand behind the root
+    "<a><b>x</b></a><!-- c < --><?pi <?>\n",
+    "<a><b>x</b></a><!-- c --><b>",
+    "<a/><?pi?><!-- c -->",
 ]
 
+#: Window sizes that put a window border at, just behind and a few
+#: characters into every tag (the real one is 64 K characters).
+WINDOWS = [1, 2, 7]
 
-def test_corpus_parses_equal():
+
+def window(size):
+    return mock.patch.object(parser, "_WINDOW", size)
+
+
+def check_corpus_parses_equal():
     # One test, every mismatch reported: the inputs make poor test ids.
     mismatches = [
         (text, new, old)
@@ -262,6 +313,22 @@ def test_corpus_parses_equal():
     assert kinds == {"tree", "error"}
 
 
+def test_corpus_parses_equal():
+    check_corpus_parses_equal()
+
+
+@pytest.mark.parametrize("size", WINDOWS)
+def test_corpus_parses_equal_in_small_windows(size):
+    with window(size):
+        check_corpus_parses_equal()
+
+
+def test_a_document_of_many_windows_parses_equal():
+    text = serialize(random_publications(2500, seed=3), pretty=True)
+    assert len(text) > 3 * parser._WINDOW
+    assert assert_same(text)[0] == "tree"
+
+
 # ----------------------------------------------------------------------
 # Hypothesis: mutate well-formed text
 # ----------------------------------------------------------------------
@@ -271,6 +338,8 @@ SEEDS = [
     "<![CDATA[<z>]]><?pi d?>tail</r>\n",
     '<a>\n  <b id="1">x</b>\n  <c>&#65;&lt;</c>\n</a>',
     "<p:q _a='&quot;'><p:q/>text<p:q>more</p:q></p:q>",
+    "<r><b>1</b><b k='<'>2&amp;</b ><!-- < -->t&amp;<![CDATA[<]]>"
+    "<b>3</b\n><?pi <?>u>v<b/>w</r><!-- c --><?pi?>",
 ]
 SPLICES = [
     "<", ">", "/", "&", ";", "=", "'", '"', " ", "\n", "\t", "\r", "!",
@@ -300,9 +369,7 @@ def mutated_documents(draw):
     return text
 
 
-@given(mutated_documents())
-@settings(max_examples=1500, deadline=None)
-def test_mutated_text_parses_equal(text):
+def check_mutant_parses_equal(text):
     new = outcome(parse, text)
     if new != outcome(reference_parse, text):
         # The one way to differ: the new parser stops at a reference the
@@ -310,6 +377,20 @@ def test_mutated_text_parses_equal(text):
         assert has_lenient_reference(text), text
         assert new[0] == "error", text
         assert "bad character reference &#" in new[1], text
+
+
+@given(mutated_documents())
+@settings(max_examples=1500, deadline=None)
+def test_mutated_text_parses_equal(text):
+    check_mutant_parses_equal(text)
+
+
+@pytest.mark.parametrize("size", WINDOWS)
+@given(text=mutated_documents())
+@settings(max_examples=1500, deadline=None)
+def test_mutated_text_parses_equal_in_small_windows(size, text):
+    with window(size):
+        check_mutant_parses_equal(text)
 
 
 @given(random_element())
@@ -455,13 +536,22 @@ def test_table_is_its_tree_on_datagen_families(family, pretty):
     )
 
 
+ACCEPTED = [
+    text for text in CORPUS if outcome(reference_parse, text)[0] == "tree"
+]
+
+
 def test_table_is_its_tree_on_the_corpus():
-    accepted = [
-        text for text in CORPUS if outcome(reference_parse, text)[0] == "tree"
-    ]
-    assert len(accepted) > 40
-    for text in accepted:
+    assert len(ACCEPTED) > 40
+    for text in ACCEPTED:
         assert_table_is_its_tree(text)
+
+
+@pytest.mark.parametrize("size", WINDOWS)
+def test_table_is_its_tree_on_the_corpus_in_small_windows(size):
+    with window(size):
+        for text in ACCEPTED:
+            assert_table_is_its_tree(text)
 
 
 @given(random_element())

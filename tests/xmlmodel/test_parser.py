@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import XmlParseError
-from repro.xmlmodel.parser import parse
+from repro.xmlmodel.parser import parse, parse_file
 
 
 class TestBasics:
@@ -138,3 +138,33 @@ class TestDocumentIntegration:
     def test_document_name(self):
         doc = parse("<a/>", name="mine")
         assert doc.name == "mine"
+
+
+class TestParseFile:
+    """A UTF-8 file may start with a byte-order mark (what a Windows
+    editor saves); a string never does."""
+
+    TEXT = '<?xml version="1.0"?>\n<a x="1">h\u00e9llo<b/></a>\n'
+
+    def test_bom_file_parses_like_the_file_without_it(self, tmp_path):
+        plain, marked = tmp_path / "plain.xml", tmp_path / "marked.xml"
+        plain.write_text(self.TEXT, encoding="utf-8")
+        marked.write_text(self.TEXT, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        with_mark = parse_file(str(marked), name="d")
+        without = parse_file(str(plain), name="d")
+        assert with_mark.root.tag == "a"
+        assert [
+            (node.tag, node.attrs, node.text_chunks, node.start, node.end)
+            for node in with_mark.elements
+        ] == [
+            (node.tag, node.attrs, node.text_chunks, node.start, node.end)
+            for node in without.elements
+        ]
+
+    def test_bom_in_a_string_is_still_an_error(self):
+        with pytest.raises(XmlParseError) as caught:
+            parse("\ufeff" + self.TEXT)
+        assert "expected '<' to open an element" in str(caught.value)
+        assert (caught.value.line, caught.value.column) == (1, 1)
+
