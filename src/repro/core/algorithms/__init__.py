@@ -8,15 +8,16 @@ Name                  Family      Requires for correctness     Module
 ``COLUMNAR``          counter     nothing                      columnar_sweep
 ``BUC``               bottom-up   nothing                      buc
 ``BUCOPT``            bottom-up   disjointness                 buc
-``BUCCUST``           bottom-up   nothing (schema-guided)      custom
+``BUCCUST``           bottom-up   nothing (schema-guided)      buc
 ``TD``                top-down    nothing                      topdown
 ``TDOPT``             top-down    disjointness                 topdown
 ``TDOPTALL``          top-down    disjointness + coverage      topdown
-``TDCUST``            top-down    nothing (schema-guided)      custom
+``TDCUST``            top-down    nothing (schema-guided)      topdown
 ====================  ==========  ==========================  =========
 
 All are registered in :mod:`repro.core.algorithms.registry` and run
-through :func:`repro.core.cube.compute_cube`.
+through :func:`repro.core.cube.compute_cube`; the third column is each
+class's ``requires`` declaration.
 """
 
 from repro.core.algorithms.registry import available, get_algorithm

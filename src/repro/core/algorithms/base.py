@@ -11,7 +11,7 @@ table's entry footprint; operator memory beyond the budget spills through
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.bindings import FactRow, FactTable
@@ -19,6 +19,7 @@ from repro.core.groupby import Cuboid
 from repro.core.cube import CostSnapshot, CubeResult
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.properties import PropertyOracle
+from repro.errors import CubeError
 from repro.timber.stats import CostModel, MemoryBudget
 
 DEFAULT_MEMORY_ENTRIES = 50_000
@@ -108,6 +109,14 @@ class CubeAlgorithm:
     """Base class: subclasses implement :meth:`_compute`."""
 
     name = "?"
+    #: The summarizability properties (Sec. 2) the data must have for the
+    #: answer to be right: (), ("disjointness",) or ("disjointness",
+    #: "coverage").  The registry's name tuples and DESIGN.md Sec. 5's
+    #: "Requires" column are read off this.
+    requires: Tuple[str, ...] = ()
+    #: The kernels the algorithm has.  ``ExecutionOptions(encoding=)``
+    #: chooses only where there are two; otherwise it is ignored.
+    encodings: Tuple[str, ...] = ("dict",)
 
     def run(
         self,
@@ -119,8 +128,6 @@ class CubeAlgorithm:
         encoding: str = "auto",
     ) -> CubeResult:
         if min_support > 0 and table.aggregate.function.upper() != "COUNT":
-            from repro.errors import CubeError
-
             raise CubeError(
                 "iceberg (min_support) pruning is only sound for the "
                 "monotone COUNT aggregate"
@@ -132,9 +139,19 @@ class CubeAlgorithm:
             min_support=min_support,
             encoding=encoding,
         )
-        wanted: List[LatticePoint] = (
-            list(points) if points is not None else list(table.lattice.points())
-        )
+        if points is None:
+            wanted: List[LatticePoint] = list(table.lattice.points())
+        else:
+            wanted = list(points)
+            sizes = [s.state_count for s in table.lattice.axis_states]
+            for point in wanted:
+                if len(point) != len(sizes) or not all(
+                    0 <= index < size for index, size in zip(point, sizes)
+                ):
+                    raise CubeError(
+                        f"points entry {tuple(point)!r} is not a point of the "
+                        f"lattice (one state index per axis, below {sizes})"
+                    )
         begin = time.perf_counter()
         with obs.span(
             f"algo.{self.name}",

@@ -62,6 +62,7 @@ class BucAlgorithm(CubeAlgorithm):
     """Safe BUC: replication-based overlap handling."""
 
     name = "BUC"
+    encodings = ("columnar", "dict")
     exploit_disjointness = False
     use_oracle = False
 
@@ -316,6 +317,7 @@ class BucOptAlgorithm(BucAlgorithm):
     """BUCOPT: assumes disjointness globally (wrong when it fails)."""
 
     name = "BUCOPT"
+    requires = ("disjointness",)
     exploit_disjointness = True
     use_oracle = False
 

@@ -176,6 +176,7 @@ def census(
 
 class ColumnarSweepAlgorithm(CubeAlgorithm):
     name = "COLUMNAR"
+    encodings = ("columnar",)
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]

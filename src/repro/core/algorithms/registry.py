@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.algorithms.auto import AutoAlgorithm
 from repro.core.algorithms.base import CubeAlgorithm
@@ -39,33 +39,30 @@ _REGISTRY: Dict[str, CubeAlgorithm] = {
     )
 }
 
-ALWAYS_CORRECT = (
-    "NAIVE",
-    "COUNTER",
-    "COLUMNAR",
-    "BUC",
-    "TD",
-    "BUCCUST",
-    "TDCUST",
-)
 META = ("AUTO",)  # delegates; correct iff its oracle is truthful
-NEEDS_DISJOINTNESS = ("BUCOPT", "TDOPT")
-NEEDS_BOTH = ("TDOPTALL",)
 
+
+def _declaring(**declared: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The registered non-META names whose class declares these values
+    (``CubeAlgorithm.requires`` / ``.encodings``): the classes embody
+    the preconditions, so they state them."""
+    return tuple(
+        name
+        for name, algorithm in _REGISTRY.items()
+        if name not in META
+        and all(getattr(algorithm, key) == value for key, value in declared.items())
+    )
+
+
+ALWAYS_CORRECT = _declaring(requires=())
+NEEDS_DISJOINTNESS = _declaring(requires=("disjointness",))
+NEEDS_BOTH = _declaring(requires=("disjointness", "coverage"))
 #: Algorithms with both a legacy dict path and a columnar kernel, chosen
 #: by ``ExecutionOptions(encoding=...)``: ``"auto"``/``"columnar"`` run
 #: on the encoded columns, ``"dict"`` pins the legacy FactRow path (what
 #: the duels time the columnar kernels against).  COLUMNAR itself is
 #: columnar-only; NAIVE/COUNTER are dict-only and ignore the option.
-COLUMNAR_CAPABLE = (
-    "BUC",
-    "BUCOPT",
-    "BUCCUST",
-    "TD",
-    "TDOPT",
-    "TDOPTALL",
-    "TDCUST",
-)
+COLUMNAR_CAPABLE = _declaring(encodings=("columnar", "dict"))
 
 
 def available() -> List[str]:

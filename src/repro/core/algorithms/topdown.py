@@ -1,61 +1,77 @@
-"""Top-down cube computation: TD, TDOPT, TDOPTALL, TDCUST (Sec. 3.5).
+"""Top-down cube computation (Sec. 3.5): one walk, two kernels, four rules.
 
 The family is XMLized from PartitionCube/MemoryCube [Ross & Srivastava]:
-cuboids are produced by sorting and scanning, and coarser cuboids are —
-when the summarizability properties allow — computed from finer *aggregate
-rows* instead of the base data.
+a cuboid is produced by sorting and scanning the base data or — where the
+summarizability properties allow — by merging the *aggregate rows* of an
+already computed finer cuboid.  That is one procedure,
+:meth:`TopDownWalk._walk`: visit the lattice finer-first and ask the
+variant's **source rule**, per point, "base, copy of the rigid twin, or
+roll-up from which computed finer cuboid?".  A variant is that rule and
+three constants:
 
-- ``TD`` (unoptimized, always correct): every cuboid is computed from the
-  base fact table — a full scan plus an (external, when the table exceeds
-  the memory budget) sort per lattice point, with identity tracking.  The
-  exponential number of sorts is its meltdown mode.
-- ``TDOPT`` (requires disjointness): cuboids with every axis kept are
-  computed from base; every other cuboid is rolled up from the smallest
-  already-computed finer cuboid by merging aggregate rows.  Coverage
-  violations are absorbed by carrying "null value" groups (Sec. 3.5) in
-  the intermediate cuboids, stripped at reporting time.  Non-disjoint
-  facts are double-counted by the roll-up, so TDOPT is wrong when
-  disjointness fails (Fig. 9).
-- ``TDOPTALL`` (requires disjointness *and* total coverage): assumes full
-  summarizability — only the all-rigid top cuboid touches the base;
-  structurally-relaxed points are assumed identical to their rigid
-  counterparts (relaxation adds nothing under total coverage of the rigid
-  pattern) and everything else is a pure aggregate roll-up with no null
-  bookkeeping.  Fastest of the family on dense cubes, and wrong when
-  either property fails.
-- ``TDCUST`` (Sec. 4.5, always correct): per lattice point, rolls up from
-  a finer cuboid only when the property oracle proves the source cuboid
-  disjoint; otherwise recomputes that point from base with the safe
-  (identity-tracking) path.
+========  =====================================  =========  ========  ========
+variant   source rule                            augmented  identity  rolls up
+                                                            ops
+========  =====================================  =========  ========  ========
+TD        always base; wanted points only        no         1         no
+TDOPT     the smallest computed finer cuboid,    yes        0         yes
+          else base (= every axis is kept)
+TDOPTALL  a copy of the rigid twin for a         no         0         yes
+          relaxed point, else as TDOPT (base
+          = the all-rigid top only)
+TDCUST    as TDOPT, among the cuboids the        yes        1         yes
+          oracle proves disjoint
+========  =====================================  =========  ========  ========
 
-Columnar execution (the default, ``ExecutionOptions(encoding="auto")``):
-the family runs on the dictionary-encoded columns of
-:class:`~repro.core.columnar.ColumnarFactTable`.  A from-base cuboid is
-built by extending a mixed-radix **group-id column** one kept axis at a
-time (:func:`~repro.core.columnar.extend_group_ids`, one modeled op per
-:data:`~repro.core.columnar.VECTOR_LANES` rows) and folding measures in
-base-row order, so TD's finalized floats are bit-identical to NAIVE;
-the grouping is a counting sort over the bounded gid domain — charged
-linearly, spilling its placement buffer past the memory budget instead
-of paying the dict path's comparison sort.  The Sec. 3.5 "null
-value" groups of TDOPT/TDCUST become a **null digit**: a kept axis with
-no value contributes digit ``len(dictionary)`` with effective radix
-``len(dictionary) + 1``, stripped at reporting exactly like
-``strip_null_groups``.  A coarser-from-finer roll-up is group-id
-remapping: decompose each source gid with reversed mixed-radix divmod,
-keep the digits of the surviving axes, recombine — no string keys touched
-(Sec. 3.5's sorted merge over aggregate rows, on integer ids).
-``encoding="dict"`` pins the legacy :class:`FactRow` path.
+*Augmented*: a kept axis with no value binds a Sec. 3.5 "null value"
+instead of excluding the fact, so coverage violations survive the
+roll-ups; null groups are stripped at reporting.  TDOPTALL assumes total
+coverage instead, and under-counts when it fails.  *Identity ops*: per
+placement, a safe from-base build keeps fact identities to guard against
+double counting; a roll-up cannot, which is why TDOPT and TDOPTALL
+(``requires``) are wrong on non-disjoint data (Fig. 9) and TDCUST (Sec.
+4.5) asks the oracle per lattice node.  *Rolls up*: every point is built
+whatever ``points=`` asks for, and reporting is a charged pass over the
+kept cuboid; TD's exponential number of base sorts — each scanned
+straight into reporting form — is its meltdown mode.
+
+The walk runs on one of two **kernels** (``ExecutionContext.use_columnar``
+chooses) of three primitives — build-from-base, roll-up, report — that give
+the same cuboids, the wrong ones included, each under its own modeled charges:
+
+- :class:`_ColumnarKernel` (the default): a cuboid is ``{group id:
+  partial state}`` over the dictionary-encoded columns of
+  :class:`~repro.core.columnar.ColumnarFactTable`.  A build extends a
+  mixed-radix **group-id column** one kept axis at a time
+  (:func:`~repro.core.columnar.extend_group_ids`, one modeled op per
+  :data:`~repro.core.columnar.VECTOR_LANES` rows) and folds measures in
+  base-row order, so TD's finalized floats are bit-identical to NAIVE;
+  the grouping is a counting sort over the bounded gid domain — charged
+  linearly, spilling its placement buffer past the memory budget.  The
+  null value is a **null digit**, ``len(dictionary)`` under radix
+  ``len(dictionary) + 1``; a roll-up remaps group ids (reversed
+  mixed-radix divmod, keep the surviving axes' digits, recombine).
+- :class:`_DictKernel` (``encoding="dict"``): the legacy
+  :class:`FactRow` path — ``{key tuple: partial state}``, a build is a
+  comparison sort (external past the memory budget) of the placements, a
+  roll-up a sorted merge of aggregate rows.  The ``[dict]`` duel series
+  and the ``TD-dict`` ledger layer time it; it is the one object ROADMAP
+  item 4(iii) deletes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol,
+    Sequence, Sized, Tuple, TypeVar,
+)
 
 from repro import obs
 from repro.core.aggregates import AggregateFunction
 from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
-from repro.core.bindings import GroupKey
+from repro.core.bindings import FactRow, FactTable, GroupKey
 from repro.core.columnar import (
     ColumnarFactTable,
     extend_group_ids,
@@ -67,8 +83,7 @@ from repro.core.groupby import Cuboid, augmented_keys, strip_null_groups
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.timber.external_sort import charge_sort, sorted_with_cost
 
-AugKey = Tuple[Optional[str], ...]
-AugCuboid = Dict[AugKey, object]  # key -> aggregate partial state
+AugCuboid = Dict[GroupKey, object]  # (null-augmented) key -> partial state
 
 #: gid -> aggregate partial state (a cuboid in encoded form).
 GidCells = Dict[int, Any]
@@ -77,397 +92,337 @@ GidCells = Dict[int, Any]
 #: Sec. 3.5 null digit.
 GidAxes = Tuple[Tuple[int, Tuple[str, ...], int], ...]
 
+#: A kernel's computed cuboid; the source rules read only its ``len``.
+Built = TypeVar("Built", bound=Sized)
+Computed = Mapping[LatticePoint, Sized]
 
-class TdAlgorithm(CubeAlgorithm):
+
+class Origin(NamedTuple):
+    """Where the walk takes one cuboid from."""
+
+    kind: str  # "base" | "twin" | "rollup"
+    source: Optional[LatticePoint] = None
+
+
+BASE = Origin("base")
+
+
+# ----------------------------------------------------------------------
+# the walk and its four rules
+# ----------------------------------------------------------------------
+
+class TopDownWalk(CubeAlgorithm):
+    """The walk.  A variant declares its source rule and three constants."""
+
+    encodings = ("columnar", "dict")
+    #: Null-augmented keys (Sec. 3.5), stripped at reporting.
+    augmented: bool
+    #: Identity-tracking ops per placement of a from-base build.
+    identity_ops: int
+    #: Coarser cuboids come from finer ones: every point is built whether
+    #: asked for or not (``points=`` only selects what is reported).
+    rolls_up = True
+
+    def source(
+        self, context: ExecutionContext, computed: Computed, point: LatticePoint
+    ) -> Origin:
+        """The source rule; ``computed`` holds the cuboids built so far,
+        finer points first.  By default the smallest finer one, else base:
+        nothing is finer than a point that keeps every axis, so those —
+        and only those — come from base."""
+        return _finer_else_base(context.lattice, computed, point)
+
+    def _compute(
+        self, context: ExecutionContext, points: List[LatticePoint]
+    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+        if context.use_columnar:
+            return self._walk(context, points, _ColumnarKernel(context, self))
+        return self._walk(context, points, _DictKernel(context, self))
+
+    def _walk(
+        self,
+        context: ExecutionContext,
+        points: List[LatticePoint],
+        kernel: "_Kernel[Built]",
+    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+        wanted = set(points)
+        computed: Dict[LatticePoint, Built] = {}
+        cuboids: Dict[LatticePoint, Cuboid] = {}
+        for point in context.lattice.topo_finer_first():
+            if not self.rolls_up and point not in wanted:
+                continue
+            origin = self.source(context, computed, point)
+            if origin.source is None:
+                built = kernel.from_base(point)
+            elif origin.kind == "twin":
+                # Full summarizability assumed: a structurally relaxed
+                # point is taken to equal its rigid twin.  Built cuboids
+                # are never mutated, so the copy is only its charge.
+                built = computed[origin.source]
+                context.cost.charge_cpu(len(built))
+            else:
+                context.bump("td_rollups")
+                built = kernel.rollup(
+                    origin.source, computed[origin.source], point
+                )
+            if self.rolls_up:
+                computed[point] = built
+            if point in wanted:
+                cuboids[point] = kernel.report(built)
+        return {point: cuboids[point] for point in points}, 1
+
+
+class TdAlgorithm(TopDownWalk):
     """TD: every cuboid from base, with identity tracking.  Always correct."""
 
     name = "TD"
+    augmented = False
+    identity_ops = 1
+    rolls_up = False
 
-    def _compute(
-        self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        if context.use_columnar:
-            return self._compute_columnar(context, points)
-        table = context.table
-        fn = table.aggregate.fn
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-        for point in points:
-            context.charge_base_scan()
-            context.bump("td_base_sorts")
-            placements: List[Tuple[Tuple[str, ...], float]] = []
-            for row in table.rows:
-                for key in table.key_combinations(row, point):
-                    placements.append((key, row.measure))
-                    # Identity tracking: the safe algorithm keeps fact ids
-                    # alongside to guard against double counting.
-                    context.cost.charge_cpu(2)
-            placements = sorted_with_cost(
-                placements,
-                context.cost,
-                budget=context.budget,
-                key=lambda placement: placement[0],
-            )
-            cuboid: Cuboid = {}
-            current_key: Optional[Tuple[str, ...]] = None
-            state = fn.new()
-            for key, measure in placements:
-                if key != current_key:
-                    if current_key is not None:
-                        cuboid[current_key] = fn.finalize(state)
-                    current_key = key
-                    state = fn.new()
-                state = fn.add(state, measure)
-                context.cost.charge_cpu()
-            if current_key is not None:
-                cuboid[current_key] = fn.finalize(state)
-            cuboids[point] = cuboid
-        return cuboids, 1
-
-    def _compute_columnar(
-        self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        """Every cuboid from the encoded base: one gid build per point."""
-        fn = context.table.aggregate.fn
-        encoded = _encode_table(context)
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-        with obs.span(
-            "td.build",
-            category="columnar",
-            facts=encoded.n_rows,
-            points=len(points),
-        ):
-            for point in points:
-                cells, axes = _columnar_build(
-                    context, encoded, point, fn,
-                    augmented=False, identity_ops=1,
-                )
-                cuboids[point] = _decode_cells(
-                    context, cells, axes, fn, strip=False
-                )
-        return cuboids, 1
+    def source(
+        self, context: ExecutionContext, computed: Computed, point: LatticePoint
+    ) -> Origin:
+        return BASE
 
 
-class TdOptAlgorithm(CubeAlgorithm):
+class TdOptAlgorithm(TopDownWalk):
     """TDOPT: roll-up with null groups; needs disjointness."""
 
     name = "TDOPT"
-
-    def _compute(
-        self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        if context.use_columnar:
-            return self._compute_columnar(context, points)
-        table = context.table
-        lattice = table.lattice
-        fn = table.aggregate.fn
-        wanted = set(points)
-        computed: Dict[LatticePoint, AugCuboid] = {}
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-
-        for point in lattice.topo_finer_first():
-            kept = lattice.kept_axes(point)
-            if len(kept) == lattice.axis_count:
-                aug = self._from_base(context, point)
-            else:
-                source = _pick_source(lattice, computed, point)
-                assert source is not None, "all-kept points precede drops"
-                aug = _rollup(context, lattice, computed[source], source, point, fn)
-            computed[point] = aug
-            if point in wanted:
-                cuboids[point] = strip_null_groups(
-                    {key: fn.finalize(state) for key, state in aug.items()}
-                )
-                context.cost.charge_cpu(len(aug))
-        return {point: cuboids[point] for point in points}, 1
-
-    def _compute_columnar(
-        self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        """All-kept points from base (null-digit augmented), the rest
-        rolled up from the smallest finer encoded cuboid."""
-        lattice = context.lattice
-        fn = context.table.aggregate.fn
-        wanted = set(points)
-        encoded = _encode_table(context)
-        computed: Dict[LatticePoint, Tuple[GidCells, GidAxes]] = {}
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-        for point in lattice.topo_finer_first():
-            kept = lattice.kept_axes(point)
-            if len(kept) == lattice.axis_count:
-                built = _columnar_build(
-                    context, encoded, point, fn,
-                    augmented=True, identity_ops=0,
-                )
-            else:
-                source = _pick_source(
-                    lattice, _encoded_sizes(computed), point
-                )
-                assert source is not None, "all-kept points precede drops"
-                cells, axes = computed[source]
-                built = _rollup_columnar(
-                    context, cells, axes, point, lattice, fn
-                )
-            computed[point] = built
-            if point in wanted:
-                cuboids[point] = _decode_cells(
-                    context, built[0], built[1], fn, strip=True
-                )
-        return {point: cuboids[point] for point in points}, 1
-
-    def _from_base(
-        self, context: ExecutionContext, point: LatticePoint
-    ) -> AugCuboid:
-        table = context.table
-        fn = table.aggregate.fn
-        context.charge_base_scan()
-        placements: List[Tuple[AugKey, float]] = []
-        for row in table.rows:
-            for key in augmented_keys(table, row, point):
-                placements.append((key, row.measure))
-                context.cost.charge_cpu()
-        placements = sorted_with_cost(
-            placements,
-            context.cost,
-            budget=context.budget,
-            key=lambda placement: _sortable(placement[0]),
-        )
-        aug: AugCuboid = {}
-        for key, measure in placements:
-            if key not in aug:
-                aug[key] = fn.new()
-            aug[key] = fn.add(aug[key], measure)
-            context.cost.charge_cpu()
-        return aug
+    requires = ("disjointness",)
+    augmented = True
+    identity_ops = 0
+    # source: the walk's default rule.
 
 
-class TdOptAllAlgorithm(CubeAlgorithm):
+class TdOptAllAlgorithm(TopDownWalk):
     """TDOPTALL: pure roll-up; needs disjointness *and* coverage."""
 
     name = "TDOPTALL"
+    requires = ("disjointness", "coverage")
+    augmented = False
+    identity_ops = 0
 
-    def _compute(
-        self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        if context.use_columnar:
-            return self._compute_columnar(context, points)
-        table = context.table
-        lattice = table.lattice
-        fn = table.aggregate.fn
-        computed: Dict[LatticePoint, AugCuboid] = {}
-        top = lattice.top
-
-        # One base pass for the all-rigid top cuboid (no null groups:
-        # total coverage is assumed, facts lacking an axis are dropped —
-        # the source of TDOPTALL's undercounting when coverage fails).
-        context.charge_base_scan()
-        placements: List[Tuple[Tuple[str, ...], float]] = []
-        for row in table.rows:
-            for key in table.key_combinations(row, top):
-                placements.append((key, row.measure))
-                context.cost.charge_cpu()
-        placements = sorted_with_cost(
-            placements,
-            context.cost,
-            budget=context.budget,
-            key=lambda placement: placement[0],
-        )
-        top_aug: AugCuboid = {}
-        for key, measure in placements:
-            if key not in top_aug:
-                top_aug[key] = fn.new()
-            top_aug[key] = fn.add(top_aug[key], measure)
-            context.cost.charge_cpu()
-        computed[top] = top_aug
-
-        for point in lattice.topo_finer_first():
-            if point in computed:
-                continue
-            rigid_twin = _rigid_twin(lattice, point)
-            if rigid_twin != point:
-                # Full summarizability assumed: a structurally relaxed
-                # point is taken to equal its rigid twin.
-                source_cuboid = computed[rigid_twin]
-                computed[point] = dict(source_cuboid)
-                context.cost.charge_cpu(len(source_cuboid))
-                continue
-            source = _pick_source(lattice, computed, point)
-            assert source is not None
-            computed[point] = _rollup(
-                context, lattice, computed[source], source, point, fn
-            )
-
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-        for point in points:
-            aug = computed[point]
-            cuboids[point] = {
-                key: fn.finalize(state) for key, state in aug.items()
-            }
-            context.cost.charge_cpu(len(aug))
-        return cuboids, 1
-
-    def _compute_columnar(
-        self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        """One base build (all-rigid top, no null digits), rigid twins
-        copied cell-for-cell, everything else pure gid roll-up."""
-        lattice = context.lattice
-        fn = context.table.aggregate.fn
-        encoded = _encode_table(context)
-        computed: Dict[LatticePoint, Tuple[GidCells, GidAxes]] = {}
-        top = lattice.top
-        computed[top] = _columnar_build(
-            context, encoded, top, fn, augmented=False, identity_ops=0
-        )
-        for point in lattice.topo_finer_first():
-            if point in computed:
-                continue
-            rigid_twin = _rigid_twin(lattice, point)
-            if rigid_twin != point:
-                # Dictionaries and radices are per-axis and state
-                # independent, so the twin's encoded cells transfer as-is.
-                source_cells, source_axes = computed[rigid_twin]
-                computed[point] = (dict(source_cells), source_axes)
-                context.cost.charge_cpu(len(source_cells))
-                continue
-            source = _pick_source(lattice, _encoded_sizes(computed), point)
-            assert source is not None
-            cells, axes = computed[source]
-            computed[point] = _rollup_columnar(
-                context, cells, axes, point, lattice, fn
-            )
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-        for point in points:
-            cells, axes = computed[point]
-            cuboids[point] = _decode_cells(
-                context, cells, axes, fn, strip=False
-            )
-        return cuboids, 1
+    def source(
+        self, context: ExecutionContext, computed: Computed, point: LatticePoint
+    ) -> Origin:
+        twin = _rigid_twin(context.lattice, point)
+        if twin != point:
+            return Origin("twin", twin)
+        # Only the all-rigid top has no finer rigid cuboid: one base build.
+        return _finer_else_base(context.lattice, computed, point)
 
 
-class TdCustAlgorithm(CubeAlgorithm):
+class TdCustAlgorithm(TopDownWalk):
     """TDCUST: roll-up only where the oracle proves it safe.  Correct."""
 
     name = "TDCUST"
+    augmented = True
+    identity_ops = 1
 
-    def _compute(
-        self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        if context.use_columnar:
-            return self._compute_columnar(context, points)
+    def source(
+        self, context: ExecutionContext, computed: Computed, point: LatticePoint
+    ) -> Origin:
+        proven = {
+            candidate: built
+            for candidate, built in computed.items()
+            if context.oracle.disjoint(candidate)
+        }
+        return _finer_else_base(context.lattice, proven, point)
+
+
+def _finer_else_base(
+    lattice: CubeLattice, computed: Computed, point: LatticePoint
+) -> Origin:
+    source = _pick_source(lattice, computed, point)
+    return BASE if source is None else Origin("rollup", source)
+
+
+def _rigid_twin(
+    lattice: CubeLattice, point: LatticePoint
+) -> LatticePoint:
+    """The point with every kept axis forced to the rigid state."""
+    return tuple(
+        index if states.is_dropped(index) else states.rigid_index
+        for states, index in zip(lattice.axis_states, point)
+    )
+
+
+def _pick_source(
+    lattice: CubeLattice, computed: Computed, point: LatticePoint
+) -> Optional[LatticePoint]:
+    """The smallest computed finer cuboid that derives ``point`` by
+    dropping axes: it agrees exactly on every axis the point keeps (so it
+    drops none of them).  The first built wins a tie."""
+    kept = lattice.kept_axes(point)
+    finer = [
+        candidate
+        for candidate in computed
+        if candidate != point
+        and all(candidate[position] == point[position] for position in kept)
+    ]
+    return min(finer, key=lambda candidate: len(computed[candidate]), default=None)
+
+
+# ----------------------------------------------------------------------
+# the two kernels
+# ----------------------------------------------------------------------
+
+class _Kernel(Protocol[Built]):
+    """What the walk needs of a cuboid representation."""
+
+    def from_base(self, point: LatticePoint) -> Built: ...
+
+    def rollup(
+        self, source: LatticePoint, built: Built, point: LatticePoint
+    ) -> Built: ...
+
+    def report(self, built: Built) -> Cuboid: ...
+
+
+class _DictKernel:
+    """The :class:`FactRow` kernel (``encoding="dict"``)."""
+
+    def __init__(self, context: ExecutionContext, variant: TopDownWalk):
+        self.context = context
+        self.variant = variant
+        self.fn = context.table.aggregate.fn
+
+    def from_base(self, point: LatticePoint) -> AugCuboid:
+        """Sort the placements of every fact, then scan the runs."""
+        context, variant, fn = self.context, self.variant, self.fn
         table = context.table
-        lattice = table.lattice
-        fn = table.aggregate.fn
-        oracle = context.oracle
-        computed: Dict[LatticePoint, AugCuboid] = {}
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-        wanted = set(points)
-
-        for point in lattice.topo_finer_first():
-            source = _pick_source(
-                lattice,
-                {
-                    candidate: aug
-                    for candidate, aug in computed.items()
-                    if oracle.disjoint(candidate)
-                },
-                point,
-            )
-            if source is not None:
-                aug = _rollup(
-                    context, lattice, computed[source], source, point, fn
-                )
-            else:
-                aug = self._safe_from_base(context, point)
-            computed[point] = aug
-            if point in wanted:
-                cuboids[point] = strip_null_groups(
-                    {key: fn.finalize(state) for key, state in aug.items()}
-                )
-                context.cost.charge_cpu(len(aug))
-        return {point: cuboids[point] for point in points}, 1
-
-    def _compute_columnar(
-        self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        """Roll up from oracle-proven-disjoint sources; otherwise rebuild
-        the point from base with the safe identity-tracking build."""
-        lattice = context.lattice
-        fn = context.table.aggregate.fn
-        oracle = context.oracle
-        encoded = _encode_table(context)
-        computed: Dict[LatticePoint, Tuple[GidCells, GidAxes]] = {}
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-        wanted = set(points)
-        for point in lattice.topo_finer_first():
-            source = _pick_source(
-                lattice,
-                _encoded_sizes(
-                    {
-                        candidate: built
-                        for candidate, built in computed.items()
-                        if oracle.disjoint(candidate)
-                    }
-                ),
-                point,
-            )
-            if source is not None:
-                cells, axes = computed[source]
-                built = _rollup_columnar(
-                    context, cells, axes, point, lattice, fn
-                )
-            else:
-                built = _columnar_build(
-                    context, encoded, point, fn,
-                    augmented=True, identity_ops=1,
-                )
-            computed[point] = built
-            if point in wanted:
-                cuboids[point] = _decode_cells(
-                    context, built[0], built[1], fn, strip=True
-                )
-        return {point: cuboids[point] for point in points}, 1
-
-    def _safe_from_base(
-        self, context: ExecutionContext, point: LatticePoint
-    ) -> AugCuboid:
-        table = context.table
-        fn = table.aggregate.fn
         context.charge_base_scan()
-        placements: List[Tuple[AugKey, float]] = []
-        for row in table.rows:
-            for key in augmented_keys(table, row, point):
-                placements.append((key, row.measure))
-                # Safe path keeps identities, like TD.
-                context.cost.charge_cpu(2)
+        if not variant.rolls_up:
+            # This kernel counts only the sorts of the variant that has
+            # nothing but sorts (the columnar one counts every build).
+            context.bump("td_base_sorts")
+        keys_of: Callable[
+            [FactTable, FactRow, LatticePoint], Sequence[GroupKey]
+        ] = augmented_keys if variant.augmented else FactTable.key_combinations
+        placements = [
+            (key, row.measure)
+            for row in table.rows
+            for key in keys_of(table, row, point)
+        ]
+        context.cost.charge_cpu((1 + variant.identity_ops) * len(placements))
         placements = sorted_with_cost(
             placements,
             context.cost,
             budget=context.budget,
-            key=lambda placement: _sortable(placement[0]),
+            key=_null_first if variant.augmented else itemgetter(0),
         )
         aug: AugCuboid = {}
         for key, measure in placements:
-            if key not in aug:
-                aug[key] = fn.new()
-            aug[key] = fn.add(aug[key], measure)
-            context.cost.charge_cpu()
+            aug[key] = fn.add(aug[key] if key in aug else fn.new(), measure)
+        context.cost.charge_cpu(len(placements))
         return aug
 
+    def rollup(
+        self, source: LatticePoint, built: AugCuboid, point: LatticePoint
+    ) -> AugCuboid:
+        """Merge a finer cuboid's aggregate rows into a coarser cuboid."""
+        context, merge = self.context, self.fn.merge
+        kept = set(context.lattice.kept_axes(point))
+        keep = [
+            index
+            for index, axis in enumerate(context.lattice.kept_axes(source))
+            if axis in kept
+        ]
+        rows = sorted_with_cost(
+            list(built.items()),
+            context.cost,
+            budget=context.budget,
+            key=_null_first,
+        )
+        out: AugCuboid = {}
+        for key, state in rows:
+            new_key = tuple(key[index] for index in keep)
+            out[new_key] = merge(out[new_key], state) if new_key in out else state
+        context.cost.charge_cpu(len(rows))
+        return out
 
-# ----------------------------------------------------------------------
-# columnar helpers (shared by the whole family)
-# ----------------------------------------------------------------------
+    def report(self, built: AugCuboid) -> Cuboid:
+        finalize = self.fn.finalize
+        cuboid = {key: finalize(state) for key, state in built.items()}
+        if self.variant.rolls_up:
+            # Without roll-ups the build's scan of the sorted runs already
+            # finalized; with them reporting is a pass of its own.
+            self.context.cost.charge_cpu(len(built))
+        return strip_null_groups(cuboid) if self.variant.augmented else cuboid
 
-def _encode_table(context: ExecutionContext) -> ColumnarFactTable:
-    """Encode once per run, charging the encode at full CPU rate (the
-    modeled cost never depends on whether the memoization was warm)."""
-    table = context.table
-    with obs.span(
-        "td.encode", category="columnar", facts=len(table.rows)
-    ):
-        encoded = table.columnar()
-    context.cost.charge_cpu(encoded.encoded_entries)
-    return encoded
+
+def _sortable(key: GroupKey) -> Tuple[Tuple[int, str], ...]:
+    """Total order over keys containing None."""
+    return tuple((0, "") if part is None else (1, part) for part in key)
+
+
+def _null_first(item: Tuple[GroupKey, object]) -> Tuple[Tuple[int, str], ...]:
+    return _sortable(item[0])
+
+
+@dataclass(frozen=True)
+class _Encoded:
+    """An encoded cuboid, sized by its cells."""
+
+    cells: GidCells
+    axes: GidAxes
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+
+class _ColumnarKernel:
+    """The group-id kernel over the encoded columns (the default)."""
+
+    def __init__(self, context: ExecutionContext, variant: TopDownWalk):
+        self.context = context
+        self.variant = variant
+        self.fn = context.table.aggregate.fn
+        table = context.table
+        with obs.span(
+            "td.encode", category="columnar", facts=len(table.rows)
+        ):
+            self.encoded = table.columnar()
+        # Encode once per run, charged at full CPU rate (the modeled cost
+        # never depends on whether the memoization was warm).
+        context.cost.charge_cpu(self.encoded.encoded_entries)
+
+    def from_base(self, point: LatticePoint) -> _Encoded:
+        return _Encoded(
+            *_columnar_build(
+                self.context, self.encoded, point, self.fn,
+                augmented=self.variant.augmented,
+                identity_ops=self.variant.identity_ops,
+            )
+        )
+
+    def rollup(
+        self, source: LatticePoint, built: _Encoded, point: LatticePoint
+    ) -> _Encoded:
+        return _Encoded(
+            *_rollup_columnar(
+                self.context, built.cells, built.axes, point,
+                self.context.lattice, self.fn,
+            )
+        )
+
+    def report(self, built: _Encoded) -> Cuboid:
+        """Finalize into reporting form; a group whose decoded key holds
+        a null digit is dropped (``strip_null_groups`` on integer ids)."""
+        decode = make_group_decoder(
+            [(dictionary, radix) for _, dictionary, radix in built.axes]
+        )
+        finalize, strip = self.fn.finalize, self.variant.augmented
+        out: Cuboid = {}
+        for gid, state in built.cells.items():
+            key = decode(gid)
+            if strip and any(part is None for part in key):
+                continue
+            out[key] = finalize(state)
+        self.context.cost.charge_cpu(len(built))
+        return out
 
 
 def _columnar_build(
@@ -486,32 +441,24 @@ def _columnar_build(
     models the safe path's per-placement identity tracking (TD, TDCUST's
     from-base) — zero for the roll-up variants that assume disjointness.
     """
-    lattice = context.lattice
     n = encoded.n_rows
     context.charge_encoded_scan(encoded.encoded_pages)
     context.bump("td_base_sorts")
     rows: Optional[Sequence[int]] = None
     gids = [0] * n
     axes: List[Tuple[int, Tuple[str, ...], int]] = []
-    for position, states in enumerate(lattice.axis_states):
-        state = point[position]
-        if states.is_dropped(state):
-            continue
+    for position in context.lattice.kept_axes(point):
         column = encoded.columns[position]
-        view = encoded.state_view(position, state)
-        if augmented:
-            radix = column.radix + 1
-            missing: Optional[int] = column.radix
-        else:
-            radix = column.radix
-            missing = None
+        view = encoded.state_view(position, point[position])
+        radix = column.radix + 1 if augmented else column.radix
         rows, gids = extend_group_ids(
-            rows, gids, view, radix, missing_code=missing
+            rows, gids, view, radix,
+            missing_code=column.radix if augmented else None,
         )
         context.cost.charge_cpu(vector_lanes(n))
         axes.append((position, column.dictionary, radix))
     cells, increments = fold_group_ids(fn, rows, gids, encoded.measures)
-    # The dict path groups by comparison-sorting the placement column;
+    # The dict kernel groups by comparison-sorting the placement column;
     # this kernel buckets bounded integer gids — a counting sort over
     # the code domain, charged linearly (one scalar placement op per
     # increment) and spilled when the placement buffer outgrows the
@@ -522,45 +469,9 @@ def _columnar_build(
     if obs.enabled():
         obs.count("x3_sorts_total", kind="counting")
         obs.count("x3_sorted_items_total", increments, kind="counting")
-    if identity_ops:
-        context.cost.charge_cpu(identity_ops * increments)
+    context.cost.charge_cpu(identity_ops * increments)
     context.cost.charge_cpu(vector_lanes(increments))
     return cells, tuple(axes)
-
-
-def _decode_cells(
-    context: ExecutionContext,
-    cells: GidCells,
-    axes: GidAxes,
-    fn: AggregateFunction,
-    strip: bool,
-) -> Cuboid:
-    """Finalize an encoded cuboid into reporting form.
-
-    ``strip`` drops groups whose decoded key contains a null digit —
-    :func:`~repro.core.groupby.strip_null_groups` on integer ids.
-    """
-    decode = make_group_decoder(
-        [(dictionary, radix) for _, dictionary, radix in axes]
-    )
-    out: Cuboid = {}
-    for gid, state in cells.items():
-        key = decode(gid)
-        if strip and any(part is None for part in key):
-            continue
-        out[cast(GroupKey, key)] = fn.finalize(state)
-    context.cost.charge_cpu(len(cells))
-    return out
-
-
-def _kept_positions(
-    lattice: CubeLattice, point: LatticePoint
-) -> List[int]:
-    return [
-        position
-        for position, states in enumerate(lattice.axis_states)
-        if not states.is_dropped(point[position])
-    ]
 
 
 def _rollup_columnar(
@@ -576,11 +487,10 @@ def _rollup_columnar(
     Each source gid is decomposed with reversed mixed-radix divmod; the
     digits of the axes the destination keeps are recombined into the new
     gid (null digits ride along untouched).  Source gids are visited in
-    sorted order — the integer mirror of the dict path's sorted merge —
+    sorted order — the integer mirror of the dict kernel's sorted merge —
     so the merge order is deterministic.
     """
-    context.bump("td_rollups")
-    destination = set(_kept_positions(lattice, point))
+    destination = set(lattice.kept_axes(point))
     keep = [
         index
         for index, (position, _, _) in enumerate(source_axes)
@@ -602,110 +512,6 @@ def _rollup_columnar(
         for index in keep:
             new_gid = new_gid * radices[index] + digits[index]
         state = source_cells[gid]
-        if new_gid in out:
-            out[new_gid] = merge(out[new_gid], state)
-        else:
-            out[new_gid] = state
-        context.cost.charge_cpu()
+        out[new_gid] = merge(out[new_gid], state) if new_gid in out else state
+    context.cost.charge_cpu(len(gids))
     return out, tuple(source_axes[index] for index in keep)
-
-
-def _encoded_sizes(
-    computed: Dict[LatticePoint, Tuple[GidCells, GidAxes]]
-) -> Dict[LatticePoint, AugCuboid]:
-    """Adapt encoded cuboids for :func:`_pick_source` (which only needs
-    membership and ``len``)."""
-    return cast(
-        Dict[LatticePoint, AugCuboid],
-        {point: cells for point, (cells, _) in computed.items()},
-    )
-
-
-# ----------------------------------------------------------------------
-# shared helpers
-# ----------------------------------------------------------------------
-
-def _sortable(key: AugKey) -> Tuple[Tuple[int, str], ...]:
-    """Total order over keys containing None."""
-    return tuple((0, "") if part is None else (1, part) for part in key)
-
-
-def _rigid_twin(
-    lattice: CubeLattice, point: LatticePoint
-) -> LatticePoint:
-    """The point with every kept axis forced to the rigid state."""
-    twin: List[int] = []
-    for states, index in zip(lattice.axis_states, point):
-        if states.is_dropped(index):
-            twin.append(index)
-        else:
-            twin.append(states.rigid_index)
-    return tuple(twin)
-
-
-def _pick_source(
-    lattice: CubeLattice,
-    computed: Dict[LatticePoint, AugCuboid],
-    point: LatticePoint,
-) -> Optional[LatticePoint]:
-    """The smallest computed finer cuboid that derives ``point`` by
-    dropping axes (kept axes must agree exactly on their states)."""
-    best: Optional[LatticePoint] = None
-    best_size = -1
-    for candidate, aug in computed.items():
-        if candidate == point:
-            continue
-        ok = True
-        for position, states in enumerate(lattice.axis_states):
-            if point[position] == states.dropped_index:
-                continue
-            if candidate[position] != point[position]:
-                ok = False
-                break
-        if not ok:
-            continue
-        # The candidate must actually be finer: every axis dropped in the
-        # candidate must be dropped in the point too.
-        for position, states in enumerate(lattice.axis_states):
-            if candidate[position] == states.dropped_index and point[
-                position
-            ] != states.dropped_index:
-                ok = False
-                break
-        if ok and (best is None or len(aug) < best_size):
-            best = candidate
-            best_size = len(aug)
-    return best
-
-
-def _rollup(
-    context: ExecutionContext,
-    lattice: CubeLattice,
-    source_aug: AugCuboid,
-    source: LatticePoint,
-    point: LatticePoint,
-    fn: AggregateFunction,
-) -> AugCuboid:
-    """Merge a finer cuboid's aggregate rows into a coarser cuboid."""
-    context.bump("td_rollups")
-    src_kept = lattice.kept_axes(source)
-    dst_kept = set(lattice.kept_axes(point))
-    keep_positions = [
-        index for index, axis in enumerate(src_kept) if axis in dst_kept
-    ]
-    rows = list(source_aug.items())
-    rows = sorted_with_cost(
-        rows,
-        context.cost,
-        budget=context.budget,
-        key=lambda item: _sortable(item[0]),
-    )
-    out: AugCuboid = {}
-    for key, state in rows:
-        new_key = tuple(key[index] for index in keep_positions)
-        if new_key in out:
-            out[new_key] = fn.merge(out[new_key], state)
-        else:
-            out[new_key] = state
-        context.cost.charge_cpu()
-    return out

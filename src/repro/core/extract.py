@@ -29,8 +29,8 @@ backends differ in how a path is evaluated:
   built or visited;
 - on the DB it is evaluated *once per fact* (:func:`_values_db`) over
   the fact's :class:`NodeRecord` rows, because every pool it reads is a
-  charge to the cost model, and those charges are the figures' modeled
-  seconds.
+  charge to the DB's cost model — read by the store ablation and the
+  differential suite, not by a figure (the figures extract in memory).
 
 On both, a descendant step is a slice, not a walk: under the region
 encoding an element with ``k`` proper descendants has

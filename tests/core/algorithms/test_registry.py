@@ -1,16 +1,23 @@
 """Unit tests for the algorithm registry."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.algorithms.registry import (
     ALWAYS_CORRECT,
+    COLUMNAR_CAPABLE,
     META,
     NEEDS_BOTH,
     NEEDS_DISJOINTNESS,
     available,
     get_algorithm,
 )
+from repro.core.cube import ExecutionOptions, compute_cube
 from repro.errors import CubeError
+
+DESIGN = Path(__file__).resolve().parents[3] / "DESIGN.md"
 
 
 class TestRegistry:
@@ -39,6 +46,55 @@ class TestRegistry:
 
     def test_instances_are_singletons(self):
         assert get_algorithm("TD") is get_algorithm("TD")
+
+    def test_name_tuples_are_what_the_classes_declare(self):
+        """The four tuples are derived; these are the contents the bench
+        harness and the differential suites were written against."""
+        assert set(ALWAYS_CORRECT) == {
+            "NAIVE", "COUNTER", "COLUMNAR", "BUC", "TD", "BUCCUST", "TDCUST",
+        }
+        assert NEEDS_DISJOINTNESS == ("BUCOPT", "TDOPT")
+        assert NEEDS_BOTH == ("TDOPTALL",)
+        assert COLUMNAR_CAPABLE == (
+            "BUC", "BUCOPT", "BUCCUST", "TD", "TDOPT", "TDOPTALL", "TDCUST",
+        )
+        for name in available():
+            algorithm = get_algorithm(name)
+            assert algorithm.requires in (
+                (), ("disjointness",), ("disjointness", "coverage")
+            )
+            assert set(algorithm.encodings) <= {"columnar", "dict"}
+        assert get_algorithm("COLUMNAR").encodings == ("columnar",)
+        assert get_algorithm("NAIVE").encodings == ("dict",)
+
+    def test_design_table_lists_the_registry_with_its_requirements(self):
+        """DESIGN.md Sec. 5: one row per registered algorithm (AUTO, the
+        delegate, aside), "Requires" as the class declares it."""
+        section = DESIGN.read_text(encoding="utf-8").split("## 5. Algorithms")[1]
+        section = section.split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \|", section, re.M)
+        assert dict(rows) == {
+            name: " + ".join(get_algorithm(name).requires) or "—"
+            for name in available()
+            if name not in META
+        }
+        assert len(rows) == len(available()) - len(META)
+
+
+@pytest.mark.parametrize("name", available())
+@pytest.mark.parametrize(
+    "point", [(99, 99, 99), (0, 0), (0, 0, 0, 0), (0, -1, 0)]
+)
+def test_points_entry_that_is_no_lattice_point_is_a_cube_error(
+    fig1_table, name, point
+):
+    """Used to be a bare ``KeyError`` from TDOPT/TDOPTALL/TDCUST and a
+    silently empty cuboid from everything else (AUTO through its
+    delegate)."""
+    with pytest.raises(CubeError, match=re.escape(repr(point))):
+        compute_cube(
+            fig1_table, ExecutionOptions(algorithm=name, points=(point,))
+        )
 
 
 class TestAuto:

@@ -1,0 +1,169 @@
+"""The top-down family pinned: answers, charges and phase counters.
+
+``tests/core/golden/td_family_pinned.json`` was recorded on the commit
+*before* ``repro.core.algorithms.topdown`` became one walk over two
+kernels (PR 24), so it states what the eight hand-written walks did:
+for TD / TDOPT / TDOPTALL / TDCUST x ``encoding`` in {columnar, dict} on
+the three ``benchmarks/e2e`` table shapes (plus ``xml_to_cube`` with
+order-sensitive AVG measures, so a changed merge order shows as a
+changed float), a digest of every cuboid — sound or not: the shapes
+without disjointness/coverage pin TDOPT's double-counting and
+TDOPTALL's under-counting too — the ``CostSnapshot`` counters and
+modeled seconds, and the phase counters of a traced run.  Three modes:
+every lattice point, a strict ``points=`` subset (the engine-partition
+path: TDOPT/TDOPTALL/TDCUST still walk the whole lattice, TD must not)
+and a starved memory budget (external sorts + spill charges).
+
+Any rewrite of the family must pass this unchanged.  Regenerate only for
+a deliberate change of answers or charges::
+
+    PYTHONPATH=src:. python - <<'PY'
+    import json
+    from tests.core.algorithms.test_topdown_pinned import (
+        PINNED_PATH, build_record,
+    )
+    with open(PINNED_PATH, "w", encoding="utf-8") as fh:
+        json.dump(build_record(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    PY
+"""
+
+import hashlib
+import json
+from functools import lru_cache
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from repro.core.aggregates import AggregateSpec
+from repro.core.bindings import FactTable
+from repro.core.cube import ExecutionOptions, compute_cube
+from repro.datagen.workload import WorkloadConfig, build_workload
+from repro.testing import vary_measures
+from tests.core.test_columnar_differential import E2E_SHAPED
+
+PINNED_PATH = Path(__file__).parent.parent / "golden" / "td_family_pinned.json"
+
+VARIANTS = ("TD", "TDOPT", "TDOPTALL", "TDCUST")
+ENCODINGS = ("columnar", "dict")
+MODES = ("all", "subset", "starved")
+SHAPES = tuple(sorted(E2E_SHAPED)) + ("xml_to_cube_avg",)
+PHASES = ("base_scans", "td_base_sorts", "td_rollups", "columnar_scans")
+COST_FIELDS = ("cpu_ops", "page_reads", "page_writes", "simulated_seconds")
+CASES = list(product(SHAPES, VARIANTS, ENCODINGS, MODES))
+
+
+@lru_cache(maxsize=None)
+def _workload(shape):
+    """(table, truthful oracle) of one shape, built once per session."""
+    config, _ = E2E_SHAPED[shape.removesuffix("_avg")]
+    workload = build_workload(
+        WorkloadConfig(kind="treebank", seed=17, **config)
+    )
+    table = workload.fact_table()
+    oracle = workload.oracle(table)
+    if shape.endswith("_avg"):
+        varied = vary_measures(table)
+        table = FactTable(
+            varied.lattice, varied.rows, AggregateSpec("AVG", "@m")
+        )
+    return table, oracle
+
+
+def subset_of(lattice):
+    """A strict subset that skips the top: every third point by rank."""
+    points = sorted(lattice.points(), key=lambda p: (lattice.rank(p), p))
+    return tuple(points[1::3])
+
+
+def _digest(lattice, cuboids):
+    body = [
+        [
+            lattice.describe(point),
+            sorted([list(key), repr(value)] for key, value in cuboid.items()),
+        ]
+        for point, cuboid in sorted(cuboids.items())
+    ]
+    encoded = json.dumps(body, ensure_ascii=True).encode("ascii")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def run_case(shape, variant, encoding, mode):
+    table, oracle = _workload(shape)
+    points = subset_of(table.lattice) if mode == "subset" else None
+    result = compute_cube(
+        table,
+        ExecutionOptions(
+            algorithm=variant,
+            encoding=encoding,
+            oracle=oracle,
+            points=points,
+            memory_entries=16 if mode == "starved" else None,
+            trace=True,
+        ),
+    )
+    registry = result.trace.metrics
+    record = {
+        "points": len(result.cuboids),
+        "cells": sum(len(cuboid) for cuboid in result.cuboids.values()),
+        "digest": _digest(table.lattice, result.cuboids),
+        "passes": result.passes,
+    }
+    for field in COST_FIELDS:
+        record[field] = getattr(result.cost, field)
+    for phase in PHASES:
+        record[phase] = registry.value(
+            f"x3_algo_{phase}_total", algorithm=variant
+        )
+    return record
+
+
+def _case_id(*case):
+    return "/".join(case)
+
+
+def build_record():
+    return {_case_id(*case): run_case(*case) for case in CASES}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(PINNED_PATH.read_text(encoding="utf-8"))
+
+
+def test_record_covers_the_whole_matrix(pinned):
+    assert sorted(pinned) == sorted(_case_id(*case) for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: _case_id(*case))
+def test_family_reproduces_the_pinned_record(pinned, case):
+    assert run_case(*case) == pinned[_case_id(*case)]
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_td_builds_only_the_points_asked_for(pinned, shape, encoding):
+    """TD under ``points=`` sorts once per wanted point; the roll-up
+    variants walk the whole lattice whatever was asked for."""
+    table, _ = _workload(shape)
+    wanted = len(subset_of(table.lattice))
+    assert 0 < wanted < len(list(table.lattice.points()))
+    td = pinned[_case_id(shape, "TD", encoding, "subset")]
+    assert (td["base_scans"], td["td_base_sorts"]) == (wanted, wanted)
+    assert td["td_rollups"] is None
+    for variant in ("TDOPT", "TDOPTALL", "TDCUST"):
+        subset = pinned[_case_id(shape, variant, encoding, "subset")]
+        full = pinned[_case_id(shape, variant, encoding, "all")]
+        for phase in PHASES:
+            assert subset[phase] == full[phase], (variant, phase)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_starved_budget_spills_and_keeps_the_answer(pinned, shape, variant):
+    for encoding in ENCODINGS:
+        full = pinned[_case_id(shape, variant, encoding, "all")]
+        starved = pinned[_case_id(shape, variant, encoding, "starved")]
+        assert starved["digest"] == full["digest"]
+        assert starved["page_writes"] > full["page_writes"]
