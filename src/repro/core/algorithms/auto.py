@@ -27,7 +27,7 @@ class AutoAlgorithm(CubeAlgorithm):
     def run(self, table, oracle=None, memory_entries=None, points=None,
             min_support=0.0, encoding="auto"):
         from repro.core.algorithms.base import DEFAULT_MEMORY_ENTRIES
-        from repro.core.algorithms.registry import new_instance
+        from repro.core.algorithms.registry import get_algorithm
         from repro.core.properties import PropertyOracle
 
         effective_oracle = oracle or PropertyOracle.from_flags(
@@ -38,10 +38,7 @@ class AutoAlgorithm(CubeAlgorithm):
             effective_oracle,
             memory_entries or DEFAULT_MEMORY_ENTRIES,
         )
-        # Fresh delegate: concurrent AUTO runs (the parallel engine's
-        # thread pool) must not share the registry singleton's state.
-        delegate = new_instance(recommendation.algorithm)
-        result = delegate.run(
+        result = get_algorithm(recommendation.algorithm).run(
             table,
             oracle=effective_oracle,
             memory_entries=memory_entries,

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.bindings import FactRow, FactTable
+from repro.core.columnar import ColumnarFactTable
 from repro.core.groupby import Cuboid
 from repro.core.cube import CostSnapshot, CubeResult
 from repro.core.lattice import CubeLattice, LatticePoint
@@ -37,6 +38,15 @@ def table_entries(table: FactTable) -> int:
 
 def table_pages(table: FactTable) -> int:
     return max(1, -(-table_entries(table) // ENTRIES_PER_PAGE))
+
+
+def encode(table: FactTable) -> ColumnarFactTable:
+    """The table's dictionary-encoded columns (memoized on the table),
+    under one ``columnar.encode`` span."""
+    with obs.span(
+        "columnar.encode", category="columnar", facts=len(table.rows)
+    ):
+        return table.columnar()
 
 
 class ExecutionContext:
@@ -81,6 +91,14 @@ class ExecutionContext:
         cross-checks rely on this to time both kernels).
         """
         return self.encoding != "dict"
+
+    def encode(self) -> ColumnarFactTable:
+        """The table's encoded columns, the encode charged at full CPU
+        rate every run: modeled cost never depends on whether the
+        memoized encoding was warm."""
+        encoded = encode(self.table)
+        self.cost.charge_cpu(encoded.encoded_entries)
+        return encoded
 
     def charge_encoded_scan(self, encoded_pages: int) -> None:
         """One sequential pass over the dictionary-encoded columns."""
@@ -189,12 +207,8 @@ class CubeAlgorithm:
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ):
+    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CubeAlgorithm {self.name}>"
-
-
-def empty_cuboids(points: List[LatticePoint]) -> Dict[LatticePoint, Cuboid]:
-    return {point: {} for point in points}

@@ -54,7 +54,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro import obs
-from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
+from repro.core.algorithms.base import (
+    CubeAlgorithm,
+    ExecutionContext,
+    encode,
+)
 from repro.core.bindings import FactTable, GroupKey
 from repro.core.columnar import (
     VECTOR_LANES,
@@ -148,13 +152,6 @@ def sweep_trie(
     return nodes
 
 
-def _encode(table: FactTable) -> ColumnarFactTable:
-    with obs.span(
-        "columnar.encode", category="columnar", facts=len(table.rows)
-    ):
-        return table.columnar()
-
-
 def census(
     table: FactTable, points: Sequence[LatticePoint]
 ) -> Dict[LatticePoint, int]:
@@ -170,7 +167,7 @@ def census(
     ) -> None:
         sizes[point] = count_group_ids(gids)
 
-    sweep_trie(_encode(table), points, leaf, reads_measures=False)
+    sweep_trie(encode(table), points, leaf, reads_measures=False)
     return sizes
 
 
@@ -181,18 +178,14 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
     ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        table = context.table
-        encoded = _encode(table)
+        encoded = context.encode()
         n_rows = encoded.n_rows
 
-        # One sequential scan of the encoded table; the encode work is
-        # charged every run so modeled cost never depends on whether the
-        # memoized encoding was warm.
+        # One sequential scan of the encoded table.
         context.charge_encoded_scan(encoded.encoded_pages)
-        context.cost.charge_cpu(encoded.encoded_entries)
         context.cost.charge_cpu(vector_lanes(n_rows))
 
-        fn = table.aggregate.fn
+        fn = context.table.aggregate.fn
         sweep = _Sweep(context, encoded.measures, fn)
         nodes = sweep_trie(
             encoded, points, sweep.leaf, reads_measures=fn.name != "COUNT"

@@ -1,4 +1,10 @@
-"""Algorithm registry: name -> singleton instance."""
+"""Algorithm registry: name -> singleton instance.
+
+One instance per name serves every caller, the serial engine path,
+serving and cluster recomputes included, from several threads at once:
+an algorithm keeps no per-run state on ``self`` (it lives in locals, the
+``ExecutionContext`` and the kernel objects a run creates).
+"""
 
 from __future__ import annotations
 
@@ -78,14 +84,3 @@ def get_algorithm(name: str) -> CubeAlgorithm:
             f"unknown algorithm {name!r}; available: {available()}"
         ) from None
 
-
-def new_instance(name: str) -> CubeAlgorithm:
-    """A fresh, private instance of a registered algorithm.
-
-    The registry hands out singletons, and several algorithms keep their
-    per-run state on ``self`` — fine for sequential use, but concurrent
-    ``run`` calls on one instance clobber each other.  Anything running
-    algorithms from multiple threads (the parallel engine's thread pool)
-    must use this instead of :func:`get_algorithm`.
-    """
-    return type(get_algorithm(name))()

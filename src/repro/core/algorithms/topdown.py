@@ -380,14 +380,7 @@ class _ColumnarKernel:
         self.context = context
         self.variant = variant
         self.fn = context.table.aggregate.fn
-        table = context.table
-        with obs.span(
-            "td.encode", category="columnar", facts=len(table.rows)
-        ):
-            self.encoded = table.columnar()
-        # Encode once per run, charged at full CPU rate (the modeled cost
-        # never depends on whether the memoization was warm).
-        context.cost.charge_cpu(self.encoded.encoded_entries)
+        self.encoded = context.encode()
 
     def from_base(self, point: LatticePoint) -> _Encoded:
         return _Encoded(

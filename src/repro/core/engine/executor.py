@@ -90,9 +90,7 @@ def _run_partition(
 
     Module-level so process pools can pickle it; clocks use
     ``time.monotonic`` (system-wide on Linux) so queue wait is comparable
-    across processes.  A *fresh* algorithm instance per partition: the
-    registry's singletons keep per-run state on ``self``, which thread
-    pools would race on.
+    across processes.
 
     Tracing: a thread worker runs in a copy of the dispatcher's context,
     so the partition span lands in the parent trace directly, under the
@@ -104,7 +102,7 @@ def _run_partition(
     The partition's span id is keyed by its index, so it is the same
     either way.
     """
-    from repro.core.algorithms.registry import new_instance
+    from repro.core.algorithms.registry import get_algorithm
 
     with (
         obs.trace(remote=remote) if remote is not None else nullcontext()
@@ -117,7 +115,7 @@ def _run_partition(
             index=partition_index,
             points=len(points),
         ) as span:
-            result = new_instance(algorithm).run(
+            result = get_algorithm(algorithm).run(
                 table,
                 oracle=oracle,
                 memory_entries=memory_entries,

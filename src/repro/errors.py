@@ -104,11 +104,6 @@ class CubeError(X3Error):
     """Base class for cube-computation errors."""
 
 
-class AlgorithmPreconditionError(CubeError):
-    """Raised when an optimized algorithm is run in ``strict`` mode on an
-    input that violates the summarizability property it requires."""
-
-
 class MemoryBudgetExceeded(CubeError):
     """Raised when an algorithm configured with ``fail_on_overflow`` exceeds
     its memory budget instead of spilling to multi-pass execution."""

@@ -1,6 +1,8 @@
 """Unit tests for the algorithm registry."""
 
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from repro.core.algorithms.registry import (
 )
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.errors import CubeError
+from repro.testing import small_workload
 
 DESIGN = Path(__file__).resolve().parents[3] / "DESIGN.md"
 
@@ -95,6 +98,82 @@ def test_points_entry_that_is_no_lattice_point_is_a_cube_error(
         compute_cube(
             fig1_table, ExecutionOptions(algorithm=name, points=(point,))
         )
+
+
+def _run_cases():
+    """(name, encoding) for every registered algorithm; both kernels of
+    the ones that have two."""
+    return [
+        (name, encoding)
+        for name in available()
+        for encoding in (
+            ("columnar", "dict") if name in COLUMNAR_CAPABLE else ("auto",)
+        )
+    ]
+
+
+@pytest.fixture(scope="module")
+def two_tables():
+    """Two clean tables of different shapes (every algorithm is right on
+    them), each with its truthful oracle and serial NAIVE answer."""
+    out = []
+    for overrides in (
+        dict(seed=5, n_facts=200), dict(seed=6, n_facts=300, n_axes=4)
+    ):
+        workload = small_workload(**overrides)
+        table = workload.fact_table()
+        naive = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+        out.append((table, workload.oracle(table), naive))
+    return out
+
+
+@pytest.mark.parametrize("name, encoding", _run_cases())
+class TestStateless:
+    """The registry hands out one instance per name, and the serial
+    engine path, serving and cluster recomputes share it across threads:
+    no algorithm may keep per-run state on ``self``."""
+
+    def test_run_leaves_the_registry_instance_as_it_was(
+        self, two_tables, name, encoding
+    ):
+        algorithm = get_algorithm(name)
+        before = dict(vars(algorithm))
+        table, oracle, _ = two_tables[0]
+        algorithm.run(table, oracle=oracle, encoding=encoding)
+        assert vars(algorithm) == before
+
+    def test_concurrent_runs_on_one_instance_equal_naive(
+        self, two_tables, name, encoding
+    ):
+        failures = []
+        start = threading.Barrier(len(two_tables))
+
+        def work(table, oracle, naive):
+            try:
+                start.wait(timeout=60)
+                for _ in range(10):
+                    result = get_algorithm(name).run(
+                        table, oracle=oracle, encoding=encoding
+                    )
+                    if not result.same_contents(naive):
+                        failures.append("wrong cuboid")
+            except Exception as exc:  # reported below, with its type
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two runs finely
+        try:
+            threads = [
+                threading.Thread(target=work, args=case) for case in two_tables
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestAuto:

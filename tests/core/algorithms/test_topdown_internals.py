@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.algorithms.registry import new_instance
+from repro.core.algorithms.registry import get_algorithm
 from repro.core.algorithms.topdown import (
     BASE,
     Origin,
@@ -104,8 +104,9 @@ def figure1_table():
 
 
 def origins(name, table, oracle, encoding, points=None):
-    """Run ``name`` and record what its source rule answered per point."""
-    algorithm = new_instance(name)
+    """Run ``name`` and record what its source rule answered per point
+    (on an instance of its own: the recording rule is set on it)."""
+    algorithm = type(get_algorithm(name))()
     rule, asked = algorithm.source, {}
 
     def recording(context, computed, point):

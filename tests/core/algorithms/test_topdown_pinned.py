@@ -1,21 +1,26 @@
-"""The top-down family pinned: answers, charges and phase counters.
+"""The top-down and bottom-up families pinned: answers, charges, counters.
 
-``tests/core/golden/td_family_pinned.json`` was recorded on the commit
-*before* ``repro.core.algorithms.topdown`` became one walk over two
-kernels (PR 24), so it states what the eight hand-written walks did:
-for TD / TDOPT / TDOPTALL / TDCUST x ``encoding`` in {columnar, dict} on
+``tests/core/golden/td_family_pinned.json`` states what each family did
+on the commit *before* it was rewritten as one procedure: the TD entries
+were recorded before ``repro.core.algorithms.topdown`` became one walk
+over two kernels, the BUC entries before ``repro.core.algorithms.buc``
+became one recursion over two kernels.  For TD / TDOPT / TDOPTALL /
+TDCUST and BUC / BUCOPT / BUCCUST x ``encoding`` in {columnar, dict} on
 the three ``benchmarks/e2e`` table shapes (plus ``xml_to_cube`` with
 order-sensitive AVG measures, so a changed merge order shows as a
-changed float), a digest of every cuboid — sound or not: the shapes
-without disjointness/coverage pin TDOPT's double-counting and
-TDOPTALL's under-counting too — the ``CostSnapshot`` counters and
-modeled seconds, and the phase counters of a traced run.  Three modes:
-every lattice point, a strict ``points=`` subset (the engine-partition
-path: TDOPT/TDOPTALL/TDCUST still walk the whole lattice, TD must not)
-and a starved memory budget (external sorts + spill charges).
+changed float) it holds a digest of every cuboid — sound or not: the
+shapes without disjointness/coverage pin TDOPT's and BUCOPT's
+double-counting and TDOPTALL's under-counting too — the ``CostSnapshot``
+counters and modeled seconds, and the phase counters of a traced run
+(one list per family; the BUC entries also count sorts by kind).  Three
+modes: every lattice point, a strict ``points=`` subset (the
+engine-partition path: TDOPT/TDOPTALL/TDCUST still walk the whole
+lattice, TD must not) and a starved memory budget (external sorts +
+spill charges); the BUC family adds ``min_support=2`` on the three COUNT
+shapes (the iceberg cut inside the recursion).
 
-Any rewrite of the family must pass this unchanged.  Regenerate only for
-a deliberate change of answers or charges::
+Any rewrite of either family must pass this unchanged.  Regenerate only
+for a deliberate change of answers or charges::
 
     PYTHONPATH=src:. python - <<'PY'
     import json
@@ -45,13 +50,22 @@ from tests.core.test_columnar_differential import E2E_SHAPED
 
 PINNED_PATH = Path(__file__).parent.parent / "golden" / "td_family_pinned.json"
 
-VARIANTS = ("TD", "TDOPT", "TDOPTALL", "TDCUST")
+TD_FAMILY = ("TD", "TDOPT", "TDOPTALL", "TDCUST")
+BUC_FAMILY = ("BUC", "BUCOPT", "BUCCUST")
+VARIANTS = TD_FAMILY + BUC_FAMILY
 ENCODINGS = ("columnar", "dict")
 MODES = ("all", "subset", "starved")
-SHAPES = tuple(sorted(E2E_SHAPED)) + ("xml_to_cube_avg",)
-PHASES = ("base_scans", "td_base_sorts", "td_rollups", "columnar_scans")
+COUNT_SHAPES = tuple(sorted(E2E_SHAPED))
+SHAPES = COUNT_SHAPES + ("xml_to_cube_avg",)
+TD_PHASES = ("base_scans", "td_base_sorts", "td_rollups", "columnar_scans")
+BUC_PHASES = (
+    "base_scans", "columnar_scans", "buc_partition_calls", "buc_placements",
+)
+SORT_KINDS = ("counting", "external", "quicksort")
 COST_FIELDS = ("cpu_ops", "page_reads", "page_writes", "simulated_seconds")
-CASES = list(product(SHAPES, VARIANTS, ENCODINGS, MODES))
+CASES = list(product(SHAPES, VARIANTS, ENCODINGS, MODES)) + list(
+    product(COUNT_SHAPES, BUC_FAMILY, ENCODINGS, ("iceberg",))
+)
 
 
 @lru_cache(maxsize=None)
@@ -100,6 +114,7 @@ def run_case(shape, variant, encoding, mode):
             oracle=oracle,
             points=points,
             memory_entries=16 if mode == "starved" else None,
+            min_support=2 if mode == "iceberg" else 0.0,
             trace=True,
         ),
     )
@@ -112,7 +127,16 @@ def run_case(shape, variant, encoding, mode):
     }
     for field in COST_FIELDS:
         record[field] = getattr(result.cost, field)
-    for phase in PHASES:
+    if variant in TD_FAMILY:
+        phases = TD_PHASES
+    else:
+        phases = BUC_PHASES
+        for kind in SORT_KINDS:
+            record[f"sorts_{kind}"] = registry.value("x3_sorts_total", kind=kind)
+            record[f"sorted_items_{kind}"] = registry.value(
+                "x3_sorted_items_total", kind=kind
+            )
+    for phase in phases:
         record[phase] = registry.value(
             f"x3_algo_{phase}_total", algorithm=variant
         )
@@ -155,7 +179,7 @@ def test_td_builds_only_the_points_asked_for(pinned, shape, encoding):
     for variant in ("TDOPT", "TDOPTALL", "TDCUST"):
         subset = pinned[_case_id(shape, variant, encoding, "subset")]
         full = pinned[_case_id(shape, variant, encoding, "all")]
-        for phase in PHASES:
+        for phase in TD_PHASES:
             assert subset[phase] == full[phase], (variant, phase)
 
 
