@@ -50,7 +50,6 @@ from repro.core import (
 )
 from repro.lang import parse_x3_query
 from repro.patterns import TreePattern, parse_pattern
-from repro.timber import TimberDB
 from repro.warehouse import CubeSession, XmlWarehouse
 from repro.xmlmodel import Document, Element, parse
 
@@ -70,7 +69,6 @@ __all__ = [
     "parse_x3_query",
     "TreePattern",
     "parse_pattern",
-    "TimberDB",
     "XmlWarehouse",
     "CubeSession",
     "Document",

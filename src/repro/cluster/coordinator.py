@@ -53,10 +53,10 @@ from repro.cluster.chaos import NO_FAULT, ChaosEngine, ReadFault
 from repro.cluster.partition import partition_rows
 from repro.cluster.shard import ShardAnswer, ShardReplica
 from repro.cluster.versions import VersionVector
+from repro.cost import CostModel
 from repro.errors import ClusterError, ShardUnavailable
 from repro.obs.events import ClusterEvent, EventLog, RungDecision
 from repro.obs.trace_store import TraceStore
-from repro.timber.stats import CostModel
 
 _CPU_OP_SECONDS = CostModel.cpu_op_cost
 

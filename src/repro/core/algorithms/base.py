@@ -5,7 +5,7 @@ cost model and memory budget, and reads the materialized fact table (the
 paper's protocol: the witness file is read in, cubing performed, results
 written out).  Reading the base data charges page I/O proportional to the
 table's entry footprint; operator memory beyond the budget spills through
-:func:`repro.timber.external_sort.sorted_with_cost`.
+:func:`repro.cost.sorted_with_cost`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from repro.core.groupby import Cuboid
 from repro.core.cube import CostSnapshot, CubeResult
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.properties import PropertyOracle
+from repro.cost import CostModel, MemoryBudget
 from repro.errors import CubeError
-from repro.timber.stats import CostModel, MemoryBudget
 
 DEFAULT_MEMORY_ENTRIES = 50_000
 ENTRIES_PER_PAGE = 128

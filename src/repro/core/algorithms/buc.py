@@ -65,7 +65,7 @@ from repro.core.bindings import FactRow, GroupKey
 from repro.core.columnar import ColumnarFactTable, vector_lanes
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
-from repro.timber.external_sort import sorted_with_cost
+from repro.cost import sorted_with_cost
 
 #: A kernel's part of the fact set (one recursion node's group).
 Part = TypeVar("Part")

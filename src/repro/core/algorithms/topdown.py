@@ -81,7 +81,7 @@ from repro.core.columnar import (
 )
 from repro.core.groupby import Cuboid, augmented_keys, strip_null_groups
 from repro.core.lattice import CubeLattice, LatticePoint
-from repro.timber.external_sort import charge_sort, sorted_with_cost
+from repro.cost import charge_sort, sorted_with_cost
 
 AugCuboid = Dict[GroupKey, object]  # (null-augmented) key -> partial state
 

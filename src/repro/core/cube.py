@@ -69,7 +69,7 @@ class ExecutionOptions:
             otherwise (see :mod:`repro.core.engine`).
         trace: collect an observability trace (:mod:`repro.obs`) for
             this run; the result's :attr:`CubeResult.trace` then holds
-            spans (parse/timber/algorithm/engine layers) and the unified
+            spans (parse/cost/algorithm/engine layers) and the unified
             metrics registry.  Inside an ``obs.trace()`` session the
             run joins that session regardless of this flag.
         encoding: which physical fact representation the algorithm
@@ -161,23 +161,13 @@ class CostSnapshot:
     cpu_ops: int = 0
     page_reads: int = 0
     page_writes: int = 0
-    buffer_hits: int = 0
-    buffer_misses: int = 0
-    evictions: int = 0
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
     merge_seconds: float = 0.0
     parallel_simulated_seconds: float = 0.0
     workers: Tuple[WorkerCost, ...] = ()
 
-    _INT_FIELDS = (
-        "cpu_ops",
-        "page_reads",
-        "page_writes",
-        "buffer_hits",
-        "buffer_misses",
-        "evictions",
-    )
+    _INT_FIELDS = ("cpu_ops", "page_reads", "page_writes")
     _FLOAT_FIELDS = (
         "simulated_seconds",
         "wall_seconds",
@@ -208,7 +198,7 @@ class CostSnapshot:
     def from_mapping(
         data: Mapping[str, float], wall_seconds: float = 0.0
     ) -> "CostSnapshot":
-        """Build from a :meth:`repro.timber.stats.CostModel.snapshot`."""
+        """Build from a :meth:`repro.cost.CostModel.snapshot`."""
         kwargs: Dict[str, Any] = {}
         for name in CostSnapshot._INT_FIELDS:
             if name in data:

@@ -23,7 +23,7 @@ Observability (:mod:`repro.obs`): when a recording span is bound — an
 ``obs.trace()`` session, a sampled request trace, or
 ``ExecutionOptions(trace=True)`` opening a session of its own — the run
 produces one coherent span tree (``engine.run`` > ``engine.plan`` /
-``engine.partition`` / ``engine.merge``, with algorithm and timber spans
+``engine.partition`` / ``engine.merge``, with algorithm and sort spans
 nested under each partition).  Thread workers run in a copy of the
 dispatcher's context and report into the same trace directly; process
 workers bind a local session to the ``engine.run`` span's context, and

@@ -145,9 +145,6 @@ def merge_costs(
         cpu_ops=base.cpu_ops,
         page_reads=base.page_reads,
         page_writes=base.page_writes,
-        buffer_hits=base.buffer_hits,
-        buffer_misses=base.buffer_misses,
-        evictions=base.evictions,
         simulated_seconds=base.simulated_seconds,
         wall_seconds=total_wall_seconds,
         merge_seconds=merge_seconds,

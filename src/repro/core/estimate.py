@@ -43,7 +43,7 @@ from repro.core.algorithms.base import (
 from repro.core.bindings import FactTable
 from repro.core.columnar import COLUMNAR_ENTRIES_PER_PAGE, VECTOR_LANES
 from repro.core.lattice import LatticePoint
-from repro.timber.stats import CostModel
+from repro.cost import CostModel
 
 CPU_COST = CostModel().cpu_op_cost
 IO_COST = CostModel().page_io_cost

@@ -8,44 +8,26 @@ axis, recording for each value the mask of states under which it binds.
 The cube algorithms then only ever consume the resulting
 :class:`~repro.core.bindings.FactTable`.
 
-Two backends:
-
-- :func:`extract_from_documents` — in-memory :class:`Document` s;
-- :func:`extract_from_db` — a :class:`~repro.timber.database.TimberDB`,
-  going through the tag index and node store so the work is charged to
-  the DB's cost model.
-
-Both compile the query once (:class:`_QueryPlan`: per axis, one
+The query is compiled once (:class:`_QueryPlan`: per axis, one
 ``(state bit, binding path, existence-prefix path)`` entry per structural
-state).  Equal annotated bindings are shared between facts (they are
-frozen and compare by value), so a table holds a few dozen
-:class:`AnnotatedValue` objects instead of one per fact per axis.  The
-backends differ in how a path is evaluated:
-
-- in memory it is evaluated *once per query*, for every fact of a
-  document at once, as a chain of joins over the columns and posting
-  lists of the document's :class:`~repro.xmlmodel.nodes.RegionTable`
-  (:class:`_PathJoin`) — no :class:`~repro.xmlmodel.nodes.Element` is
-  built or visited;
-- on the DB it is evaluated *once per fact* (:func:`_values_db`) over
-  the fact's :class:`NodeRecord` rows, because every pool it reads is a
-  charge to the DB's cost model — read by the store ablation and the
-  differential suite, not by a figure (the figures extract in memory).
-
-On both, a descendant step is a slice, not a walk: under the region
+state).  Each path is evaluated *once per query*, for every fact of a
+document at once, as a chain of joins over the columns and posting lists
+of the document's :class:`~repro.xmlmodel.nodes.RegionTable`
+(:class:`_PathJoin`) — no :class:`~repro.xmlmodel.nodes.Element` is built
+or visited.  A descendant step is a slice, not a walk: under the region
 encoding an element with ``k`` proper descendants has
 ``end - start == 2k + 1``, and they are the ``k`` rows that follow it in
-preorder.
+preorder.  Equal annotated bindings are shared between facts (they are
+frozen and compare by value), so a table holds a few dozen
+:class:`AnnotatedValue` objects instead of one per fact per axis.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import partial
 from itertools import count, repeat
 from operator import attrgetter
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -62,23 +44,19 @@ from repro.core.bindings import AnnotatedValue, FactRow, FactTable
 from repro.core.query import X3Query
 from repro.core.states import AxisStates
 from repro.patterns.pattern import EdgeAxis
-from repro.timber.database import TimberDB
-from repro.timber.node_store import NodeRecord
 from repro.xmlmodel.nodes import Document, RegionTable
 
 
 def extract_fact_table(
-    source: Union[TimberDB, Document, Sequence[Document]], query: X3Query
+    source: Union[Document, Sequence[Document]], query: X3Query
 ) -> FactTable:
-    """Extract the annotated fact table from documents or a TimberDB."""
-    if isinstance(source, TimberDB):
-        return extract_from_db(source, query)
+    """Extract the annotated fact table from one document or several."""
     docs = [source] if isinstance(source, Document) else list(source)
     return extract_from_documents(docs, query)
 
 
 # ----------------------------------------------------------------------
-# the per-query plan (shared by both backends)
+# the per-query plan
 # ----------------------------------------------------------------------
 
 class _Path(NamedTuple):
@@ -115,10 +93,6 @@ def _compile_path(steps: Tuple[PathStep, ...]) -> _Path:
         attribute=attribute,
     )
 
-
-#: Evaluates a compiled path from one fact: the distinct values it binds,
-#: in first-sighting order (the keys of the returned mapping).
-_Evaluate = Callable[[_Path], Dict[str, None]]
 
 #: One axis: ``(state bit, binding path, existence-prefix path or None)``
 #: per structural state, in state-index order.
@@ -169,26 +143,10 @@ class _QueryPlan:
             Tuple[Tuple[str, int], ...], Tuple[AnnotatedValue, ...]
         ] = {}
 
-    def row(self, fact_id: Tuple[int, int], evaluate: _Evaluate) -> FactRow:
-        """The annotated row of one fact, its paths read by ``evaluate``."""
-        axes: List[Tuple[AnnotatedValue, ...]] = []
-        for plan in self.axes:
-            masks: Dict[str, int] = {}
-            for bit, binding, prefix in plan:
-                if prefix is not None and not evaluate(prefix):
-                    continue
-                for value in evaluate(binding):
-                    masks[value] = masks.get(value, 0) | bit
-            axes.append(self._shared(tuple(masks.items())))
-        measure = 1.0
-        if self.measure is not None:
-            measure = _measure(evaluate(self.measure))
-        return FactRow(fact_id=fact_id, measure=measure, axes=tuple(axes))
-
     def rows(self, doc_index: int, join: "_PathJoin") -> Iterator[FactRow]:
         """The annotated rows of ``join``'s facts, every path read off
-        the join for all facts at once: what :meth:`row` assembles fact
-        by fact, assembled column by column."""
+        the join for all facts at once and the rows assembled column by
+        column."""
         measures: Iterable[float] = repeat(1.0)
         if self.measure is not None:
             measures = map(_measure, join.values(self.measure))
@@ -237,7 +195,7 @@ class _QueryPlan:
 
 
 # ----------------------------------------------------------------------
-# in-memory backend
+# evaluation over the region table
 # ----------------------------------------------------------------------
 
 def extract_from_documents(
@@ -428,79 +386,3 @@ class _PathJoin:
                 out_owners = list(owner_of.values())
         return out_owners, out_nodes
 
-
-# ----------------------------------------------------------------------
-# TimberDB backend
-# ----------------------------------------------------------------------
-
-def extract_from_db(db: TimberDB, query: X3Query) -> FactTable:
-    plan = _QueryPlan(query)
-    rows: List[FactRow] = []
-    for posting in db.postings(query.fact_tag):
-        subtree = list(db.store.subtree_of(posting.doc_id, posting.node_id))
-        db.cost.charge_cpu(len(subtree))
-        children_of: Dict[int, List[NodeRecord]] = {}
-        for record in subtree[1:]:
-            children_of.setdefault(record.parent_id, []).append(record)
-        rows.append(
-            plan.row(
-                (posting.doc_id, posting.node_id),
-                partial(_values_db, subtree, children_of, db),
-            )
-        )
-    return FactTable(plan.lattice, rows, aggregate=query.aggregate)
-
-
-def _values_db(
-    subtree: List[NodeRecord],
-    children_of: Dict[int, List[NodeRecord]],
-    db: TimberDB,
-    path: _Path,
-) -> Dict[str, None]:
-    """The distinct values ``path`` binds from one fact, in first-sighting
-    order, read off the stored records of the fact's subtree
-    (``subtree[0]`` is the fact, the rest follow in preorder), with every
-    pool it reads charged to the DB's cost model."""
-    first_id = subtree[0].node_id
-
-    def pool_of(node: NodeRecord, descend: bool) -> Sequence[NodeRecord]:
-        pool: Sequence[NodeRecord]
-        if descend:
-            below = node.node_id - first_id + 1
-            pool = subtree[below : below + (node.end - node.start) // 2]
-        else:
-            pool = children_of.get(node.node_id, ())
-        db.cost.charge_cpu(len(pool))
-        return pool
-
-    frontier = [subtree[0]]
-    for descend, tag in path.inner:
-        matched = [
-            candidate
-            for node in frontier
-            for candidate in pool_of(node, descend)
-            if tag is None or candidate.tag == tag
-        ]
-        if descend and len(frontier) > 1:
-            matched = list({node.node_id: node for node in matched}.values())
-        frontier = matched
-    values: Dict[str, None] = {}
-    attribute = path.attribute
-    if attribute is not None:
-        for node in frontier:
-            if path.descend:
-                owners = pool_of(node, True)
-            else:
-                owners = (node,)
-                db.cost.charge_cpu(1)
-            for owner in owners:
-                value = owner.attr(attribute)
-                if value is not None:
-                    values[value] = None
-        return values
-    tag = path.tag
-    for node in frontier:
-        for candidate in pool_of(node, path.descend):
-            if tag is None or candidate.tag == tag:
-                values[candidate.text] = None
-    return values

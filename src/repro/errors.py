@@ -2,7 +2,7 @@
 
 Every error raised by this package derives from :class:`X3Error`, so callers
 can catch one base class.  Sub-hierarchies mirror the subsystems: XML
-parsing, schema handling, storage, pattern matching, and cube computation.
+parsing, schema handling, tree patterns, and cube computation.
 """
 
 from __future__ import annotations
@@ -42,18 +42,6 @@ class SchemaError(X3Error):
 
 class DtdParseError(SchemaError):
     """Raised when a DTD text cannot be parsed."""
-
-
-class StorageError(X3Error):
-    """Base class for the simulated storage layer."""
-
-
-class PageError(StorageError):
-    """Raised on invalid page access (bad id, overflow)."""
-
-
-class BufferPoolError(StorageError):
-    """Raised when the buffer pool cannot satisfy a request."""
 
 
 class PatternError(X3Error):
@@ -102,11 +90,6 @@ class QueryParseError(QueryError):
 
 class CubeError(X3Error):
     """Base class for cube-computation errors."""
-
-
-class MemoryBudgetExceeded(CubeError):
-    """Raised when an algorithm configured with ``fail_on_overflow`` exceeds
-    its memory budget instead of spilling to multi-pass execution."""
 
 
 class InvalidQuery(CubeError):

@@ -6,13 +6,13 @@ One subsystem for everything the stack measures:
   :class:`TraceSpan` record carrying wall seconds *and* the
   deterministic simulated seconds of the cost model, an
   :class:`OpenSpan` context manager, and a context-local binding —
-  spanning the parser, the timber storage layer, every cube algorithm,
+  spanning the parser, the cost model's sorts, every cube algorithm,
   the parallel engine, the serving ladder, the cluster and the HTTP
   front door.  Spans land in the :class:`TraceSession` of an
   ``obs.trace()`` block or in a request-scoped :class:`TraceStore`.
 - **Metrics** (:class:`MetricsRegistry`): counters / gauges /
   histograms absorbing the previously scattered sources
-  (``EngineMetrics``, ``CostSnapshot``, buffer-pool stats, algorithm
+  (``EngineMetrics``, ``CostSnapshot``, sort counts, algorithm
   phase counters) under one Prometheus-style naming scheme.
 - **Exporters**: Chrome ``trace_event`` JSON (``chrome://tracing`` /
   Perfetto), folded flamegraph stacks, Prometheus exposition text.

@@ -1,15 +1,15 @@
 """The central metrics registry: counters, gauges, histograms.
 
 One :class:`MetricsRegistry` absorbs every measurement source in the
-stack — the deterministic :class:`~repro.timber.stats.CostModel`
-counters (CPU ops, page I/O, buffer hits/misses), the engine's
+stack — the deterministic :class:`~repro.cost.CostModel`
+counters (CPU ops, page I/O), the engine's
 per-stage :class:`~repro.core.engine.metrics.EngineMetrics`, and the
 per-algorithm phase counters — under one naming scheme, so a single
 scrape answers "where did the work go".
 
 Naming follows the Prometheus convention: ``x3_<subsystem>_<what>``
 with ``_total`` suffix on monotonically increasing counters; labels
-qualify the series (``algorithm="BUC"``, ``component="timber"``).
+qualify the series (``algorithm="BUC"``, ``kind="external"``).
 Updates are guarded by one registry lock — instrumentation points are
 deliberately coarse (per run / per phase, never per row), so the lock
 is uncontended.
@@ -234,16 +234,13 @@ class MetricsRegistry:
         ("cpu_ops", "x3_cost_cpu_ops_total"),
         ("page_reads", "x3_cost_page_reads_total"),
         ("page_writes", "x3_cost_page_writes_total"),
-        ("buffer_hits", "x3_buffer_hits_total"),
-        ("buffer_misses", "x3_buffer_misses_total"),
-        ("evictions", "x3_buffer_evictions_total"),
     )
 
     def absorb_cost(self, cost: Any, **labels: Any) -> None:
         """Fold a cost snapshot into the unified counters.
 
         Accepts a :class:`~repro.core.cube.CostSnapshot`, a
-        :class:`~repro.timber.stats.CostModel`, or the plain mapping
+        :class:`~repro.cost.CostModel`, or the plain mapping
         either produces.
         """
         if hasattr(cost, "snapshot"):  # a live CostModel

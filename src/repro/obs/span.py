@@ -1,6 +1,6 @@
 """The span model: one record, one open span, one context-local binding.
 
-Every layer — parser, timber storage, cube algorithms, the parallel
+Every layer — parser, cost-model sorts, cube algorithms, the parallel
 engine, the serving ladder, the cluster scatter, the HTTP front door —
 reports where its time went through the same three things:
 
@@ -265,7 +265,7 @@ class OpenSpan:
 
         Args:
             name: span name (dotted, e.g. ``"engine.merge"``).
-            category: layer tag (``parse`` / ``timber`` / ``algorithm``
+            category: layer tag (``parse`` / ``cost`` / ``algorithm``
                 / ``engine`` / ``serve`` / ...), used by the exporters.
             cost: a live cost model; when given, the span measures its
                 modeled seconds from it.

@@ -1,4 +1,4 @@
-"""Tree patterns, their textual syntax, matching, and relaxations.
+"""Tree patterns, their textual syntax, and relaxations.
 
 The paper specifies grouping by a *tree pattern* plus a grouping list
 (Sec. 2.1), and generates the cube by relaxing the pattern (Sec. 2.2):
@@ -13,15 +13,12 @@ Public surface:
 - :class:`~repro.patterns.pattern.TreePattern` /
   :class:`~repro.patterns.pattern.PatternNode`
 - :func:`~repro.patterns.parse.parse_pattern` — ``a[b/c][.//d]/@id`` syntax
-- :func:`~repro.patterns.match.match_document` /
-  :func:`~repro.patterns.match.match_db` — witness-tree enumeration
 - :mod:`repro.patterns.relaxation` — the three operators and the most
   relaxed fully instantiated pattern of Fig. 2.
 """
 
 from repro.patterns.pattern import EdgeAxis, PatternNode, TreePattern
 from repro.patterns.parse import parse_pattern
-from repro.patterns.match import match_db, match_document
 from repro.patterns.relaxation import (
     Relaxation,
     apply_lnd,
@@ -35,8 +32,6 @@ __all__ = [
     "PatternNode",
     "TreePattern",
     "parse_pattern",
-    "match_document",
-    "match_db",
     "Relaxation",
     "apply_lnd",
     "apply_pc_ad",

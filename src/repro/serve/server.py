@@ -76,6 +76,7 @@ from repro.core.rollup import (
     derivable,
     rollup_cuboid,
 )
+from repro.cost import CostModel
 from repro.errors import CubeError
 from repro.obs.events import (
     EventLog,
@@ -88,7 +89,6 @@ from repro.obs.live import LiveTelemetry
 from repro.obs.trace_store import TraceStore
 from repro.serve.cache import CuboidCache
 from repro.serve.singleflight import SingleFlight
-from repro.timber.stats import CostModel
 
 #: Tier names, in ladder order.
 TIERS = ("cache", "view", "rollup", "incremental", "recompute")

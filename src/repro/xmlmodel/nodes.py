@@ -18,16 +18,15 @@ One position is spent on every open and every close, so an element with
 descendants are the contiguous preorder slice
 ``doc.elements[node_id + 1 : node_id + 1 + k]``.
 
-The encoding is what the structural-join algorithms in
-:mod:`repro.timber.structural_join` operate on, what fact extraction
-(:mod:`repro.core.extract`) evaluates descendant steps on, and it is
-also convenient for fast ancestor tests in the in-memory matcher.
+The encoding is what fact extraction (:mod:`repro.core.extract`)
+evaluates descendant steps on: its containment joins are slices of the
+preorder, found by bisection.
 
 The same document has a second shape, the :class:`RegionTable`: one row
 per element in preorder, held as flat columns, plus the per-tag posting
 lists.  The parser writes the table and nothing else; everything that
-only *reads* a document (extraction, schema inference, the node store,
-the event view) reads the table, and the :class:`Element` tree is a view
+only *reads* a document (extraction, schema inference, the event view)
+reads the table, and the :class:`Element` tree is a view
 a :class:`Document` materialises the first time someone asks for it.
 Exactly one of the two is the truth at any time — see :class:`Document`.
 """

@@ -8,19 +8,17 @@ table for the exact tests.
 
 import pytest
 
+from repro.core import extract
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
-from repro.core.extract import extract_fact_table, extract_from_db
+from repro.core.extract import extract_fact_table
 from repro.core.incremental import IncrementalCube, split_rows
 from repro.core.materialize import select_views
 from repro.core.properties import PropertyOracle
 from repro.core.prune import compute_cube_pruned
 from repro.datagen.publications import query1, random_publications
 from repro.datagen.workload import WorkloadConfig, build_workload
-from repro.patterns.match import match_db
-from repro.patterns.relaxation import most_relaxed_pattern
 from repro.schema.dtd import Cardinality, Dtd
-from repro.timber.database import TimberDB
 
 
 def dense_workload(n_facts, n_axes):
@@ -41,26 +39,39 @@ def dense_table():
     return dense_workload(300, 4).fact_table()
 
 
-def test_a1_shared_extraction_beats_per_cuboid_matching():
+def test_a1_shared_extraction_beats_per_cuboid_matching(monkeypatch):
     """Sec. 3.4's argument for Fig. 2: one annotated evaluation of the
-    most relaxed pattern feeds every cuboid; matching a pattern per
-    lattice point charges the store lattice-size times."""
+    most relaxed pattern feeds every cuboid.  Extraction evaluates each
+    distinct compiled path of the query plan once, for every fact at
+    once; matching a pattern per lattice point would evaluate it
+    lattice-size times."""
     workload = dense_workload(200, 3)
-    db = TimberDB()
-    db.load_many(list(workload.documents))
-    db.build_index()
+    plan = extract._QueryPlan(workload.query)
+    paths = {
+        path
+        for axis in plan.axes
+        for _, binding, prefix in axis
+        for path in (binding, prefix)
+        if path is not None
+    }
+    if plan.measure is not None:
+        paths.add(plan.measure)
 
-    db.reset_cost()
-    assert len(extract_from_db(db, workload.query)) == 200
-    shared = db.cost.simulated_seconds()
+    evaluated = []
+    evaluate = extract._PathJoin._evaluate
 
-    pattern = most_relaxed_pattern(
-        workload.query.rigid_pattern(), workload.query.relaxation_specs()
+    def spy(join, path):
+        evaluated.append(path)
+        return evaluate(join, path)
+
+    monkeypatch.setattr(extract._PathJoin, "_evaluate", spy)
+    table = extract.extract_from_documents(
+        workload.documents, workload.query
     )
-    db.reset_cost()
-    for _ in range(workload.query.lattice().size()):
-        match_db(db, pattern)
-    assert db.cost.simulated_seconds() > shared
+    assert len(table) == 200
+    assert len(evaluated) == len(set(evaluated))
+    assert set(evaluated) == paths
+    assert len(evaluated) < workload.query.lattice().size()
 
 
 def test_a5_schema_pruning_saves_work_and_stays_correct():

@@ -1,4 +1,4 @@
-"""Unit tests for fact-table extraction (both backends).
+"""Unit tests for fact-table extraction.
 
 The masks asserted here encode the paper's Figure 1 walk-through; the
 axis state order for $n is [rigid, PC-AD, SP, PC-AD+SP] (bits 1,2,4,8)
@@ -7,14 +7,8 @@ and for $p [rigid, PC-AD] (bits 1,2).
 
 import pytest
 
-from repro.core.extract import (
-    extract_fact_table,
-    extract_from_db,
-    extract_from_documents,
-)
+from repro.core.extract import extract_fact_table, extract_from_documents
 from repro.datagen.publications import figure1_document, query1
-from repro.timber.database import TimberDB
-from repro.xmlmodel.serializer import serialize
 
 
 @pytest.fixture(scope="module")
@@ -74,37 +68,11 @@ class TestFigure1Annotations:
         assert table.aggregate.function == "COUNT"
 
 
-class TestBackendEquivalence:
-    def test_db_matches_memory(self):
-        doc = figure1_document()
-        query = query1()
-        memory = extract_from_documents([doc], query)
-        db = TimberDB()
-        db.load(serialize(doc))
-        stored = extract_from_db(db, query)
-        assert len(memory) == len(stored)
-        for mine, theirs in zip(memory.rows, stored.rows):
-            assert mine.measure == theirs.measure
-            for my_axis, their_axis in zip(mine.axes, theirs.axes):
-                assert sorted((v.value, v.mask) for v in my_axis) == sorted(
-                    (v.value, v.mask) for v in their_axis
-                )
-
+class TestDispatch:
     def test_dispatch(self):
         doc = figure1_document()
         assert len(extract_fact_table(doc, query1())) == 4
         assert len(extract_fact_table([doc, doc], query1())) == 8
-        db = TimberDB()
-        db.load(serialize(doc))
-        assert len(extract_fact_table(db, query1())) == 4
-
-    def test_db_extraction_charges_cost(self):
-        db = TimberDB()
-        db.load(serialize(figure1_document()))
-        db.build_index()
-        db.reset_cost()
-        extract_from_db(db, query1())
-        assert db.cost.cpu_ops > 0
 
 
 class TestMeasures:

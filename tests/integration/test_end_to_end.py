@@ -1,8 +1,7 @@
-"""End-to-end integration: text query -> XML text -> cube, both backends."""
+"""End-to-end integration: text query -> XML text -> cube."""
 
 from repro import (
     ExecutionOptions,
-    TimberDB,
     compute_cube,
     extract_fact_table,
     parse,
@@ -46,19 +45,6 @@ class TestFullPipeline:
         assert relaxed == {("EU",): 2.0, ("US",): 1.0}
         items = cube.cuboid_by_description("$r:LND, $i:rigid")
         assert items == {("pen",): 3.0, ("ink",): 2.0}
-
-    def test_db_backend_identical(self):
-        query = parse_x3_query(QUERY)
-        memory_cube = compute_cube(
-            extract_fact_table(parse(SALES_XML), query),
-            ExecutionOptions(algorithm="NAIVE"),
-        )
-        db = TimberDB()
-        db.load(SALES_XML)
-        db_cube = compute_cube(
-            extract_fact_table(db, query), ExecutionOptions(algorithm="NAIVE")
-        )
-        assert memory_cube.same_contents(db_cube)
 
     def test_all_algorithms_agree_via_data_oracle(self):
         query = parse_x3_query(QUERY)

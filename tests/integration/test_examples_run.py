@@ -33,6 +33,5 @@ def test_all_examples_present():
         "quickstart",
         "dblp_analytics",
         "treebank_regimes",
-        "timber_store",
         "insurance_claims",
     } <= names

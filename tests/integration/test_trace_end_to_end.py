@@ -2,8 +2,8 @@
 
 The acceptance bar for the observability layer: a traced 2-worker engine
 run exports a single well-formed ``trace_event`` JSON containing spans
-from at least four layers — XML parsing, timber storage I/O, the cube
-algorithm, and the engine's partition/merge stages.
+from at least four layers — XML parsing, the cost model's sorts, the
+cube algorithm, and the engine's partition/merge stages.
 """
 
 import json
@@ -14,25 +14,23 @@ from repro import obs
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.datagen.publications import figure1_document
 from repro.testing import small_workload
-from repro.timber.database import TimberDB
 from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
 
 
 @pytest.fixture()
 def traced_pipeline():
-    """Parse → timber load → 2-worker cube run, all in one session."""
+    """Parse → 2-worker cube run, all in one session.  The row-form TD
+    kernel sorts through the cost model, so its sorts are spanned."""
     xml_text = serialize(figure1_document())
     table = small_workload().fact_table()
     with obs.trace() as session:
-        doc = parse(xml_text, name="e2e")
-        db = TimberDB()
-        db.load(doc, name="e2e")
-        db.postings("publication")  # forces the index build
-        db.publish_metrics()
+        parse(xml_text, name="e2e")
         result = compute_cube(
             table,
-            ExecutionOptions(algorithm="TD", workers=2, engine="thread"),
+            ExecutionOptions(
+                algorithm="TD", workers=2, engine="thread", encoding="dict"
+            ),
         )
     return session.trace(), result
 
@@ -41,7 +39,7 @@ class TestEndToEndTrace:
     def test_four_layers_present(self, traced_pipeline):
         trace, _ = traced_pipeline
         categories = set(trace.categories())
-        assert {"parse", "timber", "algorithm", "engine"} <= categories
+        assert {"parse", "cost", "algorithm", "engine"} <= categories
 
     def test_single_coherent_tree(self, traced_pipeline):
         trace, _ = traced_pipeline
@@ -73,7 +71,7 @@ class TestEndToEndTrace:
             assert {"name", "cat", "ts", "dur", "pid", "tid"} <= set(event)
             assert event["dur"] >= 0
         exported_cats = {e["cat"] for e in complete}
-        assert {"parse", "timber", "algorithm", "engine"} <= exported_cats
+        assert {"parse", "cost", "algorithm", "engine"} <= exported_cats
 
     def test_result_trace_attached(self, traced_pipeline):
         _, result = traced_pipeline

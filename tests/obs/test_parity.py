@@ -10,15 +10,11 @@ import pytest
 
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.testing import small_workload
-from repro.timber.database import TimberDB
-from repro import obs
 
 PARITY_FIELDS = (
     ("cpu_ops", "x3_cost_cpu_ops_total"),
     ("page_reads", "x3_cost_page_reads_total"),
     ("page_writes", "x3_cost_page_writes_total"),
-    ("buffer_hits", "x3_buffer_hits_total"),
-    ("buffer_misses", "x3_buffer_misses_total"),
 )
 
 
@@ -124,28 +120,3 @@ def test_parallel_matches_serial_costs():
     assert parallel.trace.metrics.total(
         "x3_cost_cpu_ops_total"
     ) == pytest.approx(parallel.cost.cpu_ops)
-
-
-def test_timber_buffer_counters_parity():
-    """A TimberDB workload with real page traffic: published buffer
-    metrics equal the cost model's buffer counters."""
-    from repro.datagen.publications import figure1_document
-
-    with obs.trace() as session:
-        db = TimberDB(buffer_pages=4)
-        db.load(figure1_document(), name="parity")
-        db.postings("publication")
-        db.postings("name")
-        db.publish_metrics()
-    snapshot = db.cost.snapshot()
-    registry = session.metrics
-    assert snapshot["buffer_hits"] + snapshot["buffer_misses"] > 0
-    assert registry.total("x3_buffer_hits_total") == snapshot["buffer_hits"]
-    assert (
-        registry.total("x3_buffer_misses_total")
-        == snapshot["buffer_misses"]
-    )
-    assert (
-        registry.total("x3_cost_page_reads_total")
-        == snapshot["page_reads"]
-    )

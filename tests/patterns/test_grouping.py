@@ -1,19 +1,18 @@
-"""Unit tests for TAX-style witness grouping and value predicates."""
+"""Unit tests for the reference TAX-style witness grouping and value
+predicates."""
 
 import pytest
 
 from repro.datagen.publications import figure1_document
 from repro.errors import PatternError
-from repro.patterns.grouping import (
+from repro.patterns.parse import parse_pattern
+from repro.xmlmodel.parser import parse
+from tests.prop.reference_match import (
     group_count,
     group_witnesses,
     grouping_basis,
+    match_document,
 )
-from repro.patterns.match import match_db, match_document
-from repro.patterns.parse import parse_pattern
-from repro.timber.database import TimberDB
-from repro.xmlmodel.parser import parse
-from repro.xmlmodel.serializer import serialize
 
 
 class TestSection21Example:
@@ -30,14 +29,6 @@ class TestSection21Example:
             ("2004",): 1,  # second publication
             ("2005",): 1,  # second publication again
         }
-
-    def test_db_backend_same_groups(self):
-        doc = figure1_document()
-        db = TimberDB()
-        db.load(serialize(doc))
-        pattern = parse_pattern("//publication/year=$y")
-        counts = group_count(match_db(db, pattern), ["$y"])
-        assert counts == {("2003",): 2, ("2004",): 1, ("2005",): 1}
 
     def test_witness_counts_vs_root_counts(self):
         doc = figure1_document()
@@ -85,20 +76,6 @@ class TestValuePredicates:
         pattern = parse_pattern('//publication[//publisher[/@id="p1"]]')
         witnesses = match_document(doc, pattern)
         assert len(witnesses) == 1
-
-    def test_db_matches_memory_with_value_tests(self):
-        doc = figure1_document()
-        db = TimberDB()
-        db.load(serialize(doc))
-        for text in (
-            '//publication[/year="2003"]',
-            '//publication[//publisher[/@id="p1"]]',
-            '//publication[/author/name="John"][/year=$y]',
-        ):
-            pattern = parse_pattern(text)
-            assert len(match_document(doc, pattern)) == len(
-                match_db(db, pattern)
-            ), text
 
     def test_root_value_filter(self):
         doc = parse("<r><x>a</x><x>b</x></r>")

@@ -1,32 +1,15 @@
-"""Unit tests for witness-tree enumeration (both backends)."""
+"""Unit tests for the reference witness-tree matcher (Sec. 2.1)."""
 
 import pytest
 
 from repro.datagen.publications import figure1_document
-from repro.patterns.match import binding_value, match_db, match_document
 from repro.patterns.parse import parse_pattern
-from repro.timber.database import TimberDB
 from repro.xmlmodel.parser import parse
-from repro.xmlmodel.serializer import serialize
+from tests.prop.reference_match import match_document
 
 
-def witnesses_both(doc, pattern_text):
-    """Match in memory and against a TimberDB; assert identical values."""
-    pattern = parse_pattern(pattern_text)
-    memory = match_document(doc, pattern)
-    db = TimberDB()
-    db.load(serialize(doc))
-    stored = match_db(db, pattern)
-    mem_values = sorted(
-        tuple(binding_value(b) or "" for b in witness.bindings)
-        for witness in memory
-    )
-    db_values = sorted(
-        tuple(binding_value(b) or "" for b in witness.bindings)
-        for witness in stored
-    )
-    assert mem_values == db_values
-    return memory
+def witnesses_of(doc, pattern_text):
+    return match_document(doc, parse_pattern(pattern_text))
 
 
 class TestBasicMatching:
@@ -35,12 +18,10 @@ class TestBasicMatching:
         # publication node will match the first three publications ...
         # and actually match the second publication twice."
         doc = figure1_document()
-        witnesses = witnesses_both(doc, "//publication/year=$y")
-        roots = [witness.root_binding for witness in witnesses]
-        ids = [root.attrs.get("id", root.attr("id") if hasattr(root, "attr") else None)
-               if not isinstance(root, str) else None for root in roots]
+        witnesses = witnesses_of(doc, "//publication/year=$y")
         # 4 witnesses: pub1 once, pub2 twice, pub3 once.
         assert len(witnesses) == 4
+        assert len({id(witness.root_binding) for witness in witnesses}) == 3
         years = sorted(witness.value_of("$y") for witness in witnesses)
         assert years == ["2003", "2003", "2004", "2005"]
 
@@ -58,7 +39,7 @@ class TestBasicMatching:
         doc = parse(
             "<r><f><x>1</x><x>2</x><y>A</y><y>B</y></f></r>"
         )
-        witnesses = witnesses_both(doc, "//f[/x=$x][/y=$y]")
+        witnesses = witnesses_of(doc, "//f[/x=$x][/y=$y]")
         pairs = sorted(
             (w.value_of("$x"), w.value_of("$y")) for w in witnesses
         )
@@ -66,14 +47,14 @@ class TestBasicMatching:
 
     def test_non_matching_required_branch(self):
         doc = parse("<r><f><x/></f></r>")
-        witnesses = witnesses_both(doc, "//f[/x][/y]")
+        witnesses = witnesses_of(doc, "//f[/x][/y]")
         assert witnesses == []
 
 
 class TestOptionalNodes:
     def test_outer_join_null(self):
         doc = parse("<r><f><x>1</x></f><f/></r>")
-        witnesses = witnesses_both(doc, "//f[/x?=$x]")
+        witnesses = witnesses_of(doc, "//f[/x?=$x]")
         values = sorted(
             (witness.value_of("$x") or "-") for witness in witnesses
         )
@@ -89,7 +70,7 @@ class TestOptionalNodes:
 
     def test_optional_with_matches_binds_them(self):
         doc = parse("<r><f><x>1</x><x>2</x></f></r>")
-        witnesses = witnesses_both(doc, "//f[/x?=$x]")
+        witnesses = witnesses_of(doc, "//f[/x?=$x]")
         values = sorted(witness.value_of("$x") for witness in witnesses)
         assert values == ["1", "2"]  # no extra null witness
 
@@ -97,24 +78,24 @@ class TestOptionalNodes:
 class TestAttributes:
     def test_child_attribute(self):
         doc = parse('<r><f id="7"/></r>')
-        witnesses = witnesses_both(doc, "//f[/@id=$i]")
+        witnesses = witnesses_of(doc, "//f[/@id=$i]")
         assert witnesses[0].value_of("$i") == "7"
 
     def test_missing_attribute_no_match(self):
         doc = parse("<r><f/></r>")
-        assert witnesses_both(doc, "//f[/@id=$i]") == []
+        assert witnesses_of(doc, "//f[/@id=$i]") == []
 
     def test_descendant_attribute_excludes_self(self):
         doc = parse('<r><f id="self"><g id="deep"/></f></r>')
-        witnesses = witnesses_both(doc, "//f[//@id=$i]")
+        witnesses = witnesses_of(doc, "//f[//@id=$i]")
         assert [w.value_of("$i") for w in witnesses] == ["deep"]
 
 
 class TestDescendantEdges:
     def test_pc_ad_recovers_nested(self):
         doc = figure1_document()
-        rigid = witnesses_both(doc, "//publication/author/name=$n")
-        relaxed = witnesses_both(doc, "//publication//author//name=$n")
+        rigid = witnesses_of(doc, "//publication/author/name=$n")
+        relaxed = witnesses_of(doc, "//publication//author//name=$n")
         assert len(relaxed) > len(rigid)
         relaxed_names = {w.value_of("$n") for w in relaxed}
         assert "Smith" in relaxed_names

@@ -145,7 +145,7 @@ class TestMostRelaxed:
 
     def test_matches_superset_of_rigid(self):
         from repro.datagen.publications import figure1_document
-        from repro.patterns.match import match_document
+        from tests.prop.reference_match import match_document
 
         doc = figure1_document()
         pattern = base()

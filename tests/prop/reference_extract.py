@@ -2,12 +2,9 @@
 verbatim as the differential oracle of the compiled-plan evaluator that
 replaced it (``test_differential_extract.py``): the axis states and the
 steps of every state are re-derived per fact per axis, a descendant step
-walks the tree (or region-scans the stored subtree), and every binding is
-a fresh :class:`AnnotatedValue`.
+walks the tree, and every binding is a fresh :class:`AnnotatedValue`.
 
-The two must produce equal ``FactTable.rows`` on both backends, and the
-TimberDB twin must charge the cost model the same number of CPU
-operations.
+The two must produce equal ``FactTable.rows``.
 """
 
 from __future__ import annotations
@@ -18,14 +15,8 @@ from repro.core.axes import AxisSpec, PathStep
 from repro.core.bindings import AnnotatedValue, FactRow, FactTable
 from repro.core.query import X3Query
 from repro.patterns.pattern import EdgeAxis
-from repro.timber.database import TimberDB
-from repro.timber.node_store import NodeRecord
 from repro.xmlmodel.nodes import Document, Element
 
-
-# ----------------------------------------------------------------------
-# in-memory backend
-# ----------------------------------------------------------------------
 
 def extract_from_documents(
     docs: Iterable[Document], query: X3Query
@@ -135,143 +126,3 @@ def _measure_memory(fact: Element, query: X3Query) -> float:
             continue
     return total
 
-
-# ----------------------------------------------------------------------
-# TimberDB backend
-# ----------------------------------------------------------------------
-
-def extract_from_db(db: TimberDB, query: X3Query) -> FactTable:
-    lattice = query.lattice()
-    rows: List[FactRow] = []
-    for posting in db.postings(query.fact_tag):
-        subtree = list(db.store.subtree_of(posting.doc_id, posting.node_id))
-        db.cost.charge_cpu(len(subtree))
-        fact = subtree[0]
-        children_of: Dict[int, List[NodeRecord]] = {}
-        for record in subtree[1:]:
-            children_of.setdefault(record.parent_id, []).append(record)
-        axes = tuple(
-            _annotate_axis_db(fact, subtree, children_of, states.axis, db)
-            for states in lattice.axis_states
-        )
-        measure = _measure_db(fact, subtree, children_of, query, db)
-        rows.append(
-            FactRow(
-                fact_id=(posting.doc_id, posting.node_id),
-                measure=measure,
-                axes=axes,
-            )
-        )
-    return FactTable(lattice, rows, aggregate=query.aggregate)
-
-
-def _annotate_axis_db(
-    fact: NodeRecord,
-    subtree: List[NodeRecord],
-    children_of: Dict[int, List[NodeRecord]],
-    axis: AxisSpec,
-    db: TimberDB,
-) -> Tuple[AnnotatedValue, ...]:
-    from repro.core.states import AxisStates
-
-    states = AxisStates.for_axis(axis)
-    masks: Dict[str, int] = {}
-    order: List[str] = []
-    for index in range(len(states.states)):
-        applied = states.structural_state(index)
-        binding, prefix = axis.steps_for_state(applied)
-        if prefix and not _eval_steps_db(
-            fact, subtree, children_of, prefix, db
-        ):
-            continue
-        for value in _eval_steps_db(fact, subtree, children_of, binding, db):
-            if value not in masks:
-                masks[value] = 0
-                order.append(value)
-            masks[value] |= 1 << index
-    return tuple(AnnotatedValue(value, masks[value]) for value in order)
-
-
-def _descendants_db(
-    context: NodeRecord, subtree: List[NodeRecord]
-) -> List[NodeRecord]:
-    return [
-        record
-        for record in subtree
-        if context.start < record.start and record.end <= context.end
-    ]
-
-
-def _eval_steps_db(
-    fact: NodeRecord,
-    subtree: List[NodeRecord],
-    children_of: Dict[int, List[NodeRecord]],
-    steps: Tuple[PathStep, ...],
-    db: TimberDB,
-) -> List[str]:
-    frontier: List[NodeRecord] = [fact]
-    for axis, test in steps[:-1]:
-        next_frontier: List[NodeRecord] = []
-        seen = set()
-        for node in frontier:
-            if axis is EdgeAxis.CHILD:
-                pool = children_of.get(node.node_id, [])
-            else:
-                pool = _descendants_db(node, subtree)
-            db.cost.charge_cpu(len(pool))
-            for candidate in pool:
-                if test in ("*", candidate.tag) and candidate.node_id not in seen:
-                    seen.add(candidate.node_id)
-                    next_frontier.append(candidate)
-        frontier = next_frontier
-    last_axis, last_test = steps[-1]
-    values: List[str] = []
-    seen_values = set()
-    if last_test.startswith("@"):
-        name = last_test[1:]
-        for node in frontier:
-            owners = (
-                [node]
-                if last_axis is EdgeAxis.CHILD
-                else _descendants_db(node, subtree)
-            )
-            db.cost.charge_cpu(len(owners))
-            for owner in owners:
-                value = owner.attr(name)
-                if value is not None and value not in seen_values:
-                    seen_values.add(value)
-                    values.append(value)
-        return values
-    for node in frontier:
-        if last_axis is EdgeAxis.CHILD:
-            pool = children_of.get(node.node_id, [])
-        else:
-            pool = _descendants_db(node, subtree)
-        db.cost.charge_cpu(len(pool))
-        for candidate in pool:
-            if last_test in ("*", candidate.tag):
-                value = candidate.text
-                if value not in seen_values:
-                    seen_values.add(value)
-                    values.append(value)
-    return values
-
-
-def _measure_db(
-    fact: NodeRecord,
-    subtree: List[NodeRecord],
-    children_of: Dict[int, List[NodeRecord]],
-    query: X3Query,
-    db: TimberDB,
-) -> float:
-    if query.aggregate.function.upper() == "COUNT":
-        return 1.0
-    steps = AxisSpec.from_path("$m", query.aggregate.measure_path).steps
-    values = _eval_steps_db(fact, subtree, children_of, steps, db)
-    total = 0.0
-    for value in values:
-        try:
-            total += float(value)
-        except ValueError:
-            continue
-    return total

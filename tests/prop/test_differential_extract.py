@@ -3,8 +3,7 @@ replaced.
 
 Contract (ISSUE 17): ``FactTable.rows`` — fact ids, measures, and per
 axis the values, their order and their state masks — are equal on every
-input, on both backends, and the TimberDB twin charges the cost model
-exactly as before (the modeled benchmarks are byte-identical).
+input.
 """
 
 import pickle
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.axes import AxisSpec
-from repro.core.extract import extract_from_db, extract_from_documents
+from repro.core.extract import extract_from_documents
 from repro.core.query import X3Query
 from repro.datagen.catalog import CatalogConfig, catalog_query, generate_catalog
 from repro.datagen.dblp import DblpConfig, dblp_query, generate_dblp
@@ -30,7 +29,6 @@ from repro.datagen.treebank import (
     treebank_query,
 )
 from repro.patterns.relaxation import Relaxation
-from repro.timber.database import TimberDB
 from repro.xmlmodel.nodes import Document
 from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
@@ -118,21 +116,6 @@ def assert_same_rows(docs, query):
     return new
 
 
-def assert_same_rows_db(docs, query):
-    charged = []
-    tables = []
-    for extract in (extract_from_db, reference_extract.extract_from_db):
-        db = TimberDB()
-        for doc in docs:
-            db.load(doc, name=doc.name)
-        before = db.cost.cpu_ops
-        tables.append(extract(db, query))
-        charged.append(db.cost.cpu_ops - before)
-    assert tables[0].rows == tables[1].rows
-    assert charged[0] == charged[1]
-    return tables[0]
-
-
 # ----------------------------------------------------------------------
 # (ii) every datagen family x every relaxation set
 # ----------------------------------------------------------------------
@@ -144,10 +127,9 @@ def test_families_extract_equal(family, relaxations):
     built = build()
     in_memory = assert_same_rows(built, query)
     parsed = assert_same_rows(_round_trip(built), query)
-    stored = assert_same_rows_db(built, query)
-    # The index the parser assigns while building, the one reindex()
-    # assigns and the one the store reads back all slice the same way.
-    assert in_memory.rows == parsed.rows == stored.rows
+    # The index the parser assigns while building and the one reindex()
+    # assigns slice the same way.
+    assert in_memory.rows == parsed.rows
 
 
 def test_the_shipped_queries_extract_equal():
@@ -163,7 +145,6 @@ def test_the_shipped_queries_extract_equal():
         ),
     ]:
         assert len(assert_same_rows(docs, query).rows) > 0
-        assert_same_rows_db(docs, query)
 
 
 @pytest.mark.parametrize("function", ["SUM", "AVG", "MIN", "MAX"])
@@ -172,7 +153,6 @@ def test_non_count_measures_extract_equal(function):
     query = catalog_query(function)
     table = assert_same_rows(docs, query)
     assert {row.measure for row in table.rows} - {0.0, 1.0}
-    assert_same_rows_db(docs, query)
     # A measure path that descends, repeats and meets non-numbers.
     messy = _query(
         "product",
@@ -181,7 +161,6 @@ def test_non_count_measures_extract_equal(function):
         AggregateSpec(function, "//*"),
     )
     assert_same_rows(docs, messy)
-    assert_same_rows_db(docs, messy)
 
 
 def test_multi_document_warehouses_extract_equal():
@@ -192,7 +171,6 @@ def test_multi_document_warehouses_extract_equal():
     ]
     table = assert_same_rows(docs, query1())
     assert {row.fact_id[0] for row in table.rows} == {0, 1, 2}
-    assert_same_rows_db(docs, query1())
 
 
 def test_facts_nested_in_facts_extract_equal():
@@ -203,7 +181,6 @@ def test_facts_nested_in_facts_extract_equal():
     for relaxations in RELAXATIONS.values():
         query = _query("f", ["g", "h/g", "//g", "f/g", "//f//g"], relaxations)
         assert_same_rows([doc], query)
-        assert_same_rows_db([doc], query)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +220,6 @@ def test_nested_frontiers_extract_equal():
             assert [row.fact_id for row in table.rows] == [
                 (0, node_id) for node_id in doc.region_table().ids("s")
             ]
-            assert_same_rows_db([doc], query)
     # The order is the walk's, not the document's: under the outer <np>
     # "d" is bound before "b".
     table = extract_from_documents(
@@ -271,7 +247,6 @@ def test_attribute_steps_under_descendant_steps_extract_equal():
         for relaxations in RELAXATIONS.values():
             query = _query("f", paths, relaxations)
             assert_same_rows([doc], query)
-            assert_same_rows_db([doc], query)
 
 
 def test_existence_prefixes_that_fail_for_some_facts_extract_equal():
@@ -296,7 +271,6 @@ def test_existence_prefixes_that_fail_for_some_facts_extract_equal():
             seen |= {
                 value.mask for row in table.rows for value in row.axes[0]
             }
-            assert_same_rows_db([doc], query)
         assert len(seen) > 2  # some states bind, some do not
 
 
@@ -316,7 +290,6 @@ def test_multi_chunk_and_cdata_text_extract_equal():
                 AggregateSpec(function, "v/w"),
             )
             table = assert_same_rows([doc], query)
-            assert_same_rows_db([doc], query)
         values = [value.value for value in table.rows[0].axes[0]]
         assert values == ["onetwo", "padded", "<raw> &", ""]
 
@@ -335,7 +308,6 @@ def test_multi_document_warehouses_of_tables_and_trees_extract_equal():
     ]
     assert tables[0].rows == tables[1].rows == tables[2].rows
     assert {row.fact_id[0] for row in tables[0].rows} == {0, 1, 3}
-    assert_same_rows_db(parsed, query1())
     # One shared binding across documents, too.
     annotated = [
         value
@@ -407,7 +379,6 @@ def test_random_trees_and_paths_extract_equal(
     doc = Document(element.detach())
     query = _query(fact_tag, paths, RELAXATIONS[relaxations])
     assert_same_rows([doc], query)
-    assert_same_rows_db([doc], query)
 
 
 # ----------------------------------------------------------------------

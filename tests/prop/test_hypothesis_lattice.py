@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from repro.core.axes import AxisSpec
 from repro.core.lattice import CubeLattice
+from repro.cost import CostModel, MemoryBudget, sorted_with_cost
 from repro.patterns.relaxation import Relaxation
-from repro.timber.external_sort import merge_sorted, sorted_with_cost
-from repro.timber.stats import CostModel, MemoryBudget
 
 
 @st.composite
@@ -77,13 +76,3 @@ def test_sorted_with_cost_equals_sorted(data, budget_entries):
     budget = MemoryBudget(budget_entries, entries_per_page=8)
     assert sorted_with_cost(data, cost, budget=budget) == sorted(data)
 
-
-@given(
-    st.lists(st.integers(), max_size=50),
-    st.lists(st.integers(), max_size=50),
-)
-@settings(max_examples=60, deadline=None)
-def test_merge_sorted_equals_sorted(left, right):
-    cost = CostModel()
-    merged = merge_sorted(sorted(left), sorted(right), cost)
-    assert merged == sorted(left + right)

@@ -94,20 +94,3 @@ def test_pretty_serialization_reparses(element):
         )
 
     assert skeleton(doc.root) == skeleton(again.root)
-
-
-@given(random_element())
-@settings(max_examples=60, deadline=None)
-def test_node_store_round_trip(element):
-    """Loading into the node store preserves every element field."""
-    from repro.timber.database import TimberDB
-
-    doc = Document(element.detach())
-    db = TimberDB()
-    db.load(doc)
-    for node in doc.elements:
-        record = db.node(0, node.node_id)
-        assert record.tag == node.tag
-        assert record.text == node.text
-        assert dict(record.attrs) == node.attrs
-        assert record.region == (node.start, node.end, node.level)

@@ -13,7 +13,6 @@ from repro import obs
 from repro.core.extract import extract_from_documents
 from repro.datagen.publications import QUERY1_TEXT, figure1_document, query1
 from repro.schema.inference import infer_dtd
-from repro.timber.database import TimberDB
 from repro.warehouse import XmlWarehouse
 from repro.xmlmodel.nodes import Document, RegionTable
 from repro.xmlmodel.parser import parse
@@ -139,34 +138,6 @@ class TestReadersLeaveTheTreeUnbuilt:
         assert count_tags(TEXT) == {"a": 1, "b": 2, "c": 1, "d": 1}
         assert count_elements() == 0
 
-    def test_the_node_store(self, count_elements):
-        db = TimberDB()
-        db.load(TEXT, name="t")
-        assert count_elements() == 0
-        records = list(db.store.subtree_of(0, 0))
-        assert [
-            (r.node_id, r.tag, r.start, r.end, r.level, r.parent_id, r.text)
-            for r in records
-        ] == [
-            (0, "a", 0, 9, 0, -1, "onetwo<3>"),
-            (1, "b", 1, 2, 1, 0, "hi"),
-            (2, "c", 3, 6, 1, 0, ""),
-            (3, "b", 4, 5, 2, 2, ""),
-            (4, "d", 7, 8, 1, 0, "pad"),
-        ]
-        assert records[2].attrs == (("k", "v"), ("j", "w"))
-
-    def test_a_stored_document_is_the_same_from_table_or_tree(self):
-        stored = []
-        for touch in (False, True):
-            doc = parse(serialize(figure1_document()))
-            if touch:
-                assert doc.root is doc.elements[0]
-            db = TimberDB()
-            db.load(doc)
-            stored.append(list(db.store.subtree_of(0, 0)))
-        assert stored[0] == stored[1]
-
     def test_the_warehouse(self, count_elements):
         warehouse = XmlWarehouse()
         text = serialize(figure1_document())
@@ -291,15 +262,3 @@ class TestSingleSourceOfTruth:
         doc.reindex()
         assert list(doc.region_table().tags) == tags_before
         _agrees_with_the_tree(doc)
-
-    def test_the_store_loads_the_tree_as_it_stands(self, make):
-        doc = make()
-        _mutate_content(doc)
-        db = TimberDB()
-        db.load(doc)
-        records = list(db.store.subtree_of(0, 0))
-        assert [r.text for r in records] == [n.text for n in doc.elements]
-        assert [dict(r.attrs) for r in records] == [
-            n.attrs for n in doc.elements
-        ]
-

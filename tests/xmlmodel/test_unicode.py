@@ -1,6 +1,5 @@
-"""Unicode handling across parser, serializer, store and grouping."""
+"""Unicode handling across parser, serializer and grouping."""
 
-from repro.timber.database import TimberDB
 from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
 
@@ -26,22 +25,6 @@ class TestUnicodeContent:
         doc = parse('<a name="Ünïcode &#233;"/>')
         assert doc.root.attrs["name"] == "Ünïcode é"
         assert parse(serialize(doc)).root.attrs["name"] == "Ünïcode é"
-
-
-class TestUnicodeThroughTheStore:
-    def test_store_preserves_unicode(self):
-        db = TimberDB()
-        db.load("<r><w>čeština</w><w>Ελληνικά</w></r>")
-        texts = sorted(
-            db.record_of(posting).text for posting in db.postings("w")
-        )
-        assert texts == ["čeština", "Ελληνικά"]  # codepoint order
-
-    def test_value_index_on_unicode(self):
-        db = TimberDB()
-        db.load("<r><w>čeština</w><w>english</w></r>")
-        postings = db.postings_with_value("w", "čeština")
-        assert len(postings) == 1
 
 
 class TestUnicodeGroupingValues:
