@@ -1,11 +1,13 @@
-"""The top-down and bottom-up families pinned: answers, charges, counters.
+"""The top-down, bottom-up and counter families pinned: answers, charges,
+counters.
 
 ``tests/core/golden/td_family_pinned.json`` states what each family did
 on the commit *before* it was rewritten as one procedure: the TD entries
 were recorded before ``repro.core.algorithms.topdown`` became one walk
 over two kernels, the BUC entries before ``repro.core.algorithms.buc``
-became one recursion over two kernels.  For TD / TDOPT / TDOPTALL /
-TDCUST and BUC / BUCOPT / BUCCUST x ``encoding`` in {columnar, dict} on
+became one recursion over two kernels, the COUNTER entries before
+COUNTER became the columnar sweep with its own price list.  For TD /
+TDOPT / TDOPTALL / TDCUST and BUC / BUCOPT / BUCCUST x ``encoding`` in {columnar, dict} on
 the three ``benchmarks/e2e`` table shapes (plus ``xml_to_cube`` with
 order-sensitive AVG measures, so a changed merge order shows as a
 changed float) it holds a digest of every cuboid — sound or not: the
@@ -17,9 +19,12 @@ modes: every lattice point, a strict ``points=`` subset (the
 engine-partition path: TDOPT/TDOPTALL/TDCUST still walk the whole
 lattice, TD must not) and a starved memory budget (external sorts +
 spill charges); the BUC family adds ``min_support=2`` on the three COUNT
-shapes (the iceberg cut inside the recursion).
+shapes (the iceberg cut inside the recursion).  COUNTER ignores
+``encoding`` and has one entry per (shape, mode); it adds a reversed
+``points=`` subset and an order-sensitive digest (points and keys exactly
+in the order returned), and its phase counters are the counter's.
 
-Any rewrite of either family must pass this unchanged.  Regenerate only
+Any rewrite of a family must pass this unchanged.  Regenerate only
 for a deliberate change of answers or charges::
 
     PYTHONPATH=src:. python - <<'PY'
@@ -55,16 +60,22 @@ BUC_FAMILY = ("BUC", "BUCOPT", "BUCCUST")
 VARIANTS = TD_FAMILY + BUC_FAMILY
 ENCODINGS = ("columnar", "dict")
 MODES = ("all", "subset", "starved")
+COUNTER_MODES = MODES + ("reversed",)
 COUNT_SHAPES = tuple(sorted(E2E_SHAPED))
 SHAPES = COUNT_SHAPES + ("xml_to_cube_avg",)
 TD_PHASES = ("base_scans", "td_base_sorts", "td_rollups", "columnar_scans")
 BUC_PHASES = (
     "base_scans", "columnar_scans", "buc_partition_calls", "buc_placements",
 )
+COUNTER_PHASES = (
+    "base_scans", "counter_cells", "counter_passes", "columnar_scans",
+)
 SORT_KINDS = ("counting", "external", "quicksort")
 COST_FIELDS = ("cpu_ops", "page_reads", "page_writes", "simulated_seconds")
-CASES = list(product(SHAPES, VARIANTS, ENCODINGS, MODES)) + list(
-    product(COUNT_SHAPES, BUC_FAMILY, ENCODINGS, ("iceberg",))
+CASES = (
+    list(product(SHAPES, VARIANTS, ENCODINGS, MODES))
+    + list(product(COUNT_SHAPES, BUC_FAMILY, ENCODINGS, ("iceberg",)))
+    + list(product(SHAPES, ("COUNTER",), ("auto",), COUNTER_MODES))
 )
 
 
@@ -91,13 +102,16 @@ def subset_of(lattice):
     return tuple(points[1::3])
 
 
-def _digest(lattice, cuboids):
+def _digest(lattice, cuboids, ordered=False):
+    """sha256 of every cuboid; ``ordered`` keeps points and keys in the
+    order returned instead of sorting them."""
+    arrange = (lambda items: list(items)) if ordered else sorted
     body = [
         [
             lattice.describe(point),
-            sorted([list(key), repr(value)] for key, value in cuboid.items()),
+            arrange([list(key), repr(value)] for key, value in cuboid.items()),
         ]
-        for point, cuboid in sorted(cuboids.items())
+        for point, cuboid in arrange(cuboids.items())
     ]
     encoded = json.dumps(body, ensure_ascii=True).encode("ascii")
     return hashlib.sha256(encoded).hexdigest()
@@ -105,7 +119,9 @@ def _digest(lattice, cuboids):
 
 def run_case(shape, variant, encoding, mode):
     table, oracle = _workload(shape)
-    points = subset_of(table.lattice) if mode == "subset" else None
+    points = None
+    if mode in ("subset", "reversed"):
+        points = subset_of(table.lattice)[:: -1 if mode == "reversed" else 1]
     result = compute_cube(
         table,
         ExecutionOptions(
@@ -127,7 +143,10 @@ def run_case(shape, variant, encoding, mode):
     }
     for field in COST_FIELDS:
         record[field] = getattr(result.cost, field)
-    if variant in TD_FAMILY:
+    if variant == "COUNTER":
+        phases = COUNTER_PHASES
+        record["order"] = _digest(table.lattice, result.cuboids, ordered=True)
+    elif variant in TD_FAMILY:
         phases = TD_PHASES
     else:
         phases = BUC_PHASES
@@ -183,10 +202,20 @@ def test_td_builds_only_the_points_asked_for(pinned, shape, encoding):
             assert subset[phase] == full[phase], (variant, phase)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_counter_answers_in_the_order_asked(pinned, shape):
+    """COUNTER returns its cuboids in ``points`` order: a reversed
+    subset is the same answer in the other order."""
+    subset = pinned[_case_id(shape, "COUNTER", "auto", "subset")]
+    backwards = pinned[_case_id(shape, "COUNTER", "auto", "reversed")]
+    assert backwards["digest"] == subset["digest"]
+    assert backwards["order"] != subset["order"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS + ("COUNTER",))
 @pytest.mark.parametrize("shape", SHAPES)
 def test_starved_budget_spills_and_keeps_the_answer(pinned, shape, variant):
-    for encoding in ENCODINGS:
+    for encoding in ("auto",) if variant == "COUNTER" else ENCODINGS:
         full = pinned[_case_id(shape, variant, encoding, "all")]
         starved = pinned[_case_id(shape, variant, encoding, "starved")]
         assert starved["digest"] == full["digest"]
