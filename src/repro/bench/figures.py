@@ -384,15 +384,6 @@ FIG10_CLAIMS = (
         UNSAFE_WRONG,
     ),
 )
-FIGC_CLAIMS = (
-    Claim(
-        "COLUMNAR is more than 5x below COUNTER in modeled time: dictionary"
-        " compression packs ~8x more entries per page and the vectorized"
-        " sweep folds 8 rows per modeled op",
-        below("COLUMNAR", "COUNTER", factor=5),
-    ),
-    ALL_CORRECT,
-)
 FIGD_CLAIMS = (
     Claim(
         "each algorithm's columnar run is more than 2x below its dict run:"
@@ -493,21 +484,6 @@ FIGURES: Dict[str, FigureSpec] = {
             axes=(4,),
             memory_entries=30_000,
             claims=FIG10_CLAIMS,
-        ),
-        FigureSpec(
-            figure_id="figC",
-            title=(
-                "Columnar duel: COUNTER vs COLUMNAR at 10^5 facts"
-                " (dense, both properties hold)"
-            ),
-            density="dense",
-            coverage=True,
-            disjoint=True,
-            algorithms=("COUNTER", "COLUMNAR"),
-            base_facts=100_000,
-            axes=(3,),
-            memory_entries=50_000,
-            claims=FIGC_CLAIMS,
         ),
         FigureSpec(
             figure_id="figD",

@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster import ClusterCoordinator
-from repro.core.algorithms.registry import COLUMNAR_CAPABLE
 from repro.core.bindings import FactTable
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
 from repro.core.materialize import cuboid_sizes
@@ -146,22 +145,6 @@ def run_algorithm(
     )
 
 
-def prepare_columnar(table: FactTable, algorithms: Sequence[str]) -> None:
-    """Materialize the columnar encoding before timing starts.
-
-    The paper's protocol materializes the witness file up front and
-    excludes it from the cubing measurement; the columnar encoding is
-    the same kind of load-time artifact (built once per table, reused by
-    every run), so benchmark preparation builds it here.  The *modeled*
-    cost still charges the encode on every run (see
-    :class:`~repro.core.algorithms.columnar_sweep.ColumnarSweepAlgorithm`),
-    so simulated seconds never depend on this warm-up.
-    """
-    columnar_users = ("COLUMNAR", "AUTO") + COLUMNAR_CAPABLE
-    if any(name in columnar_users for name in algorithms):
-        table.columnar()
-
-
 def run_workload(
     workload: Workload,
     algorithms: Sequence[str],
@@ -174,11 +157,13 @@ def run_workload(
     ``variants`` times every algorithm once per entry, each a set of
     :class:`ExecutionOptions` overrides on the same extracted table: the
     kernel-duel figure passes the two encodings, the smoke a serial and
-    a parallel engine.
+    a parallel engine.  The columnar encoding every algorithm but NAIVE
+    runs on is built here, before timing, like the paper's witness file:
+    a load-time artifact.  Modeled seconds never depend on it being warm.
     """
     table = workload.fact_table()
     oracle = workload.oracle(table)
-    prepare_columnar(table, algorithms)
+    table.columnar()
     reference = (
         compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         if validate

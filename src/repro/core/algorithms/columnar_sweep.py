@@ -1,11 +1,9 @@
-"""COLUMNAR: vectorized single-pass multi-cuboid sweep over encoded columns.
+"""The counter kernel: a single-pass multi-cuboid sweep over encoded columns.
 
-The counter algorithm (Sec. 3.3) already computes every requested cuboid
-from one base scan, but it re-derives the per-axis value lists and hashes
-a *string-tuple* key per (row, point, combination).  This kernel runs the
-same combinatorial incrementing over the dictionary-encoded columns of
-:class:`~repro.core.columnar.ColumnarFactTable` and shares work across
-cuboids:
+The counter algorithm (Sec. 3.3) computes every requested cuboid from one
+base scan by combinatorial incrementing.  This kernel does that over the
+dictionary-encoded columns of :class:`~repro.core.columnar.ColumnarFactTable`
+and shares work across cuboids:
 
 - the requested lattice points are arranged in a **prefix trie** keyed by
   their per-axis states, so two points that keep axis 0 in the same state
@@ -36,22 +34,24 @@ the distinct group ids (the cell census of Sec. 3.6's space budgets).
 A leaf that reads no measure — the census, a COUNT cube — needs only
 ``gids``, so the edges of the last axis skip building ``rows``.
 
-Aggregation folds measures in base-row order — the same fold order as
-NAIVE and COUNTER — so finalized floats are **bit-identical** to the dict
-engine, which is what the differential battery asserts.
+Aggregation folds measures in base-row order — NAIVE's fold order — so
+finalized floats are **bit-identical** to it, which is what the
+differential battery asserts.
 
-Cost model: one sequential scan of the *encoded* pages (dictionary codes
-pack ~8x denser than the row form), the encode itself charged at full
-CPU rate every run, and column combines / counter updates charged at one
-op per :data:`VECTOR_LANES` rows (batched integer ops on flat buffers
-versus per-row hash probes).  Memory behaviour mirrors COUNTER: when the
-cells overflow the budget the sweep degrades to multi-pass partitioned
-execution, re-reading the encoded table per extra pass.
+Two algorithms run this kernel and differ only in their price list
+(``scan`` / ``leaf_ops`` / ``settle`` / ``rescan``).  COLUMNAR charges
+what it does: one scan of the *encoded* pages (dictionary codes pack ~8x
+denser than the row form), the encode itself at full CPU rate every run,
+and column combines / counter updates at one op per :data:`VECTOR_LANES`
+rows.  COUNTER (:mod:`~repro.core.algorithms.counter`) charges Sec.
+3.3's row-form loop.  When the cells overflow the budget, either
+degrades to multi-pass execution, one re-read of the base data per
+extra pass.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro import obs
 from repro.core.algorithms.base import (
@@ -172,89 +172,89 @@ def census(
 
 
 class ColumnarSweepAlgorithm(CubeAlgorithm):
+    """The sweep at COLUMNAR's prices; a subclass swaps the price list."""
+
     name = "COLUMNAR"
     encodings = ("columnar",)
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
     ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        encoded = context.encode()
-        n_rows = encoded.n_rows
-
-        # One sequential scan of the encoded table.
-        context.charge_encoded_scan(encoded.encoded_pages)
-        context.cost.charge_cpu(vector_lanes(n_rows))
-
+        encoded = self.scan(context)
         fn = context.table.aggregate.fn
-        sweep = _Sweep(context, encoded.measures, fn)
+        cuboids: Dict[LatticePoint, Cuboid] = {}
+        increments = cells = 0
+
+        def leaf(
+            point: LatticePoint,
+            rows: Optional[Sequence[int]],
+            gids: List[int],
+            kept: List[KeptAxis],
+        ) -> None:
+            nonlocal increments, cells
+            partials, added = fold_group_ids(fn, rows, gids, encoded.measures)
+            increments += added
+            cells += len(partials)
+            context.cost.charge_cpu(self.leaf_ops(added, len(partials)))
+            # The sweep never emits null digits (radix ==
+            # len(dictionary)), so every decoded key is a string tuple.
+            decode = make_group_decoder(kept)
+            cuboids[point] = {
+                cast(GroupKey, decode(gid)): fn.finalize(state)
+                for gid, state in partials.items()
+            }
+
         nodes = sweep_trie(
-            encoded, points, sweep.leaf, reads_measures=fn.name != "COUNT"
+            encoded, points, leaf, reads_measures=fn.name != "COUNT"
         )
-        # Every trie edge is one batched pass over the rows.
-        context.cost.charge_cpu(nodes * vector_lanes(n_rows))
-
-        total_cells = sweep.total_cells
-        passes = max(
-            1, -(-total_cells // context.budget.capacity_entries)
-        )
-        context.bump("columnar_cells", total_cells)
-        context.bump("columnar_increments", sweep.increments)
-        context.bump("columnar_nodes", nodes)
-        context.bump("columnar_passes", passes)
-        context.budget.acquire(
-            min(total_cells, context.budget.capacity_entries)
-        )
+        capacity = context.budget.capacity_entries
+        passes = max(1, -(-cells // capacity))
+        self.settle(context, encoded, nodes, increments, cells, passes)
+        context.budget.acquire(min(cells, capacity))
         for _ in range(passes - 1):
-            context.bump("columnar_scans")
-            context.cost.charge_read(encoded.encoded_pages)
-            context.cost.charge_cpu(vector_lanes(n_rows))
-            context.charge_spill(context.budget.capacity_entries)
-        obs.count("x3_columnar_rows_total", n_rows)
-        obs.count("x3_columnar_cells_total", total_cells)
-        obs.count("x3_columnar_trie_nodes_total", nodes)
-        obs.count("x3_columnar_increments_total", sweep.increments)
-        obs.count("x3_columnar_passes_total", passes)
+            self.rescan(context, encoded)
+            context.charge_spill(capacity)
         context.budget.release_all()
-        return sweep.cuboids, passes
+        return cuboids, passes
 
+    # The price list.
+    def scan(self, context: ExecutionContext) -> ColumnarFactTable:
+        """The first read of the base data: the encoded pages."""
+        encoded = context.encode()
+        context.charge_encoded_scan(encoded.encoded_pages)
+        context.cost.charge_cpu(vector_lanes(encoded.n_rows))
+        return encoded
 
-class _Sweep:
-    """One sweep's aggregating leaf and its tallies (fresh per run;
-    thread-safe by isolation)."""
+    def leaf_ops(self, increments: int, cells: int) -> int:
+        """One cuboid: batched counter updates, a scalar finalize."""
+        return vector_lanes(increments) + cells
 
-    def __init__(
+    def settle(
         self,
         context: ExecutionContext,
-        measures: Any,
-        fn: Any,
+        encoded: ColumnarFactTable,
+        nodes: int,
+        increments: int,
+        cells: int,
+        passes: int,
     ) -> None:
-        self.context = context
-        self.measures = measures
-        self.fn = fn
-        self.cuboids: Dict[LatticePoint, Cuboid] = {}
-        self.total_cells = 0
-        self.increments = 0
+        """The whole sweep: each trie edge is a batched pass."""
+        n_rows = encoded.n_rows
+        context.cost.charge_cpu(nodes * vector_lanes(n_rows))
+        context.bump("columnar_cells", cells)
+        context.bump("columnar_increments", increments)
+        context.bump("columnar_nodes", nodes)
+        context.bump("columnar_passes", passes)
+        obs.count("x3_columnar_rows_total", n_rows)
+        obs.count("x3_columnar_cells_total", cells)
+        obs.count("x3_columnar_trie_nodes_total", nodes)
+        obs.count("x3_columnar_increments_total", increments)
+        obs.count("x3_columnar_passes_total", passes)
 
-    def leaf(
-        self,
-        point: LatticePoint,
-        rows: Optional[Sequence[int]],
-        gids: List[int],
-        kept: List[KeptAxis],
+    def rescan(
+        self, context: ExecutionContext, encoded: ColumnarFactTable
     ) -> None:
-        """Aggregate one cuboid from its group-id column."""
-        fn = self.fn
-        cells, increments = fold_group_ids(fn, rows, gids, self.measures)
-        self.increments += increments
-        self.total_cells += len(cells)
-        self.context.cost.charge_cpu(vector_lanes(increments))
-        self.context.cost.charge_cpu(len(cells))  # finalize, scalar
-
-        finalize = fn.finalize
-        # The sweep never emits null digits (radix == len(dictionary)),
-        # so every decoded key is a full string tuple.
-        decode = make_group_decoder(kept)
-        self.cuboids[point] = {
-            cast(GroupKey, decode(gid)): finalize(state)
-            for gid, state in cells.items()
-        }
+        """The re-read each extra pass costs."""
+        context.bump("columnar_scans")
+        context.cost.charge_read(encoded.encoded_pages)
+        context.cost.charge_cpu(vector_lanes(encoded.n_rows))

@@ -11,61 +11,56 @@ budget, COUNTER is optimal; when they do not, it degrades to multi-pass
 partitioned execution — each extra pass re-reads the base data — which is
 the thrashing the paper observed at 6-7 axes ("at 6 axes, we had to do 2
 passes, at 7 axes we needed 5 passes").
+
+The increments run on the columnar sweep
+(:mod:`~repro.core.algorithms.columnar_sweep`: same cuboids, key order
+and floats); this module is the price list of the row-form loop ``for
+row: for point: for key`` — row-form pages, one CPU op per increment
+and per finalized cell, a row-form re-scan per extra pass.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
-from repro.core.aggregates import AggregateFunction
-from repro.core.bindings import GroupKey
+from repro.core.algorithms.base import ExecutionContext, encode
+from repro.core.algorithms.columnar_sweep import ColumnarSweepAlgorithm
+from repro.core.columnar import ColumnarFactTable
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 
 
-class CounterAlgorithm(CubeAlgorithm):
+class CounterAlgorithm(ColumnarSweepAlgorithm):
     name = "COUNTER"
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
     ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
-        table = context.table
-        fn: AggregateFunction = table.aggregate.fn
-        counters: Dict[LatticePoint, Dict[GroupKey, object]] = {
-            point: {} for point in points
-        }
+        cuboids, passes = super()._compute(context, points)
+        # One counter array per requested point, in the order asked for.
+        return {point: cuboids[point] for point in points}, passes
 
+    def scan(self, context: ExecutionContext) -> ColumnarFactTable:
         context.charge_base_scan()
-        total_cells = 0
-        for row in table.rows:
-            for point in points:
-                for key in table.key_combinations(row, point):
-                    cuboid = counters[point]
-                    context.cost.charge_cpu()
-                    if key not in cuboid:
-                        cuboid[key] = fn.new()
-                        total_cells += 1
-                    cuboid[key] = fn.add(cuboid[key], row.measure)
+        return encode(context.table)
 
-        # Memory accounting: if the counter array exceeded the budget, the
-        # work above would really have been done in multiple partitioned
-        # passes over the base data, re-reading it each time and redoing
-        # the combination work for the points of each pass.
-        passes = max(1, -(-total_cells // context.budget.capacity_entries))
-        context.bump("counter_cells", total_cells)
+    def leaf_ops(self, increments: int, cells: int) -> int:
+        return increments + cells
+
+    def settle(
+        self,
+        context: ExecutionContext,
+        encoded: ColumnarFactTable,
+        nodes: int,
+        increments: int,
+        cells: int,
+        passes: int,
+    ) -> None:
+        context.bump("counter_cells", cells)
         context.bump("counter_passes", passes)
-        context.budget.acquire(min(total_cells, context.budget.capacity_entries))
-        for _ in range(passes - 1):
-            context.charge_base_scan()
-            context.cost.charge_cpu(len(table.rows))
-            context.charge_spill(context.budget.capacity_entries)
 
-        cuboids: Dict[LatticePoint, Cuboid] = {}
-        for point, cells in counters.items():
-            cuboids[point] = {
-                key: fn.finalize(state) for key, state in cells.items()
-            }
-            context.cost.charge_cpu(len(cells))
-        context.budget.release_all()
-        return cuboids, passes
+    def rescan(
+        self, context: ExecutionContext, encoded: ColumnarFactTable
+    ) -> None:
+        context.charge_base_scan()
+        context.cost.charge_cpu(encoded.n_rows)

@@ -66,8 +66,9 @@ NEEDS_BOTH = _declaring(requires=("disjointness", "coverage"))
 #: Algorithms with both a legacy dict path and a columnar kernel, chosen
 #: by ``ExecutionOptions(encoding=...)``: ``"auto"``/``"columnar"`` run
 #: on the encoded columns, ``"dict"`` pins the legacy FactRow path (what
-#: the duels time the columnar kernels against).  COLUMNAR itself is
-#: columnar-only; NAIVE/COUNTER are dict-only and ignore the option.
+#: the duels time the columnar kernels against).  COLUMNAR and COUNTER
+#: are the columnar sweep under two price lists and NAIVE is dict-only;
+#: the three ignore the option.
 COLUMNAR_CAPABLE = _declaring(encodings=("columnar", "dict"))
 
 

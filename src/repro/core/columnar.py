@@ -52,6 +52,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -271,6 +272,17 @@ class StateView:
         return () if code < 0 else (code,)
 
 
+class StateStatistics(NamedTuple):
+    """An axis under one structural state, read off its :class:`StateView`
+    (what the cost estimator and the data oracle know of the table)."""
+
+    cardinality: int  # distinct values
+    bound_rows: int  # rows binding at least one value
+    values: int  # distinct values summed over the rows
+    disjoint: bool  # no row binds two values
+    covered: bool  # every row binds a value
+
+
 class ColumnarFactTable:
     """The columnar encoding of a :class:`FactTable`.
 
@@ -389,6 +401,22 @@ class ColumnarFactTable:
             return StateView(flat=None, per_row=tuple(per_row), missing=missing)
         return StateView(
             flat=array("q", flat_codes), per_row=None, missing=missing
+        )
+
+    def statistics(
+        self, axis_position: int, state_index: int
+    ) -> StateStatistics:
+        """The axis's statistics under one structural state."""
+        view = self.state_view(axis_position, state_index)
+        bound = self.n_rows - view.missing
+        if view.per_row is None:
+            codes = set(view.flat or ()) - {-1}
+            values = bound
+        else:
+            codes = {code for row in view.per_row for code in row}
+            values = sum(map(len, view.per_row))
+        return StateStatistics(
+            len(codes), bound, values, view.per_row is None, not view.missing
         )
 
     def null_mask(self, axis_position: int, state_index: int) -> bytes:

@@ -3,13 +3,16 @@
 Sec. 4.6 concludes that "summarizability together with cube
 characteristics determine the choice of the algorithm".  This module
 makes that determination *quantitative*: from cheap statistics of the
-fact table (fact count, per-axis cardinalities and multiplicities,
-lattice shape) it predicts each algorithm's simulated cost, so a
-planner can rank the line-up before paying for the cube.
+fact table (fact count, per-axis cardinalities, multiplicities and
+coverage, lattice shape) it predicts each algorithm's simulated cost, so
+a planner can rank the line-up before paying for the cube.  The
+statistics are read off the state views of the columnar encoding the
+kernels run on, not from a scan of the rows.
 
 The estimates model the same structure the algorithms charge:
 
-- COUNTER: one scan doing ``sum over points of combos(row)`` increments,
+- COUNTER: one row-form scan doing ``sum over points of combos(row)``
+  increments (its price list; the increments run on the columnar sweep),
   times the number of memory passes the estimated cell count forces;
 - BUC: total partition traffic ~ sum over lattice prefixes of expected
   partition sizes, collapsing with cube sparsity — priced at the
@@ -35,11 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.algorithms.base import (
-    DEFAULT_MEMORY_ENTRIES,
-    ENTRIES_PER_PAGE,
-    table_pages,
-)
+from repro.core.algorithms.base import DEFAULT_MEMORY_ENTRIES, ENTRIES_PER_PAGE
 from repro.core.bindings import FactTable
 from repro.core.columnar import COLUMNAR_ENTRIES_PER_PAGE, VECTOR_LANES
 from repro.core.lattice import LatticePoint
@@ -51,7 +50,7 @@ IO_COST = CostModel().page_io_cost
 
 @dataclass(frozen=True)
 class TableStatistics:
-    """Cheap single-pass statistics of a fact table."""
+    """Per-(axis, state) statistics of a fact table."""
 
     n_facts: int
     base_pages: int
@@ -62,33 +61,31 @@ class TableStatistics:
 
     @staticmethod
     def collect(table: FactTable) -> "TableStatistics":
-        lattice = table.lattice
+        """Read off the table's columnar encoding, one state view per
+        (axis, state)."""
+        encoded = table.columnar()
         cardinality: Dict[int, Dict[int, int]] = {}
         multiplicity: Dict[int, Dict[int, float]] = {}
         coverage: Dict[int, Dict[int, float]] = {}
-        n = max(1, len(table.rows))
-        for position, states in enumerate(lattice.axis_states):
+        n = max(1, encoded.n_rows)
+        for position, states in enumerate(table.lattice.axis_states):
             cardinality[position] = {}
             multiplicity[position] = {}
             coverage[position] = {}
             for state in range(len(states.states)):
-                values = set()
-                total_values = 0
-                bound_facts = 0
-                for row in table.rows:
-                    bound = row.values_under(position, state)
-                    values.update(bound)
-                    total_values += len(bound)
-                    if bound:
-                        bound_facts += 1
-                cardinality[position][state] = len(values)
+                stats = encoded.statistics(position, state)
+                cardinality[position][state] = stats.cardinality
                 multiplicity[position][state] = (
-                    total_values / bound_facts if bound_facts else 0.0
+                    stats.values / stats.bound_rows if stats.bound_rows else 0.0
                 )
-                coverage[position][state] = bound_facts / n
+                coverage[position][state] = stats.bound_rows / n
+        # ``table_entries``: one entry per row and per annotated value.
+        row_entries = encoded.n_rows + sum(
+            len(column.codes) for column in encoded.columns
+        )
         return TableStatistics(
-            n_facts=len(table.rows),
-            base_pages=table_pages(table),
+            n_facts=encoded.n_rows,
+            base_pages=max(1, -(-row_entries // ENTRIES_PER_PAGE)),
             cardinality=cardinality,
             avg_multiplicity=multiplicity,
             coverage_rate=coverage,

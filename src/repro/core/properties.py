@@ -91,25 +91,17 @@ class PropertyOracle:
 
     @staticmethod
     def from_data(table: FactTable) -> "PropertyOracle":
-        """Ground truth measured on the extracted fact table."""
-        lattice = table.lattice
+        """Ground truth measured on the extracted fact table (read off
+        its columnar encoding's state views)."""
+        encoded = table.columnar()
         disjoint: Dict[Tuple[int, int], bool] = {}
         covered: Dict[Tuple[int, int], bool] = {}
-        for position, states in enumerate(lattice.axis_states):
+        for position, states in enumerate(table.lattice.axis_states):
             for state in range(len(states.states)):
-                multi = False
-                missing = False
-                for row in table.rows:
-                    values = row.values_under(position, state)
-                    if len(values) > 1:
-                        multi = True
-                    if not values:
-                        missing = True
-                    if multi and missing:
-                        break
-                disjoint[(position, state)] = not multi
-                covered[(position, state)] = not missing
-        return PropertyOracle(lattice, disjoint, covered)
+                stats = encoded.statistics(position, state)
+                disjoint[(position, state)] = stats.disjoint
+                covered[(position, state)] = stats.covered
+        return PropertyOracle(table.lattice, disjoint, covered)
 
     # ------------------------------------------------------------------
     # point-level queries

@@ -17,7 +17,9 @@ Layering, outermost first:
 Error taxonomy mapping (the 1:1 contract the errors module documents):
 :class:`InvalidQuery` -> 400, unauthenticated -> 401,
 :class:`UnknownCube` -> 404, :class:`StaleVersion` -> 409,
-:class:`Overloaded` -> 429 (with ``Retry-After``).
+:class:`Overloaded` -> 429 (with ``Retry-After``).  The socket
+transport adds 413 ``payload_too_large`` for a body over
+:data:`MAX_BODY_BYTES`.
 
 Admission control is a bounded concurrent-request budget
 (:class:`AdmissionController`): the transport layer admits a request
@@ -60,6 +62,10 @@ from repro.obs.trace_store import TraceStore
 from repro.server.model import BoundCube, CubeCatalog
 
 API_PREFIX = "/api/v1"
+
+#: Largest request body the socket transport reads (1 MiB): a larger
+#: declared ``Content-Length`` is refused with 413, its body unread.
+MAX_BODY_BYTES = 1 << 20
 
 #: Route operation -> the Query kind it forces.
 QUERY_OPS = {
@@ -710,22 +716,32 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self) -> None:
         declared = (self.headers.get("Content-Length") or "0").strip()
-        if declared.isascii() and declared.isdigit():
-            length = int(declared)
-            body = self.rfile.read(length) if length else None
-            response = self.server.api.handle(
-                self.command, self.path, body, dict(self.headers.items())
-            )
-        else:
-            # Where the body ends is unknown, so nothing more can be
-            # read off this connection: answer and hang up (sending
-            # ``Connection: close`` makes the handler do so).
+        well_formed = declared.isascii() and declared.isdigit()
+        # A refused body is left unread, so nothing more can be read off
+        # this connection: answer and hang up (sending ``Connection:
+        # close`` makes the handler do so).
+        hang_up = (("Connection", "close"),)
+        if not well_formed:
             response = ApiResponse.error(
                 400,
                 "invalid_query",
                 f"Content-Length must be a non-negative integer, got "
                 f"{declared!r}",
-                headers=(("Connection", "close"),),
+                headers=hang_up,
+            )
+        elif int(declared) > MAX_BODY_BYTES:
+            response = ApiResponse.error(
+                413,
+                "payload_too_large",
+                f"request body of {declared} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                headers=hang_up,
+            )
+        else:
+            length = int(declared)
+            body = self.rfile.read(length) if length else None
+            response = self.server.api.handle(
+                self.command, self.path, body, dict(self.headers.items())
             )
         encoded = response.body.encode("utf-8")
         self.send_response(response.status)

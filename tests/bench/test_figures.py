@@ -6,8 +6,7 @@ from repro.bench.figures import FIGURES, Sweep, run_figure
 class TestSpecs:
     def test_all_figures_defined(self):
         assert set(FIGURES) == {
-            "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-            "figC", "figD",
+            "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "figD",
         }
 
     def test_settings_match_paper(self):
@@ -35,13 +34,6 @@ class TestSpecs:
 
     def test_dblp_single_config(self):
         assert len(FIGURES["fig10"].configs()) == 1
-
-    def test_columnar_duel_figure(self):
-        spec = FIGURES["figC"]
-        assert spec.algorithms == ("COUNTER", "COLUMNAR")
-        assert spec.base_facts == 100_000
-        assert spec.axes == (3,)
-        assert spec.coverage and spec.disjoint
 
     def test_buc_td_duel_figure(self):
         spec = FIGURES["figD"]

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.algorithms.base import table_pages
+from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.estimate import CostEstimator, TableStatistics
+from repro.datagen.publications import query1
+from repro.datagen.workload import WorkloadConfig, build_workload
 from tests.conftest import small_workload
+from tests.core.test_columnar_differential import E2E_SHAPED
 
 
 def prepared(**overrides):
@@ -24,11 +29,51 @@ class TestStatistics:
         assert stats.cardinality[0][0] == 3  # John, Jane, Anna
 
     def test_empty_table(self):
-        from repro.core.bindings import FactTable
-        from repro.datagen.publications import query1
-
         stats = TableStatistics.collect(FactTable(query1().lattice(), []))
         assert stats.n_facts == 0
+
+    @pytest.mark.parametrize("shape", ["figure1", "empty", *sorted(E2E_SHAPED)])
+    def test_encoding_read_equals_a_row_scan(self, fig1_table, shape):
+        """``collect`` reads the columnar state views; a scan of
+        ``FactRow.values_under`` gives the same numbers, floats to the
+        bit."""
+        if shape == "figure1":
+            table = fig1_table
+        elif shape == "empty":
+            table = FactTable(query1().lattice(), [])
+        else:
+            table = build_workload(
+                WorkloadConfig(kind="treebank", seed=17, **E2E_SHAPED[shape][0])
+            ).fact_table()
+        assert TableStatistics.collect(table) == row_statistics(table)
+
+
+def row_statistics(table):
+    """``TableStatistics`` recomputed from the rows, one scan per (axis,
+    state)."""
+    n = max(1, len(table.rows))
+    cardinality, multiplicity, coverage = {}, {}, {}
+    for position, states in enumerate(table.lattice.axis_states):
+        cardinality[position] = {}
+        multiplicity[position] = {}
+        coverage[position] = {}
+        for state in range(len(states.states)):
+            bound = [row.values_under(position, state) for row in table.rows]
+            bound_rows = sum(1 for values in bound if values)
+            cardinality[position][state] = table.axis_cardinality(
+                position, state
+            )
+            multiplicity[position][state] = (
+                sum(map(len, bound)) / bound_rows if bound_rows else 0.0
+            )
+            coverage[position][state] = bound_rows / n
+    return TableStatistics(
+        n_facts=len(table.rows),
+        base_pages=table_pages(table),
+        cardinality=cardinality,
+        avg_multiplicity=multiplicity,
+        coverage_rate=coverage,
+    )
 
 
 class TestExpectations:

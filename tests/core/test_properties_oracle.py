@@ -65,6 +65,24 @@ class TestDataOracle:
                 point
             )
 
+    def test_coverage_matches_observed_on_every_edge(self):
+        """A covered point is one every fact reaches: exactly
+        ``observed_coverage`` down to the most relaxed point, and enough
+        for total coverage on every lattice edge out of it."""
+        table = fig1_table()
+        oracle = PropertyOracle.from_data(table)
+        lattice = table.lattice
+        edges = 0
+        for finer in lattice.points():
+            assert oracle.covered(finer) == table.observed_coverage(
+                finer, lattice.bottom
+            )
+            for coarser in lattice.successors(finer):
+                edges += 1
+                if oracle.covered(finer):
+                    assert table.observed_coverage(finer, coarser)
+        assert edges and not oracle.globally_covered()
+
 
 class TestSchemaOracle:
     def test_dblp_matches_data(self):

@@ -19,6 +19,7 @@ from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import split_rows
 from repro.serve import CubeServer
 from repro.server import CubeCatalog, LogicalCube, X3Api, X3HttpServer
+from repro.server.http import MAX_BODY_BYTES
 from repro.testing import small_workload
 
 READERS = 3
@@ -147,7 +148,35 @@ class TestHostileContentLength:
         assert error["kind"] == "invalid_query"
         assert "Content-Length" in error["message"]
         assert length in error["message"]
-        # ... and the next connection is served as if nothing happened
+        self.assert_next_connection_is_served(front)
+
+    def test_oversized_body_is_a_typed_413_without_reading_it(self, stack):
+        """A declared length over the cap is refused before any body is
+        read: the request below sends no body at all, so a server that
+        tried to read it would block instead of answering."""
+        front, *_ = stack
+        declared = MAX_BODY_BYTES + 1
+        head, body = self.raw_exchange(
+            front,
+            (
+                "POST /api/v1/cubes/cube/aggregate HTTP/1.1\r\n"
+                "Host: x3\r\n"
+                f"Content-Length: {declared}\r\n"
+                "\r\n"
+            ).encode("ascii"),
+        )
+        status_line, *header_lines = head.split("\r\n")
+        assert status_line.split()[1] == "413"
+        assert "connection: close" in [
+            line.lower() for line in header_lines
+        ]
+        error = json.loads(body.decode())["error"]
+        assert error["kind"] == "payload_too_large"
+        assert str(declared) in error["message"]
+        self.assert_next_connection_is_served(front)
+
+    @staticmethod
+    def assert_next_connection_is_served(front):
         status, decoded = http_post(
             front.host,
             front.port,
