@@ -11,6 +11,7 @@ table's entry footprint; operator memory beyond the budget spills through
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -72,7 +73,6 @@ class ExecutionContext:
         self.oracle = oracle or PropertyOracle.from_flags(
             table.lattice, False, False
         )
-        self._base_pages = table_pages(table)
         # Per-run phase counters (base scans, partitions, roll-ups, ...).
         # Plain dict bumps at coarse points — always on, flushed into the
         # observability registry after the run when tracing is active.
@@ -109,7 +109,7 @@ class ExecutionContext:
     def charge_base_scan(self) -> None:
         """One sequential pass over the materialized fact table."""
         self.bump("base_scans")
-        self.cost.charge_read(self._base_pages)
+        self.cost.charge_read(self.base_pages)
         self.cost.charge_cpu(len(self.table.rows))
 
     def charge_spill(self, entries: int) -> None:
@@ -118,9 +118,11 @@ class ExecutionContext:
         self.cost.charge_write(pages)
         self.cost.charge_read(pages)
 
-    @property
+    @cached_property
     def base_pages(self) -> int:
-        return self._base_pages
+        """Row-form pages of the table, counted on first use: a pass over
+        every row that a kernel reading only the encoding never pays."""
+        return table_pages(self.table)
 
 
 class CubeAlgorithm:

@@ -25,8 +25,9 @@ and shares work across cuboids:
   (entry ``k`` is row ``k``) and the dense single-valued path reads the
   views and the measure column directly;
 - at a leaf, integer group ids index a counter dict (COUNT and SUM use
-  C-speed fast paths); ids decode back to string group keys with the
-  reversed mixed-radix divmod.
+  C-speed fast paths); the ids decode back to string group keys one
+  kept axis at a time (:func:`~repro.core.columnar.decode_group_ids`:
+  a list comprehension of mixed-radix digits per axis, zipped).
 
 The trie walk (:func:`sweep_trie`) takes its leaf as an argument:
 the algorithm's leaf aggregates a cuboid, :func:`census`'s only counts
@@ -51,7 +52,7 @@ extra pass.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.algorithms.base import (
@@ -59,15 +60,15 @@ from repro.core.algorithms.base import (
     ExecutionContext,
     encode,
 )
-from repro.core.bindings import FactTable, GroupKey
+from repro.core.bindings import FactTable
 from repro.core.columnar import (
     VECTOR_LANES,
     ColumnarFactTable,
     KeptAxis,
     count_group_ids,
+    decode_group_ids,
     extend_group_ids,
     fold_group_ids,
-    make_group_decoder,
     vector_lanes,
 )
 from repro.core.groupby import Cuboid
@@ -198,11 +199,10 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
             context.cost.charge_cpu(self.leaf_ops(added, len(partials)))
             # The sweep never emits null digits (radix ==
             # len(dictionary)), so every decoded key is a string tuple.
-            decode = make_group_decoder(kept)
-            cuboids[point] = {
-                cast(GroupKey, decode(gid)): fn.finalize(state)
-                for gid, state in partials.items()
-            }
+            keys = decode_group_ids(kept, partials.keys())
+            cuboids[point] = dict(
+                zip(keys, map(fn.finalize, partials.values()))
+            )
 
         nodes = sweep_trie(
             encoded, points, leaf, reads_measures=fn.name != "COUNT"

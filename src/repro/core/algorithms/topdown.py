@@ -74,9 +74,9 @@ from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
 from repro.core.bindings import FactRow, FactTable, GroupKey
 from repro.core.columnar import (
     ColumnarFactTable,
+    decode_group_ids,
     extend_group_ids,
     fold_group_ids,
-    make_group_decoder,
     vector_lanes,
 )
 from repro.core.groupby import Cuboid, augmented_keys, strip_null_groups
@@ -403,17 +403,19 @@ class _ColumnarKernel:
 
     def report(self, built: _Encoded) -> Cuboid:
         """Finalize into reporting form; a group whose decoded key holds
-        a null digit is dropped (``strip_null_groups`` on integer ids)."""
-        decode = make_group_decoder(
-            [(dictionary, radix) for _, dictionary, radix in built.axes]
+        a null digit (``None``) is dropped, as ``strip_null_groups``
+        does."""
+        keys = decode_group_ids(
+            [(dictionary, radix) for _, dictionary, radix in built.axes],
+            built.cells.keys(),
         )
-        finalize, strip = self.fn.finalize, self.variant.augmented
-        out: Cuboid = {}
-        for gid, state in built.cells.items():
-            key = decode(gid)
-            if strip and any(part is None for part in key):
-                continue
-            out[key] = finalize(state)
+        finalize = self.fn.finalize
+        cells = zip(keys, built.cells.values())
+        out: Cuboid = (
+            {key: finalize(state) for key, state in cells if None not in key}
+            if self.variant.augmented
+            else {key: finalize(state) for key, state in cells}
+        )
         self.context.cost.charge_cpu(len(built))
         return out
 

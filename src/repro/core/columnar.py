@@ -46,9 +46,10 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Any,
-    Callable,
+    Collection,
     Dict,
     Iterable,
     List,
@@ -166,13 +167,15 @@ def fold_group_ids(
     as NAIVE — so finalized floats are bit-identical to the dict engine.
     COUNT (which never reads ``rows``) and SUM take C-speed fast paths
     whose results equal the generic fold exactly (integer counts;
-    left-to-right float addition from ``fn.new()``).
+    left-to-right float addition from ``fn.new()``).  COUNT's cells are
+    the :class:`~collections.Counter` itself (a ``dict``, first-seen
+    order).
 
     Returns ``(cells, increments)``; the cell values are mergeable
     partial states (``fn.finalize`` pending).
     """
     if fn.name == "COUNT":
-        return dict(Counter(gids)), len(gids)
+        return Counter(gids), len(gids)
     values: Iterable[float] = (
         measures if rows is None else map(measures.__getitem__, rows)
     )
@@ -196,28 +199,33 @@ def count_group_ids(gids: List[int]) -> int:
     return len(set(gids))
 
 
-def make_group_decoder(
-    kept: Sequence[KeptAxis],
-) -> Callable[[int], DecodedKey]:
-    """Group-id -> group key, via reversed mixed-radix divmod.
+def decode_group_ids(
+    kept: Sequence[KeptAxis], gids: Collection[int]
+) -> List[DecodedKey]:
+    """Group ids -> group keys, in ``gids`` order, decoded by column.
 
-    A digit beyond the dictionary (the augmented-key null slot) decodes
-    to ``None``, matching :func:`repro.core.groupby.augmented_keys`.
+    The mixed-radix digit of a kept axis is ``gid // scale % radix``,
+    ``scale`` being the product of the radices after it.  Each axis is
+    one list comprehension over all of ``gids`` (least significant axis
+    first, where ``scale == 1``); the columns zip into key tuples.  The
+    dictionary is padded with ``None`` up to ``radix``, so the
+    augmented-key null slot decodes to ``None``, matching
+    :func:`repro.core.groupby.augmented_keys`.
     """
-    reversed_kept = list(reversed(kept))
-
-    def decode(gid: int) -> DecodedKey:
-        parts: List[Optional[str]] = []
-        remaining = gid
-        for dictionary, radix in reversed_kept:
-            remaining, code = divmod(remaining, radix)
-            parts.append(
-                dictionary[code] if code < len(dictionary) else None
-            )
-        parts.reverse()
-        return tuple(parts)
-
-    return decode
+    if not kept:
+        return [()] * len(gids)
+    columns: List[List[Optional[str]]] = []
+    scale = 1
+    for dictionary, radix in reversed(kept):
+        names: List[Optional[str]] = list(dictionary)
+        names += [None] * (radix - len(dictionary))
+        if scale == 1:
+            columns.append([names[g % radix] for g in gids])
+        else:
+            columns.append([names[g // scale % radix] for g in gids])
+        scale *= radix
+    columns.reverse()
+    return list(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -246,6 +254,12 @@ class AxisColumn:
     def radix(self) -> int:
         """Dictionary size, floored at 1 so mixed-radix math stays sane."""
         return max(1, len(self.dictionary))
+
+    @cached_property
+    def single_valued(self) -> bool:
+        """Does every row hold exactly one annotated value (offsets
+        ``0..n``)?  Then ``codes`` and ``masks`` are one entry per row."""
+        return self.offsets == array("q", range(len(self.offsets)))
 
 
 @dataclass(frozen=True)
@@ -373,9 +387,15 @@ class ColumnarFactTable:
     def _build_view(self, axis_position: int, state_index: int) -> StateView:
         column = self.columns[axis_position]
         bit = 1 << state_index
-        offsets = column.offsets
         codes = column.codes
         masks = column.masks
+        if column.single_valued:
+            # A row's one value is its union mask: one comprehension.
+            flat = array(
+                "q", [c if m & bit else -1 for c, m in zip(codes, masks)]
+            )
+            return StateView(flat=flat, per_row=None, missing=flat.count(-1))
+        offsets = column.offsets
         unions = column.union_masks
         flat_codes: List[int] = []
         per_row: List[Tuple[int, ...]] = []

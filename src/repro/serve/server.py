@@ -678,8 +678,9 @@ class CubeServer(CubeBackend):
                 self._snapshot_table()[1], self._engine_options(points)
             )
         share = result.cost.simulated_seconds / max(1, len(points))
+        # The result is this call's own: the views take its fresh cuboids.
         for view_point in points:
-            self._views[view_point] = dict(result.cuboids[view_point])
+            self._views[view_point] = result.cuboids[view_point]
             self._measured_cost.setdefault(view_point, share)
 
     def sizes(self) -> Dict[LatticePoint, int]:
@@ -765,12 +766,11 @@ class CubeServer(CubeBackend):
         with self._lock:
             if self._version != version:
                 return []  # a write overtook the warmup; stay cold
+            # The result is this call's own: the cache takes its cuboids.
             for point in chosen:
                 self._measured_cost.setdefault(point, share)
                 if self.cache.put(
-                    point,
-                    dict(result.cuboids[point]),
-                    self._measured_cost[point],
+                    point, result.cuboids[point], self._measured_cost[point]
                 ):
                     warmed.append(point)
         return warmed

@@ -18,8 +18,9 @@ Error taxonomy mapping (the 1:1 contract the errors module documents):
 :class:`InvalidQuery` -> 400, unauthenticated -> 401,
 :class:`UnknownCube` -> 404, :class:`StaleVersion` -> 409,
 :class:`Overloaded` -> 429 (with ``Retry-After``).  The socket
-transport adds 413 ``payload_too_large`` for a body over
-:data:`MAX_BODY_BYTES`.
+transport adds 408 ``request_timeout`` for a body that does not arrive
+within :data:`BODY_READ_TIMEOUT_S` and 413 ``payload_too_large`` for a
+body over :data:`MAX_BODY_BYTES`.
 
 Admission control is a bounded concurrent-request budget
 (:class:`AdmissionController`): the transport layer admits a request
@@ -32,7 +33,9 @@ tail latency bounded under overload.
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -40,6 +43,7 @@ from typing import (
     Any,
     Dict,
     Iterator,
+    List,
     Mapping,
     Optional,
     Set,
@@ -66,6 +70,12 @@ API_PREFIX = "/api/v1"
 #: Largest request body the socket transport reads (1 MiB): a larger
 #: declared ``Content-Length`` is refused with 413, its body unread.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a request body has to arrive in full once its headers have:
+#: a slower body is answered with 408 and the connection closed.  Only
+#: the body read is bounded; a keep-alive connection idles between
+#: requests for as long as its client likes.
+BODY_READ_TIMEOUT_S = 10.0
 
 #: Route operation -> the Query kind it forces.
 QUERY_OPS = {
@@ -738,11 +748,20 @@ class _Handler(BaseHTTPRequestHandler):
                 headers=hang_up,
             )
         else:
-            length = int(declared)
-            body = self.rfile.read(length) if length else None
-            response = self.server.api.handle(
-                self.command, self.path, body, dict(self.headers.items())
-            )
+            try:
+                body = self._read_body(int(declared))
+            except socket.timeout:
+                response = ApiResponse.error(
+                    408,
+                    "request_timeout",
+                    f"request body of {declared} bytes did not arrive "
+                    f"within {BODY_READ_TIMEOUT_S:g} s",
+                    headers=hang_up,
+                )
+            else:
+                response = self.server.api.handle(
+                    self.command, self.path, body, dict(self.headers.items())
+                )
         encoded = response.body.encode("utf-8")
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
@@ -751,6 +770,31 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(encoded)
+
+    def _read_body(self, length: int) -> Optional[bytes]:
+        """The ``length``-byte body, all of it read within
+        :data:`BODY_READ_TIMEOUT_S` or ``socket.timeout``.  The deadline
+        covers the whole body, so a client dripping bytes cannot stretch
+        it; a body cut short by the client hanging up is returned as far
+        as it came.  The connection is blocking again afterwards."""
+        if not length:
+            return None
+        deadline = time.monotonic() + BODY_READ_TIMEOUT_S
+        chunks: List[bytes] = []
+        try:
+            while length:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise socket.timeout("request body deadline passed")
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(length)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                length -= len(chunk)
+        finally:
+            self.connection.settimeout(None)
+        return b"".join(chunks)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
         self._dispatch()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from benchmarks.pairs import Comparison, Run, quartiles, refusal, report
+from benchmarks.pairs import Comparison, Run, main, quartiles, refusal, report
 
 INFO = {
     "plan_digest": "a8fbb343206a5c8b",
@@ -185,6 +185,59 @@ class TestReport:
         lines = report("w", pairs)
         assert lines[0].startswith("pair 2 REFUSED: plan_digest differs")
         assert "| w | 2 | 0.200 / 0.200 | 0.100 / 0.100 | 2/2 |" in lines[-2]
+
+    def test_several_workloads_one_row_each(self, tmp_path, capsys):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        for checkout in (parent, change):
+            checkout.mkdir()
+        (parent / "BENCHMARK.json").write_text('{"run_seconds": 30}')
+        setup = {"api_hot": (0.068, 0.057), "xml_to_cube": (0.066, 0.066)}
+        calls = []
+
+        def fake_run(checkout, workload, seed, seconds):
+            calls.append((checkout.name, workload, seed, seconds))
+            value = setup[workload][checkout == change]
+            return Run.from_stdout(stdout(value, rss=72.2))
+
+        status = main(
+            [
+                "--parent", str(parent), "--change", str(change),
+                "--workload", "api_hot", "--workload", "xml_to_cube",
+                "--seed", "5", "--pairs", "2",
+            ],
+            run=fake_run,
+        )
+        assert status == 0
+        # Workload by workload, the first side alternating within each.
+        assert calls == [
+            ("parent", "api_hot", 5, 30.0), ("change", "api_hot", 5, 30.0),
+            ("change", "api_hot", 5, 30.0), ("parent", "api_hot", 5, 30.0),
+            ("parent", "xml_to_cube", 5, 30.0),
+            ("change", "xml_to_cube", 5, 30.0),
+            ("change", "xml_to_cube", 5, 30.0),
+            ("parent", "xml_to_cube", 5, 30.0),
+        ]
+        printed = capsys.readouterr().out.splitlines()
+        rows = [
+            "| `api_hot`, `--seed 5` | 2 | 0.068 / 0.068 | 0.057 / 0.057 |"
+            " 2/2 | −16.2 % | 72.2 → 72.2 |",
+            "| `xml_to_cube`, `--seed 5` | 2 | 0.066 / 0.066 | 0.066 / 0.066 |"
+            " 0/2 | +0.0 % | 72.2 → 72.2 |",
+        ]
+        # Each row under its own workload's report, then the table.
+        assert [line for line in printed if line.startswith("| ")] == rows * 2
+        assert printed[-3:] == ["EXPERIMENTS.md rows:"] + rows
+
+    def test_a_refused_pair_in_any_workload_fails_the_run(self, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 30}')
+
+        def fake_run(checkout, workload, seed, seconds):
+            return Run.from_stdout(stdout(0.1, correct=workload != "bad"))
+
+        args = ["--parent", str(tmp_path), "--change", str(tmp_path),
+                "--workload", "good", "--pairs", "1"]
+        assert main(args, run=fake_run) == 0
+        assert main(args + ["--workload", "bad"], run=fake_run) == 1
 
     def test_nothing_to_report_when_every_pair_is_refused(self):
         pairs = [

@@ -31,7 +31,7 @@ import pytest
 
 from repro.core.algorithms.base import ExecutionContext
 from repro.core.algorithms.topdown import _columnar_build, _rollup_columnar
-from repro.core.columnar import make_group_decoder
+from repro.core.columnar import decode_group_ids
 from repro.core.extract import extract_fact_table
 from repro.datagen.publications import figure1_document, query1
 
@@ -84,21 +84,11 @@ def td_group_id_snapshot(table):
         context, encoded, lattice.top, fn,
         augmented=True, identity_ops=1,
     )
-    decode = make_group_decoder(
-        [(dictionary, radix) for _, dictionary, radix in axes]
-    )
     snapshot = {
         "detailed": {
             "point": lattice.describe(lattice.top),
             "radices": [radix for _, _, radix in axes],
-            "cells": [
-                {
-                    "gid": gid,
-                    "key": list(decode(gid)),
-                    "value": fn.finalize(state),
-                }
-                for gid, state in sorted(cells.items())
-            ],
+            "cells": gid_cells(cells, axes, fn),
         },
         "rollups": [],
     }
@@ -113,23 +103,25 @@ def td_group_id_snapshot(table):
             rolled, rolled_axes = _rollup_columnar(
                 context, cells, axes, point, lattice, fn
             )
-            decode_point = make_group_decoder(
-                [(dictionary, radix) for _, dictionary, radix in rolled_axes]
-            )
             snapshot["rollups"].append(
                 {
                     "point": lattice.describe(point),
-                    "cells": [
-                        {
-                            "gid": gid,
-                            "key": list(decode_point(gid)),
-                            "value": fn.finalize(state),
-                        }
-                        for gid, state in sorted(rolled.items())
-                    ],
+                    "cells": gid_cells(rolled, rolled_axes, fn),
                 }
             )
     return snapshot
+
+
+def gid_cells(cells, axes, fn):
+    """An encoded cuboid's cells in gid order, each key decoded."""
+    gids = sorted(cells)
+    keys = decode_group_ids(
+        [(dictionary, radix) for _, dictionary, radix in axes], gids
+    )
+    return [
+        {"gid": gid, "key": list(key), "value": fn.finalize(cells[gid])}
+        for gid, key in zip(gids, keys)
+    ]
 
 
 def build_snapshot():

@@ -17,10 +17,14 @@ from repro.core.columnar import (
     extend_group_ids,
     fold_group_ids,
 )
+from repro.core.extract import extract_fact_table
 from repro.core.incremental import ingest_rows, retract_rows
 from repro.core.lattice import CubeLattice
+from repro.datagen.publications import figure1_document, query1
+from repro.datagen.workload import WorkloadConfig, build_workload
 from repro.patterns.relaxation import Relaxation
 from repro.testing import messy_workload, small_workload
+from tests.core.test_columnar_differential import E2E_SHAPED
 
 
 def two_axis_table(rows):
@@ -162,6 +166,86 @@ class TestEncoding:
         assert stats["encoded_pages"] == max(
             1, -(-encoded.encoded_entries // COLUMNAR_ENTRIES_PER_PAGE)
         )
+
+
+def row_loop_view(table, encoded, position, state):
+    """``(flat, per_row, missing)`` of one state view, read row by row
+    off the :class:`FactRow`s: ``flat`` when no row binds two values."""
+    code_of = {
+        value: code
+        for code, value in enumerate(encoded.columns[position].dictionary)
+    }
+    per_row = tuple(
+        tuple(code_of[value] for value in row.values_under(position, state))
+        for row in table.rows
+    )
+    missing = sum(1 for codes in per_row if not codes)
+    if any(len(codes) > 1 for codes in per_row):
+        return None, per_row, missing
+    return [codes[0] if codes else -1 for codes in per_row], None, missing
+
+
+def e2e_shaped_table(shape):
+    config, _ = E2E_SHAPED[shape]
+    return build_workload(
+        WorkloadConfig(kind="treebank", seed=17, **config)
+    ).fact_table()
+
+
+def single_valued_with_a_gap():
+    """Every row binds exactly one ``$a`` value; rows 1 and 3 bind it
+    under PC-AD only, so the rigid state has a coverage gap."""
+    return two_axis_table(
+        [
+            make_row(0, [AnnotatedValue("x", 0b11)], [AnnotatedValue("p", 1)]),
+            make_row(1, [AnnotatedValue("y", 0b10)], [AnnotatedValue("p", 1)]),
+            make_row(2, [AnnotatedValue("y", 0b11)], [AnnotatedValue("q", 1)]),
+            make_row(3, [AnnotatedValue("x", 0b10)], [AnnotatedValue("q", 1)]),
+        ]
+    )
+
+
+VIEW_TABLES = {
+    "figure1": lambda: extract_fact_table(figure1_document(), query1()),
+    "xml_to_cube": lambda: e2e_shaped_table("xml_to_cube"),
+    "api_hot": lambda: e2e_shaped_table("api_hot"),
+    "cluster_scatter": lambda: e2e_shaped_table("cluster_scatter"),
+    "single_valued_gap": single_valued_with_a_gap,
+    "empty": lambda: two_axis_table([]),
+}
+
+
+class TestStateViewsEqualTheRowLoop:
+    @pytest.mark.parametrize("name", sorted(VIEW_TABLES))
+    def test_every_axis_and_state(self, name):
+        table = VIEW_TABLES[name]()
+        encoded = ColumnarFactTable.from_table(table)
+        for position, states in enumerate(table.lattice.axis_states):
+            for state in range(len(states.states)):
+                view = encoded.state_view(position, state)
+                flat = None if view.flat is None else list(view.flat)
+                assert (flat, view.per_row, view.missing) == row_loop_view(
+                    table, encoded, position, state
+                ), (position, states.describe(state))
+
+    def test_the_gap_case_takes_the_single_valued_path(self):
+        encoded = single_valued_with_a_gap().columnar()
+        assert encoded.columns[0].single_valued
+        view = encoded.state_view(0, 0)
+        assert list(view.flat) == [0, -1, 1, -1] and view.missing == 2
+        assert encoded.state_view(0, 1).missing == 0
+
+    def test_single_valued_is_offsets_zero_to_n(self):
+        assert two_axis_table([]).columnar().columns[0].single_valued
+        multi = two_axis_table(
+            [
+                make_row(0, [AnnotatedValue("x", 0b11)], [AnnotatedValue("p", 1)]),
+                make_row(1, [], [AnnotatedValue("q", 1)]),
+            ]
+        ).columnar()
+        # Axis $a has a row with no value: offsets 0, 1, 1.
+        assert not multi.columns[0].single_valued
+        assert multi.columns[1].single_valued
 
 
 class TestSemanticsParity:

@@ -9,6 +9,7 @@ rows *at the version the response reports* — the serving contract of
 
 import http.client
 import json
+import select
 import socket
 import threading
 
@@ -19,6 +20,7 @@ from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import split_rows
 from repro.serve import CubeServer
 from repro.server import CubeCatalog, LogicalCube, X3Api, X3HttpServer
+from repro.server import http as http_module
 from repro.server.http import MAX_BODY_BYTES
 from repro.testing import small_workload
 
@@ -108,6 +110,19 @@ class TestSocketBasics:
         assert decoded["error"]["kind"] == "unknown_cube"
 
 
+def read_to_hang_up(connection):
+    """(head, body) of the one response the server sends before it must
+    hang up: read to EOF."""
+    chunks = []
+    while True:
+        chunk = connection.recv(65536)
+        if not chunk:
+            break
+        chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return head.decode("latin-1"), body
+
+
 class TestHostileContentLength:
     @staticmethod
     def raw_exchange(front, request):
@@ -115,14 +130,7 @@ class TestHostileContentLength:
             (front.host, front.port), timeout=10
         ) as connection:
             connection.sendall(request)
-            chunks = []
-            while True:  # the server must hang up: read to EOF
-                chunk = connection.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
-        return head.decode("latin-1"), body
+            return read_to_hang_up(connection)
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_rejected_with_a_typed_400_and_the_server_survives(
@@ -184,6 +192,90 @@ class TestHostileContentLength:
             {"point": "$m1:rigid, $m2:rigid, $m3:rigid"},
         )
         assert status == 200, decoded
+
+
+AGGREGATE_BODY = json.dumps(
+    {"point": "$m1:rigid, $m2:rigid, $m3:rigid"}
+).encode("ascii")
+
+
+def aggregate_head(length):
+    return (
+        "POST /api/v1/cubes/cube/aggregate HTTP/1.1\r\n"
+        "Host: x3\r\n"
+        f"Content-Length: {length}\r\n"
+        "\r\n"
+    ).encode("ascii")
+
+
+class TestSlowBody:
+    """A body that does not arrive within ``BODY_READ_TIMEOUT_S`` is a
+    typed 408 and a hang-up; an idle keep-alive connection is not."""
+
+    TIMEOUT_S = 0.2
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(http_module, "BODY_READ_TIMEOUT_S", self.TIMEOUT_S)
+
+    def assert_timed_out(self, head, body):
+        status_line, *header_lines = head.split("\r\n")
+        assert status_line.split()[1] == "408"
+        assert "connection: close" in [line.lower() for line in header_lines]
+        error = json.loads(body.decode())["error"]
+        assert error["kind"] == "request_timeout"
+        assert "100 bytes" in error["message"]
+
+    def test_a_short_body_is_a_typed_408(self, stack):
+        front, *_ = stack
+        head, body = TestHostileContentLength.raw_exchange(
+            front, aggregate_head(100) + b"{" * 10
+        )
+        self.assert_timed_out(head, body)
+        TestHostileContentLength.assert_next_connection_is_served(front)
+
+    def test_the_deadline_covers_the_whole_body(self, stack):
+        """A byte every half timeout never lets one read wait the timeout
+        out, yet the body as a whole misses its deadline: the 408 comes
+        while the bytes are still dripping in."""
+        front, *_ = stack
+        with socket.create_connection(
+            (front.host, front.port), timeout=10
+        ) as connection:
+            connection.sendall(aggregate_head(100))
+            answered_while_dripping = False
+            for _ in range(10):
+                readable, _, _ = select.select(
+                    [connection], [], [], self.TIMEOUT_S / 2
+                )
+                if readable:
+                    answered_while_dripping = True
+                    break
+                connection.sendall(b" ")
+            head, body = read_to_hang_up(connection)
+        assert answered_while_dripping
+        self.assert_timed_out(head, body)
+
+    def test_an_idle_keep_alive_connection_is_still_served(self, stack):
+        front, *_ = stack
+        connection = http.client.HTTPConnection(
+            front.host, front.port, timeout=10
+        )
+        sockets = []
+        try:
+            for _ in range(2):
+                connection.request(
+                    "POST", "/api/v1/cubes/cube/aggregate", body=AGGREGATE_BODY
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                sockets.append(connection.sock)
+                threading.Event().wait(3 * self.TIMEOUT_S)
+        finally:
+            connection.close()
+        # Both requests went over the one connection.
+        assert sockets[0] is not None and sockets[0] is sockets[1]
 
 
 class TestConcurrentBitIdentity:
