@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Electronic-catalog analytics with cost-based algorithm planning.
+"""Electronic-catalog analytics with advisor-driven algorithm planning.
 
 The intro's third motivating domain: heterogeneous vendor catalog feeds.
 This example shows the planner path a downstream system would use:
 
-1. collect cheap statistics of the extracted fact table;
-2. let the analytic cost estimator rank the algorithm line-up;
-3. run the predicted winner, then verify the prediction against the
-   actual simulated costs;
+1. let the Sec. 4.6 advisor pick an algorithm from the table's
+   statistics and the data's summarizability verdicts;
+2. run the whole line-up and set the pick against the actual simulated
+   costs;
+3. answer a business question from the cube;
 4. export the cube as an XML document and read it back.
 
 Run:  python examples/catalog_planner.py
 """
 
+from repro.core.advisor import estimate_cells, recommend_for_table
 from repro.core.cube import ExecutionOptions, compute_cube
-from repro.core.estimate import CostEstimator
 from repro.core.export import cube_from_xml, cube_to_xml
 from repro.core.extract import extract_fact_table
+from repro.core.properties import PropertyOracle
 from repro.datagen.catalog import CatalogConfig, catalog_query, generate_catalog
 
-ALGORITHMS = ["COUNTER", "BUC", "TD", "TDOPT", "TDOPTALL"]
+ALGORITHMS = ["COLUMNAR", "COUNTER", "BUC", "BUCOPT", "BUCCUST", "TD"]
 
 
 def main() -> None:
@@ -29,32 +31,35 @@ def main() -> None:
     print(f"catalog: {len(table)} products, "
           f"{table.lattice.size()} cuboids")
 
-    # 1-2. Statistics + predicted ranking.
-    estimator = CostEstimator(table, memory_entries=4000)
-    print("\npredicted cost ranking:")
-    for name in estimator.rank(ALGORITHMS):
-        print(f"   {name:<9} ~{estimator.estimate(name):.4f} sim-s")
+    # 1. The advisor's pick, from statistics alone.
+    oracle = PropertyOracle.from_data(table)
+    cells, _ = estimate_cells(table)
+    pick = recommend_for_table(table, oracle, memory_entries=4000)
+    print(f"\nestimated cube: ~{cells:.0f} cells")
+    print(f"advisor picks {pick.algorithm}: {pick.rationale}")
 
-    # 3. Run everything; compare predicted vs actual ordering.
+    # 2. Run the line-up; set the pick against the actual costs.
     print("\nactual:")
     actual = {}
     for name in ALGORITHMS:
         result = compute_cube(
-            table, ExecutionOptions(algorithm=name, memory_entries=4000)
+            table,
+            ExecutionOptions(
+                algorithm=name, oracle=oracle, memory_entries=4000
+            ),
         )
         actual[name] = result.simulated_seconds
         print(f"   {name:<9}  {result.simulated_seconds:.4f} sim-s")
-    predicted_winner = estimator.rank(ALGORITHMS)[0]
-    actual_winner = min(actual, key=actual.get)
-    print(f"\npredicted winner: {predicted_winner}; "
-          f"actual winner: {actual_winner}")
-    print("(cost is only half the story: TDOPT/TDOPTALL also require")
-    print(" summarizability to be *correct* — see the Sec. 4.6 advisor")
-    print(" in repro.warehouse, which gates on the property oracle)")
+    ranked = sorted(actual, key=actual.get)
+    print(f"\nadvisor's pick ranks {ranked.index(pick.algorithm) + 1} "
+          f"of {len(ranked)} (actual winner: {ranked[0]})")
 
-    # The business question: product counts by (category, brand), with
-    # PC-AD recovering the nested vendor shapes.
-    cube = compute_cube(table, ExecutionOptions(algorithm=actual_winner))
+    # 3. The business question: product counts by (category, brand),
+    # with PC-AD recovering the nested vendor shapes.
+    cube = compute_cube(
+        table, ExecutionOptions(algorithm=pick.algorithm, oracle=oracle)
+    )
+    print(f"actual cube: {cube.total_cells()} cells")
     cuboid = cube.cuboid_by_description("$c:PC-AD, $b:PC-AD")
     top = sorted(cuboid.items(), key=lambda kv: -kv[1])[:5]
     print("\nbusiest (category, brand) cells (all vendor shapes):")

@@ -10,15 +10,17 @@ both the top-down and the bottom-up algorithms."
 
 :func:`choose_algorithm` encodes that guidance (correctness gating
 first, cube characteristics second); :func:`recommend_for_table`
-derives the characteristics from a fact table.  The
-:class:`~repro.core.estimate.CostEstimator` complements this with
-quantitative predictions; the advisor stays rule-based because its
-job includes *correctness* gating, which no cost model captures.
+estimates the characteristics from the table's statistics, the way the
+Sec. 3.7 customised variants decide from what is known of the data
+rather than from a pass over it: no cuboid is counted before the cube
+is computed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.core.bindings import FactTable
 from repro.core.properties import PropertyOracle
@@ -36,7 +38,7 @@ def choose_algorithm(
     oracle: PropertyOracle,
     dense: bool,
     n_axes: int,
-    cube_cells_estimate: int,
+    cube_cells_estimate: float,
     memory_entries: int,
 ) -> Recommendation:
     """The paper's closing guidance as a decision procedure."""
@@ -84,23 +86,50 @@ def choose_algorithm(
     )
 
 
+def estimate_cells(table: FactTable) -> Tuple[float, float]:
+    """Expected cells of the whole cube and of its top cuboid.
+
+    A point has a key domain (the product of the kept axes'
+    cardinalities) and expected placements: the facts times, per kept
+    axis, the values a fact binds there on average (the Sec. 3.3 cross
+    product; a coverage gap binds none).  Both are read off the
+    encoding's statistics, one per (axis, structural state), and
+    multiply out one axis at a time over the lattice.  Placements land
+    in the domain as balls in bins, so a point expects
+    ``domain * (1 - exp(-placements / domain))`` distinct keys.
+    """
+    encoded = table.columnar()
+    n = encoded.n_rows
+    # (domain, placements) per point so far; a dropped axis leaves both.
+    points: List[Tuple[int, float]] = [(1, float(n))]
+    top: Tuple[int, float] = (1, float(n))
+    for position, states in enumerate(table.lattice.axis_states):
+        factors = [(1, 1.0)]
+        for state in range(len(states.states)):
+            stats = encoded.statistics(position, state)
+            factors.append((stats.cardinality, stats.values / n if n else 0.0))
+        domain, share = factors[1 + states.rigid_index]
+        top = (top[0] * domain, top[1] * share)
+        points = [(d * fd, r * fr) for d, r in points for fd, fr in factors]
+    return sum(_distinct(d, r) for d, r in points), _distinct(*top)
+
+
+def _distinct(domain: int, placements: float) -> float:
+    """Expected distinct bins hit by ``placements`` balls in ``domain``."""
+    return domain * -math.expm1(-placements / domain) if domain else 0.0
+
+
 def recommend_for_table(
     table: FactTable,
     oracle: PropertyOracle,
     memory_entries: int,
 ) -> Recommendation:
-    """Derive the cube characteristics from the table, then decide."""
-    # Imported here: materialize -> cube -> algorithms -> AUTO -> advisor.
-    from repro.core.materialize import cuboid_sizes
-
-    lattice = table.lattice
-    sizes = cuboid_sizes(table, lattice)
-    cells = sum(sizes.values())
-    dense = sizes[lattice.top] < 0.5 * max(1, len(table))
+    """Estimate the cube characteristics from the table, then decide."""
+    cells, top_cells = estimate_cells(table)
     return choose_algorithm(
         oracle,
-        dense=dense,
-        n_axes=lattice.axis_count,
+        dense=top_cells < 0.5 * max(1, len(table)),
+        n_axes=table.lattice.axis_count,
         cube_cells_estimate=cells,
         memory_entries=memory_entries,
     )

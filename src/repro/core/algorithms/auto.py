@@ -2,9 +2,10 @@
 
 ``compute_cube(table, "AUTO", oracle=...)`` consults the Sec. 4.6
 advisor (:mod:`repro.core.advisor`) with the given property oracle and
-delegates to the chosen concrete algorithm.  The result's ``algorithm``
-field records the delegation (e.g. ``AUTO->BUCOPT``) so runs stay
-auditable.
+delegates to the chosen concrete algorithm.  The advisor estimates the
+cube from the table's statistics; nothing is counted before the
+delegate runs.  The result's ``algorithm`` field records the delegation
+(e.g. ``AUTO->BUCOPT``) so runs stay auditable.
 
 Because the advisor gates on correctness first, AUTO is always correct
 *provided the oracle is truthful* — an optimistic oracle delegates to an
@@ -16,9 +17,14 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.core.advisor import recommend_for_table
-from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
+from repro.core.algorithms.base import (
+    DEFAULT_MEMORY_ENTRIES,
+    CubeAlgorithm,
+    ExecutionContext,
+)
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
+from repro.core.properties import PropertyOracle
 
 
 class AutoAlgorithm(CubeAlgorithm):
@@ -26,9 +32,7 @@ class AutoAlgorithm(CubeAlgorithm):
 
     def run(self, table, oracle=None, memory_entries=None, points=None,
             min_support=0.0, encoding="auto"):
-        from repro.core.algorithms.base import DEFAULT_MEMORY_ENTRIES
         from repro.core.algorithms.registry import get_algorithm
-        from repro.core.properties import PropertyOracle
 
         effective_oracle = oracle or PropertyOracle.from_flags(
             table.lattice, False, False

@@ -15,7 +15,7 @@ constructions, all exposing the same interface:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.bindings import FactTable
 from repro.core.lattice import CubeLattice, LatticePoint
@@ -134,10 +134,19 @@ class PropertyOracle:
         return True
 
     def globally_disjoint(self) -> bool:
-        return all(self.disjoint(point) for point in self.lattice.points())
+        """Is every cuboid disjoint?  Each (axis, structural state) is
+        kept at some point, so this asks every axis verdict once."""
+        return all(self._every_state(self.axis_disjoint))
 
     def globally_covered(self) -> bool:
-        return all(self.covered(point) for point in self.lattice.points())
+        return all(self._every_state(self.axis_covered))
+
+    def _every_state(
+        self, verdict: Callable[[int, int], bool]
+    ) -> Iterator[bool]:
+        for position, states in enumerate(self.lattice.axis_states):
+            for state in range(len(states.states)):
+                yield verdict(position, state)
 
 
 def oracle_from(

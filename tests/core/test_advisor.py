@@ -1,9 +1,14 @@
 """Direct tests for the Sec. 4.6 advisor on derived table statistics."""
 
+import pytest
+
 from repro.core.advisor import recommend_for_table
+from repro.core.algorithms.base import DEFAULT_MEMORY_ENTRIES
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
+from repro.datagen.workload import WorkloadConfig, build_workload
 from tests.conftest import small_workload
+from tests.core.test_columnar_differential import E2E_SHAPED
 
 
 def recommend(table, disjoint, covered, memory=4000):
@@ -70,29 +75,55 @@ class TestRecommendForTable:
         rec, _ = recommend(table, True, True, memory=100_000)
         assert "Sec" in rec.rationale or "Fig" in rec.rationale
 
-    def test_characteristics_come_from_the_columnar_census(
+    def test_characteristics_come_from_the_table_statistics(
         self, monkeypatch
     ):
-        """The table statistics are the exact NAIVE cell counts, taken
-        by the count-only sweep, never by a per-point row scan."""
+        """The characteristics are the statistics' cell estimates; no
+        sweep runs and no row is scanned to get them."""
         from repro.core import advisor
+        from repro.core.algorithms import columnar_sweep
         from repro.core.bindings import FactTable
 
         table = small_workload(n_facts=120, n_axes=3, seed=4).fact_table()
-        cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+        cells, top = advisor.estimate_cells(table)
         seen = {}
 
         def spy(oracle, **characteristics):
             seen.update(characteristics)
             return "decided"
 
-        def no_row_scan(self, row, point):
-            raise AssertionError("recommend_for_table scanned rows")
+        def refuse(*args, **kwargs):
+            raise AssertionError("recommend_for_table counted cuboids")
 
         monkeypatch.setattr(advisor, "choose_algorithm", spy)
-        monkeypatch.setattr(FactTable, "key_combinations", no_row_scan)
+        monkeypatch.setattr(FactTable, "key_combinations", refuse)
+        monkeypatch.setattr(columnar_sweep, "sweep_trie", refuse)
         oracle = PropertyOracle.from_flags(table.lattice, False, False)
         assert recommend_for_table(table, oracle, 4000) == "decided"
-        assert seen["cube_cells_estimate"] == cube.total_cells()
-        top = len(cube.cuboids[table.lattice.top])
+        assert seen["cube_cells_estimate"] == cells
         assert seen["dense"] == (top < 0.5 * len(table))
+
+
+class TestDelegationPinned:
+    """AUTO's pick on the ``benchmarks/e2e`` table shapes, with the
+    workloads' declared oracle and the default budget, as the cell
+    census decided it before AUTO estimated from statistics."""
+
+    PICKS = {
+        "xml_to_cube": "BUC",
+        "api_hot": "BUCOPT",
+        "cluster_scatter": "BUCOPT",
+    }
+
+    @pytest.mark.parametrize("seed", [17, 23])
+    @pytest.mark.parametrize("shape", sorted(PICKS))
+    def test_same_pick_as_the_census(self, shape, seed):
+        config = E2E_SHAPED[shape][0]
+        table = build_workload(
+            WorkloadConfig(kind="treebank", seed=seed, **config)
+        ).fact_table()
+        oracle = PropertyOracle.from_flags(
+            table.lattice, config["disjoint"], config["coverage"]
+        )
+        pick = recommend_for_table(table, oracle, DEFAULT_MEMORY_ENTRIES)
+        assert pick.algorithm == self.PICKS[shape]

@@ -1,11 +1,15 @@
-"""Tests for the analytic cost estimator: ranking fidelity vs. reality."""
+"""Tests for AUTO's estimate of the cube: the statistics it reads off the
+encoding, its cell counts against the census, and the advisor's pick
+against the costs the algorithms actually charge."""
 
 import pytest
 
-from repro.core.algorithms.base import table_pages
+from repro.core.advisor import estimate_cells, recommend_for_table
 from repro.core.bindings import FactTable
+from repro.core.columnar import StateStatistics
 from repro.core.cube import ExecutionOptions, compute_cube
-from repro.core.estimate import CostEstimator, TableStatistics
+from repro.core.materialize import cuboid_sizes
+from repro.core.properties import PropertyOracle
 from repro.datagen.publications import query1
 from repro.datagen.workload import WorkloadConfig, build_workload
 from tests.conftest import small_workload
@@ -20,23 +24,24 @@ def prepared(**overrides):
 
 class TestStatistics:
     def test_counts(self, fig1_table):
-        stats = TableStatistics.collect(fig1_table)
-        assert stats.n_facts == 4
+        encoded = fig1_table.columnar()
+        assert encoded.n_rows == 4
         # $y rigid (position 2): three facts bind a year.
-        assert stats.coverage_rate[2][0] == pytest.approx(3 / 4)
-        # $n rigid: pub1 has two names -> multiplicity > 1.
-        assert stats.avg_multiplicity[0][0] > 1.0
-        assert stats.cardinality[0][0] == 3  # John, Jane, Anna
+        assert encoded.statistics(2, 0).bound_rows == 3
+        # $n rigid: pub1 has two names -> more values than bound rows.
+        names = encoded.statistics(0, 0)
+        assert names.values > names.bound_rows
+        assert names.cardinality == 3  # John, Jane, Anna
 
     def test_empty_table(self):
-        stats = TableStatistics.collect(FactTable(query1().lattice(), []))
-        assert stats.n_facts == 0
+        table = FactTable(query1().lattice(), [])
+        assert table.columnar().statistics(0, 0).bound_rows == 0
+        assert estimate_cells(table) == (0.0, 0.0)
 
     @pytest.mark.parametrize("shape", ["figure1", "empty", *sorted(E2E_SHAPED)])
     def test_encoding_read_equals_a_row_scan(self, fig1_table, shape):
-        """``collect`` reads the columnar state views; a scan of
-        ``FactRow.values_under`` gives the same numbers, floats to the
-        bit."""
+        """``statistics`` reads the columnar state views; a scan of
+        ``FactRow.values_under`` gives the same numbers."""
         if shape == "figure1":
             table = fig1_table
         elif shape == "empty":
@@ -45,100 +50,100 @@ class TestStatistics:
             table = build_workload(
                 WorkloadConfig(kind="treebank", seed=17, **E2E_SHAPED[shape][0])
             ).fact_table()
-        assert TableStatistics.collect(table) == row_statistics(table)
+        encoded = table.columnar()
+        for position, states in enumerate(table.lattice.axis_states):
+            for state in range(len(states.states)):
+                assert encoded.statistics(position, state) == row_statistics(
+                    table, position, state
+                )
 
 
-def row_statistics(table):
-    """``TableStatistics`` recomputed from the rows, one scan per (axis,
-    state)."""
-    n = max(1, len(table.rows))
-    cardinality, multiplicity, coverage = {}, {}, {}
-    for position, states in enumerate(table.lattice.axis_states):
-        cardinality[position] = {}
-        multiplicity[position] = {}
-        coverage[position] = {}
-        for state in range(len(states.states)):
-            bound = [row.values_under(position, state) for row in table.rows]
-            bound_rows = sum(1 for values in bound if values)
-            cardinality[position][state] = table.axis_cardinality(
-                position, state
-            )
-            multiplicity[position][state] = (
-                sum(map(len, bound)) / bound_rows if bound_rows else 0.0
-            )
-            coverage[position][state] = bound_rows / n
-    return TableStatistics(
-        n_facts=len(table.rows),
-        base_pages=table_pages(table),
-        cardinality=cardinality,
-        avg_multiplicity=multiplicity,
-        coverage_rate=coverage,
+def row_statistics(table, position, state):
+    """One (axis, state)'s statistics recomputed from the rows."""
+    bound = [row.values_under(position, state) for row in table.rows]
+    bound_rows = sum(1 for values in bound if values)
+    return StateStatistics(
+        cardinality=table.axis_cardinality(position, state),
+        bound_rows=bound_rows,
+        values=sum(map(len, bound)),
+        disjoint=all(len(values) <= 1 for values in bound),
+        covered=bound_rows == len(table.rows),
     )
 
 
 class TestExpectations:
     def test_expected_cells_close_to_actual(self):
         table = prepared()
-        estimator = CostEstimator(table)
-        cube = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
-        actual = cube.total_cells()
-        predicted = estimator.total_cells()
-        assert predicted == pytest.approx(actual, rel=0.8)
+        cells, top = estimate_cells(table)
+        sizes = cuboid_sizes(table, table.lattice)
+        assert cells == pytest.approx(sum(sizes.values()), rel=0.2)
+        assert top == pytest.approx(sizes[table.lattice.top], rel=0.2)
 
-    def test_expected_rows_at_bottom(self):
-        table = prepared()
-        estimator = CostEstimator(table)
-        assert estimator.expected_rows(table.lattice.bottom) == len(table)
+    @pytest.mark.parametrize("kind", ["treebank", "dblp"])
+    @pytest.mark.parametrize("density", ["dense", "sparse"])
+    @pytest.mark.parametrize("regime", [(True, True), (False, False)])
+    @pytest.mark.parametrize("n_axes", [2, 4, 6])
+    def test_within_a_fifth_of_the_census(self, kind, density, regime, n_axes):
+        coverage, disjoint = regime
+        table = build_workload(
+            WorkloadConfig(
+                kind=kind, n_facts=200, n_axes=n_axes, density=density,
+                coverage=coverage, disjoint=disjoint, seed=3,
+            )
+        ).fact_table()
+        cells, _ = estimate_cells(table)
+        actual = sum(cuboid_sizes(table, table.lattice).values())
+        assert cells == pytest.approx(actual, rel=0.2)
 
 
 class TestRankingFidelity:
-    """The estimator must predict the figures' winners."""
+    """The advisor's pick must agree with what the algorithms charge."""
 
-    def _actual(self, table, algorithms, memory):
+    def _actual(self, table, algorithms, memory, oracle):
         return {
             name: compute_cube(
-                table, ExecutionOptions(algorithm=name, memory_entries=memory)
+                table,
+                ExecutionOptions(
+                    algorithm=name, memory_entries=memory, oracle=oracle
+                ),
             ).simulated_seconds
             for name in algorithms
         }
 
     def test_dense_summarizable_ranking(self):
         table = prepared(density="dense", coverage=True, disjoint=True)
-        estimator = CostEstimator(table, memory_entries=4000)
-        algorithms = ["COUNTER", "BUC", "TD", "TDOPTALL"]
-        actual = self._actual(table, algorithms, 4000)
-        # Whoever is predicted fastest must actually be in the top 2,
-        # and TD must be predicted (and be) the slowest.
-        predicted_order = estimator.rank(algorithms)
-        actual_order = sorted(algorithms, key=actual.get)
-        assert predicted_order[0] in actual_order[:2]
-        assert predicted_order[-1] == actual_order[-1] == "TD"
+        oracle = PropertyOracle.from_flags(table.lattice, True, True)
+        algorithms = ["COLUMNAR", "COUNTER", "BUC", "BUCOPT", "TD", "TDOPTALL"]
+        for memory in (100, 4000):
+            actual = self._actual(table, algorithms, memory, oracle)
+            # The pick is among the two cheapest runs; TD is the slowest.
+            pick = recommend_for_table(table, oracle, memory).algorithm
+            actual_order = sorted(algorithms, key=actual.get)
+            assert pick in actual_order[:2], (memory, actual_order)
+            assert actual_order[-1] == "TD"
 
     def test_sparse_ranking_prefers_buc_over_td(self):
         table = prepared(
             density="sparse", coverage=False, disjoint=True, n_facts=300
         )
-        estimator = CostEstimator(table, memory_entries=4000)
-        assert estimator.estimate("BUC") < estimator.estimate("TD")
-        actual = self._actual(table, ["BUC", "TD"], 4000)
-        assert actual["BUC"] < actual["TD"]
+        oracle = PropertyOracle.from_flags(table.lattice, True, False)
+        assert recommend_for_table(table, oracle, 4000).algorithm == "BUCOPT"
+        actual = self._actual(table, ["BUCOPT", "BUC", "TD"], 4000, oracle)
+        assert actual["BUCOPT"] < actual["BUC"] < actual["TD"]
 
     def test_counter_thrash_predicted(self):
+        """The counter strategy is picked only when the estimated cells
+        fit the budget; starved, it really does thrash."""
         table = prepared(
             density="sparse", coverage=False, disjoint=True,
-            n_facts=300, n_axes=5,
+            n_facts=300, n_axes=4,
         )
-        starved = CostEstimator(table, memory_entries=500)
-        roomy = CostEstimator(table, memory_entries=10**6)
-        assert starved.estimate("COUNTER") > 2 * roomy.estimate("COUNTER")
+        oracle = PropertyOracle.from_flags(table.lattice, True, False)
+        def pick(memory):
+            return recommend_for_table(table, oracle, memory).algorithm
 
-    def test_tdoptall_predicted_cheaper_than_tdopt(self):
-        table = prepared(density="dense", coverage=False, disjoint=True)
-        estimator = CostEstimator(table)
-        assert estimator.estimate("TDOPTALL") < estimator.estimate("TDOPT")
-        assert estimator.estimate("TDOPT") < estimator.estimate("TD")
-
-    def test_unknown_algorithm_rejected(self):
-        table = prepared()
-        with pytest.raises(ValueError):
-            CostEstimator(table).estimate("MAGIC")
+        assert pick(500) != "COLUMNAR"
+        assert pick(10**6) == "COLUMNAR"
+        starved = self._actual(table, ["COLUMNAR"], 500, oracle)
+        roomy = self._actual(table, ["COLUMNAR"], 10**6, oracle)
+        assert starved["COLUMNAR"] > 2 * roomy["COLUMNAR"]
