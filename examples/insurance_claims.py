@@ -11,8 +11,8 @@ surface on that domain:
 - iceberg cubes (only cells with enough claims);
 - summarizability-checked roll-ups (and the wrong answer you would get
   without the check);
-- materialized views under a space budget;
-- incremental maintenance as new claims arrive.
+- materialized views under a space budget, served by a ``CubeServer``;
+- the same server kept current as new claims arrive.
 
 Run:  python examples/insurance_claims.py
 """
@@ -24,13 +24,14 @@ from repro.core.axes import AxisSpec
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.extract import extract_fact_table
-from repro.core.incremental import IncrementalCube, split_rows
-from repro.core.materialize import MaterializedCube, select_views
+from repro.core.incremental import split_rows
+from repro.core.materialize import select_views
 from repro.core.properties import PropertyOracle
-from repro.core.query import X3Query
-from repro.core.rollup import derivable, rollup
+from repro.core.query import Query, X3Query
+from repro.core.rollup import derivable, rollup_cuboid
 from repro.errors import CubeError
 from repro.patterns.relaxation import Relaxation
+from repro.serve import CubeServer
 from repro.xmlmodel.nodes import Document, Element
 
 REGIONS = ["north", "south", "east", "west"]
@@ -118,7 +119,10 @@ def main() -> None:
     print(f"   derive peril totals from (peril, adjuster)? {ok}")
     print(f"   reason: {reason}")
     if not ok:
-        wrong = rollup(count_cube, source, target, oracle, unsafe=True)
+        wrong = rollup_cuboid(
+            lattice, count_cube.cuboids[source], source, target,
+            count_table.aggregate.fn,
+        )
         right = count_cube.cuboids[target]
         diff = {
             key: (wrong.get(key), right.get(key))
@@ -132,24 +136,36 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n== materialized views under a 1500-cell budget ==")
     selection = select_views(count_table, oracle, space_budget=1500)
-    materialized = MaterializedCube(count_table, selection, oracle)
+    views = CubeServer(
+        FactTable(lattice, count_table.rows, count_table.aggregate),
+        oracle,
+        selection=selection,
+        cache_cells=0,
+    )
     reference = compute_cube(count_table, ExecutionOptions(algorithm="NAIVE"))
-    materialized.verify_against(reference)
+    for point in lattice.points():
+        answer = views.query(Query(point=point)).as_cuboid()
+        assert answer == reference.cuboids[point]
     print(f"   chose {len(selection.chosen)} cuboids "
           f"({selection.space_used} cells); "
           f"{selection.coverage_ratio():.0%} of the lattice servable "
           "without touching base")
+    print(f"   every point verified: {views.stats().summary()}")
 
     # ------------------------------------------------------------------
-    print("\n== incremental maintenance ==")
+    print("\n== keeping answers current as claims arrive ==")
     initial, delta = split_rows(count_table, 0.8)
-    live = IncrementalCube(
-        FactTable(lattice, list(initial), aggregate=count_table.aggregate)
+    live = CubeServer(
+        FactTable(lattice, initial, aggregate=count_table.aggregate), oracle
     )
-    updates = live.insert(list(delta))
-    print(f"   appended {len(delta)} claims -> {updates} cell updates")
-    assert live.as_result().same_contents(reference)
-    print("   incremental result == full recompute: verified")
+    live.warm()
+    live.insert(delta)
+    print(f"   appended {len(delta)} claims -> "
+          f"{live.stats().patched_points} cached cuboids patched in place")
+    for point in lattice.points():
+        answer = live.query(Query(point=point)).as_cuboid()
+        assert answer == reference.cuboids[point]
+    print("   served answers == full recompute: verified")
 
     try:
         compute_cube(payout_table, ExecutionOptions(algorithm="BUC", min_support=3))

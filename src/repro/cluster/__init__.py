@@ -1,11 +1,11 @@
 """``repro.cluster`` — the sharded, replicated cube-serving cluster.
 
-N shard workers — each a full PR-3 :class:`~repro.serve.CubeServer`
-over a deterministic hash-partitioned slice of the fact table — behind
-a :class:`ClusterCoordinator` that scatter-gathers queries, merges
-per-shard *aggregate states* with the shared kernel in
-:mod:`repro.core.merge`, fans writes out through the incremental delta
-path under per-shard version vectors, fails over across replicas,
+N shard workers — each a :class:`~repro.serve.CubeServer` per state
+component of the aggregate over a deterministic hash-partitioned slice
+of the fact table — behind a :class:`ClusterCoordinator` that
+scatter-gathers queries, merges per-shard *aggregate states* with the
+shared kernel in :mod:`repro.core.merge`, fans whole write batches out
+through the servers' delta path under per-shard version vectors, fails over across replicas,
 hedges stragglers, and proves (under the deterministic chaos harness in
 :mod:`repro.cluster.chaos`) that every degraded answer equals the
 serial NAIVE recompute.

@@ -26,10 +26,11 @@ Degraded modes, all deterministic under a seeded
   produced (see :mod:`repro.cluster.versions`), otherwise lagging
   replicas are synced and the scatter retried.
 
-Writes are serialized by the coordinator, routed to *all* replicas of
-each affected shard through the servers' incremental delta path, and
-each fan-out appends the new version vector to the write-log history
-the consistency check validates against.
+Writes are serialized by the coordinator, checked whole against the
+write log's fact set (a batch is applied everywhere or nowhere), routed
+to *all* replicas of each affected shard through the servers' delta
+path, and each fan-out appends the new version vector to the write-log
+history the consistency check validates against.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.cluster.partition import partition_rows
 from repro.cluster.shard import ShardAnswer, ShardReplica
 from repro.cluster.versions import VersionVector
 from repro.cost import CostModel
-from repro.errors import ClusterError, ShardUnavailable
+from repro.errors import ClusterError, CubeError, ShardUnavailable
 from repro.obs.events import ClusterEvent, EventLog, RungDecision
 from repro.obs.trace_store import TraceStore
 
@@ -172,6 +173,12 @@ class ClusterCoordinator(CubeBackend):
         self.trace_store = trace_store
 
         slices = partition_rows(table.rows, n_shards)
+        # The write log's fact set: what every replica holds once it has
+        # caught up.  Batches are checked against it, never against a
+        # replica, which may lag or be down.
+        self._fact_ids: Set[Tuple[int, int]] = {
+            row.fact_id for row in table.rows
+        }
         self.shards: List[List[ShardReplica]] = [
             [
                 ShardReplica(
@@ -655,7 +662,7 @@ class ClusterCoordinator(CubeBackend):
         return cuboid, vector, latency
 
     # ------------------------------------------------------------------
-    # writes: serialized fan-out through the incremental delta path
+    # writes: serialized, checked whole, fanned out through the delta path
     # ------------------------------------------------------------------
     def insert(self, rows: Sequence[FactRow]) -> VersionVector:
         """Ingest delta facts; returns the new version vector."""
@@ -669,6 +676,7 @@ class ClusterCoordinator(CubeBackend):
         with self._write_lock, obs.span(
             f"cluster.{op}", category="cluster", rows=len(rows)
         ):
+            ids = self._check_batch(rows, op)
             with self._lock:
                 write_op = self._op
                 self._op += 1
@@ -700,6 +708,10 @@ class ClusterCoordinator(CubeBackend):
                                 f"(replica lags the write log)",
                             )
                         )
+            if op == "insert":
+                self._fact_ids |= ids
+            else:
+                self._fact_ids -= ids
             with self._lock:
                 for shard_id in touched:
                     self._expected[shard_id] += 1
@@ -723,6 +735,22 @@ class ClusterCoordinator(CubeBackend):
             )
         )
         return VersionVector(vector)
+
+    def _check_batch(
+        self, rows: List[FactRow], op: str
+    ) -> Set[Tuple[int, int]]:
+        """The batch's fact ids, refused before any replica applies or
+        queues any of it: an insert naming a present fact id, a delete
+        naming an absent one, or a fact id named twice is a
+        :class:`CubeError`."""
+        ids = {row.fact_id for row in rows}
+        if len(ids) != len(rows):
+            raise CubeError(f"{op} batch names a fact id twice")
+        if op == "insert" and not ids.isdisjoint(self._fact_ids):
+            raise CubeError("attempted to insert a fact id already present")
+        if op == "delete" and not ids <= self._fact_ids:
+            raise CubeError("attempted to delete facts not in the table")
+        return ids
 
     # ------------------------------------------------------------------
     # repair

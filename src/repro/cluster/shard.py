@@ -1,21 +1,23 @@
-"""One shard replica: an existing :class:`CubeServer` over a fact slice.
+"""One shard replica: a :class:`CubeServer` per state component.
 
 A :class:`ShardReplica` models a single-threaded worker process owning
-one hash-partitioned slice of the fact table.  All of PR 3/4's serving
+one hash-partitioned slice of the fact table.  The whole serving
 machinery — the sound-source ladder, the cost-aware cuboid cache, the
-incremental write path — runs unchanged inside each replica; the
-cluster layer only adds what a *distributed* worker needs:
+delta write path — runs unchanged inside each replica; the cluster
+layer only adds what a *distributed* worker needs:
 
 - a health bit (``crash()`` / ``heal()``) the chaos harness flips and
   the coordinator fails over on;
 - a pending-write queue so crashed or deliberately *stale* replicas can
   lag the write log and catch up later (``sync()``), which is what the
   coordinator's version-vector consistency check defends against;
-- a state read (:meth:`read_states`): the replica's finalized answer is
-  lifted back into mergeable *aggregate states* — for the distributive
-  aggregates the finalized value is the state; for algebraic AVG the
-  replica keeps an attached :class:`IncrementalCube` and ships its raw
-  ``(sum, count)`` pairs, because finalized averages do not merge.
+- a state read (:meth:`read_states`): the replica's finalized answers
+  are lifted back into mergeable *aggregate states*.  The replica runs
+  one server per state component: for COUNT/SUM/MIN/MAX the finalized
+  value is the state, so one server of the aggregate itself; algebraic
+  AVG is a fixed tuple of distributive states (Gray et al.), so a SUM
+  server and a COUNT server over the same slice, whose answers zip
+  into ``(sum, count)`` pairs — finalized averages do not merge.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactRow, FactTable
 from repro.core.cube import ExecutionOptions
-from repro.core.incremental import IncrementalCube
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.merge import (
     STATE_EXACT_AGGREGATES,
@@ -36,7 +38,7 @@ from repro.core.merge import (
 from repro.core.properties import PropertyOracle
 from repro.core.query import Query
 from repro.errors import ClusterError, ShardUnavailable
-from repro.serve.server import CubeServer
+from repro.serve.server import TIERS, CubeServer
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,14 @@ class ShardAnswer:
     states: StateCuboid
     version: int  #: write batches the replica had applied when answering
     modeled_seconds: float  #: modeled cost of the replica's ladder walk
-    tier: str  #: the sound-source rung that answered on the replica
+    #: the sound-source rung that answered on the replica (of several
+    #: component servers: the latest rung in ladder order)
+    tier: str
 
 
 class ShardReplica:
-    """A :class:`CubeServer` over one slice, with cluster plumbing.
+    """One :class:`CubeServer` per state component over one slice, with
+    cluster plumbing.
 
     Args:
         shard: shard index this replica serves.
@@ -65,7 +70,10 @@ class ShardReplica:
             are universally quantified over facts, so any property that
             holds for the whole table holds for every subset of it.
         options: engine options for recomputes inside the replica.
-        cache_cells: per-replica cuboid cache budget.
+        cache_cells: cuboid cache budget of each component server.
+
+    ``server`` and ``table`` are the first component's: for a
+    state-exact aggregate, the replica's one server and its slice.
     """
 
     def __init__(
@@ -81,21 +89,23 @@ class ShardReplica:
     ) -> None:
         self.shard = shard
         self.replica = replica
-        self.table = FactTable(lattice, list(rows), aggregate)
         self._aggregate = aggregate.function.upper()
-        self._state_exact = self._aggregate in STATE_EXACT_AGGREGATES
-        # Algebraic aggregates need raw partial states; the maintained
-        # cells of an IncrementalCube are exactly that.
-        self._incremental = (
-            None if self._state_exact else IncrementalCube(self.table)
+        components = (
+            (aggregate,)
+            if self._aggregate in STATE_EXACT_AGGREGATES
+            else (AggregateSpec("SUM", aggregate.measure_path), AggregateSpec())
         )
-        self.server = CubeServer(
-            self.table,
-            oracle,
-            options=options,
-            cache_cells=cache_cells,
-            incremental=self._incremental,
+        self.servers = tuple(
+            CubeServer(
+                FactTable(lattice, rows, spec),
+                oracle,
+                options=options,
+                cache_cells=cache_cells,
+            )
+            for spec in components
         )
+        self.server = self.servers[0]
+        self.table = self.server.table
         # One lock per replica: a replica models a single-threaded
         # worker process, so its operations serialize; concurrency in
         # the cluster comes from fanning out across shards.
@@ -150,10 +160,10 @@ class ShardReplica:
     def read_states(self, point: LatticePoint) -> ShardAnswer:
         """Answer one cuboid query as mergeable aggregate states.
 
-        The replica resolves the query through its server's full
-        sound-source ladder (cache hits and all), then lifts the answer
-        into partial states.  Raises :class:`ShardUnavailable` when the
-        replica is crashed.
+        The replica resolves the query through each component server's
+        full sound-source ladder (cache hits and all), then lifts the
+        answers into partial states.  Raises :class:`ShardUnavailable`
+        when the replica is crashed.
         """
         with self._lock:
             if self._crashed:
@@ -161,21 +171,30 @@ class ShardReplica:
             # Tier, version and cost come from the answer itself, not
             # from the tail of the request log: another read of this
             # server may have logged in between.
-            result = self.server.query(Query(point=point))
-            if self._state_exact:
+            results = [
+                server.query(Query(point=point)) for server in self.servers
+            ]
+            if len(results) == 1:
                 states = states_from_finalized(
-                    self._aggregate, result.as_cuboid()
+                    self._aggregate, results[0].as_cuboid()
                 )
             else:
-                assert self._incremental is not None
-                states = dict(self._incremental.state_cuboid(point))
+                sums, counts = (result.as_cuboid() for result in results)
+                states = {
+                    key: (total, int(counts[key]))
+                    for key, total in sums.items()
+                }
             return ShardAnswer(
                 shard=self.shard,
                 replica=self.replica,
                 states=states,
-                version=result.version[0],
-                modeled_seconds=result.modeled_seconds,
-                tier=result.tier,
+                version=results[0].version[0],
+                modeled_seconds=sum(
+                    result.modeled_seconds for result in results
+                ),
+                tier=max(
+                    (result.tier for result in results), key=TIERS.index
+                ),
             )
 
     # ------------------------------------------------------------------
@@ -217,10 +236,11 @@ class ShardReplica:
             self._apply_one(op, rows)
 
     def _apply_one(self, op: str, rows: List[FactRow]) -> None:
-        if op == "insert":
-            self.server.insert(rows)
-        else:
-            self.server.delete(rows)
+        for server in self.servers:
+            if op == "insert":
+                server.insert(rows)
+            else:
+                server.delete(rows)
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

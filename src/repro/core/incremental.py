@@ -1,40 +1,39 @@
-"""Incremental cube maintenance for distributive/algebraic aggregates.
+"""Row-level write helpers for a growing warehouse.
 
-A warehouse keeps growing; recomputing the whole relaxed-cube lattice on
-every batch of new facts is wasteful.  Because every cell is a fold of
-per-fact contributions — and a fact's contribution to a cell does not
-depend on other facts — appending facts updates each affected cell by
-merging the delta's contribution, for *any* of our aggregate functions
-(COUNT/SUM are distributive; AVG/MIN/MAX keep partial states).
+A warehouse keeps growing; recomputing the whole relaxed-cube lattice
+on every batch of new facts is wasteful.  :class:`repro.serve.CubeServer`
+is the one object that keeps answers current under writes: it folds a
+delta into the cached cuboids the aggregate allows exactly and evicts
+exactly the lattice points the delta touches.  This module holds the
+row-level half it (and the cluster's replicas) write through:
 
-Deletion is supported for the invertible aggregates (COUNT, SUM, AVG)
-by subtracting contributions; MIN/MAX would need recomputation and are
-rejected.
-
-Cells store ``(partial_state, support_count)`` and finalize on read, so
-algebraic aggregates stay exact and fully-retracted groups disappear.
+- :func:`ingest_rows` / :func:`retract_rows` — append or remove a
+  batch of facts, all-or-nothing;
+- :func:`affected_points` — which cuboids a batch touches.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Iterable, List, Sequence, Set, Tuple
 
-from repro.core.aggregates import AggregateFunction
-from repro.core.bindings import FactRow, FactTable, GroupKey
-from repro.core.cube import CubeResult
-from repro.core.groupby import Cuboid
+from repro.core.bindings import FactRow, FactTable
 from repro.core.lattice import LatticePoint
 from repro.errors import CubeError
-from repro import obs
-
-_INVERTIBLE = {"COUNT", "SUM", "AVG"}
 
 
-# ----------------------------------------------------------------------
-# shared write-path helpers (used here and by repro.serve.CubeServer)
-# ----------------------------------------------------------------------
 def ingest_rows(table: FactTable, rows: Sequence[FactRow]) -> None:
-    """Append delta facts to the table (the insert half of maintenance)."""
+    """Append delta facts to the table (the insert half of maintenance).
+
+    A fact id repeated within the batch or already in the table is a
+    :class:`CubeError`, raised before the table changes: such a fact
+    could never be deleted again.
+    """
+    incoming = {row.fact_id for row in rows}
+    if len(incoming) != len(rows) or not incoming.isdisjoint(
+        map(attrgetter("fact_id"), table.rows)
+    ):
+        raise CubeError("attempted to insert a fact id already present")
     table.rows.extend(rows)
     table.invalidate_columnar()
 
@@ -74,140 +73,6 @@ def affected_points(
         for point in points
         if any(table.participates(row, point) for row in rows)
     }
-
-
-def invertible(aggregate_name: str) -> bool:
-    """Can deletions be applied by subtracting contributions?"""
-    return aggregate_name.upper() in _INVERTIBLE
-
-
-class IncrementalCube:
-    """A full cube maintained under fact insertions (and deletions).
-
-    Args:
-        table: the (initially possibly empty) fact table; its lattice
-            and aggregate define the cube.
-    """
-
-    def __init__(self, table: FactTable) -> None:
-        self.table = table
-        self.lattice = table.lattice
-        self.fn: AggregateFunction = table.aggregate.fn
-        # point -> key -> (partial state, supporting fact count)
-        self._cells: Dict[LatticePoint, Dict[GroupKey, Tuple[Any, int]]] = {
-            point: {} for point in self.lattice.points()
-        }
-        self.applied_rows = 0
-        if table.rows:
-            self.insert(list(table.rows), _already_in_table=True)
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def insert(
-        self, rows: Iterable[FactRow], _already_in_table: bool = False
-    ) -> int:
-        """Fold new facts into every affected cell.  Returns the number
-        of cell updates performed."""
-        rows = list(rows)
-        if not _already_in_table:
-            ingest_rows(self.table, rows)
-        updates = 0
-        with obs.span(
-            "incremental.insert", category="incremental", rows=len(rows)
-        ) as span:
-            for row in rows:
-                for point in self.lattice.points():
-                    cells = self._cells[point]
-                    for key in self.table.key_combinations(row, point):
-                        state, support = cells.get(key, (self.fn.new(), 0))
-                        cells[key] = (
-                            self.fn.add(state, row.measure),
-                            support + 1,
-                        )
-                        updates += 1
-                self.applied_rows += 1
-            span.annotate(updates=updates)
-        obs.count("x3_incremental_updates_total", updates, op="insert")
-        return updates
-
-    def delete(self, rows: Iterable[FactRow]) -> int:
-        """Retract facts (COUNT/SUM/AVG only)."""
-        name = self.table.aggregate.function.upper()
-        if not invertible(name):
-            raise CubeError(
-                f"{name} is not invertible; deletion requires recompute"
-            )
-        rows = list(rows)
-        retract_rows(self.table, rows)
-        updates = 0
-        with obs.span(
-            "incremental.delete", category="incremental", rows=len(rows)
-        ) as span:
-            for row in rows:
-                for point in self.lattice.points():
-                    cells = self._cells[point]
-                    for key in self.table.key_combinations(row, point):
-                        if key not in cells:
-                            raise CubeError(
-                                "retracting from a non-existent cell"
-                            )
-                        state, support = cells[key]
-                        state = _subtract(name, state, row.measure)
-                        support -= 1
-                        if support <= 0:
-                            del cells[key]
-                        else:
-                            cells[key] = (state, support)
-                        updates += 1
-                self.applied_rows -= 1
-            span.annotate(updates=updates)
-        obs.count("x3_incremental_updates_total", updates, op="delete")
-        return updates
-
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-    def cuboid(self, point: LatticePoint) -> Cuboid:
-        return {
-            key: self.fn.finalize(state)
-            for key, (state, _) in self._cells[point].items()
-        }
-
-    def state_cuboid(self, point: LatticePoint) -> Dict[GroupKey, Any]:
-        """The *partial states* of one cuboid, un-finalized.
-
-        This is what a cluster shard ships for algebraic aggregates:
-        an AVG cell must travel as its ``(sum, count)`` pair so the
-        coordinator can merge across shards before dividing once.
-        Tuple states are immutable; mutable states would need a copy.
-        """
-        return {
-            key: state for key, (state, _) in self._cells[point].items()
-        }
-
-    def as_result(self) -> CubeResult:
-        return CubeResult(
-            lattice=self.lattice,
-            cuboids={
-                point: self.cuboid(point) for point in self.lattice.points()
-            },
-            algorithm="INCREMENTAL",
-            aggregate=self.table.aggregate.function.upper(),
-        )
-
-    def cell(self, point: LatticePoint, key: GroupKey):
-        entry = self._cells[point].get(key)
-        return None if entry is None else self.fn.finalize(entry[0])
-
-
-def _subtract(name: str, state: Any, measure: float) -> Any:
-    if name == "COUNT":
-        return state - 1
-    if name == "SUM":
-        return state - measure
-    # AVG partial is (sum, count).
-    return (state[0] - measure, state[1] - 1)
 
 
 def split_rows(

@@ -3,35 +3,29 @@
 "In many cases, we may be better off to materialize some intermediate
 cube results.  The incompleteness of coverage directly affects the
 computation from these intermediate results."  This module turns that
-discussion into an advisor + store:
+discussion into an advisor: :func:`select_views` is greedy
+benefit-per-space view selection in the spirit of
+Harinarayan/Rajaraman/Ullman, *adapted to the XML lattice*: a cuboid can
+only serve queries it can soundly derive (drop-only moves, and only when
+the property oracle proves it disjoint and covering — otherwise serving
+from it would need the fact items kept around, which Sec. 3.6 notes
+defeats the purpose).
 
-- :func:`select_views` — greedy benefit-per-space view selection in the
-  spirit of Harinarayan/Rajaraman/Ullman, *adapted to the XML lattice*:
-  a cuboid can only serve queries it can soundly derive (drop-only
-  moves, and only when the property oracle proves it disjoint and
-  covering — otherwise serving from it would need the fact items kept
-  around, which Sec. 3.6 notes defeats the purpose).
-- :class:`MaterializedCube` — holds the chosen cuboids and answers any
-  lattice point: directly when materialized, by safe roll-up when
-  derivable, or by recomputation from the fact table as the fallback.
-
-Costs are reported through the same deterministic cost model as the
-algorithms, so the ablation benchmark can quantify the trade-off.
+:class:`repro.serve.CubeServer` materializes the chosen views and
+answers every lattice point from them: directly at its view rung, by
+safe roll-up at its rollup rung, or by recomputation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.algorithms.columnar_sweep import census
 from repro.core.bindings import FactTable
-from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
-from repro.core.groupby import Cuboid, cuboid_from_rows
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.properties import PropertyOracle
-from repro.core.rollup import derivable, rollup
-from repro.errors import CubeError
+from repro.core.rollup import derivable
 from repro import obs
 
 
@@ -166,72 +160,3 @@ def select_views(
         space_budget=space_budget,
         serving=serving,
     )
-
-
-class MaterializedCube:
-    """A partial cube: chosen cuboids materialized, the rest derived.
-
-    Args:
-        table: the fact table (fallback recomputation source).
-        selection: which cuboids to materialize.
-        oracle: property oracle used for sound derivation.
-        algorithm: algorithm used to materialize the chosen cuboids.
-    """
-
-    def __init__(
-        self,
-        table: FactTable,
-        selection: ViewSelection,
-        oracle: PropertyOracle,
-        algorithm: str = "BUC",
-    ) -> None:
-        self.table = table
-        self.selection = selection
-        self.oracle = oracle
-        with obs.span(
-            "materialize.compute",
-            category="materialize",
-            algorithm=algorithm,
-            views=len(selection.chosen),
-        ):
-            self._result: CubeResult = compute_cube(
-                table,
-                ExecutionOptions(
-                    algorithm=algorithm,
-                    oracle=oracle,
-                    points=tuple(selection.chosen),
-                ),
-            )
-        self.stats = {"direct": 0, "rolled_up": 0, "recomputed": 0}
-
-    # ------------------------------------------------------------------
-    def cuboid(self, point: LatticePoint) -> Cuboid:
-        """Answer one lattice point, preferring materialized views."""
-        if point in self._result.cuboids:
-            self.stats["direct"] += 1
-            return self._result.cuboids[point]
-        source = self.selection.serving.get(point)
-        if source is not None and self._result.aggregate in ("COUNT", "SUM"):
-            self.stats["rolled_up"] += 1
-            return rollup(self._result, source, point, self.oracle)
-        self.stats["recomputed"] += 1
-        return cuboid_from_rows(
-            self.table, self.table.rows, point, self.table.aggregate.fn
-        )
-
-    def cell(self, point: LatticePoint, key: Tuple[str, ...]):
-        return self.cuboid(point).get(key)
-
-    def materialized_points(self) -> List[LatticePoint]:
-        return list(self._result.cuboids)
-
-    def verify_against(self, reference: CubeResult) -> None:
-        """Check every lattice point against a full cube (test helper)."""
-        for point in self.table.lattice.points():
-            mine = self.cuboid(point)
-            theirs = reference.cuboids[point]
-            if mine != theirs:
-                raise CubeError(
-                    f"materialized answer differs at "
-                    f"{self.table.lattice.describe(point)}"
-                )

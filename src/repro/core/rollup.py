@@ -9,20 +9,21 @@ a safe API over a computed :class:`~repro.core.cube.CubeResult`:
   ``source`` by pure aggregation, given a property oracle?  (The Sec. 3
   analysis as a decision procedure.)
 - :func:`rollup` — perform the aggregation when it is safe, raise
-  :class:`~repro.errors.CubeError` when it is not (opt-out with
-  ``unsafe=True`` to reproduce the paper's wrong numbers).
+  :class:`~repro.errors.CubeError` when it is not (the paper's wrong
+  numbers come from calling :func:`rollup_cuboid` directly).
 - :func:`slice_cuboid` / :func:`dice_cuboid` — classic OLAP slice and
   dice over one cuboid.
-- :func:`point_query` — fetch one cell from the best available cuboid.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
+from repro.core.aggregates import AggregateFunction, get_function
 from repro.core.cube import CubeResult
 from repro.core.groupby import Cuboid
 from repro.core.lattice import CubeLattice, LatticePoint
+from repro.core.merge import STATE_EXACT_AGGREGATES
 from repro.core.properties import PropertyOracle
 from repro.errors import CubeError
 
@@ -85,23 +86,22 @@ def derivable(
     return True, "drop-only move from a disjoint, covering cuboid"
 
 
-#: Aggregates whose finalized cells can be re-aggregated by summation.
-ROLLUP_AGGREGATES = ("COUNT", "SUM")
-
-
 def rollup_cuboid(
     lattice: CubeLattice,
     source_cuboid: Cuboid,
     source: LatticePoint,
     target: LatticePoint,
+    fn: AggregateFunction,
 ) -> Cuboid:
     """Aggregate raw source cells down to ``target`` (no soundness check).
 
-    The arithmetic core of :func:`rollup`, shared with the serving layer
+    Each target cell folds its source cells from ``fn.new()`` with
+    ``fn.merge``, which is exact only where a finalized cell is the
+    aggregate's partial state (:data:`STATE_EXACT_AGGREGATES`).  The
+    arithmetic core of :func:`rollup`, shared with the serving layer
     (:mod:`repro.serve`), which derives answers from *cached* cuboids
-    rather than a full :class:`CubeResult`.  Only valid for the
-    distributive aggregates in :data:`ROLLUP_AGGREGATES`; callers are
-    responsible for the :func:`derivable` check.
+    rather than a full :class:`CubeResult`; callers are responsible for
+    the :func:`derivable` check.
     """
     source_kept = lattice.kept_axes(source)
     target_kept = set(lattice.kept_axes(target))
@@ -110,11 +110,12 @@ def rollup_cuboid(
         for index, axis in enumerate(source_kept)
         if axis in target_kept
     ]
-    out_states: Dict[Tuple, float] = {}
+    empty = fn.new()
+    out: Cuboid = {}
     for key, value in source_cuboid.items():
         new_key = tuple(key[index] for index in keep)
-        out_states[new_key] = out_states.get(new_key, 0.0) + value
-    return dict(out_states)
+        out[new_key] = fn.merge(out.get(new_key, empty), value)
+    return out
 
 
 def rollup(
@@ -122,26 +123,27 @@ def rollup(
     source: LatticePoint,
     target: LatticePoint,
     oracle: PropertyOracle,
-    unsafe: bool = False,
 ) -> Cuboid:
     """Aggregate the source cuboid down to the target point.
 
-    Raises :class:`CubeError` when the derivation is unsound, unless
-    ``unsafe=True`` (useful to demonstrate the paper's wrong answers).
+    Raises :class:`CubeError` when the derivation is unsound.
     """
-    if cube.aggregate not in ROLLUP_AGGREGATES:
+    if cube.aggregate not in STATE_EXACT_AGGREGATES:
         raise CubeError(
-            f"roll-up over finalized cells needs a distributive "
+            f"roll-up over finalized cells needs a state-exact "
             f"aggregate; {cube.aggregate} requires partial states "
             "(recompute from the fact table instead)"
         )
     ok, reason = derivable(cube.lattice, source, target, oracle)
-    if not ok and not unsafe:
+    if not ok:
         raise CubeError(
             f"cannot roll up {cube.lattice.describe(source)} -> "
             f"{cube.lattice.describe(target)}: {reason}"
         )
-    return rollup_cuboid(cube.lattice, cube.cuboid(source), source, target)
+    return rollup_cuboid(
+        cube.lattice, cube.cuboid(source), source, target,
+        get_function(cube.aggregate),
+    )
 
 
 def slice_cuboid(
@@ -172,32 +174,3 @@ def dice_cuboid(
         ):
             out[key] = cell
     return out
-
-
-def point_query(
-    cube: CubeResult,
-    point: LatticePoint,
-    key: Tuple[str, ...],
-) -> Optional[float]:
-    """Cell lookup at a lattice point (None when the cell is empty)."""
-    return cube.cell(point, key)
-
-
-def best_source_for(
-    cube: CubeResult,
-    target: LatticePoint,
-    oracle: PropertyOracle,
-) -> Optional[LatticePoint]:
-    """Among the cube's *computed* cuboids, the smallest one that can
-    soundly derive ``target`` (used by the materialization layer)."""
-    best: Optional[LatticePoint] = None
-    best_size = -1
-    for candidate in cube.cuboids:
-        ok, _ = derivable(cube.lattice, candidate, target, oracle)
-        if not ok:
-            continue
-        size = len(cube.cuboids[candidate])
-        if best is None or size < best_size:
-            best = candidate
-            best_size = size
-    return best

@@ -5,7 +5,7 @@ sound-source ladder for every query; this module gives that decision a
 durable, queryable shape.  Three record types, all frozen dataclasses:
 
 - :class:`RungDecision` — one rung of the ladder (cache / view / rollup
-  / incremental / recompute) with whether it was taken and *why not*
+  / recompute) with whether it was taken and *why not*
   when it was rejected, including the Sec. 2 disjoint/covered proof
   verdicts the rollup rung is gated by;
 - :class:`EvictionRecord` — one cache-state change (budget eviction,

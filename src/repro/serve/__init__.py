@@ -3,9 +3,9 @@
 Turns the one-shot materialization story of paper Sec. 3.6 into a
 runtime: :class:`CubeServer` answers cuboid/cell/slice/dice queries
 from the cheapest *sound* source (cache, materialized view, guarded
-roll-up, incremental cube, engine recompute), backed by the cost-aware
+roll-up, engine recompute), backed by the cost-aware
 :class:`CuboidCache` and single-flight miss deduplication, and stays
-exact under concurrent incremental writes.
+exact under concurrent inserts and deletes.
 
 Typical use::
 

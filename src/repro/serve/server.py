@@ -1,11 +1,10 @@
 """A thread-safe, cache-backed query server over one fact table.
 
-:class:`CubeServer` is the runtime counterpart of the one-shot
-materialization advisor (paper Sec. 3.6): where
-:class:`repro.core.materialize.MaterializedCube` freezes a view
-selection once, the server keeps answering ``cuboid``/``cell``/
-``slice``/``dice`` queries across time, caching what traffic proves
-hot and staying correct under concurrent incremental updates.
+:class:`CubeServer` is the one object that answers a lattice point
+over time (paper Sec. 3.6): it materializes the advisor's view
+selection, keeps answering ``cuboid``/``cell``/``slice``/``dice``
+queries, caches what traffic proves hot and stays correct under
+concurrent inserts and deletes.
 
 Every request resolves through the **sound-source ladder**, cheapest
 first, each rung guarded by the summarizability rules of Sec. 2/3:
@@ -18,19 +17,15 @@ first, each rung guarded by the summarizability rules of Sec. 2/3:
    it: the move is drop-only and the
    :class:`~repro.core.properties.PropertyOracle` proves the source
    disjoint (no double counting) and covering (no lost facts);
-4. **incremental** — when the server wraps an
-   :class:`~repro.core.incremental.IncrementalCube`, its maintained
-   cells answer directly;
-5. **recompute** — the parallel engine computes the cuboid from a row
+4. **recompute** — the parallel engine computes the cuboid from a row
    snapshot (identical concurrent misses are deduplicated single-flight
    so a stampede computes once).
 
-Writes go through the same delta machinery as
-:class:`~repro.core.incremental.IncrementalCube`: deltas patch cached
-cuboids in place when the aggregate allows it exactly (the patch is a
-continuation of the same left fold the algorithms run, so answers stay
-bit-identical to recomputation), otherwise exactly the affected lattice
-points are evicted.
+Writes go through :mod:`repro.core.incremental`'s row helpers: deltas
+patch cached cuboids in place when the aggregate allows it exactly (the
+patch is a continuation of the same left fold the algorithms run, so
+answers stay bit-identical to recomputation), otherwise exactly the
+affected lattice points are evicted.
 
 Reads are versioned: the returned cuboid is correct for the table
 version reported alongside it, and an in-flight recompute whose version
@@ -62,20 +57,16 @@ from repro.core.bindings import FactRow, FactTable
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
 from repro.core.groupby import Cuboid
 from repro.core.incremental import (
-    IncrementalCube,
     affected_points,
     ingest_rows,
     retract_rows,
 )
 from repro.core.lattice import LatticePoint
 from repro.core.materialize import ViewSelection, cuboid_sizes, select_views
+from repro.core.merge import STATE_EXACT_AGGREGATES
 from repro.core.properties import PropertyOracle
 from repro.core.query import Answer, CubeBackend, Plan, PointSpec
-from repro.core.rollup import (
-    ROLLUP_AGGREGATES,
-    derivable,
-    rollup_cuboid,
-)
+from repro.core.rollup import derivable, rollup_cuboid
 from repro.cost import CostModel
 from repro.errors import CubeError
 from repro.obs.events import (
@@ -91,11 +82,7 @@ from repro.serve.cache import CuboidCache
 from repro.serve.singleflight import SingleFlight
 
 #: Tier names, in ladder order.
-TIERS = ("cache", "view", "rollup", "incremental", "recompute")
-
-#: Aggregates whose finalized cells can absorb an inserted fact exactly
-#: (finalize-then-fold equals fold-then-finalize for them).
-_PATCH_INSERT = {"COUNT", "SUM", "MIN", "MAX"}
+TIERS = ("cache", "view", "rollup", "recompute")
 
 #: Aggregates whose finalized cells can absorb a deletion exactly.  Only
 #: COUNT qualifies: its value *is* the group's support, so fully
@@ -163,10 +150,10 @@ class _Ladder(NamedTuple):
 
     version: int  #: table version the decision is valid at
     tier: str  #: the rung that answers
-    rungs: Tuple[RungDecision, ...]  #: all five verdicts, ladder order
+    rungs: Tuple[RungDecision, ...]  #: all four verdicts, ladder order
     #: the cache hit, the fresh view, or the (source point, private
-    #: copy) pair of the rollup rung; ``None`` for the two rungs that
-    #: read base data (incremental, recompute)
+    #: copy) pair of the rollup rung; ``None`` for recompute, which
+    #: reads base data
     source: Any
 
 
@@ -187,8 +174,7 @@ class CubeServer(CubeBackend):
     """Concurrent cube serving over one :class:`FactTable`.
 
     Args:
-        table: the fact table to serve (shared with ``incremental`` when
-            one is given).
+        table: the fact table to serve; writes mutate it.
         oracle: property oracle proving disjointness/coverage for the
             rollup tier and the view advisor; ``None`` is the pessimistic
             oracle, which disables rollups (never unsound, never fast).
@@ -204,9 +190,6 @@ class CubeServer(CubeBackend):
             Sec. 3.6 advisor with this space budget and materialize its
             chosen views at startup.
         selection: an explicit advisor outcome to materialize.
-        incremental: serve reads from this maintained cube as the tier
-            before recompute, and route writes through it.  Its table
-            must be the served table.
         event_log_capacity: ring-buffer size of the structured request
             log (every query and write emits one typed event).
         telemetry: sliding-window telemetry sink; a default
@@ -234,7 +217,6 @@ class CubeServer(CubeBackend):
         cache_cells: int = 4096,
         view_cells: int = 0,
         selection: Optional[ViewSelection] = None,
-        incremental: Optional[IncrementalCube] = None,
         event_log_capacity: int = 4096,
         telemetry: Optional[LiveTelemetry] = None,
         trace_store: Optional[TraceStore] = None,
@@ -250,13 +232,9 @@ class CubeServer(CubeBackend):
                 "leave it unset"
             )
         self.options = options or ExecutionOptions()
-        if incremental is not None and incremental.table is not table:
-            raise CubeError(
-                "the IncrementalCube must maintain the served table"
-            )
-        self._incremental = incremental
         self.aggregate = table.aggregate
         self._aggregate = table.aggregate.function.upper()
+        self._fn = table.aggregate.fn
         self._lock = threading.RLock()
         self._version = 0
         self._counters = _Counters()
@@ -431,7 +409,7 @@ class CubeServer(CubeBackend):
 
         def take(rung: str, reason: str, source: Any = None) -> _Ladder:
             rungs.append(RungDecision(rung, True, reason))
-            # Every trail lists all five rungs, in ladder order.
+            # Every trail lists all four rungs, in ladder order.
             for later in TIERS[len(rungs):]:
                 reject(later, f"not reached (resolved at {rung})")
             return _Ladder(self._version, rung, tuple(rungs), source)
@@ -450,9 +428,6 @@ class CubeServer(CubeBackend):
         if source is not None:
             return take("rollup", reason, source)
         reject("rollup", reason)
-        if self._incremental is not None:
-            return take("incremental", "maintained cells answer directly")
-        reject("incremental", "no IncrementalCube attached")
         return take(
             "recompute",
             f"engine recompute over a {len(self.table.rows)}-row snapshot "
@@ -485,15 +460,6 @@ class CubeServer(CubeBackend):
                     dict(source), version, tier, rungs,
                     self._touch_cost(source),
                 )
-            if tier == "incremental":
-                assert self._incremental is not None
-                # Fresh dict from the maintained cells; the cache gets
-                # its own private copy so later in-place patches never
-                # reach the caller's object.
-                cuboid = self._incremental.cuboid(point)
-                cost = self._touch_cost(cuboid)
-                self.cache.put(point, dict(cuboid), cost)
-                return cuboid, version, tier, rungs, cost
             if tier == "recompute":
                 snapshot = self._snapshot_table()[1]
         if tier == "rollup":
@@ -554,10 +520,10 @@ class CubeServer(CubeBackend):
         with the server lock held; the copy lets the rollup arithmetic
         itself run outside it.
         """
-        if self._aggregate not in ROLLUP_AGGREGATES:
+        if self._aggregate not in STATE_EXACT_AGGREGATES:
             return None, (
-                f"{self._aggregate} is not distributive; finalized "
-                "cells cannot be re-aggregated"
+                f"{self._aggregate} is algebraic; its finalized cells "
+                "are not its partial states and cannot be re-aggregated"
             )
         best: Optional[Tuple[int, Cuboid, LatticePoint, str]] = None
         candidates: List[Tuple[LatticePoint, Cuboid]] = [
@@ -617,7 +583,7 @@ class CubeServer(CubeBackend):
             target=self.lattice.describe(point),
         ):
             out = rollup_cuboid(
-                self.lattice, source_cuboid, source, point
+                self.lattice, source_cuboid, source, point, self._fn
             )
         obs.count("x3_serve_rollups_total")
         cost = (len(source_cuboid) + len(out)) * _CPU_OP_SECONDS
@@ -779,33 +745,32 @@ class CubeServer(CubeBackend):
     # writes
     # ------------------------------------------------------------------
     def insert(self, rows: Sequence[FactRow]) -> int:
-        """Ingest delta facts; returns the new table version."""
+        """Ingest delta facts; returns the new table version.
+
+        A fact id repeated in the batch or already in the table is a
+        :class:`CubeError`, and the batch changes nothing.
+        """
         return self._write(list(rows), op="insert")
 
     def delete(self, rows: Sequence[FactRow]) -> int:
         """Retract delta facts; returns the new table version.
 
-        With an attached :class:`IncrementalCube` the aggregate must be
-        invertible (its rule); without one, any aggregate works — the
-        affected cuboids are evicted and recomputed on demand.
+        Any aggregate works: COUNT's cached cells absorb the deletion,
+        every other aggregate's affected cuboids are evicted and
+        recomputed on demand.
         """
         return self._write(list(rows), op="delete")
 
     def _write(self, rows: List[FactRow], op: str) -> int:
         patchable = (
-            _PATCH_INSERT if op == "insert" else _PATCH_DELETE
+            STATE_EXACT_AGGREGATES if op == "insert" else _PATCH_DELETE
         )
         started = time.perf_counter()
         with self._capture_audit() as audit:
             with self._lock, obs.span(
                 f"serve.{op}", category="serve", rows=len(rows)
             ):
-                if self._incremental is not None:
-                    if op == "insert":
-                        self._incremental.insert(rows)
-                    else:
-                        self._incremental.delete(rows)
-                elif op == "insert":
+                if op == "insert":
                     ingest_rows(self.table, rows)
                 else:
                     retract_rows(self.table, rows)
@@ -870,31 +835,22 @@ class CubeServer(CubeBackend):
         point: LatticePoint,
         op: str,
     ) -> None:
-        name = self._aggregate
+        fn = self._fn
+        empty = fn.new()
         for row in rows:
             for key in self.table.key_combinations(row, point):
                 if op == "insert":
-                    if key not in cuboid:
-                        cuboid[key] = self._first_value(row.measure)
-                    elif name == "COUNT":
-                        cuboid[key] += 1.0
-                    elif name == "SUM":
-                        cuboid[key] += row.measure
-                    elif name == "MIN":
-                        cuboid[key] = min(cuboid[key], row.measure)
-                    else:  # MAX
-                        cuboid[key] = max(cuboid[key], row.measure)
+                    # A state-exact cell is its own partial state, so
+                    # the fold continues where the algorithms stopped.
+                    cuboid[key] = fn.finalize(
+                        fn.add(cuboid.get(key, empty), row.measure)
+                    )
                 else:  # delete — only COUNT reaches here
                     remaining = cuboid.get(key, 0.0) - 1.0
                     if remaining <= 0.0:
                         cuboid.pop(key, None)
                     else:
                         cuboid[key] = remaining
-
-    def _first_value(self, measure: float) -> float:
-        if self._aggregate == "COUNT":
-            return 1.0
-        return measure  # SUM/MIN/MAX of a single fact
 
     def _evict_affected(self, rows: List[FactRow]) -> None:
         """Evict exactly the lattice points the delta touches."""

@@ -231,6 +231,72 @@ class TestStaleReplicas:
             assert "reject" in kinds
 
 
+def absent_row_on_last_shard(table, n_shards):
+    """A fact the table does not hold, hashed to the last shard, so a
+    batch's earlier shards come before it in the write fan-out."""
+    from dataclasses import replace
+
+    from repro.cluster.partition import partition_rows
+
+    for number in range(10_000):
+        row = replace(table.rows[0], fact_id=(99, number))
+        if partition_rows([row], n_shards)[-1]:
+            return row
+    raise AssertionError("no fact id hashes to the last shard")
+
+
+class TestAllOrNothingWrites:
+    """A batch is checked whole against the write log's fact set before
+    any replica applies or queues any of it."""
+
+    def versions(self, c):
+        """The vector and every replica's target version."""
+        return c.version_token(), [
+            [replica.target_version for replica in shard]
+            for shard in c.shards
+        ]
+
+    def test_delete_with_an_absent_fact_changes_nothing(self):
+        table, oracle = fresh()
+        rows = list(table.rows)
+        absent = absent_row_on_last_shard(table, 4)
+        with ClusterCoordinator(table, 4, 2, oracle=oracle) as c:
+            before = self.versions(c)
+            with pytest.raises(CubeError):
+                c.delete(rows[:8] + [absent])
+            assert self.versions(c) == before
+            assert_cluster_serves_exactly(c, table, rows)
+
+    def test_insert_of_a_present_fact_changes_nothing(self):
+        table, oracle = fresh()
+        rows = list(table.rows)
+        absent = absent_row_on_last_shard(table, 4)
+        with ClusterCoordinator(table, 4, 2, oracle=oracle) as c:
+            before = self.versions(c)
+            for batch in ([rows[0]], [absent, rows[-1]], [absent, absent]):
+                with pytest.raises(CubeError):
+                    c.insert(batch)
+                assert self.versions(c) == before
+                assert_cluster_serves_exactly(c, table, rows)
+
+    def test_lagging_replicas_are_not_the_reference(self):
+        """The fact set follows the write log, not a replica that has
+        not caught up on it yet."""
+        table, oracle = fresh()
+        rows = list(table.rows)
+        with ClusterCoordinator(table, 2, 2, oracle=oracle) as c:
+            for shard in c.shards:
+                shard[1].crash()
+            c.delete(rows[:3])  # queued on the crashed replicas
+            with pytest.raises(CubeError):
+                c.delete(rows[:1])
+            c.insert(rows[:3])
+            with pytest.raises(CubeError):
+                c.insert(rows[:1])
+            c.heal_all()
+            assert_cluster_serves_exactly(c, table, rows[3:] + rows[:3])
+
+
 class TestHedgedReads:
     def test_straggler_triggers_hedge(self):
         table, oracle = fresh()

@@ -3,6 +3,7 @@ and for the group-id kernel that reads it."""
 
 import pickle
 from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -282,7 +283,7 @@ class TestCaching:
     def test_ingest_invalidates(self):
         table = small_workload(n_facts=10).fact_table()
         first = table.columnar()
-        ingest_rows(table, [table.rows[0]])
+        ingest_rows(table, [replace(table.rows[0], fact_id=(99, 99))])
         second = table.columnar()
         assert second is not first
         assert second.n_rows == 11

@@ -5,13 +5,11 @@ import pytest
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import ingest_rows, retract_rows, split_rows
-from repro.core.materialize import (
-    MaterializedCube,
-    cuboid_sizes,
-    select_views,
-)
+from repro.core.materialize import cuboid_sizes, select_views
 from repro.core.properties import PropertyOracle
+from repro.core.query import Query
 from repro.datagen.workload import WorkloadConfig, build_workload
+from repro.serve import CubeServer
 from tests.conftest import small_workload
 
 
@@ -166,30 +164,57 @@ class TestSelection:
         assert selection.coverage_ratio() > 0.9
 
 
-class TestMaterializedCube:
+def serve_selection(table, oracle, budget=2000):
+    """A server answering from the advisor's views alone (no cache),
+    after one read of every lattice point, each checked against NAIVE.
+    Returns the server and the selection."""
+    selection = select_views(table, oracle, space_budget=budget)
+    server = CubeServer(table, oracle, selection=selection, cache_cells=0)
+    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+    for point in table.lattice.points():
+        answer = server.query(Query(point=point)).as_cuboid()
+        assert answer == reference.cuboids[point], (
+            table.lattice.describe(point)
+        )
+    return server, selection
+
+
+class TestServedSelection:
+    """The advisor's views served through ``CubeServer``'s ladder: a
+    chosen point at the view rung, a point a chosen view soundly derives
+    at the rollup rung, any other by recompute."""
+
     def test_answers_match_full_cube(self, clean):
         table, oracle = clean
-        selection = select_views(table, oracle, space_budget=2000)
-        materialized = MaterializedCube(table, selection, oracle)
-        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
-        materialized.verify_against(reference)
-        assert materialized.stats["direct"] + materialized.stats[
-            "rolled_up"
-        ] + materialized.stats["recomputed"] == table.lattice.size()
+        # Room for the top cuboid and little else, so most points roll up.
+        budget = cuboid_sizes(table, table.lattice)[table.lattice.top] + 10
+        server, selection = serve_selection(table, oracle, budget)
+        tiers = server.stats().tiers
+        derived = sum(
+            1
+            for point, source in selection.serving.items()
+            if source is not None and point not in selection.chosen
+        )
+        assert tiers["view"] == len(selection.chosen)
+        assert tiers["rollup"] == derived > 0
+        assert tiers["cache"] == 0
+        assert sum(tiers.values()) == table.lattice.size()
 
     def test_messy_answers_still_correct(self, messy):
         table, oracle = messy
-        selection = select_views(table, oracle, space_budget=2000)
-        materialized = MaterializedCube(table, selection, oracle)
-        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
-        materialized.verify_against(reference)
+        server, selection = serve_selection(table, oracle)
+        tiers = server.stats().tiers
         # Everything not materialized had to be recomputed from base.
-        assert materialized.stats["rolled_up"] == 0
+        assert tiers["rollup"] == 0
+        assert tiers["view"] == len(selection.chosen)
+        assert tiers["recompute"] == (
+            table.lattice.size() - len(selection.chosen)
+        )
 
     def test_cell_accessor(self, clean):
         table, oracle = clean
-        selection = select_views(table, oracle, space_budget=2000)
-        materialized = MaterializedCube(table, selection, oracle)
+        server, _ = serve_selection(table, oracle)
         reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         point = table.lattice.bottom
-        assert materialized.cell(point, ()) == reference.cuboids[point][()]
+        cell = server.query(Query(point=point, kind="cell", key=())).as_cell()
+        assert cell == reference.cuboids[point][()]

@@ -11,8 +11,10 @@ direct ``compute_cube``.
 import pytest
 
 from repro.core.cube import ExecutionOptions, compute_cube
-from repro.core.materialize import MaterializedCube, select_views
+from repro.core.materialize import select_views
 from repro.core.properties import PropertyOracle
+from repro.core.query import Query
+from repro.serve import CubeServer
 from repro.testing import messy_workload, small_workload
 
 # Committed expected selections — regenerate only deliberately, with:
@@ -94,9 +96,13 @@ class TestAnsweringInvariant:
     @pytest.mark.parametrize("which", ["clean", "messy"])
     def test_every_point_matches_direct_compute(self, which):
         table, oracle, _, selection = _selection(which)
-        materialized = MaterializedCube(table, selection, oracle)
+        server = CubeServer(
+            table, oracle, selection=selection, cache_cells=0
+        )
         reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         for point in table.lattice.points():
-            assert materialized.cuboid(point) == reference.cuboids[point], (
+            answer = server.query(Query(point=point)).as_cuboid()
+            assert answer == reference.cuboids[point], (
                 table.lattice.describe(point)
             )
+        assert server.stats().tiers["view"] == len(selection.chosen)

@@ -2,18 +2,20 @@
 
 import pytest
 
+from repro.core.aggregates import get_function
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.properties import PropertyOracle
+from repro.core.query import Query
 from repro.core.rollup import (
-    best_source_for,
     derivable,
     dice_cuboid,
-    point_query,
     rollup,
+    rollup_cuboid,
     slice_cuboid,
     structural_drop_only,
 )
 from repro.errors import CubeError
+from repro.serve import CubeServer
 from tests.conftest import small_workload
 
 
@@ -82,7 +84,11 @@ class TestRollup:
         target = lattice.point_by_description("$n:LND, $p:rigid, $y:rigid")
         with pytest.raises(CubeError):
             rollup(cube, source, target, oracle)
-        wrong = rollup(cube, source, target, oracle, unsafe=True)
+        # The unchecked arithmetic is what a naive roll-up computes.
+        wrong = rollup_cuboid(
+            lattice, cube.cuboids[source], source, target,
+            get_function("COUNT"),
+        )
         # The paper: "added up, the result is two, which is wrong."
         assert wrong[("p1", "2003")] == 2.0
         assert cube.cuboids[target][("p1", "2003")] == 1.0
@@ -118,20 +124,27 @@ class TestSliceDice:
 
 
 class TestHelpers:
-    def test_point_query(self, fig1_table):
+    def test_cell_lookup(self, fig1_table):
         cube = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
         point = fig1_table.lattice.point_by_description(
             "$n:LND, $p:LND, $y:rigid"
         )
-        assert point_query(cube, point, ("2003",)) == 2.0
-        assert point_query(cube, point, ("1888",)) is None
+        assert cube.cell(point, ("2003",)) == 2.0
+        assert cube.cell(point, ("1888",)) is None
 
     def test_best_source_prefers_small(self, clean):
+        """The server's rollup rung derives from the smallest sound
+        resident source."""
         table, oracle, cube = clean
         lattice = table.lattice
-        source = best_source_for(cube, lattice.bottom, oracle)
-        assert source is not None
+        server = CubeServer(table, oracle, cache_cells=100000)
+        others = [point for point in lattice.points() if point != lattice.bottom]
+        assert set(server.warm(others)) == set(others)
+        result = server.query(Query(point=lattice.bottom))
+        assert result.tier == "rollup"
+        assert result.as_cuboid() == cube.cuboids[lattice.bottom]
         # The smallest derivation source for the grand total is the
-        # smallest cuboid overall (everything is derivable on clean data).
-        smallest = min(cube.cuboids, key=lambda p: len(cube.cuboids[p]))
-        assert len(cube.cuboids[source]) == len(cube.cuboids[smallest])
+        # smallest resident cuboid (everything is derivable on clean data).
+        smallest = min(len(cube.cuboids[point]) for point in others)
+        (taken,) = [rung for rung in result.rungs if rung.taken]
+        assert f"({smallest} cells)" in taken.reason

@@ -3,8 +3,8 @@
 ``CubeServer`` decides its ladder in one function (``_walk_ladder``);
 ``explain_query`` returns that decision, ``query`` executes it.  Over
 random schedules of warm / insert / delete / query / eviction — with and
-without an attached ``IncrementalCube``, materialized views, and a
-non-distributive aggregate — whenever no write intervenes the two report
+without materialized views, over a state-exact MIN and an algebraic
+AVG aggregate — whenever no write intervenes the two report
 the *same padded rung trail*, reasons included; explaining leaves no
 trace; and every answer equals serial NAIVE at its version.  On the
 cluster, each shard's plan is what that replica's own server explains.
@@ -17,7 +17,6 @@ from repro.cluster import ClusterCoordinator
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
-from repro.core.incremental import IncrementalCube
 from repro.core.query import Query, drilldown_point
 from repro.errors import InvalidQuery
 from repro.serve import CubeServer
@@ -30,12 +29,12 @@ POINTS = BASE.lattice.topo_finer_first()
 INITIAL, POOL = list(BASE.rows[:36]), list(BASE.rows[36:])
 BATCH = 3
 
-#: mode -> (aggregate function, attach an IncrementalCube, view budget)
+#: mode -> (aggregate function, view budget)
 MODES = {
-    "plain": ("COUNT", False, 0),
-    "incremental": ("COUNT", True, 0),
-    "views": ("COUNT", False, 60),
-    "non-distributive": ("AVG", False, 0),
+    "plain": ("COUNT", 0),
+    "views": ("COUNT", 60),
+    "state-exact": ("MIN", 0),
+    "algebraic": ("AVG", 0),
 }
 
 point_index = st.integers(min_value=0, max_value=len(POINTS) - 1)
@@ -122,14 +121,10 @@ class Writes:
 )
 @settings(max_examples=60, deadline=None)
 def test_server_explain_is_what_query_then_does(mode, cache_cells, schedule):
-    function, incremental, view_cells = MODES[mode]
+    function, view_cells = MODES[mode]
     table = fresh_table(function)
     server = CubeServer(
-        table,
-        ORACLE,
-        cache_cells=cache_cells,
-        view_cells=view_cells,
-        incremental=IncrementalCube(table) if incremental else None,
+        table, ORACLE, cache_cells=cache_cells, view_cells=view_cells
     )
     writes = Writes(server)
     for op, argument in schedule:

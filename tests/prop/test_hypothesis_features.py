@@ -9,9 +9,11 @@ from repro.core.bindings import AnnotatedValue, FactRow, FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.export import cube_from_xml, cube_to_xml
 from repro.core.lattice import CubeLattice
-from repro.core.materialize import MaterializedCube, select_views
+from repro.core.materialize import select_views
 from repro.core.properties import PropertyOracle
+from repro.core.query import Query
 from repro.patterns.relaxation import Relaxation
+from repro.serve import CubeServer
 
 VALUES = ["u", "v", "w", "x"]
 
@@ -59,10 +61,11 @@ def test_iceberg_equals_postfiltered_full(table, support):
 def test_materialized_cube_answers_everything(table):
     oracle = PropertyOracle.from_data(table)
     selection = select_views(table, oracle, space_budget=500)
-    materialized = MaterializedCube(table, selection, oracle)
+    server = CubeServer(table, oracle, selection=selection, cache_cells=0)
     reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     for point in table.lattice.points():
-        assert materialized.cuboid(point) == reference.cuboids[point]
+        answer = server.query(Query(point=point)).as_cuboid()
+        assert answer == reference.cuboids[point]
 
 
 @given(random_table())

@@ -156,7 +156,7 @@ class TestEventLogExport:
         events = [json.loads(line) for line in lines]
         assert [event["seq"] for event in events] == list(range(25))
         assert all(event["type"] == "request" for event in events)
-        assert all(len(event["rungs"]) == 5 for event in events)
+        assert all(len(event["rungs"]) == 4 for event in events)
 
 
 class TestProfileRungBreakdown:

@@ -170,7 +170,7 @@ class TestExplainAgreesWithExecution:
         cuboid_of(server, point)
         before = explain(server, point)
         assert before.tier == "cache"
-        version = server.insert([table.rows[0]])
+        version = server.delete([table.rows[0]])
         after = explain(server, point)
         assert after.version == (version,)
         assert before.version != after.version

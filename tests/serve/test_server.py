@@ -9,6 +9,7 @@ the version reported with the answer.
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactTable
 from repro.core.columnar import ColumnarFactTable
 from repro.core.cube import ExecutionOptions, compute_cube
-from repro.core.incremental import IncrementalCube, split_rows
+from repro.core.incremental import split_rows
 from repro.core.materialize import cuboid_sizes
 from repro.core.query import Query
 from repro.core.rollup import derivable
@@ -169,27 +170,27 @@ class TestLadder:
             cuboid_of(server, point)
         assert server.stats().tiers["rollup"] == 0
 
-    def test_incremental_tier(self):
-        table, _ = fresh()
-        cube = IncrementalCube(table)
-        server = CubeServer(
-            table, oracle=None, cache_cells=0, incremental=cube
+    @pytest.mark.parametrize("function", ["MIN", "MAX"])
+    def test_min_max_roll_up(self, function):
+        """A MIN/MAX cell is its own partial state, so a sound source
+        derives a coarser cuboid exactly, as for COUNT and SUM."""
+        table, oracle = fresh()
+        table = vary_measures(with_aggregate(table, function))
+        server = CubeServer(table, oracle)
+        finest = table.lattice.top
+        cuboid_of(server, finest)
+        coarser = next(
+            point
+            for point in table.lattice.topo_finer_first()
+            if point != finest
+            and derivable(table.lattice, finest, point, oracle)[0]
         )
-        point = table.lattice.top
-        assert cuboid_of(server, point) == reference_cuboid(
-            table, table.rows, point
-        )
-        assert server.stats().tiers["incremental"] == 1
-        assert server.stats().tiers["recompute"] == 0
+        cuboid = cuboid_of(server, coarser)
+        assert server.stats().tiers["rollup"] == 1
+        assert cuboid == reference_cuboid(table, table.rows, coarser)
 
     def test_tier_names_are_stable(self):
-        assert TIERS == (
-            "cache",
-            "view",
-            "rollup",
-            "incremental",
-            "recompute",
-        )
+        assert TIERS == ("cache", "view", "rollup", "recompute")
 
 
 class TestQuerySurface:
@@ -281,12 +282,6 @@ class TestConstruction:
                     points=(table.lattice.top,)
                 ),
             )
-
-    def test_incremental_must_share_table(self):
-        table, _ = fresh()
-        other, _ = fresh(seed=11)
-        with pytest.raises(CubeError):
-            CubeServer(table, incremental=IncrementalCube(other))
 
 
 class TestWarm:
@@ -420,7 +415,9 @@ class TestWrites:
         server.insert(delta)
         assert_serves_exactly(server, live)
 
-    @pytest.mark.parametrize("function", ["COUNT", "SUM", "AVG"])
+    @pytest.mark.parametrize(
+        "function", ["COUNT", "SUM", "AVG", "MIN", "MAX"]
+    )
     def test_delete_stays_exact(self, function):
         table, oracle = fresh(n_facts=60)
         table = with_aggregate(table, function)
@@ -482,18 +479,49 @@ class TestWrites:
         with pytest.raises(CubeError):
             server.delete(delta[:1])  # never inserted
 
-    def test_routed_through_incremental(self):
+    def test_insert_of_present_fact_id_rejected(self):
+        """An insert naming a fact id the table holds (or naming one
+        twice) changes nothing: otherwise the fact could never be
+        deleted again."""
+        table, oracle = fresh()
+        server = CubeServer(table, oracle)
+        apex = cuboid_of(server, table.lattice.bottom)
+        fresh_row = replace(table.rows[0], fact_id=(99, 99))
+        for batch in ([table.rows[0]], [fresh_row, fresh_row]):
+            present = list(table.rows)
+            with pytest.raises(CubeError):
+                server.insert(batch)
+            assert table.rows == present
+            assert server.version == 0
+            assert cuboid_of(server, table.lattice.bottom) == apex
+        server.delete([table.rows[0]])
+        assert_serves_exactly(server, table)
+
+    def test_routed_through_incremental(self, monkeypatch):
+        """Writes go through ``repro.core.incremental``'s row helpers,
+        one call per batch."""
         table, oracle = fresh(n_facts=60)
         initial, delta = split_rows(table, 0.7)
         live = FactTable(table.lattice, list(initial), table.aggregate)
-        cube = IncrementalCube(live)
-        server = CubeServer(live, oracle, incremental=cube)
-        applied_before = cube.applied_rows
+        server = CubeServer(live, oracle)
+        calls = []
+        for name in ("ingest_rows", "retract_rows"):
+            original = getattr(server_module, name)
+            monkeypatch.setattr(
+                server_module,
+                name,
+                lambda t, rows, name=name, original=original: (
+                    calls.append((name, len(rows))), original(t, rows)
+                ),
+            )
         server.insert(delta)
-        assert cube.applied_rows == applied_before + len(delta)
         assert_serves_exactly(server, live)
         server.delete(delta)
         assert_serves_exactly(server, live)
+        assert calls == [
+            ("ingest_rows", len(delta)),
+            ("retract_rows", len(delta)),
+        ]
 
 
 class TestConcurrency:

@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro.core.bindings import FactTable
-from repro.core.incremental import IncrementalCube, split_rows
+from repro.core.incremental import split_rows
 from repro.core.query import Query
 from repro.serve import CubeServer
 from repro.testing import small_workload
@@ -26,16 +26,17 @@ WRITE_BATCHES = 12
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("attach_incremental", [False, True])
-def test_concurrent_reads_match_serial_recompute(attach_incremental):
+@pytest.mark.parametrize("warm", [False, True])
+def test_concurrent_reads_match_serial_recompute(warm):
+    """``warm`` fills the cache first, so the race starts with every
+    write patching or evicting resident cuboids."""
     table = small_workload(n_facts=120, seed=21).fact_table()
     initial, churn = split_rows(table, 0.5)
     live = FactTable(table.lattice, list(initial), table.aggregate)
     oracle = small_workload(n_facts=120, seed=21).oracle(live)
-    incremental = IncrementalCube(live) if attach_incremental else None
-    server = CubeServer(
-        live, oracle, cache_cells=256, incremental=incremental
-    )
+    server = CubeServer(live, oracle, cache_cells=256)
+    if warm:
+        assert server.warm()
 
     # Only the writer mutates; it records the exact rows at each version.
     rows_at_version = {0: tuple(initial)}

@@ -78,7 +78,7 @@ class TestQueryEndpoints:
         assert decoded.pop("modeled_seconds") > 0.0
         rungs = decoded.pop("rungs")
         assert [r["rung"] for r in rungs] == [
-            "cache", "view", "rollup", "incremental", "recompute",
+            "cache", "view", "rollup", "recompute",
         ]
         assert [r["rung"] for r in rungs if r["taken"]] == ["recompute"]
         assert decoded == {
@@ -180,7 +180,7 @@ class TestQueryEndpoints:
         assert decoded["kind"] == "aggregate"
         assert decoded["point"] == "$n:LND, $p:LND, $y:rigid"
         assert decoded["shards"] == []
-        assert len(decoded["rungs"]) == 5
+        assert len(decoded["rungs"]) == 4
 
     def test_raw_point_description_works_too(self, api):
         response, decoded = call(
