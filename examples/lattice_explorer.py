@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
 """Explore a query's relaxed-cube lattice (the paper's Fig. 3, live).
 
-Prints the level census of Query 1's 30-point lattice, the one-step
-relaxations out of the rigid pattern, the schema-proved coincidences a
-DTD collapses, and writes a GraphViz rendering of the whole lattice.
+Prints the level census of Query 1's 30-point lattice and the one-step
+relaxations out of the rigid pattern, read off ``CubeLattice`` itself.
 
 Run:  python examples/lattice_explorer.py
 """
 
-from repro.core.lattice_graph import edge_label, level_census, to_dot
-from repro.core.prune import prune_lattice
-from repro.datagen.publications import figure1_document, query1
-from repro.schema.inference import infer_dtd
+from collections import Counter
+
+from repro.datagen.publications import query1
 
 
 def main() -> None:
@@ -23,34 +21,13 @@ def main() -> None:
     print(f"  bottom = {lattice.describe(lattice.bottom)}")
 
     print("\nlevel census (relaxation steps -> cuboids):")
-    for steps, count in level_census(lattice):
+    census = Counter(lattice.rank(point) for point in lattice.points())
+    for steps, count in sorted(census.items()):
         print(f"  {steps:>2}: {'#' * count}  ({count})")
 
     print("\none-step relaxations of the rigid pattern (Fig. 3 (b)-(g)):")
     for successor in lattice.successors(lattice.top):
-        label = edge_label(lattice, lattice.top, successor)
-        print(f"  --{label:<12}-> {lattice.describe(successor)}")
-
-    # Schema-driven coincidences: infer a DTD from Figure 1 itself.
-    dtd = infer_dtd([figure1_document()])
-    mapping = prune_lattice(lattice, dtd, "publication")
-    collapsed = {
-        point: canonical
-        for point, canonical in mapping.items()
-        if point != canonical
-    }
-    print(f"\nschema-proved coincident points: {len(collapsed)}")
-    for point, canonical in sorted(collapsed.items())[:5]:
-        print(f"  {lattice.describe(point)}")
-        print(f"    == {lattice.describe(canonical)}")
-
-    dot = to_dot(lattice)
-    path = "/tmp/x3_lattice.dot"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dot)
-    print(f"\nwrote GraphViz source to {path} "
-          f"({dot.count('->')} edges); render with:")
-    print(f"  dot -Tpdf {path} -o lattice.pdf")
+        print(f"  -> {lattice.describe(successor)}")
 
 
 if __name__ == "__main__":

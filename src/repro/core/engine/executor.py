@@ -56,9 +56,12 @@ from repro.core.engine.merge import (
     merged_algorithm_name,
 )
 from repro.core.engine.metrics import EngineMetrics, PartitionStats
-from repro.core.engine.partition import Partition, partition_points
+from repro.core.engine.partition import (
+    Partition,
+    partition_cut_edges,
+    partition_points,
+)
 from repro.core.lattice import LatticePoint
-from repro.core.lattice_graph import partition_cut_edges
 from repro.core.properties import PropertyOracle
 from repro.obs.metrics import Counter
 

@@ -14,7 +14,7 @@ The split is deterministic: same lattice, same points, same bin count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.errors import CubeError
@@ -69,3 +69,26 @@ def partition_points(
         Partition(index=index, points=tuple(sorted(raw)), weight=load)
         for index, (raw, load) in enumerate(filled)
     ]
+
+
+def partition_cut_edges(
+    lattice: CubeLattice,
+    partitions: List[List[LatticePoint]],
+) -> int:
+    """Lattice edges whose endpoints land in different partitions.
+
+    The engine reports this as a partition-quality metric: roll-up reuse
+    (TD's sorted-run sharing, BUC's prefix sharing) follows lattice edges,
+    so a cut edge is reuse the partitioned run may repeat.
+    """
+    assignment: Dict[LatticePoint, int] = {}
+    for index, points in enumerate(partitions):
+        for point in points:
+            assignment[point] = index
+    cut = 0
+    for point, home in assignment.items():
+        for successor in lattice.successors(point):
+            other = assignment.get(successor)
+            if other is not None and other != home:
+                cut += 1
+    return cut

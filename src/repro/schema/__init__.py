@@ -1,8 +1,8 @@
 """DTD-style schema model, parsing, inference and property reasoning.
 
 The paper's Section 3.7 infers summarizability properties of lattice points
-from schema knowledge (which sub-elements are optional, which may repeat,
-and which paths are unique).  This subpackage provides:
+from schema knowledge (which sub-elements are optional and which may
+repeat).  This subpackage provides:
 
 - :class:`~repro.schema.dtd.Dtd` — element declarations with child
   cardinalities and attribute declarations;

@@ -88,9 +88,6 @@ class ElementDecl:
     def child_cardinality(self, tag: str) -> Optional[Cardinality]:
         return self.children.get(tag)
 
-    def allows_child(self, tag: str) -> bool:
-        return tag in self.children
-
 
 class Dtd:
     """A set of element declarations with path-level reasoning helpers."""
@@ -140,11 +137,6 @@ class Dtd:
     # ------------------------------------------------------------------
     # path reasoning (used by Sec. 3.7 property inference)
     # ------------------------------------------------------------------
-    def child_paths(self, from_tag: str, to_tag: str) -> bool:
-        """Is ``to_tag`` declared as a direct child of ``from_tag``?"""
-        decl = self.get(from_tag)
-        return bool(decl and decl.allows_child(to_tag))
-
     def reachable_tags(self, from_tag: str, max_hops: int = 64) -> Set[str]:
         """All tags reachable from ``from_tag`` through declared children."""
         out: Set[str] = set()
@@ -236,33 +228,6 @@ class Dtd:
 
         if not walk(from_tag, [], (from_tag,)):
             return None
-        return paths
-
-    def unique_path(self, from_tag: str, to_tag: str) -> bool:
-        """True when every declared path from ``from_tag`` to ``to_tag``
-        goes through the same tag sequence (used for SP-equivalence: e.g.
-        'every path from publication to name goes through author')."""
-        paths = self._tag_paths_between(from_tag, to_tag, max_depth=16)
-        return len(paths) == 1
-
-    def _tag_paths_between(
-        self, from_tag: str, to_tag: str, max_depth: int
-    ) -> List[Tuple[str, ...]]:
-        paths: List[Tuple[str, ...]] = []
-
-        def walk(tag: str, trail: Tuple[str, ...]) -> None:
-            if len(trail) > max_depth:
-                return
-            decl = self.get(tag)
-            if decl is None:
-                return
-            for child in decl.children:
-                if child == to_tag:
-                    paths.append(trail + (child,))
-                if child not in trail and child != to_tag:
-                    walk(child, trail + (child,))
-
-        walk(from_tag, ())
         return paths
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

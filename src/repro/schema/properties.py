@@ -105,18 +105,6 @@ def axis_coverage(
     return PropertyVerdict.HOLDS if not card.may_be_absent else PropertyVerdict.FAILS
 
 
-def sp_equivalent(dtd: Dtd, fact_tag: str, via: str, target: str) -> bool:
-    """Sec. 3.7's third observation: if every declared path from the fact
-    tag to ``target`` goes through ``via``, then the SP-relaxed pattern
-    (``fact[.//target]``) has exactly the same coverage as the rigid one
-    (``fact/via/target``) and the two lattice points coincide.
-    """
-    paths = dtd._tag_paths_between(fact_tag, target, max_depth=16)
-    if not paths:
-        return False
-    return all(via in path for path in paths)
-
-
 def _product(outer: Cardinality, inner: Cardinality) -> Cardinality:
     absent = outer.may_be_absent or inner.may_be_absent
     repeat = outer.may_repeat or inner.may_repeat

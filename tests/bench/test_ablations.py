@@ -11,15 +11,11 @@ import pytest
 from repro.core import extract
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
-from repro.core.extract import extract_fact_table
 from repro.core.incremental import split_rows
 from repro.core.materialize import select_views
 from repro.core.properties import PropertyOracle
-from repro.core.prune import compute_cube_pruned
 from repro.core.query import Query
-from repro.datagen.publications import query1, random_publications
 from repro.datagen.workload import WorkloadConfig, build_workload
-from repro.schema.dtd import Cardinality, Dtd
 from repro.serve import CubeServer
 
 
@@ -74,42 +70,6 @@ def test_a1_shared_extraction_beats_per_cuboid_matching(monkeypatch):
     assert len(evaluated) == len(set(evaluated))
     assert set(evaluated) == paths
     assert len(evaluated) < workload.query.lattice().size()
-
-
-def test_a5_schema_pruning_saves_work_and_stays_correct():
-    dtd = Dtd()
-    dtd.declare_element(
-        "database", children=[("publication", Cardinality.STAR)]
-    )
-    dtd.declare_element(
-        "publication",
-        children=[
-            ("author", Cardinality.STAR),
-            ("publisher", Cardinality.OPTIONAL),
-            ("year", Cardinality.PLUS),
-        ],
-        attributes=["id"],
-    )
-    dtd.declare_element("author", children=[("name", Cardinality.ONE)])
-    dtd.declare_element("name", has_text=True)
-    dtd.declare_element("publisher", attributes=["id"])
-    dtd.declare_element("year", has_text=True)
-    doc = random_publications(
-        300,
-        p_missing_publisher=0.2,
-        p_extra_author=0.3,
-        p_nested_author=0,
-        p_pubdata=0,
-        p_second_year=0.1,
-    )
-    table = extract_fact_table(doc, query1())
-    full = compute_cube(table, ExecutionOptions(algorithm="BUC"))
-    pruned, saved = compute_cube_pruned(
-        table, dtd, "publication", algorithm="BUC"
-    )
-    assert saved > 0
-    assert pruned.same_contents(full)
-    assert pruned.cost.cpu_ops < full.cost.cpu_ops
 
 
 def test_a6_materializing_views_beats_per_point_recompute(dense_table):

@@ -13,8 +13,11 @@ from repro.core.engine.merge import (
     merge_cuboids,
     merged_algorithm_name,
 )
-from repro.core.engine.partition import partition_points, point_weight
-from repro.core.lattice_graph import partition_cut_edges
+from repro.core.engine.partition import (
+    partition_cut_edges,
+    partition_points,
+    point_weight,
+)
 from repro.errors import CubeError
 from repro.testing import treebank_workload
 

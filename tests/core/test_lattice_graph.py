@@ -1,15 +1,20 @@
 """Tests validating the lattice against networkx as an independent
-graph library, plus the GraphViz export."""
+graph library."""
 
 import networkx as nx
 
-from repro.core.lattice_graph import (
-    edge_label,
-    level_census,
-    to_dot,
-    to_networkx,
-)
 from repro.datagen.publications import query1
+
+
+def to_networkx(lattice):
+    """The lattice as a directed graph, finer -> coarser: one node per
+    point, one edge per single relaxation step (``successors``)."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(lattice.points())
+    for point in lattice.points():
+        for successor in lattice.successors(point):
+            graph.add_edge(point, successor)
+    return graph
 
 
 def graph_and_lattice():
@@ -58,43 +63,3 @@ class TestGraphStructure:
                 assert closure.has_edge(first, second) == (
                     lattice.leq(first, second)
                 ), (first, second)
-
-
-class TestLabels:
-    def test_edge_labels_name_the_relaxation(self):
-        graph, lattice = graph_and_lattice()
-        labels = {
-            data["relaxation"] for _, _, data in graph.edges(data=True)
-        }
-        assert "$y:LND" in labels
-        assert "$n:PC-AD" in labels
-        assert "$n:SP" in labels
-
-    def test_edge_label_direct(self):
-        lattice = query1().lattice()
-        top = lattice.top
-        succ = lattice.point_by_description(
-            "$n:rigid, $p:rigid, $y:LND"
-        )
-        assert edge_label(lattice, top, succ) == "$y:LND"
-
-
-class TestDot:
-    def test_dot_structure(self):
-        lattice = query1().lattice()
-        dot = to_dot(lattice)
-        assert dot.startswith("digraph x3_lattice {")
-        assert dot.rstrip().endswith("}")
-        assert dot.count("->") == sum(
-            len(lattice.successors(point)) for point in lattice.points()
-        )
-        assert "$n:rigid, $p:rigid, $y:rigid" in dot
-
-
-class TestCensus:
-    def test_levels_sum_to_size(self):
-        lattice = query1().lattice()
-        census = level_census(lattice)
-        assert sum(count for _, count in census) == 30
-        assert census[0] == (0, 1)   # single top
-        assert census[-1][1] == 1    # single bottom

@@ -71,11 +71,6 @@ class TestDtd:
         assert "nope" not in dtd
         assert set(dtd.tags) >= {"database", "publication", "name"}
 
-    def test_child_paths(self):
-        dtd = build_pub_dtd()
-        assert dtd.child_paths("publication", "author")
-        assert not dtd.child_paths("publication", "name")
-
     def test_reachable_tags(self):
         dtd = build_pub_dtd()
         reachable = dtd.reachable_tags("publication")
@@ -122,14 +117,6 @@ class TestDtd:
         assert (
             dtd.descendant_step_cardinality("a", "x") is Cardinality.STAR
         )
-
-    def test_unique_path(self):
-        dtd = build_pub_dtd()
-        assert dtd.unique_path("publication", "name")
-        dtd.declare_element(
-            "publisher", children=[("name", Cardinality.ONE)]
-        )
-        assert not dtd.unique_path("publication", "name")
 
     def test_declare_replaces(self):
         dtd = build_pub_dtd()

@@ -7,7 +7,6 @@ from repro.schema.properties import (
     axis_coverage,
     axis_disjointness,
     path_cardinality,
-    sp_equivalent,
 )
 from repro.xmlmodel.navigation import parse_path
 
@@ -93,18 +92,6 @@ class TestVerdicts:
     def test_unknown_for_undeclared(self):
         verdict = axis_coverage(pub_dtd(), "alien", parse_path("x"))
         assert verdict is PropertyVerdict.UNKNOWN
-
-
-class TestSpEquivalence:
-    def test_every_name_goes_through_author(self):
-        # Sec. 3.7's example: //publication/author/name has the same
-        # coverage as //publication//name when all paths go via author.
-        assert sp_equivalent(pub_dtd(), "publication", "author", "name")
-
-    def test_not_equivalent_with_second_route(self):
-        dtd = pub_dtd()
-        dtd.get("publisher").children["name"] = Cardinality.ONE
-        assert not sp_equivalent(dtd, "publication", "author", "name")
 
 
 class TestDblpVerdicts:

@@ -10,7 +10,6 @@ from repro.errors import XmlParseError
 from repro.xmlmodel.nodes import Document, Element, validate_regions
 from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
-from repro.xmlmodel.stream import build_from_events, iter_events, tree_events
 
 DEPTH = 5000
 
@@ -47,15 +46,15 @@ class TestDepth:
         ]
         validate_regions(doc)
 
-    def test_events_and_full_text_at_depth(self):
+    def test_full_text_and_round_trip_at_depth(self):
         text = nested(DEPTH, leaf=" x ")
         doc = parse(text)
-        events = list(tree_events(doc))
-        assert len(events) == 2 * DEPTH + 1
-        assert events == list(iter_events(text))
-        rebuilt = build_from_events(iter(events))
-        assert serialize(rebuilt) == text
         assert doc.root.full_text() == "x"
+        assert doc.elements[-1].full_text() == "x"
+        assert serialize(doc) == text
+        again = parse(serialize(doc))
+        assert again.element_count() == DEPTH
+        assert serialize(again) == text
 
     def test_hand_built_tree_at_depth(self):
         root = Element("r", text=" top ")

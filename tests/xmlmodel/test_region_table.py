@@ -17,7 +17,6 @@ from repro.warehouse import XmlWarehouse
 from repro.xmlmodel.nodes import Document, RegionTable
 from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
-from repro.xmlmodel.stream import count_tags, iter_events
 from tests.prop import reference_extract
 
 TEXT = (
@@ -127,15 +126,11 @@ class TestReadersLeaveTheTreeUnbuilt:
         warehouse.add(built)
         assert warehouse.fact_count("publication") == 4
 
-    def test_events_and_tag_counts(self, count_elements):
-        events = list(iter_events(TEXT))
-        assert events[:3] == [
-            ("start", "a", {"x": "1"}),
-            ("text", "one"),
-            ("text", "two"),
-        ]
-        assert events[-1] == ("end", "a")
-        assert count_tags(TEXT) == {"a": 1, "b": 2, "c": 1, "d": 1}
+    def test_tag_counts(self, count_elements):
+        doc = parse(TEXT)
+        counts = {tag: doc.tag_count(tag) for tag in doc.iter_tags()}
+        assert counts == {"a": 1, "b": 2, "c": 1, "d": 1}
+        assert doc.tag_count("missing") == 0
         assert count_elements() == 0
 
     def test_the_warehouse(self, count_elements):
