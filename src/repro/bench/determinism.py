@@ -3,9 +3,9 @@
 CI regenerates the two committed records (``BENCH_figures.json``,
 ``BENCH_smoke.json`` — tier-1 regenerates the latter too) and runs the
 seeded cluster replay twice, and pipes each pair through this module:
-every JSON artifact and JSONL event log must be **identical** once the
+every JSON artifact and JSONL request log must be **identical** once the
 wall-clock noise is stripped.  The modeled numbers (simulated seconds,
-cell counts, hit rates, event sequences) are deterministic by
+cell counts, hit rates, record sequences) are deterministic by
 construction — host timing is the only thing allowed to differ — so a
 surviving diff is either a modeled change (commit the regenerated
 record with it) or a nondeterminism bug (an unstable iteration order,

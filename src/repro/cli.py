@@ -269,8 +269,8 @@ def _option_groups() -> Dict[str, argparse.ArgumentParser]:
     add(
         "--log-jsonl",
         metavar="PATH",
-        help="write the structured event log as JSON Lines (cluster:"
-        " events of the last replayed shard count)",
+        help="write the request log as JSON Lines, one record per read"
+        " or write (cluster: the last replayed shard count's)",
     )
     add = group("validate", "output")
     add(
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--jsonl",
         metavar="PATH",
-        help="also write the structured event log as JSON Lines",
+        help="also write the request log as JSON Lines",
     )
 
     sub = command(
@@ -568,9 +568,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = commands.add_parser(
         "trace",
-        help="Explore trace JSONL dumped by --trace-jsonl.",
+        help="Explore trace JSONL and request logs.",
         description="Explore trace JSONL dumped by x3 server / x3 cluster"
-        " --trace-jsonl: list traces, render waterfalls, export Chrome"
+        " --trace-jsonl, or a request log (x3 serve / x3 cluster"
+        " --log-jsonl, x3 top --jsonl; one one-span record per read or"
+        " write): list records, render waterfalls, export Chrome"
         " trace_event JSON.",
     )
     dump = _Parser(add_help=False)
@@ -603,7 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
         "show", parents=[dump], help="render one trace as a waterfall tree"
     )
     sub.set_defaults(run=trace_cli.run_show)
-    sub.add_argument("trace_id", help="trace id (any unambiguous prefix)")
+    sub.add_argument(
+        "trace_id",
+        help="trace id (any unambiguous prefix), or a record's seq when"
+        " no trace id matches",
+    )
     sub.add_argument(
         "--chrome-out",
         metavar="PATH",
@@ -832,8 +838,8 @@ def run_serve(args: argparse.Namespace) -> int:
             replay(backend, _sampled(args, table))
         serve.report(backend, table, args.log_jsonl)
     if session is not None:
-        print("rungs (from the request log):")
-        for line in serve.rung_breakdown(backend):
+        print("rungs (from the profile's serve.request spans):")
+        for line in serve.rung_breakdown(session.trace()):
             print(f"   {line}")
         _print_profile(session, args)
     return 0
@@ -898,7 +904,7 @@ def run_cluster(args: argparse.Namespace) -> int:
             if args.log_jsonl:
                 written = backend.events.write_jsonl(args.log_jsonl)
                 print(
-                    f"wrote {written} cluster events to {args.log_jsonl}"
+                    f"wrote {written} cluster records to {args.log_jsonl}"
                 )
             if trace_store is not None:
                 trace_cli.report_store(trace_store, args.trace_jsonl)

@@ -15,7 +15,7 @@ Degraded modes, all deterministic under a seeded
 :class:`~repro.cluster.chaos.ChaosEngine`:
 
 - **failover** — a crashed replica is skipped and the next healthy one
-  answers; the decision lands in the event log;
+  answers; the decision lands in the read's request-log record;
 - **hedged reads** — when a replica's modeled latency exceeds the hedge
   deadline, a backup replica is asked too and the cheaper (modeled)
   answer wins, with hedge accounting ``deadline + backup`` as real
@@ -31,11 +31,18 @@ write log's fact set (a batch is applied everywhere or nowhere), routed
 to *all* replicas of each affected shard through the servers' delta
 path, and each fan-out appends the new version vector to the write-log
 history the consistency check validates against.
+
+Every read, write and heal leaves one record in :attr:`events`, the
+coordinator's request log: a ``cluster.read``, ``cluster.write`` or
+``cluster.heal`` root span whose ``decisions`` attr lists the
+operation's failovers, hedges, stale retries, injected faults, rejected
+gathers and heals, in the order they were decided.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -55,11 +62,21 @@ from repro.cluster.partition import partition_rows
 from repro.cluster.shard import ShardAnswer, ShardReplica
 from repro.cluster.versions import VersionVector
 from repro.cost import CostModel
-from repro.errors import ClusterError, CubeError, ShardUnavailable
-from repro.obs.events import ClusterEvent, EventLog, RungDecision
+from repro.errors import ClusterError, CubeError, ShardUnavailable, X3Error
+from repro.obs.events import RungDecision
 from repro.obs.trace_store import TraceStore
 
 _CPU_OP_SECONDS = CostModel.cpu_op_cost
+
+#: Records the request log (:attr:`ClusterCoordinator.events`) keeps.
+LOG_CAPACITY = 8192
+
+#: One coordination decision, as a JSON object: ``kind`` (failover /
+#: hedge / stale_retry / straggle / crash / stale / reject / heal), the
+#: coordinator ``op_index`` it was made in (-1: outside any read or
+#: write), the ``shard`` and ``replica`` it concerns (-1: all), a
+#: human-readable ``detail`` and the modeled latency, when relevant.
+Decision = Dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -96,11 +113,11 @@ class ClusterStats:
 
 @dataclass
 class _ShardReadOutcome:
-    """One shard's contribution to a gather, with its event trail."""
+    """One shard's contribution to a gather, with its decisions."""
 
     answer: ShardAnswer
     latency: float
-    events: List[ClusterEvent]
+    decisions: List[Decision]
 
 
 class ClusterCoordinator(CubeBackend):
@@ -125,7 +142,6 @@ class ClusterCoordinator(CubeBackend):
             answers.
         max_read_rounds: whole-scatter retry bound when a gathered
             version vector is inconsistent.
-        event_log_capacity: ring capacity of the cluster event log.
         trace_store: optional distributed-tracing store.  When set, a
             read entering without an upstream binding opens its own
             trace root; per-shard child spans (carrying replica, tier,
@@ -149,7 +165,6 @@ class ClusterCoordinator(CubeBackend):
         hedge_deadline_seconds: Optional[float] = 0.1,
         max_stale_retries: int = 3,
         max_read_rounds: int = 8,
-        event_log_capacity: int = 8192,
         trace_store: Optional[TraceStore] = None,
     ) -> None:
         if n_shards <= 0:
@@ -169,7 +184,7 @@ class ClusterCoordinator(CubeBackend):
         self.hedge_deadline_seconds = hedge_deadline_seconds
         self.max_stale_retries = max_stale_retries
         self.max_read_rounds = max_read_rounds
-        self.events = EventLog(event_log_capacity)
+        self.events = TraceStore.request_log(LOG_CAPACITY)
         self.trace_store = trace_store
 
         slices = partition_rows(table.rows, n_shards)
@@ -260,18 +275,39 @@ class ClusterCoordinator(CubeBackend):
         up to ``max_read_rounds`` times.  The scatter-gather path has no
         per-request ladder, so the rung trail is one synthesized
         ``scatter-gather`` decision (each replica's own ladder walk
-        lives in its local event log).
+        lives in its local request log).  The read leaves one
+        ``cluster.read`` record, with ``status="error"`` when it fails.
         """
         described = self.lattice.describe(point)
-        with obs.span(
-            "cluster.request",
-            category="cluster",
-            point=described,
-            kind=kind,
-            shards=self.n_shards,
-        ) as span:
-            cuboid, vector, latency = self._gather(point, described, kind)
-            span.annotate(cells=len(cuboid)).set_sim(latency)
+        decisions: List[Decision] = []
+        started = time.perf_counter()
+        try:
+            with obs.span(
+                "cluster.request",
+                category="cluster",
+                point=described,
+                kind=kind,
+                shards=self.n_shards,
+            ) as span:
+                cuboid, vector, latency = self._gather(
+                    point, described, decisions
+                )
+                facts: Dict[str, Any] = dict(
+                    kind=kind,
+                    point=described,
+                    versions=vector,
+                    cells=len(cuboid),
+                    decisions=tuple(decisions),
+                )
+                span.annotate(**facts).set_sim(latency)
+        except X3Error as error:
+            self._log(
+                "cluster.read", 0.0, started, "error",
+                kind=kind, point=described, error=type(error).__name__,
+                decisions=tuple(decisions),
+            )
+            raise
+        self._log("cluster.read", latency, started, **facts)
         obs.count("x3_cluster_requests_total", kind=kind)
         obs.observe("x3_cluster_request_modeled_seconds", latency)
         rung = RungDecision(
@@ -283,6 +319,25 @@ class ClusterCoordinator(CubeBackend):
             ),
         )
         return cuboid, vector, "scatter-gather", (rung,), latency
+
+    def _log(
+        self,
+        name: str,
+        sim_seconds: float,
+        started: float,
+        status: str = "ok",
+        **attrs: Any,
+    ) -> None:
+        """Append one operation's record to :attr:`events`."""
+        self.events.add(
+            name,
+            "cluster",
+            sim_seconds,
+            time.perf_counter() - started,
+            obs.current().trace_id_hex,
+            status,
+            **attrs,
+        )
 
     def _plan(self, point: LatticePoint) -> Plan:
         """The scatter plan.  For each shard: which replica the
@@ -311,8 +366,14 @@ class ClusterCoordinator(CubeBackend):
         return self.version_token(), "scatter-gather", (), tuple(plans)
 
     def _gather(
-        self, point: LatticePoint, described: str, kind: str
+        self,
+        point: LatticePoint,
+        described: str,
+        decisions: List[Decision],
     ) -> Tuple[Cuboid, Tuple[int, ...], float]:
+        """Scatter until a gathered vector is consistent; the merged
+        cuboid, its vector and its modeled latency.  Every round's
+        decisions go to ``decisions``."""
         last_vector: Optional[Tuple[int, ...]] = None
         for round_index in range(self.max_read_rounds):
             with self._lock:
@@ -326,29 +387,21 @@ class ClusterCoordinator(CubeBackend):
             )
             with self._lock:
                 consistent = vector in self._history_set
-            self._record_outcomes(outcomes)
+            for outcome in outcomes:
+                decisions.extend(outcome.decisions)
             if consistent:
-                return self._merge(
-                    op, outcomes, vector, described, kind
-                )
+                cuboid, latency = self._merge(outcomes)
+                return cuboid, vector, latency
             last_vector = vector
             with self._lock:
                 self._rejects += 1
             obs.count("x3_cluster_rejects_total")
-            self.events.append(
-                ClusterEvent(
-                    seq=0,
-                    kind="reject",
-                    op=op,
-                    shard=-1,
-                    replica=-1,
-                    detail=(
-                        f"gathered vector {list(vector)} matches no "
-                        f"write-log state; syncing and retrying "
-                        f"(round {round_index + 1})"
-                    ),
-                    versions=vector,
-                    trace_id=obs.current().trace_id_hex,
+            decisions.append(
+                self._decision(
+                    "reject", op, -1, -1,
+                    f"gathered vector {list(vector)} matches no "
+                    f"write-log state; syncing and retrying "
+                    f"(round {round_index + 1})",
                 )
             )
             self.sync_all()
@@ -426,11 +479,11 @@ class ClusterCoordinator(CubeBackend):
     ) -> _ShardReadOutcome:
         """One shard's read: failover across replicas, hedge stragglers.
 
-        Events are collected locally and appended to the shared log by
-        the gather (in shard order), so concurrent fan-out threads never
-        interleave one request's trail.
+        Decisions are collected locally and joined by the gather (in
+        shard order), so concurrent fan-out threads never interleave
+        one request's trail.
         """
-        events: List[ClusterEvent] = []
+        decisions: List[Decision] = []
         fault_pending = fault is not NO_FAULT
         replicas = self.shards[shard_id]
         # Deterministic span id per shard (key, not a shared counter):
@@ -443,7 +496,7 @@ class ClusterCoordinator(CubeBackend):
         ) as span:
             for replica in replicas:
                 if not replica.healthy:
-                    self._count_failover(events, op, shard_id, replica)
+                    self._count_failover(decisions, op, shard_id, replica)
                     continue
                 extra_seconds = 0.0
                 if fault_pending:
@@ -454,26 +507,26 @@ class ClusterCoordinator(CubeBackend):
                         with self._lock:
                             self._crashes += 1
                         obs.count("x3_cluster_faults_total", kind="crash")
-                        events.append(
-                            self._event(
+                        decisions.append(
+                            self._decision(
                                 "crash", op, shard_id, replica.replica,
                                 "fault injected: replica crashed",
                             )
                         )
-                        self._count_failover(events, op, shard_id, replica)
+                        self._count_failover(decisions, op, shard_id, replica)
                         continue
                     extra_seconds = fault.extra_seconds
                 answer = self._read_replica(
-                    replica, point, expected_version, op, events
+                    replica, point, expected_version, op, decisions
                 )
                 if answer is None:
-                    self._count_failover(events, op, shard_id, replica)
+                    self._count_failover(decisions, op, shard_id, replica)
                     continue
                 latency = answer.modeled_seconds + extra_seconds
                 if extra_seconds:
                     obs.count("x3_cluster_faults_total", kind="straggle")
-                    events.append(
-                        self._event(
+                    decisions.append(
+                        self._decision(
                             "straggle", op, shard_id, replica.replica,
                             f"fault injected: +{extra_seconds:.3f}s "
                             f"modeled delay",
@@ -484,15 +537,17 @@ class ClusterCoordinator(CubeBackend):
                 if deadline is not None and latency > deadline:
                     answer, latency = self._hedge(
                         op, shard_id, point, expected_version,
-                        replica, answer, latency, events,
+                        replica, answer, latency, decisions,
                     )
                 span.annotate(
                     replica=answer.replica,
                     tier=answer.tier,
-                    hedged=any(e.kind == "hedge" for e in events),
-                    failover=any(e.kind == "failover" for e in events),
+                    hedged=any(d["kind"] == "hedge" for d in decisions),
+                    failover=any(
+                        d["kind"] == "failover" for d in decisions
+                    ),
                 ).set_sim(latency)
-                return _ShardReadOutcome(answer, latency, events)
+                return _ShardReadOutcome(answer, latency, decisions)
             span.set_status("error").annotate(error="ShardUnavailable")
         raise ShardUnavailable(shard_id, -1, "no healthy replica")
 
@@ -502,7 +557,7 @@ class ClusterCoordinator(CubeBackend):
         point: LatticePoint,
         expected_version: int,
         op: int,
-        events: List[ClusterEvent],
+        decisions: List[Decision],
     ) -> Optional[ShardAnswer]:
         """Read one replica, syncing it when it answers stale.
 
@@ -521,8 +576,8 @@ class ClusterCoordinator(CubeBackend):
             with self._lock:
                 self._stale_retries += 1
             obs.count("x3_cluster_stale_retries_total")
-            events.append(
-                self._event(
+            decisions.append(
+                self._decision(
                     "stale_retry", op, replica.shard, replica.replica,
                     f"answered v{answer.version} < expected "
                     f"v{expected_version}; syncing and retrying",
@@ -543,7 +598,7 @@ class ClusterCoordinator(CubeBackend):
         primary: ShardReplica,
         answer: ShardAnswer,
         latency: float,
-        events: List[ClusterEvent],
+        decisions: List[Decision],
     ) -> Tuple[ShardAnswer, float]:
         """Retry a straggling read on a backup; cheaper answer wins.
 
@@ -563,7 +618,7 @@ class ClusterCoordinator(CubeBackend):
         if backup is None:
             return answer, latency
         backup_answer = self._read_replica(
-            backup, point, expected_version, op, events
+            backup, point, expected_version, op, decisions
         )
         if backup_answer is None:
             return answer, latency
@@ -572,8 +627,8 @@ class ClusterCoordinator(CubeBackend):
         obs.count("x3_cluster_hedges_total")
         hedged_latency = deadline + backup_answer.modeled_seconds
         if hedged_latency < latency:
-            events.append(
-                self._event(
+            decisions.append(
+                self._decision(
                     "hedge", op, shard_id, backup.replica,
                     f"backup beat straggler: {hedged_latency:.4f}s < "
                     f"{latency:.4f}s",
@@ -581,8 +636,8 @@ class ClusterCoordinator(CubeBackend):
                 )
             )
             return backup_answer, hedged_latency
-        events.append(
-            self._event(
+        decisions.append(
+            self._decision(
                 "hedge", op, shard_id, primary.replica,
                 f"straggler finished first: {latency:.4f}s <= "
                 f"{hedged_latency:.4f}s",
@@ -593,7 +648,7 @@ class ClusterCoordinator(CubeBackend):
 
     def _count_failover(
         self,
-        events: List[ClusterEvent],
+        decisions: List[Decision],
         op: int,
         shard_id: int,
         replica: ShardReplica,
@@ -601,29 +656,17 @@ class ClusterCoordinator(CubeBackend):
         with self._lock:
             self._failovers += 1
         obs.count("x3_cluster_failovers_total")
-        events.append(
-            self._event(
+        decisions.append(
+            self._decision(
                 "failover", op, shard_id, replica.replica,
                 f"replica {replica.replica} unavailable; "
                 f"trying next replica",
             )
         )
 
-    def _record_outcomes(
-        self, outcomes: List[_ShardReadOutcome]
-    ) -> None:
-        for outcome in outcomes:
-            for event in outcome.events:
-                self.events.append(event)
-
     def _merge(
-        self,
-        op: int,
-        outcomes: List[_ShardReadOutcome],
-        vector: Tuple[int, ...],
-        described: str,
-        kind: str,
-    ) -> Tuple[Cuboid, Tuple[int, ...], float]:
+        self, outcomes: List[_ShardReadOutcome]
+    ) -> Tuple[Cuboid, float]:
         with obs.span(
             "cluster.merge", category="cluster", shards=len(outcomes)
         ):
@@ -643,23 +686,7 @@ class ClusterCoordinator(CubeBackend):
             self._merged_cells += len(cuboid)
             self._latencies.append(latency)
         obs.count("x3_cluster_merged_cells_total", len(cuboid))
-        self.events.append(
-            ClusterEvent(
-                seq=0,
-                kind="read",
-                op=op,
-                shard=-1,
-                replica=-1,
-                detail=(
-                    f"{kind} {described}: gathered {len(outcomes)} "
-                    f"shards, {len(cuboid)} cells"
-                ),
-                versions=vector,
-                modeled_seconds=latency,
-                trace_id=obs.current().trace_id_hex,
-            )
-        )
-        return cuboid, vector, latency
+        return cuboid, latency
 
     # ------------------------------------------------------------------
     # writes: serialized, checked whole, fanned out through the delta path
@@ -673,6 +700,8 @@ class ClusterCoordinator(CubeBackend):
         return self._write(list(rows), op="delete")
 
     def _write(self, rows: List[FactRow], op: str) -> VersionVector:
+        decisions: List[Decision] = []
+        started = time.perf_counter()
         with self._write_lock, obs.span(
             f"cluster.{op}", category="cluster", rows=len(rows)
         ):
@@ -700,8 +729,8 @@ class ClusterCoordinator(CubeBackend):
                         obs.count(
                             "x3_cluster_faults_total", kind="stale"
                         )
-                        self.events.append(
-                            self._event(
+                        decisions.append(
+                            self._decision(
                                 "stale", write_op, shard_id,
                                 replica.replica,
                                 f"fault injected: {op} batch deferred "
@@ -720,19 +749,13 @@ class ClusterCoordinator(CubeBackend):
                 self._history_set.add(vector)
                 self._writes += 1
         obs.count("x3_cluster_writes_total", op=op)
-        self.events.append(
-            ClusterEvent(
-                seq=0,
-                kind="write",
-                op=write_op,
-                shard=-1,
-                replica=-1,
-                detail=(
-                    f"{op} {len(rows)} rows -> shards "
-                    f"{touched or '[]'}"
-                ),
-                versions=vector,
-            )
+        self._log(
+            "cluster.write", 0.0, started,
+            op=op,
+            rows=len(rows),
+            shards=tuple(touched),
+            versions=vector,
+            decisions=tuple(decisions),
         )
         return VersionVector(vector)
 
@@ -763,45 +786,48 @@ class ClusterCoordinator(CubeBackend):
                     replica.sync()
 
     def heal_all(self) -> int:
-        """Revive every crashed replica (replays its backlog)."""
-        healed = 0
+        """Revive every crashed replica (replays its backlog); one
+        ``cluster.heal`` record lists the replicas healed."""
+        decisions: List[Decision] = []
+        started = time.perf_counter()
         for shard in self.shards:
             for replica in shard:
                 if not replica.healthy:
                     replica.heal()
-                    healed += 1
                     with self._lock:
                         self._heals += 1
-                    self.events.append(
-                        self._event(
+                    decisions.append(
+                        self._decision(
                             "heal", -1, replica.shard, replica.replica,
                             "replica healed and caught up",
                         )
                     )
-        return healed
+        self._log(
+            "cluster.heal", 0.0, started,
+            healed=len(decisions), decisions=tuple(decisions),
+        )
+        return len(decisions)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @staticmethod
-    def _event(
+    def _decision(
         kind: str,
         op: int,
         shard: int,
         replica: int,
         detail: str,
         modeled_seconds: float = 0.0,
-    ) -> ClusterEvent:
-        return ClusterEvent(
-            seq=0,
-            kind=kind,
-            op=op,
-            shard=shard,
-            replica=replica,
-            detail=detail,
-            modeled_seconds=modeled_seconds,
-            trace_id=obs.current().trace_id_hex,
-        )
+    ) -> Decision:
+        return {
+            "kind": kind,
+            "op_index": op,
+            "shard": shard,
+            "replica": replica,
+            "detail": detail,
+            "modeled_seconds": modeled_seconds,
+        }
 
     def health(self) -> Dict[str, Any]:
         """Shard/replica health: ``down`` when some shard has no healthy

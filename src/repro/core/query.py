@@ -507,7 +507,7 @@ class CubeBackend:
 
     def _plan(self, point: LatticePoint) -> Plan:
         """How :meth:`_answer` would obtain ``point`` right now; pure —
-        no events, no cache effects, no fault injection."""
+        no records, no cache effects, no fault injection."""
         raise NotImplementedError
 
     def version_token(self) -> Tuple[int, ...]:

@@ -9,7 +9,9 @@ One subsystem for everything the stack measures:
   spanning the parser, the cost model's sorts, every cube algorithm,
   the parallel engine, the serving ladder, the cluster and the HTTP
   front door.  Spans land in the :class:`TraceSession` of an
-  ``obs.trace()`` block or in a request-scoped :class:`TraceStore`.
+  ``obs.trace()`` block or in a request-scoped :class:`TraceStore`;
+  every backend's request log is a :class:`TraceStore` too, one
+  finished root span per served read or write.
 - **Metrics** (:class:`MetricsRegistry`): counters / gauges /
   histograms absorbing the previously scattered sources
   (``EngineMetrics``, ``CostSnapshot``, sort counts, algorithm
@@ -39,14 +41,7 @@ unless a span is bound — tracing off costs one context-variable read.
 
 from __future__ import annotations
 
-from repro.obs.events import (
-    ClusterEvent,
-    EventLog,
-    EvictionRecord,
-    RequestEvent,
-    RungDecision,
-    WriteEvent,
-)
+from repro.obs.events import EvictionRecord, RungDecision
 from repro.obs.export import (
     chrome_trace_events,
     chrome_trace_json,
@@ -87,9 +82,7 @@ from repro.obs.span import (
 from repro.obs.trace_store import TraceRecord, TraceStore
 
 __all__ = [
-    "ClusterEvent",
     "Counter",
-    "EventLog",
     "EvictionRecord",
     "Exemplar",
     "Gauge",
@@ -100,7 +93,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "OpenSpan",
-    "RequestEvent",
     "RungDecision",
     "TRACEPARENT_HEADER",
     "Trace",
@@ -110,7 +102,6 @@ __all__ = [
     "TraceSpan",
     "TraceStore",
     "WindowSnapshot",
-    "WriteEvent",
     "chrome_trace_events",
     "chrome_trace_json",
     "collapsed_stacks",

@@ -2,8 +2,8 @@
 
 The batch side of ``repro.obs`` aggregates counters after a run; this
 module watches a *serving* session while it runs.  One
-:class:`LiveTelemetry` instance absorbs every
-:class:`~repro.obs.events.RequestEvent` and cache audit record the
+:class:`LiveTelemetry` instance absorbs every served request (its tier,
+point, modeled and wall seconds, trace id) and cache audit record the
 server emits and maintains, per configured sliding window:
 
 - streaming latency quantiles (p50/p95/p99) on both time bases —
@@ -31,7 +31,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.events import EvictionRecord, RequestEvent
+from repro.obs.events import EvictionRecord
 from repro.obs.metrics import MetricsRegistry
 
 #: Histogram bounds tuned to modeled serve latencies (cache touches sit
@@ -160,46 +160,52 @@ class LiveTelemetry:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def record(self, event: RequestEvent) -> None:
-        """Absorb one request event into windows and registry."""
+    def record(
+        self,
+        tier: str,
+        point: str,
+        modeled: float,
+        wall: float,
+        trace_id: str = "",
+    ) -> None:
+        """Absorb one served request into windows and registry:
+        the rung that answered, the described point, modeled and wall
+        seconds, and the trace id when the request was sampled."""
         now = self._clock()
-        hit = event.tier != "recompute"
         sample = _Sample(
             at=now,
-            tier=event.tier,
-            point=event.point,
-            modeled=event.modeled_seconds,
-            wall=event.wall_seconds,
-            hit=hit,
+            tier=tier,
+            point=point,
+            modeled=modeled,
+            wall=wall,
+            hit=tier != "recompute",
         )
         with self._lock:
             self._samples.append(sample)
-            if event.trace_id:
+            if trace_id:
                 for bound in SERVE_LATENCY_BUCKETS:
-                    if event.modeled_seconds <= bound:
-                        self._exemplars[(event.tier, bound)] = Exemplar(
-                            tier=event.tier,
+                    if modeled <= bound:
+                        self._exemplars[(tier, bound)] = Exemplar(
+                            tier=tier,
                             bucket_le=bound,
-                            trace_id=event.trace_id,
-                            modeled_seconds=event.modeled_seconds,
+                            trace_id=trace_id,
+                            modeled_seconds=modeled,
                         )
                         break
             self._prune(now)
         registry = self.registry
-        registry.counter(
-            "x3_serve_requests_total", tier=event.tier
-        ).inc()
+        registry.counter("x3_serve_requests_total", tier=tier).inc()
         registry.histogram(
             "x3_serve_request_modeled_seconds",
             buckets=SERVE_LATENCY_BUCKETS,
-            tier=event.tier,
-        ).observe(event.modeled_seconds)
+            tier=tier,
+        ).observe(modeled)
         registry.histogram(
             "x3_serve_request_wall_seconds",
             buckets=SERVE_LATENCY_BUCKETS,
-            tier=event.tier,
-        ).observe(event.wall_seconds)
-        if event.modeled_seconds > self.slo_modeled_seconds:
+            tier=tier,
+        ).observe(wall)
+        if modeled > self.slo_modeled_seconds:
             registry.counter("x3_serve_slo_violations_total").inc()
 
     def record_eviction(self, record: EvictionRecord) -> None:
@@ -268,8 +274,8 @@ class LiveTelemetry:
 
     def exemplars(self) -> List[Exemplar]:
         """The newest trace exemplar per (tier, latency bucket), in a
-        stable (tier, bound) order.  Only sampled requests (those whose
-        event carried a trace id) contribute."""
+        stable (tier, bound) order.  Only sampled requests (those
+        recorded with a trace id) contribute."""
         with self._lock:
             return [
                 self._exemplars[key]

@@ -40,6 +40,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -72,7 +73,15 @@ def _hex64(value: int) -> str:
     return f"{value:016x}" if value else ""
 
 
-@dataclass(frozen=True)
+#: Slotted where the interpreter can (3.10+): a backend's request log
+#: keeps thousands of finished spans, and a slot costs less than a
+#: per-instance attribute table.
+_SLOTTED: Dict[str, bool] = (
+    {"slots": True} if sys.version_info >= (3, 10) else {}
+)
+
+
+@dataclass(frozen=True, **_SLOTTED)
 class TraceSpan:
     """One finished span — plain, picklable data.
 
@@ -208,7 +217,7 @@ class OpenSpan:
     # ------------------------------------------------------------------
     @property
     def trace_id_hex(self) -> str:
-        """The trace id events and envelopes are stamped with (``""``
+        """The trace id records and envelopes are stamped with (``""``
         when nothing is recorded under it)."""
         if not self.enabled or not self.context.trace_id:
             return ""

@@ -3,7 +3,9 @@
 Input is the canonical JSONL the serving stack writes (``x3 server
 --trace-jsonl`` / ``x3 cluster --trace-jsonl`` or
 ``TraceStore.write_jsonl``): one JSON object per finished trace, spans
-inline.  ``show`` renders one trace as an indented waterfall — children
+inline.  A backend's request log (``--log-jsonl``, ``x3 top --jsonl``)
+is the same format, one one-span record per read or write.  ``show``
+renders one trace as an indented waterfall — children
 under parents, bars proportional to wall time — or converts it to the
 Chrome ``trace_event`` format for ``chrome://tracing`` / Perfetto.
 ``--jsonl`` re-emits the (filtered) records canonically, which is what
@@ -69,14 +71,16 @@ def filter_traces(
 def find_trace(
     records: Sequence[Dict[str, Any]], prefix: str
 ) -> Dict[str, Any]:
-    """The unique trace whose id starts with ``prefix``."""
+    """The unique trace whose id starts with ``prefix``; failing that,
+    the record whose ``seq`` is ``prefix`` (request-log records of
+    unsampled requests have no trace id)."""
     matches = [
         record
         for record in records
         if str(record.get("trace_id", "")).startswith(prefix)
-    ]
+    ] or [record for record in records if str(record.get("seq")) == prefix]
     if not matches:
-        raise ValueError(f"no trace with id prefix {prefix!r}")
+        raise ValueError(f"no trace with id prefix or seq {prefix!r}")
     if len(matches) > 1:
         ids = ", ".join(
             str(record["trace_id"])[:12] for record in matches[:5]
@@ -172,7 +176,9 @@ def render_waterfall(record: Dict[str, Any]) -> str:
             + flag
             + (f"  {{{shown}}}" if shown else "")
         )
-        for child in tree.get(str(span.get("span_id", "")), []):
+        span_id = str(span.get("span_id", ""))
+        # A request-log record's one span has no id, and no children.
+        for child in tree.get(span_id, []) if span_id else ():
             emit(child, depth + 1)
 
     for top in tree.get("", []):
@@ -198,12 +204,14 @@ def run_list(args: argparse.Namespace) -> int:
         print("no matching traces")
         return 0
     print(
-        f"{'trace_id':32s}  {'name':16s} {'status':8s} "
+        f"{'trace_id (or seq)':32s}  {'name':16s} {'status':8s} "
         f"{'retained':8s} {'spans':>5s} {'sim_ms':>9s}"
     )
     for record in records:
+        # What ``show`` takes: the trace id, or a log record's seq.
+        key = record.get("trace_id") or record.get("seq", "")
         print(
-            f"{str(record.get('trace_id', '')):32s}  "
+            f"{str(key):32s}  "
             f"{str(record.get('name', '')):16s} "
             f"{str(record.get('status', '')):8s} "
             f"{str(record.get('retained', '') or '-'):8s} "

@@ -22,6 +22,13 @@ Sampling is two-stage:
   ring keeps the most recent traffic; the retained pool keeps the
   traffic worth debugging.
 
+The same class is also every backend's request log
+(:meth:`TraceStore.request_log`): a root-only, always-recording mode in
+which :meth:`TraceStore.add` appends one finished root span per served
+read, write or cluster operation — no sampling, no children, no tail
+retention.  Its records and the sampled traces share one record type
+and one JSONL format, so ``x3 trace`` reads both.
+
 Everything exported is deterministic under the seeded replay: span ids
 are derived (:func:`~repro.obs.propagate.derive_span_id`) rather than
 allocated, JSONL output is canonically sorted, and every wall-clock
@@ -80,6 +87,19 @@ class TraceRecord:
         }
 
 
+def _logged(seq: int, span: TraceSpan) -> TraceRecord:
+    """A request-log span as the one-span record it is."""
+    return TraceRecord(
+        seq=seq,
+        trace_id=span.trace_id,
+        name=span.name,
+        status=span.status,
+        sim_seconds=span.sim_seconds,
+        wall_seconds=span.wall_seconds,
+        spans=(span,),
+    )
+
+
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
@@ -90,6 +110,8 @@ class TraceStore:
     the tail-retained pool (error / deadline / p99-slow traces), which
     ring eviction never touches.  ``slow_window`` is the number of
     recent root modeled durations the rolling p99 is computed over.
+    ``max_spans_per_trace`` caps a trace's children; the root is always
+    kept.
     """
 
     def __init__(
@@ -115,13 +137,31 @@ class TraceStore:
         self._ring: "OrderedDict[str, TraceRecord]" = OrderedDict()
         self._retained: "OrderedDict[str, TraceRecord]" = OrderedDict()
         self._durations: Deque[float] = deque(maxlen=max(20, slow_window))
+        #: The request log's ring (:meth:`request_log` only).  It holds
+        #: the spans alone: a record's ``seq`` is its position in the
+        #: log, ``dropped`` plus its index in the ring.
+        self._log: Optional[Deque[TraceSpan]] = None
         self._next_seq = 0
         self.started = 0
         self.sampled = 0
         self.finished = 0
         self.retained = 0
-        self.dropped_traces = 0
+        #: Records evicted from the ring (or the retained pool).
+        self.dropped = 0
         self.dropped_spans = 0
+
+    @classmethod
+    def request_log(cls, capacity: int) -> "TraceStore":
+        """The root-only, always-recording mode: a backend's request log.
+
+        Every served read, every write and every cluster operation
+        leaves exactly one record through :meth:`add`; the ring keeps
+        the newest ``capacity`` of them and counts the rest in
+        :attr:`dropped`.
+        """
+        store = cls(capacity, retained_capacity=0)
+        store._log = deque()
+        return store
 
     # ------------------------------------------------------------------
     # opening traces
@@ -190,12 +230,45 @@ class TraceStore:
             spans = self._open.get(span.trace_id)
             if spans is None:
                 return  # trace already finalized or never opened
-            if len(spans) >= self.max_spans_per_trace:
+            # The root finishes last, so ``spans`` holds children only
+            # until it arrives; it is always kept.
+            if not root and len(spans) >= self.max_spans_per_trace:
                 self.dropped_spans += 1
             else:
                 spans.append(span)
         if root:
             self._finalize(span)
+
+    def add(
+        self,
+        name: str,
+        category: str,
+        sim_seconds: float,
+        wall_seconds: float,
+        trace_id: str = "",
+        status: str = "ok",
+        **attrs: Any,
+    ) -> None:
+        """Append one finished root span to the request log.
+
+        ``attrs`` are the operation's facts, all JSON values;
+        ``trace_id`` names the sampled trace the operation ran under,
+        if any.  Only a :meth:`request_log` store takes records this
+        way.
+        """
+        span = TraceSpan(
+            trace_id, "", "", name, category, status, sim_seconds,
+            0.0, wall_seconds, attrs,
+        )
+        with self._lock:
+            log = self._log
+            if log is None:
+                raise TypeError("add() records into a request_log() store")
+            if len(log) == self.capacity:
+                log.popleft()
+                self.dropped += 1
+            log.append(span)
+            self.finished += 1
 
     def _slow_threshold(self) -> float:
         """Nearest-rank p99 over the rolling duration window (0 when
@@ -251,12 +324,12 @@ class TraceStore:
                 self._retained[trace_id] = record
                 while len(self._retained) > self.retained_capacity:
                     self._retained.popitem(last=False)
-                    self.dropped_traces += 1
+                    self.dropped += 1
             else:
                 self._ring[trace_id] = record
                 while len(self._ring) > self.capacity:
                     self._ring.popitem(last=False)
-                    self.dropped_traces += 1
+                    self.dropped += 1
 
     # ------------------------------------------------------------------
     # reads / export
@@ -264,10 +337,22 @@ class TraceStore:
     def traces(self) -> Tuple[TraceRecord, ...]:
         """Every stored trace (ring + retained), in finish order."""
         with self._lock:
+            if self._log is not None:
+                return tuple(
+                    _logged(self.dropped + index, span)
+                    for index, span in enumerate(self._log)
+                )
             merged = list(self._ring.values()) + list(
                 self._retained.values()
             )
         return tuple(sorted(merged, key=lambda record: record.seq))
+
+    def named(self, name: str) -> Tuple[TraceRecord, ...]:
+        """The stored records whose root span is ``name``, oldest first
+        (``serve.request`` / ``serve.write`` / ``cluster.read`` / ...)."""
+        return tuple(
+            record for record in self.traces() if record.name == name
+        )
 
     def get(self, trace_id: str) -> Optional[TraceRecord]:
         with self._lock:
@@ -283,8 +368,10 @@ class TraceStore:
                 "sampled": self.sampled,
                 "finished": self.finished,
                 "retained": self.retained,
-                "stored": len(self._ring) + len(self._retained),
-                "dropped_traces": self.dropped_traces,
+                "stored": len(self._ring)
+                + len(self._retained)
+                + len(self._log or ()),
+                "dropped_traces": self.dropped,
                 "dropped_spans": self.dropped_spans,
             }
 

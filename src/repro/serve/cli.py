@@ -8,8 +8,8 @@ with ``--cuboid`` it serves and prints those cuboids instead.
 
 ``x3 serve explain`` prints the sound-source ladder decision tree for
 each query *without* executing it (DESIGN.md Sec. 5c); with
-``--verify`` it then executes each query and fails when the served rung
-disagrees with the explanation.
+``--verify`` it then executes each query and fails when the rung trail
+the request log recorded disagrees with the explanation.
 
 The parser, the backend construction and the replay loop are shared
 with every other tool (:mod:`repro.cli`, :mod:`repro.serve.replay`).
@@ -22,6 +22,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.bindings import FactTable, GroupKey
 from repro.core.lattice import LatticePoint
 from repro.core.query import Query, QueryExplanation, QueryResult
+from repro.obs.events import rung_reasons
+from repro.obs.span import Trace
 from repro.serve.replay import replay
 from repro.serve.server import TIERS, CubeServer
 
@@ -44,18 +46,20 @@ def serve_cuboid(server: CubeServer, description: str, top: int) -> None:
     print_cuboid(result.point, result.as_cuboid(), top)
 
 
-def rung_breakdown(server: CubeServer) -> List[str]:
-    """Per-rung lines from the request log: counts and both cost bases
-    (so ``--profile`` output matches trace/event semantics)."""
+def rung_breakdown(profile: Trace) -> List[str]:
+    """Per-rung lines from a ``--profile`` session's ``serve.request``
+    spans: counts and both cost bases.  The session keeps every span,
+    so no request is missing the way the request log's bounded ring
+    would miss the oldest."""
     per_tier = {
         tier: {"requests": 0, "modeled": 0.0, "wall": 0.0}
         for tier in TIERS
     }
-    for event in server.events.requests():
-        slot = per_tier[event.tier]
+    for span in profile.spans_named("serve.request"):
+        slot = per_tier[span.attrs["tier"]]
         slot["requests"] += 1
-        slot["modeled"] += event.modeled_seconds
-        slot["wall"] += event.wall_seconds
+        slot["modeled"] += span.sim_seconds
+        slot["wall"] += span.wall_seconds
     lines = [
         f"{'rung':<12} {'requests':>8} {'modeled_s':>10} {'wall_s':>10}"
     ]
@@ -98,14 +102,15 @@ def report(
         )
     if log_jsonl:
         written = server.events.write_jsonl(log_jsonl)
-        print(f"wrote {written} events to {log_jsonl}")
+        print(f"wrote {written} records to {log_jsonl}")
 
 
 def explain(
     server: CubeServer, points: Sequence[LatticePoint], verify: bool
 ) -> int:
     """Print each query's ladder; with ``verify`` also execute it and
-    return 1 when any served rung disagrees with its explanation."""
+    return 1 when the ``serve.request`` record it left disagrees with
+    its explanation: a different rung, or any rung's reason."""
     explained: List[QueryExplanation] = []
     mismatches = 0
 
@@ -115,10 +120,14 @@ def explain(
 
     def check(index: int, query: Query, result: QueryResult) -> None:
         nonlocal mismatches
-        agrees = result.tier == explained[index].tier
+        expected = explained[index]
+        recorded = server.events.named("serve.request")[-1].spans[0].attrs
+        agrees = recorded["tier"] == expected.tier and recorded[
+            "rungs"
+        ] == rung_reasons(expected.rungs)
         mismatches += 0 if agrees else 1
         print(
-            f"  executed -> {result.tier} "
+            f"  executed -> {recorded['tier']} "
             f"({'agrees' if agrees else 'MISMATCH'})"
         )
 

@@ -69,13 +69,7 @@ from repro.core.query import Answer, CubeBackend, Plan, PointSpec
 from repro.core.rollup import derivable, rollup_cuboid
 from repro.cost import CostModel
 from repro.errors import CubeError
-from repro.obs.events import (
-    EventLog,
-    EvictionRecord,
-    RequestEvent,
-    RungDecision,
-    WriteEvent,
-)
+from repro.obs.events import EvictionRecord, RungDecision, rung_reasons
 from repro.obs.live import LiveTelemetry
 from repro.obs.trace_store import TraceStore
 from repro.serve.cache import CuboidCache
@@ -83,6 +77,9 @@ from repro.serve.singleflight import SingleFlight
 
 #: Tier names, in ladder order.
 TIERS = ("cache", "view", "rollup", "recompute")
+
+#: Records the request log (:attr:`CubeServer.events`) keeps.
+LOG_CAPACITY = 4096
 
 #: Aggregates whose finalized cells can absorb a deletion exactly.  Only
 #: COUNT qualifies: its value *is* the group's support, so fully
@@ -190,8 +187,6 @@ class CubeServer(CubeBackend):
             Sec. 3.6 advisor with this space budget and materialize its
             chosen views at startup.
         selection: an explicit advisor outcome to materialize.
-        event_log_capacity: ring-buffer size of the structured request
-            log (every query and write emits one typed event).
         telemetry: sliding-window telemetry sink; a default
             :class:`~repro.obs.live.LiveTelemetry` is created when
             omitted.
@@ -200,9 +195,16 @@ class CubeServer(CubeBackend):
             :class:`~repro.obs.propagate.TraceContext`; sampled
             requests record a span tree — ladder walk, single-flight
             links, the engine's and algorithms' spans under each
-            recompute — and stamp their trace id on the
-            request/eviction events.  ``None`` (the default) keeps the
-            query path exactly as before: zero tracing cost.
+            recompute — and stamp their trace id on their request-log
+            record and eviction records.  ``None`` (the default) keeps
+            the query path exactly as before: zero tracing cost.
+
+    Every served read and every write leaves one record in
+    :attr:`events`, the request log (a
+    :meth:`~repro.obs.trace_store.TraceStore.request_log`): a
+    ``serve.request`` or ``serve.write`` root span whose attrs are the
+    operation's facts — for a read the rung trail (``rungs``, the
+    reason per rung), the cache audit, the version and the cells.
     """
 
     name = "serve"
@@ -217,7 +219,6 @@ class CubeServer(CubeBackend):
         cache_cells: int = 4096,
         view_cells: int = 0,
         selection: Optional[ViewSelection] = None,
-        event_log_capacity: int = 4096,
         telemetry: Optional[LiveTelemetry] = None,
         trace_store: Optional[TraceStore] = None,
     ) -> None:
@@ -238,7 +239,7 @@ class CubeServer(CubeBackend):
         self._lock = threading.RLock()
         self._version = 0
         self._counters = _Counters()
-        self.events = EventLog(event_log_capacity)
+        self.events = TraceStore.request_log(LOG_CAPACITY)
         self.telemetry = telemetry if telemetry is not None else LiveTelemetry()
         self.trace_store = trace_store
         self._audit_local = threading.local()
@@ -346,9 +347,11 @@ class CubeServer(CubeBackend):
     # reads — what CubeBackend.query / explain_query ask of this backend
     # ------------------------------------------------------------------
     def _answer(self, point: LatticePoint, kind: str) -> Answer:
-        """Walk the ladder once and log the request.  The rung trail
-        returned is the stamped request event's own trail — it belongs
-        to exactly this request, no racing readback from the log."""
+        """Walk the ladder once and log the request: one
+        ``serve.request`` record in :attr:`events`, whose attrs the
+        sampled trace's ``serve.request`` span carries too.  The rung
+        trail returned is the one recorded — it belongs to exactly this
+        request, no racing readback from the log."""
         described = self.lattice.describe(point)
         started = time.perf_counter()
         with obs.span(
@@ -356,37 +359,35 @@ class CubeServer(CubeBackend):
         ) as span:
             with self._capture_audit() as audit:
                 cuboid, version, tier, rungs, cost = self._resolve(point)
-            span.annotate(tier=tier, cells=len(cuboid)).set_sim(cost)
-        wall = time.perf_counter() - started
-        obs.count("x3_serve_requests_total", tier=tier)
-        with self._lock:
-            self._counters.requests += 1
-            self._counters.tiers[tier] += 1
-            self._counters.modeled_cost_seconds += cost
-            cold = self._cold_cost(point)
-            self._counters.cold_cost_seconds += cold
-        event = self.events.append(
-            RequestEvent(
-                seq=0,
+            with self._lock:
+                self._counters.requests += 1
+                self._counters.tiers[tier] += 1
+                self._counters.modeled_cost_seconds += cost
+                cold = self._cold_cost(point)
+                self._counters.cold_cost_seconds += cold
+            facts: Dict[str, Any] = dict(
                 kind=kind,
                 point=described,
                 tier=tier,
                 version=version,
-                modeled_seconds=cost,
                 cold_seconds=cold,
-                wall_seconds=wall,
                 cells=len(cuboid),
-                rungs=rungs,
+                rungs=rung_reasons(rungs),
                 cache_audit=tuple(audit),
-                trace_id=obs.current().trace_id_hex,
             )
+            span.annotate(**facts).set_sim(cost)
+        wall = time.perf_counter() - started
+        obs.count("x3_serve_requests_total", tier=tier)
+        trace_id = obs.current().trace_id_hex
+        self.events.add(
+            "serve.request", "serve", cost, wall, trace_id, **facts
         )
-        self.telemetry.record(event)
+        self.telemetry.record(tier, described, cost, wall, trace_id)
         return cuboid, (version,), tier, rungs, cost
 
     def _plan(self, point: LatticePoint) -> Plan:
         """The ladder walk alone: touches no cache priority, counter or
-        event.  It agrees with the trail :meth:`_answer` records when no
+        record.  It agrees with the trail :meth:`_answer` records when no
         write intervenes, because both are :meth:`_walk_ladder` over
         the same locked state."""
         with self._lock:
@@ -783,17 +784,18 @@ class CubeServer(CubeBackend):
                 patched = self._counters.patched_points - patched_before
                 evicted = self._counters.evicted_points - evicted_before
                 version = self._finish_write()
-        self.events.append(
-            WriteEvent(
-                seq=0,
-                op=op,
-                rows=len(rows),
-                version=version,
-                patched_points=patched,
-                evicted_points=evicted,
-                wall_seconds=time.perf_counter() - started,
-                cache_audit=tuple(audit),
-            )
+        self.events.add(
+            "serve.write",
+            "serve",
+            0.0,
+            time.perf_counter() - started,
+            obs.current().trace_id_hex,
+            op=op,
+            rows=len(rows),
+            version=version,
+            patched_points=patched,
+            evicted_points=evicted,
+            cache_audit=tuple(audit),
         )
         return version
 

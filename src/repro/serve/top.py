@@ -15,8 +15,9 @@ Two modes:
 
 ``--html`` additionally writes the standalone HTML serving report
 (:func:`format_serving_html`) and ``--jsonl`` dumps
-the structured request log, so one command produces the artifacts CI
-attaches to a smoke run.
+the request log (one record per read or write, the JSONL ``x3 trace``
+reads), so one command produces the artifacts CI attaches to a smoke
+run.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ def report(
     print(render_dashboard(server))
     if jsonl:
         written = server.events.write_jsonl(jsonl)
-        print(f"wrote {written} events to {jsonl}")
+        print(f"wrote {written} records to {jsonl}")
     if html:
         with open(html, "w", encoding="utf-8") as handle:
             handle.write(format_serving_html(server))

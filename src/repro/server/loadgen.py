@@ -14,8 +14,8 @@ Every response feeds three sinks:
 - a :class:`LoadReport` with per-request records and latency quantiles
   on both time bases (only the modeled one repeats run to run);
 - optionally a :class:`~repro.obs.live.LiveTelemetry` instance, each
-  answer re-entering the standard serving-telemetry pipeline as a
-  synthesized :class:`~repro.obs.events.RequestEvent`;
+  answer re-entering the standard serving-telemetry pipeline with the
+  tier, point and seconds the response reported;
 - optionally a JSON-Lines file (one record per request) for CI
   artifact upload.
 
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.lattice import CubeLattice
-from repro.obs.events import RequestEvent
 from repro.obs.live import LiveTelemetry, percentile
 
 #: Query-kind mix of one client loop, as (kind, weight) pairs — mostly
@@ -294,7 +293,10 @@ class LoadGenerator:
                     and op != "explain"
                 ):
                     self.telemetry.record(
-                        self._as_event(record)
+                        record.tier or "recompute",
+                        record.point,
+                        record.modeled_seconds,
+                        record.wall_seconds,
                     )
         finally:
             connection.close()
@@ -327,20 +329,4 @@ class LoadGenerator:
             wall_seconds=wall,
             modeled_seconds=modeled,
             tier=tier,
-        )
-
-    @staticmethod
-    def _as_event(record: RequestRecord) -> RequestEvent:
-        """Lift one answered request back into the standard serving
-        event shape so :class:`LiveTelemetry` windows absorb it."""
-        return RequestEvent(
-            seq=0,
-            kind=record.op,
-            point=record.point,
-            tier=record.tier or "recompute",
-            version=0,
-            modeled_seconds=record.modeled_seconds,
-            cold_seconds=record.modeled_seconds,
-            wall_seconds=record.wall_seconds,
-            cells=0,
         )

@@ -11,6 +11,7 @@ from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.query import Query
 from repro.serve.replay import sample_points
 from repro.testing import small_workload
+from tests.cluster.test_coordinator import decision_kinds, decisions
 from tests.conftest import cuboid_of
 
 N_REQUESTS = 100
@@ -85,10 +86,10 @@ class TestChaosStress:
             assert chaos.injected["straggle"] >= 1
             assert chaos.injected["stale"] >= 1
 
-            # ... and the event log must show the cluster *deciding*
+            # ... and the request log must show the cluster *deciding*
             # to degrade: failover past the crashed replica, hedges on
             # stragglers, syncs on stale replicas.
-            kinds = {e.kind for e in cluster.events.cluster_events()}
+            kinds = set(decision_kinds(cluster))
             assert "crash" in kinds
             assert "failover" in kinds
             assert "straggle" in kinds
@@ -117,8 +118,8 @@ class TestChaosStress:
                     for point in points
                 ]
                 trail = [
-                    (e.kind, e.shard, e.replica)
-                    for e in cluster.events.cluster_events()
+                    (d["kind"], d["shard"], d["replica"])
+                    for d in decisions(cluster)
                 ]
                 return answers, trail, chaos.summary()
 

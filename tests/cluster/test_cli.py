@@ -120,11 +120,18 @@ class TestReplay:
         assert code == 0
         lines = log_path.read_text().splitlines()
         assert lines
-        events = [json.loads(line) for line in lines]
-        assert all(event["type"] == "cluster" for event in events)
-        assert any(event["kind"] == "read" for event in events)
-        read = next(e for e in events if e["kind"] == "read")
+        records = [json.loads(line) for line in lines]
+        # One record per read, 20 reads and no writes.
+        assert [r["name"] for r in records] == ["cluster.read"] * 20
+        read = records[0]["spans"][0]["attrs"]
         assert len(read["versions"]) == 2
+        # The chaos profile's decisions ride on the reads they degraded.
+        kinds = {
+            decision["kind"]
+            for record in records
+            for decision in record["spans"][0]["attrs"]["decisions"]
+        }
+        assert "failover" in kinds
 
 
 class TestErrors:

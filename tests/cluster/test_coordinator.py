@@ -1,6 +1,9 @@
 """Coordinator contract: every gathered answer — healthy or degraded —
 equals a serial NAIVE recompute over the rows at the answer's version."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.cluster import (
@@ -41,6 +44,19 @@ def with_aggregate(table, function):
         else AggregateSpec(function, "@m")
     )
     return FactTable(table.lattice, list(table.rows), aggregate=spec)
+
+
+def decisions(coordinator):
+    """Every coordination decision in the request log, in order."""
+    return [
+        decision
+        for record in coordinator.events.traces()
+        for decision in record.spans[0].attrs.get("decisions", ())
+    ]
+
+
+def decision_kinds(coordinator):
+    return [decision["kind"] for decision in decisions(coordinator)]
 
 
 def first_point(table):
@@ -165,7 +181,7 @@ class TestFailover:
         with ClusterCoordinator(table, 2, 2, oracle=oracle) as c:
             c.shards[0][0].crash()
             assert_cluster_serves_exactly(c, table)
-            kinds = [e.kind for e in c.events.cluster_events()]
+            kinds = decision_kinds(c)
             assert "failover" in kinds
             assert c.stats().failovers >= 1
 
@@ -185,6 +201,9 @@ class TestFailover:
                 replica.crash()
             c.delete(rows[:3])  # queued on the downed replicas
             assert c.heal_all() == 2
+            (heal,) = c.events.named("cluster.heal")
+            assert heal.spans[0].attrs["healed"] == 2
+            assert decision_kinds(c)[-2:] == ["heal", "heal"]
             assert_cluster_serves_exactly(c, table, rows[3:])
 
     def test_crashed_replica_catches_up_on_heal(self):
@@ -211,7 +230,7 @@ class TestStaleReplicas:
             c.delete(rows[:3])  # every replica defers (stale_rate=1)
             assert_cluster_serves_exactly(c, table, rows[3:])
             assert c.stats().stale_retries >= 1
-            kinds = [e.kind for e in c.events.cluster_events()]
+            kinds = decision_kinds(c)
             assert "stale" in kinds and "stale_retry" in kinds
 
     def test_runaway_replica_rejects_then_errors(self):
@@ -227,8 +246,12 @@ class TestStaleReplicas:
             with pytest.raises(ClusterError):
                 cuboid_of(c, first_point(table))
             assert c.stats().rejects >= 1
-            kinds = [e.kind for e in c.events.cluster_events()]
+            kinds = decision_kinds(c)
             assert "reject" in kinds
+            # The failed read still leaves its one record.
+            (failed,) = c.events.named("cluster.read")
+            assert failed.status == "error"
+            assert failed.spans[0].attrs["error"] == "ClusterError"
 
 
 def absent_row_on_last_shard(table, n_shards):
@@ -315,7 +338,7 @@ class TestHedgedReads:
                 table, table.rows, point
             )
             assert c.stats().hedges >= 1
-            kinds = [e.kind for e in c.events.cluster_events()]
+            kinds = decision_kinds(c)
             assert "straggle" in kinds and "hedge" in kinds
 
     def test_hedge_bounds_modeled_latency(self):
@@ -346,17 +369,55 @@ class TestHedgedReads:
 
 
 class TestObservability:
+    def test_one_record_per_operation_under_concurrency(self):
+        """Readers race a writer: the coordinator's request log holds
+        exactly one record per read and per write, seq contiguous."""
+        table, oracle = fresh()
+        rows = list(table.rows)
+        points = sample_points(table.lattice, 12, seed=3)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ClusterCoordinator(table, 2, 2, oracle=oracle) as c:
+
+                def read():
+                    try:
+                        for point in points:
+                            cuboid_of(c, point)
+                    except Exception as error:  # reported below
+                        errors.append(error)
+
+                readers = [threading.Thread(target=read) for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                for row in rows[:3]:
+                    c.delete([row])
+                for reader in readers:
+                    reader.join(timeout=60.0)
+                assert not any(reader.is_alive() for reader in readers)
+                stats = c.stats()
+                records = c.events.traces()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert (stats.requests, stats.writes) == (4 * len(points), 3)
+        assert len(records) == stats.requests + stats.writes
+        assert [r.seq for r in records] == list(range(len(records)))
+        assert c.events.dropped == 0
+
     def test_read_and_write_events_carry_versions(self):
         table, oracle = fresh()
         rows = list(table.rows)
         with ClusterCoordinator(table, 3, 1, oracle=oracle) as c:
             c.delete(rows[:2])
             cuboid_of(c, first_point(table))
-            events = c.events.cluster_events()
-            reads = [e for e in events if e.kind == "read"]
-            writes = [e for e in events if e.kind == "write"]
-            assert reads and len(reads[-1].versions) == 3
-            assert writes and sum(writes[-1].versions) >= 1
+            reads = c.events.named("cluster.read")
+            writes = c.events.named("cluster.write")
+            assert [r.seq for r in c.events.traces()] == [0, 1]
+            assert len(reads[-1].spans[0].attrs["versions"]) == 3
+            assert sum(writes[-1].spans[0].attrs["versions"]) >= 1
+            assert writes[-1].spans[0].attrs["op"] == "delete"
 
     def test_metrics_and_spans_emitted_under_trace(self):
         from repro import obs

@@ -3,23 +3,23 @@ was asked for, whatever else the replica's server logged meanwhile."""
 
 from repro.cluster.shard import ShardReplica
 from repro.core.query import Query
-from repro.obs.events import EventLog
 from repro.obs.live import LiveTelemetry
+from repro.obs.trace_store import TraceStore
 from repro.testing import small_workload
 
 
 class _ReentrantSink(LiveTelemetry):
     """Telemetry whose first ``record()`` reads another point through
-    the same server — so that read's event lands in the request log
-    *after* the event of the read being recorded."""
+    the same server — so that read's record lands in the request log
+    *after* the record of the read being recorded."""
 
     def __init__(self, server, other_point):
         super().__init__()
         self._server, self._other = server, other_point
         self.reentered = False
 
-    def record(self, event):
-        super().record(event)
+    def record(self, *fields):
+        super().record(*fields)
         if not self.reentered:
             self.reentered = True
             self._server.query(Query(point=self._other))
@@ -44,16 +44,16 @@ class TestReadStates:
         answer = replica.read_states(asked)
 
         assert sink.reentered
-        ours, tail = replica.server.events.requests()[-2:]
-        assert (ours.point, ours.tier) == (
-            replica.table.lattice.describe(asked), "recompute"
-        )
-        assert (tail.point, tail.tier) == (
-            replica.table.lattice.describe(other), "cache"
-        )
+        ours, tail = replica.server.events.named("serve.request")[-2:]
+        assert (
+            ours.spans[0].attrs["point"], ours.spans[0].attrs["tier"]
+        ) == (replica.table.lattice.describe(asked), "recompute")
+        assert (
+            tail.spans[0].attrs["point"], tail.spans[0].attrs["tier"]
+        ) == (replica.table.lattice.describe(other), "cache")
         assert answer.tier == "recompute"
-        assert answer.modeled_seconds == ours.modeled_seconds
-        assert answer.modeled_seconds != tail.modeled_seconds
+        assert answer.modeled_seconds == ours.sim_seconds
+        assert answer.modeled_seconds != tail.sim_seconds
         assert answer.version == 0
         assert answer.states == replica.server.query(
             Query(point=asked)
@@ -63,9 +63,9 @@ class TestReadStates:
         replica, points = make_replica()
 
         def no_snapshot(self):
-            raise AssertionError("read_states read the event log back")
+            raise AssertionError("read_states read the request log back")
 
-        monkeypatch.setattr(EventLog, "snapshot", no_snapshot)
+        monkeypatch.setattr(TraceStore, "traces", no_snapshot)
         for point in points[:4]:
             assert replica.read_states(point).tier in (
                 "recompute", "rollup", "cache"

@@ -96,7 +96,8 @@ class TestInsert:
         server.insert(table.rows[:1])
         stats = server.stats()
         assert stats.patched_points > 0
-        assert server.events.writes()[-1].patched_points == (
+        (write,) = server.events.named("serve.write")
+        assert write.spans[0].attrs["patched_points"] == (
             stats.patched_points
         )
 

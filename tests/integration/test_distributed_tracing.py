@@ -146,10 +146,10 @@ class TestServerTracing:
         server = CubeServer(table, oracle, trace_store=store)
         points = sample_points(table.lattice, 8, 3)
         results = [server.query(Query(point=point)) for point in points]
-        events = server.events.requests()
-        assert len(events) == len(results)
-        for event, result in zip(events, results):
-            assert event.trace_id == result.trace_id
+        records = server.events.named("serve.request")
+        assert len(records) == len(results)
+        for record, result in zip(records, results):
+            assert record.trace_id == result.trace_id
 
     def test_untraced_server_emits_no_trace_ids(self):
         table, oracle = fresh()
@@ -157,7 +157,7 @@ class TestServerTracing:
         result = server.query(Query(point=next(iter(table.lattice.points()))))
         assert result.trace_id == ""
         assert "trace_id" not in result.to_dict()
-        assert server.events.requests()[0].trace_id == ""
+        assert server.events.named("serve.request")[0].trace_id == ""
 
     def test_exemplars_link_latency_buckets_to_traces(self):
         table, oracle = fresh()
@@ -407,14 +407,11 @@ class TestClusterTracing:
         ) as coordinator:
             for point in sample_points(table.lattice, 20, 7):
                 coordinator.query(Query(point=point))
-            events = coordinator.events.cluster_events()
+            reads = coordinator.events.named("cluster.read")
         stored = {record.trace_id for record in store.traces()}
-        reads = [
-            event for event in events if event.kind == "read"
-        ]
-        assert reads
-        for event in reads:
-            assert event.trace_id in stored
+        assert len(reads) == 20
+        for record in reads:
+            assert record.trace_id in stored
 
 
 class TestContextHandOff:

@@ -1,61 +1,81 @@
-"""Unit tests for the structured event log (repro.obs.events)."""
+"""Unit tests for the request log: ``TraceStore.request_log``, the
+root-only, always-recording store every backend keeps as ``events``,
+and the decision records its attrs carry (repro.obs.events)."""
 
 import json
 import threading
 
 import pytest
 
-from repro.obs.events import (
-    EVICTION_KINDS,
-    EventLog,
-    EvictionRecord,
-    RequestEvent,
-    RungDecision,
-    WriteEvent,
+from repro.obs.events import EVICTION_KINDS, EvictionRecord, RungDecision
+from repro.obs.trace_cli import load_traces
+from repro.obs.trace_store import TraceStore
+
+RUNGS = (
+    RungDecision("cache", True, "resident in cache (4 cells)"),
+    RungDecision("view", False, "not reached (resolved at cache)"),
 )
 
 
-def make_request(kind="cuboid", point="$a:rigid", tier="cache"):
-    return RequestEvent(
-        seq=0,
-        kind=kind,
+def add_request(log, point="$a:rigid", tier="cache", **extra):
+    log.add(
+        "serve.request",
+        "serve",
+        1e-5,
+        3e-4,
+        kind="cuboid",
         point=point,
         tier=tier,
         version=0,
-        modeled_seconds=1e-5,
         cold_seconds=2e-3,
-        wall_seconds=3e-4,
         cells=4,
-        rungs=(
-            RungDecision("cache", True, "resident in cache (4 cells)"),
+        rungs={decision.rung: decision.reason for decision in RUNGS},
+        cache_audit=(
+            EvictionRecord("admitted", "$a:rigid", 0.5, 4),
         ),
-        cache_audit=(EvictionRecord("admitted", "$a:rigid", 0.5, 4),),
+        **extra,
     )
 
 
-def make_write(op="insert"):
-    return WriteEvent(
-        seq=0,
+def add_write(log, op="insert"):
+    log.add(
+        "serve.write",
+        "serve",
+        0.0,
+        1e-4,
         op=op,
         rows=3,
         version=1,
         patched_points=2,
         evicted_points=1,
-        wall_seconds=1e-4,
+        cache_audit=(),
     )
+
+
+def seqs(log):
+    return [record.seq for record in log.traces()]
 
 
 class TestEventShapes:
     def test_request_to_dict_carries_type_and_trails(self):
-        out = make_request().to_dict()
-        assert out["type"] == "request"
-        assert out["rungs"][0]["reason"].startswith("resident")
-        assert out["cache_audit"][0]["kind"] == "admitted"
+        log = TraceStore.request_log(8)
+        add_request(log)
+        out = json.loads(log.to_jsonl())
+        assert out["name"] == "serve.request"
+        assert out["sim_seconds"] == 1e-5 and out["wall_seconds"] == 3e-4
+        (span,) = out["spans"]
+        assert span["parent_id"] == "" and span["name"] == "serve.request"
+        assert span["attrs"]["rungs"]["cache"].startswith("resident")
+        assert span["attrs"]["cache_audit"][0] == [
+            "admitted", "$a:rigid", 0.5, 4, "",
+        ]
 
     def test_write_to_dict(self):
-        out = make_write().to_dict()
-        assert out["type"] == "write"
-        assert out["patched_points"] == 2
+        log = TraceStore.request_log(8)
+        add_write(log)
+        out = log.traces()[0].to_dict()
+        assert out["name"] == "serve.write"
+        assert out["spans"][0]["attrs"]["patched_points"] == 2
 
     def test_eviction_kinds_are_the_documented_set(self):
         assert EVICTION_KINDS == (
@@ -65,63 +85,49 @@ class TestEventShapes:
 
 class TestEventLog:
     def test_append_stamps_increasing_seq(self):
-        log = EventLog(capacity=10)
-        stamped = [log.append(make_request()) for _ in range(5)]
-        assert [event.seq for event in stamped] == [0, 1, 2, 3, 4]
-        assert [event.seq for event in log.snapshot()] == [0, 1, 2, 3, 4]
+        log = TraceStore.request_log(10)
+        for _ in range(5):
+            add_request(log)
+        assert seqs(log) == [0, 1, 2, 3, 4]
 
     def test_append_does_not_mutate_the_input(self):
-        log = EventLog()
-        original = make_request()
-        log.append(original)
-        log.append(original)
-        assert original.seq == 0
-        assert [e.seq for e in log.snapshot()] == [0, 1]
+        log = TraceStore.request_log(10)
+        attrs = {"tier": "cache", "cells": 4}
+        log.add("serve.request", "serve", 0.0, 0.0, **attrs)
+        log.add("serve.request", "serve", 0.0, 0.0, **attrs)
+        assert attrs == {"tier": "cache", "cells": 4}
+        first, second = log.traces()
+        assert first.spans[0].attrs is not second.spans[0].attrs
+        assert seqs(log) == [0, 1]
 
     def test_ring_wraps_and_counts_dropped(self):
-        log = EventLog(capacity=3)
+        log = TraceStore.request_log(3)
         for _ in range(7):
-            log.append(make_request())
-        assert len(log) == 3
-        assert log.total == 7
+            add_request(log)
+        stats = log.stats()
+        assert stats["stored"] == 3
+        assert stats["finished"] == 7
         assert log.dropped == 4
-        assert [event.seq for event in log.snapshot()] == [4, 5, 6]
+        assert seqs(log) == [4, 5, 6]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
-    def test_tail(self):
-        log = EventLog()
-        for _ in range(5):
-            log.append(make_request())
-        assert [e.seq for e in log.tail(2)] == [3, 4]
-        assert log.tail(0) == ()
-        assert [e.seq for e in log.tail(99)] == [0, 1, 2, 3, 4]
+            TraceStore.request_log(0)
 
     def test_requests_and_writes_filter_by_type(self):
-        log = EventLog()
-        log.append(make_request())
-        log.append(make_write())
-        log.append(make_request())
-        assert [e.seq for e in log.requests()] == [0, 2]
-        assert [e.seq for e in log.writes()] == [1]
-
-    def test_clear_keeps_numbering(self):
-        log = EventLog()
-        log.append(make_request())
-        assert log.clear() == 1
-        assert len(log) == 0
-        assert log.append(make_request()).seq == 1
+        log = TraceStore.request_log(10)
+        add_request(log)
+        add_write(log)
+        add_request(log)
+        assert [r.seq for r in log.named("serve.request")] == [0, 2]
+        assert [r.seq for r in log.named("serve.write")] == [1]
 
     def test_concurrent_appends_never_lose_or_duplicate_seq(self):
-        log = EventLog(capacity=10_000)
+        log = TraceStore.request_log(10_000)
         per_thread = 200
         threads = [
             threading.Thread(
-                target=lambda: [
-                    log.append(make_request()) for _ in range(per_thread)
-                ]
+                target=lambda: [add_request(log) for _ in range(per_thread)]
             )
             for _ in range(8)
         ]
@@ -129,28 +135,41 @@ class TestEventLog:
             thread.start()
         for thread in threads:
             thread.join()
-        seqs = [event.seq for event in log.snapshot()]
-        assert sorted(seqs) == list(range(8 * per_thread))
+        assert seqs(log) == list(range(8 * per_thread))
+        assert log.dropped == 0
+
+    def test_only_a_request_log_takes_records(self):
+        with pytest.raises(TypeError):
+            add_request(TraceStore())
+
+    def test_nothing_is_sampled_or_retained(self):
+        log = TraceStore.request_log(10)
+        add_request(log, status="error")
+        (record,) = log.traces()
+        assert record.status == "error" and record.retained == ""
+        assert log.stats()["sampled"] == 0
 
 
 class TestJsonl:
     def test_to_jsonl_round_trips(self):
-        log = EventLog()
-        log.append(make_request())
-        log.append(make_write())
+        log = TraceStore.request_log(10)
+        add_request(log)
+        add_write(log)
         lines = log.to_jsonl().splitlines()
         assert len(lines) == 2
         first, second = (json.loads(line) for line in lines)
-        assert first["type"] == "request"
-        assert second["type"] == "write"
+        assert first["name"] == "serve.request"
+        assert second["name"] == "serve.write"
         assert first["seq"] == 0 and second["seq"] == 1
 
     def test_empty_log_exports_empty_string(self):
-        assert EventLog().to_jsonl() == ""
+        assert TraceStore.request_log(1).to_jsonl() == ""
 
     def test_write_jsonl(self, tmp_path):
-        log = EventLog()
-        log.append(make_request())
+        log = TraceStore.request_log(10)
+        add_request(log, trace_id="ab" * 16)
         target = tmp_path / "events.jsonl"
         assert log.write_jsonl(str(target)) == 1
-        assert json.loads(target.read_text())["kind"] == "cuboid"
+        (record,) = load_traces(str(target))
+        assert record["trace_id"] == "ab" * 16
+        assert record["spans"][0]["attrs"]["kind"] == "cuboid"

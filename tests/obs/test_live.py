@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.events import EvictionRecord, RequestEvent
+from repro.obs.events import EvictionRecord
 from repro.obs.export import prometheus_text
 from repro.obs.live import (
     SERVE_LATENCY_BUCKETS,
@@ -26,17 +26,8 @@ class FakeClock:
 
 
 def request(tier="cache", point="$a:rigid", modeled=1e-5, wall=2e-5):
-    return RequestEvent(
-        seq=0,
-        kind="cuboid",
-        point=point,
-        tier=tier,
-        version=0,
-        modeled_seconds=modeled,
-        cold_seconds=1e-2,
-        wall_seconds=wall,
-        cells=4,
-    )
+    """The fields ``LiveTelemetry.record`` takes for one request."""
+    return tier, point, modeled, wall
 
 
 class TestPercentile:
@@ -76,7 +67,7 @@ class TestWindows:
         clock = FakeClock()
         telemetry = LiveTelemetry(windows=(60.0,), clock=clock)
         for modeled in (1e-5, 2e-5, 3e-5, 4e-5):
-            telemetry.record(request(modeled=modeled))
+            telemetry.record(*request(modeled=modeled))
         snap = telemetry.snapshot()
         assert snap.requests == 4
         assert snap.modeled_quantiles[0.50] == 2e-5
@@ -86,18 +77,18 @@ class TestWindows:
     def test_old_samples_age_out_of_the_window(self):
         clock = FakeClock()
         telemetry = LiveTelemetry(windows=(60.0,), clock=clock)
-        telemetry.record(request())
+        telemetry.record(*request())
         clock.advance(61.0)
-        telemetry.record(request())
+        telemetry.record(*request())
         snap = telemetry.snapshot()
         assert snap.requests == 1
 
     def test_windows_see_different_horizons(self):
         clock = FakeClock()
         telemetry = LiveTelemetry(windows=(60.0, 300.0), clock=clock)
-        telemetry.record(request())
+        telemetry.record(*request())
         clock.advance(120.0)
-        telemetry.record(request())
+        telemetry.record(*request())
         short, long = telemetry.snapshots()
         assert short.window_seconds == 60.0
         assert short.requests == 1
@@ -107,7 +98,7 @@ class TestWindows:
         clock = FakeClock()
         telemetry = LiveTelemetry(windows=(60.0,), clock=clock)
         for tier in ("cache", "rollup", "recompute", "recompute"):
-            telemetry.record(request(tier=tier))
+            telemetry.record(*request(tier=tier))
         snap = telemetry.snapshot()
         assert snap.hit_ratio == 0.5
         assert snap.tiers == {"cache": 1, "rollup": 1, "recompute": 2}
@@ -116,7 +107,7 @@ class TestWindows:
         clock = FakeClock()
         telemetry = LiveTelemetry(windows=(60.0,), clock=clock, top_k=2)
         for point in ("$a", "$a", "$a", "$b", "$b", "$c"):
-            telemetry.record(request(point=point))
+            telemetry.record(*request(point=point))
         snap = telemetry.snapshot()
         assert snap.top_points == (("$a", 3), ("$b", 2))
 
@@ -145,7 +136,7 @@ class TestSlo:
         # 1 violation in 100 requests burns exactly the 1% budget.
         for index in range(100):
             modeled = 1e-3 if index == 0 else 1e-5
-            telemetry.record(request(modeled=modeled))
+            telemetry.record(*request(modeled=modeled))
         snap = telemetry.snapshot()
         assert snap.slo_violations == 1
         assert snap.slo_burn_rate == pytest.approx(1.0)
@@ -163,8 +154,8 @@ class TestRegistryExport:
         telemetry = LiveTelemetry(
             windows=(60.0,), clock=clock, slo_modeled_seconds=1e-4
         )
-        telemetry.record(request(tier="cache", modeled=1e-5))
-        telemetry.record(request(tier="recompute", modeled=1e-2))
+        telemetry.record(*request(tier="cache", modeled=1e-5))
+        telemetry.record(*request(tier="recompute", modeled=1e-2))
         registry = telemetry.registry
         assert registry.value(
             "x3_serve_requests_total", tier="cache"
@@ -174,7 +165,7 @@ class TestRegistryExport:
     def test_refresh_gauges_and_prometheus_names(self):
         clock = FakeClock()
         telemetry = LiveTelemetry(windows=(60.0,), clock=clock)
-        telemetry.record(request())
+        telemetry.record(*request())
         telemetry.record_eviction(
             EvictionRecord("admitted", "$a", 0.2, 4)
         )
@@ -201,7 +192,7 @@ class TestRegistryExport:
         clock = FakeClock()
         telemetry = LiveTelemetry(windows=(60.0,), clock=clock)
         for modeled in (1e-5, 2e-5, 3e-5):
-            telemetry.record(request(modeled=modeled))
+            telemetry.record(*request(modeled=modeled))
         snap = telemetry.refresh_gauges()[0]
         for q in WINDOW_QUANTILES:
             assert telemetry.registry.value(

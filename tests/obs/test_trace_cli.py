@@ -226,3 +226,60 @@ class TestMain:
     def test_bad_prefix_is_an_error(self, trace_file, capsys):
         assert main(["show", trace_file, "zzzz"]) == 1
         assert "no trace" in capsys.readouterr().err
+
+
+class TestRequestLogs:
+    """``x3 trace`` reads the request logs the tools write — one format
+    with the traces, one one-span record per read or write."""
+
+    COMMANDS = {
+        "serve": ["serve", "--demo", "--requests", "12", "--log-jsonl"],
+        "top": ["top", "--demo", "--requests", "12", "--jsonl"],
+        "cluster": [
+            "cluster", "--demo", "--requests", "12", "--shards", "2",
+            "--writes", "2", "--chaos", "light", "--trace",
+            "--trace-seed", "5", "--log-jsonl",
+        ],
+    }
+
+    @pytest.fixture(params=sorted(COMMANDS))
+    def request_log(self, request, tmp_path, capsys):
+        path = tmp_path / f"{request.param}.jsonl"
+        assert cli.main([*self.COMMANDS[request.param], str(path)]) == 0
+        capsys.readouterr()
+        return request.param, str(path)
+
+    def test_list_reads_every_record(self, request_log, capsys):
+        tool, path = request_log
+        records = load_traces(path)
+        assert [record["seq"] for record in records] == list(
+            range(len(records))
+        )
+        assert all(len(record["spans"]) == 1 for record in records)
+        reads = "cluster.read" if tool == "cluster" else "serve.request"
+        assert sum(record["name"] == reads for record in records) == 12
+        assert main(["list", path]) == 0
+        out = capsys.readouterr().out
+        assert out.count(reads) == 12
+        assert f"{len(records)} trace(s)" in out
+        assert main(["list", path, "--jsonl"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            canonical_line(record) for record in records
+        ]
+
+    def test_show_renders_a_record(self, request_log, capsys):
+        tool, path = request_log
+        records = load_traces(path)
+        last = records[-1]
+        # Unsampled records have no trace id; ``show`` takes the seq.
+        key = last["trace_id"] or str(last["seq"])
+        assert main(["show", path, key]) == 0
+        out = capsys.readouterr().out
+        assert f"name={last['name']}" in out
+        assert "spans=1" in out
+        if tool == "cluster":
+            sampled = next(r for r in records if r["trace_id"])
+            assert main(["show", path, sampled["trace_id"][:12]]) == 0
+            assert "cluster.read (cluster)" in capsys.readouterr().out
+        else:
+            assert "serve.request (serve)" in out and "cells=" in out

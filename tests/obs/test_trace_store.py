@@ -175,9 +175,23 @@ class TestSpans:
                 with obs.span(f"s{n}"):
                     pass
         record = store.traces()[0]
-        # 3 spans kept (the cap); the root arrives after the cap fills
-        assert len(record.spans) == 3
-        assert store.stats()["dropped_spans"] > 0
+        # 3 children kept (the cap counts children) plus the root, which
+        # arrives after the cap fills and is kept anyway
+        assert len(record.spans) == 4
+        assert store.stats()["dropped_spans"] == 7
+
+    def test_span_cap_always_keeps_the_root(self):
+        store = make_store(max_spans_per_trace=3)
+        with store.root("r"):
+            for n in range(5):
+                with obs.span(f"c{n}"):
+                    pass
+        (record,) = store.traces()
+        root, *children = record.spans
+        assert (root.name, root.parent_id) == ("r", "")
+        assert sorted(child.name for child in children) == ["c0", "c1", "c2"]
+        # no orphans: every kept child hangs off the kept root
+        assert {child.parent_id for child in children} == {root.span_id}
 
 
 class TestAbsorb:

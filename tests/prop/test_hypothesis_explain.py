@@ -19,6 +19,7 @@ from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.query import Query, drilldown_point
 from repro.errors import InvalidQuery
+from repro.obs.events import rung_reasons
 from repro.serve import CubeServer
 from repro.testing import small_workload
 
@@ -73,7 +74,7 @@ def footprint(server):
     """Everything an explain must leave untouched."""
     return (
         server.stats(),
-        server.events.total,
+        server.events.stats(),
         sorted(
             (entry.point, entry.hits, entry.priority)
             for entry in server.cache.entries()
@@ -144,7 +145,11 @@ def test_server_explain_is_what_query_then_does(mode, cache_cells, schedule):
             assert (plan.tier, plan.version, plan.point) == (
                 result.tier, result.version, result.point
             )
-            assert result.rungs == server.events.requests()[-1].rungs
+            recorded = server.events.named("serve.request")[-1]
+            assert recorded.spans[0].attrs["tier"] == result.tier
+            assert recorded.spans[0].attrs["rungs"] == rung_reasons(
+                result.rungs
+            )
             assert result.as_cuboid() == naive(
                 table, writes.rows, result.point
             )

@@ -232,9 +232,10 @@ def test_non_invertible_deletion_evicts_and_recomputes(rows, function):
     replay = Replay(rows, function)
     try:
         replay.delete([extreme])
-        event = replay.server.events.writes()[-1]
-        assert event.op == "delete"
-        assert event.patched_points == 0
-        assert event.evicted_points > 0
+        record = replay.server.events.named("serve.write")[-1]
+        attrs = record.spans[0].attrs
+        assert attrs["op"] == "delete"
+        assert attrs["patched_points"] == 0
+        assert attrs["evicted_points"] > 0
     finally:
         replay.close()

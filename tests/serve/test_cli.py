@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import cli
+from repro.obs.trace_store import TraceStore
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.xmlmodel.serializer import serialize
 
@@ -150,13 +151,16 @@ class TestEventLogExport:
             ]
         )
         assert code == 0
-        assert f"wrote 25 events to {target}" in capsys.readouterr().out
+        assert f"wrote 25 records to {target}" in capsys.readouterr().out
         lines = target.read_text().splitlines()
         assert len(lines) == 25
-        events = [json.loads(line) for line in lines]
-        assert [event["seq"] for event in events] == list(range(25))
-        assert all(event["type"] == "request" for event in events)
-        assert all(len(event["rungs"]) == 4 for event in events)
+        records = [json.loads(line) for line in lines]
+        assert [record["seq"] for record in records] == list(range(25))
+        assert all(record["name"] == "serve.request" for record in records)
+        assert all(
+            len(record["spans"][0]["attrs"]["rungs"]) == 4
+            for record in records
+        )
 
 
 class TestProfileRungBreakdown:
@@ -167,11 +171,36 @@ class TestProfileRungBreakdown:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "rungs (from the request log):" in out
-        breakdown = out.split("rungs (from the request log):")[1]
+        assert "rungs (from the profile's serve.request spans):" in out
+        breakdown = out.split(
+            "rungs (from the profile's serve.request spans):"
+        )[1]
         assert "cache" in breakdown
         assert "recompute" in breakdown
         assert "modeled_s" in breakdown
+
+
+    def test_profile_counts_every_request_past_the_log_capacity(
+        self, capsys
+    ):
+        """5 000 requests overflow the request log's 4 096-record ring;
+        the table still counts every one, expensive rows included."""
+        assert main(["--demo", "--requests", "5000", "--profile"]) == 0
+        out = capsys.readouterr().out
+        tiers = dict(
+            pair.split("=")
+            for pair in out.split("tiers: ")[1].splitlines()[0].split(", ")
+        )
+        table = out.split("\nrungs (")[1].split("profile (top spans")[0]
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in table.splitlines()[2:]
+        }
+        assert rows == {
+            tier: count for tier, count in tiers.items() if count != "0"
+        }
+        assert sum(int(count) for count in rows.values()) == 5000
+        assert "recompute" in rows
 
 
 class TestExplainSubcommand:
@@ -202,6 +231,32 @@ class TestExplainSubcommand:
         out = capsys.readouterr().out
         assert "verified 100 queries: 100 agree, 0 mismatch" in out
         assert "MISMATCH" not in out
+
+    def test_explain_verify_reads_the_recorded_trail(
+        self, inputs, capsys, monkeypatch
+    ):
+        """--verify compares the explanation with the request log's
+        record, every rung's reason included: a record whose trail
+        differs is a mismatch even though the served tier agrees."""
+        add = TraceStore.add
+
+        def tampered(store, name, *args, **attrs):
+            if name == "serve.request":
+                attrs["rungs"] = dict(attrs["rungs"], view="tampered")
+            add(store, name, *args, **attrs)
+
+        monkeypatch.setattr(TraceStore, "add", tampered)
+        query, data = inputs
+        code = main(
+            [
+                "explain", "--query", query, data,
+                "--requests", "5", "--verify",
+            ]
+        )
+        assert code == 1
+        assert "verified 5 queries: 0 agree, 5 mismatch" in (
+            capsys.readouterr().out
+        )
 
     def test_explain_warm_sees_cache(self, inputs, capsys):
         query, data = inputs

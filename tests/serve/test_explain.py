@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.query import Query
 from repro.errors import CubeError, InvalidQuery
+from repro.obs.events import rung_reasons
 from repro.serve import CubeServer, TIERS
 from repro.serve.replay import sample_points
 from repro.testing import small_workload
@@ -114,14 +115,14 @@ class TestExplainIsPure:
         point = table.lattice.topo_finer_first()[0]
         cuboid_of(server, point)
         before_stats = server.stats()
-        before_events = server.events.total
+        before_events = server.events.stats()
         before_entries = {
             entry.point: (entry.hits, entry.priority)
             for entry in server.cache.entries()
         }
         for target in list(table.lattice.points()):
             explain(server, target)
-        assert server.events.total == before_events
+        assert server.events.stats() == before_events
         after_stats = server.stats()
         assert after_stats.requests == before_stats.requests
         assert after_stats.cache == before_stats.cache
@@ -142,16 +143,17 @@ class TestExplainAgreesWithExecution:
         for point in replay:
             explanation = explain(server, point)
             cuboid_of(server, point)
-            recorded = server.events.requests()[-1]
-            assert recorded.tier == explanation.tier, (
+            recorded = server.events.named("serve.request")[-1]
+            attrs = recorded.spans[0].attrs
+            assert attrs["tier"] == explanation.tier, (
                 f"explain predicted {explanation.tier} but execution "
-                f"recorded {recorded.tier} for "
+                f"recorded {attrs['tier']} for "
                 f"{table.lattice.describe(point)}"
             )
             # The recorded decision trail is the explanation's, reasons
             # and rejected rungs included, not just the final verdict.
-            assert tuple(d.rung for d in recorded.rungs) == TIERS
-            assert recorded.rungs == explanation.rungs
+            assert tuple(attrs["rungs"]) == TIERS
+            assert attrs["rungs"] == rung_reasons(explanation.rungs)
 
     def test_every_tier_appears_somewhere(self):
         table, oracle = fresh(n_facts=120, seed=21)
@@ -159,7 +161,8 @@ class TestExplainAgreesWithExecution:
         for point in sample_points(table.lattice, 100, seed=13):
             cuboid_of(server, point)
         tiers_seen = {
-            event.tier for event in server.events.requests()
+            record.spans[0].attrs["tier"]
+            for record in server.events.named("serve.request")
         }
         assert {"cache", "recompute"} <= tiers_seen
 

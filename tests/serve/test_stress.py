@@ -115,24 +115,21 @@ def test_concurrent_reads_match_serial_recompute(warm):
     assert stats.writes > 0
     assert stats.requests >= READERS * READS_PER_READER
 
-    # The event log kept up with the race: one event per operation,
-    # contiguous sequence numbers, nothing lost and nothing duplicated.
-    events = server.events.snapshot()
+    # The request log kept up with the race: exactly one record per
+    # read and per write, contiguous sequence numbers, nothing lost and
+    # nothing duplicated.
+    records = server.events.traces()
     assert server.events.dropped == 0
-    assert len(events) == server.events.total
-    assert [event.seq for event in events] == list(range(len(events)))
-    requests = server.events.requests()
-    writes = server.events.writes()
+    assert len(records) == stats.requests + stats.writes
+    assert [record.seq for record in records] == list(range(len(records)))
+    requests = server.events.named("serve.request")
+    writes = server.events.named("serve.write")
     assert len(requests) == stats.requests
     assert len(writes) == stats.writes
-    # Each request event names the rung that answered it, and the
+    # Each request record names the rung that answered it, and the
     # decision trail always covers the full ladder.
-    for event in requests:
-        assert event.tier in stats.tiers
-        assert [decision.rung for decision in event.rungs] == list(
-            stats.tiers
-        )
-        assert any(
-            decision.taken and decision.rung == event.tier
-            for decision in event.rungs
-        )
+    for record in requests:
+        attrs = record.spans[0].attrs
+        assert attrs["tier"] in stats.tiers
+        assert list(attrs["rungs"]) == list(stats.tiers)
+        assert attrs["rungs"][attrs["tier"]] != ""

@@ -110,7 +110,7 @@ class TestCliOneShot:
         assert code == 0
         lines = events.read_text().splitlines()
         assert len(lines) == 30
-        assert json.loads(lines[0])["type"] == "request"
+        assert json.loads(lines[0])["name"] == "serve.request"
         html_text = report.read_text()
         assert html_text.startswith("<!DOCTYPE html>")
         assert "x3 serving report" in html_text
