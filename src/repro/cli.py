@@ -111,14 +111,6 @@ def _option_groups() -> Dict[str, argparse.ArgumentParser]:
         " files and --query",
     )
 
-    add = group("algorithm", "engine")
-    add(
-        "--algorithm",
-        type=_algorithm,
-        default="NAIVE",
-        help="cube / recompute algorithm (default NAIVE; BUC for cube;"
-        " x3 bench runs the whole line-up)",
-    )
     add = group("engine", "engine")
     add(
         "--workers",
@@ -307,9 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command(
         "cube", run_cube,
         "Compute an X^3 cube over XML files.",
-        "input", "algorithm", "engine", "cuboid", "profile", "trace_out",
+        "input", "engine", "cuboid", "profile", "trace_out",
     )
-    sub.set_defaults(algorithm="BUC")
+    sub.add_argument(
+        "--algorithm",
+        type=_algorithm,
+        default="BUC",
+        help="cube algorithm (default BUC; x3 bench runs the whole"
+        " line-up)",
+    )
     sub.add_argument(
         "--list-cuboids",
         action="store_true",
@@ -332,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full cube as an XML document",
     )
 
-    serving = ("input", "algorithm", "engine", "cache", "views", "replay")
+    serving = ("input", "cache", "views", "replay")
     command(
         "serve", run_serve,
         "Serve X^3 cube queries (cache + views + sound roll-up + engine"
@@ -406,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Replay an X^3 cube workload against a sharded, replicated"
         " cluster (scatter-gather over hash-partitioned CubeServers)"
         " across shard counts, with optional fault injection.",
-        "input", "algorithm", "engine", "cache", "shards", "replay",
-        "tracing", "log_jsonl", "validate",
+        "input", "cache", "shards", "replay", "tracing", "log_jsonl",
+        "validate",
     )
     sub.set_defaults(shards=[1, 2, 4], cache_cells=2048)
     sub.add_argument(
@@ -441,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Serve X^3 cube queries over HTTP/JSON (aggregate, drilldown,"
         " slice, dice, explain, /metrics) from either a single"
         " CubeServer or a sharded cluster.",
-        "input", "algorithm", "engine", "cache", "shards", "catalog",
-        "replay", "tracing",
+        "input", "cache", "shards", "catalog", "replay", "tracing",
     )
     sub.set_defaults(requests=25, seed=17)
     sub.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -493,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sql", run_sql,
         "Interactive X^3QL shell over a CubeServer or a sharded cluster"
         " (same backends as x3 server).",
-        "input", "algorithm", "engine", "cache", "shards", "catalog",
+        "input", "cache", "shards", "catalog",
     )
     sub.add_argument(
         "-c",
@@ -659,11 +656,6 @@ def build_backend(
     settings: Dict[str, Any] = dict(
         oracle=(
             PropertyOracle.from_data(table) if args.oracle == "data" else None
-        ),
-        options=ExecutionOptions(
-            algorithm=args.algorithm,
-            workers=args.workers,
-            engine=args.engine,
         ),
         cache_cells=args.cache_cells,
         trace_store=trace_store,

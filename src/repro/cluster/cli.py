@@ -103,20 +103,38 @@ class Validator:
             )
 
 
+def logged_read_seconds(coordinator: ClusterCoordinator) -> List[float]:
+    """The modeled latency of every successful read the coordinator's
+    request log still holds, oldest first."""
+    return [
+        record.sim_seconds
+        for record in coordinator.events.named("cluster.read")
+        if record.status == "ok"
+    ]
+
+
 def report(
     coordinator: ClusterCoordinator, validated: Optional[Validator]
 ) -> None:
     """One shard count's replay summary."""
     stats = coordinator.stats()
-    latencies = coordinator.modeled_latencies()
-    modeled_total = sum(latencies)
+    # Once the request log's ring has dropped reads, the quantiles
+    # cover only the reads it still holds, and the line says so.
+    latencies = logged_read_seconds(coordinator)
+    modeled_total = stats.modeled_cost_seconds
     throughput = stats.requests / modeled_total if modeled_total else 0.0
+    covered = (
+        f" (last {len(latencies)} of {stats.requests} reads: the request"
+        f" log keeps {coordinator.events.capacity} records)"
+        if len(latencies) < stats.requests
+        else ""
+    )
     print(
         f"shards={coordinator.n_shards} replicas={stats.replicas}: "
         f"{stats.requests} requests, {stats.writes} writes, "
         f"throughput {throughput:.1f} req/modeled-s, "
         f"p50 {percentile(latencies, 0.50) * 1e3:.2f}ms, "
-        f"p95 {percentile(latencies, 0.95) * 1e3:.2f}ms"
+        f"p95 {percentile(latencies, 0.95) * 1e3:.2f}ms{covered}"
     )
     print(
         f"   degraded: {stats.failovers} failovers, "

@@ -51,7 +51,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.core.aggregates import AggregateFunction
 from repro.core.bindings import FactRow, FactTable
-from repro.core.cube import ExecutionOptions
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 from repro.core.merge import finalize_states, merge_states
@@ -70,6 +69,13 @@ _CPU_OP_SECONDS = CostModel.cpu_op_cost
 
 #: Records the request log (:attr:`ClusterCoordinator.events`) keeps.
 LOG_CAPACITY = 8192
+
+#: Per-replica sync-and-retry bound for stale answers.
+MAX_STALE_RETRIES = 3
+
+#: Whole-scatter retry bound when a gathered version vector is
+#: inconsistent.
+MAX_READ_ROUNDS = 8
 
 #: One coordination decision, as a JSON object: ``kind`` (failover /
 #: hedge / stale_retry / straggle / crash / stale / reject / heal), the
@@ -132,16 +138,11 @@ class ClusterCoordinator(CubeBackend):
         oracle: property oracle shared by all replicas.  Sound because
             disjointness/coverage are universally quantified over facts
             and therefore inherited by every subset of the table.
-        options: engine options for recomputes inside each replica.
         cache_cells: per-replica cuboid cache budget.
         chaos: optional seeded fault planner (crash / straggle / stale).
         hedge_deadline_seconds: modeled-latency deadline after which a
             straggling shard read is hedged on a backup replica;
             ``None`` disables hedging.
-        max_stale_retries: per-replica sync-and-retry bound for stale
-            answers.
-        max_read_rounds: whole-scatter retry bound when a gathered
-            version vector is inconsistent.
         trace_store: optional distributed-tracing store.  When set, a
             read entering without an upstream binding opens its own
             trace root; per-shard child spans (carrying replica, tier,
@@ -159,12 +160,9 @@ class ClusterCoordinator(CubeBackend):
         replicas: int = 2,
         *,
         oracle: Optional[PropertyOracle] = None,
-        options: Optional[ExecutionOptions] = None,
         cache_cells: int = 2048,
         chaos: Optional[ChaosEngine] = None,
         hedge_deadline_seconds: Optional[float] = 0.1,
-        max_stale_retries: int = 3,
-        max_read_rounds: int = 8,
         trace_store: Optional[TraceStore] = None,
     ) -> None:
         if n_shards <= 0:
@@ -182,8 +180,6 @@ class ClusterCoordinator(CubeBackend):
         self.n_replicas = replicas
         self.chaos = chaos
         self.hedge_deadline_seconds = hedge_deadline_seconds
-        self.max_stale_retries = max_stale_retries
-        self.max_read_rounds = max_read_rounds
         self.events = TraceStore.request_log(LOG_CAPACITY)
         self.trace_store = trace_store
 
@@ -203,7 +199,6 @@ class ClusterCoordinator(CubeBackend):
                     slice_rows,
                     table.aggregate,
                     oracle=oracle,
-                    options=options,
                     cache_cells=cache_cells,
                 )
                 for replica_id in range(replicas)
@@ -228,7 +223,6 @@ class ClusterCoordinator(CubeBackend):
         self._heals = 0
         self._modeled_cost_seconds = 0.0
         self._merged_cells = 0
-        self._latencies: List[float] = []
         self._pool: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(
                 max_workers=min(16, n_shards),
@@ -272,7 +266,7 @@ class ClusterCoordinator(CubeBackend):
         The vector is always a state the write log actually produced:
         inconsistent gathers (a replica answering at the wrong version)
         are rejected, lagging replicas synced, and the scatter retried
-        up to ``max_read_rounds`` times.  The scatter-gather path has no
+        up to :data:`MAX_READ_ROUNDS` times.  The scatter-gather path has no
         per-request ladder, so the rung trail is one synthesized
         ``scatter-gather`` decision (each replica's own ladder walk
         lives in its local request log).  The read leaves one
@@ -375,7 +369,7 @@ class ClusterCoordinator(CubeBackend):
         cuboid, its vector and its modeled latency.  Every round's
         decisions go to ``decisions``."""
         last_vector: Optional[Tuple[int, ...]] = None
-        for round_index in range(self.max_read_rounds):
+        for round_index in range(MAX_READ_ROUNDS):
             with self._lock:
                 op = self._op
                 self._op += 1
@@ -407,7 +401,7 @@ class ClusterCoordinator(CubeBackend):
             self.sync_all()
         raise ClusterError(
             f"no consistent gather for {described} after "
-            f"{self.max_read_rounds} rounds (last vector "
+            f"{MAX_READ_ROUNDS} rounds (last vector "
             f"{list(last_vector or ())})"
         )
 
@@ -566,7 +560,7 @@ class ClusterCoordinator(CubeBackend):
         vector-consistency check decides what to do with it.
         """
         answer: Optional[ShardAnswer] = None
-        for _ in range(self.max_stale_retries + 1):
+        for _ in range(MAX_STALE_RETRIES + 1):
             try:
                 answer = replica.read_states(point)
             except ShardUnavailable:
@@ -684,7 +678,6 @@ class ClusterCoordinator(CubeBackend):
             self._requests += 1
             self._modeled_cost_seconds += latency
             self._merged_cells += len(cuboid)
-            self._latencies.append(latency)
         obs.count("x3_cluster_merged_cells_total", len(cuboid))
         return cuboid, latency
 
@@ -861,11 +854,6 @@ class ClusterCoordinator(CubeBackend):
             "replica_health": replicas,
             "version": list(self.version_token()),
         }
-
-    def modeled_latencies(self) -> List[float]:
-        """Per-request modeled latencies, in request order."""
-        with self._lock:
-            return list(self._latencies)
 
     def stats(self) -> ClusterStats:
         with self._lock:

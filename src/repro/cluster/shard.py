@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactRow, FactTable
-from repro.core.cube import ExecutionOptions
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.merge import (
     STATE_EXACT_AGGREGATES,
@@ -69,7 +68,6 @@ class ShardReplica:
             full-table oracle is sound here: disjointness and coverage
             are universally quantified over facts, so any property that
             holds for the whole table holds for every subset of it.
-        options: engine options for recomputes inside the replica.
         cache_cells: cuboid cache budget of each component server.
 
     ``server`` and ``table`` are the first component's: for a
@@ -84,7 +82,6 @@ class ShardReplica:
         rows: Sequence[FactRow],
         aggregate,
         oracle: Optional[PropertyOracle] = None,
-        options: Optional[ExecutionOptions] = None,
         cache_cells: int = 2048,
     ) -> None:
         self.shard = shard
@@ -99,7 +96,6 @@ class ShardReplica:
             CubeServer(
                 FactTable(lattice, rows, spec),
                 oracle,
-                options=options,
                 cache_cells=cache_cells,
             )
             for spec in components

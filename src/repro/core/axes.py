@@ -21,7 +21,6 @@ from repro.errors import QueryError
 from repro.patterns.parse import parse_steps
 from repro.patterns.pattern import EdgeAxis
 from repro.patterns.relaxation import Relaxation
-from repro.xmlmodel.navigation import Step, StepAxis
 
 PathStep = Tuple[EdgeAxis, str]
 
@@ -136,17 +135,6 @@ class AxisSpec:
                 for axis, test in prefix
             )
         return binding, prefix
-
-    def nav_steps(self, steps: Tuple[PathStep, ...]) -> List[Step]:
-        """Convert pattern steps to navigation steps (for schema reasoning
-        and path evaluation)."""
-        out: List[Step] = []
-        for axis, test in steps:
-            nav_axis = (
-                StepAxis.CHILD if axis is EdgeAxis.CHILD else StepAxis.DESCENDANT
-            )
-            out.append(Step(nav_axis, test))
-        return out
 
     def __str__(self) -> str:
         names = ", ".join(sorted(r.value for r in self.relaxations))

@@ -75,17 +75,13 @@ class PropertyOracle:
                 applied = states.structural_state(state)
                 binding, prefix = axis.steps_for_state(applied)
                 # One walk of the DTD answers both questions.
-                card = path_cardinality(
-                    dtd, fact_tag, axis.nav_steps(binding)
-                )
+                card = path_cardinality(dtd, fact_tag, binding)
                 disjoint[(position, state)] = (
                     card is not None and not card.may_repeat
                 )
                 holds = card is not None and not card.may_be_absent
                 if prefix and holds:
-                    holds = axis_coverage(
-                        dtd, fact_tag, axis.nav_steps(prefix)
-                    ).guaranteed
+                    holds = axis_coverage(dtd, fact_tag, prefix).guaranteed
                 covered[(position, state)] = holds
         return PropertyOracle(lattice, disjoint, covered)
 

@@ -12,7 +12,7 @@ server emits and maintains, per configured sliding window:
 - the hit ratio (requests answered above the recompute rung);
 - eviction churn (cache-state changes inside the window);
 - SLO burn: the fraction of requests over the latency threshold,
-  scaled by the error budget ``1 - slo_target`` (a burn rate of 1.0
+  scaled by the error budget ``1 - SLO_TARGET`` (a burn rate of 1.0
   spends the budget exactly; above 1.0 the SLO is burning down).
 
 Everything is mirrored into a :class:`~repro.obs.metrics.MetricsRegistry`
@@ -49,6 +49,14 @@ SERVE_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 #: The quantiles every window reports.
 WINDOW_QUANTILES: Tuple[float, ...] = (0.50, 0.95, 0.99)
+
+#: Fraction of requests the SLO promises under its threshold (0.99
+#: leaves a 1% error budget).
+SLO_TARGET = 0.99
+
+#: Hard cap on retained samples (and churn records), bounding memory
+#: even under traffic far faster than the longest window.
+MAX_SAMPLES = 65536
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -116,14 +124,10 @@ class LiveTelemetry:
         windows: window lengths in clock seconds, shortest first.
         slo_modeled_seconds: per-request modeled-latency threshold the
             SLO promises to stay under.
-        slo_target: fraction of requests that must meet the threshold
-            (0.99 leaves a 1% error budget).
-        registry: the metrics registry to mirror into; a private one is
-            created when omitted.
         clock: monotonic time source (injectable for tests).
         top_k: hottest lattice points reported per window.
-        max_samples: hard cap on retained samples, bounding memory even
-            under traffic far faster than the longest window.
+
+    :attr:`registry` is the instance's own metrics registry.
     """
 
     def __init__(
@@ -131,30 +135,21 @@ class LiveTelemetry:
         windows: Sequence[float] = (60.0, 300.0),
         *,
         slo_modeled_seconds: float = 0.01,
-        slo_target: float = 0.99,
-        registry: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
         top_k: int = 5,
-        max_samples: int = 65536,
     ) -> None:
         if not windows:
             raise ValueError("at least one window is required")
         if any(w <= 0 for w in windows):
             raise ValueError(f"window lengths must be positive: {windows}")
-        if not 0.0 < slo_target < 1.0:
-            raise ValueError(
-                f"slo_target must be in (0, 1), got {slo_target}"
-            )
         self.windows = tuple(sorted(windows))
         self.slo_modeled_seconds = slo_modeled_seconds
-        self.slo_target = slo_target
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._clock = clock
         self.top_k = top_k
-        self._max_samples = max_samples
         self._lock = threading.Lock()
-        self._samples: Deque[_Sample] = deque(maxlen=max_samples)
-        self._churn: Deque[Tuple[float, str]] = deque(maxlen=max_samples)
+        self._samples: Deque[_Sample] = deque(maxlen=MAX_SAMPLES)
+        self._churn: Deque[Tuple[float, str]] = deque(maxlen=MAX_SAMPLES)
         self._exemplars: Dict[Tuple[str, float], Exemplar] = {}
 
     # ------------------------------------------------------------------
@@ -246,7 +241,7 @@ class LiveTelemetry:
         violations = sum(
             1 for m in modeled if m > self.slo_modeled_seconds
         )
-        budget = 1.0 - self.slo_target
+        budget = 1.0 - SLO_TARGET
         burn = (
             (violations / len(samples)) / budget if samples else 0.0
         )

@@ -60,6 +60,12 @@ STATUSES = ("ok", "deadline", "error")
 #: Tail-retention reasons (`""` means the trace is in the normal ring).
 RETAIN_REASONS = ("error", "deadline", "slow")
 
+#: Recent root modeled durations the rolling "slow" p99 is computed over.
+SLOW_WINDOW = 256
+
+#: Children a trace keeps; the root is always kept on top of them.
+MAX_SPANS_PER_TRACE = 512
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -108,10 +114,9 @@ class TraceStore:
 
     ``capacity`` bounds the normal ring; ``retained_capacity`` bounds
     the tail-retained pool (error / deadline / p99-slow traces), which
-    ring eviction never touches.  ``slow_window`` is the number of
-    recent root modeled durations the rolling p99 is computed over.
-    ``max_spans_per_trace`` caps a trace's children; the root is always
-    kept.
+    ring eviction never touches.  The rolling p99 is computed over the
+    last :data:`SLOW_WINDOW` root modeled durations, and a trace keeps
+    at most :data:`MAX_SPANS_PER_TRACE` children besides its root.
     """
 
     def __init__(
@@ -120,8 +125,6 @@ class TraceStore:
         sample_rate: float = 1.0,
         seed: int = 0,
         retained_capacity: int = 128,
-        slow_window: int = 256,
-        max_spans_per_trace: int = 512,
     ) -> None:
         if capacity <= 0:
             raise ValueError(
@@ -129,14 +132,13 @@ class TraceStore:
             )
         self.capacity = capacity
         self.retained_capacity = max(0, retained_capacity)
-        self.max_spans_per_trace = max(1, max_spans_per_trace)
         self.sampler = HeadSampler(sample_rate)
         self._ids = IdSource(seed)
         self._lock = threading.Lock()
         self._open: Dict[str, List[TraceSpan]] = {}
         self._ring: "OrderedDict[str, TraceRecord]" = OrderedDict()
         self._retained: "OrderedDict[str, TraceRecord]" = OrderedDict()
-        self._durations: Deque[float] = deque(maxlen=max(20, slow_window))
+        self._durations: Deque[float] = deque(maxlen=SLOW_WINDOW)
         #: The request log's ring (:meth:`request_log` only).  It holds
         #: the spans alone: a record's ``seq`` is its position in the
         #: log, ``dropped`` plus its index in the ring.
@@ -232,7 +234,7 @@ class TraceStore:
                 return  # trace already finalized or never opened
             # The root finishes last, so ``spans`` holds children only
             # until it arrives; it is always kept.
-            if not root and len(spans) >= self.max_spans_per_trace:
+            if not root and len(spans) >= MAX_SPANS_PER_TRACE:
                 self.dropped_spans += 1
             else:
                 spans.append(span)

@@ -2,7 +2,8 @@
 
 Given a DTD and an axis *path* (the relative path from the fact element to
 the grouping value, already rewritten for the lattice point's relaxation
-state), decide:
+state, as the ``(EdgeAxis, test)`` steps of
+:func:`repro.patterns.parse.parse_steps`), decide:
 
 - **disjointness**: can the path ever bind more than one value for a single
   fact?  If not, every cuboid grouping on this axis keeps facts in a single
@@ -19,10 +20,13 @@ path is undeclared, and the customized algorithms treat ``UNKNOWN`` as
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
+from repro.patterns.pattern import EdgeAxis
 from repro.schema.dtd import Cardinality, Dtd
-from repro.xmlmodel.navigation import Step, StepAxis
+
+#: One path step: its axis and its test (a tag, ``*`` or ``@name``).
+Step = Tuple[EdgeAxis, str]
 
 
 class PropertyVerdict(Enum):
@@ -48,12 +52,12 @@ def path_cardinality(
     """
     current = fact_tag
     product = Cardinality.ONE
-    for step in steps:
-        if step.is_attribute:
+    for axis, test in steps:
+        if test.startswith("@"):
             decl = dtd.get(current)
             if decl is None:
                 return None
-            attr = decl.attributes.get(step.attribute_name)
+            attr = decl.attributes.get(test[1:])
             if attr is None:
                 # Undeclared attribute: may be absent, never repeats.
                 contribution = Cardinality.OPTIONAL
@@ -61,27 +65,27 @@ def path_cardinality(
                 contribution = (
                     Cardinality.ONE if attr.required else Cardinality.OPTIONAL
                 )
-            if step.axis is StepAxis.DESCENDANT:
+            if axis is EdgeAxis.DESCENDANT:
                 # @attr reachable anywhere below: conservatively repeatable.
                 contribution = Cardinality.STAR
             return _product(product, contribution)
-        if step.test == "*":
+        if test == "*":
             return None
-        if step.axis is StepAxis.CHILD:
+        if axis is EdgeAxis.CHILD:
             decl = dtd.get(current)
             if decl is None:
                 return None
-            contribution = decl.child_cardinality(step.test)
+            contribution = decl.child_cardinality(test)
             if contribution is None:
                 # Declared parent never has this child: the path is dead;
                 # it binds nothing, i.e. absent and non-repeating.
                 return Cardinality.OPTIONAL
         else:
-            contribution = dtd.descendant_step_cardinality(current, step.test)
+            contribution = dtd.descendant_step_cardinality(current, test)
             if contribution is None:
                 return Cardinality.OPTIONAL
         product = _product(product, contribution)
-        current = step.test
+        current = test
     return product
 
 

@@ -17,7 +17,7 @@ first, each rung guarded by the summarizability rules of Sec. 2/3:
    it: the move is drop-only and the
    :class:`~repro.core.properties.PropertyOracle` proves the source
    disjoint (no double counting) and covering (no lost facts);
-4. **recompute** — the parallel engine computes the cuboid from a row
+4. **recompute** — the engine computes the cuboid serially from a row
    snapshot (identical concurrent misses are deduplicated single-flight
    so a stampede computes once).
 
@@ -68,7 +68,6 @@ from repro.core.properties import PropertyOracle
 from repro.core.query import Answer, CubeBackend, Plan, PointSpec
 from repro.core.rollup import derivable, rollup_cuboid
 from repro.cost import CostModel
-from repro.errors import CubeError
 from repro.obs.events import EvictionRecord, RungDecision, rung_reasons
 from repro.obs.live import LiveTelemetry
 from repro.obs.trace_store import TraceStore
@@ -175,13 +174,6 @@ class CubeServer(CubeBackend):
         oracle: property oracle proving disjointness/coverage for the
             rollup tier and the view advisor; ``None`` is the pessimistic
             oracle, which disables rollups (never unsound, never fast).
-        options: engine configuration.  ``algorithm`` names the kernel
-            of the recompute rung (one point per job); the jobs that ask
-            for many points at once — :meth:`warm` and view
-            materialization — run the COLUMNAR sweep whatever it says.
-            Every other field (workers, engine, memory, trace, ...)
-            governs both.  The ``points`` field is managed by the server
-            and must be unset.
         cache_cells: budget of the cuboid cache, in cells.
         view_cells: when > 0 (and no explicit ``selection``), run the
             Sec. 3.6 advisor with this space budget and materialize its
@@ -215,7 +207,6 @@ class CubeServer(CubeBackend):
         table: FactTable,
         oracle: Optional[PropertyOracle] = None,
         *,
-        options: Optional[ExecutionOptions] = None,
         cache_cells: int = 4096,
         view_cells: int = 0,
         selection: Optional[ViewSelection] = None,
@@ -227,12 +218,6 @@ class CubeServer(CubeBackend):
         self.oracle = oracle or PropertyOracle.from_flags(
             table.lattice, False, False
         )
-        if options is not None and options.points is not None:
-            raise CubeError(
-                "ExecutionOptions.points is managed by CubeServer; "
-                "leave it unset"
-            )
-        self.options = options or ExecutionOptions()
         self.aggregate = table.aggregate
         self._aggregate = table.aggregate.function.upper()
         self._fn = table.aggregate.fn
@@ -292,24 +277,24 @@ class CubeServer(CubeBackend):
                 )
             return self._version, self._snapshot
 
-    def _engine_options(
-        self, points: Sequence[LatticePoint]
-    ) -> ExecutionOptions:
-        """``self.options`` for one engine job over ``points``.
+    @staticmethod
+    def _engine_options(points: Sequence[LatticePoint]) -> ExecutionOptions:
+        """The serial engine job over ``points``; its size picks the
+        kernel.
 
-        A one-point job (the recompute rung) runs ``options.algorithm``.
-        A job that asks for several points at once (warm-up, view
+        A one-point job (the recompute rung) runs NAIVE.  A job that
+        asks for several points at once (warm-up, view
         materialisation) runs the COLUMNAR sweep, which shares the trie
         prefixes across all of them over the version's one encoding
         (:meth:`_snapshot_table`).  The one-point rung does not switch
         on that encoding being there: right after a write it is not,
         and the encode alone costs more than a NAIVE scan (DESIGN.md
-        Sec. 5c, "Set-up").  Every other field carries over.
+        Sec. 5c, "Set-up").  Both kernels are exact for every lattice
+        point, so no served answer depends on a summarizability
+        property.
         """
-        algorithm = "COLUMNAR" if len(points) > 1 else self.options.algorithm
-        return self.options.replace(
-            algorithm=algorithm, points=tuple(points)
-        )
+        algorithm = "COLUMNAR" if len(points) > 1 else "NAIVE"
+        return ExecutionOptions(algorithm=algorithm, points=tuple(points))
 
     # ------------------------------------------------------------------
     # cache audit plumbing
@@ -680,10 +665,9 @@ class CubeServer(CubeBackend):
         Candidates (default: the whole lattice) are ranked by modeled
         benefit density — recompute cost saved per cell — and admitted
         greedily within ``budget_cells`` (default: the cache budget).
-        The chosen cuboids are computed in one engine run of the
-        columnar sweep (see :meth:`_engine_options`), so a parallel
-        configuration warms in parallel; it reads the snapshot
-        :meth:`sizes` counted, encoded once per version.  Returns the
+        The chosen cuboids are computed in one serial run of the
+        columnar sweep (see :meth:`_engine_options`); it reads the
+        snapshot :meth:`sizes` counted, encoded once per version.  Returns the
         warmed points (none if a write overtook the run).
         """
         budget = (

@@ -77,6 +77,9 @@ MAX_BODY_BYTES = 1 << 20
 #: requests for as long as its client likes.
 BODY_READ_TIMEOUT_S = 10.0
 
+#: Backoff hint an overloaded server sends with its 429, in seconds.
+RETRY_AFTER_SECONDS = 0.05
+
 #: Route operation -> the Query kind it forces.
 QUERY_OPS = {
     "aggregate": "aggregate",
@@ -137,18 +140,12 @@ class AdmissionController:
     of stacking latency.
     """
 
-    def __init__(
-        self,
-        max_inflight: int = 64,
-        *,
-        retry_after_seconds: float = 0.05,
-    ) -> None:
+    def __init__(self, max_inflight: int = 64) -> None:
         if max_inflight <= 0:
             raise ValueError(
                 f"max_inflight must be positive, got {max_inflight}"
             )
         self.max_inflight = max_inflight
-        self.retry_after_seconds = retry_after_seconds
         self._lock = threading.Lock()
         self._inflight = 0
         self._admitted = 0
@@ -163,7 +160,7 @@ class AdmissionController:
                 raise Overloaded(
                     f"admission queue full "
                     f"({self._inflight}/{self.max_inflight} in flight)",
-                    retry_after_seconds=self.retry_after_seconds,
+                    retry_after_seconds=RETRY_AFTER_SECONDS,
                 )
             self._inflight += 1
             self._admitted += 1
@@ -228,15 +225,16 @@ class X3Api:
         catalog: the named-cube registry to serve.
         auth: tenant auth (default: open / anonymous).
         admission: the admission budget (default: 64 in flight).
-        registry: front-door metrics registry; a private one is created
-            when omitted.  ``/metrics`` concatenates this registry's
-            exposition with each distinct backend's ``prometheus()``.
         trace_store: optional distributed-tracing store.  When set,
             every request parses (or mints) a W3C ``traceparent``,
             binds the request root span around routing so backend spans
             nest under it, echoes the context in a ``traceparent``
             response header, and the store is served at
             ``GET /api/v1/traces[/{id}]``.
+
+    :attr:`registry` is the front door's own metrics registry;
+    ``/metrics`` concatenates its exposition with each distinct
+    backend's ``prometheus()``.
     """
 
     def __init__(
@@ -245,7 +243,6 @@ class X3Api:
         *,
         auth: Optional[TenantAuth] = None,
         admission: Optional[AdmissionController] = None,
-        registry: Optional[MetricsRegistry] = None,
         trace_store: Optional[TraceStore] = None,
     ) -> None:
         self.catalog = catalog
@@ -253,9 +250,7 @@ class X3Api:
         self.admission = (
             admission if admission is not None else AdmissionController()
         )
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
+        self.registry = MetricsRegistry()
         self.trace_store = trace_store
 
     # ------------------------------------------------------------------

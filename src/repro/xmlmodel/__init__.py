@@ -1,4 +1,4 @@
-"""XML data model: nodes, parsing, serialization, navigation.
+"""XML data model: nodes, parsing, serialization.
 
 This subpackage is the base substrate for everything else.  It provides a
 small, self-contained XML tree model with the *region encoding*
@@ -11,7 +11,6 @@ The public surface:
 - :class:`~repro.xmlmodel.nodes.Element`, :class:`~repro.xmlmodel.nodes.Document`
 - :func:`~repro.xmlmodel.parser.parse` / :func:`~repro.xmlmodel.parser.parse_file`
 - :func:`~repro.xmlmodel.serializer.serialize`
-- navigation helpers in :mod:`repro.xmlmodel.navigation`
 """
 
 from repro.xmlmodel.nodes import Document, Element

@@ -147,7 +147,7 @@ class Element:
         return self
 
     # ------------------------------------------------------------------
-    # navigation primitives (richer axes live in navigation.py)
+    # navigation primitives
     # ------------------------------------------------------------------
     def iter_descendants(self) -> Iterator["Element"]:
         """Yield all proper descendants in document order."""

@@ -12,6 +12,8 @@ from repro.cluster import (
     ClusterCoordinator,
     VersionVector,
 )
+from repro.cluster import coordinator as coordinator_module
+from repro.cluster.cli import logged_read_seconds, report
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
@@ -236,7 +238,7 @@ class TestStaleReplicas:
     def test_runaway_replica_rejects_then_errors(self):
         table, oracle = fresh()
         with ClusterCoordinator(
-            table, 2, 1, oracle=oracle, max_read_rounds=2
+            table, 2, 1, oracle=oracle
         ) as c:
             # A replica that applied a write the coordinator never
             # issued: its version is permanently ahead of the write
@@ -245,7 +247,7 @@ class TestStaleReplicas:
             rogue.apply("delete", list(rogue.table.rows[:1]))
             with pytest.raises(ClusterError):
                 cuboid_of(c, first_point(table))
-            assert c.stats().rejects >= 1
+            assert c.stats().rejects == coordinator_module.MAX_READ_ROUNDS
             kinds = decision_kinds(c)
             assert "reject" in kinds
             # The failed read still leaves its one record.
@@ -357,13 +359,13 @@ class TestHedgedReads:
             hedge_deadline_seconds=0.01,
         ) as hedged:
             cuboid_of(hedged, first_point(table))
-            hedged_latency = hedged.modeled_latencies()[0]
+            (hedged_latency,) = logged_read_seconds(hedged)
         with ClusterCoordinator(
             table, 2, 2, oracle=oracle, chaos=slow_chaos(),
             hedge_deadline_seconds=None,
         ) as unhedged:
             cuboid_of(unhedged, first_point(table))
-            unhedged_latency = unhedged.modeled_latencies()[0]
+            (unhedged_latency,) = logged_read_seconds(unhedged)
         assert hedged_latency < unhedged_latency
         assert unhedged_latency >= 5.0
 
@@ -444,8 +446,45 @@ class TestObservability:
             assert stats.healthy_replicas == 8
             assert stats.merged_cells > 0
             assert stats.modeled_cost_seconds > 0
-            assert len(c.modeled_latencies()) == 3
+            assert len(logged_read_seconds(c)) == 3
             assert "requests" in stats.summary()
+
+    def test_report_quantiles_read_the_request_log(self, capsys):
+        """``x3 cluster``'s p50/p95 are the nearest-rank quantiles of
+        the log's ``ok`` ``cluster.read`` records; the coordinator keeps
+        no per-read list of its own."""
+        table, oracle = fresh()
+        points = sample_points(table.lattice, 20, seed=5)
+        with ClusterCoordinator(table, 2, 2, oracle=oracle) as c:
+            c.delete(list(table.rows)[:1])
+            replay(c, points)
+            seconds = [
+                record.sim_seconds
+                for record in c.events.named("cluster.read")
+            ]
+            report(c, None)
+        assert logged_read_seconds(c) == seconds and len(seconds) == 20
+        assert not hasattr(c, "_latencies")
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(
+            f"p50 {percentile(seconds, 0.50) * 1e3:.2f}ms, "
+            f"p95 {percentile(seconds, 0.95) * 1e3:.2f}ms"
+        )
+
+    def test_report_says_when_the_log_dropped_reads(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(coordinator_module, "LOG_CAPACITY", 6)
+        table, oracle = fresh()
+        points = sample_points(table.lattice, 10, seed=5)
+        with ClusterCoordinator(table, 2, 2, oracle=oracle) as c:
+            replay(c, points)
+            report(c, None)
+        assert len(logged_read_seconds(c)) == 6
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(
+            "(last 6 of 10 reads: the request log keeps 6 records)"
+        )
 
 
 class TestShardCountSweep:
@@ -470,7 +509,7 @@ class TestShardCountSweep:
                 hedge_deadline_seconds=None,
             ) as cluster:
                 replay(cluster, points)
-                out[n_shards] = (cluster.stats(), cluster.modeled_latencies())
+                out[n_shards] = (cluster.stats(), logged_read_seconds(cluster))
         return out
 
     def test_throughput_rises_and_p95_shrinks(self, sweep):

@@ -83,11 +83,6 @@ class TestStepsForState:
         assert binding == ((EdgeAxis.DESCENDANT, "name"),)
         assert prefix == ((EdgeAxis.DESCENDANT, "author"),)
 
-    def test_nav_steps_conversion(self):
-        axis = AxisSpec.from_path("$n", "author/name", ALL)
-        nav = axis.nav_steps(axis.steps)
-        assert [step.test for step in nav] == ["author", "name"]
-
 
 class TestDisplay:
     def test_str_lists_relaxations(self):

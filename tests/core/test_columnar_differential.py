@@ -428,24 +428,3 @@ class TestColumnarUnderEngine:
         assert cached is not None
         assert table.columnar() is cached[1]
 
-
-# ----------------------------------------------------------------------
-# the serving ladder's recompute rung on columnar inputs
-# ----------------------------------------------------------------------
-class TestColumnarUnderServe:
-    def test_recompute_rung_matches_naive(self, tables):
-        from repro.core.query import Query
-        from repro.serve import CubeServer
-
-        table, oracle = tables["clean"]
-        reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
-        server = CubeServer(
-            table,
-            oracle,
-            cache_cells=0,
-            options=ExecutionOptions(algorithm="COLUMNAR"),
-        )
-        for point in table.lattice.points():
-            answer = server.query(Query(point=point))
-            assert answer.tier == "recompute"
-            assert answer.as_cuboid() == reference.cuboids[point], point

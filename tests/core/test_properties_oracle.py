@@ -147,7 +147,7 @@ class TestSchemaOracle:
                 binding, prefix = axis.steps_for_state(
                     states.structural_state(state)
                 )
-                steps = axis.nav_steps(binding)
+                steps = binding
                 assert oracle.axis_disjoint(position, state) == (
                     axis_disjointness(dtd, fact_tag, steps).guaranteed
                 )
@@ -155,7 +155,7 @@ class TestSchemaOracle:
                 if prefix:
                     saw_prefix = True
                     covered = covered and axis_coverage(
-                        dtd, fact_tag, axis.nav_steps(prefix)
+                        dtd, fact_tag, prefix
                     ).guaranteed
                 assert oracle.axis_covered(position, state) == covered
         assert saw_prefix

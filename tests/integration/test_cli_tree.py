@@ -1,7 +1,8 @@
 """The one ``x3`` parser tree: every option the eight old tools took
-still parses, every flag is one declaration, the old console-script
-names dispatch through ``argv[0]``, and the bugs the copies had drifted
-into are errors on every subcommand."""
+still parses except the engine flags the serving tools dropped, every
+flag is one declaration, the old console-script names dispatch through
+``argv[0]``, and the bugs the copies had drifted into are errors on
+every subcommand."""
 
 import argparse
 
@@ -51,10 +52,16 @@ GAINED = {
     "serve explain": {"--demo"},
     "top": {"--demo"},
     "cluster": {"--demo"},
-    "server": {"--demo", "--workers"},
-    "sql": {"--workers"},
+    "server": {"--demo"},
+    "sql": set(),
     "bench": set(),
 }
+
+#: The engine flags: only ``cube`` and ``bench`` run a chosen engine.
+#: A serving backend picks its kernel from the job's point count, so
+#: the serving tools refuse all three (a usage error, exit 2).
+ENGINE_FLAGS = ("--algorithm", "--workers", "--engine")
+SERVING = sorted(set(OLD_OPTIONS) - {"cube", "bench"})
 
 TRACE_OPTIONS = {
     "list": {"file", "--status", "--name", "--retained", "--jsonl"},
@@ -100,7 +107,8 @@ class TestEveryOldOptionStillParses:
     @pytest.mark.parametrize("name", sorted(OLD_OPTIONS))
     def test_same_flags_plus_the_honoured_gains(self, tree, name):
         old = set(OLD_OPTIONS[name].split())
-        assert set(declared(tree[name])) == old | GAINED[name]
+        dropped = set(ENGINE_FLAGS) if name in SERVING else set()
+        assert set(declared(tree[name])) == (old | GAINED[name]) - dropped
 
     def test_trace_subcommands(self, tree):
         actions = subparsers(tree["trace"])
@@ -143,11 +151,6 @@ class TestGainedFlags:
         assert cli.main(["cube", "--demo", *inputs]) == 1
         assert "--demo replaces" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["server", "sql"])
-    def test_workers_reaches_the_engine_options(self, name, capsys):
-        assert cli.main([name, "--demo", "--workers", "0"]) == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
-
 
 class TestDeclaredOnce:
     def test_a_shared_option_is_one_action_object(self, tree):
@@ -175,7 +178,7 @@ class TestDeclaredOnce:
         parse = cli.build_parser().parse_args
         assert parse(["cube", *inputs]).algorithm == "BUC"
         for name in ("serve", "top", "cluster", "server", "sql"):
-            assert parse([name, *inputs]).algorithm == "NAIVE"
+            assert not hasattr(parse([name, *inputs]), "algorithm")
         assert parse(["cluster", *inputs]).cache_cells == 2048
         assert parse(["cluster", *inputs]).shards == [1, 2, 4]
         assert parse(["serve", *inputs]).cache_cells == 4096
@@ -186,6 +189,27 @@ class TestDeclaredOnce:
         assert (serve.requests, serve.seed) == (100, 7)
         explicit = parse(["cluster", *inputs, "--cache-cells", "9"])
         assert explicit.cache_cells == 9
+
+
+class TestServingTakesNoEngineFlags:
+    """Serving answers every read exactly as serial NAIVE would, so no
+    serving tool lets a user pick the kernel, a pool or its size — not
+    even a valid one."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--algorithm", "NAIVE"), ("--workers", "1"), ("--engine", "serial")],
+    )
+    @pytest.mark.parametrize("name", SERVING)
+    def test_engine_flag_is_a_usage_error(
+        self, name, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*name.split(), "--demo", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""
 
 
 class TestArgvZeroDispatch:
@@ -249,16 +273,29 @@ class TestDriftBugs:
         with pytest.raises(SystemExit) as exit_info:
             cli.main([*argv, "--engine", "bogus"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert (
+            "unrecognized arguments: --engine"
+            if name in SERVING
+            else "invalid choice: 'bogus'"
+        ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", WITH_ALGORITHM)
     def test_unknown_algorithm_is_refused_up_front(
         self, name, inputs, capsys
     ):
         argv = [*name.split(), *inputs, "--algorithm", "NOPE"]
-        assert cli.main(argv) == 1
+        if name in SERVING:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2
+        else:
+            assert cli.main(argv) == 1
         captured = capsys.readouterr()
-        assert "error: unknown algorithm 'NOPE'" in captured.err
+        assert (
+            "unrecognized arguments: --algorithm"
+            if name in SERVING
+            else "error: unknown algorithm 'NOPE'"
+        ) in captured.err
         assert captured.out == ""  # nothing was loaded, booted or served
 
     @pytest.mark.parametrize("name", ["cluster", "server"])

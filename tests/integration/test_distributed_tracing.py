@@ -4,10 +4,10 @@ The acceptance bar for the tracing layer: a deterministic traced replay
 — chaos cluster included — yields exactly one trace per sampled
 request, every span of a trace carries that trace's id, request/cluster
 events are stamped with the ids of the traces that produced them, the
-engine's spans — thread- or process-pool, single server or cluster
-replica — parent inside the request trace on the trace's one clock, and
-two seeded runs dump byte-identical JSONL once wall-clock keys are
-stripped.
+engine's spans — a server's recompute, a cluster replica's, or a
+thread- or process-pool run — parent inside the request trace on the
+trace's one clock, and two seeded runs dump byte-identical JSONL once
+wall-clock keys are stripped.
 """
 
 import json
@@ -172,17 +172,13 @@ class TestServerTracing:
             assert exemplar.trace_id in stored_ids
             assert exemplar.modeled_seconds <= exemplar.bucket_le
 
-    def test_process_pool_spans_reparent_into_the_trace(self):
+    def test_recompute_spans_join_the_trace(self):
+        """A cache miss's engine and algorithm spans parent inside its
+        request trace.  The one-point job runs serially; spans shipped
+        back from a process pool are ``tests/obs/test_parity.py``'s."""
         table, oracle = fresh()
         store = TraceStore(seed=1)
-        server = CubeServer(
-            table,
-            oracle,
-            options=ExecutionOptions(
-                algorithm="TD", workers=2, engine="process"
-            ),
-            trace_store=store,
-        )
+        server = CubeServer(table, oracle, trace_store=store)
         point = next(iter(table.lattice.points()))
         server.query(Query(point=point))
         (record,) = store.traces()
@@ -342,21 +338,11 @@ class TestClusterTracing:
             second.to_jsonl()
         )
 
-    @pytest.mark.parametrize(
-        "options",
-        [
-            None,
-            ExecutionOptions(workers=2, engine="thread"),
-            ExecutionOptions(workers=2, engine="process"),
-        ],
-        ids=["serial", "thread", "process"],
-    )
-    def test_the_cluster_is_not_dark_and_stays_deterministic(
-        self, options
-    ):
+    def test_the_cluster_is_not_dark_and_stays_deterministic(self):
         """Replica recomputes trace like any other: their engine and
-        algorithm spans sit under the ``cluster.shard`` span that asked,
-        with ids that do not depend on the scatter pool's schedule."""
+        algorithm spans (the one-point kernel, NAIVE) sit under the
+        ``cluster.shard`` span that asked, with ids that do not depend
+        on the scatter pool's schedule."""
 
         def replay():
             table, oracle = fresh()
@@ -366,7 +352,6 @@ class TestClusterTracing:
                 4,
                 2,
                 oracle=oracle,
-                options=options,
                 cache_cells=0,
                 trace_store=store,
             ) as coordinator:
@@ -381,7 +366,7 @@ class TestClusterTracing:
             assert len(ids) == len(record.spans), "span ids collide"
             runs = [s for s in record.spans if s.name == "engine.run"]
             algos = [s for s in record.spans if s.name.startswith("algo.")]
-            assert runs and algos
+            assert runs and {s.name for s in algos} == {"algo.NAIVE"}
             for span in runs:
                 assert "cluster.shard" in ancestors(record, span)
             for span in algos:

@@ -60,8 +60,6 @@ class TestWindows:
             LiveTelemetry(windows=())
         with pytest.raises(ValueError):
             LiveTelemetry(windows=(-5.0,))
-        with pytest.raises(ValueError):
-            LiveTelemetry(slo_target=1.0)
 
     def test_snapshot_counts_and_quantiles(self):
         clock = FakeClock()
@@ -131,7 +129,6 @@ class TestSlo:
             windows=(60.0,),
             clock=clock,
             slo_modeled_seconds=1e-4,
-            slo_target=0.99,
         )
         # 1 violation in 100 requests burns exactly the 1% budget.
         for index in range(100):

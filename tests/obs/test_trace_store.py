@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.obs import NULL_SPAN
-from repro.obs.trace_store import TraceStore
+from repro.obs.trace_store import MAX_SPANS_PER_TRACE, TraceStore
 
 
 def bound():
@@ -169,27 +169,29 @@ class TestSpans:
         assert record.spans[0].attrs["tier"] == "cache"
 
     def test_span_cap_drops_excess_spans(self):
-        store = make_store(max_spans_per_trace=3)
+        store = make_store()
         with store.root("r"):
-            for n in range(10):
+            for n in range(MAX_SPANS_PER_TRACE + 7):
                 with obs.span(f"s{n}"):
                     pass
         record = store.traces()[0]
-        # 3 children kept (the cap counts children) plus the root, which
-        # arrives after the cap fills and is kept anyway
-        assert len(record.spans) == 4
+        # 512 children kept (the cap counts children) plus the root,
+        # which arrives after the cap fills and is kept anyway
+        assert len(record.spans) == MAX_SPANS_PER_TRACE + 1 == 513
         assert store.stats()["dropped_spans"] == 7
 
     def test_span_cap_always_keeps_the_root(self):
-        store = make_store(max_spans_per_trace=3)
+        store = make_store()
         with store.root("r"):
-            for n in range(5):
-                with obs.span(f"c{n}"):
+            for n in range(MAX_SPANS_PER_TRACE + 2):
+                with obs.span(f"c{n:04d}"):
                     pass
         (record,) = store.traces()
         root, *children = record.spans
         assert (root.name, root.parent_id) == ("r", "")
-        assert sorted(child.name for child in children) == ["c0", "c1", "c2"]
+        assert sorted(child.name for child in children) == [
+            f"c{n:04d}" for n in range(MAX_SPANS_PER_TRACE)
+        ]
         # no orphans: every kept child hangs off the kept root
         assert {child.parent_id for child in children} == {root.span_id}
 
@@ -326,7 +328,7 @@ class TestStoreBounds:
         assert "bad" in names
 
     def test_slow_tail_retention_kicks_in_above_p99(self):
-        store = make_store(slow_window=256)
+        store = make_store()
         # 30 fast requests to build the window, then one 100x outlier
         for _ in range(30):
             with store.root("fast") as root:

@@ -89,3 +89,13 @@ class TestParseSteps:
 
     def test_single_attribute(self):
         assert parse_steps("@id") == [(EdgeAxis.CHILD, "@id")]
+
+    def test_descendant_chain(self):
+        assert parse_steps("//a//b") == [
+            (EdgeAxis.DESCENDANT, "a"), (EdgeAxis.DESCENDANT, "b"),
+        ]
+
+    @pytest.mark.parametrize("bad", ["", "a//", "a//@", "a/", "@"])
+    def test_empty_steps(self, bad):
+        with pytest.raises(PatternParseError):
+            parse_steps(bad)

@@ -8,7 +8,7 @@ from repro.schema.properties import (
     axis_disjointness,
     path_cardinality,
 )
-from repro.xmlmodel.navigation import parse_path
+from repro.patterns.parse import parse_steps
 
 
 def pub_dtd() -> Dtd:
@@ -34,63 +34,63 @@ def pub_dtd() -> Dtd:
 
 class TestPathCardinality:
     def test_mandatory_unique_child(self):
-        card = path_cardinality(pub_dtd(), "publication", parse_path("year"))
+        card = path_cardinality(pub_dtd(), "publication", parse_steps("year"))
         assert card is Cardinality.ONE
 
     def test_optional_child(self):
         card = path_cardinality(
-            pub_dtd(), "publication", parse_path("publisher")
+            pub_dtd(), "publication", parse_steps("publisher")
         )
         assert card is Cardinality.OPTIONAL
 
     def test_star_chain(self):
         card = path_cardinality(
-            pub_dtd(), "publication", parse_path("author/name")
+            pub_dtd(), "publication", parse_steps("author/name")
         )
         assert card is Cardinality.STAR
 
     def test_required_attribute(self):
         card = path_cardinality(
-            pub_dtd(), "publication", parse_path("publisher/@id")
+            pub_dtd(), "publication", parse_steps("publisher/@id")
         )
         # publisher optional, @id required: whole path optional.
         assert card is Cardinality.OPTIONAL
 
     def test_undeclared_tag_unknown(self):
         assert (
-            path_cardinality(pub_dtd(), "mystery", parse_path("x")) is None
+            path_cardinality(pub_dtd(), "mystery", parse_steps("x")) is None
         )
 
     def test_dead_path_optional(self):
-        card = path_cardinality(pub_dtd(), "publication", parse_path("name"))
+        card = path_cardinality(pub_dtd(), "publication", parse_steps("name"))
         assert card is Cardinality.OPTIONAL
 
 
 class TestVerdicts:
     def test_disjointness_holds_for_year(self):
         verdict = axis_disjointness(
-            pub_dtd(), "publication", parse_path("year")
+            pub_dtd(), "publication", parse_steps("year")
         )
         assert verdict is PropertyVerdict.HOLDS
 
     def test_disjointness_fails_for_author(self):
         verdict = axis_disjointness(
-            pub_dtd(), "publication", parse_path("author/name")
+            pub_dtd(), "publication", parse_steps("author/name")
         )
         assert verdict is PropertyVerdict.FAILS
 
     def test_coverage_fails_for_publisher(self):
         verdict = axis_coverage(
-            pub_dtd(), "publication", parse_path("publisher")
+            pub_dtd(), "publication", parse_steps("publisher")
         )
         assert verdict is PropertyVerdict.FAILS
 
     def test_coverage_holds_for_year(self):
-        verdict = axis_coverage(pub_dtd(), "publication", parse_path("year"))
+        verdict = axis_coverage(pub_dtd(), "publication", parse_steps("year"))
         assert verdict is PropertyVerdict.HOLDS
 
     def test_unknown_for_undeclared(self):
-        verdict = axis_coverage(pub_dtd(), "alien", parse_path("x"))
+        verdict = axis_coverage(pub_dtd(), "alien", parse_steps("x"))
         assert verdict is PropertyVerdict.UNKNOWN
 
 
@@ -104,6 +104,6 @@ class TestDblpVerdicts:
             "journal": (PropertyVerdict.HOLDS, PropertyVerdict.HOLDS),
         }
         for tag, (disjoint, coverage) in checks.items():
-            steps = parse_path(tag)
+            steps = parse_steps(tag)
             assert axis_disjointness(dtd, "article", steps) is disjoint
             assert axis_coverage(dtd, "article", steps) is coverage

@@ -132,10 +132,11 @@ class TestErrors:
         assert main(["--query", query, str(broken)]) == 1
 
     def test_unknown_algorithm(self, inputs, capsys):
+        """``serve`` takes no ``--algorithm`` at all: a usage error."""
         query, data = inputs
-        assert (
-            main(["--query", query, data, "--algorithm", "WARP"]) == 1
-        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--query", query, data, "--algorithm", "WARP"])
+        assert exit_info.value.code == 2
 
 
 class TestEventLogExport:

@@ -120,15 +120,6 @@ class TestBitIdentity:
         assert warmed
         assert_serves_exactly(server, table)
 
-    def test_parallel_recompute_options(self):
-        table, oracle = fresh()
-        server = CubeServer(
-            table,
-            oracle,
-            options=ExecutionOptions(workers=2, engine="thread"),
-        )
-        assert_serves_exactly(server, table)
-
 
 class TestLadder:
     def test_second_request_hits_cache(self):
@@ -271,19 +262,6 @@ class TestQuerySurface:
         assert ("tampered",) not in cuboid_of(server, point)
 
 
-class TestConstruction:
-    def test_points_option_is_reserved(self):
-        table, oracle = fresh()
-        with pytest.raises(CubeError):
-            CubeServer(
-                table,
-                oracle,
-                options=ExecutionOptions(
-                    points=(table.lattice.top,)
-                ),
-            )
-
-
 class TestWarm:
     def test_warm_fills_cache_within_budget(self):
         table, oracle = fresh()
@@ -334,30 +312,33 @@ class TestWarm:
         assert_resident_exactly(server, live)
         assert_serves_exactly(server, live)
 
-    def test_explicit_options_reach_bulk_and_single_point_jobs(self):
-        """``options=`` names the recompute algorithm and lends its
-        workers/engine to the warm-up sweep."""
+    def test_job_size_picks_the_kernel(self):
+        """The server takes no engine options: a many-point job (the
+        warm-up) runs only the COLUMNAR sweep, a cold one-point read
+        only NAIVE, and neither partitions the lattice."""
         table, oracle = fresh()
-        options = ExecutionOptions(
-            algorithm="TD", workers=2, engine="thread"
-        )
-        server = CubeServer(
-            table, oracle, options=options, cache_cells=100000
-        )
+        server = CubeServer(table, oracle, cache_cells=100000)
         with obs.trace() as session:
             warmed = server.warm()
         names = span_names(session)
-        assert names["algo.COLUMNAR"] >= 1 and "algo.TD" not in names
-        assert names["engine.partition"] >= 2
+        assert names["algo.COLUMNAR"] == 1
+        assert {name for name in names if name.startswith("algo.")} == {
+            "algo.COLUMNAR"
+        }
+        assert "engine.partition" not in names
         assert set(warmed) == set(table.lattice.points())
         assert_resident_exactly(server, table)
 
-        cold = CubeServer(table, oracle, options=options, cache_cells=0)
+        cold = CubeServer(table, oracle, cache_cells=0)
         point = table.lattice.top
         with obs.trace() as session:
             answer = cold.query(Query(point=point)).as_cuboid()
         names = span_names(session)
-        assert names["algo.TD"] == 1 and "algo.COLUMNAR" not in names
+        assert {name for name in names if name.startswith("algo.")} == {
+            "algo.NAIVE"
+        }
+        assert names["algo.NAIVE"] == 1
+        assert "engine.partition" not in names
         assert answer == reference_cuboid(table, table.rows, point)
 
     def test_set_up_stays_columnar(self, monkeypatch):
