@@ -11,15 +11,15 @@ so both sides build what they time from their own source.
     python3 benchmarks/pairs.py --parent ../parent --change . \\
         --workload cluster_scatter --seed 17 --pairs 10
 
-prints every raw reading of ``setup_s`` (the one metric a claim has been
-made on so far; lower is better) and ``peak_rss_mb``, then the
-EXPERIMENTS.md table row (median, q1-q3, wins, delta of the medians,
-``peak_rss_mb``) and whether the Sec. 8 rule for claiming a gain is met.
+judges every ``end_to_end`` metric of the parent's ``BENCHMARK.json``
+(its ``name`` and which way is ``better``): for each it prints every raw
+reading, the EXPERIMENTS.md table row (median, q1-q3, wins, delta of the
+medians) and whether the Sec. 8 rule for claiming a gain is met.
 ``--workload`` may be given more than once: the workloads are paired one
 after the other, each reported as above, and the rows are printed again
 together at the end — the whole no-regression table of one change.
-Runs last ``run_seconds`` of the parent's ``BENCHMARK.json``: a claim is
-made at the length the benchmark sets.  A pair is *refused* — listed
+Runs last ``run_seconds`` of the same file: a claim is made at the
+length the benchmark sets.  A pair is *refused* — listed
 with its reason, kept out of the statistics, exit status 1 — when a run
 is ``correct: false`` or the two sides did not do the same work
 (``plan_digest``, ``tier_digest``, ``tiers_first_pass`` or
@@ -40,12 +40,25 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: The end-to-end metric that is paired, and the one reported beside it.
-METRIC, MEMORY = "setup_s", "peak_rss_mb"
 #: What two runs of one pair must agree on to have done the same work.
 SAME_WORK = ("plan_digest", "tier_digest", "tiers_first_pass", "cube_algorithm")
 #: Fewer pairs than this are reported, never claimed (Sec. 8).
 CLAIM_PAIRS = 10
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One ``end_to_end`` entry of ``BENCHMARK.json``."""
+
+    name: str
+    better: str  #: "lower" or "higher"
+    digits: int  #: decimals a reading is printed with
+
+    @classmethod
+    def declared(cls, entry: Dict[str, Any]) -> "Metric":
+        if entry["better"] not in ("lower", "higher"):
+            raise ValueError(f"{entry['name']}: better is {entry['better']!r}")
+        return cls(entry["name"], entry["better"], 3 if entry["unit"] == "s" else 1)
 
 
 @dataclass(frozen=True)
@@ -113,21 +126,25 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class Comparison:
-    """The statistics of the accepted pairs, for one metric (lower is
-    better)."""
+    """The statistics of the accepted pairs, for one metric."""
 
     parent: Tuple[float, ...]
     change: Tuple[float, ...]
+    better: str = "lower"
+
+    def _gain(self, parent: float, change: float) -> float:
+        """How much better ``change`` reads than ``parent``."""
+        return parent - change if self.better == "lower" else change - parent
 
     @property
     def wins(self) -> int:
-        """Pairs in which the change reads lower (ties count for
+        """Pairs in which the change reads better (ties count for
         neither side)."""
-        return sum(c < p for p, c in zip(self.parent, self.change))
+        return sum(self._gain(p, c) > 0 for p, c in zip(self.parent, self.change))
 
     @property
     def losses(self) -> int:
-        return sum(c > p for p, c in zip(self.parent, self.change))
+        return sum(self._gain(p, c) < 0 for p, c in zip(self.parent, self.change))
 
     @property
     def delta(self) -> float:
@@ -137,13 +154,13 @@ class Comparison:
 
     def claimable(self) -> bool:
         """Sec. 8: at least ten pairs, the change wins at least nine
-        tenths of them, and the change's median is lower by more than
+        tenths of them, and the change's median is better by more than
         the parent's inter-quartile distance."""
         q1, parent_median, q3 = quartiles(self.parent)
         return (
             len(self.parent) >= CLAIM_PAIRS
             and 10 * self.wins >= 9 * len(self.parent)
-            and parent_median - quartiles(self.change)[1] > q3 - q1
+            and self._gain(parent_median, quartiles(self.change)[1]) > q3 - q1
         )
 
 
@@ -154,26 +171,28 @@ def _spread(values: Sequence[float], digits: int) -> str:
     return f"{median:.{digits}f} ({q1:.{digits}f}–{q3:.{digits}f})"
 
 
-def table_row(label: str, timing: Comparison, memory: Comparison) -> str:
-    """The EXPERIMENTS.md row (columns: workload, pairs, parent median
-    (q1-q3), change median (q1-q3), change wins, delta median,
-    ``peak_rss_mb`` parent -> change)."""
-    pairs = len(timing.parent)
+def table_row(label: str, metric: Metric, compared: Comparison) -> str:
+    """The EXPERIMENTS.md row (columns: workload, metric, pairs, parent
+    median (q1-q3), change median (q1-q3), change wins, delta median)."""
+    pairs = len(compared.parent)
     cells = [
         label,
+        f"`{metric.name}`",
         str(pairs),
-        _spread(timing.parent, 3),
-        _spread(timing.change, 3),
-        f"{timing.wins}/{pairs}",
-        f"{100 * timing.delta:+.1f} %".replace("-", "−"),
-        f"{quartiles(memory.parent)[1]:.1f} → {quartiles(memory.change)[1]:.1f}",
+        _spread(compared.parent, metric.digits),
+        _spread(compared.change, metric.digits),
+        f"{compared.wins}/{pairs}",
+        f"{100 * compared.delta:+.1f} %".replace("-", "−"),
     ]
     return "| " + " | ".join(cells) + " |"
 
 
-def report(label: str, pairs: Sequence[Tuple[Run, Run]]) -> List[str]:
-    """Every line printed after the runs: the raw readings in the order
-    run, refused pairs with their reason, the row, the verdict."""
+def report(
+    label: str, pairs: Sequence[Tuple[Run, Run]], metrics: Sequence[Metric]
+) -> List[str]:
+    """Every line printed after the runs: refused pairs with their
+    reason, each metric's raw readings in the order run, the failed
+    ops, one row per metric, then each metric's verdict."""
     accepted: List[Tuple[Run, Run]] = []
     lines: List[str] = []
     for number, (parent, change) in enumerate(pairs, start=1):
@@ -185,19 +204,19 @@ def report(label: str, pairs: Sequence[Tuple[Run, Run]]) -> List[str]:
     if not accepted:
         return lines + ["no pair accepted"]
 
-    def comparison(name: str) -> Comparison:
-        return Comparison(
-            tuple(parent.metrics[name] for parent, _ in accepted),
-            tuple(change.metrics[name] for _, change in accepted),
+    compared = {
+        metric.name: Comparison(
+            tuple(parent.metrics[metric.name] for parent, _ in accepted),
+            tuple(change.metrics[metric.name] for _, change in accepted),
+            metric.better,
         )
-
-    timing, memory = comparison(METRIC), comparison(MEMORY)
-    for side, values in (("parent", timing.parent), ("change", timing.change)):
-        readings = " ".join(f"{value:.3f}" for value in values)
-        lines.append(f"{side} {METRIC}, in the order run: {readings}")
-    for side, values in (("parent", memory.parent), ("change", memory.change)):
-        readings = " ".join(f"{value:.1f}" for value in values)
-        lines.append(f"{side} {MEMORY}: {readings}")
+        for metric in metrics
+    }
+    for metric in metrics:
+        sides = compared[metric.name]
+        for side, values in (("parent", sides.parent), ("change", sides.change)):
+            readings = " ".join(f"{value:.{metric.digits}f}" for value in values)
+            lines.append(f"{side} {metric.name}, in the order run: {readings}")
     (failed_p, attempted_p), (failed_c, attempted_c) = [
         (sum(run.failed for run in side), sum(run.attempted for run in side))
         for side in zip(*accepted)
@@ -206,19 +225,22 @@ def report(label: str, pairs: Sequence[Tuple[Run, Run]]) -> List[str]:
         f"failed ops parent {failed_p}/{attempted_p},"
         f" change {failed_c}/{attempted_c}"
     )
-    lines.append(table_row(label, timing, memory))
+    lines += [table_row(label, metric, compared[metric.name]) for metric in metrics]
     # A gain bought with a larger share of failed operations is no gain.
     fails_more = failed_c * attempted_p > failed_p * attempted_c
-    met = timing.claimable() and not fails_more
-    q1, _, q3 = quartiles(timing.parent)
-    lines.append(
-        f"claim rule (>= {CLAIM_PAIRS} pairs, wins >= 9/10 of them, medians"
-        f" further apart than the parent's q3 - q1 = {q3 - q1:.3f}, no larger"
-        f" share of failed ops): {'met' if met else 'NOT met'}"
-        f" ({timing.wins} wins, {timing.losses} losses,"
-        f" {len(timing.parent) - timing.wins - timing.losses} ties"
-        f"{', the change fails more ops' if fails_more else ''})"
-    )
+    for metric in metrics:
+        sides = compared[metric.name]
+        met = sides.claimable() and not fails_more
+        q1, _, q3 = quartiles(sides.parent)
+        lines.append(
+            f"claim rule for {metric.name} ({metric.better} is better;"
+            f" >= {CLAIM_PAIRS} pairs, wins >= 9/10 of them, medians further"
+            f" apart than the parent's q3 - q1 = {q3 - q1:.{metric.digits}f},"
+            f" no larger share of failed ops): {'met' if met else 'NOT met'}"
+            f" ({sides.wins} wins, {sides.losses} losses,"
+            f" {len(sides.parent) - sides.wins - sides.losses} ties"
+            f"{', the change fails more ops' if fails_more else ''})"
+        )
     return lines
 
 
@@ -260,6 +282,7 @@ def run_pairs(
     seed: int,
     count: int,
     seconds: float,
+    metrics: Sequence[Metric],
     run: Runner = run_once,
 ) -> List[Tuple[Run, Run]]:
     """``count`` pairs of one workload, the first side alternating."""
@@ -271,10 +294,12 @@ def run_pairs(
             runs[side] = run(
                 parent if side == "parent" else change, workload, seed, seconds
             )
+            readings = " ".join(
+                f"{metric.name}={runs[side].metrics[metric.name]:.{metric.digits + 1}f}"
+                for metric in metrics
+            )
             print(
-                f"{workload} pair {number + 1}/{count} {side}:"
-                f" {METRIC}={runs[side].metrics[METRIC]:.4f}"
-                f" {MEMORY}={runs[side].metrics[MEMORY]:.1f}",
+                f"{workload} pair {number + 1}/{count} {side}: {readings}",
                 flush=True,
             )
         pairs.append((runs["parent"], runs["change"]))
@@ -300,14 +325,16 @@ def main(
     parent, change = args.parent.resolve(), args.change.resolve()
     declared = json.loads((parent / "BENCHMARK.json").read_text())
     seconds = float(declared["run_seconds"])
+    metrics = [Metric.declared(entry) for entry in declared["end_to_end"]]
 
     rows: List[str] = []
     refused = False
     for workload in args.workload:
         pairs = run_pairs(
-            parent, change, workload, args.seed, args.pairs, seconds, run
+            parent, change, workload, args.seed, args.pairs, seconds,
+            metrics, run,
         )
-        lines = report(f"`{workload}`, `--seed {args.seed}`", pairs)
+        lines = report(f"`{workload}`, `--seed {args.seed}`", pairs, metrics)
         print("\n".join(lines))
         rows += [line for line in lines if line.startswith("| ")]
         refused = refused or any(refusal(*pair) is not None for pair in pairs)

@@ -36,7 +36,8 @@ Every read, write and heal leaves one record in :attr:`events`, the
 coordinator's request log: a ``cluster.read``, ``cluster.write`` or
 ``cluster.heal`` root span whose ``decisions`` attr lists the
 operation's failovers, hedges, stale retries, injected faults, rejected
-gathers and heals, in the order they were decided.
+gathers and heals, in the order they were decided.  It is the
+operation's only record: the replicas' servers keep none of their own.
 """
 
 from __future__ import annotations
@@ -268,9 +269,10 @@ class ClusterCoordinator(CubeBackend):
         are rejected, lagging replicas synced, and the scatter retried
         up to :data:`MAX_READ_ROUNDS` times.  The scatter-gather path has no
         per-request ladder, so the rung trail is one synthesized
-        ``scatter-gather`` decision (each replica's own ladder walk
-        lives in its local request log).  The read leaves one
-        ``cluster.read`` record, with ``status="error"`` when it fails.
+        ``scatter-gather`` decision (each replica's own ladder walk is
+        a ``serve.request`` span under its ``cluster.shard`` span when
+        the read is sampled).  The read leaves one ``cluster.read``
+        record, with ``status="error"`` when it fails.
         """
         described = self.lattice.describe(point)
         decisions: List[Decision] = []

@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactRow, FactTable
+from repro.core.groupby import Cuboid
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.merge import (
     STATE_EXACT_AGGREGATES,
@@ -35,7 +36,6 @@ from repro.core.merge import (
     states_from_finalized,
 )
 from repro.core.properties import PropertyOracle
-from repro.core.query import Query
 from repro.errors import ClusterError, ShardUnavailable
 from repro.serve.server import TIERS, CubeServer
 
@@ -72,6 +72,15 @@ class ShardReplica:
 
     ``server`` and ``table`` are the first component's: for a
     state-exact aggregate, the replica's one server and its slice.
+
+    The replica reads and writes through its servers' unrecorded steps
+    (:meth:`~repro.serve.server.CubeServer.read` and
+    :meth:`~repro.serve.server.CubeServer.apply`), never their door: a
+    shard answer is one part of a cluster operation, whose one record
+    is the coordinator's ``cluster.read`` / ``cluster.write`` /
+    ``cluster.heal``.  So every component server's ``events`` stays
+    empty and its telemetry holds no request sample; its ``stats()``
+    still counts the rungs its reads resolved at.
     """
 
     def __init__(
@@ -158,24 +167,28 @@ class ShardReplica:
 
         The replica resolves the query through each component server's
         full sound-source ladder (cache hits and all), then lifts the
-        answers into partial states.  Raises :class:`ShardUnavailable`
-        when the replica is crashed.
+        answers into partial states.  The walks are
+        :meth:`CubeServer.read <repro.serve.server.CubeServer.read>`:
+        their ``serve.request`` spans join the cluster trace, but they
+        leave no request-log record or telemetry sample of their own.
+        Raises :class:`ShardUnavailable` when the replica is crashed.
         """
         with self._lock:
             if self._crashed:
                 raise ShardUnavailable(self.shard, self.replica, "crashed")
-            # Tier, version and cost come from the answer itself, not
-            # from the tail of the request log: another read of this
-            # server may have logged in between.
-            results = [
-                server.query(Query(point=point)) for server in self.servers
-            ]
-            if len(results) == 1:
-                states = states_from_finalized(
-                    self._aggregate, results[0].as_cuboid()
-                )
+            # The components apply the same batches under this lock, so
+            # they answer at one version.
+            cuboids: List[Cuboid] = []
+            tier, seconds = TIERS[0], 0.0
+            for server in self.servers:
+                (cuboid, (version,), rung, _, cost), _ = server.read(point)
+                cuboids.append(cuboid)
+                tier = max(tier, rung, key=TIERS.index)
+                seconds += cost
+            if len(cuboids) == 1:
+                states = states_from_finalized(self._aggregate, cuboids[0])
             else:
-                sums, counts = (result.as_cuboid() for result in results)
+                sums, counts = cuboids
                 states = {
                     key: (total, int(counts[key]))
                     for key, total in sums.items()
@@ -184,13 +197,9 @@ class ShardReplica:
                 shard=self.shard,
                 replica=self.replica,
                 states=states,
-                version=results[0].version[0],
-                modeled_seconds=sum(
-                    result.modeled_seconds for result in results
-                ),
-                tier=max(
-                    (result.tier for result in results), key=TIERS.index
-                ),
+                version=version,
+                modeled_seconds=seconds,
+                tier=tier,
             )
 
     # ------------------------------------------------------------------
@@ -233,10 +242,7 @@ class ShardReplica:
 
     def _apply_one(self, op: str, rows: List[FactRow]) -> None:
         for server in self.servers:
-            if op == "insert":
-                server.insert(rows)
-            else:
-                server.delete(rows)
+            server.apply(op, rows)
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

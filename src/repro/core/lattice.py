@@ -33,6 +33,7 @@ class CubeLattice:
         self.axis_states: Tuple[AxisStates, ...] = tuple(
             AxisStates.for_axis(axis) for axis in axes
         )
+        self._labels: Dict[LatticePoint, str] = {}
 
     # ------------------------------------------------------------------
     # basic structure
@@ -149,11 +150,20 @@ class CubeLattice:
         ]
 
     def describe(self, point: LatticePoint) -> str:
-        """Human-readable point label, e.g. ``$n:SP+PC-AD, $p:rigid, $y:LND``."""
-        parts = []
-        for states, index in zip(self.axis_states, point):
-            parts.append(f"{states.axis.name}:{states.describe(index)}")
-        return ", ".join(parts)
+        """Human-readable point label, e.g. ``$n:SP+PC-AD, $p:rigid, $y:LND``.
+
+        One string per point, built on first use and shared by every
+        later caller (the lattice never changes)."""
+        label = self._labels.get(point)
+        if label is None:
+            label = self._labels.setdefault(
+                point,
+                ", ".join(
+                    f"{states.axis.name}:{states.describe(index)}"
+                    for states, index in zip(self.axis_states, point)
+                ),
+            )
+        return label
 
     def point_by_description(self, text: str) -> LatticePoint:
         """Inverse of :meth:`describe` (used in tests and the CLI)."""

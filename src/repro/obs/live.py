@@ -55,7 +55,9 @@ WINDOW_QUANTILES: Tuple[float, ...] = (0.50, 0.95, 0.99)
 SLO_TARGET = 0.99
 
 #: Hard cap on retained samples (and churn records), bounding memory
-#: even under traffic far faster than the longest window.
+#: even under traffic far faster than the longest window.  Once it
+#: drops an entry still inside a window, that window's snapshot covers
+#: less than its length, and says so (``covered_seconds``).
 MAX_SAMPLES = 65536
 
 
@@ -112,6 +114,15 @@ class WindowSnapshot:
     slo_violations: int
     slo_burn_rate: float
     top_points: Tuple[Tuple[str, int], ...]  #: hottest points, desc.
+    #: the span the numbers cover: ``window_seconds``, unless
+    #: :data:`MAX_SAMPLES` dropped entries inside the window, and then
+    #: the time since the newest one dropped
+    covered_seconds: float
+
+    @property
+    def cut(self) -> bool:
+        """Did the sample cap cut this window short?"""
+        return self.covered_seconds < self.window_seconds
 
     def quantile_label(self, q: float) -> str:
         return f"p{int(round(q * 100)):02d}"
@@ -151,6 +162,9 @@ class LiveTelemetry:
         self._samples: Deque[_Sample] = deque(maxlen=MAX_SAMPLES)
         self._churn: Deque[Tuple[float, str]] = deque(maxlen=MAX_SAMPLES)
         self._exemplars: Dict[Tuple[str, float], Exemplar] = {}
+        # When the newest entry the cap dropped was recorded: every
+        # entry after it is still held.
+        self._dropped_at = -math.inf
 
     # ------------------------------------------------------------------
     # ingestion
@@ -176,6 +190,9 @@ class LiveTelemetry:
             hit=tier != "recompute",
         )
         with self._lock:
+            self._prune(now)
+            if len(self._samples) == MAX_SAMPLES:
+                self._dropped_at = max(self._dropped_at, self._samples[0].at)
             self._samples.append(sample)
             if trace_id:
                 for bound in SERVE_LATENCY_BUCKETS:
@@ -187,7 +204,6 @@ class LiveTelemetry:
                             modeled_seconds=modeled,
                         )
                         break
-            self._prune(now)
         registry = self.registry
         registry.counter("x3_serve_requests_total", tier=tier).inc()
         registry.histogram(
@@ -207,14 +223,17 @@ class LiveTelemetry:
         """Absorb one cache audit record (churn gauge + counter)."""
         now = self._clock()
         with self._lock:
-            self._churn.append((now, record.kind))
             self._prune(now)
+            if len(self._churn) == MAX_SAMPLES:
+                self._dropped_at = max(self._dropped_at, self._churn[0][0])
+            self._churn.append((now, record.kind))
         self.registry.counter(
             "x3_serve_cache_audit_total", kind=record.kind
         ).inc()
 
     def _prune(self, now: float) -> None:
-        """Drop samples older than the longest window (lock held)."""
+        """Drop samples older than the longest window (lock held), so a
+        full ring's oldest entry is inside it."""
         horizon = now - self.windows[-1]
         while self._samples and self._samples[0].at < horizon:
             self._samples.popleft()
@@ -225,15 +244,26 @@ class LiveTelemetry:
     # reads
     # ------------------------------------------------------------------
     def snapshot(self, window_seconds: Optional[float] = None) -> WindowSnapshot:
-        """Frozen stats for one window (default: the shortest)."""
+        """Frozen stats for one window (default: the shortest).
+
+        When the sample cap has dropped entries inside the window, the
+        stats cover only the time since the newest one dropped, and
+        ``covered_seconds`` says how long that is."""
         window = (
             self.windows[0] if window_seconds is None else window_seconds
         )
         now = self._clock()
-        horizon = now - window
         with self._lock:
-            samples = [s for s in self._samples if s.at >= horizon]
-            churn = sum(1 for at, _ in self._churn if at >= horizon)
+            dropped_at = self._dropped_at
+            horizon = now - window
+            samples = [
+                s for s in self._samples
+                if s.at >= horizon and s.at > dropped_at
+            ]
+            churn = sum(
+                1 for at, _ in self._churn
+                if at >= horizon and at > dropped_at
+            )
         modeled = [s.modeled for s in samples]
         walls = [s.wall for s in samples]
         tiers: Dict[str, int] = dict(Counter(s.tier for s in samples))
@@ -261,6 +291,7 @@ class LiveTelemetry:
             slo_violations=violations,
             slo_burn_rate=burn,
             top_points=tuple(hottest),
+            covered_seconds=min(window, now - dropped_at),
         )
 
     def snapshots(self) -> List[WindowSnapshot]:

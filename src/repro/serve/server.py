@@ -80,6 +80,16 @@ TIERS = ("cache", "view", "rollup", "recompute")
 #: Records the request log (:attr:`CubeServer.events`) keeps.
 LOG_CAPACITY = 4096
 
+#: The trail entries of the rungs a walk never reached, by the rung it
+#: stopped at: every trail lists all four rungs, in ladder order.
+_NOT_REACHED: Dict[str, Tuple[RungDecision, ...]] = {
+    rung: tuple(
+        RungDecision(later, False, f"not reached (resolved at {rung})")
+        for later in TIERS[position + 1:]
+    )
+    for position, rung in enumerate(TIERS)
+}
+
 #: Aggregates whose finalized cells can absorb a deletion exactly.  Only
 #: COUNT qualifies: its value *is* the group's support, so fully
 #: retracted groups are detectable and removed.  SUM could subtract the
@@ -191,12 +201,18 @@ class CubeServer(CubeBackend):
             record and eviction records.  ``None`` (the default) keeps
             the query path exactly as before: zero tracing cost.
 
-    Every served read and every write leaves one record in
-    :attr:`events`, the request log (a
+    Every read and write through the server's door — ``query``,
+    ``insert``, ``delete`` — leaves one record in :attr:`events`, the
+    request log (a
     :meth:`~repro.obs.trace_store.TraceStore.request_log`): a
     ``serve.request`` or ``serve.write`` root span whose attrs are the
     operation's facts — for a read the rung trail (``rungs``, the
-    reason per rung), the cache audit, the version and the cells.
+    reason per rung), the cache audit, the version and the cells.  A
+    read also leaves one :attr:`telemetry` sample.  Behind the door are
+    the two unrecorded steps, :meth:`read` (the ladder) and
+    :meth:`apply` (the write path); a
+    :class:`~repro.cluster.shard.ShardReplica` calls those, because the
+    one record of a cluster operation is its coordinator's.
     """
 
     name = "serve"
@@ -332,13 +348,37 @@ class CubeServer(CubeBackend):
     # reads — what CubeBackend.query / explain_query ask of this backend
     # ------------------------------------------------------------------
     def _answer(self, point: LatticePoint, kind: str) -> Answer:
-        """Walk the ladder once and log the request: one
+        """The door: one :meth:`read`, then the request's record — one
         ``serve.request`` record in :attr:`events`, whose attrs the
-        sampled trace's ``serve.request`` span carries too.  The rung
-        trail returned is the one recorded — it belongs to exactly this
-        request, no racing readback from the log."""
-        described = self.lattice.describe(point)
+        sampled trace's ``serve.request`` span carries too, and one
+        telemetry sample.  The rung trail returned is the one recorded:
+        it belongs to exactly this request, no racing readback from the
+        log."""
         started = time.perf_counter()
+        answer, facts = self.read(point, kind)
+        wall = time.perf_counter() - started
+        _, _, tier, _, cost = answer
+        obs.count("x3_serve_requests_total", tier=tier)
+        trace_id = obs.current().trace_id_hex
+        self.events.add(
+            "serve.request", "serve", cost, wall, trace_id, **facts
+        )
+        self.telemetry.record(tier, facts["point"], cost, wall, trace_id)
+        return answer
+
+    def read(
+        self, point: LatticePoint, kind: str = "aggregate"
+    ) -> Tuple[Answer, Dict[str, Any]]:
+        """Walk the ladder once for ``point``, unrecorded: the
+        ``serve.request`` span, the rung that answers and the counters
+        :meth:`stats` reports, but no request-log record and no
+        telemetry sample.  Returns the answer and the facts the span
+        carries (the door records them).
+
+        A shard replica reads through here: its answer is one part of a
+        cluster read, whose one record is the coordinator's.
+        """
+        described = self.lattice.describe(point)
         with obs.span(
             "serve.request", category="serve", point=described, kind=kind
         ) as span:
@@ -361,14 +401,7 @@ class CubeServer(CubeBackend):
                 cache_audit=tuple(audit),
             )
             span.annotate(**facts).set_sim(cost)
-        wall = time.perf_counter() - started
-        obs.count("x3_serve_requests_total", tier=tier)
-        trace_id = obs.current().trace_id_hex
-        self.events.add(
-            "serve.request", "serve", cost, wall, trace_id, **facts
-        )
-        self.telemetry.record(tier, described, cost, wall, trace_id)
-        return cuboid, (version,), tier, rungs, cost
+        return (cuboid, (version,), tier, rungs, cost), facts
 
     def _plan(self, point: LatticePoint) -> Plan:
         """The ladder walk alone: touches no cache priority, counter or
@@ -395,10 +428,8 @@ class CubeServer(CubeBackend):
 
         def take(rung: str, reason: str, source: Any = None) -> _Ladder:
             rungs.append(RungDecision(rung, True, reason))
-            # Every trail lists all four rungs, in ladder order.
-            for later in TIERS[len(rungs):]:
-                reject(later, f"not reached (resolved at {rung})")
-            return _Ladder(self._version, rung, tuple(rungs), source)
+            trail = tuple(rungs) + _NOT_REACHED[rung]
+            return _Ladder(self._version, rung, trail, source)
 
         hit = self.cache.peek(point)
         if hit is not None:
@@ -735,7 +766,7 @@ class CubeServer(CubeBackend):
         A fact id repeated in the batch or already in the table is a
         :class:`CubeError`, and the batch changes nothing.
         """
-        return self._write(list(rows), op="insert")
+        return self._write("insert", list(rows))
 
     def delete(self, rows: Sequence[FactRow]) -> int:
         """Retract delta facts; returns the new table version.
@@ -744,30 +775,14 @@ class CubeServer(CubeBackend):
         every other aggregate's affected cuboids are evicted and
         recomputed on demand.
         """
-        return self._write(list(rows), op="delete")
+        return self._write("delete", list(rows))
 
-    def _write(self, rows: List[FactRow], op: str) -> int:
-        patchable = (
-            STATE_EXACT_AGGREGATES if op == "insert" else _PATCH_DELETE
-        )
+    def _write(self, op: str, rows: List[FactRow]) -> int:
+        """The door of a write: :meth:`apply`, then its one
+        ``serve.write`` record."""
         started = time.perf_counter()
         with self._capture_audit() as audit:
-            with self._lock, obs.span(
-                f"serve.{op}", category="serve", rows=len(rows)
-            ):
-                if op == "insert":
-                    ingest_rows(self.table, rows)
-                else:
-                    retract_rows(self.table, rows)
-                patched_before = self._counters.patched_points
-                evicted_before = self._counters.evicted_points
-                if self._aggregate in patchable:
-                    self._patch_cached(rows, op=op)
-                else:
-                    self._evict_affected(rows)
-                patched = self._counters.patched_points - patched_before
-                evicted = self._counters.evicted_points - evicted_before
-                version = self._finish_write()
+            version, patched, evicted = self.apply(op, rows)
         self.events.add(
             "serve.write",
             "serve",
@@ -782,6 +797,34 @@ class CubeServer(CubeBackend):
             cache_audit=tuple(audit),
         )
         return version
+
+    def apply(self, op: str, rows: List[FactRow]) -> Tuple[int, int, int]:
+        """Apply one write batch, unrecorded: ingest (``"insert"``) or
+        retract (``"delete"``) ``rows``, patch or evict what they touch
+        and finish the version.  Returns the new version and the points
+        patched and evicted.  A shard replica writes through here; the
+        cluster write's one record is the coordinator's."""
+        patchable = (
+            STATE_EXACT_AGGREGATES if op == "insert" else _PATCH_DELETE
+        )
+        with self._lock, obs.span(
+            f"serve.{op}", category="serve", rows=len(rows)
+        ):
+            if op == "insert":
+                ingest_rows(self.table, rows)
+            else:
+                retract_rows(self.table, rows)
+            patched_before = self._counters.patched_points
+            evicted_before = self._counters.evicted_points
+            if self._aggregate in patchable:
+                self._patch_cached(rows, op=op)
+            else:
+                self._evict_affected(rows)
+            return (
+                self._finish_write(),
+                self._counters.patched_points - patched_before,
+                self._counters.evicted_points - evicted_before,
+            )
 
     def _finish_write(self) -> int:
         self._version += 1

@@ -27,7 +27,7 @@ from html import escape
 from typing import Callable, List, Optional
 
 from repro.core.query import Query, QueryResult
-from repro.obs.live import WINDOW_QUANTILES, WindowSnapshot
+from repro.obs.live import MAX_SAMPLES, WINDOW_QUANTILES, WindowSnapshot
 from repro.serve.server import TIERS, CubeServer, ServeStats
 
 #: ANSI "clear screen, cursor home" prefix used between watch frames.
@@ -38,6 +38,16 @@ def _bar(value: int, peak: int, width: int = 24) -> str:
     if peak <= 0 or value <= 0:
         return ""
     return "#" * max(1, int(width * value / peak))
+
+
+def _cut_note(snap: WindowSnapshot) -> str:
+    """What a window line adds when the sample cap cut the window."""
+    if not snap.cut:
+        return ""
+    return (
+        f" (last {snap.covered_seconds:.1f}s of {snap.window_seconds:g}s:"
+        f" the telemetry keeps {MAX_SAMPLES} samples)"
+    )
 
 
 def _headline(stats: ServeStats) -> str:
@@ -78,7 +88,7 @@ def render_dashboard(
             f"{format(snap.window_seconds, 'g') + 's':<8} "
             f"{snap.requests:>6} {quantiles} "
             f"{snap.hit_ratio:>6.0%} {snap.evictions:>6} "
-            f"{snap.slo_burn_rate:>6.2f}"
+            f"{snap.slo_burn_rate:>6.2f}" + _cut_note(snap)
         )
     lines.append("(modeled-latency quantiles; SLO burn = violating"
                  " fraction / error budget)")
@@ -178,7 +188,7 @@ def format_serving_html(server: CubeServer) -> str:
         + ["hit ratio", "churn", "SLO burn"],
         [
             [
-                f"<{snap.window_seconds:g}s",
+                f"<{snap.window_seconds:g}s" + _cut_note(snap),
                 str(snap.requests),
             ]
             + [

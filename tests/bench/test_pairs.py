@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from benchmarks.pairs import Comparison, Run, main, quartiles, refusal, report
+from benchmarks.pairs import (
+    Comparison,
+    Metric,
+    Run,
+    main,
+    quartiles,
+    refusal,
+    report,
+)
 
 INFO = {
     "plan_digest": "a8fbb343206a5c8b",
@@ -14,6 +22,14 @@ INFO = {
     "cube_algorithm": "AUTO->BUCOPT",
     "facts": 4000,
 }
+
+#: The ``end_to_end`` block of ``BENCHMARK.json``.
+END_TO_END = [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+METRICS = [Metric.declared(entry) for entry in END_TO_END]
+DECLARED = json.dumps({"run_seconds": 30, "end_to_end": END_TO_END})
 
 
 def stdout(setup_s, rss=100.0, correct=True, failed=0, **info):
@@ -139,42 +155,92 @@ class TestReport:
         lines = report(
             "`cluster_scatter`, `--seed 17`",
             runs(TestStatistics.PARENT, TestStatistics.CHANGE),
+            METRICS,
         )
         assert lines[0] == (
             "parent setup_s, in the order run: 0.660 0.666 0.637 0.554"
             " 0.616 0.598 0.520 0.524 0.566 0.631"
         )
         assert lines[1].startswith("change setup_s, in the order run: 0.248 ")
+        assert lines[2] == "parent peak_rss_mb, in the order run: " + " ".join(
+            ["118.0"] * 10
+        )
         assert "failed ops parent 0/12260, change 0/12260" in lines
-        assert (
+        assert lines[5:7] == [
             # (PR 17 printed 0.636 and 0.200 from the unrounded readings)
-            "| `cluster_scatter`, `--seed 17` | 10 | 0.607 (0.557–0.635) |"
-            " 0.201 (0.192–0.214) | 10/10 | −67.0 % | 118.0 → 107.0 |"
+            "| `cluster_scatter`, `--seed 17` | `setup_s` | 10 |"
+            " 0.607 (0.557–0.635) | 0.201 (0.192–0.214) | 10/10 | −67.0 % |",
+            "| `cluster_scatter`, `--seed 17` | `peak_rss_mb` | 10 |"
+            " 118.0 (118.0–118.0) | 107.0 (107.0–107.0) | 10/10 | −9.3 % |",
+        ]
+        assert lines[7].startswith("claim rule for setup_s (lower is better;")
+        assert lines[8].startswith("claim rule for peak_rss_mb (lower is")
+        assert all(": met (10 wins" in line for line in lines[7:])
+
+    # The sizing pairs of the shard-log change on cluster_scatter, seed 17,
+    # padded to ten with readings inside the same ranges.
+    RSS_PARENT = (121.6, 120.1, 121.1, 120.4, 121.9, 120.8, 121.3, 120.2,
+                  121.0, 121.4)
+    RSS_CHANGE = (94.9, 94.6, 94.7, 95.1, 94.8, 94.5, 95.0, 94.9, 94.6, 94.8)
+
+    def test_a_peak_rss_gain_is_judged_on_its_own(self):
+        """``setup_s`` does not move, ``peak_rss_mb`` falls: the verdict
+        is per metric."""
+        setup = (0.060, 0.058, 0.061, 0.057, 0.059, 0.062, 0.058, 0.060,
+                 0.059, 0.061)
+        pairs = [
+            (
+                Run.from_stdout(stdout(s, rss=p)),
+                Run.from_stdout(stdout(s, rss=c)),
+            )
+            for s, p, c in zip(setup, self.RSS_PARENT, self.RSS_CHANGE)
+        ]
+        lines = report("w", pairs, METRICS)
+        assert (
+            "| w | `peak_rss_mb` | 10 | 121.0 (120.5–121.4) |"
+            " 94.8 (94.6–94.9) | 10/10 | −21.7 % |"
         ) in lines
-        assert lines[-1].startswith("claim rule") and ": met (10 wins" in lines[-1]
+        setup_verdict, rss_verdict = lines[-2:]
+        assert setup_verdict.startswith("claim rule for setup_s")
+        assert ": NOT met (0 wins, 0 losses, 10 ties)" in setup_verdict
+        assert rss_verdict.startswith("claim rule for peak_rss_mb")
+        assert "q3 - q1 = 0.9," in rss_verdict
+        assert ": met (10 wins, 0 losses, 0 ties)" in rss_verdict
+
+    def test_a_higher_is_better_metric_wins_upwards(self):
+        metric = Metric.declared(
+            {"name": "setup_s", "unit": "s", "better": "higher"}
+        )
+        lines = report(
+            "w", runs(TestStatistics.PARENT, TestStatistics.CHANGE), [metric]
+        )
+        assert lines[-1].startswith("claim rule for setup_s (higher is better;")
+        assert ": NOT met (0 wins, 10 losses, 0 ties)" in lines[-1]
 
     def test_a_gain_that_fails_more_operations_is_not_met(self):
         """``correct: true`` runs can still fail operations; the verdict
         compares the shares (ISSUE 19: "no larger share of failed ops")."""
         pairs = runs(TestStatistics.PARENT, TestStatistics.CHANGE)
         flaky = Run.from_stdout(stdout(0.248, rss=107.0, failed=2))
-        lines = report("w", [(pairs[0][0], flaky)] + pairs[1:])
+        lines = report("w", [(pairs[0][0], flaky)] + pairs[1:], METRICS)
         assert "failed ops parent 0/12260, change 2/12260" in lines
-        assert ": NOT met (10 wins, 0 losses, 0 ties, the change fails" in (
-            lines[-1]
-        )
+        for verdict in lines[-2:]:
+            assert ": NOT met (10 wins, 0 losses, 0 ties, the change fails" in (
+                verdict
+            )
         # The same two failures on the parent's side do not count against
         # the change.
         flaky = Run.from_stdout(stdout(0.660, rss=118.0, failed=2))
-        lines = report("w", [(flaky, pairs[0][1])] + pairs[1:])
+        lines = report("w", [(flaky, pairs[0][1])] + pairs[1:], METRICS)
         assert "failed ops parent 2/12260, change 0/12260" in lines
-        assert ": met (10 wins" in lines[-1]
+        assert all(": met (10 wins" in verdict for verdict in lines[-2:])
 
     def test_two_pairs_list_their_readings(self):
-        lines = report("w", runs([0.618, 0.579], [0.194, 0.187]))
-        assert "| w | 2 | 0.618 / 0.579 | 0.194 / 0.187 | 2/2 | −68.2 % |" in (
-            lines[-2]
-        )
+        lines = report("w", runs([0.618, 0.579], [0.194, 0.187]), METRICS)
+        assert (
+            "| w | `setup_s` | 2 | 0.618 / 0.579 | 0.194 / 0.187 | 2/2 |"
+            " −68.2 % |"
+        ) in lines
 
     def test_a_refused_pair_is_named_and_left_out(self):
         pairs = runs([0.2, 0.2, 0.2], [0.1, 0.1, 0.1])
@@ -182,15 +248,18 @@ class TestReport:
             pairs[1][0],
             Run.from_stdout(stdout(0.001, plan_digest="ffff")),
         )
-        lines = report("w", pairs)
+        lines = report("w", pairs, METRICS)
         assert lines[0].startswith("pair 2 REFUSED: plan_digest differs")
-        assert "| w | 2 | 0.200 / 0.200 | 0.100 / 0.100 | 2/2 |" in lines[-2]
+        assert (
+            "| w | `setup_s` | 2 | 0.200 / 0.200 | 0.100 / 0.100 | 2/2 |"
+            " −50.0 % |"
+        ) in lines
 
     def test_several_workloads_one_row_each(self, tmp_path, capsys):
         parent, change = tmp_path / "parent", tmp_path / "change"
         for checkout in (parent, change):
             checkout.mkdir()
-        (parent / "BENCHMARK.json").write_text('{"run_seconds": 30}')
+        (parent / "BENCHMARK.json").write_text(DECLARED)
         setup = {"api_hot": (0.068, 0.057), "xml_to_cube": (0.066, 0.066)}
         calls = []
 
@@ -218,18 +287,25 @@ class TestReport:
             ("parent", "xml_to_cube", 5, 30.0),
         ]
         printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == (
+            "api_hot pair 1/2 parent: setup_s=0.0680 peak_rss_mb=72.20"
+        )
         rows = [
-            "| `api_hot`, `--seed 5` | 2 | 0.068 / 0.068 | 0.057 / 0.057 |"
-            " 2/2 | −16.2 % | 72.2 → 72.2 |",
-            "| `xml_to_cube`, `--seed 5` | 2 | 0.066 / 0.066 | 0.066 / 0.066 |"
-            " 0/2 | +0.0 % | 72.2 → 72.2 |",
+            "| `api_hot`, `--seed 5` | `setup_s` | 2 | 0.068 / 0.068 |"
+            " 0.057 / 0.057 | 2/2 | −16.2 % |",
+            "| `api_hot`, `--seed 5` | `peak_rss_mb` | 2 | 72.2 / 72.2 |"
+            " 72.2 / 72.2 | 0/2 | +0.0 % |",
+            "| `xml_to_cube`, `--seed 5` | `setup_s` | 2 | 0.066 / 0.066 |"
+            " 0.066 / 0.066 | 0/2 | +0.0 % |",
+            "| `xml_to_cube`, `--seed 5` | `peak_rss_mb` | 2 | 72.2 / 72.2 |"
+            " 72.2 / 72.2 | 0/2 | +0.0 % |",
         ]
-        # Each row under its own workload's report, then the table.
+        # Each workload's rows under its own report, then the table.
         assert [line for line in printed if line.startswith("| ")] == rows * 2
-        assert printed[-3:] == ["EXPERIMENTS.md rows:"] + rows
+        assert printed[-5:] == ["EXPERIMENTS.md rows:"] + rows
 
     def test_a_refused_pair_in_any_workload_fails_the_run(self, tmp_path):
-        (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 30}')
+        (tmp_path / "BENCHMARK.json").write_text(DECLARED)
 
         def fake_run(checkout, workload, seed, seconds):
             return Run.from_stdout(stdout(0.1, correct=workload != "bad"))
@@ -246,4 +322,4 @@ class TestReport:
                 Run.from_stdout(stdout(0.1, correct=False)),
             )
         ]
-        assert report("w", pairs)[-1] == "no pair accepted"
+        assert report("w", pairs, METRICS)[-1] == "no pair accepted"

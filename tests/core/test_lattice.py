@@ -8,6 +8,7 @@ from repro.core.axes import AxisSpec
 from repro.core.lattice import CubeLattice
 from repro.datagen.publications import query1
 from repro.patterns.relaxation import Relaxation
+from repro.testing import small_workload
 
 
 def lnd_axes(k):
@@ -66,6 +67,15 @@ class TestQuery1Lattice:
             assert lattice.point_by_description(
                 lattice.describe(point)
             ) == point
+
+    def test_describe_is_one_shared_label_per_point(self):
+        lattice = small_workload().fact_table().lattice
+        for point in lattice.points():
+            label = lattice.describe(point)
+            assert lattice.describe(point) is label
+            assert lattice.point_by_description(label) == point
+        labels = [lattice.describe(point) for point in lattice.points()]
+        assert len(set(labels)) == lattice.size()
 
     def test_point_by_description_defaults_rigid(self):
         lattice = query1().lattice()

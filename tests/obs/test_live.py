@@ -5,6 +5,7 @@ import pytest
 from repro.obs.events import EvictionRecord
 from repro.obs.export import prometheus_text
 from repro.obs.live import (
+    MAX_SAMPLES,
     SERVE_LATENCY_BUCKETS,
     WINDOW_QUANTILES,
     LiveTelemetry,
@@ -120,6 +121,65 @@ class TestWindows:
             EvictionRecord("admitted", "$b", 0.2, 4)
         )
         assert telemetry.snapshot().evictions == 1
+
+
+class TestSampleCap:
+    """Past :data:`MAX_SAMPLES` entries in the longest window the oldest
+    in-window ones fall off; a snapshot says how much time it covers."""
+
+    @staticmethod
+    def flood(telemetry, clock, count, seconds):
+        for _ in range(count):
+            clock.advance(seconds / count)
+            telemetry.record(*request())
+
+    def test_a_cut_window_reports_the_span_it_covers(self):
+        clock = FakeClock()
+        telemetry = LiveTelemetry(windows=(60.0, 300.0), clock=clock)
+        self.flood(telemetry, clock, 70_000, 100.0)
+        short, long = telemetry.snapshots()
+        # 70 000 requests in 100 s: the 300 s window holds the last
+        # 65 536, which span the last 93.6 s.
+        assert long.requests == MAX_SAMPLES
+        assert long.cut and long.covered_seconds == pytest.approx(
+            100.0 * MAX_SAMPLES / 70_000, abs=0.01
+        )
+        # The last 60 s all fit under the cap: that window is whole.
+        assert not short.cut and short.covered_seconds == 60.0
+        assert short.requests == pytest.approx(42_000, abs=1)  # float steps
+
+    def test_an_uncut_window_covers_its_length(self):
+        clock = FakeClock()
+        telemetry = LiveTelemetry(windows=(60.0, 300.0), clock=clock)
+        self.flood(telemetry, clock, 1_000, 100.0)
+        for window in telemetry.snapshots():
+            assert window.covered_seconds == window.window_seconds
+            assert not window.cut
+        assert telemetry.snapshot(300.0).requests == 1_000
+
+    def test_churn_counts_over_the_same_span(self):
+        clock = FakeClock()
+        telemetry = LiveTelemetry(windows=(300.0,), clock=clock)
+        for _ in range(MAX_SAMPLES + 10):
+            clock.advance(0.001)
+            telemetry.record_eviction(EvictionRecord("evicted", "$a", 0.1, 8))
+        clock.advance(0.001)
+        telemetry.record(*request())
+        snap = telemetry.snapshot()
+        assert snap.cut and snap.evictions == MAX_SAMPLES
+        assert snap.covered_seconds == pytest.approx(
+            0.001 * (MAX_SAMPLES + 1), abs=1e-6
+        )
+
+    def test_a_cut_window_ages_back_to_whole(self):
+        clock = FakeClock()
+        telemetry = LiveTelemetry(windows=(60.0,), clock=clock)
+        self.flood(telemetry, clock, MAX_SAMPLES + 1, 10.0)
+        assert telemetry.snapshot().cut
+        clock.advance(61.0)
+        telemetry.record(*request())
+        snap = telemetry.snapshot()
+        assert not snap.cut and snap.requests == 1
 
 
 class TestSlo:

@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
+from repro.obs.live import MAX_SAMPLES, LiveTelemetry
 from repro.serve import CubeServer
 from repro.serve.replay import sample_points
 from repro.serve.top import format_serving_html, render_dashboard
@@ -53,6 +54,25 @@ class TestRenderDashboard:
         for tier, count in stats.tiers.items():
             if count:
                 assert f"{tier:<12} {count:>6}" in text
+
+    def test_a_window_the_sample_cap_cut_says_so(self):
+        """70 000 requests in 100 s overflow the 300 s window's samples:
+        its line names the span it covers, the whole 60 s line does
+        not."""
+        from tests.obs.test_live import FakeClock, TestSampleCap
+
+        clock = FakeClock()
+        table = small_workload(n_facts=60, seed=5).fact_table()
+        server = CubeServer(table, telemetry=LiveTelemetry(clock=clock))
+        TestSampleCap.flood(server.telemetry, clock, 70_000, 100.0)
+        lines = render_dashboard(server).splitlines()
+        short = next(line for line in lines if line.startswith("60s "))
+        long = next(line for line in lines if line.startswith("300s "))
+        assert "last" not in short
+        assert long.endswith(
+            f" (last 93.6s of 300s: the telemetry keeps {MAX_SAMPLES} samples)"
+        )
+        assert "(last 93.6s of 300s" in format_serving_html(server)
 
     def test_residency_rows_capped(self):
         server = served_workload()
