@@ -18,7 +18,7 @@ and costs no copy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, NamedTuple, Sequence
 
 #: Cache audit trail entry kinds.
@@ -34,7 +34,9 @@ class RungDecision:
     reason: str  #: why taken, why rejected, or "not reached"
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # A literal, not ``dataclasses.asdict``: that deep-copies every
+        # field, once per rung of every served envelope.
+        return {"rung": self.rung, "taken": self.taken, "reason": self.reason}
 
 
 def rung_reasons(rungs: Sequence[RungDecision]) -> Dict[str, str]:

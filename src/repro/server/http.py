@@ -19,8 +19,12 @@ Error taxonomy mapping (the 1:1 contract the errors module documents):
 :class:`UnknownCube` -> 404, :class:`StaleVersion` -> 409,
 :class:`Overloaded` -> 429 (with ``Retry-After``).  The socket
 transport adds 408 ``request_timeout`` for a body that does not arrive
-within :data:`BODY_READ_TIMEOUT_S` and 413 ``payload_too_large`` for a
-body over :data:`MAX_BODY_BYTES`.
+within :data:`BODY_READ_TIMEOUT_S`, 411 ``length_required`` for a
+``Transfer-Encoding`` body and 413 ``payload_too_large`` for a body over
+:data:`MAX_BODY_BYTES`; what ``http.server`` refuses on its own (a
+malformed request line, an over-long header line) is the same JSON
+error envelope, never an HTML page.  Every response leaves in one
+write on a ``TCP_NODELAY`` socket.
 
 Admission control is a bounded concurrent-request budget
 (:class:`AdmissionController`): the transport layer admits a request
@@ -38,9 +42,11 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -110,9 +116,12 @@ class ApiResponse:
         payload: Mapping[str, Any],
         headers: Tuple[Tuple[str, str], ...] = (),
     ) -> "ApiResponse":
+        # No ``indent``: it forces the pure-Python encoder.  The default
+        # ", " / ": " separators stay, so the wire differs from an
+        # indented body only in whitespace.
         return cls(
             status=status,
-            body=json.dumps(payload, indent=1) + "\n",
+            body=json.dumps(payload) + "\n",
             headers=headers,
         )
 
@@ -714,19 +723,43 @@ class X3Api:
 # the socket transport
 # ----------------------------------------------------------------------
 class _Handler(BaseHTTPRequestHandler):
-    """One connection; delegates everything to the owning API core."""
+    """One connection; delegates everything to the owning API core.
+
+    Every response, ``http.server``'s own refusals included, is one
+    buffer (status line, headers, body) written once on a socket with
+    Nagle's algorithm off: a response sent as two segments waits for
+    the client's delayed ACK of the first.
+    """
 
     server: "_Server"  # narrowed for mypy
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def __getattr__(self, name: str) -> Callable[[], None]:
+        # ``http.server`` answers a method without a ``do_<METHOD>`` with
+        # its own HTML 501: send every method to the API core instead,
+        # which refuses a foreign one with its typed 405.
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
 
     def _dispatch(self) -> None:
         declared = (self.headers.get("Content-Length") or "0").strip()
         well_formed = declared.isascii() and declared.isdigit()
+        encoding = self.headers.get("Transfer-Encoding")
         # A refused body is left unread, so nothing more can be read off
         # this connection: answer and hang up (sending ``Connection:
         # close`` makes the handler do so).
         hang_up = (("Connection", "close"),)
-        if not well_formed:
+        if encoding is not None:
+            response = ApiResponse.error(
+                411,
+                "length_required",
+                f"Transfer-Encoding {encoding!r} is not supported: send "
+                f"the body with a Content-Length",
+                headers=hang_up,
+            )
+        elif not well_formed:
             response = ApiResponse.error(
                 400,
                 "invalid_query",
@@ -757,14 +790,49 @@ class _Handler(BaseHTTPRequestHandler):
                 response = self.server.api.handle(
                     self.command, self.path, body, dict(self.headers.items())
                 )
-        encoded = response.body.encode("utf-8")
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(encoded)))
+        self._respond(response)
+
+    def send_error(
+        self,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """What ``http.server`` refuses before :meth:`_dispatch` runs (a
+        malformed request line, an over-long line, too many headers) as
+        the API's typed JSON error, the status phrase in snake case as
+        its kind, and hang up."""
+        phrase = HTTPStatus(code).phrase
+        detail = message or phrase
+        if explain:
+            detail = f"{detail}: {explain}"
+        self._respond(
+            ApiResponse.error(
+                code,
+                phrase.lower().replace("-", "_").replace(" ", "_"),
+                detail,
+                headers=(("Connection", "close"),),
+            )
+        )
+
+    def _respond(self, response: ApiResponse) -> None:
+        """Status line, headers and body as one buffer, in one write (the
+        headers alone to a ``HEAD``)."""
+        body = response.body.encode("utf-8")
+        lines = [
+            f"{self.protocol_version} {response.status} "
+            f"{self.responses[response.status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {response.content_type}",
+            f"Content-Length: {len(body)}",
+        ]
         for name, value in response.headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(encoded)
+            lines.append(f"{name}: {value}")
+            if name.lower() == "connection" and value.lower() == "close":
+                self.close_connection = True
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self.wfile.write(head if self.command == "HEAD" else head + body)
 
     def _read_body(self, length: int) -> Optional[bytes]:
         """The ``length``-byte body, all of it read within
@@ -790,12 +858,6 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self.connection.settimeout(None)
         return b"".join(chunks)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        self._dispatch()
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server contract
-        self._dispatch()
 
     def log_message(self, format: str, *args: Any) -> None:
         """Silence the default stderr access log (metrics cover it)."""

@@ -2,14 +2,17 @@
 root-only, always-recording store every backend keeps as ``events``,
 and the decision records its attrs carry (repro.obs.events)."""
 
+import dataclasses
 import json
 import threading
 
 import pytest
 
+from repro.obs import events
 from repro.obs.events import EVICTION_KINDS, EvictionRecord, RungDecision
 from repro.obs.trace_cli import load_traces
 from repro.obs.trace_store import TraceStore
+from repro.serve import TIERS
 
 RUNGS = (
     RungDecision("cache", True, "resident in cache (4 cells)"),
@@ -76,6 +79,23 @@ class TestEventShapes:
         out = log.traces()[0].to_dict()
         assert out["name"] == "serve.write"
         assert out["spans"][0]["attrs"]["patched_points"] == 2
+
+    @pytest.mark.parametrize("taken", [True, False])
+    @pytest.mark.parametrize("rung", TIERS)
+    def test_rung_to_dict_is_asdict(self, rung, taken):
+        decision = RungDecision(rung, taken, f"reason at {rung}")
+        assert decision.to_dict() == dataclasses.asdict(decision)
+        assert list(decision.to_dict()) == ["rung", "taken", "reason"]
+
+    def test_rung_to_dict_makes_no_deep_copy(self, monkeypatch):
+        """Every served envelope carries four rungs: ``to_dict`` builds
+        the literal dict and never calls ``dataclasses.asdict``."""
+
+        def refuse(*_):
+            raise AssertionError("RungDecision.to_dict called asdict")
+
+        monkeypatch.setattr(events, "asdict", refuse, raising=False)
+        assert RUNGS[0].to_dict()["rung"] == "cache"
 
     def test_eviction_kinds_are_the_documented_set(self):
         assert EVICTION_KINDS == (

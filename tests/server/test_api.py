@@ -16,6 +16,7 @@ from repro.core.properties import PropertyOracle
 from repro.datagen.publications import figure1_document, query1
 from repro.serve import CubeServer
 from repro.server import CubeCatalog, LogicalCube, TenantAuth, X3Api
+from repro.server.http import ApiResponse
 
 
 @pytest.fixture()
@@ -207,6 +208,67 @@ class TestQueryEndpoints:
             {"measure": "SUM"},
         )
         assert response.status == 400
+
+
+GOLDEN_REQUESTS = {
+    "cubes": ("GET", "/api/v1/cubes", None),
+    "cube": ("GET", "/api/v1/cubes/pubs", None),
+    "aggregate": (
+        "POST", "/api/v1/cubes/pubs/aggregate", {"group_by": {"y": "detail"}},
+    ),
+    "cell": (
+        "POST",
+        "/api/v1/cubes/pubs/cell",
+        {"group_by": {"y": "detail"}, "key": ["2003"]},
+    ),
+    "slice": (
+        "POST",
+        "/api/v1/cubes/pubs/slice",
+        {"group_by": {"n": "detail", "y": "detail"}, "axis": "y", "value": "2003"},
+    ),
+    "dice": (
+        "POST",
+        "/api/v1/cubes/pubs/dice",
+        {"group_by": {"n": "detail", "y": "detail"}, "filters": {"y": ["2003"]}},
+    ),
+    "drilldown": ("POST", "/api/v1/cubes/pubs/drilldown", {"axis": "y"}),
+    "explain": (
+        "POST", "/api/v1/cubes/pubs/explain", {"group_by": {"y": "detail"}},
+    ),
+    "unknown_cube": ("POST", "/api/v1/cubes/warp/aggregate", {}),
+}
+
+
+class TestWireForm:
+    """A body is ``json.dumps(payload)`` on one line: the C encoder with
+    the default separators, parse-equal to the indented body it
+    replaced, so the wire changed only in whitespace."""
+
+    @pytest.fixture()
+    def payloads(self, monkeypatch):
+        seen = []
+        encode = ApiResponse.json.__func__
+
+        def spy(cls, status, payload, headers=()):
+            seen.append(payload)
+            return encode(cls, status, payload, headers)
+
+        monkeypatch.setattr(ApiResponse, "json", classmethod(spy))
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REQUESTS))
+    def test_parse_equal_to_the_indented_body(self, api, payloads, name):
+        response, decoded = call(api, *GOLDEN_REQUESTS[name])
+        payload = payloads[-1]
+        assert decoded == json.loads(json.dumps(payload, indent=1))
+        assert response.body == json.dumps(payload) + "\n"
+
+    def test_the_tier_reads_early_in_the_body(self, api):
+        """A client that sniffs the tier off a reply's first bytes (the
+        e2e benchmark reads ``"tier": "..."`` within 400 characters)
+        still finds it: the separators are the default ``": "``."""
+        response, _ = call(api, *GOLDEN_REQUESTS["aggregate"])
+        assert '"tier": "recompute"' in response.body[:400]
 
 
 class TestErrorMapping:

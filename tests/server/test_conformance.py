@@ -206,8 +206,8 @@ class TestOneReadPath:
         assert response.status == 400
         # Spelled out byte for byte: the same literal for either backend.
         assert response.body == (
-            '{\n "error": {\n  "kind": "invalid_query",\n'
-            f'  "message": "{self.BAD_MEASURE}"\n }}\n}}\n'
+            '{"error": {"kind": "invalid_query", '
+            f'"message": "{self.BAD_MEASURE}"}}}}\n'
         )
 
     def test_the_backend_defines_no_read_path_of_its_own(self, backend):

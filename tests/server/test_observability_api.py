@@ -185,7 +185,7 @@ class TestHealthz:
                 },
             },
         }
-        assert response.body == json.dumps(expected, indent=1) + "\n"
+        assert response.body == json.dumps(expected) + "\n"
 
     def test_post_is_method_not_allowed(self):
         api = make_api(

@@ -8,10 +8,12 @@ rows *at the version the response reports* — the serving contract of
 """
 
 import http.client
+import io
 import json
 import select
 import socket
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -276,6 +278,181 @@ class TestSlowBody:
             connection.close()
         # Both requests went over the one connection.
         assert sockets[0] is not None and sockets[0] is sockets[1]
+
+
+class RecordingWriter:
+    """A handler's ``wfile`` that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+def socketless_exchange(api, request):
+    """Every write the handler makes to answer the raw ``request``,
+    with no socket: the handler's streams are in-memory stand-ins."""
+    handler = http_module._Handler.__new__(http_module._Handler)
+    handler.server = SimpleNamespace(api=api)
+    handler.connection = SimpleNamespace(settimeout=lambda _: None)
+    handler.client_address = ("127.0.0.1", 0)
+    handler.rfile = io.BytesIO(request)
+    handler.wfile = RecordingWriter()
+    handler.handle_one_request()
+    return handler.wfile.writes
+
+
+class TestOneWritePerResponse:
+    """Status line, headers and body leave as one buffer: a response
+    split in two segments stalls on the client's delayed ACK."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (aggregate_head(len(AGGREGATE_BODY)) + AGGREGATE_BODY, 200),
+            (aggregate_head("abc"), 400),
+            (aggregate_head(MAX_BODY_BYTES + 1), 413),
+        ],
+        ids=["200", "400", "413"],
+    )
+    def test_exactly_one_write(self, stack, request_bytes, status):
+        front, *_ = stack
+        (written,) = socketless_exchange(front.api, request_bytes)
+        head, _, body = written.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode("ascii")
+        assert f"Content-Length: {len(body)}".encode("ascii") in head
+        json.loads(body)
+
+    def test_the_accepted_socket_has_nagle_off(self, stack, monkeypatch):
+        front, *_ = stack
+        seen = []
+        setup = http_module._Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(http_module._Handler, "setup", recording_setup)
+        status, _ = http_post(
+            front.host, front.port, "/api/v1/cubes/cube/aggregate", {}
+        )
+        assert status == 200
+        assert len(seen) == 1 and seen[0] != 0
+
+
+class TestTransportRefusalsAreTyped:
+    """Whatever the transport answers is the API's JSON error envelope:
+    no ``http.server`` HTML page, and one response per request."""
+
+    @staticmethod
+    def assert_one_typed_error(front, request, status, kind):
+        """The server's whole answer to ``request`` (it must hang up) is
+        one JSON error response: its headers and its error."""
+        head, body = TestHostileContentLength.raw_exchange(front, request)
+        assert b"<html" not in body.lower()
+        status_line, *header_lines = head.split("\r\n")
+        assert status_line.split()[:2] == ["HTTP/1.1", str(status)]
+        headers = dict(
+            line.lower().split(": ", 1) for line in header_lines
+        )
+        assert headers["content-type"] == "application/json"
+        # Nothing after the one response: no second, HTML answer.
+        assert len(body) == int(headers["content-length"])
+        return headers, json.loads(body)["error"]
+
+    def test_a_chunked_body_is_a_typed_411_left_unread(self, stack):
+        """The chunked request used to be served as if bodiless (a 200
+        for a query nobody asked), and its chunk bytes then parsed as
+        the next request."""
+        front, *_ = stack
+        headers, error = self.assert_one_typed_error(
+            front,
+            (
+                "POST /api/v1/cubes/cube/aggregate HTTP/1.1\r\n"
+                "Host: x3\r\n"
+                "Transfer-Encoding: chunked\r\n"
+                "\r\n"
+            ).encode("ascii")
+            + b"%x\r\n" % len(AGGREGATE_BODY)
+            + AGGREGATE_BODY
+            + b"\r\n0\r\n\r\n",
+            411,
+            "length_required",
+        )
+        assert headers["connection"] == "close"
+        assert "chunked" in error["message"]
+        TestHostileContentLength.assert_next_connection_is_served(front)
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE"])
+    def test_a_foreign_method_is_the_apis_405(self, stack, method):
+        front, *_ = stack
+        _, error = self.assert_one_typed_error(
+            front,
+            (
+                f"{method} /api/v1/cubes/cube/aggregate HTTP/1.1\r\n"
+                "Host: x3\r\n"
+                "Content-Length: 0\r\n"
+                "Connection: close\r\n"
+                "\r\n"
+            ).encode("ascii"),
+            405,
+            "method_not_allowed",
+        )
+        assert method in error["message"]
+
+    def test_head_gets_headers_only_and_the_connection_lives_on(self, stack):
+        """A ``HEAD`` reaches the API like any method; its answer has no
+        body, so the next request on the connection parses cleanly."""
+        front, *_ = stack
+        connection = http.client.HTTPConnection(
+            front.host, front.port, timeout=10
+        )
+        try:
+            connection.request("HEAD", "/api/v1/cubes")
+            response = connection.getresponse()
+            assert response.status == 405
+            assert response.getheader("Content-Type") == "application/json"
+            assert int(response.getheader("Content-Length")) > 0
+            assert response.read() == b""
+            first = connection.sock
+            connection.request("GET", "/api/v1/cubes")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["cubes"][0]["name"] == "cube"
+            assert connection.sock is first
+        finally:
+            connection.close()
+
+    def test_an_over_long_header_line_is_a_typed_431(self, stack):
+        front, *_ = stack
+        headers, _ = self.assert_one_typed_error(
+            front,
+            b"GET /api/v1/cubes HTTP/1.1\r\nX-Big: "
+            + b"a" * 70_000
+            + b"\r\n\r\n",
+            431,
+            "request_header_fields_too_large",
+        )
+        assert headers["connection"] == "close"
+        TestHostileContentLength.assert_next_connection_is_served(front)
+
+    def test_a_garbage_request_line_is_a_typed_400(self, stack):
+        front, *_ = stack
+        headers, error = self.assert_one_typed_error(
+            front, b"\x16\x03garbage\r\n\r\n", 400, "bad_request"
+        )
+        assert headers["connection"] == "close"
+        assert "garbage" in error["message"]
+        TestHostileContentLength.assert_next_connection_is_served(front)
 
 
 class TestConcurrentBitIdentity:
