@@ -771,14 +771,15 @@ def run_cube(args: argparse.Namespace) -> int:
             f" path)"
         )
     if session is not None:
-        totals = ", ".join(
-            f"{label} {session.metrics.total(f'x3_{name}_total'):g}"
-            for label, name in (
-                ("cpu ops", "cost_cpu_ops"),
-                ("page reads", "cost_page_reads"),
-                ("page writes", "cost_page_writes"),
-                ("sorts", "sorts"),
-            )
+        sorts = sum(
+            value
+            for phase, value in cube.phases.items()
+            if phase.startswith("sorts_")
+        )
+        totals = (
+            f"cpu ops {cube.cost.cpu_ops:g}, "
+            f"page reads {cube.cost.page_reads:g}, "
+            f"page writes {cube.cost.page_writes:g}, sorts {sorts:g}"
         )
         _print_profile(session, args, f"profile totals: {totals}")
     if args.properties:

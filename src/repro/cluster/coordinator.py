@@ -304,8 +304,6 @@ class ClusterCoordinator(CubeBackend):
             )
             raise
         self._log("cluster.read", latency, started, **facts)
-        obs.count("x3_cluster_requests_total", kind=kind)
-        obs.observe("x3_cluster_request_modeled_seconds", latency)
         rung = RungDecision(
             rung="scatter-gather",
             taken=True,
@@ -391,7 +389,6 @@ class ClusterCoordinator(CubeBackend):
             last_vector = vector
             with self._lock:
                 self._rejects += 1
-            obs.count("x3_cluster_rejects_total")
             decisions.append(
                 self._decision(
                     "reject", op, -1, -1,
@@ -502,7 +499,6 @@ class ClusterCoordinator(CubeBackend):
                         replica.crash()
                         with self._lock:
                             self._crashes += 1
-                        obs.count("x3_cluster_faults_total", kind="crash")
                         decisions.append(
                             self._decision(
                                 "crash", op, shard_id, replica.replica,
@@ -520,7 +516,6 @@ class ClusterCoordinator(CubeBackend):
                     continue
                 latency = answer.modeled_seconds + extra_seconds
                 if extra_seconds:
-                    obs.count("x3_cluster_faults_total", kind="straggle")
                     decisions.append(
                         self._decision(
                             "straggle", op, shard_id, replica.replica,
@@ -571,7 +566,6 @@ class ClusterCoordinator(CubeBackend):
                 return answer
             with self._lock:
                 self._stale_retries += 1
-            obs.count("x3_cluster_stale_retries_total")
             decisions.append(
                 self._decision(
                     "stale_retry", op, replica.shard, replica.replica,
@@ -620,7 +614,6 @@ class ClusterCoordinator(CubeBackend):
             return answer, latency
         with self._lock:
             self._hedges += 1
-        obs.count("x3_cluster_hedges_total")
         hedged_latency = deadline + backup_answer.modeled_seconds
         if hedged_latency < latency:
             decisions.append(
@@ -651,7 +644,6 @@ class ClusterCoordinator(CubeBackend):
     ) -> None:
         with self._lock:
             self._failovers += 1
-        obs.count("x3_cluster_failovers_total")
         decisions.append(
             self._decision(
                 "failover", op, shard_id, replica.replica,
@@ -680,7 +672,6 @@ class ClusterCoordinator(CubeBackend):
             self._requests += 1
             self._modeled_cost_seconds += latency
             self._merged_cells += len(cuboid)
-        obs.count("x3_cluster_merged_cells_total", len(cuboid))
         return cuboid, latency
 
     # ------------------------------------------------------------------
@@ -721,9 +712,6 @@ class ClusterCoordinator(CubeBackend):
                     )
                     replica.apply(op, slices[shard_id], defer=defer)
                     if defer:
-                        obs.count(
-                            "x3_cluster_faults_total", kind="stale"
-                        )
                         decisions.append(
                             self._decision(
                                 "stale", write_op, shard_id,
@@ -743,7 +731,6 @@ class ClusterCoordinator(CubeBackend):
                 self._history.append(vector)
                 self._history_set.add(vector)
                 self._writes += 1
-        obs.count("x3_cluster_writes_total", op=op)
         self._log(
             "cluster.write", 0.0, started,
             op=op,

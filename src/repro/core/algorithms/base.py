@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.bindings import FactRow, FactTable
@@ -21,7 +21,13 @@ from repro.core.groupby import Cuboid
 from repro.core.cube import CostSnapshot, CubeResult
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.properties import PropertyOracle
-from repro.cost import CostModel, MemoryBudget
+from repro.cost import (
+    CostModel,
+    MemoryBudget,
+    charge_sort,
+    sort_kind,
+    sorted_with_cost,
+)
 from repro.errors import CubeError
 
 DEFAULT_MEMORY_ENTRIES = 50_000
@@ -73,14 +79,36 @@ class ExecutionContext:
         self.oracle = oracle or PropertyOracle.from_flags(
             table.lattice, False, False
         )
-        # Per-run phase counters (base scans, partitions, roll-ups, ...).
-        # Plain dict bumps at coarse points — always on, flushed into the
-        # observability registry after the run when tracing is active.
+        # Per-run phase counters (base scans, partitions, roll-ups,
+        # sorts by kind, ...): plain dict bumps at coarse points, always
+        # on, returned as ``CubeResult.phases``.
         self.phases: Dict[str, float] = {}
 
     def bump(self, phase: str, amount: float = 1) -> None:
         """Count one algorithm phase event (cheap; never per-row)."""
         self.phases[phase] = self.phases.get(phase, 0) + amount
+
+    def count_sort(self, kind: str, items: int) -> None:
+        """One ordering pass over ``items`` items, by kind
+        (``quicksort`` / ``external`` / ``counting``)."""
+        self.bump(f"sorts_{kind}")
+        self.bump(f"sorted_items_{kind}", items)
+
+    def sort(
+        self,
+        items: Sequence[Any],
+        key: Optional[Callable[[Any], Any]] = None,
+    ) -> List[Any]:
+        """:func:`~repro.cost.sorted_with_cost` under this run's budget,
+        counted."""
+        self.count_sort(sort_kind(len(items), self.budget), len(items))
+        return sorted_with_cost(items, self.cost, self.budget, key)
+
+    def charge_sort(self, n: int) -> None:
+        """:func:`~repro.cost.charge_sort` under this run's budget,
+        counted."""
+        self.count_sort(sort_kind(n, self.budget), n)
+        charge_sort(n, self.cost, self.budget)
 
     @property
     def use_columnar(self) -> bool:
@@ -182,11 +210,8 @@ class CubeAlgorithm:
             facts=len(table.rows),
         ) as span:
             cuboids, passes = self._compute(context, wanted)
-            span.annotate(passes=passes)
+            span.annotate(passes=passes, **context.phases)
         wall_seconds = time.perf_counter() - begin
-        registry = obs.registry()
-        if registry is not None and context.phases:
-            registry.absorb_phases(context.phases, algorithm=self.name)
         if min_support > 0:
             cuboids = {
                 point: {
@@ -205,6 +230,7 @@ class CubeAlgorithm:
             ),
             passes=passes,
             aggregate=table.aggregate.function.upper(),
+            phases=context.phases,
         )
 
     def _compute(

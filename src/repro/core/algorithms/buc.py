@@ -65,7 +65,6 @@ from repro.core.bindings import FactRow, GroupKey
 from repro.core.columnar import ColumnarFactTable, vector_lanes
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
-from repro.cost import sorted_with_cost
 
 #: A kernel's part of the fact set (one recursion node's group).
 Part = TypeVar("Part")
@@ -243,12 +242,9 @@ class _ColumnarKernel:
             context.charge_spill(placements)
         context.bump("buc_partition_calls")
         context.bump("buc_placements", placements)
-        if obs.enabled():
-            # The bucketing is a counting sort over the code domain —
-            # record it under the sort counters so the trace still
-            # accounts for every ordering pass the kernel performs.
-            obs.count("x3_sorts_total", kind="counting")
-            obs.count("x3_sorted_items_total", placements, kind="counting")
+        # The bucketing is a counting sort over the code domain: counted
+        # with the sorts, so the phases account for every ordering pass.
+        context.count_sort("counting", placements)
         dictionary = self.encoded.columns[axis].dictionary
         return [
             (dictionary[code], (refined, bucket_start, bucket_end))
@@ -300,11 +296,8 @@ class _DictKernel:
                 for value in values:
                     placements.append((value, row))
                     context.cost.charge_cpu(2)
-        placements = sorted_with_cost(
-            placements,
-            context.cost,
-            budget=context.budget,
-            key=lambda placement: placement[0],
+        placements = context.sort(
+            placements, key=lambda placement: placement[0]
         )
         partitions: Dict[str, List[FactRow]] = {}
         for value, row in placements:

@@ -245,11 +245,6 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
         context.bump("columnar_increments", increments)
         context.bump("columnar_nodes", nodes)
         context.bump("columnar_passes", passes)
-        obs.count("x3_columnar_rows_total", n_rows)
-        obs.count("x3_columnar_cells_total", cells)
-        obs.count("x3_columnar_trie_nodes_total", nodes)
-        obs.count("x3_columnar_increments_total", increments)
-        obs.count("x3_columnar_passes_total", passes)
 
     def rescan(
         self, context: ExecutionContext, encoded: ColumnarFactTable

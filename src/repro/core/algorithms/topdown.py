@@ -68,7 +68,6 @@ from typing import (
     Sequence, Sized, Tuple, TypeVar,
 )
 
-from repro import obs
 from repro.core.aggregates import AggregateFunction
 from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
 from repro.core.bindings import FactRow, FactTable, GroupKey
@@ -81,7 +80,6 @@ from repro.core.columnar import (
 )
 from repro.core.groupby import Cuboid, augmented_keys, strip_null_groups
 from repro.core.lattice import CubeLattice, LatticePoint
-from repro.cost import charge_sort, sorted_with_cost
 
 AugCuboid = Dict[GroupKey, object]  # (null-augmented) key -> partial state
 
@@ -307,11 +305,8 @@ class _DictKernel:
             for key in keys_of(table, row, point)
         ]
         context.cost.charge_cpu((1 + variant.identity_ops) * len(placements))
-        placements = sorted_with_cost(
-            placements,
-            context.cost,
-            budget=context.budget,
-            key=_null_first if variant.augmented else itemgetter(0),
+        placements = context.sort(
+            placements, key=_null_first if variant.augmented else itemgetter(0)
         )
         aug: AugCuboid = {}
         for key, measure in placements:
@@ -330,12 +325,7 @@ class _DictKernel:
             for index, axis in enumerate(context.lattice.kept_axes(source))
             if axis in kept
         ]
-        rows = sorted_with_cost(
-            list(built.items()),
-            context.cost,
-            budget=context.budget,
-            key=_null_first,
-        )
+        rows = context.sort(list(built.items()), key=_null_first)
         out: AugCuboid = {}
         for key, state in rows:
             new_key = tuple(key[index] for index in keep)
@@ -461,9 +451,7 @@ def _columnar_build(
     context.cost.charge_cpu(increments)
     if increments > context.budget.capacity_entries:
         context.charge_spill(increments)
-    if obs.enabled():
-        obs.count("x3_sorts_total", kind="counting")
-        obs.count("x3_sorted_items_total", increments, kind="counting")
+    context.count_sort("counting", increments)
     context.cost.charge_cpu(identity_ops * increments)
     context.cost.charge_cpu(vector_lanes(increments))
     return cells, tuple(axes)
@@ -493,7 +481,7 @@ def _rollup_columnar(
     ]
     radices = [radix for _, _, radix in source_axes]
     gids = sorted(source_cells)
-    charge_sort(len(gids), context.cost, context.budget)
+    context.charge_sort(len(gids))
     out: GidCells = {}
     merge = fn.merge
     for gid in gids:

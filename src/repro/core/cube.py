@@ -69,9 +69,9 @@ class ExecutionOptions:
             otherwise (see :mod:`repro.core.engine`).
         trace: collect an observability trace (:mod:`repro.obs`) for
             this run; the result's :attr:`CubeResult.trace` then holds
-            spans (parse/cost/algorithm/engine layers) and the unified
-            metrics registry.  Inside an ``obs.trace()`` session the
-            run joins that session regardless of this flag.
+            its spans (parse/cost/algorithm/engine layers).  Inside an
+            ``obs.trace()`` session the run joins that session
+            regardless of this flag.
         encoding: which physical fact representation the algorithm
             iterates — ``"auto"`` lets each algorithm pick its fastest
             path (the BUC/TD families run on the dictionary-encoded
@@ -242,11 +242,17 @@ class CubeResult:
         algorithm: name of the algorithm that produced it.
         cost: typed cost snapshot taken right after the run.
         passes: number of data passes (COUNTER reports thrashing here).
+        phases: the run's phase counters — base scans, partition calls,
+            placements, roll-ups, sorts by kind (``sorts_<kind>`` /
+            ``sorted_items_<kind>``), ... — summed over partitions when
+            the parallel engine ran; filled on every run, traced or
+            not.  A phase the run never reached is absent.
         metrics: engine-level metrics (partitioning, queue wait, merge)
             when the parallel engine ran; ``None`` for direct runs.
-        trace: the observability report (spans + metrics registry) when
-            the run was traced (``ExecutionOptions(trace=True)`` or an
-            active ``obs.trace()``); ``None`` otherwise.
+        trace: the run's span forest when it was traced
+            (``ExecutionOptions(trace=True)`` or an active
+            ``obs.trace()``); ``None`` otherwise.  It carries time, not
+            counts: those are :attr:`cost` and :attr:`phases`.
     """
 
     lattice: CubeLattice
@@ -255,6 +261,7 @@ class CubeResult:
     cost: CostSnapshot = field(default_factory=CostSnapshot)
     passes: int = 1
     aggregate: str = "COUNT"
+    phases: Dict[str, float] = field(default_factory=dict)
     metrics: Optional["EngineMetrics"] = None
     trace: Optional["Trace"] = None
 

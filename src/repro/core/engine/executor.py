@@ -28,9 +28,9 @@ nested under each partition).  Thread workers run in a copy of the
 dispatcher's context and report into the same trace directly; process
 workers bind a local session to the ``engine.run`` span's context, and
 their (picklable) spans ride back on the :class:`PartitionOutcome` to be
-adopted as-is.  After the run, the merged cost snapshot and engine
-metrics are folded into the session's metrics registry and the report is
-attached as ``result.trace``.
+adopted as-is.  The report is attached as ``result.trace``.  Counts
+never travel through the trace: each partition's ``CubeResult.phases``
+rides back on its outcome like its cuboids, and the merge sums them.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.core.engine.merge import (
     merge_cuboids,
     merge_passes,
     merged_algorithm_name,
+    sum_counts,
 )
 from repro.core.engine.metrics import EngineMetrics, PartitionStats
 from repro.core.engine.partition import (
@@ -63,7 +64,6 @@ from repro.core.engine.partition import (
 )
 from repro.core.lattice import LatticePoint
 from repro.core.properties import PropertyOracle
-from repro.obs.metrics import Counter
 
 PARTITIONS_PER_WORKER = 2
 """Oversubscription factor: more partitions than workers lets the pool
@@ -100,8 +100,8 @@ def _run_partition(
     bound ``engine.run`` span.  A process worker gets that span's
     context as ``remote`` and records into a local session bound to it
     (a *forked* child also inherits the parent's binding, but recording
-    into that copy would be lost with the process); its spans and
-    counters are returned in the outcome for the parent to take over.
+    into that copy would be lost with the process); its spans are
+    returned in the outcome for the parent to take over.
     The partition's span id is keyed by its index, so it is the same
     either way.
     """
@@ -127,15 +127,7 @@ def _run_partition(
                 encoding=encoding,
             )
             span.annotate(sim_seconds=result.cost.simulated_seconds)
-    spans = ()
-    counters = ()
-    if local is not None:
-        spans = tuple(local.records())
-        counters = tuple(
-            (metric.name, metric.labels, metric.value)
-            for metric in local.metrics.collect()
-            if isinstance(metric, Counter)
-        )
+    spans = tuple(local.records()) if local is not None else ()
     finished = time.monotonic()
     return PartitionOutcome(
         index=partition_index,
@@ -147,8 +139,8 @@ def _run_partition(
         worker=_worker_id(),
         queue_wait_seconds=max(0.0, started - submitted_at),
         wall_seconds=finished - started,
+        phases=result.phases,
         spans=spans,
-        counters=counters,
     )
 
 
@@ -225,13 +217,6 @@ def execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
         with obs.trace():
             return execute(table, options)
     result = _execute(table, options)
-    registry = obs.registry()
-    if registry is not None:
-        registry.absorb_cost(result.cost, algorithm=result.algorithm)
-        if result.metrics is not None:
-            registry.absorb_engine(
-                result.metrics, algorithm=result.algorithm
-            )
     session = obs.session()
     if session is not None:
         result.trace = session.trace()
@@ -320,9 +305,6 @@ def _execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
             run_span.adopt(
                 outcome.spans, shift=offset + outcome.queue_wait_seconds
             )
-            for name, labels, value in outcome.counters:
-                if value:
-                    obs.count(name, value, **dict(labels))
 
         merge_begin = time.perf_counter()
         with obs.span(
@@ -367,5 +349,6 @@ def _execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
             cost=cost,
             passes=merge_passes(outcomes),
             aggregate=table.aggregate.function.upper(),
+            phases=sum_counts(outcome.phases for outcome in outcomes),
             metrics=metrics,
         )

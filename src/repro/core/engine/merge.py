@@ -19,8 +19,8 @@ breakdown is still reported (``workers``) for telemetry; when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.cube import CostSnapshot, WorkerCost
 from repro.core.groupby import Cuboid
@@ -42,13 +42,11 @@ class PartitionOutcome:
     worker: str
     queue_wait_seconds: float
     wall_seconds: float
+    # The partition run's phase counters (``CubeResult.phases``).
+    phases: Mapping[str, float] = field(default_factory=dict)
     # Spans collected by a process worker's local session; empty for
     # thread workers (they record into the dispatcher's trace directly).
     spans: Tuple[TraceSpan, ...] = ()
-    # Counter series (name, label items, value) from the same local
-    # session — sorts, join pairs, algorithm phases — which would
-    # otherwise be lost with the worker process.
-    counters: Tuple[Tuple[str, Tuple[Tuple[str, str], ...], float], ...] = ()
 
     @property
     def simulated_seconds(self) -> float:
@@ -88,6 +86,15 @@ def scheduled_critical_path(costs: List[float], n_workers: int) -> float:
     return max(bins)
 
 
+def sum_counts(counts: Iterable[Mapping[str, float]]) -> Dict[str, float]:
+    """Key-wise sum of per-partition counters (cost fields, phases)."""
+    totals: Dict[str, float] = {}
+    for mapping in counts:
+        for key, value in mapping.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
 def merge_costs(
     outcomes: List[PartitionOutcome],
     merge_seconds: float,
@@ -98,11 +105,7 @@ def merge_costs(
 
     ``max_workers`` (the pool size) selects the deterministic LPT
     critical path; without it the busiest *actual* worker is used."""
-    totals: Dict[str, float] = {}
-    for outcome in outcomes:
-        for key, value in outcome.cost.items():
-            totals[key] = totals.get(key, 0.0) + value
-
+    totals = sum_counts(outcome.cost for outcome in outcomes)
     per_worker: Dict[str, Dict[str, float]] = {}
     for outcome in outcomes:
         slot = per_worker.setdefault(

@@ -479,8 +479,8 @@ class CubeBackend:
     The contract a subclass fills in: ``lattice``, ``aggregate``,
     ``trace_store``, the :attr:`name` class attribute, :meth:`_answer`,
     :meth:`_plan`, :meth:`version_token`, :meth:`insert` and
-    :meth:`delete`; :meth:`health`, :meth:`prometheus`, :meth:`close`
-    and ``telemetry`` have defaults.  The HTTP front door
+    :meth:`delete`; :meth:`health`, :meth:`close` and ``telemetry``
+    have defaults.  The HTTP front door
     (:mod:`repro.server`) is written against this class alone.
     """
 
@@ -605,10 +605,6 @@ class CubeBackend:
             "status": "ok",
             "version": list(self.version_token()),
         }
-
-    def prometheus(self) -> str:
-        """Prometheus exposition text of the backend's own metrics."""
-        return ""
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro import obs
 
 SPAN_MIN_ITEMS = 32
-"""Sorts below this size are counted but not individually spanned —
-BUC's recursion produces thousands of tiny sorts that would drown the
-trace without telling a story."""
+"""Sorts below this size are not individually spanned — BUC's recursion
+produces thousands of tiny sorts that would drown the trace without
+telling a story.  A cube run counts every sort in its phases
+(``ExecutionContext.sort``), whatever its size."""
 
 
 @dataclass
@@ -138,6 +139,14 @@ def quicksort_cost(n: int) -> int:
     return int(n * math.log2(n)) + n
 
 
+def sort_kind(n: int, budget: Optional[MemoryBudget]) -> str:
+    """How ``n`` items are sorted under ``budget``: ``"external"`` when
+    they outgrow it, else ``"quicksort"``."""
+    if budget is not None and n > budget.capacity_entries:
+        return "external"
+    return "quicksort"
+
+
 def sorted_with_cost(
     items: Sequence[Any],
     cost: CostModel,
@@ -153,21 +162,12 @@ def sorted_with_cost(
     Returns a new sorted list.
     """
     n = len(items)
-    external = budget is not None and n > budget.capacity_entries
-    if obs.enabled():
-        kind = "external" if external else "quicksort"
-        obs.count("x3_sorts_total", kind=kind)
-        obs.count("x3_sorted_items_total", n, kind=kind)
-        if external or n >= SPAN_MIN_ITEMS:
-            with obs.span(
-                "cost.sort",
-                category="cost",
-                cost=cost,
-                n=n,
-                kind=kind,
-            ):
-                return _sorted(items, cost, budget if external else None, key)
-    return _sorted(items, cost, budget if external else None, key)
+    kind = sort_kind(n, budget)
+    spill = budget if kind == "external" else None
+    if obs.enabled() and (spill is not None or n >= SPAN_MIN_ITEMS):
+        with obs.span("cost.sort", category="cost", cost=cost, n=n, kind=kind):
+            return _sorted(items, cost, spill, key)
+    return _sorted(items, cost, spill, key)
 
 
 def _sorted(
@@ -198,12 +198,7 @@ def charge_sort(
     when the column fits the budget, the external merge-sort spill
     cascade (page writes + reads per pass) when it does not.
     """
-    external = budget is not None and n > budget.capacity_entries
-    if obs.enabled():
-        kind = "external" if external else "quicksort"
-        obs.count("x3_sorts_total", kind=kind)
-        obs.count("x3_sorted_items_total", n, kind=kind)
-    if budget is None or not external:
+    if budget is None or n <= budget.capacity_entries:
         cost.charge_cpu(quicksort_cost(n))
         return
     _charge_external_sort(n, cost, budget)

@@ -12,10 +12,16 @@ One subsystem for everything the stack measures:
   ``obs.trace()`` block or in a request-scoped :class:`TraceStore`;
   every backend's request log is a :class:`TraceStore` too, one
   finished root span per served read or write.
-- **Metrics** (:class:`MetricsRegistry`): counters / gauges /
-  histograms absorbing the previously scattered sources
-  (``EngineMetrics``, ``CostSnapshot``, sort counts, algorithm
-  phase counters) under one Prometheus-style naming scheme.
+- **Counts live on what produced them**, traced or not: a cube run's
+  ``CubeResult.cost`` (page I/O, CPU ops) and ``CubeResult.phases``
+  (base scans, placements, sorts by kind, ...), a backend's
+  ``stats()``, a cache's ``stats``.  Spans carry no counters; the
+  ``algo.<NAME>`` span is annotated with its run's phases.
+- **Live metrics** (:class:`MetricsRegistry`): counters / gauges /
+  histograms owned by one object each — a backend's
+  :class:`LiveTelemetry` and the HTTP front door — and scraped as
+  Prometheus text at ``/metrics``.  There is no process-global
+  registry.
 - **Exporters**: Chrome ``trace_event`` JSON (``chrome://tracing`` /
   Perfetto), folded flamegraph stacks, Prometheus exposition text.
 
@@ -34,9 +40,9 @@ or, when only the cube run matters::
     result = compute_cube(table, ExecutionOptions(trace=True))
     result.trace.to_chrome_json()
 
-Instrumentation points call the module-level helpers (:func:`span`,
-:func:`count`), which are no-ops bound to a shared null singleton
-unless a span is bound — tracing off costs one context-variable read.
+Instrumentation points call the module-level :func:`span`, which
+returns a shared null singleton unless a span is bound — tracing off
+costs one context-variable read.
 """
 
 from __future__ import annotations
@@ -69,12 +75,8 @@ from repro.obs.span import (
     Trace,
     TraceSession,
     TraceSpan,
-    count,
     current,
     enabled,
-    gauge,
-    observe,
-    registry,
     session,
     span,
     trace,
@@ -105,15 +107,11 @@ __all__ = [
     "chrome_trace_events",
     "chrome_trace_json",
     "collapsed_stacks",
-    "count",
     "current",
     "derive_span_id",
     "enabled",
-    "gauge",
-    "observe",
     "parse_traceparent",
     "prometheus_text",
-    "registry",
     "session",
     "span",
     "trace",

@@ -9,22 +9,23 @@ Three formats, all text, all dependency-free:
 - :func:`collapsed_stacks` — Brendan Gregg's folded-stack format
   (``root;child;leaf <weight>``), weight = wall microseconds, directly
   consumable by ``flamegraph.pl`` or speedscope.
-- :func:`prometheus_text` — the Prometheus exposition format for the
-  metrics registry (``# TYPE`` headers, label sets, histogram buckets).
+- :func:`prometheus_text` — the Prometheus exposition format for one
+  or more live metrics registries (``# HELP`` / ``# TYPE`` once per
+  family, label sets, histogram buckets).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
+    LabelItems,
+    Metric,
     MetricsRegistry,
-    escape_label_value,
+    format_labels,
 )
 from repro.obs.span import TraceSpan
 
@@ -69,7 +70,7 @@ HELP_TEXTS: Dict[str, str] = {
 }
 
 
-def _split_thread(label: str) -> tuple:
+def _split_thread(label: str) -> Tuple[int, str]:
     """``pid-123/worker-0`` -> (123, "worker-0"); best-effort parse."""
     pid = os.getpid()
     name = label or "main"
@@ -122,17 +123,12 @@ def chrome_trace_events(
     return events
 
 
-def chrome_trace_json(
-    records: Sequence[TraceSpan],
-    metrics: Optional[MetricsRegistry] = None,
-) -> str:
+def chrome_trace_json(records: Sequence[TraceSpan]) -> str:
     """The full Chrome/Perfetto trace document."""
     document: Dict[str, object] = {
         "traceEvents": chrome_trace_events(records),
         "displayTimeUnit": "ms",
     }
-    if metrics is not None:
-        document["otherData"] = {"metrics": metrics.as_dict()}
     return json.dumps(document, indent=None, separators=(",", ":"))
 
 
@@ -143,7 +139,7 @@ def collapsed_stacks(records: Sequence[TraceSpan]) -> str:
     for record in records:
         stack: List[str] = []
         cursor: Optional[TraceSpan] = record
-        seen = set()
+        seen: Set[str] = set()
         while cursor is not None and cursor.span_id not in seen:
             seen.add(cursor.span_id)
             stack.append(cursor.name.replace(";", "_"))
@@ -171,41 +167,47 @@ def _prom_value(value: float) -> str:
     return repr(float(value))
 
 
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """Prometheus exposition format (text/plain version 0.0.4)."""
+def prometheus_text(
+    registry: MetricsRegistry,
+    labelled: Sequence[Tuple[Mapping[str, str], MetricsRegistry]] = (),
+) -> str:
+    """Prometheus exposition format (text/plain version 0.0.4).
+
+    ``labelled`` registries are exported beside ``registry``, each of
+    their series qualified by its labels (``{"cube": name}`` per
+    backend): a family several registries share gets one ``# HELP`` /
+    ``# TYPE`` header, and its series stay distinct.
+    """
+    series: List[Tuple[LabelItems, Metric]] = [
+        ((), metric) for metric in registry.collect()
+    ]
+    for labels, more in labelled:
+        extra = tuple((key, str(value)) for key, value in labels.items())
+        series.extend((extra, metric) for metric in more.collect())
+    # Stable: one family's series stay together, in registry order.
+    series.sort(key=lambda item: (item[1].kind, item[1].name))
     lines: List[str] = []
-    seen_types: Dict[str, str] = {}
-    for metric in registry.collect():
-        if metric.name not in seen_types:
-            seen_types[metric.name] = metric.kind
-            help_text = HELP_TEXTS.get(
-                metric.name, f"{metric.name} ({metric.kind})."
-            )
-            lines.append(f"# HELP {metric.name} {help_text}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, (Counter, Gauge)):
+    seen: Set[str] = set()
+    for extra, metric in series:
+        name = metric.name
+        if name not in seen:
+            seen.add(name)
+            help_text = HELP_TEXTS.get(name, f"{name} ({metric.kind}).")
+            lines.append(f"# HELP {name} {help_text}")
+            lines.append(f"# TYPE {name} {metric.kind}")
+        labels = extra + metric.labels
+        if not isinstance(metric, Histogram):
             lines.append(
-                f"{metric.name}{metric.label_string} "
-                f"{_prom_value(metric.value)}"
+                f"{name}{format_labels(labels)} {_prom_value(metric.reading)}"
             )
-        elif isinstance(metric, Histogram):
-            base_labels = list(metric.labels)
-            # bucket_counts are already cumulative (observe() increments
-            # every bucket whose bound covers the value).
-            for bound, count in zip(metric.bounds, metric.bucket_counts):
-                bucket_labels = base_labels + [("le", _prom_value(bound))]
-                inner = ",".join(
-                    f'{key}="{escape_label_value(value)}"'
-                    for key, value in bucket_labels
-                )
-                lines.append(
-                    f"{metric.name}_bucket{{{inner}}} {count}"
-                )
-            lines.append(
-                f"{metric.name}_sum{metric.label_string} "
-                f"{_prom_value(metric.sum)}"
-            )
-            lines.append(
-                f"{metric.name}_count{metric.label_string} {metric.count}"
-            )
+            continue
+        # bucket_counts are already cumulative (observe() increments
+        # every bucket whose bound covers the value).
+        for bound, count in zip(metric.bounds, metric.bucket_counts):
+            bucket = format_labels(labels + (("le", _prom_value(bound)),))
+            lines.append(f"{name}_bucket{bucket} {count}")
+        lines.append(
+            f"{name}_sum{format_labels(labels)} {_prom_value(metric.sum)}"
+        )
+        lines.append(f"{name}_count{format_labels(labels)} {metric.count}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,11 +1,13 @@
-"""The central metrics registry: counters, gauges, histograms.
+"""Live metrics: counters, gauges, histograms.
 
-One :class:`MetricsRegistry` absorbs every measurement source in the
-stack — the deterministic :class:`~repro.cost.CostModel`
-counters (CPU ops, page I/O), the engine's
-per-stage :class:`~repro.core.engine.metrics.EngineMetrics`, and the
-per-algorithm phase counters — under one naming scheme, so a single
-scrape answers "where did the work go".
+A :class:`MetricsRegistry` is a local object, owned by what it
+measures: each backend's :class:`~repro.obs.live.LiveTelemetry` keeps
+one for its serving windows, and the HTTP front door
+(:class:`repro.server.X3Api`) one for its trace-store gauges.
+``GET /metrics`` scrapes them through
+:func:`~repro.obs.export.prometheus_text`.  There is no process-global
+registry: a cube run's counts are ``CubeResult.cost`` and
+``CubeResult.phases``, a backend's are its ``stats()``.
 
 Naming follows the Prometheus convention: ``x3_<subsystem>_<what>``
 with ``_total`` suffix on monotonically increasing counters; labels
@@ -18,7 +20,17 @@ is uncontended.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -49,10 +61,20 @@ def escape_label_value(value: str) -> str:
     )
 
 
+def format_labels(labels: LabelItems) -> str:
+    """``{key="value",...}`` with escaped values; ``""`` for none."""
+    if not labels:
+        return ""
+    inner = ",".join(
+        f'{key}="{escape_label_value(value)}"' for key, value in labels
+    )
+    return "{" + inner + "}"
+
+
 class Metric:
     """Common identity: kind, name, sorted label pairs."""
 
-    kind = "?"
+    kind: ClassVar[str] = "?"
 
     def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
@@ -60,13 +82,12 @@ class Metric:
 
     @property
     def label_string(self) -> str:
-        if not self.labels:
-            return ""
-        inner = ",".join(
-            f'{key}="{escape_label_value(value)}"'
-            for key, value in self.labels
-        )
-        return "{" + inner + "}"
+        return format_labels(self.labels)
+
+    @property
+    def reading(self) -> float:
+        """The one number a flat read reports (a histogram's sum)."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.kind} {self.name}{self.label_string}>"
@@ -80,6 +101,10 @@ class Counter(Metric):
     def __init__(self, name: str, labels: LabelItems) -> None:
         super().__init__(name, labels)
         self.value: float = 0.0
+
+    @property
+    def reading(self) -> float:
+        return self.value
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -95,6 +120,10 @@ class Gauge(Metric):
     def __init__(self, name: str, labels: LabelItems) -> None:
         super().__init__(name, labels)
         self.value: float = 0.0
+
+    @property
+    def reading(self) -> float:
+        return self.value
 
     def set(self, value: float) -> None:
         self.value = float(value)
@@ -123,6 +152,10 @@ class Histogram(Metric):
         self.count = 0
         self.sum = 0.0
 
+    @property
+    def reading(self) -> float:
+        return self.sum
+
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
@@ -133,6 +166,9 @@ class Histogram(Metric):
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
+
+
+_M = TypeVar("_M", Counter, Gauge, Histogram)
 
 
 class MetricsRegistry:
@@ -157,23 +193,19 @@ class MetricsRegistry:
         buckets: Optional[Tuple[float, ...]] = None,
         **labels: Any,
     ) -> Histogram:
-        key = ("histogram", name, _label_items(labels))
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = Histogram(
-                    name, key[2], buckets=buckets or DEFAULT_BUCKETS
-                )
-                self._metrics[key] = metric
-        return metric  # type: ignore[return-value]
+        return self._get_or_create(
+            Histogram, name, _label_items(labels), buckets or DEFAULT_BUCKETS
+        )
 
-    def _get_or_create(self, cls, name: str, labels: LabelItems):
+    def _get_or_create(
+        self, cls: Type[_M], name: str, labels: LabelItems, *args: Any
+    ) -> _M:
         key = (cls.kind, name, labels)
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = cls(name, labels)
-                self._metrics[key] = metric
+                metric = self._metrics[key] = cls(name, labels, *args)
+        assert isinstance(metric, cls)
         return metric
 
     # ------------------------------------------------------------------
@@ -187,127 +219,28 @@ class MetricsRegistry:
             ]
 
     def value(self, name: str, **labels: Any) -> Optional[float]:
-        """The value of one exact (name, labels) series, if present."""
+        """The reading of one exact (name, labels) series, if present
+        (a histogram reads as its sum)."""
         items = _label_items(labels)
-        with self._lock:
-            for (kind, metric_name, metric_labels), metric in (
-                self._metrics.items()
-            ):
-                if metric_name == name and metric_labels == items:
-                    if kind == "histogram":
-                        return metric.sum  # type: ignore[union-attr]
-                    return metric.value  # type: ignore[union-attr]
+        for metric in self.collect():
+            if metric.name == name and metric.labels == items:
+                return metric.reading
         return None
 
     def total(self, name: str) -> float:
         """Sum of a metric across every label set (0.0 when absent)."""
-        out = 0.0
-        with self._lock:
-            for (kind, metric_name, _), metric in self._metrics.items():
-                if metric_name != name:
-                    continue
-                if kind == "histogram":
-                    out += metric.sum  # type: ignore[union-attr]
-                else:
-                    out += metric.value  # type: ignore[union-attr]
-        return out
+        return sum(
+            (metric.reading for metric in self.collect() if metric.name == name),
+            0.0,
+        )
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat ``name{labels} -> value`` map (histograms report sums)."""
-        out: Dict[str, float] = {}
-        for metric in self.collect():
-            key = metric.name + metric.label_string
-            if isinstance(metric, Histogram):
-                out[key] = metric.sum
-            else:
-                out[key] = metric.value
-        return out
+        """Flat ``name{labels} -> reading`` map (histograms report sums)."""
+        return {
+            metric.name + metric.label_string: metric.reading
+            for metric in self.collect()
+        }
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._metrics)
-
-    # ------------------------------------------------------------------
-    # absorption of the existing measurement sources
-    # ------------------------------------------------------------------
-    COST_COUNTERS = (
-        ("cpu_ops", "x3_cost_cpu_ops_total"),
-        ("page_reads", "x3_cost_page_reads_total"),
-        ("page_writes", "x3_cost_page_writes_total"),
-    )
-
-    def absorb_cost(self, cost: Any, **labels: Any) -> None:
-        """Fold a cost snapshot into the unified counters.
-
-        Accepts a :class:`~repro.core.cube.CostSnapshot`, a
-        :class:`~repro.cost.CostModel`, or the plain mapping
-        either produces.
-        """
-        if hasattr(cost, "snapshot"):  # a live CostModel
-            data: Mapping[str, float] = cost.snapshot()
-        elif hasattr(cost, "as_dict"):  # a CostSnapshot
-            data = cost.as_dict()
-        else:
-            data = cost
-        for field_name, metric_name in self.COST_COUNTERS:
-            value = float(data.get(field_name, 0.0))
-            if value:
-                self.counter(metric_name, **labels).inc(value)
-        simulated = float(data.get("simulated_seconds", 0.0))
-        if simulated:
-            self.counter(
-                "x3_cost_simulated_seconds_total", **labels
-            ).inc(simulated)
-
-    def absorb_engine(self, metrics: Any, **labels: Any) -> None:
-        """Fold one :class:`EngineMetrics` into engine-level series."""
-        self.counter("x3_engine_runs_total", engine=metrics.engine, **labels).inc()
-        self.counter(
-            "x3_engine_partitions_total", engine=metrics.engine, **labels
-        ).inc(len(metrics.partitions))
-        self.gauge(
-            "x3_engine_workers_used", engine=metrics.engine, **labels
-        ).set(metrics.workers_used)
-        self.gauge(
-            "x3_engine_cut_edges", engine=metrics.engine, **labels
-        ).set(metrics.cut_edges)
-        for stage, seconds in (
-            ("partition", metrics.partition_seconds),
-            ("merge", metrics.merge_seconds),
-            ("queue_wait", metrics.queue_wait_seconds),
-            ("total", metrics.total_wall_seconds),
-        ):
-            self.histogram(
-                "x3_engine_stage_seconds",
-                stage=stage,
-                engine=metrics.engine,
-                **labels,
-            ).observe(seconds)
-
-    def absorb_phases(
-        self, phases: Mapping[str, float], **labels: Any
-    ) -> None:
-        """Fold per-algorithm phase counters (``base.run`` flushes them)."""
-        for phase, value in phases.items():
-            if value:
-                self.counter(
-                    f"x3_algo_{phase}_total", **labels
-                ).inc(float(value))
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Add another registry's series into this one (trace merge)."""
-        for metric in other.collect():
-            labels = dict(metric.labels)
-            if isinstance(metric, Counter):
-                self.counter(metric.name, **labels).inc(metric.value)
-            elif isinstance(metric, Gauge):
-                self.gauge(metric.name, **labels).set(metric.value)
-            elif isinstance(metric, Histogram):
-                mine = self.histogram(
-                    metric.name, buckets=metric.bounds, **labels
-                )
-                mine.count += metric.count
-                mine.sum += metric.sum
-                for index, count in enumerate(metric.bucket_counts):
-                    if index < len(mine.bucket_counts):
-                        mine.bucket_counts[index] += count

@@ -14,8 +14,7 @@ reports where its time went through the same three things:
   handed out whenever nothing is recording.
 - one :class:`contextvars.ContextVar` holding the current span.  The
   span knows its *sink* — where finished records go: the
-  :class:`TraceSession` of an ``obs.trace()`` block (which also owns a
-  metrics registry) or a request-scoped
+  :class:`TraceSession` of an ``obs.trace()`` block or a request-scoped
   :class:`~repro.obs.trace_store.TraceStore`.
 
 Being context-local, the binding follows work wherever it is handed:
@@ -30,9 +29,10 @@ seeded replays dump byte-identical traces.
 
 Zero cost when nothing is bound is a hard requirement: :func:`span`
 then returns :data:`NULL_SPAN` after one context-variable read.  Hot
-loops (per-row, per-page) are never instrumented at all; the cost model
-already counts them and its totals are absorbed into the metrics
-registry after the run.
+loops (per-row, per-page) are never instrumented at all.  Spans carry
+time, never counts: a count lives on the object that produced it — a
+cube run's ``CubeResult.cost`` and ``.phases``, a backend's ``stats()``,
+a cache's ``stats`` — whether or not anything is tracing.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagate import TraceContext, derive_span_id
 
 
@@ -143,10 +142,6 @@ class TraceSpan:
 
 class SpanSink(Protocol):
     """Where a trace's finished spans go."""
-
-    @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        """The registry ``obs.count`` & co. write to, if the sink has one."""
 
     def record(self, span: TraceSpan, root: bool = False) -> None:
         """Take one finished span; ``root`` marks the trace's last."""
@@ -417,41 +412,13 @@ def span(
     return bound.child(name, category, cost, key, **attrs)
 
 
-def registry() -> Optional[MetricsRegistry]:
-    """The current trace's metrics registry, if it keeps one."""
-    sink = current()._sink
-    return sink.metrics if sink is not None else None
-
-
-def count(name: str, amount: float = 1.0, **labels: Any) -> None:
-    """Bump a counter on the current registry (no-op without one)."""
-    found = registry()
-    if found is not None:
-        found.counter(name, **labels).inc(amount)
-
-
-def gauge(name: str, value: float, **labels: Any) -> None:
-    """Set a gauge on the current registry (no-op without one)."""
-    found = registry()
-    if found is not None:
-        found.gauge(name, **labels).set(value)
-
-
-def observe(name: str, value: float, **labels: Any) -> None:
-    """Observe into a histogram on the current registry (no-op without)."""
-    found = registry()
-    if found is not None:
-        found.histogram(name, **labels).observe(value)
-
-
 # ----------------------------------------------------------------------
 # sessions: the obs.trace() sink
 # ----------------------------------------------------------------------
 class TraceSession:
-    """Collects a whole run's spans (thread-safe) and owns its metrics."""
+    """Collects a whole run's spans (thread-safe)."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: List[TraceSpan] = []
 
@@ -472,8 +439,8 @@ class TraceSession:
             return len(self._records)
 
     def trace(self) -> "Trace":
-        """Freeze the current spans + metrics into an exportable report."""
-        return Trace(records=tuple(self.records()), metrics=self.metrics)
+        """Freeze the current spans into an exportable report."""
+        return Trace(records=tuple(self.records()))
 
 
 def session() -> Optional[TraceSession]:
@@ -483,10 +450,7 @@ def session() -> Optional[TraceSession]:
 
 
 @contextmanager
-def trace(
-    metrics: Optional[MetricsRegistry] = None,
-    remote: Optional[TraceContext] = None,
-) -> Iterator[TraceSession]:
+def trace(remote: Optional[TraceContext] = None) -> Iterator[TraceSession]:
     """Record everything in the ``with`` body into a fresh session.
 
     Yields the :class:`TraceSession`; call ``.trace()`` on it afterwards
@@ -498,7 +462,7 @@ def trace(
     parent under that span, ready to be shipped back and
     :meth:`~OpenSpan.adopt`\\ ed.
     """
-    collector = TraceSession(metrics)
+    collector = TraceSession()
     anchor = OpenSpan(
         collector,
         remote if remote is not None else TraceContext(0, 0, True),
@@ -517,26 +481,20 @@ def trace(
 
 @dataclass(frozen=True)
 class Trace:
-    """A finished session: the span forest plus the unified metrics."""
+    """A finished session: the span forest."""
 
     records: Tuple[TraceSpan, ...]
-    metrics: MetricsRegistry
 
     # Exporters live in repro.obs.export; these are the ergonomic fronts.
     def to_chrome_json(self) -> str:
         from repro.obs.export import chrome_trace_json
 
-        return chrome_trace_json(self.records, self.metrics)
+        return chrome_trace_json(self.records)
 
     def to_collapsed(self) -> str:
         from repro.obs.export import collapsed_stacks
 
         return collapsed_stacks(self.records)
-
-    def to_prometheus(self) -> str:
-        from repro.obs.export import prometheus_text
-
-        return prometheus_text(self.metrics)
 
     def write_chrome(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -224,9 +224,6 @@ class TraceStore:
     # ------------------------------------------------------------------
     # recording (the SpanSink side)
     # ------------------------------------------------------------------
-    #: Request traces keep no metrics registry of their own.
-    metrics = None
-
     def record(self, span: TraceSpan, root: bool = False) -> None:
         with self._lock:
             spans = self._open.get(span.trace_id)

@@ -29,7 +29,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro import obs
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 from repro.errors import CubeError
@@ -234,7 +233,6 @@ class CuboidCache:
                     )
                 else:
                     self.stats.evictions += 1
-                    obs.count("x3_serve_cache_evictions_total")
                     self._audit(
                         "evicted", victim_point, victim.priority,
                         victim.size,
@@ -286,7 +284,6 @@ class CuboidCache:
                 self._used_cells -= victim.size
                 self._clock = max(self._clock, victim.priority)
                 self.stats.evictions += 1
-                obs.count("x3_serve_cache_evictions_total")
                 self._audit(
                     "evicted", victim_point, victim.priority, victim.size
                 )

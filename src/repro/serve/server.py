@@ -358,7 +358,6 @@ class CubeServer(CubeBackend):
         answer, facts = self.read(point, kind)
         wall = time.perf_counter() - started
         _, _, tier, _, cost = answer
-        obs.count("x3_serve_requests_total", tier=tier)
         trace_id = obs.current().trace_id_hex
         self.events.add(
             "serve.request", "serve", cost, wall, trace_id, **facts
@@ -467,10 +466,7 @@ class CubeServer(CubeBackend):
             # get() is what counts the hit or miss and refreshes a hit's
             # priority; the walk only peeks, and sees the same cache
             # because the lock is held across both.
-            if self.cache.get(point) is not None:
-                obs.count("x3_serve_cache_hits_total")
-            else:
-                obs.count("x3_serve_cache_misses_total")
+            self.cache.get(point)
             version, tier, rungs, source = self._walk_ladder(point)
             if tier in ("cache", "view"):
                 return (
@@ -498,7 +494,6 @@ class CubeServer(CubeBackend):
             lambda publish: self._recompute(snapshot, point, publish),
         )
         if shared:
-            obs.count("x3_serve_singleflight_shared_total")
             if leader_span:
                 with obs.span(
                     "serve.singleflight.join",
@@ -602,7 +597,6 @@ class CubeServer(CubeBackend):
             out = rollup_cuboid(
                 self.lattice, source_cuboid, source, point, self._fn
             )
-        obs.count("x3_serve_rollups_total")
         cost = (len(source_cuboid) + len(out)) * _CPU_OP_SECONDS
         return out, cost
 
@@ -831,7 +825,6 @@ class CubeServer(CubeBackend):
         self._counters.writes += 1
         self._sizes = None  # size census is stale now
         self._snapshot = None  # and so are the copy and its encoding
-        obs.count("x3_serve_writes_total")
         return self._version
 
     def _cached_points(self) -> List[LatticePoint]:
@@ -853,9 +846,6 @@ class CubeServer(CubeBackend):
             if point in self._views and point not in self._stale_views:
                 self._apply_delta(self._views[point], rows, point, op)
             self._counters.patched_points += 1
-        obs.count(
-            "x3_serve_patched_points_total", len(affected), op=op
-        )
 
     def _apply_delta(
         self,
@@ -893,7 +883,6 @@ class CubeServer(CubeBackend):
                 self._counters.evicted_points += 1
             if point in self._views:
                 self._stale_views.add(point)
-        obs.count("x3_serve_invalidated_points_total", len(affected))
 
     # ------------------------------------------------------------------
     # introspection

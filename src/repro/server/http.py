@@ -242,8 +242,9 @@ class X3Api:
             ``GET /api/v1/traces[/{id}]``.
 
     :attr:`registry` is the front door's own metrics registry;
-    ``/metrics`` concatenates its exposition with each distinct
-    backend's ``prometheus()``.
+    ``/metrics`` exports it together with each distinct backend's
+    telemetry registry, whose series are labelled ``cube="<name>"``
+    (one ``# HELP`` / ``# TYPE`` per family).
     """
 
     def __init__(
@@ -708,13 +709,15 @@ class X3Api:
             self.registry.gauge("x3_trace_retained_total").set(
                 float(stats["retained"])
             )
-        chunks = [prometheus_text(self.registry)] + [
-            backend.prometheus()
-            for _, backend in self._distinct_backends()
-        ]
+        labelled: List[Tuple[Dict[str, str], MetricsRegistry]] = []
+        for name, backend in self._distinct_backends():
+            telemetry = backend.telemetry
+            if telemetry is not None:
+                telemetry.refresh_gauges()
+                labelled.append(({"cube": name}, telemetry.registry))
         return ApiResponse(
             status=200,
-            body="".join(chunks),
+            body=prometheus_text(self.registry, labelled),
             content_type="text/plain; version=0.0.4",
         )
 

@@ -13,8 +13,11 @@ order-sensitive AVG measures, so a changed merge order shows as a
 changed float) it holds a digest of every cuboid — sound or not: the
 shapes without disjointness/coverage pin TDOPT's and BUCOPT's
 double-counting and TDOPTALL's under-counting too — the ``CostSnapshot``
-counters and modeled seconds, and the phase counters of a traced run
-(one list per family; the BUC entries also count sorts by kind).  Three
+counters and modeled seconds, and the run's phase counters
+(``CubeResult.phases``, one list per family; the BUC entries also count
+sorts by kind; a phase the run never reached is ``null``).  They were
+recorded from a traced run's metrics registry, which the phases have
+replaced: the numbers are the same.  Three
 modes: every lattice point, a strict ``points=`` subset (the
 engine-partition path: TDOPT/TDOPTALL/TDCUST still walk the whole
 lattice, TD must not) and a starved memory budget (external sorts +
@@ -131,10 +134,8 @@ def run_case(shape, variant, encoding, mode):
             points=points,
             memory_entries=16 if mode == "starved" else None,
             min_support=2 if mode == "iceberg" else 0.0,
-            trace=True,
         ),
     )
-    registry = result.trace.metrics
     record = {
         "points": len(result.cuboids),
         "cells": sum(len(cuboid) for cuboid in result.cuboids.values()),
@@ -150,15 +151,13 @@ def run_case(shape, variant, encoding, mode):
         phases = TD_PHASES
     else:
         phases = BUC_PHASES
-        for kind in SORT_KINDS:
-            record[f"sorts_{kind}"] = registry.value("x3_sorts_total", kind=kind)
-            record[f"sorted_items_{kind}"] = registry.value(
-                "x3_sorted_items_total", kind=kind
-            )
-    for phase in phases:
-        record[phase] = registry.value(
-            f"x3_algo_{phase}_total", algorithm=variant
+        phases += tuple(
+            f"{count}_{kind}"
+            for kind in SORT_KINDS
+            for count in ("sorts", "sorted_items")
         )
+    for phase in phases:
+        record[phase] = result.phases.get(phase)
     return record
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the x3-cube CLI."""
 
+import re
+
 import pytest
 
 from repro import cli
@@ -119,13 +121,43 @@ class TestExport:
 
 class TestProfile:
     def test_profile_prints_span_summary(self, inputs, capsys):
+        """The totals line reads the run's own counts: the cost snapshot
+        and the sorts among its phases."""
+        from repro import ExecutionOptions, compute_cube, parse_x3_query
+        from repro.core.extract import extract_fact_table
+
         query, data = inputs
-        assert main(["--query", query, data, "--profile"]) == 0
+        argv = ["--query", query, data, "--algorithm", "BUC", "--profile"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "profile (top spans by wall time):" in out
         assert "engine.run" in out
         assert "xml.parse" in out
-        assert "profile totals:" in out
+        (totals,) = re.findall(r"^profile totals: (.*)$", out, re.MULTILINE)
+        printed = {
+            label: float(value)
+            for label, value in (
+                item.rsplit(" ", 1) for item in totals.split(", ")
+            )
+        }
+        cube = compute_cube(
+            extract_fact_table(
+                [figure1_document()], parse_x3_query(QUERY1_TEXT)
+            ),
+            ExecutionOptions(algorithm="BUC"),
+        )
+        sorts = sum(
+            value
+            for phase, value in cube.phases.items()
+            if phase.startswith("sorts_")
+        )
+        assert sorts > 0
+        assert printed == {
+            "cpu ops": cube.cost.cpu_ops,
+            "page reads": cube.cost.page_reads,
+            "page writes": cube.cost.page_writes,
+            "sorts": sorts,
+        }
 
     def test_profile_trace_out_writes_chrome_json(
         self, inputs, tmp_path, capsys

@@ -209,12 +209,9 @@ def test_sweep_counters_pinned_on_e2e_shapes(shape):
     table = build_workload(
         WorkloadConfig(kind="treebank", seed=17, **config)
     ).fact_table()
-    result = compute_cube(
-        table, ExecutionOptions(algorithm="COLUMNAR", trace=True)
-    )
-    registry = result.trace.metrics
+    result = compute_cube(table, ExecutionOptions(algorithm="COLUMNAR"))
     counted = tuple(
-        registry.value(f"x3_algo_columnar_{name}_total", algorithm="COLUMNAR")
+        result.phases.get(f"columnar_{name}")
         for name in ("increments", "cells", "nodes")
     )
     assert counted + (result.cost.simulated_seconds,) == pinned

@@ -73,12 +73,12 @@ class TestChromeExport:
         assert event["args"]["sim_seconds"] == 0.125
 
     def test_full_document_is_valid_json(self):
-        registry = MetricsRegistry()
-        registry.counter("x3_ops_total").inc(5)
-        text = chrome_trace_json([_record(1)], registry)
+        """Spans only: counts live on what produced them, so the
+        document carries no ``otherData`` metrics block."""
+        text = chrome_trace_json([_record(1)])
         document = json.loads(text)
         assert document["displayTimeUnit"] == "ms"
-        assert document["otherData"]["metrics"] == {"x3_ops_total": 5.0}
+        assert "otherData" not in document
         assert any(e["ph"] == "X" for e in document["traceEvents"])
 
 
@@ -131,6 +131,23 @@ class TestPrometheus:
         registry.counter("x3_ops_total", a="2").inc()
         text = prometheus_text(registry)
         assert text.count("# TYPE x3_ops_total counter") == 1
+
+    def test_labelled_registries_share_one_header_per_family(self):
+        own = MetricsRegistry()
+        own.gauge("x3_trace_sampled_total").set(1)
+        first, second = MetricsRegistry(), MetricsRegistry()
+        for registry, amount in ((first, 2), (second, 5)):
+            registry.counter("x3_ops_total", tier="cache").inc(amount)
+            registry.histogram("x3_seconds", buckets=(1.0,)).observe(0.5)
+        text = prometheus_text(
+            own, [({"cube": "a"}, first), ({"cube": "b"}, second)]
+        )
+        for name in ("x3_ops_total", "x3_seconds", "x3_trace_sampled_total"):
+            assert text.count(f"# TYPE {name} ") == 1
+        assert 'x3_ops_total{cube="a",tier="cache"} 2' in text
+        assert 'x3_ops_total{cube="b",tier="cache"} 5' in text
+        assert 'x3_seconds_bucket{cube="b",le="+Inf"} 1' in text
+        assert "x3_trace_sampled_total 1" in text
 
     def test_empty_registry(self):
         assert prometheus_text(MetricsRegistry()) == ""

@@ -1,10 +1,9 @@
-"""Unit tests for the central metrics registry."""
+"""Unit tests for the live metrics registry."""
 
 import math
 
 import pytest
 
-from repro.cost import CostModel
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -81,51 +80,3 @@ class TestRegistryReads:
         registry.counter("a")
         names = [(m.kind, m.name) for m in registry.collect()]
         assert names == sorted(names)
-
-
-class TestAbsorption:
-    def test_absorb_cost_from_mapping(self):
-        registry = MetricsRegistry()
-        registry.absorb_cost(
-            {"cpu_ops": 10, "page_reads": 2},
-            algorithm="BUC",
-        )
-        assert registry.value("x3_cost_cpu_ops_total", algorithm="BUC") == 10
-        assert registry.value("x3_cost_page_reads_total", algorithm="BUC") == 2
-        # zero-valued sources create no series
-        assert registry.value("x3_cost_page_writes_total", algorithm="BUC") is None
-
-    def test_absorb_cost_from_live_model(self):
-        cost = CostModel()
-        cost.charge_cpu(7)
-        cost.charge_read(3)
-        registry = MetricsRegistry()
-        registry.absorb_cost(cost)
-        assert registry.total("x3_cost_cpu_ops_total") == 7
-        assert registry.total("x3_cost_page_reads_total") == 3
-        assert registry.total("x3_cost_simulated_seconds_total") == pytest.approx(
-            cost.simulated_seconds()
-        )
-
-    def test_absorb_phases(self):
-        registry = MetricsRegistry()
-        registry.absorb_phases(
-            {"base_scans": 4, "td_rollups": 0}, algorithm="TD"
-        )
-        assert registry.value("x3_algo_base_scans_total", algorithm="TD") == 4
-        # zero phases are skipped
-        assert registry.value("x3_algo_td_rollups_total", algorithm="TD") is None
-
-    def test_merge_combines_all_kinds(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("x3_ops_total").inc(1)
-        b.counter("x3_ops_total").inc(2)
-        b.gauge("x3_level").set(9)
-        b.histogram("x3_seconds").observe(0.3)
-        a.merge(b)
-        assert a.total("x3_ops_total") == 3
-        assert a.value("x3_level") == 9
-        merged = a.histogram("x3_seconds")
-        assert merged.count == 1
-        assert merged.sum == pytest.approx(0.3)

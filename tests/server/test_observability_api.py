@@ -318,3 +318,52 @@ class TestTraceMetrics:
         # the aggregate plus the /metrics GET itself were both traced
         assert "x3_trace_started_total 2" in text
         assert "x3_trace_sampled_total 2" in text
+
+
+class TestMetricsEndpoint:
+    def test_two_cubes_one_family_header_and_distinct_series(self):
+        """Each backend's telemetry registry names the same families; the
+        scrape must still have one ``# HELP``/``# TYPE`` per family and
+        no two samples with the same name and labels (a Prometheus
+        parser rejects both), every backend series labelled by cube."""
+        catalog = CubeCatalog()
+        for name in ("pubs", "books"):
+            table = make_table()
+            server = CubeServer(table, PropertyOracle.from_data(table))
+            catalog.register(
+                LogicalCube.from_lattice(
+                    name, server.lattice, measure="COUNT"
+                ),
+                server,
+            )
+        api = X3Api(catalog)
+        for name in ("pubs", "books"):
+            for _ in range(2):
+                response, _ = call(
+                    api,
+                    "POST",
+                    f"/api/v1/cubes/{name}/aggregate",
+                    {"group_by": {}},
+                )
+                assert response.status == 200
+        response, text = call(api, "GET", "/metrics")
+        assert response.status == 200
+        lines = text.splitlines()
+        types = [line.split()[2] for line in lines if line[:6] == "# TYPE"]
+        helps = [line.split()[2] for line in lines if line[:6] == "# HELP"]
+        assert "x3_serve_requests_total" in types
+        assert len(types) == len(set(types))
+        assert sorted(helps) == sorted(types)
+        samples = [line.split(" ")[0] for line in lines if line[0] != "#"]
+        assert len(samples) == len(set(samples))
+        for cube in ("pubs", "books"):
+            assert any(
+                sample.startswith("x3_serve_requests_total{")
+                and f'cube="{cube}"' in sample
+                for sample in samples
+            )
+        assert all(
+            'cube="' in sample
+            for sample in samples
+            if sample.startswith("x3_serve_")
+        )
