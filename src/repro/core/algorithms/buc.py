@@ -282,9 +282,10 @@ class _DictKernel:
         plus per-placement CPU.
         """
         context = self.context
+        value_sets = context.table.value_sets
         placements: List[Tuple[str, FactRow]] = []
         for row in part:
-            values = row.values_under(axis, state)
+            values = row.values_under(axis, state, value_sets)
             if not values:
                 continue
             if exclusive:

@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.columnar import ColumnarFactTable
 
 GroupKey = Tuple[Optional[str], ...]
+#: One table's distinct value tuples, each its own key.
+ValueSets = Dict[Tuple[str, ...], Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,13 @@ class AnnotatedValue:
         return bool(self.mask & (1 << state_index))
 
 
+#: One ``(axis, state)`` tuple per pair, shared by every row's memo.
+#: It holds one entry per pair any lattice has asked about (an axis has
+#: at most four structural states), and equal keys are interchangeable,
+#: so sharing it across tables changes no answer.
+_MEMO_KEYS: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+
 @dataclass(frozen=True)
 class FactRow:
     """One fact with annotated bindings for every axis."""
@@ -56,17 +65,26 @@ class FactRow:
     measure: float
     axes: Tuple[Tuple[AnnotatedValue, ...], ...]
 
-    def values_under(self, axis_position: int, state_index: int) -> List[str]:
-        """Distinct values the axis binds under the given structural state.
+    def values_under(
+        self,
+        axis_position: int,
+        state_index: int,
+        value_sets: Optional[ValueSets] = None,
+    ) -> Tuple[str, ...]:
+        """Distinct values the axis binds under the given structural
+        state, in first-seen order.
 
         Memoized per (axis, state): a cube sweep asks the same question
         for every lattice point that keeps the axis in the same state, so
         the distinct-scan runs once per row instead of once per (row,
-        point) pair.  The returned list is shared — callers must treat it
-        as read-only (every in-tree caller only iterates or indexes it).
+        point) pair.  The memo is most of a row's bytes, so it owns
+        nothing it could share: each key is the module's one tuple for
+        its ``(axis, state)``, no value is the ``()`` singleton, and a
+        value tuple equal to one in ``value_sets`` (the table's
+        :attr:`FactTable.value_sets`) is that one.
         """
         cache: Optional[
-            Dict[Tuple[int, int], List[str]]
+            Dict[Tuple[int, int], Tuple[str, ...]]
         ] = self.__dict__.get("_values_cache")
         if cache is None:
             cache = {}
@@ -75,13 +93,16 @@ class FactRow:
         cached = cache.get(key)
         if cached is not None:
             return cached
-        seen = set()
-        out: List[str] = []
-        for annotated in self.axes[axis_position]:
-            if annotated.matches(state_index) and annotated.value not in seen:
-                seen.add(annotated.value)
-                out.append(annotated.value)
-        cache[key] = out
+        out = tuple(
+            dict.fromkeys(
+                annotated.value
+                for annotated in self.axes[axis_position]
+                if annotated.matches(state_index)
+            )
+        )
+        if value_sets is not None:
+            out = value_sets.setdefault(out, out)
+        cache[_MEMO_KEYS.setdefault(key, key)] = out
         return out
 
     def __getstate__(self) -> Dict[str, object]:
@@ -105,6 +126,9 @@ class FactTable:
         self.lattice = lattice
         self.rows: List[FactRow] = list(rows)
         self.aggregate: "AggregateSpec" = aggregate or AggregateSpec()
+        #: The value tuples the rows' memos share: most rows bind one of
+        #: a few value sets, so the memos of a table hold one tuple each.
+        self.value_sets: ValueSets = {}
         self._columnar_cache: Optional[
             Tuple[Tuple[int, int], "ColumnarFactTable"]
         ] = None
@@ -142,6 +166,7 @@ class FactTable:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_columnar_cache"] = None
+        state["value_sets"] = {}
         return state
 
     def __iter__(self) -> Iterator[FactRow]:
@@ -160,12 +185,12 @@ class FactTable:
         (the paper's combinatorial incrementing, Sec. 3.3); a fact with
         *no* value on a kept axis contributes nothing (the coverage gap).
         """
-        per_axis: List[List[str]] = []
+        per_axis: List[Tuple[str, ...]] = []
         for position, states in enumerate(self.lattice.axis_states):
             state = point[position]
             if states.is_dropped(state):
                 continue
-            values = row.values_under(position, state)
+            values = row.values_under(position, state, self.value_sets)
             if not values:
                 return []
             per_axis.append(values)
@@ -182,7 +207,7 @@ class FactTable:
             state = point[position]
             if states.is_dropped(state):
                 continue
-            if not row.values_under(position, state):
+            if not row.values_under(position, state, self.value_sets):
                 return False
         return True
 
@@ -213,5 +238,7 @@ class FactTable:
         density estimation)."""
         values = set()
         for row in self.rows:
-            values.update(row.values_under(axis_position, state_index))
+            values.update(
+                row.values_under(axis_position, state_index, self.value_sets)
+            )
         return len(values)

@@ -64,7 +64,7 @@ def augmented_keys(
         if states.is_dropped(state):
             continue
         values: List[Optional[str]] = list(
-            row.values_under(position, state)
+            row.values_under(position, state, table.value_sets)
         )
         if not values:
             values = [None]

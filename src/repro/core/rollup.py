@@ -97,7 +97,9 @@ def rollup_cuboid(
 
     Each target cell folds its source cells from ``fn.new()`` with
     ``fn.merge``, which is exact only where a finalized cell is the
-    aggregate's partial state (:data:`STATE_EXACT_AGGREGATES`).  The
+    aggregate's partial state (:data:`STATE_EXACT_AGGREGATES`), then
+    finalizes (a merged COUNT is a fresh float; finalized, it is the
+    shared one of :data:`~repro.core.aggregates.COUNT_VALUES`).  The
     arithmetic core of :func:`rollup`, shared with the serving layer
     (:mod:`repro.serve`), which derives answers from *cached* cuboids
     rather than a full :class:`CubeResult`; callers are responsible for
@@ -115,6 +117,9 @@ def rollup_cuboid(
     for key, value in source_cuboid.items():
         new_key = tuple(key[index] for index in keep)
         out[new_key] = fn.merge(out.get(new_key, empty), value)
+    finalize = fn.finalize
+    for key, state in out.items():
+        out[key] = finalize(state)
     return out
 
 

@@ -869,7 +869,7 @@ class CubeServer(CubeBackend):
                     if remaining <= 0.0:
                         cuboid.pop(key, None)
                     else:
-                        cuboid[key] = remaining
+                        cuboid[key] = fn.finalize(remaining)
 
     def _evict_affected(self, rows: List[FactRow]) -> None:
         """Evict exactly the lattice points the delta touches."""

@@ -270,9 +270,9 @@ class TestSemanticsParity:
         for index, row in enumerate(table.rows):
             for position, states in enumerate(table.lattice.axis_states):
                 for state in range(len(states.states)):
-                    assert encoded.values_under(index, position, state) == (
-                        tuple(row.values_under(position, state))
-                    )
+                    assert encoded.values_under(
+                        index, position, state
+                    ) == row.values_under(position, state)
 
 
 class TestCaching:
