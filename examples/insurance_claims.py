@@ -11,7 +11,8 @@ surface on that domain:
 - iceberg cubes (only cells with enough claims);
 - summarizability-checked roll-ups (and the wrong answer you would get
   without the check);
-- materialized views under a space budget, served by a ``CubeServer``;
+- the advisor's cuboids under a space budget, warmed into a
+  ``CubeServer``'s cache;
 - the same server kept current as new claims arrive.
 
 Run:  python examples/insurance_claims.py
@@ -134,23 +135,23 @@ def main() -> None:
               f" e.g. {sample}")
 
     # ------------------------------------------------------------------
-    print("\n== materialized views under a 1500-cell budget ==")
+    print("\n== the advisor's cuboids under a 1500-cell budget ==")
     selection = select_views(count_table, oracle, space_budget=1500)
-    views = CubeServer(
+    advised = CubeServer(
         FactTable(lattice, count_table.rows, count_table.aggregate),
         oracle,
-        selection=selection,
-        cache_cells=0,
+        cache_cells=selection.space_used,
     )
+    warmed = advised.warm(selection.chosen)
     reference = compute_cube(count_table, ExecutionOptions(algorithm="NAIVE"))
     for point in lattice.points():
-        answer = views.query(Query(point=point)).as_cuboid()
+        answer = advised.query(Query(point=point)).as_cuboid()
         assert answer == reference.cuboids[point]
     print(f"   chose {len(selection.chosen)} cuboids "
-          f"({selection.space_used} cells); "
-          f"{selection.coverage_ratio():.0%} of the lattice servable "
-          "without touching base")
-    print(f"   every point verified: {views.stats().summary()}")
+          f"({selection.space_used} cells), {len(warmed)} warmed into "
+          f"the cache; {selection.coverage_ratio():.0%} of the lattice "
+          "servable without touching base")
+    print(f"   every point verified: {advised.stats().summary()}")
 
     # ------------------------------------------------------------------
     print("\n== keeping answers current as claims arrive ==")

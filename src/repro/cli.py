@@ -142,14 +142,7 @@ def _option_groups() -> Dict[str, argparse.ArgumentParser]:
         help="property oracle for sound roll-ups: 'data' measures the"
         " fact table, 'none' is pessimistic (no roll-up tier)",
     )
-    add = group("views", "backend")
-    add(
-        "--view-cells",
-        type=int,
-        default=0,
-        help="materialized-view space budget in cells (default 0: no"
-        " views)",
-    )
+    add = group("warm", "backend")
     add(
         "--warm",
         action="store_true",
@@ -330,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full cube as an XML document",
     )
 
-    serving = ("input", "cache", "views", "replay")
+    serving = ("input", "cache", "warm", "replay")
     command(
         "serve", run_serve,
-        "Serve X^3 cube queries (cache + views + sound roll-up + engine"
+        "Serve X^3 cube queries (cache + sound roll-up + engine"
         " recompute) over XML files: replay a skewed workload or print"
         " --cuboid.",
         *serving, "cuboid", "profile", "trace_out", "log_jsonl",
@@ -652,7 +645,7 @@ def build_backend(
     """The backend the parsed arguments describe: a
     :class:`ClusterCoordinator` of ``shards`` shards, or a single
     :class:`CubeServer` when ``shards`` is 0.  ``extra`` carries what
-    only one tool sets (views, telemetry, chaos)."""
+    only one tool sets (telemetry, chaos)."""
     settings: Dict[str, Any] = dict(
         oracle=(
             PropertyOracle.from_data(table) if args.oracle == "data" else None
@@ -671,13 +664,10 @@ def _cube_server(
     table: FactTable,
     telemetry: Optional[LiveTelemetry] = None,
 ) -> Tuple[CubeServer, List[LatticePoint]]:
-    """The one CubeServer of serve / explain / top (views, ``--warm``),
-    with the points the warm-up admitted."""
+    """The one CubeServer of serve / explain / top (``--warm``), with
+    the points the warm-up admitted."""
     backend = cast(
-        CubeServer,
-        build_backend(
-            args, table, view_cells=args.view_cells, telemetry=telemetry
-        ),
+        CubeServer, build_backend(args, table, telemetry=telemetry)
     )
     return backend, backend.warm() if args.warm else []
 

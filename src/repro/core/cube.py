@@ -67,11 +67,6 @@ class ExecutionOptions:
         engine: ``"auto"`` | ``"serial"`` | ``"thread"`` | ``"process"``.
             ``auto`` resolves to ``serial`` for one worker and ``thread``
             otherwise (see :mod:`repro.core.engine`).
-        trace: collect an observability trace (:mod:`repro.obs`) for
-            this run; the result's :attr:`CubeResult.trace` then holds
-            its spans (parse/cost/algorithm/engine layers).  Inside an
-            ``obs.trace()`` session the run joins that session
-            regardless of this flag.
         encoding: which physical fact representation the algorithm
             iterates — ``"auto"`` lets each algorithm pick its fastest
             path (the BUC/TD families run on the dictionary-encoded
@@ -90,7 +85,6 @@ class ExecutionOptions:
     min_support: float = 0.0
     workers: int = 1
     engine: str = "auto"
-    trace: bool = False
     encoding: str = "auto"
 
     def __post_init__(self) -> None:
@@ -247,12 +241,14 @@ class CubeResult:
             ``sorted_items_<kind>``), ... — summed over partitions when
             the parallel engine ran; filled on every run, traced or
             not.  A phase the run never reached is absent.
-        metrics: engine-level metrics (partitioning, queue wait, merge)
-            when the parallel engine ran; ``None`` for direct runs.
-        trace: the run's span forest when it was traced
-            (``ExecutionOptions(trace=True)`` or an active
-            ``obs.trace()``); ``None`` otherwise.  It carries time, not
-            counts: those are :attr:`cost` and :attr:`phases`.
+        metrics: engine-level metrics — partitioning, queue wait and
+            merge when the parallel engine ran, one partition under
+            ``engine="serial"`` otherwise.  Every :func:`compute_cube`
+            result has them; only a result an algorithm's ``run``
+            returns directly has ``None``.
+        trace: the run's span forest when it ran inside an
+            ``obs.trace()`` session; ``None`` otherwise.  It carries
+            time, not counts: those are :attr:`cost` and :attr:`phases`.
     """
 
     lattice: CubeLattice

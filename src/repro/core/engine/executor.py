@@ -20,9 +20,8 @@ registered algorithm — including AUTO's delegation — parallelizes without
 knowing about the engine.
 
 Observability (:mod:`repro.obs`): when a recording span is bound — an
-``obs.trace()`` session, a sampled request trace, or
-``ExecutionOptions(trace=True)`` opening a session of its own — the run
-produces one coherent span tree (``engine.run`` > ``engine.plan`` /
+``obs.trace()`` session or a sampled request trace — the run produces
+one coherent span tree (``engine.run`` > ``engine.plan`` /
 ``engine.partition`` / ``engine.merge``, with algorithm and sort spans
 nested under each partition).  Thread workers run in a copy of the
 dispatcher's context and report into the same trace directly; process
@@ -43,11 +42,13 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from contextvars import copy_context
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.core.aggregates import AggregateFunction, CountAggregate
 from repro.core.bindings import FactTable
 from repro.core.cube import CubeResult, ExecutionOptions
+from repro.core.groupby import Cuboid
 from repro.core.engine.merge import (
     PartitionOutcome,
     merge_costs,
@@ -205,17 +206,32 @@ def _make_pool(engine: str, max_workers: int) -> Executor:
     )
 
 
+def _share_counts(
+    cuboids: Dict[LatticePoint, Cuboid], fn: AggregateFunction
+) -> None:
+    """Give process workers' COUNT cells their shared float again.
+
+    A cell unpickles as a fresh ``float``, not the
+    :data:`~repro.core.aggregates.COUNT_VALUES` object its worker's
+    finalize chose; finalizing it once more in the parent restores
+    that (a COUNT finalize takes its own integral floats).
+    """
+    if not isinstance(fn, CountAggregate):
+        return
+    finalize = fn.finalize
+    for cuboid in cuboids.values():
+        for key, value in cuboid.items():
+            cuboid[key] = finalize(value)
+
+
 def execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
     """Run one cube computation under the given options.
 
-    With nothing recording (no bound span, no ``options.trace``) the
-    run allocates no spans and ``result.trace`` stays ``None``.  A bound
-    trace is joined; ``options.trace`` outside any session opens one for
-    this run.
+    With nothing recording (no bound span) the run allocates no spans
+    and ``result.trace`` stays ``None``.  Inside an ``obs.trace()``
+    session the run joins it, and ``result.trace`` is the session's
+    report.
     """
-    if options.trace and obs.session() is None:
-        with obs.trace():
-            return execute(table, options)
     result = _execute(table, options)
     session = obs.session()
     if session is not None:
@@ -311,6 +327,8 @@ def _execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
             "engine.merge", category="engine", partitions=len(outcomes)
         ):
             cuboids = merge_cuboids(outcomes)
+            if in_processes:
+                _share_counts(cuboids, table.aggregate.fn)
         merge_seconds = time.perf_counter() - merge_begin
         total_wall = time.perf_counter() - total_begin
         cost = merge_costs(outcomes, merge_seconds, total_wall, max_workers)

@@ -11,9 +11,10 @@ the property oracle proves it disjoint and covering — otherwise serving
 from it would need the fact items kept around, which Sec. 3.6 notes
 defeats the purpose).
 
-:class:`repro.serve.CubeServer` materializes the chosen views and
-answers every lattice point from them: directly at its view rung, by
-safe roll-up at its rollup rung, or by recomputation.
+:class:`repro.serve.CubeServer` serves the choice from its cache:
+``server.warm(selection.chosen)`` on a cache of at least
+``selection.space_used`` cells makes every chosen cuboid a cache hit,
+every point it soundly derives a roll-up, and the rest recomputes.
 """
 
 from __future__ import annotations
@@ -108,9 +109,12 @@ def select_views(
         chosen: Set[LatticePoint] = set()
         space_used = 0
 
-        if always_include_top and sizes[lattice.top] <= space_budget:
+        # An empty top cuboid still takes a cell, as in the serving
+        # cache, so a cache of ``space_used`` cells holds the choice.
+        top_space = max(1, sizes[lattice.top])
+        if always_include_top and top_space <= space_budget:
             chosen.add(lattice.top)
-            space_used += sizes[lattice.top]
+            space_used += top_space
 
         def total_cost() -> int:
             return sum(

@@ -35,9 +35,10 @@ Typical use::
         result = compute_cube(table, ExecutionOptions(workers=4))
     session.trace().write_chrome("run.trace.json")
 
-or, when only the cube run matters::
+or, when only the cube run matters, read the report off its result::
 
-    result = compute_cube(table, ExecutionOptions(trace=True))
+    with obs.trace():
+        result = compute_cube(table, ExecutionOptions())
     result.trace.to_chrome_json()
 
 Instrumentation points call the module-level :func:`span`, which

@@ -1,7 +1,7 @@
 """The two decision records a served request carries.
 
 - :class:`RungDecision` — one rung of the sound-source ladder (cache /
-  view / rollup / recompute) with whether it was taken and *why not*
+  rollup / recompute) with whether it was taken and *why not*
   when it was rejected, including the Sec. 2 disjoint/covered proof
   verdicts the rollup rung is gated by.  A
   :class:`~repro.core.query.QueryResult` carries the full trail.

@@ -314,7 +314,7 @@ class LiveTelemetry:
     def refresh_gauges(self) -> List[WindowSnapshot]:
         """Recompute every window and mirror it into gauge series.
 
-        Called before scraping (``prometheus()``) so the exported
+        Called before scraping (``GET /metrics``) so the exported
         gauges describe the windows *now*, not at the last request.
         Returns the snapshots so callers can reuse them for rendering.
         """

@@ -2,18 +2,21 @@
 
 Turns the one-shot materialization story of paper Sec. 3.6 into a
 runtime: :class:`CubeServer` answers cuboid/cell/slice/dice queries
-from the cheapest *sound* source (cache, materialized view, guarded
-roll-up, engine recompute), backed by the cost-aware
-:class:`CuboidCache` and single-flight miss deduplication, and stays
-exact under concurrent inserts and deletes.
+from the cheapest *sound* source (cache, guarded roll-up, engine
+recompute), backed by the cost-aware :class:`CuboidCache` and
+single-flight miss deduplication, and stays exact under concurrent
+inserts and deletes.  The Sec. 3.6 advisor's choice of cuboids is
+served by warming that cache with it.
 
 Typical use::
 
+    from repro.core.materialize import select_views
     from repro.core.query import Query
     from repro.serve import CubeServer
 
-    server = CubeServer(table, oracle, cache_cells=4096, view_cells=512)
-    server.warm()
+    selection = select_views(table, oracle, space_budget=512)
+    server = CubeServer(table, oracle, cache_cells=4096)
+    server.warm(selection.chosen)     # the advisor's cuboids, cached
     query = Query(point="$n:rigid, $p:LND, $y:rigid")
     print(server.explain_query(query).render())   # the ladder, unexecuted
     cuboid = server.query(query).as_cuboid()

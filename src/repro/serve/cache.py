@@ -14,10 +14,10 @@ uniform costs and sizes the policy degrades to exact LRU.
 
 Sizes are measured in cuboid cells — the same unit
 :func:`repro.core.materialize.cuboid_sizes` reports and the view
-advisor budgets with, so cache budgets and materialization budgets are
-directly comparable.  Costs are modeled simulated seconds from the
-deterministic cost model, so admission decisions are reproducible
-across hosts.
+advisor budgets with, so a cache of ``selection.space_used`` cells
+holds the advisor's whole choice.  Costs are modeled simulated seconds
+from the deterministic cost model, so admission decisions are
+reproducible across hosts.
 
 The cache is thread-safe; all statistics are kept under the same lock
 that guards the entries.

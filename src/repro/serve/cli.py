@@ -81,8 +81,7 @@ def report(
     stats = server.stats()
     print(
         f"{len(table)} facts, {table.lattice.size()} cuboids, "
-        f"cache {stats.cache_used_cells}/{stats.cache_budget_cells}"
-        f" cells, {stats.view_points} views"
+        f"cache {stats.cache_used_cells}/{stats.cache_budget_cells} cells"
     )
     print(f"serve: {stats.summary()}")
     print(

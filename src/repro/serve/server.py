@@ -1,23 +1,25 @@
 """A thread-safe, cache-backed query server over one fact table.
 
 :class:`CubeServer` is the one object that answers a lattice point
-over time (paper Sec. 3.6): it materializes the advisor's view
-selection, keeps answering ``cuboid``/``cell``/``slice``/``dice``
-queries, caches what traffic proves hot and stays correct under
-concurrent inserts and deletes.
+over time (paper Sec. 3.6): it keeps answering
+``cuboid``/``cell``/``slice``/``dice`` queries, caches what
+:meth:`~CubeServer.warm` and traffic prove worth keeping and stays
+correct under concurrent inserts and deletes.  The cache is the one
+store of precomputed cuboids: the Sec. 3.6 advisor's choice
+(:func:`repro.core.materialize.select_views`) is served by warming it,
+``server.warm(selection.chosen)`` on a cache of at least
+``selection.space_used`` cells.
 
 Every request resolves through the **sound-source ladder**, cheapest
 first, each rung guarded by the summarizability rules of Sec. 2/3:
 
 1. **cache** — the cuboid is resident in the cost-aware
    :class:`~repro.serve.cache.CuboidCache`;
-2. **view** — the cuboid is one of the materialized views chosen by
-   :func:`repro.core.materialize.select_views`;
-3. **rollup** — some cached/materialized *finer* cuboid soundly derives
+2. **rollup** — some cached *finer* cuboid soundly derives
    it: the move is drop-only and the
    :class:`~repro.core.properties.PropertyOracle` proves the source
    disjoint (no double counting) and covering (no lost facts);
-4. **recompute** — the engine computes the cuboid serially from a row
+3. **recompute** — the engine computes the cuboid serially from a row
    snapshot (identical concurrent misses are deduplicated single-flight
    so a stampede computes once).
 
@@ -48,7 +50,6 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -62,7 +63,7 @@ from repro.core.incremental import (
     retract_rows,
 )
 from repro.core.lattice import LatticePoint
-from repro.core.materialize import ViewSelection, cuboid_sizes, select_views
+from repro.core.materialize import cuboid_sizes
 from repro.core.merge import STATE_EXACT_AGGREGATES
 from repro.core.properties import PropertyOracle
 from repro.core.query import Answer, CubeBackend, Plan, PointSpec
@@ -75,13 +76,13 @@ from repro.serve.cache import CuboidCache
 from repro.serve.singleflight import SingleFlight
 
 #: Tier names, in ladder order.
-TIERS = ("cache", "view", "rollup", "recompute")
+TIERS = ("cache", "rollup", "recompute")
 
 #: Records the request log (:attr:`CubeServer.events`) keeps.
 LOG_CAPACITY = 4096
 
 #: The trail entries of the rungs a walk never reached, by the rung it
-#: stopped at: every trail lists all four rungs, in ladder order.
+#: stopped at: every trail lists all three rungs, in ladder order.
 _NOT_REACHED: Dict[str, Tuple[RungDecision, ...]] = {
     rung: tuple(
         RungDecision(later, False, f"not reached (resolved at {rung})")
@@ -111,8 +112,6 @@ class ServeStats:
     cache: Dict[str, int]
     cache_used_cells: int
     cache_budget_cells: int
-    view_points: int
-    stale_views: int
     singleflight_led: int
     singleflight_shared: int
     writes: int
@@ -156,10 +155,9 @@ class _Ladder(NamedTuple):
 
     version: int  #: table version the decision is valid at
     tier: str  #: the rung that answers
-    rungs: Tuple[RungDecision, ...]  #: all four verdicts, ladder order
-    #: the cache hit, the fresh view, or the (source point, private
-    #: copy) pair of the rollup rung; ``None`` for recompute, which
-    #: reads base data
+    rungs: Tuple[RungDecision, ...]  #: all three verdicts, ladder order
+    #: the cache hit, or the (source point, private copy) pair of the
+    #: rollup rung; ``None`` for recompute, which reads base data
     source: Any
 
 
@@ -182,13 +180,9 @@ class CubeServer(CubeBackend):
     Args:
         table: the fact table to serve; writes mutate it.
         oracle: property oracle proving disjointness/coverage for the
-            rollup tier and the view advisor; ``None`` is the pessimistic
-            oracle, which disables rollups (never unsound, never fast).
+            rollup tier; ``None`` is the pessimistic oracle, which
+            disables rollups (never unsound, never fast).
         cache_cells: budget of the cuboid cache, in cells.
-        view_cells: when > 0 (and no explicit ``selection``), run the
-            Sec. 3.6 advisor with this space budget and materialize its
-            chosen views at startup.
-        selection: an explicit advisor outcome to materialize.
         telemetry: sliding-window telemetry sink; a default
             :class:`~repro.obs.live.LiveTelemetry` is created when
             omitted.
@@ -224,8 +218,6 @@ class CubeServer(CubeBackend):
         oracle: Optional[PropertyOracle] = None,
         *,
         cache_cells: int = 4096,
-        view_cells: int = 0,
-        selection: Optional[ViewSelection] = None,
         telemetry: Optional[LiveTelemetry] = None,
         trace_store: Optional[TraceStore] = None,
     ) -> None:
@@ -250,15 +242,6 @@ class CubeServer(CubeBackend):
         self._measured_cost: Dict[LatticePoint, float] = {}
         self._sizes: Optional[Dict[LatticePoint, int]] = None
         self._snapshot: Optional[FactTable] = None
-        self._views: Dict[LatticePoint, Cuboid] = {}
-        self._stale_views: Set[LatticePoint] = set()
-        self.selection = selection
-        if selection is None and view_cells > 0:
-            self.selection = select_views(
-                self._snapshot_table()[1], self.oracle, view_cells
-            )
-        if self.selection is not None and self.selection.chosen:
-            self._materialize_views(self.selection.chosen)
 
     # ------------------------------------------------------------------
     # versions and snapshots
@@ -299,8 +282,8 @@ class CubeServer(CubeBackend):
         kernel.
 
         A one-point job (the recompute rung) runs NAIVE.  A job that
-        asks for several points at once (warm-up, view
-        materialisation) runs the COLUMNAR sweep, which shares the trie
+        asks for several points at once (warm-up) runs the COLUMNAR
+        sweep, which shares the trie
         prefixes across all of them over the version's one encoding
         (:meth:`_snapshot_table`).  The one-point rung does not switch
         on that encoding being there: right after a write it is not,
@@ -434,12 +417,6 @@ class CubeServer(CubeBackend):
         if hit is not None:
             return take("cache", f"resident in cache ({len(hit)} cells)", hit)
         reject("cache", "not resident")
-        view = self._fresh_view(point)
-        if view is not None:
-            return take(
-                "view", f"materialized view ({len(view)} cells)", view
-            )
-        reject("view", self._view_reason(point))
         source, reason = self._rollup_source(point)
         if source is not None:
             return take("rollup", reason, source)
@@ -449,13 +426,6 @@ class CubeServer(CubeBackend):
             f"engine recompute over a {len(self.table.rows)}-row snapshot "
             "(the base operator; always sound)",
         )
-
-    def _view_reason(self, point: LatticePoint) -> str:
-        if point in self._stale_views:
-            return "materialized view is stale (invalidated by a write)"
-        if not self._views:
-            return "no materialized views configured"
-        return "not among the advisor-chosen views"
 
     def _resolve(
         self, point: LatticePoint
@@ -468,7 +438,7 @@ class CubeServer(CubeBackend):
             # because the lock is held across both.
             self.cache.get(point)
             version, tier, rungs, source = self._walk_ladder(point)
-            if tier in ("cache", "view"):
+            if tier == "cache":
                 return (
                     dict(source), version, tier, rungs,
                     self._touch_cost(source),
@@ -511,20 +481,12 @@ class CubeServer(CubeBackend):
             with self._lock:
                 if self._version == version:
                     self.cache.put(point, dict(cuboid), cost)
-                    if point in self._stale_views:
-                        self._views[point] = dict(cuboid)
-                        self._stale_views.discard(point)
         return dict(cuboid), version, tier, rungs, cost
-
-    def _fresh_view(self, point: LatticePoint) -> Optional[Cuboid]:
-        if point in self._stale_views:
-            return None
-        return self._views.get(point)
 
     def _rollup_source(
         self, point: LatticePoint
     ) -> Tuple[Optional[Tuple[LatticePoint, Cuboid]], str]:
-        """Pick the smallest sound cached/view source for ``point``.
+        """Pick the smallest sound cached source for ``point``.
 
         Returns ``((source, private copy), reason)`` on success or
         ``(None, reason)`` where the reason carries the per-candidate
@@ -538,18 +500,10 @@ class CubeServer(CubeBackend):
                 "are not its partial states and cannot be re-aggregated"
             )
         best: Optional[Tuple[int, Cuboid, LatticePoint, str]] = None
-        candidates: List[Tuple[LatticePoint, Cuboid]] = [
-            (source, cuboid)
-            for source, cuboid in self._views.items()
-            if source not in self._stale_views
-        ]
+        rejected: List[str] = []
         for source in self.cache.points():
             cuboid = self.cache.peek(source)
-            if cuboid is not None:
-                candidates.append((source, cuboid))
-        rejected: List[str] = []
-        for source, cuboid in candidates:
-            if source == point:
+            if cuboid is None or source == point:
                 continue
             ok, why = derivable(self.lattice, source, point, self.oracle)
             if not ok:
@@ -563,9 +517,7 @@ class CubeServer(CubeBackend):
                 best = (len(cuboid), cuboid, source, why)
         if best is None:
             if not rejected:
-                return None, (
-                    "no resident cuboid (cache or view) to derive from"
-                )
+                return None, "no resident cuboid to derive from"
             shown = "; ".join(rejected[:3])
             more = len(rejected) - 3
             if more > 0:
@@ -641,25 +593,8 @@ class CubeServer(CubeBackend):
         return len(self.table.rows) * (kept + 1) * _CPU_OP_SECONDS
 
     # ------------------------------------------------------------------
-    # views and warmup
+    # warmup
     # ------------------------------------------------------------------
-    def _materialize_views(
-        self, points: Sequence[LatticePoint]
-    ) -> None:
-        with obs.span(
-            "serve.materialize_views",
-            category="serve",
-            views=len(points),
-        ):
-            result = compute_cube(
-                self._snapshot_table()[1], self._engine_options(points)
-            )
-        share = result.cost.simulated_seconds / max(1, len(points))
-        # The result is this call's own: the views take its fresh cuboids.
-        for view_point in points:
-            self._views[view_point] = result.cuboids[view_point]
-            self._measured_cost.setdefault(view_point, share)
-
     def sizes(self) -> Dict[LatticePoint, int]:
         """Exact per-point cell counts (cached; recomputed after writes
         only when asked again).
@@ -705,13 +640,8 @@ class CubeServer(CubeBackend):
         )
         sizes = self.sizes()
         with self._lock:
-            # Rank against one consistent snapshot of view/cost state;
+            # Rank against one consistent snapshot of the cost state;
             # the version check before admission below bounds staleness.
-            fresh_views = frozenset(
-                view
-                for view in self._views
-                if view not in self._stale_views
-            )
             cold_costs = {p: self._cold_cost(p) for p in candidates}
         ranked = sorted(
             candidates,
@@ -726,8 +656,6 @@ class CubeServer(CubeBackend):
             size = max(1, sizes[candidate])
             if space + size > budget:
                 continue
-            if candidate in fresh_views:
-                continue  # already served above the cache tier
             chosen.append(candidate)
             space += size
         if not chosen:
@@ -827,24 +755,15 @@ class CubeServer(CubeBackend):
         self._snapshot = None  # and so are the copy and its encoding
         return self._version
 
-    def _cached_points(self) -> List[LatticePoint]:
-        return self.cache.points() + [
-            point
-            for point in self._views
-            if point not in self._stale_views
-        ]
-
     def _patch_cached(self, rows: List[FactRow], op: str) -> None:
         """Fold/unfold a delta batch into every resident cuboid."""
-        affected = affected_points(self.table, rows, self._cached_points())
+        affected = affected_points(self.table, rows, self.cache.points())
         for point in affected:
             self.cache.mutate(
                 point, lambda cuboid, p=point: self._apply_delta(
                     cuboid, rows, p, op
                 )
             )
-            if point in self._views and point not in self._stale_views:
-                self._apply_delta(self._views[point], rows, point, op)
             self._counters.patched_points += 1
 
     def _apply_delta(
@@ -873,28 +792,14 @@ class CubeServer(CubeBackend):
 
     def _evict_affected(self, rows: List[FactRow]) -> None:
         """Evict exactly the lattice points the delta touches."""
-        affected = affected_points(
-            self.table,
-            rows,
-            self.cache.points() + list(self._views),
-        )
+        affected = affected_points(self.table, rows, self.cache.points())
         for point in affected:
             if self.cache.invalidate(point):
                 self._counters.evicted_points += 1
-            if point in self._views:
-                self._stale_views.add(point)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def prometheus(self) -> str:
-        """Prometheus exposition text of the live serving telemetry,
-        with the sliding-window gauges refreshed at call time."""
-        from repro.obs.export import prometheus_text
-
-        self.telemetry.refresh_gauges()
-        return prometheus_text(self.telemetry.registry)
-
     def stats(self) -> ServeStats:
         with self._lock:
             return ServeStats(
@@ -905,8 +810,6 @@ class CubeServer(CubeBackend):
                 cache=self.cache.stats.as_dict(),
                 cache_used_cells=self.cache.used_cells,
                 cache_budget_cells=self.cache.budget_cells,
-                view_points=len(self._views),
-                stale_views=len(self._stale_views),
                 singleflight_led=self._flight.led_total,
                 singleflight_shared=self._flight.shared_total,
                 writes=self._counters.writes,

@@ -9,8 +9,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.extract import extract_fact_table
+from repro.core.materialize import select_views
 from repro.core.query import Query
 from repro.datagen.publications import figure1_document, query1
+from repro.serve import CubeServer
 from repro.testing import messy_workload as _messy_workload
 from repro.testing import small_workload
 from repro.xmlmodel.nodes import Element
@@ -19,6 +21,41 @@ from repro.xmlmodel.nodes import Element
 def cuboid_of(backend, point):
     """The cuboid at ``point`` through the backend's one read path."""
     return backend.query(Query(point=point)).as_cuboid()
+
+
+def advised_server(table, oracle, space_budget, **settings):
+    """A :class:`CubeServer` serving the Sec. 3.6 advisor's choice under
+    ``space_budget`` cells: every chosen cuboid warmed into a cache of
+    ``settings["cache_cells"]`` cells (default: the selection's own
+    space).  Returns the server and the selection."""
+    selection = select_views(table, oracle, space_budget=space_budget)
+    settings.setdefault("cache_cells", selection.space_used)
+    server = CubeServer(table, oracle, **settings)
+    assert sorted(server.warm(selection.chosen)) == sorted(selection.chosen)
+    return server, selection
+
+
+def planned_tiers(server):
+    """``{point: rung}`` the ladder would answer each lattice point at
+    now (explain only: nothing is read, cached or counted)."""
+    return {
+        point: server.explain_query(Query(point=point)).tier
+        for point in server.lattice.points()
+    }
+
+
+def advised_tiers(selection):
+    """``{point: rung}`` a server warmed with ``selection`` plans before
+    any read: a chosen point is a cache hit, a point a chosen cuboid
+    soundly derives rolls up, any other recomputes."""
+    return {
+        point: (
+            "cache" if point in selection.chosen
+            else "recompute" if source is None
+            else "rollup"
+        )
+        for point, source in selection.serving.items()
+    }
 
 
 @pytest.fixture()

@@ -1,5 +1,7 @@
 """Unit tests for the cuboid materialization advisor (Sec. 3.6)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.bindings import FactTable
@@ -10,7 +12,12 @@ from repro.core.properties import PropertyOracle
 from repro.core.query import Query
 from repro.datagen.workload import WorkloadConfig, build_workload
 from repro.serve import CubeServer
-from tests.conftest import small_workload
+from tests.conftest import (
+    advised_server,
+    advised_tiers,
+    planned_tiers,
+    small_workload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +162,18 @@ class TestSelection:
             if source is not None:
                 assert source == point
 
+    def test_an_empty_top_cuboid_takes_one_cell(self, clean):
+        """The advisor charges a cuboid what the serving cache does, so
+        a cache of ``space_used`` cells holds the whole choice even
+        when the top cuboid has no cells."""
+        table, oracle = clean
+        empty = FactTable(table.lattice, [], table.aggregate)
+        selection = select_views(empty, oracle, space_budget=5)
+        assert selection.chosen == (table.lattice.top,)
+        assert selection.space_used == 1
+        server = CubeServer(empty, oracle, cache_cells=selection.space_used)
+        assert server.warm(selection.chosen) == [table.lattice.top]
+
     def test_clean_data_serves_most_points(self, clean):
         table, oracle = clean
         sizes = cuboid_sizes(table, table.lattice)
@@ -165,55 +184,56 @@ class TestSelection:
 
 
 def serve_selection(table, oracle, budget=2000):
-    """A server answering from the advisor's views alone (no cache),
-    after one read of every lattice point, each checked against NAIVE.
-    Returns the server and the selection."""
-    selection = select_views(table, oracle, space_budget=budget)
-    server = CubeServer(table, oracle, selection=selection, cache_cells=0)
+    """A server whose cache is warmed with the advisor's choice, its
+    ladder plan checked against the selection's serving map, then one
+    read of every lattice point, each checked against NAIVE.  Returns
+    the server, the selection and the plan's rung counts."""
+    server, selection = advised_server(table, oracle, budget)
+    plan = planned_tiers(server)
+    assert plan == advised_tiers(selection)
     reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     for point in table.lattice.points():
         answer = server.query(Query(point=point)).as_cuboid()
         assert answer == reference.cuboids[point], (
             table.lattice.describe(point)
         )
-    return server, selection
+    return server, selection, Counter(plan.values())
 
 
 class TestServedSelection:
-    """The advisor's views served through ``CubeServer``'s ladder: a
-    chosen point at the view rung, a point a chosen view soundly derives
-    at the rollup rung, any other by recompute."""
+    """The advisor's choice served through ``CubeServer``'s ladder once
+    warmed into its cache: a chosen point at the cache rung, a point a
+    chosen cuboid soundly derives at the rollup rung, any other by
+    recompute."""
 
     def test_answers_match_full_cube(self, clean):
         table, oracle = clean
         # Room for the top cuboid and little else, so most points roll up.
         budget = cuboid_sizes(table, table.lattice)[table.lattice.top] + 10
-        server, selection = serve_selection(table, oracle, budget)
-        tiers = server.stats().tiers
+        server, selection, planned = serve_selection(table, oracle, budget)
         derived = sum(
             1
             for point, source in selection.serving.items()
             if source is not None and point not in selection.chosen
         )
-        assert tiers["view"] == len(selection.chosen)
-        assert tiers["rollup"] == derived > 0
-        assert tiers["cache"] == 0
-        assert sum(tiers.values()) == table.lattice.size()
+        assert planned["cache"] == len(selection.chosen)
+        assert planned["rollup"] == derived > 0
+        assert sum(server.stats().tiers.values()) == table.lattice.size()
 
     def test_messy_answers_still_correct(self, messy):
         table, oracle = messy
-        server, selection = serve_selection(table, oracle)
+        server, selection, planned = serve_selection(table, oracle)
         tiers = server.stats().tiers
-        # Everything not materialized had to be recomputed from base.
-        assert tiers["rollup"] == 0
-        assert tiers["view"] == len(selection.chosen)
-        assert tiers["recompute"] == (
+        # Everything not chosen had to be recomputed from base.
+        assert tiers["rollup"] == planned["rollup"] == 0
+        assert planned["cache"] == len(selection.chosen)
+        assert planned["recompute"] == (
             table.lattice.size() - len(selection.chosen)
         )
 
     def test_cell_accessor(self, clean):
         table, oracle = clean
-        server, _ = serve_selection(table, oracle)
+        server, _, _ = serve_selection(table, oracle)
         reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         point = table.lattice.bottom
         cell = server.query(Query(point=point, kind="cell", key=())).as_cell()

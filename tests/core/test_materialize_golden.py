@@ -4,8 +4,8 @@ The greedy benefit-per-space heuristic of :func:`select_views` is
 deterministic on a fixed workload; these goldens pin the exact chosen
 view sets on two controlled workloads so refactors of the advisor (or
 of the cost/size estimation feeding it) can't silently change plans.
-The companion invariant checks every answered lattice point against a
-direct ``compute_cube``.
+The companion invariant warms a server's cache with the selection and
+checks every answered lattice point against a direct ``compute_cube``.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.core.properties import PropertyOracle
 from repro.core.query import Query
 from repro.serve import CubeServer
 from repro.testing import messy_workload, small_workload
+from tests.conftest import advised_tiers, planned_tiers
 
 # Committed expected selections — regenerate only deliberately, with:
 #   PYTHONPATH=src python -c "from tests.core.test_materialize_golden \
@@ -97,12 +98,15 @@ class TestAnsweringInvariant:
     def test_every_point_matches_direct_compute(self, which):
         table, oracle, _, selection = _selection(which)
         server = CubeServer(
-            table, oracle, selection=selection, cache_cells=0
+            table, oracle, cache_cells=selection.space_used
         )
+        assert sorted(server.warm(selection.chosen)) == list(
+            selection.chosen
+        )
+        assert planned_tiers(server) == advised_tiers(selection)
         reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
         for point in table.lattice.points():
             answer = server.query(Query(point=point)).as_cuboid()
             assert answer == reference.cuboids[point], (
                 table.lattice.describe(point)
             )
-        assert server.stats().tiers["view"] == len(selection.chosen)

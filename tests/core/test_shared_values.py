@@ -3,9 +3,10 @@
 A COUNT cell's value is the one float of
 :data:`repro.core.aggregates.COUNT_VALUES` for its count, on every path
 that writes a finalized COUNT cell: each algorithm's finalize, the
-roll-up, the cluster's merge, and both write patches of the serving
-ladder.  A NAIVE row memo shares its ``(axis, state)`` keys with every
-other row, and its value tuples with every row of its table.  The
+roll-up, the process engine's merge, the cluster's merge, and both
+write patches of the serving ladder.  A NAIVE row memo shares its
+``(axis, state)`` keys with every other row, and its value tuples with
+every row of its table.  The
 memory guard at the end measures what that saves, relative to the same
 objects unshared, so it holds on every interpreter tracemalloc sizes
 differently.
@@ -105,6 +106,20 @@ class TestEveryCountPathShares:
                 oracle=PropertyOracle.from_data(table),
             ),
         )
+        for point, cuboid in cube.cuboids.items():
+            if cuboid:
+                assert_shared(cuboid, counted(table, table.rows, point))
+
+    @pytest.mark.parametrize("engine", ["thread", "process"])
+    def test_parallel_engines(self, engine):
+        """A process worker's cells reach the parent unpickled, each a
+        fresh float; the parent shares them again after the merge."""
+        table = seeded_table(80, messy=False)
+        cube = compute_cube(
+            table,
+            ExecutionOptions(algorithm="BUC", workers=2, engine=engine),
+        )
+        assert cube.metrics.engine == engine
         for point, cuboid in cube.cuboids.items():
             if cuboid:
                 assert_shared(cuboid, counted(table, table.rows, point))

@@ -1,5 +1,6 @@
 """The one ``x3`` parser tree: every option the eight old tools took
-still parses except the engine flags the serving tools dropped, every
+still parses except the engine flags the serving tools dropped and
+``--view-cells``, whose serving rung was deleted, every
 flag is one declaration, the old console-script names dispatch through
 ``argv[0]``, and the bugs the copies had drifted into are errors on
 every subcommand."""
@@ -63,6 +64,10 @@ GAINED = {
 ENGINE_FLAGS = ("--algorithm", "--workers", "--engine")
 SERVING = sorted(set(OLD_OPTIONS) - {"cube", "bench"})
 
+#: Deleted with what it configured: the serving ladder's view rung.  The
+#: Sec. 3.6 advisor's choice warms the cache instead (a library call).
+DELETED = {"--view-cells"}
+
 TRACE_OPTIONS = {
     "list": {"file", "--status", "--name", "--retained", "--jsonl"},
     "show": {"file", "trace_id", "--chrome-out"},
@@ -107,7 +112,7 @@ class TestEveryOldOptionStillParses:
     @pytest.mark.parametrize("name", sorted(OLD_OPTIONS))
     def test_same_flags_plus_the_honoured_gains(self, tree, name):
         old = set(OLD_OPTIONS[name].split())
-        dropped = set(ENGINE_FLAGS) if name in SERVING else set()
+        dropped = DELETED | (set(ENGINE_FLAGS) if name in SERVING else set())
         assert set(declared(tree[name])) == (old | GAINED[name]) - dropped
 
     def test_trace_subcommands(self, tree):
@@ -160,9 +165,9 @@ class TestDeclaredOnce:
                 assert seen.setdefault(option, action) is action, (
                     f"{option} is declared again for {name}"
                 )
-        # 61 distinct flags, exactly 61 declarations (-c/--execute is
+        # 60 distinct flags, exactly 60 declarations (-c/--execute is
         # one action with two spellings).
-        assert len({id(action) for action in seen.values()}) == 61
+        assert len({id(action) for action in seen.values()}) == 60
 
     def test_trace_is_apart(self, tree):
         # ``x3 trace`` reads a dump instead of loading data, and its

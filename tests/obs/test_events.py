@@ -16,7 +16,7 @@ from repro.serve import TIERS
 
 RUNGS = (
     RungDecision("cache", True, "resident in cache (4 cells)"),
-    RungDecision("view", False, "not reached (resolved at cache)"),
+    RungDecision("rollup", False, "not reached (resolved at cache)"),
 )
 
 
@@ -88,7 +88,7 @@ class TestEventShapes:
         assert list(decision.to_dict()) == ["rung", "taken", "reason"]
 
     def test_rung_to_dict_makes_no_deep_copy(self, monkeypatch):
-        """Every served envelope carries four rungs: ``to_dict`` builds
+        """Every served envelope carries three rungs: ``to_dict`` builds
         the literal dict and never calls ``dataclasses.asdict``."""
 
         def refuse(*_):

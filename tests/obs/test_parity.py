@@ -10,17 +10,23 @@ back: parenting, unique ids, and ids equal to a thread pool's.
 """
 
 import warnings
+from contextlib import nullcontext
 
 import pytest
 
+from repro import obs
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.engine.partition import partition_points
 from repro.testing import small_workload
 
 
-def _run(algorithm, **options):
+def _run(algorithm, trace=False, **options):
+    """One cube run; ``trace`` runs it inside an ``obs.trace()`` session
+    of its own, whose report is ``result.trace``."""
     table = small_workload().fact_table()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), (
+        obs.trace() if trace else nullcontext()
+    ):
         # Where the host cannot fork, the process pool falls back to
         # threads with a RuntimeWarning; the counts must not change.
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -2,9 +2,9 @@
 
 ``CubeServer`` decides its ladder in one function (``_walk_ladder``);
 ``explain_query`` returns that decision, ``query`` executes it.  Over
-random schedules of warm / insert / delete / query / eviction — with and
-without materialized views, over a state-exact MIN and an algebraic
-AVG aggregate — whenever no write intervenes the two report
+random schedules of warm / insert / delete / query / eviction — cold
+and warmed with the Sec. 3.6 advisor's choice, over a state-exact MIN
+and an algebraic AVG aggregate — whenever no write intervenes the two report
 the *same padded rung trail*, reasons included; explaining leaves no
 trace; and every answer equals serial NAIVE at its version.  On the
 cluster, each shard's plan is what that replica's own server explains.
@@ -20,8 +20,8 @@ from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.query import Query, drilldown_point
 from repro.errors import InvalidQuery
 from repro.obs.events import rung_reasons
-from repro.serve import CubeServer
 from repro.testing import small_workload
+from tests.conftest import advised_server
 
 WORKLOAD = small_workload(n_facts=48)
 BASE = WORKLOAD.fact_table()
@@ -30,10 +30,10 @@ POINTS = BASE.lattice.topo_finer_first()
 INITIAL, POOL = list(BASE.rows[:36]), list(BASE.rows[36:])
 BATCH = 3
 
-#: mode -> (aggregate function, view budget)
+#: mode -> (aggregate function, the advisor's space budget warmed first)
 MODES = {
     "plain": ("COUNT", 0),
-    "views": ("COUNT", 60),
+    "advised": ("COUNT", 60),
     "state-exact": ("MIN", 0),
     "algebraic": ("AVG", 0),
 }
@@ -122,10 +122,12 @@ class Writes:
 )
 @settings(max_examples=60, deadline=None)
 def test_server_explain_is_what_query_then_does(mode, cache_cells, schedule):
-    function, view_cells = MODES[mode]
+    function, advised_cells = MODES[mode]
     table = fresh_table(function)
-    server = CubeServer(
-        table, ORACLE, cache_cells=cache_cells, view_cells=view_cells
+    # The advised modes' cache holds at least the whole choice.
+    server, _ = advised_server(
+        table, ORACLE, advised_cells,
+        cache_cells=max(cache_cells, advised_cells),
     )
     writes = Writes(server)
     for op, argument in schedule:

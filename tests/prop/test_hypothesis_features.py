@@ -1,5 +1,6 @@
 """Property-based tests for the extension features: iceberg filtering,
-materialized answering, and XML export round-trips on random tables."""
+answering from the advisor's warmed choice, and XML export round-trips
+on random tables."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +10,10 @@ from repro.core.bindings import AnnotatedValue, FactRow, FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.export import cube_from_xml, cube_to_xml
 from repro.core.lattice import CubeLattice
-from repro.core.materialize import select_views
 from repro.core.properties import PropertyOracle
 from repro.core.query import Query
 from repro.patterns.relaxation import Relaxation
-from repro.serve import CubeServer
+from tests.conftest import advised_server
 
 VALUES = ["u", "v", "w", "x"]
 
@@ -60,8 +60,7 @@ def test_iceberg_equals_postfiltered_full(table, support):
 @settings(max_examples=40, deadline=None)
 def test_materialized_cube_answers_everything(table):
     oracle = PropertyOracle.from_data(table)
-    selection = select_views(table, oracle, space_budget=500)
-    server = CubeServer(table, oracle, selection=selection, cache_cells=0)
+    server, _ = advised_server(table, oracle, 500)
     reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
     for point in table.lattice.points():
         answer = server.query(Query(point=point)).as_cuboid()

@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.obs.trace_store import TraceStore
+from repro.serve import TIERS
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.xmlmodel.serializer import serialize
 
@@ -55,18 +56,15 @@ class TestReplay:
         out = capsys.readouterr().out
         assert "cache=0," in out.split("tiers: ")[1]
 
-    def test_views_and_warm(self, inputs, capsys):
+    def test_warm(self, inputs, capsys):
         query, data = inputs
         code = main(
-            [
-                "--query", query, data,
-                "--requests", "30", "--view-cells", "40", "--warm",
-            ]
+            ["--query", query, data, "--requests", "30", "--warm"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "warmed" in out
-        assert "views" in out
+        assert "views" not in out
 
 
 class TestCuboidMode:
@@ -159,7 +157,7 @@ class TestEventLogExport:
         assert [record["seq"] for record in records] == list(range(25))
         assert all(record["name"] == "serve.request" for record in records)
         assert all(
-            len(record["spans"][0]["attrs"]["rungs"]) == 4
+            sorted(record["spans"][0]["attrs"]["rungs"]) == sorted(TIERS)
             for record in records
         )
 
@@ -243,7 +241,7 @@ class TestExplainSubcommand:
 
         def tampered(store, name, *args, **attrs):
             if name == "serve.request":
-                attrs["rungs"] = dict(attrs["rungs"], view="tampered")
+                attrs["rungs"] = dict(attrs["rungs"], rollup="tampered")
             add(store, name, *args, **attrs)
 
         monkeypatch.setattr(TraceStore, "add", tampered)

@@ -16,7 +16,7 @@ from repro.obs.events import rung_reasons
 from repro.serve import CubeServer, TIERS
 from repro.serve.replay import sample_points
 from repro.testing import small_workload
-from tests.conftest import cuboid_of
+from tests.conftest import advised_server, cuboid_of
 
 
 def explain(server, point):
@@ -133,12 +133,15 @@ class TestExplainIsPure:
 
 
 class TestExplainAgreesWithExecution:
-    @pytest.mark.parametrize("view_cells", [0, 60])
-    def test_hundred_replayed_queries(self, view_cells):
+    @pytest.mark.parametrize("advised_cells", [0, 60])
+    def test_hundred_replayed_queries(self, advised_cells):
+        """Cold, and warmed with the Sec. 3.6 advisor's choice under a
+        60-cell budget (a budget of 0 chooses nothing)."""
         table, oracle = fresh(n_facts=120, seed=21)
-        server = CubeServer(
-            table, oracle, cache_cells=256, view_cells=view_cells
+        server, selection = advised_server(
+            table, oracle, advised_cells, cache_cells=256
         )
+        assert bool(selection.chosen) == bool(advised_cells)
         replay = sample_points(table.lattice, 100, seed=13)
         for point in replay:
             explanation = explain(server, point)

@@ -32,7 +32,12 @@ from repro.testing import (
     treebank_workload,
     vary_measures,
 )
-from tests.conftest import cuboid_of
+from tests.conftest import (
+    advised_server,
+    advised_tiers,
+    cuboid_of,
+    planned_tiers,
+)
 
 
 def fresh(**overrides):
@@ -87,9 +92,11 @@ class TestBitIdentity:
 
     def test_all_tiers_mixed(self):
         table, oracle = fresh()
-        server = CubeServer(table, oracle, cache_cells=64, view_cells=40)
-        for _ in range(3):  # repeats route through cache/view/rollup
+        server, _ = advised_server(table, oracle, 40, cache_cells=64)
+        for _ in range(3):  # repeats route through cache/rollup
             assert_serves_exactly(server, table)
+        tiers = server.stats().tiers
+        assert all(tiers[tier] for tier in TIERS), tiers
 
     def test_zero_cache(self):
         table, oracle = fresh()
@@ -131,13 +138,21 @@ class TestLadder:
         tiers = server.stats().tiers
         assert tiers["recompute"] == 1 and tiers["cache"] == 1
 
-    def test_views_answer_view_tier(self):
+    def test_advisor_choice_answers_from_cache(self):
+        """The Sec. 3.6 advisor's cuboids, warmed, are cache hits, and
+        the ladder plans every other point as the selection's serving
+        map says: roll up where a chosen cuboid soundly derives it."""
         table, oracle = fresh()
-        server = CubeServer(table, oracle, view_cells=600)
-        assert server.selection is not None and server.selection.chosen
-        view_point = server.selection.chosen[0]
-        cuboid_of(server, view_point)
-        assert server.stats().tiers["view"] == 1
+        server, selection = advised_server(table, oracle, 600)
+        assert selection.chosen
+        assert planned_tiers(server) == advised_tiers(selection)
+        for point in selection.chosen:
+            assert cuboid_of(server, point) == reference_cuboid(
+                table, table.rows, point
+            )
+        tiers = server.stats().tiers
+        assert tiers["cache"] == len(selection.chosen)
+        assert sum(tiers.values()) == len(selection.chosen)
 
     def test_rollup_tier_derives_from_cached_finer(self):
         table, oracle = fresh()
@@ -181,7 +196,7 @@ class TestLadder:
         assert cuboid == reference_cuboid(table, table.rows, coarser)
 
     def test_tier_names_are_stable(self):
-        assert TIERS == ("cache", "view", "rollup", "recompute")
+        assert TIERS == ("cache", "rollup", "recompute")
 
 
 class TestQuerySurface:
@@ -443,13 +458,42 @@ class TestWrites:
         assert server.delete(delta[:1]) == 2
         assert server.version == 2
 
-    def test_views_follow_writes(self):
+    @pytest.mark.parametrize(
+        "function, delete_patches", [("COUNT", True), ("MIN", False)]
+    )
+    def test_warmed_selection_follows_writes(self, function, delete_patches):
+        """The advisor's warmed cuboids stay exact across an insert and
+        a delete: an insert patches them (MIN is state-exact), a delete
+        patches COUNT's and evicts every other aggregate's."""
         table, oracle = fresh(n_facts=60)
+        table = vary_measures(with_aggregate(table, function))
         initial, delta = split_rows(table, 0.7)
         live = FactTable(table.lattice, list(initial), table.aggregate)
-        server = CubeServer(live, oracle, view_cells=600)
-        assert server.selection is not None and server.selection.chosen
+        # Room past the selection's space: the patched cuboids grow.
+        server, selection = advised_server(
+            live, oracle, 600, cache_cells=4096
+        )
+        chosen = set(selection.chosen)
+        assert chosen and set(server.cache.points()) == chosen
         server.insert(delta)
+        stats = server.stats()
+        assert stats.patched_points > 0 and stats.evicted_points == 0
+        assert set(server.cache.points()) == chosen
+        assert_resident_exactly(server, live)
+        assert_serves_exactly(server, live)
+        before = server.stats()
+        resident = set(server.cache.points())
+        server.delete(list(delta[:4]))
+        after = server.stats()
+        if delete_patches:
+            assert after.patched_points > before.patched_points
+            assert after.evicted_points == before.evicted_points
+            assert set(server.cache.points()) == resident
+        else:
+            assert after.patched_points == before.patched_points
+            assert after.evicted_points > before.evicted_points
+            assert resident - set(server.cache.points())
+        assert_resident_exactly(server, live)
         assert_serves_exactly(server, live)
 
     def test_delete_unknown_row_rejected(self):

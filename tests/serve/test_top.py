@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
+from repro.obs.export import prometheus_text
 from repro.obs.live import MAX_SAMPLES, LiveTelemetry
 from repro.serve import CubeServer
 from repro.serve.replay import sample_points
@@ -169,7 +170,8 @@ class TestServingHtml:
 class TestServerPrometheus:
     def test_export_contains_documented_window_metrics(self):
         server = served_workload()
-        text = server.prometheus()
+        server.telemetry.refresh_gauges()
+        text = prometheus_text(server.telemetry.registry)
         for name in (
             "x3_serve_requests_total",
             "x3_serve_request_modeled_seconds",

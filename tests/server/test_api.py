@@ -14,7 +14,7 @@ import pytest
 from repro.core.extract import extract_fact_table
 from repro.core.properties import PropertyOracle
 from repro.datagen.publications import figure1_document, query1
-from repro.serve import CubeServer
+from repro.serve import CubeServer, TIERS
 from repro.server import CubeCatalog, LogicalCube, TenantAuth, X3Api
 from repro.server.http import ApiResponse
 
@@ -79,7 +79,7 @@ class TestQueryEndpoints:
         assert decoded.pop("modeled_seconds") > 0.0
         rungs = decoded.pop("rungs")
         assert [r["rung"] for r in rungs] == [
-            "cache", "view", "rollup", "recompute",
+            "cache", "rollup", "recompute",
         ]
         assert [r["rung"] for r in rungs if r["taken"]] == ["recompute"]
         assert decoded == {
@@ -181,7 +181,7 @@ class TestQueryEndpoints:
         assert decoded["kind"] == "aggregate"
         assert decoded["point"] == "$n:LND, $p:LND, $y:rigid"
         assert decoded["shards"] == []
-        assert len(decoded["rungs"]) == 4
+        assert [r["rung"] for r in decoded["rungs"]] == list(TIERS)
 
     def test_raw_point_description_works_too(self, api):
         response, decoded = call(
