@@ -16,7 +16,7 @@ facts to the same shards every time.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bindings import FactRow, FactTable
 from repro.errors import ClusterError
@@ -26,25 +26,34 @@ _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _fnv1a(data: bytes) -> int:
-    value = _FNV_OFFSET
+def _fold(value: int, data: bytes) -> int:
+    """The FNV-1a state ``value`` after the bytes ``data``."""
     for byte in data:
         value ^= byte
         value = (value * _FNV_PRIME) & _MASK
     return value
 
 
-def shard_of(fact_id: Tuple[int, int], n_shards: int) -> int:
-    """The shard a fact lives on: deterministic, uniform, stable."""
+def _fnv1a(data: bytes) -> int:
+    return _fold(_FNV_OFFSET, data)
+
+
+def _id_bytes(number: int) -> bytes:
+    return number.to_bytes(8, "big", signed=True)
+
+
+def _check_shards(n_shards: int) -> None:
     if n_shards <= 0:
         raise ClusterError(
             f"a cluster needs at least one shard, got {n_shards}"
         )
+
+
+def shard_of(fact_id: Tuple[int, int], n_shards: int) -> int:
+    """The shard a fact lives on: deterministic, uniform, stable."""
+    _check_shards(n_shards)
     doc_id, node_id = fact_id
-    payload = doc_id.to_bytes(8, "big", signed=True) + node_id.to_bytes(
-        8, "big", signed=True
-    )
-    return _fnv1a(payload) % n_shards
+    return _fnv1a(_id_bytes(doc_id) + _id_bytes(node_id)) % n_shards
 
 
 def partition_rows(
@@ -53,11 +62,19 @@ def partition_rows(
     """Split rows into ``n_shards`` disjoint slices by fact id.
 
     Within a slice the original row order is preserved, so per-shard
-    folds are as deterministic as the serial fold they replace.
+    folds are as deterministic as the serial fold they replace.  The
+    hash state after a document id's bytes is computed once per
+    document, and each fact folds only its node id's bytes into it.
     """
+    _check_shards(n_shards)
     slices: List[List[FactRow]] = [[] for _ in range(n_shards)]
+    documents: Dict[int, int] = {}  # doc id -> the state after its bytes
     for row in rows:
-        slices[shard_of(row.fact_id, n_shards)].append(row)
+        doc_id, node_id = row.fact_id
+        state = documents.get(doc_id)
+        if state is None:
+            state = documents[doc_id] = _fnv1a(_id_bytes(doc_id))
+        slices[_fold(state, _id_bytes(node_id)) % n_shards].append(row)
     return slices
 
 

@@ -17,9 +17,10 @@ of the document's :class:`~repro.xmlmodel.nodes.RegionTable`
 or visited.  A descendant step is a slice, not a walk: under the region
 encoding an element with ``k`` proper descendants has
 ``end - start == 2k + 1``, and they are the ``k`` rows that follow it in
-preorder.  Equal annotated bindings are shared between facts (they are
-frozen and compare by value), so a table holds a few dozen
-:class:`AnnotatedValue` objects instead of one per fact per axis.
+preorder — the table stores that ``k`` (``RegionTable.sizes``).  Equal
+annotated bindings are shared between facts (they are frozen and compare
+by value), so a table holds a few dozen :class:`AnnotatedValue` objects
+instead of one per fact per axis.
 """
 
 from __future__ import annotations
@@ -316,15 +317,20 @@ class _PathJoin:
     def _grouped(
         self, owners: List[int], values: Iterable[Optional[str]]
     ) -> List[Tuple[str, ...]]:
-        """Per fact its distinct values, in first-sighting order."""
+        """Per fact its distinct values, in first-sighting order; the
+        facts that bind one value share one tuple per value."""
         out: List[Tuple[str, ...]] = [()] * len(self.facts)
         several: Dict[int, Dict[str, None]] = {}
+        singles: Dict[str, Tuple[str]] = {}
         previous = -1
         for owner, value in zip(owners, values):
             if value is None:  # an element without the attribute
                 continue
             if owner != previous:
-                out[owner] = (value,)
+                single = singles.get(value)
+                if single is None:
+                    single = singles[value] = (value,)
+                out[owner] = single
                 previous = owner
             else:
                 seen = several.get(owner)
@@ -365,11 +371,11 @@ class _PathJoin:
     def _descendants(
         self, owners: List[int], nodes: List[int], postings: Sequence[int]
     ) -> _Frontier:
-        starts, ends = self.table.starts, self.table.ends
+        sizes = self.table.sizes
         out_owners: List[int] = []
         out_nodes: List[int] = []
         for owner, node in zip(owners, nodes):
-            last = node + (ends[node] - starts[node]) // 2
+            last = node + sizes[node]
             low = bisect_right(postings, node)
             high = bisect_right(postings, last, low)
             if high > low:

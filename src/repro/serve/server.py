@@ -756,15 +756,25 @@ class CubeServer(CubeBackend):
         return self._version
 
     def _patch_cached(self, rows: List[FactRow], op: str) -> None:
-        """Fold/unfold a delta batch into every resident cuboid."""
+        """Fold/unfold a delta batch into every resident cuboid.
+
+        A patch that grows the cache past its budget evicts (maybe a
+        point patched a moment ago): a point counts as patched only if
+        it is still resident afterwards, and every eviction counts.
+        Every cache write runs under the server lock, so the cache's
+        eviction count moves only by this batch here."""
         affected = affected_points(self.table, rows, self.cache.points())
+        evictions = self.cache.stats.evictions
         for point in affected:
             self.cache.mutate(
                 point, lambda cuboid, p=point: self._apply_delta(
                     cuboid, rows, p, op
                 )
             )
-            self._counters.patched_points += 1
+        self._counters.patched_points += sum(
+            point in self.cache for point in affected
+        )
+        self._counters.evicted_points += self.cache.stats.evictions - evictions
 
     def _apply_delta(
         self,

@@ -4,9 +4,9 @@ An XML document is modelled as a tree of :class:`Element` nodes.  Each
 element owns an ordered attribute mapping and a text value (the
 concatenation of its direct text children; mixed content keeps document
 order in ``text_chunks``).  Every element of a :class:`Document` carries
-a *region encoding* ``(start, end, level)`` — assigned by the parser
-while it scans, and by :meth:`Document.reindex` for trees built or
-mutated by hand (the two agree exactly):
+a *region encoding* ``(start, end, level)`` — derived from the parser's
+table when the tree is built, and assigned by :meth:`Document.reindex`
+for trees built or mutated by hand (the two agree exactly):
 
 - ``start``: preorder position of the opening tag,
 - ``end``:   position after the closing tag (so a descendant ``d`` of ``a``
@@ -24,10 +24,13 @@ preorder, found by bisection.
 
 The same document has a second shape, the :class:`RegionTable`: one row
 per element in preorder, held as flat columns, plus the per-tag posting
-lists.  The parser writes the table and nothing else; everything that
-only *reads* a document (extraction, schema inference, the event view)
-reads the table, and the :class:`Element` tree is a view
-a :class:`Document` materialises the first time someone asks for it.
+lists.  The table stores what the encoding is made of — each row's
+parent and its number of proper descendants — and derives
+``(start, end, level)`` in one pass when someone asks
+(:meth:`RegionTable.regions`).  The parser writes the table and nothing
+else; everything that only *reads* a document (extraction, schema
+inference) reads the table, and the :class:`Element` tree is a view a
+:class:`Document` materialises the first time someone asks for it.
 Exactly one of the two is the truth at any time — see :class:`Document`.
 """
 
@@ -47,8 +50,9 @@ class Element:
         text_chunks: direct text content pieces in document order.
         children: child elements in document order.
         parent: parent element, or None for a root.
-        start, end, level: region encoding, assigned by the parser or
-            :meth:`Document.reindex` (``-1`` until then).
+        start, end, level: region encoding, derived from the parser's
+            table or assigned by :meth:`Document.reindex` (``-1`` until
+            then).
         node_id: document-order ordinal among elements (0-based), assigned
             with the region encoding.
     """
@@ -224,23 +228,24 @@ class RegionTable:
     Attributes:
         tags: element name (equal names are one string).
         parents: ``node_id`` of the parent, ``-1`` for the root.
-        starts, ends, levels: the region encoding.
-        texts: direct text chunks (:data:`TextCell`).
+        sizes: the number of proper descendants.
+        texts: direct text chunks (:data:`TextCell`); equal cells the
+            parser writes are one string.
         attrs: the attribute mapping, or None when there is none.
         postings: tag -> the ``node_id`` s carrying it, ascending (which
             is document order), keyed in order of first occurrence.
 
     The proper descendants of row ``i`` are the rows
-    ``i + 1 .. i + size(i)``; a posting list is sorted, so the
-    descendants with one tag are a slice of it found by bisection.
+    ``i + 1 .. i + sizes[i]``; a posting list is sorted, so the
+    descendants with one tag are a slice of it found by bisection.  The
+    region encoding is not stored: :meth:`regions` derives it from
+    ``parents`` and ``sizes``.
     """
 
     __slots__ = (
         "tags",
         "parents",
-        "starts",
-        "ends",
-        "levels",
+        "sizes",
         "texts",
         "attrs",
         "postings",
@@ -249,9 +254,7 @@ class RegionTable:
     def __init__(self) -> None:
         self.tags: List[str] = []
         self.parents: List[int] = []
-        self.starts: List[int] = []
-        self.ends: List[int] = []
-        self.levels: List[int] = []
+        self.sizes: List[int] = []
         self.texts: List[TextCell] = []
         self.attrs: List[Optional[Dict[str, str]]] = []
         self.postings: Dict[str, List[int]] = {}
@@ -268,9 +271,7 @@ class RegionTable:
             node.parent.node_id if node.parent is not None else -1
             for node in elements
         ]
-        table.starts = [node.start for node in elements]
-        table.ends = [node.end for node in elements]
-        table.levels = [node.level for node in elements]
+        table.sizes = [(node.end - node.start) // 2 for node in elements]
         table.texts = [
             node.text_chunks[0]
             if len(node.text_chunks) == 1
@@ -295,7 +296,25 @@ class RegionTable:
 
     def size(self, node_id: int) -> int:
         """The number of proper descendants of a row."""
-        return (self.ends[node_id] - self.starts[node_id]) // 2
+        return self.sizes[node_id]
+
+    def regions(self) -> Iterator[Tuple[int, int, int]]:
+        """The region encoding ``(start, end, level)`` of every row, in
+        preorder, derived in one pass.
+
+        A row's level is its parent's plus one.  Before row ``i`` opens,
+        ``i`` elements have opened and all but its ``level`` ancestors
+        have closed, so ``start = 2i - level``; its ``size`` descendants
+        then open and close inside it, so ``end = start + 2 size + 1``.
+        """
+        levels: List[int] = []
+        for node_id, (parent_id, size) in enumerate(
+            zip(self.parents, self.sizes)
+        ):
+            level = levels[parent_id] + 1 if parent_id >= 0 else 0
+            levels.append(level)
+            start = 2 * node_id - level
+            yield start, start + 2 * size + 1, level
 
     # The layout of a text cell (:data:`TextCell`) is known to the
     # methods of this class only; everyone else goes through them.
@@ -341,15 +360,8 @@ class RegionTable:
         """The :class:`Element` tree of this table, in preorder; the
         elements adopt the table's chunk lists and attribute mappings."""
         elements: List[Element] = []
-        for node_id, (tag, parent_id, start, end, level, attrs) in enumerate(
-            zip(
-                self.tags,
-                self.parents,
-                self.starts,
-                self.ends,
-                self.levels,
-                self.attrs,
-            )
+        for node_id, (tag, parent_id, (start, end, level), attrs) in enumerate(
+            zip(self.tags, self.parents, self.regions(), self.attrs)
         ):
             node = Element(tag)
             if attrs is not None:
@@ -496,7 +508,7 @@ class Document:
     def max_depth(self) -> int:
         """Maximum element level (root is 0)."""
         if self._table is not None:
-            return max(self._table.levels)
+            return max(level for _, _, level in self._table.regions())
         return max(node.level for node in self._elements)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

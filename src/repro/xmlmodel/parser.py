@@ -20,12 +20,14 @@ depth is bounded by memory and not by the interpreter's recursion limit.
 The loop reads *parts*: behind the prolog the text is cut at every ``<``
 by ``str.split``, one window of ``_WINDOW`` characters at a time, so a
 part is one tag and the text run behind it, and one C call has found
-every tag of the window.  Three shapes are read from the part alone: the
+every tag of the window.  Four shapes are read from the part alone: the
 open element's ``/name>`` closes it, a part that starts with it closes
-it and leaves its tail to the parent as text, and a part whose head
-before the first ``>`` is a name some start tag has been validated with
-opens an element whose first text cell is the tail.  Every other part —
-a first sighting, attributes or ``/>``, ``</name >``, a comment, CDATA
+it and leaves its tail to the parent as text, a part whose head before
+the first ``>`` is a name some start tag has been validated with opens
+an element whose first text cell is the tail, and so does a head that
+is such a name, one space and an attribute list the start-tag pattern
+takes whole (no ``&`` in the part, no ``/`` before the ``>``).  Every
+other part — a first sighting, ``/>``, ``</name >``, a comment, CDATA
 section or PI, a run with ``&``, the root's own end, anything malformed
 — is read *at its position in the text* (summed from the lengths of the
 parts, only then) by what has always read it: one compiled pattern for
@@ -35,12 +37,15 @@ the rest.  The text from the position they return to the next ``<`` is
 a chunk of the open element, and the loop goes on with the part behind
 that ``<``.  It builds no tree: every element is one row appended to
 the columns of a :class:`~repro.xmlmodel.nodes.RegionTable` — tag,
-parent, region encoding ``(start, end, level)``, text, attributes — and
-one entry in its tag's posting list, so the only containers the scan
+parent, text, attributes, and, when it closes, its number of proper
+descendants (``len(tags) - node - 1``) — and one entry in its tag's
+posting list.  No position counter is kept: the region encoding is
+derived from the table on demand.  The only containers the scan
 allocates are the ones that hold content (an attribute mapping, a list
-for mixed content) and one window's parts.  The :class:`Document` it
-returns *is* that table; the ``Element`` tree appears if and when
-someone asks for it.
+for mixed content) and one window's parts, and equal text chunks are
+one string (one dict per parse).  The :class:`Document` it returns
+*is* that table; the ``Element`` tree appears if and when someone asks
+for it.
 
 The error-path contract.  The hot shapes and the patterns only ever
 *accept*: a tag they do not match — or match but with a bad first name
@@ -79,12 +84,13 @@ _NAME_CHAR = r"[\w:.\-]"
 _NAME = rf"{_NAME_CHAR}+"
 _S = rf"[{_WHITESPACE}]*"
 _VALUE = r"(?:\"[^\"]*\"|'[^']*')"
+_PAIRS = rf"(?:{_S}{_NAME}{_S}={_S}{_VALUE})*"
 # The lookahead pins the tag to its maximal run of name characters, as
 # the reader takes it: without it "<ab='1'>" would backtrack into tag
 # "a", attribute "b".
-_START_TAG = re.compile(
-    rf"<({_NAME})(?!{_NAME_CHAR})((?:{_S}{_NAME}{_S}={_S}{_VALUE})*){_S}(/?)>"
-)
+_START_TAG = re.compile(rf"<({_NAME})(?!{_NAME_CHAR})({_PAIRS}){_S}(/?)>")
+# What stands between a start tag's name and its ">", in the same grammar.
+_ATTRIBUTE_LIST = re.compile(rf"{_PAIRS}{_S}")
 _ATTRIBUTE = re.compile(rf"({_NAME}){_S}={_S}(?:\"([^\"]*)\"|'([^']*)')")
 _NOT_WHITESPACE = re.compile(rf"[^{_WHITESPACE}]")
 _DOCTYPE_DELIMITER = re.compile(r"[\[\]>]")
@@ -325,18 +331,20 @@ def _parse_table(text: str) -> RegionTable:
     length = len(text)
 
     table = RegionTable()
-    tags, parents = table.tags, table.parents
-    starts, ends, levels = table.starts, table.ends, table.levels
+    tags, parents, sizes = table.tags, table.parents, table.sizes
     texts, attr_maps = table.texts, table.attrs
     postings = table.postings
     append_text = table.append_text
+    match_attribute_list = _ATTRIBUTE_LIST.fullmatch
+    # Equal text chunks are one string: the first one read.
+    chunks: Dict[str, str] = {}
+    share = chunks.setdefault
     # Every name a start tag has been validated with -> the one string
     # all its elements carry, and the part that closes such an element.
     names: Dict[str, Tuple[str, str]] = {}
     stack: List[Tuple[int, str]] = []  # (parent, closer) to go back to
     parent = -1  # the open element; -1 stands above the root
     closer = _NO_CLOSER  # "/name>" of the open element
-    counter = 0  # next region position
 
     # One window per pass; ``pos`` is at a "<" in content or at the end.
     while parent >= 0 or not tags:
@@ -353,31 +361,41 @@ def _parse_table(text: str) -> RegionTable:
         numbered = enumerate(parts)
         for index, part in numbered:
             if part == closer:  # "</name>" of the open element, no text
-                ends[parent] = counter
-                counter += 1
+                sizes[parent] = len(tags) - parent - 1
                 parent, closer = stack.pop()
                 continue
             head, sep, tail = part.partition(">")
             known = names.get(head)
-            if known is not None and sep and "&" not in tail:  # "<name>"
-                levels.append(len(stack))
+            attrs: Optional[Dict[str, str]] = None
+            if known is None and sep:
+                if "&" not in tail and part.startswith(closer):  # "</name>text"
+                    sizes[parent] = len(tags) - parent - 1
+                    parent, closer = stack.pop()
+                    append_text(parent, share(tail, tail))
+                    continue
+                if "&" not in part:  # '<name attr="v" ...>text'
+                    name, space, attr_text = head.partition(" ")
+                    known = names.get(name)
+                    if (
+                        known is not None
+                        and space
+                        and head[-1] != "/"
+                        and match_attribute_list(attr_text) is not None
+                    ):
+                        attrs = _fast_attributes(attr_text)
+                    if attrs is None:
+                        known = None
+            if known is not None and sep and "&" not in tail:  # "<name>text"
                 stack.append((parent, closer))
                 tag, closer = known
                 parents.append(parent)
                 parent = len(tags)
                 tags.append(tag)
-                starts.append(counter)
-                counter += 1
-                texts.append(tail or None)  # append_text writes the rest
-                attr_maps.append(None)
+                sizes.append(0)  # set when the element closes
+                # append_text writes the rest
+                texts.append(share(tail, tail) if tail else None)
+                attr_maps.append(attrs or None)
                 postings[tag].append(parent)
-                ends.append(-1)  # set when the element closes
-                continue
-            if "&" not in tail and part.startswith(closer):  # "</name>text"
-                ends[parent] = counter
-                counter += 1
-                parent, closer = stack.pop()
-                append_text(parent, tail)
                 continue
 
             # ---- not a hot shape: read at its absolute position ------
@@ -388,8 +406,7 @@ def _parse_table(text: str) -> RegionTable:
                 reader = _TagReader(text, lt)
                 reader.close_tag(tags[parent])
                 at = reader.pos
-                ends[parent] = counter
-                counter += 1
+                sizes[parent] = len(tags) - parent - 1
                 parent, closer = stack.pop()
                 if parent < 0:
                     pos = at
@@ -402,12 +419,13 @@ def _parse_table(text: str) -> RegionTable:
                 if end < 0:
                     _fail(text, begin, "unterminated CDATA section")
                 if end > begin:
-                    append_text(parent, text[begin:end])
+                    chunk = text[begin:end]
+                    append_text(parent, share(chunk, chunk))
                 at = end + 3
             elif first == "?":
                 at = _skip_past(text, lt, "<?", "?>", "processing instruction")
             else:  # a start tag (or not markup we know: _TagReader names it)
-                attrs: Optional[Dict[str, str]] = None
+                attrs = None
                 match = match_start_tag(text, lt)
                 if match is not None:
                     tag, attr_text, slash = match.groups()
@@ -432,20 +450,15 @@ def _parse_table(text: str) -> RegionTable:
                 node = len(tags)
                 tags.append(tag)
                 parents.append(parent)
-                starts.append(counter)
-                counter += 1
-                levels.append(len(stack))
+                sizes.append(0)  # set when the element closes
                 texts.append(None)
                 attr_maps.append(attrs or None)
                 postings[tag].append(node)
                 if self_closing:
-                    ends.append(counter)
-                    counter += 1
                     if parent < 0:
                         pos = at
                         break
                 else:
-                    ends.append(-1)
                     stack.append((parent, closer))
                     # The root's end is never hot: its position is needed.
                     closer = known[1] if parent >= 0 else _NO_CLOSER
@@ -467,7 +480,7 @@ def _parse_table(text: str) -> RegionTable:
                 chunk = text[at:after]
                 if "&" in chunk:
                     chunk = _expand_entities(chunk, text, after)
-                append_text(parent, chunk)
+                append_text(parent, share(chunk, chunk))
             mark, mark_lt = index + 1, after
             if after > limit:
                 pos = after

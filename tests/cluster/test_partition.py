@@ -1,8 +1,15 @@
 """Hash partitioning: deterministic, disjoint, covering, stable."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cluster.partition import partition_rows, partition_table, shard_of
+from repro.cluster.partition import (
+    _fnv1a,
+    partition_rows,
+    partition_table,
+    shard_of,
+)
 from repro.errors import ClusterError
 from repro.testing import small_workload
 
@@ -62,6 +69,32 @@ class TestPartitionRows:
         slices = partition_rows(table().rows, 4)
         occupied = sum(1 for piece in slices if piece)
         assert occupied >= 3
+
+    def test_every_shard_is_the_hash_of_the_whole_fact_id(self):
+        """Folding a node id into the state a document id left is the
+        hash of the 16 bytes: across documents, negative ids and node
+        ids past 32 bits."""
+        base = table().rows[0]
+        documents = (0, 1, 7, -1, -(2**40), 2**33 + 5)
+        nodes = (0, 1, 255, 256, -5, 2**32, 2**32 + 1, 2**62, -(2**63))
+        rows = [
+            replace(base, fact_id=(doc, node))
+            for node in nodes
+            for doc in documents
+        ]
+        for n_shards in (1, 3, 4, 8):
+            for shard, piece in enumerate(partition_rows(rows, n_shards)):
+                for row in piece:
+                    doc, node = row.fact_id
+                    payload = doc.to_bytes(8, "big", signed=True) + (
+                        node.to_bytes(8, "big", signed=True)
+                    )
+                    assert _fnv1a(payload) % n_shards == shard
+                    assert shard_of(row.fact_id, n_shards) == shard
+
+    def test_rejects_bad_shard_count(self):
+        with pytest.raises(ClusterError):
+            partition_rows(table().rows, 0)
 
     def test_same_input_same_slices(self):
         rows = table().rows

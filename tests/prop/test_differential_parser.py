@@ -283,6 +283,19 @@ CORPUS = [
     "<a><b>x</b>y&amp;z",
     "<a><b>x&amp;</b>&#65;<b>&bad;</b></a>",
     "<a><b>x</b></a>&amp;",
+    # ... a name already seen, now with attributes: the one hot shape
+    # that reads a start tag's attributes, and every way to miss it ...
+    '<a><a b="1">t</a><a b=\'2\' c="3" >u</a><a  b="4"\n>v</a></a>',
+    "<a><a >t</a><a b = '1'>u</a><a b='1'>&amp;</a></a>",
+    '<a><a b="x>y">t</a></a>',
+    "<a><a b='1'/>t</a>",
+    '<a><a\tb="1">t</a></a>',
+    '<a><a b="1" b="2">t</a></a>',
+    '<a><a 1b="x">t</a></a>',
+    '<a><a b="&amp;">t</a></a>',
+    '<a><a b="1"c="2">t</a></a>',
+    '<a><a b="1" / >t</a></a>',
+    '<a><a b="1">t</a>',
     # ... and what may stand behind the root
     "<a><b>x</b></a><!-- c < --><?pi <?>\n",
     "<a><b>x</b></a><!-- c --><b>",
@@ -490,7 +503,7 @@ def table_columns(table):
     return (
         list(table.tags),
         list(table.parents),
-        list(zip(table.starts, table.ends, table.levels)),
+        list(table.regions()),
         [table.chunks(node_id) for node_id in range(len(table))],
         [list((held or {}).items()) for held in table.attrs],
         [(tag, list(node_ids)) for tag, node_ids in table.postings.items()],

@@ -496,6 +496,29 @@ class TestWrites:
         assert_resident_exactly(server, live)
         assert_serves_exactly(server, live)
 
+    def test_a_patch_that_overflows_the_cache_counts_its_evictions(self):
+        """An insert that grows resident cuboids past the budget evicts;
+        the write's record and the stats count those evictions, and a
+        point counts as patched only if it is still resident."""
+        table, oracle = fresh(n_facts=60)
+        initial, delta = split_rows(table, 0.7)
+        live = FactTable(table.lattice, list(initial), table.aggregate)
+        server, selection = advised_server(live, oracle, 600)
+        assert (len(selection.chosen), server.cache.used_cells) == (8, 86)
+        server.insert(delta)
+        (write,) = server.events.named("serve.write")
+        attrs = write.spans[0].attrs
+        evicted = [e for e in attrs["cache_audit"] if e.kind == "evicted"]
+        resident = set(server.cache.points())
+        assert evicted and len(resident) < len(selection.chosen)
+        assert attrs["evicted_points"] == len(evicted)
+        assert attrs["patched_points"] == len(resident) == 7
+        stats = server.stats()
+        assert (stats.patched_points, stats.evicted_points) == (
+            len(resident), len(evicted)
+        )
+        assert_resident_exactly(server, live)
+
     def test_delete_unknown_row_rejected(self):
         table, oracle = fresh(n_facts=40)
         initial, delta = split_rows(table, 0.5)

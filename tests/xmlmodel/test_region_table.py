@@ -7,11 +7,16 @@ throughout; ``doc.region_table()`` always describes the document as it
 stands — content as of now, structure as of the last ``reindex()``.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro import obs
 from repro.core.extract import extract_from_documents
 from repro.datagen.publications import QUERY1_TEXT, figure1_document, query1
+from repro.datagen.treebank import TreebankConfig, generate_treebank
+from repro.xmlmodel import parser
 from repro.schema.inference import infer_dtd
 from repro.warehouse import XmlWarehouse
 from repro.xmlmodel.nodes import Document, RegionTable
@@ -29,7 +34,8 @@ def columns(table):
     return {
         "tags": list(table.tags),
         "parents": list(table.parents),
-        "regions": list(zip(table.starts, table.ends, table.levels)),
+        "sizes": list(table.sizes),
+        "regions": list(table.regions()),
         "chunks": [table.chunks(node) for node in range(len(table))],
         "attrs": [dict(held or {}) for held in table.attrs],
         "postings": {tag: list(ids) for tag, ids in table.postings.items()},
@@ -42,6 +48,7 @@ class TestColumns:
         assert columns(table) == {
             "tags": ["a", "b", "c", "b", "d"],
             "parents": [-1, 0, 0, 2, 0],
+            "sizes": [4, 0, 1, 0, 0],
             "regions": [(0, 9, 0), (1, 2, 1), (3, 6, 1), (4, 5, 2), (7, 8, 1)],
             "chunks": [["one", "two", "<3>"], ["hi"], [], [], [" pad "]],
             "attrs": [{"x": "1"}, {}, {"k": "v", "j": "w"}, {}, {}],
@@ -55,6 +62,44 @@ class TestColumns:
     def test_equal_tags_are_one_string(self):
         table = parse("<r><item/><item a='1'/><item>t</item></r>").region_table()
         assert len({id(tag) for tag in table.tags[1:]}) == 1
+
+    def test_equal_text_cells_are_one_string(self):
+        table = parse(
+            "<r><v>x1</v><v k='1'>x1</v><w>y</w>x1<v>y</v>"
+            "<![CDATA[y]]></r>"
+        ).region_table()
+        cells = table.texts
+        assert cells[1] == "x1" and cells[1] is cells[2]
+        assert cells[3] == "y" and cells[3] is cells[4]
+        assert cells[0] == ["x1", "y"]
+        assert cells[0][0] is cells[1] and cells[0][1] is cells[3]
+
+    def test_a_mixed_content_list_is_never_shared(self):
+        doc = parse("<r><m>a<b/>c</m><m>a<b/>c</m></r>")
+        table = doc.region_table()
+        first, second = table.texts[1], table.texts[3]
+        assert first == second == ["a", "c"] and first is not second
+        one, other = doc.find_all("m")
+        one.append_text("d")
+        assert other.text_chunks == ["a", "c"]
+
+    def test_the_encoding_is_derived_from_sizes(self):
+        doc = parse("<a><b><c/><c>t</c></b><d/><b><c/></b></a>")
+        table = doc.region_table()
+        assert not hasattr(table, "starts") and not hasattr(table, "levels")
+        assert table.sizes == [6, 2, 0, 0, 0, 1, 0]
+        regions = [
+            (0, 13, 0), (1, 6, 1), (2, 3, 2), (4, 5, 2), (7, 8, 1),
+            (9, 12, 1), (10, 11, 2),
+        ]
+        assert list(table.regions()) == regions
+
+        def encoding():
+            return [(node.start, node.end, node.level) for node in doc.elements]
+
+        assert encoding() == regions  # the tree built from the table
+        doc.reindex()
+        assert encoding() == regions
 
     def test_text_is_written_and_read_through_the_table(self):
         table = RegionTable()
@@ -257,3 +302,58 @@ class TestSingleSourceOfTruth:
         doc.reindex()
         assert list(doc.region_table().tags) == tags_before
         _agrees_with_the_tree(doc)
+
+
+# ----------------------------------------------------------------------
+# what a parsed document costs
+# ----------------------------------------------------------------------
+class TestParsedDocumentSize:
+    def test_a_fact_tag_with_attributes_stays_on_the_hot_path(
+        self, monkeypatch
+    ):
+        """A start tag is read by the compiled pattern only the first
+        time its name is seen: ``<s id="N">`` after that is a hot shape."""
+        calls = []
+        pattern = parser._START_TAG
+
+        class Counting:
+            def match(self, text, pos):
+                calls.append(pos)
+                return pattern.match(text, pos)
+
+        monkeypatch.setattr(parser, "_START_TAG", Counting())
+        text = "<r>" + "".join(
+            f'<s id="{n}" k=\'v\'><w>x</w></s>' for n in range(5)
+        ) + "</r>"
+        table = parse(text).region_table()
+        assert len(calls) == 3  # <r>, the first <s>, the first <w>
+        assert [table.attrs[node] for node in table.ids("s")] == [
+            {"id": str(n), "k": "v"} for n in range(5)
+        ]
+
+    def test_bytes_per_element(self):
+        """A parsed ``cluster_scatter``-shaped document (dense treebank,
+        6 axes, 4 000 facts) holds its content and no position counter:
+        at most 150 bytes per element (it was 227 with stored
+        ``start``/``end``/``level`` columns and unshared text)."""
+        text = serialize(
+            generate_treebank(
+                TreebankConfig(
+                    n_facts=4000,
+                    n_axes=6,
+                    density="dense",
+                    coverage=True,
+                    disjoint=True,
+                    seed=17,
+                )
+            )
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            doc = parse(text)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held / doc.element_count() <= 150
