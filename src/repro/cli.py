@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top", run_top,
         "Live serving dashboard: sliding-window latency quantiles, SLO"
         " burn, hottest lattice points and cache residency.",
-        *serving,
+        *serving, "log_jsonl",
     )
     sub.add_argument(
         "--watch",
@@ -385,11 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--html",
         metavar="PATH",
         help="also write the standalone HTML serving report",
-    )
-    sub.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        help="also write the request log as JSON Lines",
     )
 
     sub = command(
@@ -433,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         " slice, dice, explain, /metrics) from either a single"
         " CubeServer or a sharded cluster.",
         "input", "cache", "shards", "catalog", "replay", "tracing",
+        "log_jsonl",
     )
     sub.set_defaults(requests=25, seed=17)
     sub.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -472,11 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="load-generator closed-loop clients (default 4)",
-    )
-    sub.add_argument(
-        "--latency-jsonl",
-        metavar="PATH",
-        help="write one JSON line per load-generator request",
     )
 
     sub = command(
@@ -560,10 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="Explore trace JSONL and request logs.",
         description="Explore trace JSONL dumped by x3 server / x3 cluster"
-        " --trace-jsonl, or a request log (x3 serve / x3 cluster"
-        " --log-jsonl, x3 top --jsonl; one one-span record per read or"
-        " write): list records, render waterfalls, export Chrome"
-        " trace_event JSON.",
+        " --trace-jsonl, or a request log (x3 serve / top / cluster /"
+        " server --log-jsonl; one one-span record per read or write):"
+        " list records, render waterfalls, export Chrome trace_event"
+        " JSON.",
     )
     dump = _Parser(add_help=False)
     dump.add_argument("file", help="trace JSONL file")
@@ -849,7 +840,7 @@ def run_top(args: argparse.Namespace) -> int:
     backend, _ = _cube_server(args, table, telemetry)
     watch = top.watcher(backend, args.interval) if args.watch else None
     replay(backend, _sampled(args, table), after=watch)
-    top.report(backend, args.watch, args.jsonl, args.html)
+    top.report(backend, args.watch, args.log_jsonl, args.html)
     return 0
 
 

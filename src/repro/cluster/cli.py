@@ -24,7 +24,7 @@ from repro.core.lattice import LatticePoint
 from repro.core.query import Query, QueryResult
 from repro.errors import X3Error
 from repro.obs.live import percentile
-from repro.serve.replay import WritePlan
+from repro.serve.replay import WritePlan, coverage_note, logged_read_seconds
 
 
 def parse_shards(text: str) -> List[int]:
@@ -103,38 +103,21 @@ class Validator:
             )
 
 
-def logged_read_seconds(coordinator: ClusterCoordinator) -> List[float]:
-    """The modeled latency of every successful read the coordinator's
-    request log still holds, oldest first."""
-    return [
-        record.sim_seconds
-        for record in coordinator.events.named("cluster.read")
-        if record.status == "ok"
-    ]
-
-
 def report(
     coordinator: ClusterCoordinator, validated: Optional[Validator]
 ) -> None:
     """One shard count's replay summary."""
     stats = coordinator.stats()
-    # Once the request log's ring has dropped reads, the quantiles
-    # cover only the reads it still holds, and the line says so.
     latencies = logged_read_seconds(coordinator)
     modeled_total = stats.modeled_cost_seconds
     throughput = stats.requests / modeled_total if modeled_total else 0.0
-    covered = (
-        f" (last {len(latencies)} of {stats.requests} reads: the request"
-        f" log keeps {coordinator.events.capacity} records)"
-        if len(latencies) < stats.requests
-        else ""
-    )
     print(
         f"shards={coordinator.n_shards} replicas={stats.replicas}: "
         f"{stats.requests} requests, {stats.writes} writes, "
         f"throughput {throughput:.1f} req/modeled-s, "
         f"p50 {percentile(latencies, 0.50) * 1e3:.2f}ms, "
-        f"p95 {percentile(latencies, 0.95) * 1e3:.2f}ms{covered}"
+        f"p95 {percentile(latencies, 0.95) * 1e3:.2f}ms"
+        + coverage_note(coordinator, len(latencies), stats.requests)
     )
     print(
         f"   degraded: {stats.failovers} failovers, "

@@ -477,10 +477,10 @@ class CubeBackend:
     read-version fence and the result envelope.
 
     The contract a subclass fills in: ``lattice``, ``aggregate``,
-    ``trace_store``, the :attr:`name` class attribute, :meth:`_answer`,
-    :meth:`_plan`, :meth:`version_token`, :meth:`insert` and
-    :meth:`delete`; :meth:`health`, :meth:`close` and ``telemetry``
-    have defaults.  The HTTP front door
+    ``events``, ``trace_store``, the :attr:`name` class attribute,
+    :meth:`_answer`, :meth:`_plan`, :meth:`version_token`,
+    :meth:`insert` and :meth:`delete`; :meth:`health`, :meth:`close`
+    and ``telemetry`` have defaults.  The HTTP front door
     (:mod:`repro.server`) is written against this class alone.
     """
 
@@ -490,6 +490,9 @@ class CubeBackend:
 
     lattice: CubeLattice
     aggregate: AggregateSpec
+    #: The request log: one record per served read or write, in the
+    #: JSONL ``x3 trace`` reads (``--log-jsonl``).
+    events: TraceStore
     #: When set and no span is bound (a direct caller, not the HTTP or
     #: cluster path or an ``obs.trace()`` session), every query opens
     #: its own trace root, so standalone sessions are traceable too.

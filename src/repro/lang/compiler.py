@@ -24,7 +24,7 @@ statement complexity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.axes import AxisSpec
@@ -88,6 +88,19 @@ class CompiledDefinition:
     spec: X3Query
     statement: X3Statement
     modeled_seconds: float
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The definition envelope ``POST /api/v1/query`` and the shell
+        answer with: the cube the FLWOR form describes."""
+        spec = self.spec
+        return {
+            "kind": "definition",
+            "fact_tag": spec.fact_tag,
+            "document": spec.document,
+            "axes": [axis.name for axis in spec.axes],
+            "lattice_points": spec.lattice().size(),
+            "flwor": spec.to_flwor(),
+        }
 
 
 Compiled = Union[CompiledQuery, CompiledDefinition]

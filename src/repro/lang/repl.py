@@ -95,15 +95,7 @@ class Repl:
     # ------------------------------------------------------------------
     def run(self, compiled: Compiled) -> object:
         if isinstance(compiled, CompiledDefinition):
-            spec = compiled.spec
-            return {
-                "kind": "definition",
-                "fact_tag": spec.fact_tag,
-                "document": spec.document,
-                "axes": [axis.name for axis in spec.axes],
-                "lattice_points": spec.lattice().size(),
-                "flwor": spec.to_flwor(),
-            }
+            return compiled.to_dict()
         bound = self.catalog.get(compiled.cube)
         if compiled.explain:
             return bound.backend.explain_query(compiled.query).to_dict()

@@ -5,7 +5,9 @@ write plan (:func:`plan_writes`) and the one loop that runs them against
 a :class:`~repro.core.query.CubeBackend` (:func:`replay`).  ``x3 serve``,
 ``x3 serve explain --verify``, ``x3 top``, ``x3 cluster`` and the
 replays of ``x3 bench --smoke`` all run through here, so a request mix
-means the same thing in every artifact.
+means the same thing in every artifact.  What the reads cost is read
+back from the backend's request log (:func:`logged_read_seconds`), by
+``x3 cluster`` after a replay and by ``x3 server`` after its load run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from repro.core.query import CubeBackend, Query, QueryResult
 
 #: Write batches keyed by the request index they precede.
 WritePlan = Dict[int, Tuple[str, List[FactRow]]]
+
+#: The request-log record each backend leaves per read.
+READ_RECORDS = ("serve.request", "cluster.read")
 
 
 def sample_points(
@@ -88,3 +93,24 @@ def replay(
         result = backend.query(query)
         if after is not None:
             after(index, query, result)
+
+
+def logged_read_seconds(backend: CubeBackend) -> List[float]:
+    """The modeled latency of every successful read the backend's
+    request log still holds, oldest first."""
+    return [
+        record.sim_seconds
+        for record in backend.events.traces()
+        if record.name in READ_RECORDS and record.status == "ok"
+    ]
+
+
+def coverage_note(backend: CubeBackend, logged: int, reads: int) -> str:
+    """What a latency line adds once the request log's ring has dropped
+    reads: its quantiles cover only the ``logged`` of ``reads``."""
+    if logged >= reads:
+        return ""
+    return (
+        f" (last {logged} of {reads} reads: the request log keeps"
+        f" {backend.events.capacity} records)"
+    )

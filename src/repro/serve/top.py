@@ -14,10 +14,10 @@ Two modes:
   while the replay runs (ANSI clear between frames), ``top``-style.
 
 ``--html`` additionally writes the standalone HTML serving report
-(:func:`format_serving_html`) and ``--jsonl`` dumps
-the request log (one record per read or write, the JSONL ``x3 trace``
-reads), so one command produces the artifacts CI attaches to a smoke
-run.
+(:func:`format_serving_html`) and ``--log-jsonl`` writes the request
+log (one record per read or write, the JSONL ``x3 trace`` reads) as
+``x3 serve`` does, so one command produces the artifacts CI attaches
+to a smoke run.
 """
 
 from __future__ import annotations
@@ -266,16 +266,17 @@ def watcher(
 def report(
     server: CubeServer,
     watch: bool,
-    jsonl: Optional[str],
+    log_jsonl: Optional[str],
     html: Optional[str],
 ) -> None:
-    """The final dashboard plus the ``--jsonl`` / ``--html`` artifacts."""
+    """The final dashboard plus the ``--log-jsonl`` / ``--html``
+    artifacts."""
     if watch:
         sys.stdout.write(CLEAR)
     print(render_dashboard(server))
-    if jsonl:
-        written = server.events.write_jsonl(jsonl)
-        print(f"wrote {written} records to {jsonl}")
+    if log_jsonl:
+        written = server.events.write_jsonl(log_jsonl)
+        print(f"wrote {written} records to {log_jsonl}")
     if html:
         with open(html, "w", encoding="utf-8") as handle:
             handle.write(format_serving_html(server))

@@ -10,8 +10,9 @@ Sub-modules:
   (:class:`X3HttpServer`), with bearer-token auth and bounded-admission
   backpressure;
 - :mod:`repro.server.loadgen` — the deterministic closed-loop load
-  generator that drives a live front door and reports latency
-  distributions on both time bases;
+  generator: a pure client that drives a live front door and reports
+  per-status counts and wall-clock quantiles (the modeled ones are in
+  the backend's request log);
 - :mod:`repro.server.cli` — what ``x3 server`` runs over its backend.
 """
 

@@ -534,19 +534,9 @@ class X3Api:
         if isinstance(compiled, CompiledDefinition):
             # The FLWOR form defines a cube rather than querying one:
             # answer with the definition, not a cuboid.
-            spec = compiled.spec
-            return ApiResponse.json(
-                200,
-                {
-                    "kind": "definition",
-                    "fact_tag": spec.fact_tag,
-                    "document": spec.document,
-                    "axes": [axis.name for axis in spec.axes],
-                    "lattice_points": spec.lattice().size(),
-                    "flwor": spec.to_flwor(),
-                    "lang_modeled_seconds": compiled.modeled_seconds,
-                },
-            )
+            definition = compiled.to_dict()
+            definition["lang_modeled_seconds"] = compiled.modeled_seconds
+            return ApiResponse.json(200, definition)
         bound = self.catalog.get(compiled.cube)
         self.registry.counter(
             "x3_http_lang_statements_total",

@@ -2,24 +2,21 @@
 
 ``clients`` worker threads each run a *closed loop* against a live
 :class:`~repro.server.http.X3HttpServer`: issue one request over a
-persistent ``http.client`` connection, wait for the answer, record it,
-issue the next.  The request mix is deterministic — client ``i`` draws
-its point sequence from ``random.Random(seed + i)`` with the same
-finer-biased weighting the serve replay uses — so the *modeled* latency
-distribution the servers report is reproducible run to run; only the
-wall-clock columns vary with the host.
+persistent ``http.client`` connection, wait for the answer, issue the
+next.  The request mix is deterministic — client ``i`` draws its point
+sequence from ``random.Random(seed + i)`` with the same finer-biased
+weighting the serve replay uses — so the *modeled* latency distribution
+the backend logs is reproducible run to run; only the wall-clock
+columns vary with the host.
 
-Every response feeds three sinks:
+The generator is a pure client: it keeps each request's status and
+wall time, decodes no reply body and returns a :class:`LoadReport` of
+per-status counts and wall-clock quantiles.  What a read cost on the
+modeled time base is in the backend's request log
+(:attr:`~repro.core.query.CubeBackend.events`, one record per served
+read, none per ``explain``), which ``x3 server`` reads back.
 
-- a :class:`LoadReport` with per-request records and latency quantiles
-  on both time bases (only the modeled one repeats run to run);
-- optionally a :class:`~repro.obs.live.LiveTelemetry` instance, each
-  answer re-entering the standard serving-telemetry pipeline with the
-  tier, point and seconds the response reported;
-- optionally a JSON-Lines file (one record per request) for CI
-  artifact upload.
-
-429 responses (admission shed) are recorded, not retried: a closed
+429 responses (admission shed) are counted, not retried: a closed
 loop that retried rejected requests would hide the backpressure the
 generator exists to measure.
 """
@@ -30,11 +27,12 @@ import http.client
 import json
 import random
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.lattice import CubeLattice
-from repro.obs.live import LiveTelemetry, percentile
+from repro.obs.live import percentile
 
 #: Query-kind mix of one client loop, as (kind, weight) pairs — mostly
 #: whole-cuboid reads with a tail of transformed reads, like dashboards.
@@ -47,41 +45,13 @@ KIND_WEIGHTS: Tuple[Tuple[str, float], ...] = (
 
 
 @dataclass(frozen=True)
-class RequestRecord:
-    """One request/response pair, as the generator saw it."""
-
-    client: int
-    index: int  #: position in this client's loop
-    op: str
-    point: str
-    status: int
-    wall_seconds: float
-    modeled_seconds: float  #: server-reported; 0.0 for non-200s
-    tier: str  #: server-reported resolving rung ("" for non-200s)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "client": self.client,
-            "index": self.index,
-            "op": self.op,
-            "point": self.point,
-            "status": self.status,
-            "wall_seconds": self.wall_seconds,
-            "modeled_seconds": self.modeled_seconds,
-            "tier": self.tier,
-        }
-
-
-@dataclass(frozen=True)
 class LoadReport:
-    """The whole run, reduced: counts, errors, and latency quantiles."""
+    """The whole run as the clients saw it: counts and wall quantiles."""
 
     clients: int
     requests: int
-    statuses: Dict[int, int]
-    modeled_quantiles: Dict[float, float]
-    wall_quantiles: Dict[float, float]
-    records: Tuple[RequestRecord, ...]
+    statuses: Dict[int, int]  #: HTTP status -> replies (0: no reply)
+    wall_quantiles: Dict[float, float]  #: over the 200 replies
 
     @property
     def ok(self) -> int:
@@ -98,17 +68,8 @@ class LoadReport:
         )
         return (
             f"{self.requests} requests from {self.clients} clients "
-            f"({status_text}); modeled p95 "
-            f"{self.modeled_quantiles[0.95] * 1e3:.3f}ms, wall p95 "
-            f"{self.wall_quantiles[0.95] * 1e3:.3f}ms"
+            f"({status_text})"
         )
-
-    def write_jsonl(self, path: str) -> int:
-        """One JSON line per request record; returns the line count."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record.to_dict()) + "\n")
-        return len(self.records)
 
 
 def sample_queries(
@@ -159,8 +120,7 @@ class LoadGenerator:
         requests_per_client: loop length per client.
         seed: base seed; client ``i`` uses ``seed + i``.
         token: bearer token sent with every request (when set).
-        telemetry: optional live-telemetry sink each 200 feeds.
-        clock: wall-time source (injectable for tests).
+        timeout_seconds: socket timeout of each client connection.
     """
 
     def __init__(
@@ -174,7 +134,6 @@ class LoadGenerator:
         requests_per_client: int = 25,
         seed: int = 17,
         token: Optional[str] = None,
-        telemetry: Optional[LiveTelemetry] = None,
         timeout_seconds: float = 30.0,
     ) -> None:
         if clients <= 0 or requests_per_client <= 0:
@@ -189,13 +148,12 @@ class LoadGenerator:
         self.requests_per_client = requests_per_client
         self.seed = seed
         self.token = token
-        self.telemetry = telemetry
         self.timeout_seconds = timeout_seconds
 
     # ------------------------------------------------------------------
     def run(self) -> LoadReport:
-        """Run every client loop to completion and reduce the records."""
-        results: List[List[RequestRecord]] = [
+        """Run every client loop to completion and reduce the replies."""
+        results: List[List[Tuple[int, float]]] = [
             [] for _ in range(self.clients)
         ]
         threads = [
@@ -210,34 +168,26 @@ class LoadGenerator:
             thread.start()
         for thread in threads:
             thread.join()
-        records = tuple(
-            record for client in results for record in client
-        )
+        replies = [reply for client in results for reply in client]
         statuses: Dict[int, int] = {}
-        for record in records:
-            statuses[record.status] = statuses.get(record.status, 0) + 1
-        modeled = [
-            r.modeled_seconds for r in records if r.status == 200
-        ]
-        walls = [r.wall_seconds for r in records if r.status == 200]
-        quantiles = (0.50, 0.95, 0.99)
+        for status, _ in replies:
+            statuses[status] = statuses.get(status, 0) + 1
+        walls = [wall for status, wall in replies if status == 200]
         return LoadReport(
             clients=self.clients,
-            requests=len(records),
+            requests=len(replies),
             statuses=statuses,
-            modeled_quantiles={
-                q: percentile(modeled, q) for q in quantiles
+            wall_quantiles={
+                q: percentile(walls, q) for q in (0.50, 0.95, 0.99)
             },
-            wall_quantiles={q: percentile(walls, q) for q in quantiles},
-            records=records,
         )
 
     # ------------------------------------------------------------------
     def _client_loop(
-        self, client: int, out: List[RequestRecord]
+        self, client: int, out: List[Tuple[int, float]]
     ) -> None:
-        import time
-
+        """One closed loop: ``(status, wall seconds)`` per request into
+        ``out``; status 0 is a connection-level failure."""
         plan = sample_queries(
             self.lattice, self.requests_per_client, self.seed + client
         )
@@ -248,7 +198,7 @@ class LoadGenerator:
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         try:
-            for index, (op, point, body) in enumerate(plan):
+            for op, _, body in plan:
                 path = f"/api/v1/cubes/{self.cube}/{op}"
                 started = time.monotonic()
                 try:
@@ -259,74 +209,17 @@ class LoadGenerator:
                         headers=headers,
                     )
                     response = connection.getresponse()
-                    payload = response.read()
+                    response.read()
                     status = response.status
                 except (OSError, http.client.HTTPException):
-                    # Connection-level failure: record and reconnect.
+                    # Connection-level failure: count it and reconnect.
                     connection.close()
                     connection = http.client.HTTPConnection(
                         self.host,
                         self.port,
                         timeout=self.timeout_seconds,
                     )
-                    out.append(
-                        RequestRecord(
-                            client=client,
-                            index=index,
-                            op=op,
-                            point=point,
-                            status=0,
-                            wall_seconds=time.monotonic() - started,
-                            modeled_seconds=0.0,
-                            tier="",
-                        )
-                    )
-                    continue
-                wall = time.monotonic() - started
-                record = self._record(
-                    client, index, op, point, status, wall, payload
-                )
-                out.append(record)
-                if (
-                    self.telemetry is not None
-                    and status == 200
-                    and op != "explain"
-                ):
-                    self.telemetry.record(
-                        record.tier or "recompute",
-                        record.point,
-                        record.modeled_seconds,
-                        record.wall_seconds,
-                    )
+                    status = 0
+                out.append((status, time.monotonic() - started))
         finally:
             connection.close()
-
-    def _record(
-        self,
-        client: int,
-        index: int,
-        op: str,
-        point: str,
-        status: int,
-        wall: float,
-        payload: bytes,
-    ) -> RequestRecord:
-        modeled = 0.0
-        tier = ""
-        if status == 200:
-            try:
-                decoded = json.loads(payload.decode("utf-8"))
-                modeled = float(decoded.get("modeled_seconds", 0.0))
-                tier = str(decoded.get("tier", ""))
-            except (ValueError, UnicodeDecodeError):
-                pass
-        return RequestRecord(
-            client=client,
-            index=index,
-            op=op,
-            point=point,
-            status=status,
-            wall_seconds=wall,
-            modeled_seconds=modeled,
-            tier=tier,
-        )

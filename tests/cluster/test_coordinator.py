@@ -13,14 +13,14 @@ from repro.cluster import (
     VersionVector,
 )
 from repro.cluster import coordinator as coordinator_module
-from repro.cluster.cli import logged_read_seconds, report
+from repro.cluster.cli import report
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.query import Query
 from repro.errors import ClusterError, CubeError, ShardUnavailable
 from repro.obs.live import percentile
-from repro.serve.replay import replay, sample_points
+from repro.serve.replay import logged_read_seconds, replay, sample_points
 from repro.testing import messy_workload, small_workload, treebank_workload
 from tests.conftest import cuboid_of
 

@@ -1,9 +1,8 @@
 """The one ``x3`` parser tree: every option the eight old tools took
-still parses except the engine flags the serving tools dropped and
-``--view-cells``, whose serving rung was deleted, every
-flag is one declaration, the old console-script names dispatch through
-``argv[0]``, and the bugs the copies had drifted into are errors on
-every subcommand."""
+still parses except the engine flags the serving tools dropped and the
+flags in :data:`DELETED`, every flag is one declaration, the old
+console-script names dispatch through ``argv[0]``, and the bugs the
+copies had drifted into are errors on every subcommand."""
 
 import argparse
 
@@ -51,9 +50,9 @@ GAINED = {
     "cube": {"--demo"},
     "serve": {"--demo"},
     "serve explain": {"--demo"},
-    "top": {"--demo"},
+    "top": {"--demo", "--log-jsonl"},
     "cluster": {"--demo"},
-    "server": {"--demo"},
+    "server": {"--demo", "--log-jsonl"},
     "sql": set(),
     "bench": set(),
 }
@@ -64,9 +63,11 @@ GAINED = {
 ENGINE_FLAGS = ("--algorithm", "--workers", "--engine")
 SERVING = sorted(set(OLD_OPTIONS) - {"cube", "bench"})
 
-#: Deleted with what it configured: the serving ladder's view rung.  The
-#: Sec. 3.6 advisor's choice warms the cache instead (a library call).
-DELETED = {"--view-cells"}
+#: Deleted with what it configured: the serving ladder's view rung (the
+#: Sec. 3.6 advisor's choice warms the cache instead, a library call);
+#: the load generator's own per-request JSONL and top's second spelling
+#: of the request log (both tools write it with ``--log-jsonl``).
+DELETED = {"--view-cells", "--latency-jsonl", "--jsonl"}
 
 TRACE_OPTIONS = {
     "list": {"file", "--status", "--name", "--retained", "--jsonl"},
@@ -165,13 +166,13 @@ class TestDeclaredOnce:
                 assert seen.setdefault(option, action) is action, (
                     f"{option} is declared again for {name}"
                 )
-        # 60 distinct flags, exactly 60 declarations (-c/--execute is
+        # 58 distinct flags, exactly 58 declarations (-c/--execute is
         # one action with two spellings).
-        assert len({id(action) for action in seen.values()}) == 60
+        assert len({id(action) for action in seen.values()}) == 58
 
     def test_trace_is_apart(self, tree):
         # ``x3 trace`` reads a dump instead of loading data, and its
-        # ``list --jsonl`` is a switch where ``top --jsonl`` takes a
+        # ``list --jsonl`` is a switch where ``--log-jsonl`` takes a
         # path; its two actions share their one positional.
         actions = subparsers(tree["trace"])
         assert (

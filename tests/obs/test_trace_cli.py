@@ -234,11 +234,15 @@ class TestRequestLogs:
 
     COMMANDS = {
         "serve": ["serve", "--demo", "--requests", "12", "--log-jsonl"],
-        "top": ["top", "--demo", "--requests", "12", "--jsonl"],
+        "top": ["top", "--demo", "--requests", "12", "--log-jsonl"],
         "cluster": [
             "cluster", "--demo", "--requests", "12", "--shards", "2",
             "--writes", "2", "--chaos", "light", "--trace",
             "--trace-seed", "5", "--log-jsonl",
+        ],
+        "server": [
+            "server", "--demo", "--clients", "1", "--requests", "12",
+            "--log-jsonl",
         ],
     }
 

@@ -125,7 +125,7 @@ class TestCliOneShot:
         code = main(
             [
                 "--query", query, data, "--requests", "30",
-                "--jsonl", str(events), "--html", str(report),
+                "--log-jsonl", str(events), "--html", str(report),
             ]
         )
         assert code == 0

@@ -5,9 +5,20 @@ import json
 import pytest
 
 from repro import cli
-from repro.datagen.publications import QUERY1_TEXT, figure1_document
-from repro.server.cli import parse_tokens
+from repro.core.extract import extract_fact_table
+from repro.core.query import Query
+from repro.datagen.publications import (
+    QUERY1_TEXT,
+    figure1_document,
+    query1,
+    random_publications,
+)
 from repro.errors import X3Error
+from repro.obs.live import percentile
+from repro.serve import CubeServer
+from repro.serve import server as server_module
+from repro.server.cli import parse_tokens
+from repro.server.loadgen import sample_queries
 from repro.xmlmodel.serializer import serialize
 
 
@@ -53,26 +64,95 @@ class TestLoadgenMode:
             ]
         )
         assert code == 0
-        assert "cluster backend" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "cluster backend" in out
+        assert "modeled p95" in out
+        # The cluster keeps no telemetry window: no line for one.
+        assert "window:" not in out
 
-    def test_latency_jsonl_written(self, inputs, tmp_path, capsys):
+    def test_log_jsonl_is_the_request_log(self, inputs, tmp_path, capsys):
         query, data = inputs
-        target = tmp_path / "latency.jsonl"
+        target = tmp_path / "events.jsonl"
         code = main(
             [
                 "--query", query, data,
-                "--clients", "1", "--requests", "6",
-                "--latency-jsonl", str(target),
+                "--clients", "1", "--requests", "8", "--seed", "3",
+                "--log-jsonl", str(target),
             ]
         )
         assert code == 0
-        assert f"wrote 6 latency records to {target}" in (
+        lattice = extract_fact_table(figure1_document(), query1()).lattice
+        plan = sample_queries(lattice, 8, 3)
+        reads = [point for op, point, _ in plan if op != "explain"]
+        assert len(reads) < len(plan)  # the plan holds an explain
+        assert f"wrote {len(reads)} records to {target}" in (
             capsys.readouterr().out
         )
-        lines = target.read_text().splitlines()
-        assert len(lines) == 6
-        assert all(
-            json.loads(line)["status"] == 200 for line in lines
+        records = [
+            json.loads(line) for line in target.read_text().splitlines()
+        ]
+        # One record per served read, in order, none per explain.
+        assert [record["name"] for record in records] == [
+            "serve.request"
+        ] * len(reads)
+        assert [
+            record["spans"][0]["attrs"]["point"] for record in records
+        ] == reads
+        assert cli.main(["trace", "list", str(target)]) == 0
+        assert f"{len(reads)} trace(s)" in capsys.readouterr().out
+
+    def test_modeled_quantiles_cover_served_reads_only(
+        self, tmp_path, capsys
+    ):
+        """With no cache every read recomputes, so each costs more
+        than 0 s and depends only on its point.  The printed p95 is
+        the one over the plan's reads; counting its ``explain`` replies
+        as 0 s reads would print a lower one."""
+        query_path = tmp_path / "query.xq"
+        query_path.write_text(QUERY1_TEXT)
+        data_path = tmp_path / "data.xml"
+        data_path.write_text(serialize(random_publications(60, seed=7)))
+        table = extract_fact_table(
+            [random_publications(60, seed=7)], query1()
+        )
+        costs = CubeServer(table, cache_cells=0)
+        plan = sample_queries(table.lattice, 20, 18)
+        reads = [
+            costs.query(Query(point=point)).modeled_seconds
+            for op, point, _ in plan
+            if op != "explain"
+        ]
+        zeros = [0.0] * (len(plan) - len(reads))
+        expected = f"modeled p95 {percentile(reads, 0.95) * 1e3:.3f}ms"
+        counted = f"modeled p95 {percentile(reads + zeros, 0.95) * 1e3:.3f}ms"
+        assert min(reads) > 0.0 and expected != counted
+        code = main(
+            [
+                "--query", str(query_path), str(data_path),
+                "--cache-cells", "0",
+                "--clients", "1", "--requests", "20", "--seed", "18",
+            ]
+        )
+        assert code == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("loadgen:")
+        ]
+        assert f"20 requests from 1 clients (20x200); {expected}" in line
+
+    def test_loadgen_line_says_when_the_log_dropped_reads(
+        self, inputs, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "LOG_CAPACITY", 4)
+        query, data = inputs
+        code = main(
+            ["--query", query, data, "--clients", "1", "--requests", "8"]
+        )
+        assert code == 0
+        assert (
+            "(last 4 of 8 reads: the request log keeps 4 records)"
+            in capsys.readouterr().out
         )
 
     def test_auth_token_drives_authenticated_loadgen(
@@ -100,6 +180,27 @@ class TestLoadgenMode:
         )
         assert code == 0
         assert "cube 'pubs'" in capsys.readouterr().out
+
+
+class TestLangMode:
+    def test_round_trip_writes_the_artifacts(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        traces = tmp_path / "traces.jsonl"
+        code = main(
+            [
+                "--demo", "--lang", "ROLLUP default BY n:detail",
+                "--log-jsonl", str(events), "--trace-jsonl", str(traces),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "/api/v1/query -> 200" in out
+        assert f"wrote 1 records to {events}" in out
+        (record,) = [
+            json.loads(line) for line in events.read_text().splitlines()
+        ]
+        assert record["name"] == "serve.request"
+        assert traces.read_text().strip()
 
 
 class TestErrors:
