@@ -162,7 +162,8 @@ def main() -> None:
     live.warm()
     live.insert(delta)
     print(f"   appended {len(delta)} claims -> "
-          f"{live.stats().patched_points} cached cuboids patched in place")
+          f"{live.stats().patched_points} cached cuboids replaced by patched "
+          "successors")
     for point in lattice.points():
         answer = live.query(Query(point=point)).as_cuboid()
         assert answer == reference.cuboids[point]

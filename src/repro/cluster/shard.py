@@ -24,17 +24,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.aggregates import AggregateSpec
-from repro.core.bindings import FactRow, FactTable
-from repro.core.groupby import Cuboid
+from repro.core.bindings import FactRow, FactTable, GroupKey
 from repro.core.lattice import CubeLattice, LatticePoint
-from repro.core.merge import (
-    STATE_EXACT_AGGREGATES,
-    StateCuboid,
-    states_from_finalized,
-)
+from repro.core.merge import STATE_EXACT_AGGREGATES, states_from_finalized
 from repro.core.properties import PropertyOracle
 from repro.errors import ClusterError, ShardUnavailable
 from repro.serve.server import TIERS, CubeServer
@@ -46,7 +41,8 @@ class ShardAnswer:
 
     shard: int
     replica: int
-    states: StateCuboid
+    #: read-only: for SUM/MIN/MAX it is the replica's resident cuboid
+    states: Mapping[GroupKey, Any]
     version: int  #: write batches the replica had applied when answering
     modeled_seconds: float  #: modeled cost of the replica's ladder walk
     #: the sound-source rung that answered on the replica (of several
@@ -178,7 +174,7 @@ class ShardReplica:
                 raise ShardUnavailable(self.shard, self.replica, "crashed")
             # The components apply the same batches under this lock, so
             # they answer at one version.
-            cuboids: List[Cuboid] = []
+            cuboids: List[Mapping[GroupKey, float]] = []
             tier, seconds = TIERS[0], 0.0
             for server in self.servers:
                 (cuboid, (version,), rung, _, cost), _ = server.read(point)

@@ -100,12 +100,14 @@ def finalize_states(fn: AggregateFunction, states: StateCuboid) -> Cuboid:
 
 def states_from_finalized(
     aggregate_name: str, cuboid: Mapping[GroupKey, float]
-) -> StateCuboid:
+) -> Mapping[GroupKey, Any]:
     """Reinterpret a finalized cuboid as partial states.
 
     Only valid for :data:`STATE_EXACT_AGGREGATES`; shards use this to
     turn their (cache-served, ladder-resolved) finalized answers back
-    into mergeable states without recomputing anything.
+    into mergeable states without recomputing anything.  For SUM, MIN
+    and MAX the cuboid already *is* its states and is returned itself:
+    :func:`merge_states` never writes to its inputs.
     """
     name = aggregate_name.upper()
     if name not in STATE_EXACT_AGGREGATES:
@@ -115,7 +117,7 @@ def states_from_finalized(
         )
     if name == "COUNT":
         return {key: int(value) for key, value in cuboid.items()}
-    return dict(cuboid)
+    return cuboid
 
 
 def merge_finalized(

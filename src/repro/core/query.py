@@ -20,6 +20,7 @@ Two layers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     Any,
     ClassVar,
@@ -302,17 +303,18 @@ class Query:
 class QueryResult:
     """One answered :class:`Query`: payload plus provenance envelope.
 
-    The payload is a cuboid mapping for ``aggregate`` / ``drilldown`` /
-    ``slice`` / ``dice`` and a single cell value (or ``None``) for
-    ``cell``.  The envelope carries everything a remote caller needs to
-    trust and reuse the answer: the version token it is exact at, the
-    sound-source rung that produced it with the full ladder trail, and
-    the modeled cost actually paid.
+    The payload is a read-only cuboid mapping for ``aggregate`` /
+    ``drilldown`` / ``slice`` / ``dice`` (``dict(...)`` of it is a
+    mutable copy) and a single cell value (or ``None``) for ``cell``.
+    The envelope carries everything a remote caller needs to trust and
+    reuse the answer: the version token it is exact at, the sound-source
+    rung that produced it with the full ladder trail, and the modeled
+    cost actually paid.
     """
 
     kind: str
     point: str  #: described lattice point actually served
-    payload: Union[Dict[GroupKey, float], float, None]
+    payload: Union[Mapping[GroupKey, float], float, None]
     version: Tuple[int, ...]  #: version token the answer is exact at
     tier: str  #: resolving rung ("scatter-gather" on a cluster)
     rungs: Tuple[RungDecision, ...]
@@ -321,15 +323,15 @@ class QueryResult:
     deadline_exceeded: bool = False
     trace_id: str = ""  #: 32-hex trace id when the request was sampled
 
-    def as_cuboid(self) -> Dict[GroupKey, float]:
-        if not isinstance(self.payload, dict):
+    def as_cuboid(self) -> Mapping[GroupKey, float]:
+        if not isinstance(self.payload, Mapping):
             raise InvalidQuery(
                 f"{self.kind} result holds a cell value, not a cuboid"
             )
         return self.payload
 
     def as_cell(self) -> Optional[float]:
-        if isinstance(self.payload, dict):
+        if isinstance(self.payload, Mapping):
             raise InvalidQuery(
                 f"{self.kind} result holds a cuboid, not a cell value"
             )
@@ -349,7 +351,7 @@ class QueryResult:
         }
         if self.trace_id:
             out["trace_id"] = self.trace_id
-        if isinstance(self.payload, dict):
+        if isinstance(self.payload, Mapping):
             out["groups"] = [
                 {"key": list(key), "value": value}
                 for key, value in sorted(
@@ -443,9 +445,10 @@ class QueryExplanation:
 
 #: What a backend hands the read core for one lattice point: the
 #: cuboid, the version token it is exact at, the rung that resolved it,
-#: the full rung trail, and the modeled seconds paid.
+#: the full rung trail, and the modeled seconds paid.  The cuboid may be
+#: shared with the backend's store and other readers: nobody writes it.
 Answer = Tuple[
-    Dict[GroupKey, float],
+    Mapping[GroupKey, float],
     Tuple[int, ...],
     str,
     Tuple[RungDecision, ...],
@@ -714,7 +717,7 @@ def finish_query(
     lattice: CubeLattice,
     query: Query,
     point: LatticePoint,
-    cuboid: Dict[GroupKey, float],
+    cuboid: Mapping[GroupKey, float],
     version: Tuple[int, ...],
     tier: str,
     rungs: Tuple[RungDecision, ...],
@@ -722,29 +725,33 @@ def finish_query(
     trace_id: str = "",
 ) -> QueryResult:
     """Apply the query's kind-specific view of the resolved cuboid and
-    wrap it in the result envelope."""
+    wrap it in the result envelope.  A cuboid payload is handed out as
+    a read-only view, not a copy: the resolved cuboid may be the one a
+    cache and other readers share."""
     from repro.core.rollup import dice_cuboid, slice_cuboid
 
     check_read_version(query.read_version, version)
-    payload: Union[Dict[GroupKey, float], float, None]
+    payload: Union[Mapping[GroupKey, float], float, None]
     if query.kind == "cell":
         assert query.key is not None
         payload = cuboid.get(query.key)
     elif query.kind == "slice":
         assert query.axis is not None and query.value is not None
-        payload = slice_cuboid(
-            cuboid,
-            _kept_axis_index(lattice, point, query.axis),
-            query.value,
+        payload = MappingProxyType(
+            slice_cuboid(
+                cuboid,
+                _kept_axis_index(lattice, point, query.axis),
+                query.value,
+            )
         )
     elif query.kind == "dice":
         predicates = {
             _kept_axis_index(lattice, point, axis): values
             for axis, values in query.filters
         }
-        payload = dice_cuboid(cuboid, predicates)
+        payload = MappingProxyType(dice_cuboid(cuboid, predicates))
     else:  # aggregate / drilldown: the cuboid itself
-        payload = cuboid
+        payload = MappingProxyType(cuboid)
     return QueryResult(
         kind=query.kind,
         point=lattice.describe(point),

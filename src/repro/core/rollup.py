@@ -17,9 +17,10 @@ a safe API over a computed :class:`~repro.core.cube.CubeResult`:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.core.aggregates import AggregateFunction, get_function
+from repro.core.bindings import GroupKey
 from repro.core.cube import CubeResult
 from repro.core.groupby import Cuboid
 from repro.core.lattice import CubeLattice, LatticePoint
@@ -152,7 +153,7 @@ def rollup(
 
 
 def slice_cuboid(
-    cuboid: Cuboid, axis_index: int, value: str
+    cuboid: Mapping[GroupKey, float], axis_index: int, value: str
 ) -> Cuboid:
     """Fix one key component to a value and drop it from the keys."""
     out: Cuboid = {}
@@ -167,7 +168,7 @@ def slice_cuboid(
 
 
 def dice_cuboid(
-    cuboid: Cuboid, predicates: Dict[int, Sequence[str]]
+    cuboid: Mapping[GroupKey, float], predicates: Dict[int, Sequence[str]]
 ) -> Cuboid:
     """Keep only cells whose key components fall in the given sets."""
     allowed = {index: set(values) for index, values in predicates.items()}

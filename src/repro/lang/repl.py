@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import IO, List, Optional, Sequence
+from typing import IO, List, Mapping, Optional, Sequence
 
 from repro.errors import QueryParseError, X3Error
 from repro.lang.compiler import (
@@ -124,7 +124,7 @@ class Repl:
         self.echo(json.dumps(outcome, indent=1))
 
     def show_result(self, result: QueryResult) -> None:
-        if isinstance(result.payload, dict):
+        if isinstance(result.payload, Mapping):
             headers = self._headers(result)
             rows = [
                 ["NULL" if part is None else str(part) for part in key]
@@ -158,7 +158,7 @@ class Repl:
             for part in result.point.split(",")
             if ":" in part and not part.strip().endswith(":LND")
         ]
-        rows = result.payload if isinstance(result.payload, dict) else {}
+        rows = result.payload if isinstance(result.payload, Mapping) else {}
         arity = len(next(iter(rows), ()))
         if rows and len(kept) != arity:
             kept = [f"key{position}" for position in range(arity)]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
@@ -101,8 +101,9 @@ class CuboidCache:
         observer: optional audit hook receiving every cache-state
             change (admission, budget eviction with the victim's
             GreedyDual priority and cells freed, admission rejection,
-            write-path invalidation) — the serving layer routes these
-            into its request log, so evictions are never silent.
+            invalidation by a write or by a rejected replacement) — the
+            serving layer routes these into its request log, so
+            evictions are never silent.
     """
 
     def __init__(
@@ -193,18 +194,15 @@ class CuboidCache:
         enters at priority ``clock + cost/size``; eviction then removes
         minimum-priority entries until the budget holds — which may
         reject the newcomer itself when everything resident is more
-        valuable (counted as a rejection, not an eviction).
+        valuable (counted as a rejection, not an eviction).  A rejected
+        newcomer still displaces the version it was to replace: that
+        departure is an invalidation.
         """
         size = max(1, len(cuboid))
         with self._lock:
             old = self._entries.pop(point, None)
             if old is not None:
                 self._used_cells -= old.size
-            if size > self.budget_cells:
-                # A stale smaller version must not linger either.
-                self.stats.rejections += 1
-                self._audit("rejected", point, 0.0, size)
-                return False
             self._sequence += 1
             entry = _Entry(
                 cuboid=cuboid,
@@ -213,33 +211,43 @@ class CuboidCache:
                 priority=0.0,
                 sequence=self._sequence,
             )
+            if size <= self.budget_cells:
+                entry.priority = self._clock + self._benefit(entry)
+                self._entries[point] = entry
+                self._used_cells += size
+                self._fit(newcomer=point)
+            if point in self._entries:
+                self.stats.insertions += 1
+                self._audit("admitted", point, entry.priority, size)
+                return True
+            if old is not None:
+                self.stats.invalidations += 1
+                self._audit("invalidated", point, old.priority, old.size)
+            self.stats.rejections += 1
+            self._audit("rejected", point, entry.priority, size)
+            return False
+
+    def replace(self, point: LatticePoint, cuboid: Cuboid) -> bool:
+        """Swap a resident cuboid for its successor (incremental
+        maintenance); the old object is left as it was, for whoever
+        still holds it.
+
+        Re-measures the entry and re-balances the budget if the
+        successor grew it.  Returns False when the point is absent, or
+        when the budget then evicted it.
+        """
+        with self._lock:
+            entry = self._entries.get(point)
+            if entry is None:
+                return False
+            self._used_cells -= entry.size
+            entry.cuboid = cuboid
+            entry.size = max(1, len(cuboid))
             entry.priority = self._clock + self._benefit(entry)
-            self._entries[point] = entry
-            self._used_cells += size
-            self.stats.insertions += 1
-            admitted = True
-            while self._used_cells > self.budget_cells:
-                victim_point = self._victim()
-                victim = self._entries.pop(victim_point)
-                self._used_cells -= victim.size
-                self._clock = max(self._clock, victim.priority)
-                if victim_point == point:
-                    admitted = False
-                    self.stats.rejections += 1
-                    self.stats.insertions -= 1
-                    self._audit(
-                        "rejected", victim_point, victim.priority,
-                        victim.size,
-                    )
-                else:
-                    self.stats.evictions += 1
-                    self._audit(
-                        "evicted", victim_point, victim.priority,
-                        victim.size,
-                    )
-            if admitted:
-                self._audit("admitted", point, entry.priority, entry.size)
-            return admitted
+            self._used_cells += entry.size
+            self.stats.patches += 1
+            self._fit()
+            return point in self._entries
 
     def invalidate(self, point: LatticePoint) -> bool:
         """Drop one entry (write-path eviction of an affected point)."""
@@ -251,43 +259,6 @@ class CuboidCache:
             self.stats.invalidations += 1
             self._audit("invalidated", point, entry.priority, entry.size)
             return True
-
-    def clear(self) -> int:
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._used_cells = 0
-            self.stats.invalidations += dropped
-            return dropped
-
-    def mutate(
-        self, point: LatticePoint, patch: Callable[[Cuboid], None]
-    ) -> bool:
-        """Patch a resident cuboid in place (incremental maintenance).
-
-        Re-measures the entry size afterwards and re-balances the budget
-        if the patch grew it.  Returns False when the point is absent.
-        """
-        with self._lock:
-            entry = self._entries.get(point)
-            if entry is None:
-                return False
-            patch(entry.cuboid)
-            new_size = max(1, len(entry.cuboid))
-            self._used_cells += new_size - entry.size
-            entry.size = new_size
-            entry.priority = self._clock + self._benefit(entry)
-            self.stats.patches += 1
-            while self._used_cells > self.budget_cells:
-                victim_point = self._victim()
-                victim = self._entries.pop(victim_point)
-                self._used_cells -= victim.size
-                self._clock = max(self._clock, victim.priority)
-                self.stats.evictions += 1
-                self._audit(
-                    "evicted", victim_point, victim.priority, victim.size
-                )
-            return point in self._entries
 
     # ------------------------------------------------------------------
     # internals (call with the lock held)
@@ -308,7 +279,15 @@ class CuboidCache:
             ),
         )
 
-
-def entry_totals(cache: CuboidCache) -> Tuple[int, int]:
-    """(resident entries, resident cells) — convenience for reports."""
-    return len(cache), cache.used_cells
+    def _fit(self, newcomer: Optional[LatticePoint] = None) -> None:
+        """Evict minimum-priority entries until the budget holds.  The
+        ``newcomer`` :meth:`put` is admitting leaves uncounted: ``put``
+        records it as rejected."""
+        while self._used_cells > self.budget_cells:
+            point = self._victim()
+            victim = self._entries.pop(point)
+            self._used_cells -= victim.size
+            self._clock = max(self._clock, victim.priority)
+            if point != newcomer:
+                self.stats.evictions += 1
+                self._audit("evicted", point, victim.priority, victim.size)

@@ -23,12 +23,15 @@ first, each rung guarded by the summarizability rules of Sec. 2/3:
    snapshot (identical concurrent misses are deduplicated single-flight
    so a stampede computes once).
 
-Writes go through :mod:`repro.core.incremental`'s row helpers: deltas
-patch cached cuboids in place when the aggregate allows it exactly (the
-patch is a continuation of the same left fold the algorithms run, so
-answers stay bit-identical to recomputation), otherwise exactly the
-affected lattice points are evicted.
+Writes go through :mod:`repro.core.incremental`'s row helpers: when
+the aggregate allows it exactly, a delta replaces each affected cached
+cuboid with a patched successor (a continuation of the same left fold
+the algorithms run, so answers stay bit-identical to recomputation);
+otherwise exactly the affected lattice points are evicted.
 
+A published cuboid is never written to again: cache hits, rollups,
+single-flight waiters and shard replicas share the one object, and
+answers hand it out read-only (:func:`repro.core.query.finish_query`).
 Reads are versioned: the returned cuboid is correct for the table
 version reported alongside it, and an in-flight recompute whose version
 was overtaken by a write is served to its waiters (still correct at
@@ -47,6 +50,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -156,8 +160,8 @@ class _Ladder(NamedTuple):
     version: int  #: table version the decision is valid at
     tier: str  #: the rung that answers
     rungs: Tuple[RungDecision, ...]  #: all three verdicts, ladder order
-    #: the cache hit, or the (source point, private copy) pair of the
-    #: rollup rung; ``None`` for recompute, which reads base data
+    #: the cache hit, or the (source point, cuboid) pair of the rollup
+    #: rung; ``None`` for recompute, which reads base data
     source: Any
 
 
@@ -440,21 +444,20 @@ class CubeServer(CubeBackend):
             version, tier, rungs, source = self._walk_ladder(point)
             if tier == "cache":
                 return (
-                    dict(source), version, tier, rungs,
-                    self._touch_cost(source),
+                    source, version, tier, rungs, self._touch_cost(source)
                 )
             if tier == "recompute":
                 snapshot = self._snapshot_table()[1]
         if tier == "rollup":
-            # Rollup arithmetic runs outside the lock on a source copied
-            # under it; admit only if no write overtook the derivation.
+            # Rollup arithmetic runs outside the lock; admit only if no
+            # write overtook the derivation.
             source_point, source_cuboid = source
             cuboid, cost = self._rollup_from(
                 source_point, source_cuboid, point
             )
             with self._lock:
                 if self._version == version:
-                    self.cache.put(point, dict(cuboid), cost)
+                    self.cache.put(point, cuboid, cost)
             return cuboid, version, tier, rungs, cost
         # Recompute outside the lock, deduplicated per (point, version).
         # The leader publishes its trace span identity into the flight so
@@ -474,25 +477,20 @@ class CubeServer(CubeBackend):
                 ):
                     pass
         else:
-            # Only the flight leader admits, and the cache receives a
-            # private copy: the flight result itself stays immutable, so
-            # every waiter's dict() copy below is race-free even after
-            # a concurrent write starts patching the cached copy.
-            with self._lock:
+            with self._lock:  # only the flight leader admits
                 if self._version == version:
-                    self.cache.put(point, dict(cuboid), cost)
-        return dict(cuboid), version, tier, rungs, cost
+                    self.cache.put(point, cuboid, cost)
+        return cuboid, version, tier, rungs, cost
 
     def _rollup_source(
         self, point: LatticePoint
     ) -> Tuple[Optional[Tuple[LatticePoint, Cuboid]], str]:
         """Pick the smallest sound cached source for ``point``.
 
-        Returns ``((source, private copy), reason)`` on success or
+        Returns ``((source, cuboid), reason)`` on success or
         ``(None, reason)`` where the reason carries the per-candidate
         rejection verdicts of the Sec. 2 disjoint/covered proofs.  Call
-        with the server lock held; the copy lets the rollup arithmetic
-        itself run outside it.
+        with the server lock held.
         """
         if self._aggregate not in STATE_EXACT_AGGREGATES:
             return None, (
@@ -531,7 +529,7 @@ class CubeServer(CubeBackend):
             f"derive from {self.lattice.describe(source)} "
             f"({size} cells): {why} [disjoint=True covered=True]"
         )
-        return (source, dict(source_cuboid)), reason
+        return (source, source_cuboid), reason
 
     def _rollup_from(
         self,
@@ -539,7 +537,7 @@ class CubeServer(CubeBackend):
         source_cuboid: Cuboid,
         point: LatticePoint,
     ) -> Tuple[Cuboid, float]:
-        """Derive ``point`` from an already-copied source cuboid."""
+        """Derive ``point`` from a resident source cuboid."""
         with obs.span(
             "serve.rollup",
             category="serve",
@@ -595,9 +593,10 @@ class CubeServer(CubeBackend):
     # ------------------------------------------------------------------
     # warmup
     # ------------------------------------------------------------------
-    def sizes(self) -> Dict[LatticePoint, int]:
+    def sizes(self) -> Mapping[LatticePoint, int]:
         """Exact per-point cell counts (cached; recomputed after writes
-        only when asked again).
+        only when asked again).  Every caller at one version shares the
+        one census, so it is read-only.
 
         The census runs outside the lock on the version's table
         snapshot, so reads and writes proceed meanwhile; it is cached
@@ -607,13 +606,13 @@ class CubeServer(CubeBackend):
         """
         with self._lock:
             if self._sizes is not None:
-                return dict(self._sizes)
+                return self._sizes
             version, snapshot = self._snapshot_table()
         sizes = cuboid_sizes(snapshot, self.lattice)
         with self._lock:
             if self._version == version:
                 self._sizes = sizes
-        return dict(sizes)
+        return sizes
 
     def warm(
         self,
@@ -756,21 +755,22 @@ class CubeServer(CubeBackend):
         return self._version
 
     def _patch_cached(self, rows: List[FactRow], op: str) -> None:
-        """Fold/unfold a delta batch into every resident cuboid.
+        """Replace every affected resident cuboid with its successor
+        under a delta batch.
 
-        A patch that grows the cache past its budget evicts (maybe a
-        point patched a moment ago): a point counts as patched only if
+        A successor that grows the cache past its budget evicts (maybe
+        a point patched a moment ago): a point counts as patched only if
         it is still resident afterwards, and every eviction counts.
         Every cache write runs under the server lock, so the cache's
         eviction count moves only by this batch here."""
         affected = affected_points(self.table, rows, self.cache.points())
         evictions = self.cache.stats.evictions
         for point in affected:
-            self.cache.mutate(
-                point, lambda cuboid, p=point: self._apply_delta(
-                    cuboid, rows, p, op
+            resident = self.cache.peek(point)
+            if resident is not None:
+                self.cache.replace(
+                    point, self._apply_delta(resident, rows, point, op)
                 )
-            )
         self._counters.patched_points += sum(
             point in self.cache for point in affected
         )
@@ -778,11 +778,14 @@ class CubeServer(CubeBackend):
 
     def _apply_delta(
         self,
-        cuboid: Cuboid,
+        resident: Cuboid,
         rows: List[FactRow],
         point: LatticePoint,
         op: str,
-    ) -> None:
+    ) -> Cuboid:
+        """The successor of ``resident`` once ``rows`` are folded in
+        (insert) or out (delete); ``resident`` itself is left as is."""
+        cuboid = dict(resident)
         fn = self._fn
         empty = fn.new()
         for row in rows:
@@ -799,6 +802,7 @@ class CubeServer(CubeBackend):
                         cuboid.pop(key, None)
                     else:
                         cuboid[key] = fn.finalize(remaining)
+        return cuboid
 
     def _evict_affected(self, rows: List[FactRow]) -> None:
         """Evict exactly the lattice points the delta touches."""

@@ -7,6 +7,9 @@ equal serial NAIVE over the facts present at that moment: exactly on
 the server (cached cells continue the same left fold, or are evicted
 and recomputed), and on the cluster exactly for COUNT/MIN/MAX and up to
 float associativity for SUM/AVG (each shard folds its own slice).
+Every answer the server served is kept, and at the end of each schedule
+each must still equal NAIVE at the version it reported: a later write
+replaces a cached cuboid, never changes one already handed out.
 """
 
 import pytest
@@ -84,6 +87,10 @@ class Replay:
         self.cluster = ClusterCoordinator(
             FactTable(self.lattice, rows, aggregate=self.spec), 3, 2
         )
+        #: NAIVE's cuboids per server version, and every served
+        #: ``(point, version, payload)``
+        self.references = {}
+        self.served = []
 
     def insert(self, rows):
         self.server.insert(rows)
@@ -106,10 +113,13 @@ class Replay:
             FactTable(self.lattice, self.present, aggregate=self.spec),
             ExecutionOptions(algorithm="NAIVE"),
         )
+        self.references[self.server.version] = reference.cuboids
         for point in self.lattice.points():
             expected = reference.cuboids[point]
             query = Query(point=point)
-            assert self.server.query(query).as_cuboid() == expected
+            result = self.server.query(query)
+            assert result.as_cuboid() == expected
+            self.served.append((point, result.version[0], result.payload))
             got = self.cluster.query(query).as_cuboid()
             if self.spec.function in ("SUM", "AVG"):
                 assert set(got) == set(expected)
@@ -119,6 +129,12 @@ class Replay:
                     )
             else:
                 assert got == expected
+
+    def check_served(self):
+        """Every answer kept still equals NAIVE at its own version."""
+        assert self.served
+        for point, version, payload in self.served:
+            assert payload == self.references[version][point]
 
     def close(self):
         self.cluster.close()
@@ -161,6 +177,7 @@ def test_schedule_matches_naive(data, rows, function):
                 )
                 replay.delete(batch)
                 absent.extend(batch)
+        replay.check_served()
     finally:
         replay.close()
 
@@ -177,6 +194,7 @@ def test_insert_then_delete_round_trips(initial, delta, function):
         replay.insert(list(delta))
         replay.delete(list(delta))
         assert replay.present == list(initial)
+        replay.check_served()
     finally:
         replay.close()
 
@@ -195,6 +213,7 @@ def test_full_retraction_empties_every_cuboid(rows, function):
             assert replay.server.query(query).as_cuboid() == {}
             assert replay.cluster.query(query).as_cuboid() == {}
         assert replay.server.table.rows == []
+        replay.check_served()
     finally:
         replay.close()
 
@@ -213,6 +232,7 @@ def test_partial_deletion_matches_recompute(rows, function):
     try:
         replay.delete(list(rows[:cut]))
         assert replay.present == list(rows[cut:])
+        replay.check_served()
     finally:
         replay.close()
 
@@ -237,5 +257,6 @@ def test_non_invertible_deletion_evicts_and_recomputes(rows, function):
         assert attrs["op"] == "delete"
         assert attrs["patched_points"] == 0
         assert attrs["evicted_points"] > 0
+        replay.check_served()
     finally:
         replay.close()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CubeError
-from repro.serve.cache import CuboidCache, entry_totals
+from repro.serve.cache import CuboidCache
 
 P1 = (0, 0)
 P2 = (0, 1)
@@ -49,7 +49,7 @@ class TestBasics:
         assert P1 in cache and P2 in cache and P3 not in cache
         assert len(cache) == 2
         assert set(cache.points()) == {P1, P2}
-        assert entry_totals(cache) == (2, 5)
+        assert cache.used_cells == 5
 
     def test_empty_cuboid_counts_one_cell(self):
         cache = CuboidCache(10)
@@ -137,42 +137,34 @@ class TestInvalidation:
         assert cache.used_cells == 0
         assert cache.stats.invalidations == 1
 
-    def test_clear(self):
+
+def grown(cuboid):
+    """A successor of ``cuboid`` three cells larger."""
+    return {**cuboid, **{("new%d" % i,): 1.0 for i in range(3)}}
+
+
+class TestReplace:
+    def test_replace_swaps_in_the_successor(self):
         cache = CuboidCache(10)
-        cache.put(P1, cuboid_of(2), cost=1.0)
-        cache.put(P2, cuboid_of(2), cost=1.0)
-        assert cache.clear() == 2
-        assert len(cache) == 0 and cache.used_cells == 0
-
-
-class TestMutate:
-    def test_mutate_patches_in_place(self):
-        cache = CuboidCache(10)
-        cache.put(P1, {("a",): 1.0}, cost=1.0)
-
-        def patch(cuboid):
-            cuboid[("a",)] += 1.0
-            cuboid[("b",)] = 1.0
-
-        assert cache.mutate(P1, patch)
-        assert cache.peek(P1) == {("a",): 2.0, ("b",): 1.0}
+        resident = {("a",): 1.0}
+        cache.put(P1, resident, cost=1.0)
+        successor = {("a",): 2.0, ("b",): 1.0}
+        assert cache.replace(P1, successor)
+        assert cache.peek(P1) is successor
+        assert resident == {("a",): 1.0}  # the old object is untouched
         assert cache.used_cells == 2
         assert cache.stats.patches == 1
 
-    def test_mutate_absent_point(self):
+    def test_replace_absent_point(self):
         cache = CuboidCache(10)
-        assert not cache.mutate(P1, lambda cuboid: None)
+        assert not cache.replace(P1, cuboid_of(1))
+        assert P1 not in cache and cache.stats.patches == 0
 
-    def test_mutate_growth_rebalances_budget(self):
+    def test_replace_growth_rebalances_budget(self):
         cache = CuboidCache(4)
         cache.put(P1, cuboid_of(2), cost=0.5)
         cache.put(P2, cuboid_of(2), cost=50.0)
-
-        def grow(cuboid):
-            for i in range(3):
-                cuboid[("new%d" % i,)] = 1.0
-
-        survived = cache.mutate(P1, grow)
+        survived = cache.replace(P1, grown(cuboid_of(2)))
         assert cache.used_cells <= 4
         # P1 grew to 5 cells; something had to go, and the cheap grown
         # entry is the natural victim.
@@ -266,19 +258,38 @@ class TestAuditObserver:
         assert records[0][1] == P1
         assert records[0][3] == 2
 
-    def test_mutate_eviction_is_audited(self):
+    def test_replace_eviction_is_audited(self):
         cache, records = self.observed(4)
         cache.put(P1, cuboid_of(2), cost=0.5)
         cache.put(P2, cuboid_of(2), cost=50.0)
         records.clear()
-
-        def grow(cuboid):
-            for i in range(3):
-                cuboid[("new%d" % i,)] = 1.0
-
-        cache.mutate(P1, grow)
+        cache.replace(P1, grown(cuboid_of(2)))
         evicted = [record for record in records if record[0] == "evicted"]
         assert evicted and evicted[0][1] == P1
+        assert cache.stats.evictions == 1
+
+    @pytest.mark.parametrize("budget, cost", [(3, 1.0), (4, 0.001)])
+    def test_refused_replacement_records_the_resident_leaving(
+        self, budget, cost
+    ):
+        """A ``put`` over a resident point displaces it even when the
+        newcomer is refused — oversized (budget 3), or out-valued by the
+        rest of the cache (budget 4): the old version's departure is an
+        invalidation, audited and counted."""
+        cache, records = self.observed(budget)
+        cache.put(P1, cuboid_of(1), cost=1.0)
+        cache.put(P2, cuboid_of(1), cost=50.0)
+        records.clear()
+        assert not cache.put(P1, cuboid_of(4), cost=cost)
+        assert [(kind, point) for kind, point, _, _ in records] == [
+            ("invalidated", P1),
+            ("rejected", P1),
+        ]
+        assert records[0][3] == 1
+        assert P1 not in cache and cache.used_cells == 1
+        assert cache.stats.invalidations == 1
+        assert cache.stats.rejections == 1
+        assert cache.stats.evictions == 0
 
     def test_no_observer_is_fine(self):
         cache = CuboidCache(4)

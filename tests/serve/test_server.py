@@ -6,6 +6,7 @@ bit-identical to a serial NAIVE recomputation over the table rows at
 the version reported with the answer.
 """
 
+import gc
 import sys
 import threading
 from collections import Counter
@@ -268,13 +269,15 @@ class TestQuerySurface:
         with pytest.raises(CubeError):
             cuboid_of(server, (99, 99, 99))
 
-    def test_returned_cuboids_are_copies(self):
+    def test_returned_cuboids_are_read_only(self):
         table, oracle = fresh()
         server = CubeServer(table, oracle)
         point = table.lattice.top
         first = cuboid_of(server, point)
-        first[("tampered",)] = 1.0
-        assert ("tampered",) not in cuboid_of(server, point)
+        before = dict(first)
+        with pytest.raises(TypeError):
+            first[("tampered",)] = 1.0
+        assert cuboid_of(server, point) == before
 
 
 class TestWarm:
@@ -518,6 +521,37 @@ class TestWrites:
             len(resident), len(evicted)
         )
         assert_resident_exactly(server, live)
+
+    def test_a_write_replaces_what_readers_hold(self):
+        """A published cuboid is never written again: the resident
+        object and a served answer held across an insert and a COUNT
+        delete keep their values, the cache swaps in a successor exact
+        at the new version, and a cache hit's payload wraps the resident
+        object itself, not a copy."""
+        table, oracle = fresh(n_facts=60)
+        initial, delta = split_rows(table, 0.7)
+        live = FactTable(table.lattice, list(initial), table.aggregate)
+        server = CubeServer(live, oracle, cache_cells=100000)
+        point = table.lattice.top
+        assert server.warm([point]) == [point]
+        resident = server.cache.peek(point)
+        result = server.query(Query(point=point))
+        assert result.tier == "cache"
+        assert gc.get_referents(result.payload) == [resident]
+        held = [(resident, dict(resident)), (result.payload, dict(resident))]
+        for op, rows in (("insert", delta), ("delete", delta[:3])):
+            getattr(server, op)(list(rows))
+            assert all(dict(obj) == snapshot for obj, snapshot in held)
+            successor = server.cache.peek(point)
+            assert successor is not resident
+            assert successor == reference_cuboid(live, live.rows, point)
+            result = server.query(Query(point=point))
+            assert result.tier == "cache"
+            assert result.version == (server.version,)
+            assert gc.get_referents(result.payload) == [successor]
+            held += [(successor, dict(successor))]
+            resident = successor
+        assert server.stats().patched_points == 2
 
     def test_delete_unknown_row_rejected(self):
         table, oracle = fresh(n_facts=40)

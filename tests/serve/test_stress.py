@@ -4,11 +4,14 @@ One writer thread drives interleaved insert/delete batches while reader
 threads hammer cuboid queries.  Every versioned answer a reader gets
 must equal a serial NAIVE recomputation over the exact rows the table
 held at that version — the server's linearizability-per-snapshot
-contract.  Runs in CI (marked slow) because this is where cache
-patching, eviction, single-flight and versioning all collide.
+contract.  This is where cache patching, eviction, single-flight and
+versioning all collide, and where readers share resident cuboids that
+writes replace: a small race runs in the unit stage on every
+interpreter, the full-size one is marked slow.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -20,16 +23,22 @@ from repro.serve import CubeServer
 from repro.testing import small_workload
 from tests.serve.test_server import reference_cuboid
 
-READERS = 4
-READS_PER_READER = 30
-WRITE_BATCHES = 12
-
 
 @pytest.mark.slow
 @pytest.mark.parametrize("warm", [False, True])
 def test_concurrent_reads_match_serial_recompute(warm):
     """``warm`` fills the cache first, so the race starts with every
     write patching or evicting resident cuboids."""
+    race(warm, readers=4, reads_per_reader=30, write_batches=12)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_small_race_matches_serial_recompute(warm):
+    """The same race, small enough for every unit run."""
+    race(warm, readers=2, reads_per_reader=10, write_batches=4)
+
+
+def race(warm, readers, reads_per_reader, write_batches):
     table = small_workload(n_facts=120, seed=21).fact_table()
     initial, churn = split_rows(table, 0.5)
     live = FactTable(table.lattice, list(initial), table.aggregate)
@@ -46,7 +55,7 @@ def test_concurrent_reads_match_serial_recompute(warm):
         rng = random.Random(77)
         resident = []
         try:
-            for _ in range(WRITE_BATCHES):
+            for _ in range(write_batches):
                 insert_now = rng.sample(
                     [row for row in churn if row not in resident],
                     k=min(4, len(churn) - len(resident)),
@@ -71,7 +80,7 @@ def test_concurrent_reads_match_serial_recompute(warm):
         rng = random.Random(seed)
         local = []
         try:
-            for _ in range(READS_PER_READER):
+            for _ in range(reads_per_reader):
                 point = rng.choice(points)
                 result = server.query(Query(point=point))
                 local.append((point, result.version[0], result.as_cuboid()))
@@ -82,16 +91,23 @@ def test_concurrent_reads_match_serial_recompute(warm):
 
     threads = [threading.Thread(target=writer)] + [
         threading.Thread(target=reader, args=(seed,))
-        for seed in range(READERS)
+        for seed in range(readers)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: more interleavings
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(thread.is_alive() for thread in threads)
 
     assert not write_error, write_error
     assert not read_errors, read_errors
-    assert len(observations) == READERS * READS_PER_READER
+    assert len(observations) == readers * reads_per_reader
 
     # Verify each distinct (point, version) once against serial NAIVE.
     expected_cache = {}
@@ -113,7 +129,7 @@ def test_concurrent_reads_match_serial_recompute(warm):
     # The race actually exercised the write path.
     stats = server.stats()
     assert stats.writes > 0
-    assert stats.requests >= READERS * READS_PER_READER
+    assert stats.requests >= readers * reads_per_reader
 
     # The request log kept up with the race: exactly one record per
     # read and per write, contiguous sequence numbers, nothing lost and
