@@ -3,8 +3,10 @@
 :class:`ClusterCoordinator` is the cluster's single query surface.  A
 read fans out to every shard, collects per-shard *aggregate states*
 (never finalized values — an AVG must travel as ``(sum, count)``),
-merges them with the shared kernel (:mod:`repro.core.merge`) and
-finalizes once.  This is lossless for exactly the reason the paper's
+merges them with the shared kernel (:mod:`repro.core.merge`: packed
+shard states are re-ranked into the union of their dictionaries and
+folded by code) and finalizes once, into a packed cuboid in wire order.
+This is lossless for exactly the reason the paper's
 Sec. 2 proofs allow: facts are partitioned disjointly by fact id, so
 even when a fact lands in several groups (non-disjoint grouping) or in
 none (incomplete coverage), each of its group contributions is folded on
@@ -52,7 +54,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.core.aggregates import AggregateFunction
 from repro.core.bindings import FactRow, FactTable
-from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 from repro.core.merge import finalize_states, merge_states
 from repro.core.properties import PropertyOracle
@@ -65,6 +66,7 @@ from repro.cost import CostModel
 from repro.errors import ClusterError, CubeError, ShardUnavailable, X3Error
 from repro.obs.events import RungDecision
 from repro.obs.trace_store import TraceStore
+from repro.serve.cache import ServedCuboid
 
 _CPU_OP_SECONDS = CostModel.cpu_op_cost
 
@@ -364,7 +366,7 @@ class ClusterCoordinator(CubeBackend):
         point: LatticePoint,
         described: str,
         decisions: List[Decision],
-    ) -> Tuple[Cuboid, Tuple[int, ...], float]:
+    ) -> Tuple[ServedCuboid, Tuple[int, ...], float]:
         """Scatter until a gathered vector is consistent; the merged
         cuboid, its vector and its modeled latency.  Every round's
         decisions go to ``decisions``."""
@@ -654,7 +656,7 @@ class ClusterCoordinator(CubeBackend):
 
     def _merge(
         self, outcomes: List[_ShardReadOutcome]
-    ) -> Tuple[Cuboid, float]:
+    ) -> Tuple[ServedCuboid, float]:
         with obs.span(
             "cluster.merge", category="cluster", shards=len(outcomes)
         ):

@@ -17,7 +17,8 @@ layer only adds what a *distributed* worker needs:
   value is the state, so one server of the aggregate itself; algebraic
   AVG is a fixed tuple of distributive states (Gray et al.), so a SUM
   server and a COUNT server over the same slice, whose answers zip
-  into ``(sum, count)`` pairs — finalized averages do not merge.
+  into ``(sum, count)`` pairs in stored order — finalized averages do
+  not merge.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactRow, FactTable, GroupKey
 from repro.core.lattice import CubeLattice, LatticePoint
-from repro.core.merge import STATE_EXACT_AGGREGATES, states_from_finalized
+from repro.core.merge import (
+    STATE_EXACT_AGGREGATES,
+    avg_states,
+    states_from_finalized,
+)
 from repro.core.properties import PropertyOracle
 from repro.errors import ClusterError, ShardUnavailable
 from repro.serve.server import TIERS, CubeServer
@@ -41,7 +46,8 @@ class ShardAnswer:
 
     shard: int
     replica: int
-    #: read-only: for SUM/MIN/MAX it is the replica's resident cuboid
+    #: read-only: for COUNT/SUM/MIN/MAX it is the replica's resident
+    #: cuboid
     states: Mapping[GroupKey, Any]
     version: int  #: write batches the replica had applied when answering
     modeled_seconds: float  #: modeled cost of the replica's ladder walk
@@ -184,11 +190,7 @@ class ShardReplica:
             if len(cuboids) == 1:
                 states = states_from_finalized(self._aggregate, cuboids[0])
             else:
-                sums, counts = cuboids
-                states = {
-                    key: (total, int(counts[key]))
-                    for key, total in sums.items()
-                }
+                states = avg_states(*cuboids)
             return ShardAnswer(
                 shard=self.shard,
                 replica=self.replica,

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.bindings import FactRow, FactTable
+from repro.core.bindings import FactRow, FactTable, GroupKey
 from repro.core.columnar import ColumnarFactTable
-from repro.core.groupby import Cuboid
 from repro.core.cube import CostSnapshot, CubeResult
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.properties import PropertyOracle
@@ -223,7 +222,7 @@ class CubeAlgorithm:
             }
         return CubeResult(
             lattice=table.lattice,
-            cuboids=cuboids,
+            cuboids=dict(cuboids),
             algorithm=self.name,
             cost=CostSnapshot.from_mapping(
                 context.cost.snapshot(), wall_seconds=wall_seconds
@@ -235,7 +234,9 @@ class CubeAlgorithm:
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+    ) -> Tuple[Mapping[LatticePoint, Mapping[GroupKey, float]], int]:
+        """Each requested point's cuboid (a dict, or packed:
+        :mod:`repro.core.packed`) and the passes over the base data."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,9 +25,10 @@ and shares work across cuboids:
   (entry ``k`` is row ``k``) and the dense single-valued path reads the
   views and the measure column directly;
 - at a leaf, integer group ids index a counter dict (COUNT and SUM use
-  C-speed fast paths); the ids decode back to string group keys one
-  kept axis at a time (:func:`~repro.core.columnar.decode_group_ids`:
-  a list comprehension of mixed-radix digits per axis, zipped).
+  C-speed fast paths); the ids are re-ranked into the sorted axis
+  dictionaries and packed, one kept axis at a time
+  (:func:`~repro.core.packed.from_group_ids`: a list comprehension of
+  mixed-radix digits per axis), with no group key built.
 
 The trie walk (:func:`sweep_trie`) takes its leaf as an argument:
 the algorithm's leaf aggregates a cuboid, :func:`census`'s only counts
@@ -52,7 +53,7 @@ extra pass.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.algorithms.base import (
@@ -60,19 +61,18 @@ from repro.core.algorithms.base import (
     ExecutionContext,
     encode,
 )
-from repro.core.bindings import FactTable
+from repro.core.bindings import FactTable, GroupKey
 from repro.core.columnar import (
     VECTOR_LANES,
     ColumnarFactTable,
     KeptAxis,
     count_group_ids,
-    decode_group_ids,
     extend_group_ids,
     fold_group_ids,
     vector_lanes,
 )
-from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
+from repro.core.packed import from_group_ids
 
 __all__ = ["ColumnarSweepAlgorithm", "VECTOR_LANES", "census", "sweep_trie"]
 
@@ -180,10 +180,11 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+    ) -> Tuple[Dict[LatticePoint, Mapping[GroupKey, float]], int]:
         encoded = self.scan(context)
         fn = context.table.aggregate.fn
-        cuboids: Dict[LatticePoint, Cuboid] = {}
+        lattice = encoded.lattice
+        cuboids: Dict[LatticePoint, Mapping[GroupKey, float]] = {}
         increments = cells = 0
 
         def leaf(
@@ -198,10 +199,20 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
             cells += len(partials)
             context.cost.charge_cpu(self.leaf_ops(added, len(partials)))
             # The sweep never emits null digits (radix ==
-            # len(dictionary)), so every decoded key is a string tuple.
-            keys = decode_group_ids(kept, partials.keys())
-            cuboids[point] = dict(
-                zip(keys, map(fn.finalize, partials.values()))
+            # len(dictionary)), so every key part is a dictionary value.
+            ranked = [
+                encoded.columns[position].wire_ranks
+                for position in lattice.kept_axes(point)
+            ]
+            cuboids[point] = from_group_ids(
+                tuple(axis for axis, _ in ranked),
+                [ranks for _, ranks in ranked],
+                partials.keys(),
+                # A COUNT partial is its count, which the array stores
+                # as the very double finalize would return.
+                partials.values()
+                if fn.name == "COUNT"
+                else map(fn.finalize, partials.values()),
             )
 
         nodes = sweep_trie(

@@ -21,12 +21,12 @@ and per finalized cell, a row-form re-scan per extra pass.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.algorithms.base import ExecutionContext, encode
 from repro.core.algorithms.columnar_sweep import ColumnarSweepAlgorithm
 from repro.core.columnar import ColumnarFactTable
-from repro.core.groupby import Cuboid
+from repro.core.bindings import GroupKey
 from repro.core.lattice import LatticePoint
 
 
@@ -35,7 +35,7 @@ class CounterAlgorithm(ColumnarSweepAlgorithm):
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+    ) -> Tuple[Dict[LatticePoint, Mapping[GroupKey, float]], int]:
         cuboids, passes = super()._compute(context, points)
         # One counter array per requested point, in the order asked for.
         return {point: cuboids[point] for point in points}, passes

@@ -261,6 +261,15 @@ class AxisColumn:
         ``0..n``)?  Then ``codes`` and ``masks`` are one entry per row."""
         return self.offsets == array("q", range(len(self.offsets)))
 
+    @cached_property
+    def wire_ranks(self) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+        """The dictionary sorted (the wire order of a key part), and the
+        index in it of each code — what a kernel re-ranks group ids by
+        to pack its cells (:func:`repro.core.packed.from_group_ids`)."""
+        ordered = tuple(sorted(self.dictionary))
+        index = {value: position for position, value in enumerate(ordered)}
+        return ordered, tuple(map(index.__getitem__, self.dictionary))
+
 
 @dataclass(frozen=True)
 class StateView:

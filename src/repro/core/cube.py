@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Trace
 
 from repro.core.bindings import FactTable, GroupKey
-from repro.core.groupby import Cuboid
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.properties import PropertyOracle
 from repro.errors import CubeError
@@ -232,7 +231,9 @@ class CubeResult:
 
     Attributes:
         lattice: the lattice the cube was computed over.
-        cuboids: point -> (group key -> aggregate value).
+        cuboids: point -> (group key -> aggregate value): a dict, or a
+            read-only :class:`~repro.core.packed.PackedCuboid` where the
+            kernel packs its cells (the columnar sweep).
         algorithm: name of the algorithm that produced it.
         cost: typed cost snapshot taken right after the run.
         passes: number of data passes (COUNTER reports thrashing here).
@@ -252,7 +253,7 @@ class CubeResult:
     """
 
     lattice: CubeLattice
-    cuboids: Dict[LatticePoint, Cuboid]
+    cuboids: Dict[LatticePoint, Mapping[GroupKey, float]]
     algorithm: str = ""
     cost: CostSnapshot = field(default_factory=CostSnapshot)
     passes: int = 1
@@ -265,7 +266,7 @@ class CubeResult:
         self.cost = _coerce_cost(self.cost)
 
     # ------------------------------------------------------------------
-    def cuboid(self, point: LatticePoint) -> Cuboid:
+    def cuboid(self, point: LatticePoint) -> Mapping[GroupKey, float]:
         try:
             return self.cuboids[point]
         except KeyError:
@@ -273,7 +274,7 @@ class CubeResult:
                 f"no cuboid at {self.lattice.describe(point)}"
             ) from None
 
-    def cuboid_by_description(self, text: str) -> Cuboid:
+    def cuboid_by_description(self, text: str) -> Mapping[GroupKey, float]:
         return self.cuboid(self.lattice.point_by_description(text))
 
     def cell(self, point: LatticePoint, key: GroupKey) -> Optional[float]:

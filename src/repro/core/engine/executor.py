@@ -214,12 +214,16 @@ def _share_counts(
     A cell unpickles as a fresh ``float``, not the
     :data:`~repro.core.aggregates.COUNT_VALUES` object its worker's
     finalize chose; finalizing it once more in the parent restores
-    that (a COUNT finalize takes its own integral floats).
+    that (a COUNT finalize takes its own integral floats).  A packed
+    cuboid (:mod:`repro.core.packed`) holds its counts in an
+    ``array('d')``: there is no float object to share.
     """
     if not isinstance(fn, CountAggregate):
         return
     finalize = fn.finalize
     for cuboid in cuboids.values():
+        if not isinstance(cuboid, dict):
+            continue
         for key, value in cuboid.items():
             cuboid[key] = finalize(value)
 

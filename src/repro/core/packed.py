@@ -1,0 +1,546 @@
+"""Packed cuboids: a served cuboid as two sorted arrays.
+
+A :class:`PackedCuboid` is the read-only form every cuboid the serving
+layer caches or answers with takes (DESIGN.md Sec. 5c).  It has three
+parts:
+
+- per kept axis, a sorted tuple of the axis's ``str`` values (its
+  *dictionary*);
+- a sorted ``array('q')`` of mixed-radix **codes**: a key's code is the
+  sum of each part's index in its axis dictionary times the product of
+  the later axes' radices, so earlier axes are the more significant
+  digits and code order *is* the wire order of
+  :meth:`~repro.core.query.QueryResult.to_dict` — keys sorted part by
+  part;
+- the **cells**: an ``array('d')`` of values, parallel to the codes (a
+  list of partial states in a state cuboid of :mod:`repro.core.merge`).
+
+A cell costs its 8-byte code and its 8-byte value instead of a dict slot,
+a key tuple and a float object.  A lookup bisects each key part in its
+dictionary, then the code in the codes; iteration decodes one column per
+axis, as :func:`~repro.core.columnar.decode_group_ids` does, and yields
+keys in wire order.  Nothing writes a published cuboid: every operation
+here (slice, dice, roll-up projection, a write's patch, a cluster
+gather's recode) builds a new one on the codes, never on decoded keys.
+
+A cuboid that cannot be packed — a key part that is not a ``str``, a
+value that is not a ``float``, or a radix product of ``2**62`` or more —
+stays a ``dict``, built in wire order (:func:`pack`).
+"""
+
+from __future__ import annotations
+
+from array import array
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, ValuesView
+from itertools import repeat
+from operator import add
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    cast,
+)
+
+from repro.core.bindings import GroupKey
+
+#: Codes are signed 64-bit integers; the product of a cuboid's radices
+#: must stay below this for every code to fit.
+CODE_LIMIT = 1 << 62
+
+#: One sorted value dictionary per kept axis.
+Axes = Tuple[Tuple[str, ...], ...]
+
+_T = TypeVar("_T")
+
+#: A write's step on one cell: ``(current value or None, the key's
+#: delta) -> new value``, ``None`` where the cell goes away.
+Step = Callable[[Optional[float], Any], Optional[float]]
+
+
+def wire_key(item: Tuple[GroupKey, Any]) -> Tuple[Tuple[bool, Any], ...]:
+    """The wire order of a ``(key, value)`` item: part by part, ``None``
+    last.  Only a cuboid that cannot be packed is sorted with it."""
+    return tuple((part is None, part) for part in item[0])
+
+
+def _radices(axes: Axes) -> List[int]:
+    return [max(1, len(axis)) for axis in axes]
+
+
+def _scales(radices: Sequence[int]) -> List[int]:
+    """The place value of each axis's digit (the product of the radices
+    after it)."""
+    scales = [1] * len(radices)
+    for position in range(len(radices) - 2, -1, -1):
+        scales[position] = scales[position + 1] * radices[position + 1]
+    return scales
+
+
+def fits(axes: Axes) -> bool:
+    product = 1
+    for radix in _radices(axes):
+        product *= radix
+    return product < CODE_LIMIT
+
+
+def _sorted_packed(
+    axes: Axes, codes: List[int], cells: Iterable[float]
+) -> "PackedCuboid":
+    """Pack parallel, unsorted (and distinct) codes and values."""
+    value_of = dict(zip(codes, cells))
+    codes.sort()
+    return PackedCuboid(
+        axes, array("q", codes), array("d", map(value_of.__getitem__, codes))
+    )
+
+
+class PackedCuboid(Mapping[GroupKey, Any]):
+    """A read-only cuboid stored as sorted mixed-radix codes and cells.
+
+    Attributes:
+        axes: per kept axis, its sorted value dictionary.
+        codes: the sorted ``array('q')`` of cell codes.
+        cells: the values, parallel to ``codes`` — an ``array('d')`` in
+            a finalized cuboid.
+    """
+
+    __slots__ = ("axes", "codes", "cells", "_radices", "_scales")
+
+    def __init__(
+        self, axes: Axes, codes: "array[int]", cells: Sequence[Any]
+    ) -> None:
+        self.axes = axes
+        self.codes = codes
+        self.cells = cells
+        self._radices = _radices(axes)
+        self._scales = _scales(self._radices)
+
+    # ------------------------------------------------------------------
+    # the Mapping protocol
+    # ------------------------------------------------------------------
+    def _code(self, key: object) -> int:
+        """The code of ``key`` under these dictionaries; ``-1`` when a
+        part is not in its dictionary or the key is not a key here."""
+        if not isinstance(key, tuple) or len(key) != len(self.axes):
+            return -1
+        code = 0
+        try:
+            for part, axis, scale in zip(key, self.axes, self._scales):
+                index = bisect_left(axis, part)
+                if axis[index] != part:
+                    return -1
+                code += index * scale
+        except (IndexError, TypeError):  # past the end; not a str
+            return -1
+        return code
+
+    def _find(self, key: object) -> int:
+        """The position of ``key``'s cell, or ``-1``."""
+        code = self._code(key)
+        if code < 0:
+            return -1
+        codes = self.codes
+        index = bisect_left(codes, code)
+        if index < len(codes) and codes[index] == code:
+            return index
+        return -1
+
+    def __getitem__(self, key: GroupKey) -> Any:
+        index = self._find(key)
+        if index < 0:
+            raise KeyError(key)
+        return self.cells[index]
+
+    def get(self, key: GroupKey, default: Any = None) -> Any:
+        index = self._find(key)
+        return default if index < 0 else self.cells[index]
+
+    def __contains__(self, key: object) -> bool:
+        return self._find(key) >= 0
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[GroupKey]:
+        return self._keys()
+
+    def items(self) -> "_Items":
+        return _Items(self)
+
+    def values(self) -> "_Values":
+        return _Values(self)
+
+    def _keys(self) -> Iterator[GroupKey]:
+        """Decode the codes into keys, one column per axis, in order."""
+        if not self.axes:
+            return repeat((), len(self.codes))
+        return zip(
+            *(self._digits(position, axis) for position, axis in enumerate(self.axes))
+        )
+
+    def _digits(self, position: int, lookup: Sequence[_T]) -> List[_T]:
+        """``lookup[digit]`` for the digit at ``position`` of every code,
+        in stored order."""
+        radix, scale = self._radices[position], self._scales[position]
+        if position == 0:
+            return [lookup[code // scale] for code in self.codes]
+        if scale == 1:
+            return [lookup[code % radix] for code in self.codes]
+        return [lookup[code // scale % radix] for code in self.codes]
+
+    def __repr__(self) -> str:
+        return f"PackedCuboid({dict(self.items())!r})"
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return PackedCuboid, (self.axes, self.codes, self.cells)
+
+    # ------------------------------------------------------------------
+    # new cuboids from this one, on the codes
+    # ------------------------------------------------------------------
+    def _with(self, codes: "array[int]", cells: Sequence[Any]) -> "PackedCuboid":
+        """A cuboid over the same dictionaries with other cells."""
+        out: PackedCuboid = object.__new__(PackedCuboid)
+        out.axes, out.codes, out.cells = self.axes, codes, cells
+        out._radices, out._scales = self._radices, self._scales
+        return out
+
+    def projected(self, keep: Sequence[int]) -> Tuple[Axes, List[int]]:
+        """The axes and per-cell codes once only the axes at ``keep``
+        (ascending positions) are kept: each kept digit moves to its
+        place value among the kept axes.  Codes repeat where cells
+        collapse into one target cell; they are in source-cell order."""
+        axes = tuple(self.axes[position] for position in keep)
+        projected = [0] * len(self.codes)
+        for place, position in zip(_scales(_radices(axes)), keep):
+            placed = range(0, self._radices[position] * place, place)
+            projected = list(map(add, projected, self._digits(position, placed)))
+        return axes, projected
+
+    def sliced(self, position: int, value: str) -> "PackedCuboid":
+        """The cells whose part at ``position`` is ``value``, with that
+        part dropped from the key; the order is kept."""
+        axes = self.axes[:position] + self.axes[position + 1:]
+        axis = self.axes[position]
+        index = bisect_left(axis, value)
+        if index == len(axis) or axis[index] != value:
+            return PackedCuboid(axes, array("q"), array("d"))
+        codes, cells = self.codes, self.cells
+        radix, scale = self._radices[position], self._scales[position]
+        block = scale * radix
+        kept = [
+            at
+            for at, digit in enumerate(self._digits(position, range(radix)))
+            if digit == index
+        ]
+        return PackedCuboid(
+            axes,
+            array("q", [codes[at] // block * scale + codes[at] % scale for at in kept]),
+            array("d", map(cells.__getitem__, kept)),
+        )
+
+    def diced(self, allowed: Mapping[int, Iterable[str]]) -> "PackedCuboid":
+        """The cells whose part at each given position is among the
+        allowed values; keys, dictionaries and order are kept."""
+        tests: List[Tuple[int, int, frozenset[int]]] = []
+        for position, values in allowed.items():
+            if position >= len(self.axes):
+                return PackedCuboid(self.axes, array("q"), array("d"))
+            axis = self.axes[position]
+            wanted = set(values)
+            indices = frozenset(
+                index
+                for index in (bisect_left(axis, value) for value in wanted)
+                if index < len(axis) and axis[index] in wanted
+            )
+            tests.append(
+                (self._scales[position], self._radices[position], indices)
+            )
+        codes, cells = self.codes, self.cells
+        kept = [
+            at
+            for at, code in enumerate(codes)
+            if all(code // scale % radix in indices for scale, radix, indices in tests)
+        ]
+        return self._with(
+            array("q", map(codes.__getitem__, kept)),
+            array("d", map(cells.__getitem__, kept)),
+        )
+
+    def recoded(self, axes: Axes) -> "array[int]":
+        """These codes under wider dictionaries ``axes`` (each a sorted
+        superset of this cuboid's): each digit is re-ranked, so the codes
+        stay sorted.  Nothing is decoded, and the digits after the last
+        widened axis keep their places, so they move as one."""
+        if axes == self.axes:
+            return self.codes
+        last = max(
+            position
+            for position, (old, new) in enumerate(zip(self.axes, axes))
+            if old != new
+        )
+        tail = self._scales[last]
+        recoded = [code % tail for code in self.codes]
+        places = _scales(_radices(axes))
+        for position in range(last + 1):
+            old, new, place = self.axes[position], axes[position], places[position]
+            if old == new:
+                ranks: Sequence[int] = range(0, self._radices[position] * place, place)
+            else:
+                at = {value: index * place for index, value in enumerate(new)}
+                ranks = list(map(at.__getitem__, old))
+            recoded = list(map(add, recoded, self._digits(position, ranks)))
+        return array("q", recoded)
+
+    def updated(
+        self, deltas: Mapping[GroupKey, Any], step: Step
+    ) -> Mapping[GroupKey, Any]:
+        """The successor once each key's delta is stepped into its cell:
+        ``step(current, delta)`` is the cell's new value (``current`` is
+        ``None`` for an absent cell), ``None`` to remove it.
+
+        The arrays are copied, each key is coded once and its cell found
+        by bisection, then replaced, inserted or deleted in the copies.
+        A key part new to its axis first extends that axis's dictionary,
+        and the codes are re-ranked into it (:meth:`recoded`).  Where
+        the result cannot be packed it is a wire-ordered ``dict``
+        (:func:`pack`)."""
+        codes = self.codes[:]
+        cells = cast("array[float]", self.cells)[:]
+        for key, delta in deltas.items():
+            code = self._code(key)
+            if code < 0:
+                return self._widened(deltas, step)
+            at = bisect_left(codes, code)
+            found = at < len(codes) and codes[at] == code
+            value = step(cells[at] if found else None, delta)
+            if value is None:
+                if found:
+                    del codes[at]
+                    del cells[at]
+            elif not isinstance(value, float):
+                return _stepped_dict(self, deltas, step)
+            elif found:
+                cells[at] = value
+            else:
+                codes.insert(at, code)
+                cells.insert(at, value)
+        return self._with(codes, cells)
+
+    def _widened(
+        self, deltas: Mapping[GroupKey, Any], step: Step
+    ) -> Mapping[GroupKey, Any]:
+        """:meth:`updated` once every key part is in its axis
+        dictionary."""
+        arity = len(self.axes)
+        if not all(
+            isinstance(key, tuple)
+            and len(key) == arity
+            and all(isinstance(part, str) for part in key)
+            for key in deltas
+        ):
+            return _stepped_dict(self, deltas, step)
+        axes = tuple(
+            widened(axis, [str(key[position]) for key in deltas])
+            for position, axis in enumerate(self.axes)
+        )
+        if not fits(axes):
+            return _stepped_dict(self, deltas, step)
+        return PackedCuboid(axes, self.recoded(axes), self.cells).updated(
+            deltas, step
+        )
+
+
+class _Items(ItemsView[GroupKey, Any]):
+    """The items of a packed cuboid, in stored order, decoded once."""
+
+    def __init__(self, cuboid: PackedCuboid) -> None:
+        super().__init__(cuboid)
+        self._cuboid = cuboid
+
+    def __iter__(self) -> Iterator[Tuple[GroupKey, Any]]:
+        return zip(self._cuboid._keys(), self._cuboid.cells)
+
+
+class _Values(ValuesView[Any]):
+    """The values of a packed cuboid, straight off its cells."""
+
+    def __init__(self, cuboid: PackedCuboid) -> None:
+        super().__init__(cuboid)
+        self._cuboid = cuboid
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._cuboid.cells)
+
+
+def widened(axis: Tuple[str, ...], parts: Iterable[str]) -> Tuple[str, ...]:
+    """The sorted dictionary ``axis`` with the parts it lacks (itself
+    when it lacks none)."""
+    fresh = {
+        part
+        for part in parts
+        if (index := bisect_left(axis, part)) == len(axis) or axis[index] != part
+    }
+    return tuple(sorted(fresh.union(axis))) if fresh else axis
+
+
+def _stepped_dict(
+    cuboid: Mapping[GroupKey, Any], deltas: Mapping[GroupKey, Any], step: Step
+) -> Mapping[GroupKey, Any]:
+    """The deltas stepped into a dict copy of ``cuboid``, packed again
+    (with its dictionaries, when it is packed)."""
+    out = dict(cuboid)
+    for key, delta in deltas.items():
+        value = step(out.get(key), delta)
+        if value is None:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return pack(out, cuboid.axes if isinstance(cuboid, PackedCuboid) else None)
+
+
+def apply_deltas(
+    cuboid: Mapping[GroupKey, Any], deltas: Mapping[GroupKey, Any], step: Step
+) -> Mapping[GroupKey, Any]:
+    """The successor of a served cuboid under a write: each key's delta
+    stepped into its cell — on the codes when the cuboid is packed
+    (:meth:`PackedCuboid.updated`), else in a dict copy packed again."""
+    if isinstance(cuboid, PackedCuboid):
+        return cuboid.updated(deltas, step)
+    return _stepped_dict(cuboid, deltas, step)
+
+
+def pack(
+    cuboid: Mapping[GroupKey, Any], dictionaries: Optional[Axes] = None
+) -> Mapping[GroupKey, Any]:
+    """The served form of a cuboid: packed when every key is a tuple of
+    ``str`` parts of one length, every value a ``float`` and the codes
+    fit, else a ``dict`` in wire order.  A packed cuboid is returned as
+    is.
+
+    ``dictionaries`` (sorted, one per key part) code the keys when they
+    hold every part: a server passes the values its table has seen on
+    each kept axis, so a later write seldom brings a part its cuboid
+    lacks (:meth:`PackedCuboid.updated` then re-ranks every code).
+    Otherwise each axis's dictionary is the parts the keys hold — and
+    an empty cuboid packed without ``dictionaries`` has no axes."""
+    if isinstance(cuboid, PackedCuboid):
+        return cuboid
+    keys = list(cuboid)
+    cells = list(cuboid.values())
+    # Exact types, checked a column at a time at C speed.
+    if set(map(type, keys)) <= {tuple} and set(map(type, cells)) <= {float}:
+        columns = list(zip(*keys))
+        if set(map(len, keys)) <= {len(columns)} and all(
+            set(map(type, column)) == {str} for column in columns
+        ):
+            codes: Optional[List[int]] = None
+            if (
+                dictionaries is not None
+                and (len(dictionaries) == len(columns) or not keys)
+                and fits(dictionaries)
+            ):
+                axes, codes = dictionaries, _coded(dictionaries, columns, len(keys))
+            if codes is None:
+                axes = tuple(tuple(sorted(set(column))) for column in columns)
+                if fits(axes):
+                    codes = _coded(axes, columns, len(keys))
+            if codes is not None:
+                return _sorted_packed(axes, codes, cells)
+    return dict(sorted(cuboid.items(), key=wire_key))
+
+
+def _coded(
+    axes: Axes, columns: Sequence[Sequence[str]], count: int
+) -> Optional[List[int]]:
+    """The code of each of ``count`` keys, given column by column;
+    ``None`` when a part is not in its axis dictionary."""
+    codes = [0] * count
+    for axis, scale, column in zip(axes, _scales(_radices(axes)), columns):
+        rank = {value: index * scale for index, value in enumerate(axis)}
+        try:
+            codes = list(map(add, codes, map(rank.__getitem__, column)))
+        except KeyError:
+            return None
+    return codes
+
+
+def _digit_groups(
+    ranks: Sequence[Sequence[int]], radices: Sequence[int], limit: int
+) -> List[Tuple[Sequence[int], int, int]]:
+    """Runs of consecutive axes, least significant first, each with a
+    lookup from the run's part of a group id to its part of the code:
+    ``(lookup, below, span)``, the part being ``gid // below % span``.
+
+    A run grows while its radix product stays within ``limit`` (about
+    the cells to code, so a table costs no more than the lookups it
+    saves); its table then re-ranks all of its digits in one lookup.
+    An axis wider than ``limit`` is a run of its own, looked up in its
+    ranks alone."""
+    groups: List[Tuple[Sequence[int], int, int]] = []
+    table, span, below = [0], 1, 1
+    for rank, radix in zip(reversed(ranks), reversed(radices)):
+        if span > 1 and span * radix > limit:
+            groups.append((table, below, span))
+            table, span, below = [0], 1, below * span
+        if radix > limit:
+            groups.append((rank, below, radix))
+            below *= radix
+            continue
+        table = [rank[digit] * span + low for digit in range(radix) for low in table]
+        span *= radix
+    if span > 1 or not groups:
+        groups.append((table, below, span))
+    return groups
+
+
+def from_group_ids(
+    axes: Axes,
+    ranks: Sequence[Sequence[int]],
+    gids: Collection[int],
+    cells: Iterable[float],
+) -> Mapping[GroupKey, Any]:
+    """Pack a kernel's cells straight from its group ids.
+
+    ``gids`` are mixed-radix ids over first-seen dictionary codes, the
+    radix of each kept axis being ``max(1, len(axes[i]))``;
+    ``ranks[i][code]`` is that code's index in the sorted dictionary
+    ``axes[i]``.  Re-ranking each digit turns an id into its packed
+    code; no key tuple is built.  ``cells`` yields the values in
+    ``gids`` order."""
+    radices = _radices(axes)
+    if not gids:
+        return PackedCuboid(axes, array("q"), array("d"))
+    if not fits(axes):
+        scales = _scales(radices)
+        keys = zip(
+            *(
+                [axis[rank[gid // scale % radix]] for gid in gids]
+                for axis, rank, radix, scale in zip(axes, ranks, radices, scales)
+            )
+        )
+        return pack(dict(zip(keys, cells)))
+    groups = _digit_groups(ranks, radices, max(len(gids), 16))
+    if len(groups) == 1:
+        codes = list(map(groups[0][0].__getitem__, gids))
+    elif len(groups) == 2:
+        (low, _, split), (high, _, _) = groups
+        codes = [high[gid // split] * split + low[gid % split] for gid in gids]
+    else:
+        codes = [0] * len(gids)
+        for lookup, below, span in groups:
+            codes = list(
+                map(
+                    add,
+                    codes,
+                    [lookup[gid // below % span] * below for gid in gids],
+                )
+            )
+    return _sorted_packed(axes, codes, cells)

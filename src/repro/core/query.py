@@ -38,6 +38,7 @@ from repro.core.axes import AxisSpec
 from repro.core.aggregates import AggregateSpec
 from repro.core.bindings import FactRow, GroupKey
 from repro.core.lattice import CubeLattice, LatticePoint
+from repro.core.packed import PackedCuboid
 from repro.errors import InvalidQuery, QueryError, StaleVersion
 from repro.obs.events import RungDecision
 from repro.obs.live import LiveTelemetry
@@ -304,8 +305,10 @@ class QueryResult:
     """One answered :class:`Query`: payload plus provenance envelope.
 
     The payload is a read-only cuboid mapping for ``aggregate`` /
-    ``drilldown`` / ``slice`` / ``dice`` (``dict(...)`` of it is a
-    mutable copy) and a single cell value (or ``None``) for ``cell``.
+    ``drilldown`` / ``slice`` / ``dice`` — a
+    :class:`~repro.core.packed.PackedCuboid` wherever the cuboid packs,
+    stored in wire order (``dict(...)`` of it is a mutable copy) — and a
+    single cell value (or ``None``) for ``cell``.
     The envelope carries everything a remote caller needs to trust and
     reuse the answer: the version token it is exact at, the sound-source
     rung that produced it with the full ladder trail, and the modeled
@@ -338,7 +341,9 @@ class QueryResult:
         return self.payload
 
     def to_dict(self) -> Dict[str, Any]:
-        """The JSON wire form the HTTP layer returns."""
+        """The JSON wire form the HTTP layer returns: a cuboid's groups
+        in the order the payload stores them — keys sorted part by part,
+        ``None`` last (:mod:`repro.core.packed`)."""
         out: Dict[str, Any] = {
             "kind": self.kind,
             "point": self.point,
@@ -352,14 +357,11 @@ class QueryResult:
         if self.trace_id:
             out["trace_id"] = self.trace_id
         if isinstance(self.payload, Mapping):
+            # Every served cuboid is stored in wire order (packed, or a
+            # dict built sorted), and slice/dice filter in order.
             out["groups"] = [
                 {"key": list(key), "value": value}
-                for key, value in sorted(
-                    self.payload.items(),
-                    key=lambda item: tuple(
-                        (part is None, part) for part in item[0]
-                    ),
-                )
+                for key, value in self.payload.items()
             ]
         else:
             out["value"] = self.payload
@@ -713,6 +715,14 @@ def check_read_version(
         raise StaleVersion(requested, answered)
 
 
+def read_only(cuboid: Mapping[GroupKey, float]) -> Mapping[GroupKey, float]:
+    """A cuboid as a payload hands it out: a packed cuboid is read-only
+    itself; any other mapping goes behind a read-only view, not a copy."""
+    if isinstance(cuboid, PackedCuboid):
+        return cuboid
+    return MappingProxyType(cuboid)
+
+
 def finish_query(
     lattice: CubeLattice,
     query: Query,
@@ -725,9 +735,9 @@ def finish_query(
     trace_id: str = "",
 ) -> QueryResult:
     """Apply the query's kind-specific view of the resolved cuboid and
-    wrap it in the result envelope.  A cuboid payload is handed out as
-    a read-only view, not a copy: the resolved cuboid may be the one a
-    cache and other readers share."""
+    wrap it in the result envelope.  A cuboid payload is handed out
+    read-only (:func:`read_only`), not copied: the resolved cuboid may
+    be the one a cache and other readers share."""
     from repro.core.rollup import dice_cuboid, slice_cuboid
 
     check_read_version(query.read_version, version)
@@ -737,7 +747,7 @@ def finish_query(
         payload = cuboid.get(query.key)
     elif query.kind == "slice":
         assert query.axis is not None and query.value is not None
-        payload = MappingProxyType(
+        payload = read_only(
             slice_cuboid(
                 cuboid,
                 _kept_axis_index(lattice, point, query.axis),
@@ -749,9 +759,9 @@ def finish_query(
             _kept_axis_index(lattice, point, axis): values
             for axis, values in query.filters
         }
-        payload = MappingProxyType(dice_cuboid(cuboid, predicates))
+        payload = read_only(dice_cuboid(cuboid, predicates))
     else:  # aggregate / drilldown: the cuboid itself
-        payload = MappingProxyType(cuboid)
+        payload = read_only(cuboid)
     return QueryResult(
         kind=query.kind,
         point=lattice.describe(point),

@@ -13,11 +13,15 @@ a safe API over a computed :class:`~repro.core.cube.CubeResult`:
   numbers come from calling :func:`rollup_cuboid` directly).
 - :func:`slice_cuboid` / :func:`dice_cuboid` — classic OLAP slice and
   dice over one cuboid.
+
+On a :class:`~repro.core.packed.PackedCuboid` all three run on the
+codes and return packed cuboids, in stored (wire) order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from array import array
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from repro.core.aggregates import AggregateFunction, get_function
 from repro.core.bindings import GroupKey
@@ -25,6 +29,7 @@ from repro.core.cube import CubeResult
 from repro.core.groupby import Cuboid
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.merge import STATE_EXACT_AGGREGATES
+from repro.core.packed import PackedCuboid
 from repro.core.properties import PropertyOracle
 from repro.errors import CubeError
 
@@ -89,11 +94,11 @@ def derivable(
 
 def rollup_cuboid(
     lattice: CubeLattice,
-    source_cuboid: Cuboid,
+    source_cuboid: Mapping[GroupKey, float],
     source: LatticePoint,
     target: LatticePoint,
     fn: AggregateFunction,
-) -> Cuboid:
+) -> Mapping[GroupKey, float]:
     """Aggregate raw source cells down to ``target`` (no soundness check).
 
     Each target cell folds its source cells from ``fn.new()`` with
@@ -105,6 +110,10 @@ def rollup_cuboid(
     (:mod:`repro.serve`), which derives answers from *cached* cuboids
     rather than a full :class:`CubeResult`; callers are responsible for
     the :func:`derivable` check.
+
+    A packed source rolls up on its codes: each cell's code keeps the
+    digits of the target's axes (:meth:`PackedCuboid.projected`), the
+    cells fold by code in stored order, and the result is packed.
     """
     source_kept = lattice.kept_axes(source)
     target_kept = set(lattice.kept_axes(target))
@@ -114,6 +123,17 @@ def rollup_cuboid(
         if axis in target_kept
     ]
     empty = fn.new()
+    if isinstance(source_cuboid, PackedCuboid):
+        axes, projected = source_cuboid.projected(keep)
+        states: Dict[int, Any] = {}
+        for code, value in zip(projected, source_cuboid.cells):
+            states[code] = fn.merge(states.get(code, empty), value)
+        codes = sorted(states)
+        return PackedCuboid(
+            axes,
+            array("q", codes),
+            array("d", [fn.finalize(states[code]) for code in codes]),
+        )
     out: Cuboid = {}
     for key, value in source_cuboid.items():
         new_key = tuple(key[index] for index in keep)
@@ -129,7 +149,7 @@ def rollup(
     source: LatticePoint,
     target: LatticePoint,
     oracle: PropertyOracle,
-) -> Cuboid:
+) -> Mapping[GroupKey, float]:
     """Aggregate the source cuboid down to the target point.
 
     Raises :class:`CubeError` when the derivation is unsound.
@@ -154,8 +174,17 @@ def rollup(
 
 def slice_cuboid(
     cuboid: Mapping[GroupKey, float], axis_index: int, value: str
-) -> Cuboid:
+) -> Mapping[GroupKey, float]:
     """Fix one key component to a value and drop it from the keys."""
+    if isinstance(cuboid, PackedCuboid):
+        if axis_index < len(cuboid.axes):
+            return cuboid.sliced(axis_index, value)
+        if cuboid:
+            raise CubeError(
+                f"slice index {axis_index} out of range for key "
+                f"{next(iter(cuboid))}"
+            )
+        return cuboid  # empty, with no axis to slice
     out: Cuboid = {}
     for key, cell in cuboid.items():
         if axis_index >= len(key):
@@ -169,8 +198,10 @@ def slice_cuboid(
 
 def dice_cuboid(
     cuboid: Mapping[GroupKey, float], predicates: Dict[int, Sequence[str]]
-) -> Cuboid:
+) -> Mapping[GroupKey, float]:
     """Keep only cells whose key components fall in the given sets."""
+    if isinstance(cuboid, PackedCuboid):
+        return cuboid.diced(predicates)
     allowed = {index: set(values) for index, values in predicates.items()}
     out: Cuboid = {}
     for key, cell in cuboid.items():

@@ -129,12 +129,7 @@ class Repl:
             rows = [
                 ["NULL" if part is None else str(part) for part in key]
                 + [f"{value:g}"]
-                for key, value in sorted(
-                    result.payload.items(),
-                    key=lambda item: tuple(
-                        (part is None, part) for part in item[0]
-                    ),
-                )
+                for key, value in result.payload.items()
             ]
             self.echo(_table(headers, rows))
             count = f"{len(rows)} row{'s' if len(rows) != 1 else ''}"

@@ -27,11 +27,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
-from repro.core.groupby import Cuboid
+from repro.core.bindings import GroupKey
 from repro.core.lattice import LatticePoint
 from repro.errors import CubeError
+
+#: What the cache holds and the ladder serves: a read-only cuboid,
+#: packed (:class:`~repro.core.packed.PackedCuboid`: sorted codes and
+#: values, in wire order) or, where it cannot be packed, a wire-ordered
+#: dict.
+ServedCuboid = Mapping[GroupKey, float]
 
 
 @dataclass
@@ -65,7 +71,7 @@ class CacheStats:
 
 @dataclass
 class _Entry:
-    cuboid: Cuboid
+    cuboid: ServedCuboid
     size: int
     cost: float
     priority: float
@@ -133,7 +139,7 @@ class CuboidCache:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def get(self, point: LatticePoint) -> Optional[Cuboid]:
+    def get(self, point: LatticePoint) -> Optional[ServedCuboid]:
         """The cached cuboid, refreshing its priority; ``None`` on miss."""
         with self._lock:
             entry = self._entries.get(point)
@@ -147,7 +153,7 @@ class CuboidCache:
             entry.sequence = self._sequence
             return entry.cuboid
 
-    def peek(self, point: LatticePoint) -> Optional[Cuboid]:
+    def peek(self, point: LatticePoint) -> Optional[ServedCuboid]:
         """Like :meth:`get` but touching neither stats nor priorities."""
         with self._lock:
             entry = self._entries.get(point)
@@ -187,7 +193,9 @@ class CuboidCache:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def put(self, point: LatticePoint, cuboid: Cuboid, cost: float) -> bool:
+    def put(
+        self, point: LatticePoint, cuboid: ServedCuboid, cost: float
+    ) -> bool:
         """Admit a cuboid with the given modeled recompute cost.
 
         Returns True when the entry is resident afterwards.  The entry
@@ -227,7 +235,7 @@ class CuboidCache:
             self._audit("rejected", point, entry.priority, size)
             return False
 
-    def replace(self, point: LatticePoint, cuboid: Cuboid) -> bool:
+    def replace(self, point: LatticePoint, cuboid: ServedCuboid) -> bool:
         """Swap a resident cuboid for its successor (incremental
         maintenance); the old object is left as it was, for whoever
         still holds it.

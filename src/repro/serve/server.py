@@ -32,6 +32,11 @@ otherwise exactly the affected lattice points are evicted.
 A published cuboid is never written to again: cache hits, rollups,
 single-flight waiters and shard replicas share the one object, and
 answers hand it out read-only (:func:`repro.core.query.finish_query`).
+Every cuboid cached or answered is packed
+(:class:`~repro.core.packed.PackedCuboid`: sorted codes and values, in
+wire order) where it is made — the warm-up sweep packs from its group
+ids, a roll-up and a write's patch work on the codes, a recompute packs
+NAIVE's dict once.
 Reads are versioned: the returned cuboid is correct for the table
 version reported alongside it, and an in-flight recompute whose version
 was overtaken by a write is served to its waiters (still correct at
@@ -58,9 +63,8 @@ from typing import (
 )
 
 from repro import obs
-from repro.core.bindings import FactRow, FactTable
+from repro.core.bindings import FactRow, FactTable, GroupKey
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
-from repro.core.groupby import Cuboid
 from repro.core.incremental import (
     affected_points,
     ingest_rows,
@@ -69,6 +73,7 @@ from repro.core.incremental import (
 from repro.core.lattice import LatticePoint
 from repro.core.materialize import cuboid_sizes
 from repro.core.merge import STATE_EXACT_AGGREGATES
+from repro.core.packed import PackedCuboid, apply_deltas, pack, widened
 from repro.core.properties import PropertyOracle
 from repro.core.query import Answer, CubeBackend, Plan, PointSpec
 from repro.core.rollup import derivable, rollup_cuboid
@@ -76,7 +81,7 @@ from repro.cost import CostModel
 from repro.obs.events import EvictionRecord, RungDecision, rung_reasons
 from repro.obs.live import LiveTelemetry
 from repro.obs.trace_store import TraceStore
-from repro.serve.cache import CuboidCache
+from repro.serve.cache import CuboidCache, ServedCuboid
 from repro.serve.singleflight import SingleFlight
 
 #: Tier names, in ladder order.
@@ -151,6 +156,16 @@ class ServeStats:
             f"{self.cold_cost_seconds:.4f}s "
             f"({self.modeled_speedup:.1f}x)"
         )
+
+
+def _sorted_values(
+    rows: Sequence[FactRow], axis_count: int
+) -> List[Tuple[str, ...]]:
+    """Per axis, the sorted distinct values the rows bind (any state)."""
+    return [
+        tuple(sorted({value.value for row in rows for value in row.axes[axis]}))
+        for axis in range(axis_count)
+    ]
 
 
 class _Ladder(NamedTuple):
@@ -246,6 +261,9 @@ class CubeServer(CubeBackend):
         self._measured_cost: Dict[LatticePoint, float] = {}
         self._sizes: Optional[Dict[LatticePoint, int]] = None
         self._snapshot: Optional[FactTable] = None
+        # Sorted values each axis has held, grown by inserts: what a
+        # recomputed cuboid is packed with (:meth:`_dictionaries`).
+        self._axis_values: Optional[List[Tuple[str, ...]]] = None
 
     # ------------------------------------------------------------------
     # versions and snapshots
@@ -433,7 +451,7 @@ class CubeServer(CubeBackend):
 
     def _resolve(
         self, point: LatticePoint
-    ) -> Tuple[Cuboid, int, str, Tuple[RungDecision, ...], float]:
+    ) -> Tuple[ServedCuboid, int, str, Tuple[RungDecision, ...], float]:
         """Execute the ladder's decision for ``point``: the cuboid, the
         table version it is exact at, the rung, the trail, the cost."""
         with self._lock:
@@ -484,7 +502,7 @@ class CubeServer(CubeBackend):
 
     def _rollup_source(
         self, point: LatticePoint
-    ) -> Tuple[Optional[Tuple[LatticePoint, Cuboid]], str]:
+    ) -> Tuple[Optional[Tuple[LatticePoint, ServedCuboid]], str]:
         """Pick the smallest sound cached source for ``point``.
 
         Returns ``((source, cuboid), reason)`` on success or
@@ -497,7 +515,7 @@ class CubeServer(CubeBackend):
                 f"{self._aggregate} is algebraic; its finalized cells "
                 "are not its partial states and cannot be re-aggregated"
             )
-        best: Optional[Tuple[int, Cuboid, LatticePoint, str]] = None
+        best: Optional[Tuple[int, ServedCuboid, LatticePoint, str]] = None
         rejected: List[str] = []
         for source in self.cache.points():
             cuboid = self.cache.peek(source)
@@ -534,18 +552,21 @@ class CubeServer(CubeBackend):
     def _rollup_from(
         self,
         source: LatticePoint,
-        source_cuboid: Cuboid,
+        source_cuboid: ServedCuboid,
         point: LatticePoint,
-    ) -> Tuple[Cuboid, float]:
-        """Derive ``point`` from a resident source cuboid."""
+    ) -> Tuple[ServedCuboid, float]:
+        """Derive ``point`` from a resident source cuboid (on its codes,
+        when it is packed)."""
         with obs.span(
             "serve.rollup",
             category="serve",
             source=self.lattice.describe(source),
             target=self.lattice.describe(point),
         ):
-            out = rollup_cuboid(
-                self.lattice, source_cuboid, source, point, self._fn
+            out = pack(
+                rollup_cuboid(
+                    self.lattice, source_cuboid, source, point, self._fn
+                )
             )
         cost = (len(source_cuboid) + len(out)) * _CPU_OP_SECONDS
         return out, cost
@@ -555,7 +576,7 @@ class CubeServer(CubeBackend):
         snapshot: FactTable,
         point: LatticePoint,
         publish: Optional[Callable[[Any], None]] = None,
-    ) -> Tuple[Cuboid, float]:
+    ) -> Tuple[ServedCuboid, float]:
         with obs.span(
             "serve.recompute",
             category="serve",
@@ -571,13 +592,30 @@ class CubeServer(CubeBackend):
         cost = result.cost.simulated_seconds
         with self._lock:
             self._measured_cost[point] = cost
-        return result.cuboids[point], cost
+            dictionaries = self._dictionaries(point)
+        return pack(result.cuboids[point], dictionaries), cost
+
+    def _dictionaries(self, point: LatticePoint) -> Tuple[Tuple[str, ...], ...]:
+        """The sorted values each kept axis of ``point`` has held in
+        the table, read at the first recompute and grown by every
+        insert.  Packing a recompute with them, not just with the parts
+        its keys hold, lets a later insert patch it without re-ranking
+        its codes (a value new to the cuboid is seldom new to the
+        table).  Call with the lock held."""
+        if self._axis_values is None:
+            self._axis_values = _sorted_values(
+                self.table.rows, self.lattice.axis_count
+            )
+        return tuple(
+            self._axis_values[position]
+            for position in self.lattice.kept_axes(point)
+        )
 
     # ------------------------------------------------------------------
     # modeled costs
     # ------------------------------------------------------------------
     @staticmethod
-    def _touch_cost(cuboid: Cuboid) -> float:
+    def _touch_cost(cuboid: ServedCuboid) -> float:
         return max(1, len(cuboid)) * _CPU_OP_SECONDS
 
     def _cold_cost(self, point: LatticePoint) -> float:
@@ -669,12 +707,14 @@ class CubeServer(CubeBackend):
         with self._lock:
             if self._version != version:
                 return []  # a write overtook the warmup; stay cold
-            # The result is this call's own: the cache takes its cuboids.
+            # The result is this call's own: the cache takes its cuboids,
+            # packed (the sweep's already are).
             for point in chosen:
                 self._measured_cost.setdefault(point, share)
-                if self.cache.put(
-                    point, result.cuboids[point], self._measured_cost[point]
-                ):
+                cuboid = result.cuboids[point]
+                if not isinstance(cuboid, PackedCuboid):  # one-point NAIVE
+                    cuboid = pack(cuboid, self._dictionaries(point))
+                if self.cache.put(point, cuboid, self._measured_cost[point]):
                     warmed.append(point)
         return warmed
 
@@ -733,6 +773,14 @@ class CubeServer(CubeBackend):
         ):
             if op == "insert":
                 ingest_rows(self.table, rows)
+                if self._axis_values is not None:
+                    self._axis_values = list(
+                        map(
+                            widened,
+                            self._axis_values,
+                            _sorted_values(rows, self.lattice.axis_count),
+                        )
+                    )
             else:
                 retract_rows(self.table, rows)
             patched_before = self._counters.patched_points
@@ -778,31 +826,46 @@ class CubeServer(CubeBackend):
 
     def _apply_delta(
         self,
-        resident: Cuboid,
+        resident: ServedCuboid,
         rows: List[FactRow],
         point: LatticePoint,
         op: str,
-    ) -> Cuboid:
+    ) -> ServedCuboid:
         """The successor of ``resident`` once ``rows`` are folded in
-        (insert) or out (delete); ``resident`` itself is left as is."""
-        cuboid = dict(resident)
-        fn = self._fn
-        empty = fn.new()
+        (insert) or out (delete); ``resident`` itself is left as is.
+
+        The rows' measures are grouped per touched key, in row order,
+        and each key's cell is stepped once
+        (:func:`~repro.core.packed.apply_deltas`: on the codes of a
+        packed resident)."""
+        deltas: Dict[GroupKey, List[float]] = {}
         for row in rows:
             for key in self.table.key_combinations(row, point):
-                if op == "insert":
-                    # A state-exact cell is its own partial state, so
-                    # the fold continues where the algorithms stopped.
-                    cuboid[key] = fn.finalize(
-                        fn.add(cuboid.get(key, empty), row.measure)
-                    )
-                else:  # delete — only COUNT reaches here
-                    remaining = cuboid.get(key, 0.0) - 1.0
-                    if remaining <= 0.0:
-                        cuboid.pop(key, None)
-                    else:
-                        cuboid[key] = fn.finalize(remaining)
-        return cuboid
+                if key in deltas:
+                    deltas[key].append(row.measure)
+                else:
+                    deltas[key] = [row.measure]
+        fn = self._fn
+        empty = fn.new()
+
+        def insert(current: Optional[float], measures: List[float]) -> float:
+            # A state-exact cell is its own partial state, so the fold
+            # continues where the algorithms stopped.
+            value = empty if current is None else current
+            for measure in measures:
+                value = fn.finalize(fn.add(value, measure))
+            return value
+
+        def delete(
+            current: Optional[float], measures: List[float]
+        ) -> Optional[float]:
+            # Only COUNT reaches here: a cell is its support.
+            remaining = (current or 0.0) - len(measures)
+            return None if remaining <= 0.0 else fn.finalize(remaining)
+
+        return apply_deltas(
+            resident, deltas, insert if op == "insert" else delete
+        )
 
     def _evict_affected(self, rows: List[FactRow]) -> None:
         """Evict exactly the lattice points the delta touches."""

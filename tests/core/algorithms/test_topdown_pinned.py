@@ -25,7 +25,10 @@ spill charges); the BUC family adds ``min_support=2`` on the three COUNT
 shapes (the iceberg cut inside the recursion).  COUNTER ignores
 ``encoding`` and has one entry per (shape, mode); it adds a reversed
 ``points=`` subset and an order-sensitive digest (points and keys exactly
-in the order returned), and its phase counters are the counter's.
+in the order returned), and its phase counters are the counter's.  The
+sweep packs its cuboids (:mod:`repro.core.packed`), so since then the
+keys of that digest come in wire order; only the COUNTER ``order``
+digests were re-pinned for it, every other field unchanged.
 
 Any rewrite of a family must pass this unchanged.  Regenerate only
 for a deliberate change of answers or charges::

@@ -58,10 +58,15 @@ class TestMergeStates:
 
 
 class TestStatesFromFinalized:
-    def test_count_round_trips_as_int_states(self):
-        states = states_from_finalized("COUNT", {("a",): 3.0})
-        assert states == {("a",): 3}
-        assert isinstance(states[("a",)], int)
+    def test_count_round_trips_as_float_states(self):
+        """A finalized COUNT cuboid is its own states: float counts
+        below 2**53 add exactly."""
+        cuboid = {("a",): 3.0}
+        states = states_from_finalized("COUNT", cuboid)
+        assert states is cuboid
+        assert isinstance(states[("a",)], float)
+        merged = merge_states(get_function("COUNT"), [states, {("a",): 4.0}])
+        assert merged == {("a",): 7.0}
 
     @pytest.mark.parametrize("name", sorted(STATE_EXACT_AGGREGATES))
     def test_state_exact_lift_then_finalize_is_identity(self, name):

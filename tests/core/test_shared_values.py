@@ -1,10 +1,13 @@
 """What a cube cell shares instead of allocating.
 
-A COUNT cell's value is the one float of
+A COUNT cell of a dict cuboid holds the one float of
 :data:`repro.core.aggregates.COUNT_VALUES` for its count, on every path
-that writes a finalized COUNT cell: each algorithm's finalize, the
-roll-up, the process engine's merge, the cluster's merge, and both
-write patches of the serving ladder.  A NAIVE row memo shares its
+that writes a finalized COUNT cell into a dict: each dict-building
+algorithm's finalize, the roll-up of a dict, and the process engine's
+merge.  A packed cuboid (:class:`repro.core.packed.PackedCuboid`) —
+what the columnar sweep, the serving ladder's cache and both its write
+patches, and the cluster's merge build — has no float object per cell
+to share: its values live in an ``array('d')``.  A NAIVE row memo shares its
 ``(axis, state)`` keys with every other row, and its value tuples with
 every row of its table.  The
 memory guard at the end measures what that saves, relative to the same
@@ -24,6 +27,7 @@ from repro.core.bindings import FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import split_rows
 from repro.core.merge import merge_finalized
+from repro.core.packed import PackedCuboid
 from repro.core.properties import PropertyOracle
 from repro.core.rollup import rollup_cuboid, structural_drop_only
 from repro.serve import CubeServer
@@ -53,10 +57,31 @@ def assert_shared(cuboid, counts=None):
     """Every value is ``float(count)`` and *is* the table's object for
     its count (the count read off ``counts`` when given)."""
     assert cuboid
+    assert type(cuboid) is dict
     for key, value in cuboid.items():
         count = int(value) if counts is None else counts[key]
         assert value == float(count), key
         assert value is COUNT_VALUES[count], key
+
+
+def assert_packed(cuboid, counts):
+    """Every value is ``float(count)``, and the values live in the
+    cuboid's ``array('d')``: no float object per cell."""
+    assert cuboid
+    assert isinstance(cuboid, PackedCuboid)
+    assert cuboid.cells.typecode == "d"
+    assert len(cuboid.cells) == len(cuboid) == len(counts)
+    for key, value in cuboid.items():
+        assert value == float(counts[key]), key
+
+
+def assert_counted(cuboid, counts):
+    """A dict cuboid shares its counts, a packed one holds them in an
+    array."""
+    if isinstance(cuboid, PackedCuboid):
+        assert_packed(cuboid, counts)
+    else:
+        assert_shared(cuboid, counts)
 
 
 class TestCountValues:
@@ -79,6 +104,8 @@ class TestCountValues:
 class TestEveryCountPathShares:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_algorithms(self, algorithm):
+        """The sweep's two algorithms pack their cells; every other
+        kernel builds dicts of shared counts."""
         table = seeded_table(messy=algorithm not in OPTIMIZED)
         cube = compute_cube(
             table,
@@ -91,9 +118,11 @@ class TestEveryCountPathShares:
             for cuboid in cube.cuboids.values()
             for value in cuboid.values()
         )
+        packed = algorithm in ("COLUMNAR", "COUNTER")
         for point, cuboid in cube.cuboids.items():
+            assert isinstance(cuboid, PackedCuboid) is packed
             if cuboid:
-                assert_shared(cuboid, counted(table, table.rows, point))
+                assert_counted(cuboid, counted(table, table.rows, point))
 
     @pytest.mark.parametrize("algorithm", ["BUC", "BUCOPT", "TD", "TDOPT"])
     def test_dict_kernels(self, algorithm):
@@ -157,7 +186,7 @@ class TestEveryCountPathShares:
             for rows in halves
         ]
         merged = merge_finalized("COUNT", shard_cuboids)
-        assert_shared(merged, counted(table, table.rows, point))
+        assert_packed(merged, counted(table, table.rows, point))
 
     def test_server_write_patches(self):
         table = seeded_table()
@@ -174,13 +203,13 @@ class TestEveryCountPathShares:
         assert server.stats().patched_points > 0
         for point in cached:
             cuboid = server.cache.peek(point)
-            assert_shared(cuboid, counted(table, live.rows, point))
+            assert_packed(cuboid, counted(table, live.rows, point))
 
         server.delete(list(delta))
         for point in server.cache.points():
             cuboid = server.cache.peek(point)
             if cuboid:
-                assert_shared(cuboid, counted(table, live.rows, point))
+                assert_packed(cuboid, counted(table, live.rows, point))
 
     def test_cluster_read(self):
         table = seeded_table()
@@ -190,7 +219,7 @@ class TestEveryCountPathShares:
             for point in table.lattice.points():
                 cuboid = cuboid_of(coordinator, point)
                 if cuboid:
-                    assert_shared(cuboid, counted(table, table.rows, point))
+                    assert_packed(cuboid, counted(table, table.rows, point))
 
 
 def retained_bytes(build):

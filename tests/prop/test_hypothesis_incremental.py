@@ -10,6 +10,15 @@ float associativity for SUM/AVG (each shard folds its own slice).
 Every answer the server served is kept, and at the end of each schedule
 each must still equal NAIVE at the version it reported: a later write
 replaces a cached cuboid, never changes one already handed out.
+
+After every step, every served payload and every cached cuboid — the
+server's and each replica server's — is a
+:class:`~repro.core.packed.PackedCuboid` (every cuboid here can be
+packed) that iterates in wire order, checked against the sort the API
+door used to run on every request, kept below as the reference; each
+cached cuboid equals NAIVE over its own server's rows.  Dedicated
+schedules insert facts whose values are new to every axis dictionary
+and then delete them, emptying cells.
 """
 
 import pytest
@@ -22,6 +31,7 @@ from repro.core.axes import AxisSpec
 from repro.core.bindings import AnnotatedValue, FactRow, FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.lattice import CubeLattice
+from repro.core.packed import PackedCuboid
 from repro.core.query import Query
 from repro.patterns.relaxation import Relaxation
 from repro.serve import CubeServer
@@ -43,10 +53,27 @@ def _spec(function):
     return AggregateSpec(function=function, measure_path="@m")
 
 
+def wire_sorted(cuboid):
+    """The order ``QueryResult.to_dict`` sorted every payload into."""
+    return sorted(
+        cuboid.items(),
+        key=lambda item: tuple((part is None, part) for part in item[0]),
+    )
+
+
+def assert_served_form(cuboid):
+    """Packed, and stored in wire order."""
+    assert isinstance(cuboid, PackedCuboid)
+    assert list(cuboid.items()) == wire_sorted(cuboid)
+
+
 @st.composite
-def rows_strategy(draw, min_size=0, max_size=10, id_offset=0):
+def rows_strategy(
+    draw, min_size=0, max_size=10, id_offset=0, values=VALUES, min_values=0
+):
     """Fact rows with unique ids and non-integer positive measures
-    (positive, so SUM/AVG's cluster tolerance never meets cancellation)."""
+    (positive, so SUM/AVG's cluster tolerance never meets cancellation),
+    binding ``min_values`` to two of ``values`` per axis."""
     count = draw(st.integers(min_value=min_size, max_value=max_size))
     rows = []
     for number in range(count):
@@ -54,7 +81,12 @@ def rows_strategy(draw, min_size=0, max_size=10, id_offset=0):
             tuple(
                 AnnotatedValue(value, 0b1)
                 for value in draw(
-                    st.lists(st.sampled_from(VALUES), unique=True, max_size=2)
+                    st.lists(
+                        st.sampled_from(values),
+                        unique=True,
+                        min_size=min_values,
+                        max_size=2,
+                    )
                 )
             )
             for _ in range(2)
@@ -119,8 +151,10 @@ class Replay:
             query = Query(point=point)
             result = self.server.query(query)
             assert result.as_cuboid() == expected
+            assert_served_form(result.payload)
             self.served.append((point, result.version[0], result.payload))
             got = self.cluster.query(query).as_cuboid()
+            assert_served_form(got)
             if self.spec.function in ("SUM", "AVG"):
                 assert set(got) == set(expected)
                 for key, value in expected.items():
@@ -129,6 +163,29 @@ class Replay:
                     )
             else:
                 assert got == expected
+        servers = [self.server] + [
+            server
+            for replicas in self.cluster.shards
+            for replica in replicas
+            for server in replica.servers
+        ]
+        for server in servers:
+            self.check_cache(server)
+
+    def check_cache(self, server):
+        """Every cuboid ``server`` caches is packed, in wire order, and
+        NAIVE over the server's own rows at its current version."""
+        points = server.cache.points()
+        if not points:
+            return
+        reference = compute_cube(
+            FactTable(self.lattice, server.table.rows, server.aggregate),
+            ExecutionOptions(algorithm="NAIVE", points=tuple(points)),
+        )
+        for point in points:
+            cached = server.cache.peek(point)
+            assert_served_form(cached)
+            assert cached == reference.cuboids[point]
 
     def check_served(self):
         """Every answer kept still equals NAIVE at its own version."""
@@ -232,6 +289,34 @@ def test_partial_deletion_matches_recompute(rows, function):
     try:
         replay.delete(list(rows[:cut]))
         assert replay.present == list(rows[cut:])
+        replay.check_served()
+    finally:
+        replay.close()
+
+
+@given(
+    initial=rows_strategy(min_size=1, max_size=6, values=("u", "v")),
+    delta=rows_strategy(
+        min_size=1, max_size=4, id_offset=1000, values=("w", "x"), min_values=1
+    ),
+    function=st.sampled_from(FUNCTIONS),
+)
+@settings(max_examples=30, deadline=None)
+def test_new_axis_values_then_emptied_cells(initial, delta, function):
+    """An insert whose every fact binds values no cached dictionary
+    holds grows the dictionaries (the codes are re-ranked, never
+    decoded); deleting those facts again empties every cell they made.
+    The replay checks order, packing and NAIVE after each step."""
+    replay = Replay(initial, function)
+    try:
+        fresh = {"w", "x"}
+        replay.insert(list(delta))
+        top = replay.lattice.top  # both axes kept
+        grown = replay.server.query(Query(point=top)).as_cuboid()
+        assert any(fresh & set(key) for key in grown)
+        replay.delete(list(delta))
+        emptied = replay.server.query(Query(point=top)).as_cuboid()
+        assert not any(fresh & set(key) for key in emptied)
         replay.check_served()
     finally:
         replay.close()

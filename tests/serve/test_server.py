@@ -6,7 +6,6 @@ bit-identical to a serial NAIVE recomputation over the table rows at
 the version reported with the answer.
 """
 
-import gc
 import sys
 import threading
 from collections import Counter
@@ -526,8 +525,8 @@ class TestWrites:
         """A published cuboid is never written again: the resident
         object and a served answer held across an insert and a COUNT
         delete keep their values, the cache swaps in a successor exact
-        at the new version, and a cache hit's payload wraps the resident
-        object itself, not a copy."""
+        at the new version, and a cache hit's payload is the resident
+        (packed, read-only) object itself, not a copy."""
         table, oracle = fresh(n_facts=60)
         initial, delta = split_rows(table, 0.7)
         live = FactTable(table.lattice, list(initial), table.aggregate)
@@ -537,7 +536,7 @@ class TestWrites:
         resident = server.cache.peek(point)
         result = server.query(Query(point=point))
         assert result.tier == "cache"
-        assert gc.get_referents(result.payload) == [resident]
+        assert result.payload is resident
         held = [(resident, dict(resident)), (result.payload, dict(resident))]
         for op, rows in (("insert", delta), ("delete", delta[:3])):
             getattr(server, op)(list(rows))
@@ -548,7 +547,7 @@ class TestWrites:
             result = server.query(Query(point=point))
             assert result.tier == "cache"
             assert result.version == (server.version,)
-            assert gc.get_referents(result.payload) == [successor]
+            assert result.payload is successor
             held += [(successor, dict(successor))]
             resident = successor
         assert server.stats().patched_points == 2
