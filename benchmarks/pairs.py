@@ -18,6 +18,9 @@ medians) and whether the Sec. 8 rule for claiming a gain is met.
 ``--workload`` may be given more than once: the workloads are paired one
 after the other, each reported as above, and the rows are printed again
 together at the end — the whole no-regression table of one change.
+After each workload's rows come the parent and change medians of every
+``per_layer`` metric of the same file that the runs' ``INFO`` lines
+carry, labelled "reported, not judged": no claim is made on them.
 Runs last ``run_seconds`` of the same file: a claim is made at the
 length the benchmark sets.  A pair is *refused* — listed
 with its reason, kept out of the statistics, exit status 1 — when a run
@@ -171,6 +174,10 @@ def _spread(values: Sequence[float], digits: int) -> str:
     return f"{median:.{digits}f} ({q1:.{digits}f}–{q3:.{digits}f})"
 
 
+def _percent(delta: float) -> str:
+    return f"{100 * delta:+.1f} %".replace("-", "−")
+
+
 def table_row(label: str, metric: Metric, compared: Comparison) -> str:
     """The EXPERIMENTS.md row (columns: workload, metric, pairs, parent
     median (q1-q3), change median (q1-q3), change wins, delta median)."""
@@ -182,17 +189,43 @@ def table_row(label: str, metric: Metric, compared: Comparison) -> str:
         _spread(compared.parent, metric.digits),
         _spread(compared.change, metric.digits),
         f"{compared.wins}/{pairs}",
-        f"{100 * compared.delta:+.1f} %".replace("-", "−"),
+        _percent(compared.delta),
     ]
     return "| " + " | ".join(cells) + " |"
 
 
+def reported_lines(
+    accepted: Sequence[Tuple[Run, Run]], reported: Sequence[Metric]
+) -> List[str]:
+    """The medians of each ``reported`` metric that every accepted run
+    of both sides carries in its ``INFO`` line's ``metrics``."""
+    lines: List[str] = []
+    for metric in reported:
+        readings = [
+            [run.info.get("metrics", {}).get(metric.name) for run in side]
+            for side in zip(*accepted)
+        ]
+        if any(value is None for side in readings for value in side):
+            continue
+        parent, change = (quartiles([float(v) for v in side])[1] for side in readings)
+        delta = f" ({_percent((change - parent) / parent)})" if parent else ""
+        lines.append(
+            f"reported, not judged: {metric.name} ({metric.better} is better)"
+            f" median parent {parent:.4g}, change {change:.4g}{delta}"
+        )
+    return lines
+
+
 def report(
-    label: str, pairs: Sequence[Tuple[Run, Run]], metrics: Sequence[Metric]
+    label: str,
+    pairs: Sequence[Tuple[Run, Run]],
+    metrics: Sequence[Metric],
+    reported: Sequence[Metric] = (),
 ) -> List[str]:
     """Every line printed after the runs: refused pairs with their
     reason, each metric's raw readings in the order run, the failed
-    ops, one row per metric, then each metric's verdict."""
+    ops, one row per metric, the medians of the ``reported`` metrics,
+    then each judged metric's verdict."""
     accepted: List[Tuple[Run, Run]] = []
     lines: List[str] = []
     for number, (parent, change) in enumerate(pairs, start=1):
@@ -226,6 +259,7 @@ def report(
         f" change {failed_c}/{attempted_c}"
     )
     lines += [table_row(label, metric, compared[metric.name]) for metric in metrics]
+    lines += reported_lines(accepted, reported)
     # A gain bought with a larger share of failed operations is no gain.
     fails_more = failed_c * attempted_p > failed_p * attempted_c
     for metric in metrics:
@@ -326,6 +360,7 @@ def main(
     declared = json.loads((parent / "BENCHMARK.json").read_text())
     seconds = float(declared["run_seconds"])
     metrics = [Metric.declared(entry) for entry in declared["end_to_end"]]
+    reported = [Metric.declared(entry) for entry in declared.get("per_layer", [])]
 
     rows: List[str] = []
     refused = False
@@ -334,7 +369,9 @@ def main(
             parent, change, workload, args.seed, args.pairs, seconds,
             metrics, run,
         )
-        lines = report(f"`{workload}`, `--seed {args.seed}`", pairs, metrics)
+        lines = report(
+            f"`{workload}`, `--seed {args.seed}`", pairs, metrics, reported
+        )
         print("\n".join(lines))
         rows += [line for line in lines if line.startswith("| ")]
         refused = refused or any(refusal(*pair) is not None for pair in pairs)

@@ -25,16 +25,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import AggregateSpec
-from repro.core.bindings import FactRow, FactTable, GroupKey
+from repro.core.bindings import FactRow, FactTable
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.merge import (
     STATE_EXACT_AGGREGATES,
     avg_states,
     states_from_finalized,
 )
+from repro.core.packed import PackedCuboid
 from repro.core.properties import PropertyOracle
 from repro.errors import ClusterError, ShardUnavailable
 from repro.serve.server import TIERS, CubeServer
@@ -48,7 +49,7 @@ class ShardAnswer:
     replica: int
     #: read-only: for COUNT/SUM/MIN/MAX it is the replica's resident
     #: cuboid
-    states: Mapping[GroupKey, Any]
+    states: PackedCuboid
     version: int  #: write batches the replica had applied when answering
     modeled_seconds: float  #: modeled cost of the replica's ladder walk
     #: the sound-source rung that answered on the replica (of several
@@ -180,7 +181,7 @@ class ShardReplica:
                 raise ShardUnavailable(self.shard, self.replica, "crashed")
             # The components apply the same batches under this lock, so
             # they answer at one version.
-            cuboids: List[Mapping[GroupKey, float]] = []
+            cuboids: List[PackedCuboid] = []
             tier, seconds = TIERS[0], 0.0
             for server in self.servers:
                 (cuboid, (version,), rung, _, cost), _ = server.read(point)

@@ -25,27 +25,23 @@ partial state (:data:`STATE_EXACT_AGGREGATES`), which lets shards reuse
 their finalized serving path; the algebraic AVG must ship its
 ``(sum, count)`` pair instead (finalized averages do not merge).
 
-Packed shard states (:class:`~repro.core.packed.PackedCuboid`) merge on
-their codes: each shard's codes are re-ranked into the union of the
-shards' axis dictionaries, equal codes fold, and the result is packed in
-wire order.  Any other input folds key by key, and
-:func:`finalize_states` packs what it finalizes.
+Shard states are packed cuboids (:class:`~repro.core.packed.PackedCuboid`)
+and merge on their codes: each shard's codes are re-ranked into the
+union of the shards' axis dictionaries, equal codes fold, and the result
+is packed in wire order; :func:`finalize_states` maps the folded states
+into its value array.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.core.aggregates import AggregateFunction, get_function
-from repro.core.bindings import GroupKey
 from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
-from repro.core.packed import Axes, PackedCuboid, fits, pack
+from repro.core.packed import Axes, PackedCuboid, as_codes
 from repro.errors import CubeError
-
-#: A cuboid of *partial aggregate states* rather than finalized values.
-StateCuboid = Mapping[GroupKey, Any]
 
 #: Aggregates whose finalized cell value is itself a mergeable partial
 #: state (``finalize`` is the identity up to float coercion).  AVG is
@@ -81,76 +77,47 @@ def merge_disjoint(
 # aggregate-state merge (the cluster's shape)
 # ----------------------------------------------------------------------
 def merge_states(
-    fn: AggregateFunction,
-    shard_states: Sequence[Mapping[GroupKey, Any]],
-) -> StateCuboid:
-    """Fold per-shard partial states key by key with ``fn.merge``.
+    fn: AggregateFunction, shard_states: Sequence[PackedCuboid]
+) -> PackedCuboid:
+    """Fold per-shard partial states with ``fn.merge``, on the codes.
 
     Keys missing from a shard simply contribute nothing (the shard holds
     no fact of that group); because ``merge`` is associative and
     commutative, the fold order cannot change the result.  A cell's
-    states fold in shard order, packed or not.
+    states fold in shard order.  The result's dictionaries are the
+    union of the shards'.
     """
-    packed = [
-        states for states in shard_states if isinstance(states, PackedCuboid)
-    ]
-    if len(packed) == len(shard_states):
-        merged_codes = _merge_packed(fn, packed)
-        if merged_codes is not None:
-            return merged_codes
-    merged: Dict[GroupKey, Any] = {}
-    for states in shard_states:
-        for key, state in states.items():
-            if key in merged:
-                merged[key] = fn.merge(merged[key], state)
-            else:
-                merged[key] = state
-    return merged
-
-
-def _merge_packed(
-    fn: AggregateFunction, shard_states: Sequence[PackedCuboid]
-) -> Optional[PackedCuboid]:
-    """:func:`merge_states` on codes; ``None`` when the union of the
-    dictionaries is too wide to pack."""
     live = [states for states in shard_states if states]
     if not live:
         axes = shard_states[0].axes if shard_states else ()
-        return PackedCuboid(axes, array("q"), [])
+        return PackedCuboid(axes, as_codes(axes, ()), [])
     axes: Axes = tuple(
-        tuple(sorted(set().union(*column))) for column in zip(
-            *(states.axes for states in live)
-        )
+        tuple(sorted({part for axis in column for part in axis}))
+        for column in zip(*(states.axes for states in live))
     )
-    if not fits(axes):
-        return None
-    recoded = [states.recoded(axes) for states in live]
     merged: Dict[int, Any] = {}
     merge = fn.merge
-    for codes, states in zip(recoded, live):
-        for code, state in zip(codes, states.cells):
+    for states in live:
+        for code, state in zip(states.recoded(axes), states.cells):
             merged[code] = merge(merged[code], state) if code in merged else state
     order = sorted(merged)
-    return PackedCuboid(axes, array("q", order), [merged[code] for code in order])
+    return PackedCuboid(
+        axes, as_codes(axes, order), [merged[code] for code in order]
+    )
 
 
-def finalize_states(
-    fn: AggregateFunction, states: StateCuboid
-) -> Mapping[GroupKey, float]:
+def finalize_states(fn: AggregateFunction, states: PackedCuboid) -> PackedCuboid:
     """Finalize a merged state cuboid into reported values — exactly
-    once, after the last merge (AVG divides here and nowhere earlier).
-    The result is packed (:func:`~repro.core.packed.pack`), in wire
-    order either way."""
-    if isinstance(states, PackedCuboid):
-        return PackedCuboid(
-            states.axes, states.codes, array("d", map(fn.finalize, states.cells))
-        )
-    return pack({key: fn.finalize(state) for key, state in states.items()})
+    once, after the last merge (AVG divides here and nowhere earlier),
+    on the same dictionaries and codes."""
+    return PackedCuboid(
+        states.axes, states.codes, array("d", map(fn.finalize, states.cells))
+    )
 
 
 def states_from_finalized(
-    aggregate_name: str, cuboid: Mapping[GroupKey, float]
-) -> Mapping[GroupKey, Any]:
+    aggregate_name: str, cuboid: PackedCuboid
+) -> PackedCuboid:
     """Reinterpret a finalized cuboid as partial states.
 
     Only valid for :data:`STATE_EXACT_AGGREGATES`; shards use this to
@@ -169,30 +136,22 @@ def states_from_finalized(
     return cuboid
 
 
-def avg_states(
-    sums: Mapping[GroupKey, float], counts: Mapping[GroupKey, float]
-) -> StateCuboid:
+def avg_states(sums: PackedCuboid, counts: PackedCuboid) -> PackedCuboid:
     """AVG's ``(sum, count)`` partial states from a SUM and a COUNT
     cuboid over the same facts.  Both hold the same keys in wire order,
-    so their cells pair up in stored order; packed, the states share the
-    SUM cuboid's dictionaries and codes."""
-    if isinstance(sums, PackedCuboid) and isinstance(counts, PackedCuboid):
-        if len(sums) != len(counts):
-            raise CubeError(
-                f"AVG states: {len(sums)} SUM cells but {len(counts)} "
-                "COUNT cells"
-            )
-        pairs: Sequence[Tuple[float, float]] = list(
-            zip(sums.cells, counts.cells)
+    so their cells pair up in stored order; the states share the SUM
+    cuboid's dictionaries and codes."""
+    if len(sums) != len(counts):
+        raise CubeError(
+            f"AVG states: {len(sums)} SUM cells but {len(counts)} COUNT cells"
         )
-        return PackedCuboid(sums.axes, sums.codes, pairs)
-    return {key: (total, counts[key]) for key, total in sums.items()}
+    pairs: Sequence[Tuple[float, float]] = list(zip(sums.cells, counts.cells))
+    return PackedCuboid(sums.axes, sums.codes, pairs)
 
 
 def merge_finalized(
-    aggregate_name: str,
-    shard_cuboids: Sequence[Mapping[GroupKey, float]],
-) -> Mapping[GroupKey, float]:
+    aggregate_name: str, shard_cuboids: Sequence[PackedCuboid]
+) -> PackedCuboid:
     """Convenience: merge finalized shard cuboids of a state-exact
     aggregate (lifts to states, merges, finalizes)."""
     fn = get_function(aggregate_name)

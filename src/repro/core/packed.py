@@ -1,19 +1,24 @@
-"""Packed cuboids: a served cuboid as two sorted arrays.
+"""Packed cuboids: a cuboid as two sorted arrays.
 
-A :class:`PackedCuboid` is the read-only form every cuboid the serving
-layer caches or answers with takes (DESIGN.md Sec. 5c).  It has three
+A :class:`PackedCuboid` is the one form every cuboid the serving layer
+caches, merges or answers with takes (DESIGN.md Sec. 5c).  It has three
 parts:
 
 - per kept axis, a sorted tuple of the axis's ``str`` values (its
   *dictionary*);
-- a sorted ``array('q')`` of mixed-radix **codes**: a key's code is the
-  sum of each part's index in its axis dictionary times the product of
-  the later axes' radices, so earlier axes are the more significant
-  digits and code order *is* the wire order of
+- the sorted mixed-radix **codes**: a key's code is the sum of each
+  part's index in its axis dictionary times the product of the later
+  axes' radices, so earlier axes are the more significant digits and
+  code order *is* the wire order of
   :meth:`~repro.core.query.QueryResult.to_dict` — keys sorted part by
   part;
 - the **cells**: an ``array('d')`` of values, parallel to the codes (a
   list of partial states in a state cuboid of :mod:`repro.core.merge`).
+
+The codes are an ``array('q')`` wherever the radix product stays below
+:data:`CODE_LIMIT`, and a ``list`` of ints otherwise (:func:`as_codes`,
+the one place the container is picked); bisection, slicing, insertion
+and the digit arithmetic are the same on both.
 
 A cell costs its 8-byte code and its 8-byte value instead of a dict slot,
 a key tuple and a float object.  A lookup bisects each key part in its
@@ -23,9 +28,8 @@ keys in wire order.  Nothing writes a published cuboid: every operation
 here (slice, dice, roll-up projection, a write's patch, a cluster
 gather's recode) builds a new one on the codes, never on decoded keys.
 
-A cuboid that cannot be packed — a key part that is not a ``str``, a
-value that is not a ``float``, or a radix product of ``2**62`` or more —
-stays a ``dict``, built in wire order (:func:`pack`).
+:func:`pack` turns any mapping of ``str``-part key tuples to numbers
+into one, and refuses any other mapping with :class:`CubeError`.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
     cast,
 )
 
 from repro.core.bindings import GroupKey
+from repro.errors import CubeError
 
 #: Codes are signed 64-bit integers; the product of a cuboid's radices
 #: must stay below this for every code to fit.
@@ -58,17 +64,15 @@ CODE_LIMIT = 1 << 62
 #: One sorted value dictionary per kept axis.
 Axes = Tuple[Tuple[str, ...], ...]
 
+#: A cuboid's sorted codes: signed 64-bit slots where they fit, else
+#: Python ints (:func:`as_codes`).
+Codes = Union["array[int]", List[int]]
+
 _T = TypeVar("_T")
 
 #: A write's step on one cell: ``(current value or None, the key's
 #: delta) -> new value``, ``None`` where the cell goes away.
 Step = Callable[[Optional[float], Any], Optional[float]]
-
-
-def wire_key(item: Tuple[GroupKey, Any]) -> Tuple[Tuple[bool, Any], ...]:
-    """The wire order of a ``(key, value)`` item: part by part, ``None``
-    last.  Only a cuboid that cannot be packed is sorted with it."""
-    return tuple((part is None, part) for part in item[0])
 
 
 def _radices(axes: Axes) -> List[int]:
@@ -84,11 +88,14 @@ def _scales(radices: Sequence[int]) -> List[int]:
     return scales
 
 
-def fits(axes: Axes) -> bool:
+def as_codes(axes: Axes, codes: Iterable[int]) -> Codes:
+    """``codes`` in the container their dictionaries ``axes`` allow: an
+    ``array('q')`` while the radix product stays below
+    :data:`CODE_LIMIT`, else a ``list``."""
     product = 1
     for radix in _radices(axes):
         product *= radix
-    return product < CODE_LIMIT
+    return array("q", codes) if product < CODE_LIMIT else list(codes)
 
 
 def _sorted_packed(
@@ -98,7 +105,7 @@ def _sorted_packed(
     value_of = dict(zip(codes, cells))
     codes.sort()
     return PackedCuboid(
-        axes, array("q", codes), array("d", map(value_of.__getitem__, codes))
+        axes, as_codes(axes, codes), array("d", map(value_of.__getitem__, codes))
     )
 
 
@@ -107,16 +114,14 @@ class PackedCuboid(Mapping[GroupKey, Any]):
 
     Attributes:
         axes: per kept axis, its sorted value dictionary.
-        codes: the sorted ``array('q')`` of cell codes.
+        codes: the sorted cell codes (:data:`Codes`).
         cells: the values, parallel to ``codes`` — an ``array('d')`` in
             a finalized cuboid.
     """
 
     __slots__ = ("axes", "codes", "cells", "_radices", "_scales")
 
-    def __init__(
-        self, axes: Axes, codes: "array[int]", cells: Sequence[Any]
-    ) -> None:
+    def __init__(self, axes: Axes, codes: Codes, cells: Sequence[Any]) -> None:
         self.axes = axes
         self.codes = codes
         self.cells = cells
@@ -205,7 +210,7 @@ class PackedCuboid(Mapping[GroupKey, Any]):
     # ------------------------------------------------------------------
     # new cuboids from this one, on the codes
     # ------------------------------------------------------------------
-    def _with(self, codes: "array[int]", cells: Sequence[Any]) -> "PackedCuboid":
+    def _with(self, codes: Codes, cells: Sequence[Any]) -> "PackedCuboid":
         """A cuboid over the same dictionaries with other cells."""
         out: PackedCuboid = object.__new__(PackedCuboid)
         out.axes, out.codes, out.cells = self.axes, codes, cells
@@ -231,7 +236,7 @@ class PackedCuboid(Mapping[GroupKey, Any]):
         axis = self.axes[position]
         index = bisect_left(axis, value)
         if index == len(axis) or axis[index] != value:
-            return PackedCuboid(axes, array("q"), array("d"))
+            return PackedCuboid(axes, as_codes(axes, ()), array("d"))
         codes, cells = self.codes, self.cells
         radix, scale = self._radices[position], self._scales[position]
         block = scale * radix
@@ -240,10 +245,9 @@ class PackedCuboid(Mapping[GroupKey, Any]):
             for at, digit in enumerate(self._digits(position, range(radix)))
             if digit == index
         ]
+        sliced = [codes[at] // block * scale + codes[at] % scale for at in kept]
         return PackedCuboid(
-            axes,
-            array("q", [codes[at] // block * scale + codes[at] % scale for at in kept]),
-            array("d", map(cells.__getitem__, kept)),
+            axes, as_codes(axes, sliced), array("d", map(cells.__getitem__, kept))
         )
 
     def diced(self, allowed: Mapping[int, Iterable[str]]) -> "PackedCuboid":
@@ -252,7 +256,7 @@ class PackedCuboid(Mapping[GroupKey, Any]):
         tests: List[Tuple[int, int, frozenset[int]]] = []
         for position, values in allowed.items():
             if position >= len(self.axes):
-                return PackedCuboid(self.axes, array("q"), array("d"))
+                return self._with(as_codes(self.axes, ()), array("d"))
             axis = self.axes[position]
             wanted = set(values)
             indices = frozenset(
@@ -270,11 +274,11 @@ class PackedCuboid(Mapping[GroupKey, Any]):
             if all(code // scale % radix in indices for scale, radix, indices in tests)
         ]
         return self._with(
-            array("q", map(codes.__getitem__, kept)),
+            as_codes(self.axes, map(codes.__getitem__, kept)),
             array("d", map(cells.__getitem__, kept)),
         )
 
-    def recoded(self, axes: Axes) -> "array[int]":
+    def recoded(self, axes: Axes) -> Codes:
         """These codes under wider dictionaries ``axes`` (each a sorted
         superset of this cuboid's): each digit is re-ranked, so the codes
         stay sorted.  Nothing is decoded, and the digits after the last
@@ -297,11 +301,9 @@ class PackedCuboid(Mapping[GroupKey, Any]):
                 at = {value: index * place for index, value in enumerate(new)}
                 ranks = list(map(at.__getitem__, old))
             recoded = list(map(add, recoded, self._digits(position, ranks)))
-        return array("q", recoded)
+        return as_codes(axes, recoded)
 
-    def updated(
-        self, deltas: Mapping[GroupKey, Any], step: Step
-    ) -> Mapping[GroupKey, Any]:
+    def updated(self, deltas: Mapping[GroupKey, Any], step: Step) -> "PackedCuboid":
         """The successor once each key's delta is stepped into its cell:
         ``step(current, delta)`` is the cell's new value (``current`` is
         ``None`` for an absent cell), ``None`` to remove it.
@@ -309,15 +311,15 @@ class PackedCuboid(Mapping[GroupKey, Any]):
         The arrays are copied, each key is coded once and its cell found
         by bisection, then replaced, inserted or deleted in the copies.
         A key part new to its axis first extends that axis's dictionary,
-        and the codes are re-ranked into it (:meth:`recoded`).  Where
-        the result cannot be packed it is a wire-ordered ``dict``
-        (:func:`pack`)."""
+        and the codes are re-ranked into it (:meth:`recoded`).  A key
+        that is not a tuple of one ``str`` part per axis is a
+        :class:`CubeError`."""
         codes = self.codes[:]
         cells = cast("array[float]", self.cells)[:]
         for key, delta in deltas.items():
             code = self._code(key)
             if code < 0:
-                return self._widened(deltas, step)
+                return self._widened(deltas).updated(deltas, step)
             at = bisect_left(codes, code)
             found = at < len(codes) and codes[at] == code
             value = step(cells[at] if found else None, delta)
@@ -325,8 +327,6 @@ class PackedCuboid(Mapping[GroupKey, Any]):
                 if found:
                     del codes[at]
                     del cells[at]
-            elif not isinstance(value, float):
-                return _stepped_dict(self, deltas, step)
             elif found:
                 cells[at] = value
             else:
@@ -334,28 +334,15 @@ class PackedCuboid(Mapping[GroupKey, Any]):
                 cells.insert(at, value)
         return self._with(codes, cells)
 
-    def _widened(
-        self, deltas: Mapping[GroupKey, Any], step: Step
-    ) -> Mapping[GroupKey, Any]:
-        """:meth:`updated` once every key part is in its axis
-        dictionary."""
-        arity = len(self.axes)
-        if not all(
-            isinstance(key, tuple)
-            and len(key) == arity
-            and all(isinstance(part, str) for part in key)
-            for key in deltas
-        ):
-            return _stepped_dict(self, deltas, step)
-        axes = tuple(
-            widened(axis, [str(key[position]) for key in deltas])
-            for position, axis in enumerate(self.axes)
-        )
-        if not fits(axes):
-            return _stepped_dict(self, deltas, step)
-        return PackedCuboid(axes, self.recoded(axes), self.cells).updated(
-            deltas, step
-        )
+    def _widened(self, keys: Iterable[GroupKey]) -> "PackedCuboid":
+        """This cuboid over its dictionaries widened by every part of
+        ``keys``.  An empty cuboid packed without dictionaries has no
+        axes yet: it takes the keys' arity."""
+        if not self.axes and not self.codes:
+            axes = tuple(widened((), column) for column in _columns(list(keys)))
+            return PackedCuboid(axes, as_codes(axes, ()), self.cells)
+        axes = tuple(map(widened, self.axes, _columns(list(keys), len(self.axes))))
+        return PackedCuboid(axes, self.recoded(axes), self.cells)
 
 
 class _Items(ItemsView[GroupKey, Any]):
@@ -391,39 +378,31 @@ def widened(axis: Tuple[str, ...], parts: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(fresh.union(axis))) if fresh else axis
 
 
-def _stepped_dict(
-    cuboid: Mapping[GroupKey, Any], deltas: Mapping[GroupKey, Any], step: Step
-) -> Mapping[GroupKey, Any]:
-    """The deltas stepped into a dict copy of ``cuboid``, packed again
-    (with its dictionaries, when it is packed)."""
-    out = dict(cuboid)
-    for key, delta in deltas.items():
-        value = step(out.get(key), delta)
-        if value is None:
-            out.pop(key, None)
-        else:
-            out[key] = value
-    return pack(out, cuboid.axes if isinstance(cuboid, PackedCuboid) else None)
-
-
-def apply_deltas(
-    cuboid: Mapping[GroupKey, Any], deltas: Mapping[GroupKey, Any], step: Step
-) -> Mapping[GroupKey, Any]:
-    """The successor of a served cuboid under a write: each key's delta
-    stepped into its cell — on the codes when the cuboid is packed
-    (:meth:`PackedCuboid.updated`), else in a dict copy packed again."""
-    if isinstance(cuboid, PackedCuboid):
-        return cuboid.updated(deltas, step)
-    return _stepped_dict(cuboid, deltas, step)
+def _columns(
+    keys: Sequence[Any], arity: Optional[int] = None
+) -> List[Tuple[str, ...]]:
+    """The parts of ``keys``, a column per axis; :class:`CubeError`
+    unless every key is a tuple of ``str`` parts, all of one length
+    (``arity`` when given).  Checked a column at a time at C speed."""
+    if set(map(type, keys)) <= {tuple}:
+        columns = list(zip(*keys))
+        width = len(columns) if arity is None else arity
+        if set(map(len, keys)) <= {width} and all(
+            set(map(type, column)) == {str} for column in columns
+        ):
+            return columns
+    raise CubeError(
+        f"cannot pack {len(keys)} keys (the first {keys[0]!r}): a key is "
+        "a tuple of str parts, one per kept axis, all of one length"
+    )
 
 
 def pack(
     cuboid: Mapping[GroupKey, Any], dictionaries: Optional[Axes] = None
-) -> Mapping[GroupKey, Any]:
-    """The served form of a cuboid: packed when every key is a tuple of
-    ``str`` parts of one length, every value a ``float`` and the codes
-    fit, else a ``dict`` in wire order.  A packed cuboid is returned as
-    is.
+) -> PackedCuboid:
+    """``cuboid`` packed: every key a tuple of ``str`` parts, all of one
+    length (else :class:`CubeError`), every value a number, stored as a
+    float.  A packed cuboid is returned as is.
 
     ``dictionaries`` (sorted, one per key part) code the keys when they
     hold every part: a server passes the values its table has seen on
@@ -435,40 +414,27 @@ def pack(
         return cuboid
     keys = list(cuboid)
     cells = list(cuboid.values())
-    # Exact types, checked a column at a time at C speed.
-    if set(map(type, keys)) <= {tuple} and set(map(type, cells)) <= {float}:
-        columns = list(zip(*keys))
-        if set(map(len, keys)) <= {len(columns)} and all(
-            set(map(type, column)) == {str} for column in columns
-        ):
-            codes: Optional[List[int]] = None
-            if (
-                dictionaries is not None
-                and (len(dictionaries) == len(columns) or not keys)
-                and fits(dictionaries)
-            ):
-                axes, codes = dictionaries, _coded(dictionaries, columns, len(keys))
-            if codes is None:
-                axes = tuple(tuple(sorted(set(column))) for column in columns)
-                if fits(axes):
-                    codes = _coded(axes, columns, len(keys))
-            if codes is not None:
-                return _sorted_packed(axes, codes, cells)
-    return dict(sorted(cuboid.items(), key=wire_key))
+    columns = _columns(keys)
+    if dictionaries is not None and (len(dictionaries) == len(columns) or not keys):
+        try:
+            codes = _coded(dictionaries, columns, len(keys))
+        except KeyError:  # a part the dictionaries lack
+            pass
+        else:
+            return _sorted_packed(dictionaries, codes, cells)
+    axes = tuple(tuple(sorted(set(column))) for column in columns)
+    return _sorted_packed(axes, _coded(axes, columns, len(keys)), cells)
 
 
 def _coded(
     axes: Axes, columns: Sequence[Sequence[str]], count: int
-) -> Optional[List[int]]:
+) -> List[int]:
     """The code of each of ``count`` keys, given column by column;
-    ``None`` when a part is not in its axis dictionary."""
+    ``KeyError`` when a part is not in its axis dictionary."""
     codes = [0] * count
     for axis, scale, column in zip(axes, _scales(_radices(axes)), columns):
         rank = {value: index * scale for index, value in enumerate(axis)}
-        try:
-            codes = list(map(add, codes, map(rank.__getitem__, column)))
-        except KeyError:
-            return None
+        codes = list(map(add, codes, map(rank.__getitem__, column)))
     return codes
 
 
@@ -506,7 +472,7 @@ def from_group_ids(
     ranks: Sequence[Sequence[int]],
     gids: Collection[int],
     cells: Iterable[float],
-) -> Mapping[GroupKey, Any]:
+) -> PackedCuboid:
     """Pack a kernel's cells straight from its group ids.
 
     ``gids`` are mixed-radix ids over first-seen dictionary codes, the
@@ -515,19 +481,9 @@ def from_group_ids(
     ``axes[i]``.  Re-ranking each digit turns an id into its packed
     code; no key tuple is built.  ``cells`` yields the values in
     ``gids`` order."""
-    radices = _radices(axes)
     if not gids:
-        return PackedCuboid(axes, array("q"), array("d"))
-    if not fits(axes):
-        scales = _scales(radices)
-        keys = zip(
-            *(
-                [axis[rank[gid // scale % radix]] for gid in gids]
-                for axis, rank, radix, scale in zip(axes, ranks, radices, scales)
-            )
-        )
-        return pack(dict(zip(keys, cells)))
-    groups = _digit_groups(ranks, radices, max(len(gids), 16))
+        return PackedCuboid(axes, as_codes(axes, ()), array("d"))
+    groups = _digit_groups(ranks, _radices(axes), max(len(gids), 16))
     if len(groups) == 1:
         codes = list(map(groups[0][0].__getitem__, gids))
     elif len(groups) == 2:

@@ -20,7 +20,6 @@ Two layers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import (
     Any,
     ClassVar,
@@ -257,6 +256,12 @@ class Query:
                 key = tuple(
                     None if part is None else str(part) for part in key
                 )
+            value = payload.get("value")
+            if value is not None:
+                value = str(value)
+            measure = payload.get("measure")
+            if measure is not None:
+                measure = str(measure)
             read_version = payload.get("read_version")
             if read_version is not None:
                 read_version = tuple(int(v) for v in read_version)
@@ -269,10 +274,10 @@ class Query:
             point=point,
             kind=str(payload.get("kind", "aggregate")),
             axis=payload.get("axis"),
-            value=payload.get("value"),
+            value=value,
             key=key,
             filters=filters,
-            measure=payload.get("measure"),
+            measure=measure,
             read_version=read_version,
             deadline_seconds=deadline,
         )
@@ -304,11 +309,11 @@ class Query:
 class QueryResult:
     """One answered :class:`Query`: payload plus provenance envelope.
 
-    The payload is a read-only cuboid mapping for ``aggregate`` /
-    ``drilldown`` / ``slice`` / ``dice`` — a
-    :class:`~repro.core.packed.PackedCuboid` wherever the cuboid packs,
-    stored in wire order (``dict(...)`` of it is a mutable copy) — and a
-    single cell value (or ``None``) for ``cell``.
+    The payload is a read-only
+    :class:`~repro.core.packed.PackedCuboid` for ``aggregate`` /
+    ``drilldown`` / ``slice`` / ``dice``, stored in wire order
+    (``dict(...)`` of it is a mutable copy), and a single cell value (or
+    ``None``) for ``cell``.
     The envelope carries everything a remote caller needs to trust and
     reuse the answer: the version token it is exact at, the sound-source
     rung that produced it with the full ladder trail, and the modeled
@@ -317,7 +322,7 @@ class QueryResult:
 
     kind: str
     point: str  #: described lattice point actually served
-    payload: Union[Mapping[GroupKey, float], float, None]
+    payload: Union[PackedCuboid, float, None]
     version: Tuple[int, ...]  #: version token the answer is exact at
     tier: str  #: resolving rung ("scatter-gather" on a cluster)
     rungs: Tuple[RungDecision, ...]
@@ -326,7 +331,7 @@ class QueryResult:
     deadline_exceeded: bool = False
     trace_id: str = ""  #: 32-hex trace id when the request was sampled
 
-    def as_cuboid(self) -> Mapping[GroupKey, float]:
+    def as_cuboid(self) -> PackedCuboid:
         if not isinstance(self.payload, Mapping):
             raise InvalidQuery(
                 f"{self.kind} result holds a cell value, not a cuboid"
@@ -342,8 +347,8 @@ class QueryResult:
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON wire form the HTTP layer returns: a cuboid's groups
-        in the order the payload stores them — keys sorted part by part,
-        ``None`` last (:mod:`repro.core.packed`)."""
+        in the order the payload stores them, keys sorted part by part
+        (:mod:`repro.core.packed`)."""
         out: Dict[str, Any] = {
             "kind": self.kind,
             "point": self.point,
@@ -357,8 +362,8 @@ class QueryResult:
         if self.trace_id:
             out["trace_id"] = self.trace_id
         if isinstance(self.payload, Mapping):
-            # Every served cuboid is stored in wire order (packed, or a
-            # dict built sorted), and slice/dice filter in order.
+            # A packed cuboid is stored in wire order, and slice/dice
+            # filter in order.
             out["groups"] = [
                 {"key": list(key), "value": value}
                 for key, value in self.payload.items()
@@ -450,7 +455,7 @@ class QueryExplanation:
 #: the full rung trail, and the modeled seconds paid.  The cuboid may be
 #: shared with the backend's store and other readers: nobody writes it.
 Answer = Tuple[
-    Mapping[GroupKey, float],
+    PackedCuboid,
     Tuple[int, ...],
     str,
     Tuple[RungDecision, ...],
@@ -715,19 +720,11 @@ def check_read_version(
         raise StaleVersion(requested, answered)
 
 
-def read_only(cuboid: Mapping[GroupKey, float]) -> Mapping[GroupKey, float]:
-    """A cuboid as a payload hands it out: a packed cuboid is read-only
-    itself; any other mapping goes behind a read-only view, not a copy."""
-    if isinstance(cuboid, PackedCuboid):
-        return cuboid
-    return MappingProxyType(cuboid)
-
-
 def finish_query(
     lattice: CubeLattice,
     query: Query,
     point: LatticePoint,
-    cuboid: Mapping[GroupKey, float],
+    cuboid: PackedCuboid,
     version: Tuple[int, ...],
     tier: str,
     rungs: Tuple[RungDecision, ...],
@@ -735,33 +732,29 @@ def finish_query(
     trace_id: str = "",
 ) -> QueryResult:
     """Apply the query's kind-specific view of the resolved cuboid and
-    wrap it in the result envelope.  A cuboid payload is handed out
-    read-only (:func:`read_only`), not copied: the resolved cuboid may
-    be the one a cache and other readers share."""
+    wrap it in the result envelope.  A cuboid payload is handed out as
+    is, not copied: a packed cuboid is read-only, and the resolved one
+    may be the one a cache and other readers share."""
     from repro.core.rollup import dice_cuboid, slice_cuboid
 
     check_read_version(query.read_version, version)
-    payload: Union[Mapping[GroupKey, float], float, None]
+    payload: Union[PackedCuboid, float, None]
     if query.kind == "cell":
         assert query.key is not None
         payload = cuboid.get(query.key)
     elif query.kind == "slice":
         assert query.axis is not None and query.value is not None
-        payload = read_only(
-            slice_cuboid(
-                cuboid,
-                _kept_axis_index(lattice, point, query.axis),
-                query.value,
-            )
+        payload = slice_cuboid(
+            cuboid, _kept_axis_index(lattice, point, query.axis), query.value
         )
     elif query.kind == "dice":
         predicates = {
             _kept_axis_index(lattice, point, axis): values
             for axis, values in query.filters
         }
-        payload = read_only(dice_cuboid(cuboid, predicates))
+        payload = dice_cuboid(cuboid, predicates)
     else:  # aggregate / drilldown: the cuboid itself
-        payload = read_only(cuboid)
+        payload = cuboid
     return QueryResult(
         kind=query.kind,
         point=lattice.describe(point),

@@ -14,8 +14,10 @@ a safe API over a computed :class:`~repro.core.cube.CubeResult`:
 - :func:`slice_cuboid` / :func:`dice_cuboid` — classic OLAP slice and
   dice over one cuboid.
 
-On a :class:`~repro.core.packed.PackedCuboid` all three run on the
-codes and return packed cuboids, in stored (wire) order.
+Each of the three takes any cuboid mapping, packs it
+(:func:`~repro.core.packed.pack`; a served cuboid already is), runs on
+the codes and returns a :class:`~repro.core.packed.PackedCuboid`, in
+stored (wire) order.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from typing import Any, Dict, Mapping, Sequence, Tuple
 from repro.core.aggregates import AggregateFunction, get_function
 from repro.core.bindings import GroupKey
 from repro.core.cube import CubeResult
-from repro.core.groupby import Cuboid
 from repro.core.lattice import CubeLattice, LatticePoint
 from repro.core.merge import STATE_EXACT_AGGREGATES
-from repro.core.packed import PackedCuboid
+from repro.core.packed import PackedCuboid, as_codes, pack
 from repro.core.properties import PropertyOracle
 from repro.errors import CubeError
 
@@ -98,22 +99,20 @@ def rollup_cuboid(
     source: LatticePoint,
     target: LatticePoint,
     fn: AggregateFunction,
-) -> Mapping[GroupKey, float]:
+) -> PackedCuboid:
     """Aggregate raw source cells down to ``target`` (no soundness check).
 
     Each target cell folds its source cells from ``fn.new()`` with
     ``fn.merge``, which is exact only where a finalized cell is the
     aggregate's partial state (:data:`STATE_EXACT_AGGREGATES`), then
-    finalizes (a merged COUNT is a fresh float; finalized, it is the
-    shared one of :data:`~repro.core.aggregates.COUNT_VALUES`).  The
-    arithmetic core of :func:`rollup`, shared with the serving layer
-    (:mod:`repro.serve`), which derives answers from *cached* cuboids
-    rather than a full :class:`CubeResult`; callers are responsible for
-    the :func:`derivable` check.
+    finalizes.  The arithmetic core of :func:`rollup`, shared with the
+    serving layer (:mod:`repro.serve`), which derives answers from
+    *cached* cuboids rather than a full :class:`CubeResult`; callers are
+    responsible for the :func:`derivable` check.
 
-    A packed source rolls up on its codes: each cell's code keeps the
-    digits of the target's axes (:meth:`PackedCuboid.projected`), the
-    cells fold by code in stored order, and the result is packed.
+    The source rolls up on its codes: each cell's code keeps the digits
+    of the target's axes (:meth:`PackedCuboid.projected`), and the
+    cells fold by code in stored order.
     """
     source_kept = lattice.kept_axes(source)
     target_kept = set(lattice.kept_axes(target))
@@ -122,26 +121,20 @@ def rollup_cuboid(
         for index, axis in enumerate(source_kept)
         if axis in target_kept
     ]
+    packed = pack(source_cuboid)
+    if len(packed.axes) < len(source_kept):  # empty, packed without axes
+        return pack({}, ((),) * len(keep))
+    axes, projected = packed.projected(keep)
     empty = fn.new()
-    if isinstance(source_cuboid, PackedCuboid):
-        axes, projected = source_cuboid.projected(keep)
-        states: Dict[int, Any] = {}
-        for code, value in zip(projected, source_cuboid.cells):
-            states[code] = fn.merge(states.get(code, empty), value)
-        codes = sorted(states)
-        return PackedCuboid(
-            axes,
-            array("q", codes),
-            array("d", [fn.finalize(states[code]) for code in codes]),
-        )
-    out: Cuboid = {}
-    for key, value in source_cuboid.items():
-        new_key = tuple(key[index] for index in keep)
-        out[new_key] = fn.merge(out.get(new_key, empty), value)
-    finalize = fn.finalize
-    for key, state in out.items():
-        out[key] = finalize(state)
-    return out
+    states: Dict[int, Any] = {}
+    for code, value in zip(projected, packed.cells):
+        states[code] = fn.merge(states.get(code, empty), value)
+    codes = sorted(states)
+    return PackedCuboid(
+        axes,
+        as_codes(axes, codes),
+        array("d", [fn.finalize(states[code]) for code in codes]),
+    )
 
 
 def rollup(
@@ -149,7 +142,7 @@ def rollup(
     source: LatticePoint,
     target: LatticePoint,
     oracle: PropertyOracle,
-) -> Mapping[GroupKey, float]:
+) -> PackedCuboid:
     """Aggregate the source cuboid down to the target point.
 
     Raises :class:`CubeError` when the derivation is unsound.
@@ -174,40 +167,21 @@ def rollup(
 
 def slice_cuboid(
     cuboid: Mapping[GroupKey, float], axis_index: int, value: str
-) -> Mapping[GroupKey, float]:
+) -> PackedCuboid:
     """Fix one key component to a value and drop it from the keys."""
-    if isinstance(cuboid, PackedCuboid):
-        if axis_index < len(cuboid.axes):
-            return cuboid.sliced(axis_index, value)
-        if cuboid:
-            raise CubeError(
-                f"slice index {axis_index} out of range for key "
-                f"{next(iter(cuboid))}"
-            )
-        return cuboid  # empty, with no axis to slice
-    out: Cuboid = {}
-    for key, cell in cuboid.items():
-        if axis_index >= len(key):
-            raise CubeError(
-                f"slice index {axis_index} out of range for key {key}"
-            )
-        if key[axis_index] == value:
-            out[key[:axis_index] + key[axis_index + 1 :]] = cell
-    return out
+    packed = pack(cuboid)
+    if axis_index < len(packed.axes):
+        return packed.sliced(axis_index, value)
+    if packed:
+        raise CubeError(
+            f"slice index {axis_index} out of range for key "
+            f"{next(iter(packed))}"
+        )
+    return packed  # empty, with no axis to slice
 
 
 def dice_cuboid(
-    cuboid: Mapping[GroupKey, float], predicates: Dict[int, Sequence[str]]
-) -> Mapping[GroupKey, float]:
+    cuboid: Mapping[GroupKey, float], predicates: Mapping[int, Sequence[str]]
+) -> PackedCuboid:
     """Keep only cells whose key components fall in the given sets."""
-    if isinstance(cuboid, PackedCuboid):
-        return cuboid.diced(predicates)
-    allowed = {index: set(values) for index, values in predicates.items()}
-    out: Cuboid = {}
-    for key, cell in cuboid.items():
-        if all(
-            index < len(key) and key[index] in values
-            for index, values in allowed.items()
-        ):
-            out[key] = cell
-    return out
+    return pack(cuboid).diced(predicates)

@@ -127,9 +127,7 @@ class Repl:
         if isinstance(result.payload, Mapping):
             headers = self._headers(result)
             rows = [
-                ["NULL" if part is None else str(part) for part in key]
-                + [f"{value:g}"]
-                for key, value in result.payload.items()
+                [*key, f"{value:g}"] for key, value in result.payload.items()
             ]
             self.echo(_table(headers, rows))
             count = f"{len(rows)} row{'s' if len(rows) != 1 else ''}"

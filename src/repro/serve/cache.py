@@ -27,17 +27,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.core.bindings import GroupKey
 from repro.core.lattice import LatticePoint
+from repro.core.packed import PackedCuboid
 from repro.errors import CubeError
 
-#: What the cache holds and the ladder serves: a read-only cuboid,
-#: packed (:class:`~repro.core.packed.PackedCuboid`: sorted codes and
-#: values, in wire order) or, where it cannot be packed, a wire-ordered
-#: dict.
-ServedCuboid = Mapping[GroupKey, float]
+#: What the cache holds and the ladder serves: a read-only packed cuboid
+#: (sorted codes and values, in wire order).
+ServedCuboid = PackedCuboid
 
 
 @dataclass

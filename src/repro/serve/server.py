@@ -73,7 +73,7 @@ from repro.core.incremental import (
 from repro.core.lattice import LatticePoint
 from repro.core.materialize import cuboid_sizes
 from repro.core.merge import STATE_EXACT_AGGREGATES
-from repro.core.packed import PackedCuboid, apply_deltas, pack, widened
+from repro.core.packed import pack, widened
 from repro.core.properties import PropertyOracle
 from repro.core.query import Answer, CubeBackend, Plan, PointSpec
 from repro.core.rollup import derivable, rollup_cuboid
@@ -555,18 +555,16 @@ class CubeServer(CubeBackend):
         source_cuboid: ServedCuboid,
         point: LatticePoint,
     ) -> Tuple[ServedCuboid, float]:
-        """Derive ``point`` from a resident source cuboid (on its codes,
-        when it is packed)."""
+        """Derive ``point`` from a resident source cuboid, on its
+        codes."""
         with obs.span(
             "serve.rollup",
             category="serve",
             source=self.lattice.describe(source),
             target=self.lattice.describe(point),
         ):
-            out = pack(
-                rollup_cuboid(
-                    self.lattice, source_cuboid, source, point, self._fn
-                )
+            out = rollup_cuboid(
+                self.lattice, source_cuboid, source, point, self._fn
             )
         cost = (len(source_cuboid) + len(out)) * _CPU_OP_SECONDS
         return out, cost
@@ -708,12 +706,11 @@ class CubeServer(CubeBackend):
             if self._version != version:
                 return []  # a write overtook the warmup; stay cold
             # The result is this call's own: the cache takes its cuboids,
-            # packed (the sweep's already are).
+            # packed (the sweep's already are; a one-point job's NAIVE
+            # dict packs with the parts it holds).
             for point in chosen:
                 self._measured_cost.setdefault(point, share)
-                cuboid = result.cuboids[point]
-                if not isinstance(cuboid, PackedCuboid):  # one-point NAIVE
-                    cuboid = pack(cuboid, self._dictionaries(point))
+                cuboid = pack(result.cuboids[point])
                 if self.cache.put(point, cuboid, self._measured_cost[point]):
                     warmed.append(point)
         return warmed
@@ -835,9 +832,8 @@ class CubeServer(CubeBackend):
         (insert) or out (delete); ``resident`` itself is left as is.
 
         The rows' measures are grouped per touched key, in row order,
-        and each key's cell is stepped once
-        (:func:`~repro.core.packed.apply_deltas`: on the codes of a
-        packed resident)."""
+        and each key's cell is stepped once, on the resident's codes
+        (:meth:`~repro.core.packed.PackedCuboid.updated`)."""
         deltas: Dict[GroupKey, List[float]] = {}
         for row in rows:
             for key in self.table.key_combinations(row, point):
@@ -863,9 +859,7 @@ class CubeServer(CubeBackend):
             remaining = (current or 0.0) - len(measures)
             return None if remaining <= 0.0 else fn.finalize(remaining)
 
-        return apply_deltas(
-            resident, deltas, insert if op == "insert" else delete
-        )
+        return resident.updated(deltas, insert if op == "insert" else delete)
 
     def _evict_affected(self, rows: List[FactRow]) -> None:
         """Evict exactly the lattice points the delta touches."""

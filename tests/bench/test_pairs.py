@@ -235,6 +235,64 @@ class TestReport:
         assert "failed ops parent 2/12260, change 0/12260" in lines
         assert all(": met (10 wins" in verdict for verdict in lines[-2:])
 
+    def test_per_layer_medians_are_reported_not_judged(self):
+        """Each ``per_layer`` metric that every run of both sides carries
+        gets its two medians after the rows; the verdicts stay last and
+        judge the ``end_to_end`` metrics alone."""
+        reported = [
+            Metric.declared({"name": name, "unit": unit, "better": "lower"})
+            for name, unit in (
+                ("read_p50_ms", "ms"),
+                ("write_p50_ms", "ms"),
+                ("serve.cache.rejected", "count"),
+                ("cube_s", "s"),  # on the parent's side only
+            )
+        ]
+        pairs = [
+            (
+                Run.from_stdout(stdout(0.2, metrics={
+                    "read_p50_ms": p, "write_p50_ms": 2.0,
+                    "serve.cache.rejected": 0.0, "cube_s": 0.1,
+                })),
+                Run.from_stdout(stdout(0.1, metrics={
+                    "read_p50_ms": c, "write_p50_ms": 2.5,
+                    "serve.cache.rejected": 0.0,
+                })),
+            )
+            for p, c in zip((1.0, 1.2, 1.1), (0.9, 0.8, 1.0))
+        ]
+        lines = report("w", pairs, METRICS, reported)
+        rows = [at for at, line in enumerate(lines) if line.startswith("| ")]
+        assert lines[rows[-1] + 1:rows[-1] + 4] == [
+            "reported, not judged: read_p50_ms (lower is better)"
+            " median parent 1.1, change 0.9 (−18.2 %)",
+            "reported, not judged: write_p50_ms (lower is better)"
+            " median parent 2, change 2.5 (+25.0 %)",
+            "reported, not judged: serve.cache.rejected (lower is better)"
+            " median parent 0, change 0",
+        ]
+        assert not any("cube_s" in line for line in lines)
+        assert lines[-2].startswith("claim rule for setup_s")
+        assert lines[-1].startswith("claim rule for peak_rss_mb")
+
+    def test_main_reports_the_declared_per_layer_metrics(self, tmp_path, capsys):
+        declared = json.loads(DECLARED)
+        declared["per_layer"] = [
+            {"name": "read_p50_ms", "unit": "ms", "better": "lower"},
+        ]
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+
+        def fake_run(checkout, workload, seed, seconds):
+            return Run.from_stdout(stdout(0.1, metrics={"read_p50_ms": 1.5}))
+
+        args = ["--parent", str(tmp_path), "--change", str(tmp_path),
+                "--workload", "api_hot", "--pairs", "1"]
+        assert main(args, run=fake_run) == 0
+        assert (
+            "reported, not judged: read_p50_ms (lower is better)"
+            " median parent 1.5, change 1.5 (+0.0 %)"
+        ) in capsys.readouterr().out.splitlines()
+
     def test_two_pairs_list_their_readings(self):
         lines = report("w", runs([0.618, 0.579], [0.194, 0.187]), METRICS)
         assert (

@@ -1,11 +1,14 @@
 """The packed cuboid: a read-only mapping over sorted codes and values.
 
 Every operation is held to the dict it stands for: the same cells, in
-wire order (keys sorted part by part, ``None`` last — the sort the API
-door used to run on every request, kept here as the reference), and a
-``dict`` in that order wherever the cuboid cannot be packed.
+wire order (keys sorted part by part — the sort the API door used to run
+on every request, kept here as the reference).  The differentials run
+twice, the second time with :data:`~repro.core.packed.CODE_LIMIT` so
+small that nearly every cuboid holds its codes in a ``list``, the
+container of a radix product too wide for ``array('q')``.
 """
 
+import contextlib
 import math
 import pickle
 from array import array
@@ -14,23 +17,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import packed as packed_module
 from repro.core.aggregates import get_function
 from repro.core.packed import (
     CODE_LIMIT,
     PackedCuboid,
-    apply_deltas,
+    as_codes,
     from_group_ids,
     pack,
 )
 from repro.core.rollup import dice_cuboid, slice_cuboid
+from repro.errors import CubeError
+
+
+@contextlib.contextmanager
+def code_limit(limit):
+    """Run the block with ``CODE_LIMIT`` set to ``limit``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packed_module, "CODE_LIMIT", limit)
+        yield
+
+
+#: The real limit, then one that only a radix product of 1 stays under.
+LIMITS = (CODE_LIMIT, 2)
 
 
 def wire_sorted(cuboid):
     """The order ``QueryResult.to_dict`` sorted every payload into."""
-    return sorted(
-        cuboid.items(),
-        key=lambda item: tuple((part is None, part) for part in item[0]),
-    )
+    return sorted(cuboid.items(), key=lambda item: item[0])
+
+
+def dict_slice(cuboid, position, value):
+    """Slice, on a dict."""
+    return {
+        key[:position] + key[position + 1 :]: cell
+        for key, cell in cuboid.items()
+        if key[position] == value
+    }
+
+
+def dict_dice(cuboid, predicates):
+    """Dice, on a dict."""
+    return {
+        key: cell
+        for key, cell in cuboid.items()
+        if all(
+            position < len(key) and key[position] in values
+            for position, values in predicates.items()
+        )
+    }
 
 
 def assert_packed_as(packed, expected):
@@ -123,60 +158,84 @@ class TestShape:
             hash(packed)
 
 
-class TestFallbacks:
+class TestOneForm:
     @pytest.mark.parametrize(
         "cuboid",
         [
             {("b",): 1, ("a",): 2},  # int values
-            {("b",): 1.0, ("a",): True},  # a bool is not a float
-            {("a", None): 1.0, ("a", "b"): 2.0},  # a null part
-            {("b", "x"): 1.0, ("a",): 2.0},  # keys of two lengths
+            {("b",): 1.0, ("a",): True},  # a bool
         ],
     )
-    def test_unpackable_cuboid_is_a_dict_in_wire_order(self, cuboid):
-        out = pack(cuboid)
-        assert type(out) is dict
-        assert out == cuboid
-        assert list(out.items()) == wire_sorted(cuboid)
+    def test_numbers_pack_as_floats(self, cuboid):
+        packed = pack(cuboid)
+        assert_packed_as(packed, cuboid)
+        assert {type(value) for value in packed.values()} == {float}
 
-    def test_null_parts_sort_last(self):
-        out = pack({("a", None): 1.0, ("a", "b"): 2.0, (None, "a"): 3.0})
-        assert list(out) == [("a", "b"), ("a", None), (None, "a")]
+    @pytest.mark.parametrize(
+        "cuboid",
+        [
+            {("a", None): 1.0, ("a", "b"): 2.0},  # a null part
+            {("b", "x"): 1.0, ("a",): 2.0},  # keys of two lengths
+            {(None, "a"): 3.0, ("a", None): 1.0},  # null parts, first or last
+            {("a", 5): 1.0},  # an int part
+            {"ab": 1.0},  # not a tuple
+        ],
+    )
+    def test_malformed_keys_are_refused(self, cuboid):
+        with pytest.raises(CubeError, match="tuple of str parts"):
+            pack(cuboid)
 
-    def test_codes_that_would_overflow_stay_a_dict(self):
+    def test_codes_past_the_limit_pack_as_a_list(self):
         # 11 axes of 64 values: a radix product of 2**66.
         values = [f"v{index:02d}" for index in range(64)]
-        cuboid = {(value,) * 11: float(index) for index, value in enumerate(values)}
+        cuboid = {
+            (value,) * 11: float(index) for index, value in enumerate(values)
+        }
         out = pack(cuboid)
-        assert type(out) is dict
-        assert list(out.items()) == wire_sorted(cuboid)
+        assert type(out.codes) is list
+        assert_packed_as(out, cuboid)
+        assert out[("v05",) * 11] == 5.0
+        # One axis fewer is 2**60: a slice codes into 64-bit slots again.
+        sliced = slice_cuboid(out, 0, "v05")
+        assert type(sliced.codes) is array
+        assert_packed_as(sliced, {("v05",) * 10: 5.0})
 
-    def test_a_patch_past_the_code_limit_becomes_a_dict(self):
+    def test_a_patch_past_the_code_limit_stays_packed(self):
         # 30 axes of 4 values fit (2**60); a fifth value on each does not.
         cuboid = {(value,) * 30: 1.0 for value in "abcd"}
         packed = pack(cuboid)
-        assert isinstance(packed, PackedCuboid)
+        assert type(packed.codes) is array
         out = packed.updated({("e",) * 30: 1}, lambda current, n: float(n))
-        assert type(out) is dict
-        assert out == {**cuboid, ("e",) * 30: 1.0}
-        assert list(out.items()) == wire_sorted(out)
+        assert type(out.codes) is list
+        assert_packed_as(out, {**cuboid, ("e",) * 30: 1.0})
+        assert list(packed.items()) == wire_sorted(cuboid)
 
-    def test_a_non_float_step_becomes_a_dict(self):
-        out = apply_deltas(pack(CUBOID), {("a", "x"): 2}, lambda current, n: n)
-        assert type(out) is dict
-        assert out == {**CUBOID, ("a", "x"): 2}
-        assert list(out.items()) == wire_sorted(out)
+    def test_a_non_float_step_is_stored_as_a_float(self):
+        out = pack(CUBOID).updated({("a", "x"): 2}, lambda current, n: n)
+        assert_packed_as(out, {**CUBOID, ("a", "x"): 2.0})
+        assert type(out[("a", "x")]) is float
 
-    def test_group_ids_past_the_code_limit_repack_from_their_parts(self):
-        """Dictionaries too wide to code with: the cells are decoded and
-        packed with only the parts they hold."""
+    @pytest.mark.parametrize("key", [("a", None), ("a",), ("a", "x", "y")])
+    def test_a_malformed_delta_key_is_refused(self, key):
+        with pytest.raises(CubeError):
+            pack(CUBOID).updated({key: 1.0}, lambda current, n: n)
+
+    def test_group_ids_past_the_code_limit_pack_as_a_list(self):
+        """Dictionaries too wide for 64-bit codes: the cells keep them,
+        with their codes in a list."""
         axes = tuple(tuple(f"v{index:02d}" for index in range(64)) for _ in range(11))
         assert 64**11 >= CODE_LIMIT
         ranks = [list(range(64))] * 11
-        gid = sum(5 * 64**position for position in range(11))
-        out = from_group_ids(axes, ranks, [gid], [2.0])
-        assert_packed_as(out, {("v05",) * 11: 2.0})
-        assert out.axes == (("v05",),) * 11
+        gids = [
+            sum(digit * 64**position for position in range(11))
+            for digit in (5, 63, 0)
+        ]
+        out = from_group_ids(axes, ranks, gids, [2.0, 3.0, 4.0])
+        assert type(out.codes) is list
+        assert out.axes == axes
+        assert_packed_as(
+            out, {("v05",) * 11: 2.0, ("v63",) * 11: 3.0, ("v00",) * 11: 4.0}
+        )
 
 
 # ----------------------------------------------------------------------
@@ -199,25 +258,29 @@ def cuboids(draw, arity=None):
 @given(cuboid=cuboids())
 @settings(max_examples=150, deadline=None)
 def test_pack_matches_the_dict(cuboid):
-    assert_packed_as(pack(cuboid), cuboid)
+    for limit in LIMITS:
+        with code_limit(limit):
+            assert_packed_as(pack(cuboid), cuboid)
 
 
 @given(data=st.data(), cuboid=cuboids(arity=3))
 @settings(max_examples=150, deadline=None)
 def test_slice_and_dice_match_the_dict(data, cuboid):
-    packed = pack(cuboid)
     position = data.draw(st.integers(0, 2))
     value = data.draw(PARTS)
-    assert_packed_as(
-        slice_cuboid(packed, position, value),
-        slice_cuboid(cuboid, position, value),
-    )
     predicates = data.draw(
         st.dictionaries(st.integers(0, 3), st.lists(PARTS, max_size=3), max_size=2)
     )
-    assert_packed_as(
-        dice_cuboid(packed, predicates), dice_cuboid(cuboid, predicates)
-    )
+    for limit in LIMITS:
+        with code_limit(limit):
+            packed = pack(cuboid)
+            assert_packed_as(
+                slice_cuboid(packed, position, value),
+                dict_slice(cuboid, position, value),
+            )
+            assert_packed_as(
+                dice_cuboid(packed, predicates), dict_dice(cuboid, predicates)
+            )
 
 
 @given(data=st.data(), cuboid=cuboids(arity=3))
@@ -226,26 +289,28 @@ def test_projection_folds_like_the_dict(data, cuboid):
     """``rollup_cuboid``'s arithmetic: a drop-only projection of the
     codes, folded per target code in stored order.  Packed with the
     whole alphabet as dictionaries, as a server packs."""
-    packed = pack(cuboid, (ALPHABET,) * 3)
-    assert packed.axes == (ALPHABET,) * 3
     keep = sorted(data.draw(st.sets(st.integers(0, 2))))
     fn = get_function(data.draw(st.sampled_from(["COUNT", "MIN", "MAX"])))
-    axes, codes = packed.projected(keep)
-    folded = {}
-    for code, value in zip(codes, packed.cells):
-        folded[code] = fn.merge(folded.get(code, fn.new()), value)
-    target = PackedCuboid(
-        axes,
-        array("q", sorted(folded)),
-        array("d", [fn.finalize(folded[code]) for code in sorted(folded)]),
-    )
     expected = {}
     for key, value in wire_sorted(cuboid):
         short = tuple(key[position] for position in keep)
         expected[short] = fn.merge(expected.get(short, fn.new()), value)
-    assert_packed_as(
-        target, {key: fn.finalize(state) for key, state in expected.items()}
-    )
+    for limit in LIMITS:
+        with code_limit(limit):
+            packed = pack(cuboid, (ALPHABET,) * 3)
+            assert packed.axes == (ALPHABET,) * 3
+            axes, codes = packed.projected(keep)
+            folded = {}
+            for code, value in zip(codes, packed.cells):
+                folded[code] = fn.merge(folded.get(code, fn.new()), value)
+            target = PackedCuboid(
+                axes,
+                as_codes(axes, sorted(folded)),
+                array("d", [fn.finalize(folded[code]) for code in sorted(folded)]),
+            )
+            assert_packed_as(
+                target, {key: fn.finalize(state) for key, state in expected.items()}
+            )
 
 
 @given(
@@ -272,10 +337,12 @@ def test_updated_matches_the_dict(cuboid, deltas):
             expected.pop(key, None)
         else:
             expected[key] = value
-    packed = pack(cuboid)
-    before = list(packed.items())
-    assert_packed_as(apply_deltas(packed, deltas, step), expected)
-    assert list(packed.items()) == before  # the original is left as is
+    for limit in LIMITS:
+        with code_limit(limit):
+            packed = pack(cuboid)
+            before = list(packed.items())
+            assert_packed_as(packed.updated(deltas, step), expected)
+            assert list(packed.items()) == before  # the original is left as is
 
 
 def test_recoded_codes_stay_sorted():

@@ -93,6 +93,17 @@ class TestRollup:
         assert wrong[("p1", "2003")] == 2.0
         assert cube.cuboids[target][("p1", "2003")] == 1.0
 
+    def test_an_empty_dict_rolls_up_to_an_empty_cuboid(self, fig1_table):
+        """``pack({})`` cannot know its arity; the roll-up gives the
+        result the target's, and a patch then codes into it."""
+        lattice = fig1_table.lattice
+        source = lattice.top
+        target = lattice.point_by_description("$n:LND, $p:rigid, $y:rigid")
+        rolled = rollup_cuboid(lattice, {}, source, target, get_function("SUM"))
+        assert rolled == {} and len(rolled.axes) == 2
+        patched = rolled.updated({("p1", "2003"): 2.0}, lambda current, n: n)
+        assert patched == {("p1", "2003"): 2.0}
+
     def test_non_distributive_rejected(self, clean):
         table, oracle, cube = clean
         cube.aggregate = "AVG"

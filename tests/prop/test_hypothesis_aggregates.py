@@ -23,6 +23,7 @@ from repro.core.merge import (
     finalize_states,
     merge_states,
 )
+from tests.core.test_merge_kernel import packed_states
 
 FUNCTIONS = sorted(registered_functions())
 
@@ -98,7 +99,7 @@ class TestMergeLaws:
         fold per key, independent of how facts landed on shards."""
         fn = registered_functions()[name]
         n_shards = data.draw(st.integers(min_value=1, max_value=5))
-        keys = ["k0", "k1"]
+        keys = [("k0",), ("k1",)]
         assignments = data.draw(
             st.lists(
                 st.tuples(
@@ -118,7 +119,7 @@ class TestMergeLaws:
             states = shard_states[shard]
             states[key] = fn.add(states.get(key, fn.new()), value)
             serial[key] = fn.add(serial.get(key, fn.new()), value)
-        merged = merge_states(fn, shard_states)
+        merged = merge_states(fn, [packed_states(s) for s in shard_states])
         assert finalize_states(fn, merged) == {
             key: fn.finalize(state) for key, state in serial.items()
         }

@@ -295,6 +295,27 @@ class TestErrorMapping:
         assert response.status == 400
         assert decoded["error"]["kind"] == "invalid_query"
 
+    def test_numeric_slice_value_is_its_string(self, api):
+        """A JSON number as the slice value reads as its text, the way
+        filter values and key parts do."""
+        body = {"group_by": {"n": "detail", "y": "detail"}, "axis": "y"}
+        answers = [
+            call(api, "POST", "/api/v1/cubes/pubs/slice", {**body, "value": value})
+            for value in (2003, "2003")
+        ]
+        assert [response.status for response, _ in answers] == [200, 200]
+        assert answers[0][1]["groups"] == answers[1][1]["groups"] == [
+            {"key": ["Jane"], "value": 1.0},
+            {"key": ["John"], "value": 1.0},
+        ]
+
+    def test_numeric_measure_is_400(self, api):
+        response, decoded = call(
+            api, "POST", "/api/v1/cubes/pubs/aggregate", {"measure": 5}
+        )
+        assert response.status == 400
+        assert decoded["error"]["kind"] == "invalid_query"
+
     def test_unknown_field_is_400(self, api):
         response, decoded = call(
             api,
