@@ -19,6 +19,7 @@ from repro.core.bindings import FactRow, FactTable, GroupKey
 from repro.core.columnar import ColumnarFactTable
 from repro.core.cube import CostSnapshot, CubeResult
 from repro.core.lattice import CubeLattice, LatticePoint
+from repro.core.packed import at_least
 from repro.core.properties import PropertyOracle
 from repro.cost import (
     CostModel,
@@ -213,11 +214,7 @@ class CubeAlgorithm:
         wall_seconds = time.perf_counter() - begin
         if min_support > 0:
             cuboids = {
-                point: {
-                    key: value
-                    for key, value in cuboid.items()
-                    if value >= min_support
-                }
+                point: at_least(cuboid, min_support)
                 for point, cuboid in cuboids.items()
             }
         return CubeResult(

@@ -10,6 +10,15 @@ and drops the rest), so the whole lattice is produced in one traversal
 whose cost tracks the total size of all partitions — which collapses
 quickly on sparse cubes, BUC's classic strength.
 
+A node appends a code and a value to its point's two arrays, never a key
+tuple to a dict: the cuboids come out as
+:class:`~repro.core.packed.PackedCuboid`.  A kernel's ``refine`` yields
+each part with its **digit**, the value's index in the axis's sorted
+dictionary, in ascending digit order; a child's code is its parent's
+times the axis's radix plus the digit — BUC only ever appends a later
+axis, the less significant digit — so every point's codes arrive sorted
+and no final sort or :func:`~repro.core.packed.pack` runs.
+
 That is one procedure, the ``recurse`` of :meth:`BucAlgorithm._bottom_up`;
 the variants differ only in where a fact with several values on the
 partitioning axis is placed — the **placement rule**
@@ -44,11 +53,13 @@ modeled charges:
   charged one op per :data:`~repro.core.columnar.VECTOR_LANES` rows;
   a coverage gap drops out by its union mask.  Folds run in base-row
   order over the measure column, so finalized floats are bit-identical
-  to NAIVE.
+  to NAIVE.  Its dictionaries and digits are each column's
+  :attr:`~repro.core.columnar.AxisColumn.wire_ranks`.
 - :class:`_DictKernel` (``encoding="dict"``): the legacy :class:`FactRow`
   path — a part is a row list, a refinement a comparison sort (external
-  past the memory budget) of the placements.  The ``BUC-dict`` ledger
-  layer times it; it is the object ROADMAP item 4(iii) deletes.
+  past the memory budget) of the placements.  Its dictionaries are the
+  sorted distinct values the rows bind on each axis.  The ``BUC-dict``
+  ledger layer times it; it is the object ROADMAP item 4(iii) deletes.
 
 Both keep replication's scalar per-copy bookkeeping, which preserves the
 BUCOPT < BUCCUST <= BUC cost ordering the figures show.
@@ -61,10 +72,10 @@ from typing import Dict, List, Protocol, Tuple, TypeVar
 
 from repro import obs
 from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
-from repro.core.bindings import FactRow, GroupKey
+from repro.core.bindings import FactRow
 from repro.core.columnar import ColumnarFactTable, vector_lanes
-from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
+from repro.core.packed import Axes, Codes, PackedCuboid, as_codes
 
 #: A kernel's part of the fact set (one recursion node's group).
 Part = TypeVar("Part")
@@ -87,7 +98,7 @@ class BucAlgorithm(CubeAlgorithm):
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+    ) -> Tuple[Dict[LatticePoint, PackedCuboid], int]:
         if context.use_columnar:
             return self._bottom_up(context, points, _ColumnarKernel(context))
         return self._bottom_up(context, points, _DictKernel(context))
@@ -97,42 +108,51 @@ class BucAlgorithm(CubeAlgorithm):
         context: ExecutionContext,
         points: List[LatticePoint],
         kernel: "_Kernel[Part]",
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+    ) -> Tuple[Dict[LatticePoint, PackedCuboid], int]:
         lattice = context.lattice
         min_support = context.min_support
-        wanted = set(points)
-        cuboids: Dict[LatticePoint, Cuboid] = {point: {} for point in points}
+        radices = [max(1, len(axis)) for axis in kernel.dictionaries]
+        # Per wanted point: its dictionaries, codes and values.
+        built: Dict[LatticePoint, Tuple[Axes, Codes, "array[float]"]] = {}
+        for point in points:
+            axes = tuple(
+                kernel.dictionaries[axis] for axis in lattice.kept_axes(point)
+            )
+            built[point] = (axes, as_codes(axes, ()), array("d"))
 
         def recurse(
-            part: Part, start_axis: int, point: LatticePoint, key: GroupKey
+            part: Part, start_axis: int, point: LatticePoint, code: int
         ) -> None:
             """One recursion node = one group of one cuboid."""
             size = kernel.size(part)
             if not size:
                 return
-            if point in wanted:
-                cuboids[point][key] = kernel.fold(part)
+            arrays = built.get(point)
+            if arrays is not None:
+                arrays[1].append(code)
+                arrays[2].append(kernel.fold(part))
             # Iceberg pruning (Beyer & Ramakrishnan): COUNT is monotone
             # under refinement, so a part below the support threshold
             # cannot contain any qualifying subgroup.
             if min_support > 0 and size < min_support:
                 return
             for axis in range(start_axis, lattice.axis_count):
+                radix = radices[axis]
                 for state in range(len(lattice.axis_states[axis].states)):
                     exclusive = self.exclusive(context, axis, state)
                     child = point[:axis] + (state,) + point[axis + 1:]
-                    for value, sub in kernel.refine(part, axis, state, exclusive):
-                        recurse(sub, axis + 1, child, key + (value,))
+                    for digit, sub in kernel.refine(part, axis, state, exclusive):
+                        recurse(sub, axis + 1, child, code * radix + digit)
 
         apex = tuple(states.dropped_index for states in lattice.axis_states)
         with obs.span(
             "buc.refine",
             category="algorithm",
             facts=len(context.table.rows),
-            points=len(wanted),
+            points=len(built),
         ):
-            recurse(kernel.root, 0, apex, ())
-        return cuboids, 1
+            recurse(kernel.root, 0, apex, 0)
+        return {point: PackedCuboid(*arrays) for point, arrays in built.items()}, 1
 
 
 class BucOptAlgorithm(BucAlgorithm):
@@ -167,6 +187,8 @@ class _Kernel(Protocol[Part]):
 
     #: The whole fact set as one part (the recursion's apex).
     root: Part
+    #: Per axis, the sorted values a digit indexes.
+    dictionaries: Axes
 
     def size(self, part: Part) -> int: ...
 
@@ -174,7 +196,7 @@ class _Kernel(Protocol[Part]):
 
     def refine(
         self, part: Part, axis: int, state: int, exclusive: bool
-    ) -> List[Tuple[str, Part]]: ...
+    ) -> List[Tuple[int, Part]]: ...
 
 
 class _ColumnarKernel:
@@ -187,6 +209,9 @@ class _ColumnarKernel:
         context.charge_encoded_scan(self.encoded.encoded_pages)
         n_rows = self.encoded.n_rows
         self.root: Slice = (array("q", range(n_rows)), 0, n_rows)
+        self.dictionaries: Axes = tuple(
+            column.wire_ranks[0] for column in self.encoded.columns
+        )
 
     def size(self, part: Slice) -> int:
         _, start, end = part
@@ -219,8 +244,9 @@ class _ColumnarKernel:
 
     def refine(
         self, part: Slice, axis: int, state: int, exclusive: bool
-    ) -> List[Tuple[str, Slice]]:
-        """Bucket a slice by (axis, state), charging the columnar model.
+    ) -> List[Tuple[int, Slice]]:
+        """Bucket a slice by (axis, state), charging the columnar model;
+        the buckets come back in wire order, each with its digit.
 
         Exclusive placement is one vectorized gather over the slice;
         replication pays the gather plus scalar per-copy identity
@@ -245,11 +271,14 @@ class _ColumnarKernel:
         # The bucketing is a counting sort over the code domain: counted
         # with the sorts, so the phases account for every ordering pass.
         context.count_sort("counting", placements)
-        dictionary = self.encoded.columns[axis].dictionary
-        return [
-            (dictionary[code], (refined, bucket_start, bucket_end))
+        ranks = self.encoded.columns[axis].wire_ranks[1]
+        # Distinct codes have distinct ranks: the sort never compares parts.
+        parts = [
+            (ranks[code], (refined, bucket_start, bucket_end))
             for code, bucket_start, bucket_end in slices
         ]
+        parts.sort()
+        return parts
 
 
 class _DictKernel:
@@ -260,6 +289,18 @@ class _DictKernel:
         self.fn = context.table.aggregate.fn
         context.charge_base_scan()
         self.root: List[FactRow] = list(context.table.rows)
+        self.dictionaries: Axes = tuple(
+            tuple(
+                sorted(
+                    {bound.value for row in self.root for bound in row.axes[axis]}
+                )
+            )
+            for axis in range(context.lattice.axis_count)
+        )
+        self.digits = [
+            {value: digit for digit, value in enumerate(axis)}
+            for axis in self.dictionaries
+        ]
 
     def size(self, part: List[FactRow]) -> int:
         return len(part)
@@ -274,8 +315,9 @@ class _DictKernel:
 
     def refine(
         self, part: List[FactRow], axis: int, state: int, exclusive: bool
-    ) -> List[Tuple[str, List[FactRow]]]:
-        """Partition rows by their values under one state.
+    ) -> List[Tuple[int, List[FactRow]]]:
+        """Partition rows by their values under one state, in wire
+        order, each partition with its value's digit.
 
         Facts with no value are excluded (the coverage gap).  The cost is
         a sort of the placement list (the paper partitions by sorting)
@@ -305,4 +347,7 @@ class _DictKernel:
             partitions.setdefault(value, []).append(row)
         context.bump("buc_partition_calls")
         context.bump("buc_placements", len(placements))
-        return sorted(partitions.items())
+        digits = self.digits[axis]
+        return [
+            (digits[value], rows) for value, rows in sorted(partitions.items())
+        ]

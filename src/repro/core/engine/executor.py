@@ -214,9 +214,11 @@ def _share_counts(
     A cell unpickles as a fresh ``float``, not the
     :data:`~repro.core.aggregates.COUNT_VALUES` object its worker's
     finalize chose; finalizing it once more in the parent restores
-    that (a COUNT finalize takes its own integral floats).  A packed
-    cuboid (:mod:`repro.core.packed`) holds its counts in an
-    ``array('d')``: there is no float object to share.
+    that (a COUNT finalize takes its own integral floats).  Only NAIVE
+    and the top-down family return dicts; the columnar sweep and the BUC
+    family return packed cuboids (:mod:`repro.core.packed`), which hold
+    their counts in an ``array('d')``: there is no float object to
+    share.
     """
     if not isinstance(fn, CountAggregate):
         return

@@ -267,15 +267,19 @@ class PackedCuboid(Mapping[GroupKey, Any]):
             tests.append(
                 (self._scales[position], self._radices[position], indices)
             )
-        codes, cells = self.codes, self.cells
-        kept = [
+        return self._kept(
             at
-            for at, code in enumerate(codes)
+            for at, code in enumerate(self.codes)
             if all(code // scale % radix in indices for scale, radix, indices in tests)
-        ]
+        )
+
+    def _kept(self, kept: Iterable[int]) -> "PackedCuboid":
+        """The cells at positions ``kept`` (ascending), over the same
+        dictionaries."""
+        positions = list(kept)
         return self._with(
-            as_codes(self.axes, map(codes.__getitem__, kept)),
-            array("d", map(cells.__getitem__, kept)),
+            as_codes(self.axes, map(self.codes.__getitem__, positions)),
+            array("d", map(self.cells.__getitem__, positions)),
         )
 
     def recoded(self, axes: Axes) -> Codes:
@@ -365,6 +369,19 @@ class _Values(ValuesView[Any]):
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._cuboid.cells)
+
+
+def at_least(
+    cuboid: Mapping[GroupKey, float], floor: float
+) -> Mapping[GroupKey, float]:
+    """The cells of ``cuboid`` whose value is at least ``floor`` (an
+    iceberg cut), in the form ``cuboid`` has: a packed cuboid is cut on
+    its codes and cells and stays packed, in wire order."""
+    if isinstance(cuboid, PackedCuboid):
+        return cuboid._kept(
+            at for at, value in enumerate(cuboid.cells) if value >= floor
+        )
+    return {key: value for key, value in cuboid.items() if value >= floor}
 
 
 def widened(axis: Tuple[str, ...], parts: Iterable[str]) -> Tuple[str, ...]:

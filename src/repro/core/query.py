@@ -245,12 +245,15 @@ class Query:
                 "query needs a non-empty 'point' description string"
             )
         try:
-            filters = tuple(
-                (str(axis), tuple(str(v) for v in values))
-                for axis, values in dict(
-                    payload.get("filters") or {}
-                ).items()
-            )
+            filters = []
+            for axis, values in dict(payload.get("filters") or {}).items():
+                # A bare string would dice on its characters.
+                if not isinstance(values, list):
+                    raise TypeError(
+                        f"filter {axis!r} takes a list of values, got "
+                        f"{type(values).__name__}"
+                    )
+                filters.append((str(axis), tuple(str(v) for v in values)))
             key = payload.get("key")
             if key is not None:
                 key = tuple(
@@ -276,7 +279,7 @@ class Query:
             axis=payload.get("axis"),
             value=value,
             key=key,
-            filters=filters,
+            filters=tuple(filters),
             measure=measure,
             read_version=read_version,
             deadline_seconds=deadline,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cube import ExecutionOptions, compute_cube
+from repro.core.packed import PackedCuboid
 from repro.errors import CubeError
 from tests.conftest import small_workload
 
@@ -57,6 +58,29 @@ class TestIcebergSemantics:
             if point != bottom:
                 assert cuboid == {}
         assert iceberg.cuboids[bottom] == {(): float(len(table))}
+
+
+class TestIcebergKeepsPackedForm:
+    @pytest.mark.parametrize("encoding", ["columnar", "dict"])
+    def test_buc_cut_stays_packed_and_equals_naives(self, table, encoding):
+        """The cut filters a packed cuboid's codes and cells: BUC's
+        answer stays packed, in wire order, equal to NAIVE's cut."""
+        full = compute_cube(table, ExecutionOptions(algorithm="NAIVE"))
+        result = compute_cube(
+            table,
+            ExecutionOptions(algorithm="BUC", encoding=encoding, min_support=2),
+        )
+        assert list(result.cuboids) == list(full.cuboids)
+        dropped = 0
+        for point, cuboid in full.cuboids.items():
+            cut = result.cuboids[point]
+            expected = {key: value for key, value in cuboid.items() if value >= 2}
+            assert isinstance(cut, PackedCuboid)
+            assert cut.cells.typecode == "d"
+            assert cut == expected
+            assert list(cut) == sorted(expected)
+            dropped += len(cuboid) - len(cut)
+        assert dropped > 0
 
 
 class TestIcebergPruning:

@@ -2,11 +2,11 @@
 
 A COUNT cell of a dict cuboid holds the one float of
 :data:`repro.core.aggregates.COUNT_VALUES` for its count, on every path
-that writes a finalized COUNT cell into a dict: each dict-building
-algorithm's finalize and the process engine's merge.  A packed cuboid
-(:class:`repro.core.packed.PackedCuboid`) — what the columnar sweep,
-roll-up, the serving ladder's cache and both its write patches, and the
-cluster's merge build — has no float object per cell
+that writes a finalized COUNT cell into a dict: NAIVE's and the top-down
+family's finalize and the process engine's merge.  A packed cuboid
+(:class:`repro.core.packed.PackedCuboid`) — what the columnar sweep, the
+BUC family, roll-up, the serving ladder's cache and both its write
+patches, and the cluster's merge build — has no float object per cell
 to share: its values live in an ``array('d')``.  A NAIVE row memo shares its
 ``(axis, state)`` keys with every other row, and its value tuples with
 every row of its table.  The
@@ -36,6 +36,8 @@ from tests.conftest import cuboid_of
 
 ALGORITHMS = ("NAIVE", "COLUMNAR", "COUNTER", "BUC", "BUCOPT", "TD", "TDOPT")
 OPTIMIZED = ("BUCOPT", "TDOPT")
+#: The algorithms whose cuboids are packed, on either kernel.
+PACKING = ("COLUMNAR", "COUNTER", "BUC", "BUCOPT", "BUCCUST")
 
 
 def seeded_table(n_facts=120, messy=True, **overrides):
@@ -104,8 +106,8 @@ class TestCountValues:
 class TestEveryCountPathShares:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_algorithms(self, algorithm):
-        """The sweep's two algorithms pack their cells; every other
-        kernel builds dicts of shared counts."""
+        """The sweep's two algorithms and the BUC family pack their
+        cells; every other kernel builds dicts of shared counts."""
         table = seeded_table(messy=algorithm not in OPTIMIZED)
         cube = compute_cube(
             table,
@@ -118,7 +120,7 @@ class TestEveryCountPathShares:
             for cuboid in cube.cuboids.values()
             for value in cuboid.values()
         )
-        packed = algorithm in ("COLUMNAR", "COUNTER")
+        packed = algorithm in PACKING
         for point, cuboid in cube.cuboids.items():
             assert isinstance(cuboid, PackedCuboid) is packed
             if cuboid:
@@ -135,18 +137,21 @@ class TestEveryCountPathShares:
                 oracle=PropertyOracle.from_data(table),
             ),
         )
+        packed = algorithm in PACKING
         for point, cuboid in cube.cuboids.items():
+            assert isinstance(cuboid, PackedCuboid) is packed
             if cuboid:
-                assert_shared(cuboid, counted(table, table.rows, point))
+                assert_counted(cuboid, counted(table, table.rows, point))
 
     @pytest.mark.parametrize("engine", ["thread", "process"])
     def test_parallel_engines(self, engine):
         """A process worker's cells reach the parent unpickled, each a
-        fresh float; the parent shares them again after the merge."""
+        fresh float; the parent shares them again after the merge (TD:
+        its cuboids are dicts)."""
         table = seeded_table(80, messy=False)
         cube = compute_cube(
             table,
-            ExecutionOptions(algorithm="BUC", workers=2, engine=engine),
+            ExecutionOptions(algorithm="TD", workers=2, engine=engine),
         )
         assert cube.metrics.engine == engine
         for point, cuboid in cube.cuboids.items():

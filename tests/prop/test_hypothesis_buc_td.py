@@ -9,16 +9,20 @@ axes, missing values, duplicate annotations, unicode labels):
 - columnar BUC and TD are bit-identical to serial NAIVE for COUNT and
   the float-folding aggregates;
 - the answers survive any memory budget (spill path) and a truthful or
-  denying property oracle on the CUST variants.
+  denying property oracle on the CUST variants;
+- the BUC family returns packed cuboids in wire order, equal to NAIVE's,
+  on both kernels, whichever container holds the codes.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import AggregateSpec
-from repro.core.bindings import FactTable
+from repro.core.bindings import FactRow, FactTable
 from repro.core.cube import ExecutionOptions, compute_cube
+from repro.core.packed import PackedCuboid, as_codes
 from repro.core.properties import PropertyOracle
+from tests.core.test_packed import LIMITS, code_limit
 from tests.prop.test_hypothesis_columnar import random_fact_table
 
 
@@ -100,3 +104,68 @@ def test_cust_kernels_with_any_oracle_verdict(table, algorithm, truthful):
         ),
     )
     assert result.cuboids == reference.cuboids
+
+
+def disjoint(table):
+    """``table`` with each row keeping, per axis, only the annotations of
+    its first value: one value per axis under every state, so BUCOPT's
+    assumption holds."""
+    rows = [
+        FactRow(
+            fact_id=row.fact_id,
+            measure=row.measure,
+            axes=tuple(
+                tuple(bound for bound in axis if bound.value == axis[0].value)
+                for axis in row.axes
+            ),
+        )
+        for row in table.rows
+    ]
+    return FactTable(table.lattice, rows, table.aggregate)
+
+
+@given(
+    random_fact_table(),
+    st.sampled_from(["BUC", "BUCCUST", "BUCOPT"]),
+    st.sampled_from(["columnar", "dict"]),
+    st.sampled_from(["COUNT", "SUM", "MIN", "MAX", "AVG"]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_buc_family_packs_naives_cuboids(
+    table, algorithm, encoding, function, data
+):
+    """Every cuboid is packed, iterates in wire order and equals NAIVE's,
+    over the whole lattice or a strict subset of it; run again with
+    ``CODE_LIMIT`` at 2, where the codes are lists."""
+    table = FactTable(table.lattice, table.rows, AggregateSpec(function, "@m"))
+    if algorithm == "BUCOPT":
+        table = disjoint(table)
+    lattice = list(table.lattice.points())
+    points = data.draw(
+        st.none()
+        | st.lists(
+            st.sampled_from(lattice),
+            min_size=1,
+            max_size=len(lattice) - 1,
+            unique=True,
+        )
+    )
+    reference = compute_cube(table, ExecutionOptions(algorithm="NAIVE", points=points))
+    for limit in LIMITS:
+        with code_limit(limit):
+            result = compute_cube(
+                table,
+                ExecutionOptions(
+                    algorithm=algorithm,
+                    encoding=encoding,
+                    oracle=PropertyOracle.from_data(table),
+                    points=points,
+                ),
+            )
+            for cuboid in result.cuboids.values():
+                assert isinstance(cuboid, PackedCuboid)
+                assert type(cuboid.codes) is type(as_codes(cuboid.axes, ()))
+                assert list(cuboid) == sorted(cuboid)
+        assert list(result.cuboids) == list(reference.cuboids)
+        assert result.cuboids == reference.cuboids

@@ -309,6 +309,20 @@ class TestErrorMapping:
             {"key": ["John"], "value": 1.0},
         ]
 
+    @pytest.mark.parametrize("values", ["2003", 2003, {"2003": 1}])
+    def test_filter_values_not_in_a_list_are_400(self, api, values):
+        """A bare string once diced on its characters ("2", "0", "0",
+        "3") and answered 200 with no groups."""
+        response, decoded = call(
+            api,
+            "POST",
+            "/api/v1/cubes/pubs/dice",
+            {"group_by": {"n": "detail", "y": "detail"}, "filters": {"y": values}},
+        )
+        assert response.status == 400
+        assert decoded["error"]["kind"] == "invalid_query"
+        assert "list of values" in decoded["error"]["message"]
+
     def test_numeric_measure_is_400(self, api):
         response, decoded = call(
             api, "POST", "/api/v1/cubes/pubs/aggregate", {"measure": 5}
