@@ -22,8 +22,8 @@ from repro.core.algorithms.base import (
     CubeAlgorithm,
     ExecutionContext,
 )
-from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
+from repro.core.packed import PackedCuboid
 from repro.core.properties import PropertyOracle
 
 
@@ -55,5 +55,5 @@ class AutoAlgorithm(CubeAlgorithm):
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:  # pragma: no cover
+    ) -> Tuple[Dict[LatticePoint, PackedCuboid], int]:  # pragma: no cover
         raise AssertionError("AUTO overrides run() directly")

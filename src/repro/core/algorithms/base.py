@@ -15,11 +15,11 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.bindings import FactRow, FactTable, GroupKey
+from repro.core.bindings import FactRow, FactTable
 from repro.core.columnar import ColumnarFactTable
 from repro.core.cube import CostSnapshot, CubeResult
 from repro.core.lattice import CubeLattice, LatticePoint
-from repro.core.packed import at_least
+from repro.core.packed import PackedCuboid, at_least
 from repro.core.properties import PropertyOracle
 from repro.cost import (
     CostModel,
@@ -231,9 +231,9 @@ class CubeAlgorithm:
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Mapping[LatticePoint, Mapping[GroupKey, float]], int]:
-        """Each requested point's cuboid (a dict, or packed:
-        :mod:`repro.core.packed`) and the passes over the base data."""
+    ) -> Tuple[Mapping[LatticePoint, PackedCuboid], int]:
+        """Each requested point's cuboid, packed
+        (:mod:`repro.core.packed`), and the passes over the base data."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -58,8 +58,9 @@ modeled charges:
 - :class:`_DictKernel` (``encoding="dict"``): the legacy :class:`FactRow`
   path — a part is a row list, a refinement a comparison sort (external
   past the memory budget) of the placements.  Its dictionaries are the
-  sorted distinct values the rows bind on each axis.  The ``BUC-dict``
-  ledger layer times it; it is the object ROADMAP item 4(iii) deletes.
+  table's (:meth:`~repro.core.bindings.FactTable.dictionaries`).  The
+  ``BUC-dict`` ledger layer times it; it is the object ROADMAP item
+  4(iii) deletes.
 
 Both keep replication's scalar per-copy bookkeeping, which preserves the
 BUCOPT < BUCCUST <= BUC cost ordering the figures show.
@@ -289,14 +290,7 @@ class _DictKernel:
         self.fn = context.table.aggregate.fn
         context.charge_base_scan()
         self.root: List[FactRow] = list(context.table.rows)
-        self.dictionaries: Axes = tuple(
-            tuple(
-                sorted(
-                    {bound.value for row in self.root for bound in row.axes[axis]}
-                )
-            )
-            for axis in range(context.lattice.axis_count)
-        )
+        self.dictionaries: Axes = context.table.dictionaries()
         self.digits = [
             {value: digit for digit, value in enumerate(axis)}
             for axis in self.dictionaries

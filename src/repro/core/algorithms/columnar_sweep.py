@@ -53,7 +53,7 @@ extra pass.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.algorithms.base import (
@@ -61,7 +61,7 @@ from repro.core.algorithms.base import (
     ExecutionContext,
     encode,
 )
-from repro.core.bindings import FactTable, GroupKey
+from repro.core.bindings import FactTable
 from repro.core.columnar import (
     VECTOR_LANES,
     ColumnarFactTable,
@@ -72,7 +72,7 @@ from repro.core.columnar import (
     vector_lanes,
 )
 from repro.core.lattice import LatticePoint
-from repro.core.packed import from_group_ids
+from repro.core.packed import PackedCuboid, from_group_ids
 
 __all__ = ["ColumnarSweepAlgorithm", "VECTOR_LANES", "census", "sweep_trie"]
 
@@ -180,11 +180,11 @@ class ColumnarSweepAlgorithm(CubeAlgorithm):
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Mapping[GroupKey, float]], int]:
+    ) -> Tuple[Dict[LatticePoint, PackedCuboid], int]:
         encoded = self.scan(context)
         fn = context.table.aggregate.fn
         lattice = encoded.lattice
-        cuboids: Dict[LatticePoint, Mapping[GroupKey, float]] = {}
+        cuboids: Dict[LatticePoint, PackedCuboid] = {}
         increments = cells = 0
 
         def leaf(

@@ -21,13 +21,13 @@ and per finalized cell, a row-form re-scan per extra pass.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.algorithms.base import ExecutionContext, encode
 from repro.core.algorithms.columnar_sweep import ColumnarSweepAlgorithm
 from repro.core.columnar import ColumnarFactTable
-from repro.core.bindings import GroupKey
 from repro.core.lattice import LatticePoint
+from repro.core.packed import PackedCuboid
 
 
 class CounterAlgorithm(ColumnarSweepAlgorithm):
@@ -35,7 +35,7 @@ class CounterAlgorithm(ColumnarSweepAlgorithm):
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Mapping[GroupKey, float]], int]:
+    ) -> Tuple[Dict[LatticePoint, PackedCuboid], int]:
         cuboids, passes = super()._compute(context, points)
         # One counter array per requested point, in the order asked for.
         return {point: cuboids[point] for point in points}, passes

@@ -57,6 +57,12 @@ the same cuboids, the wrong ones included, each under its own modeled charges:
   roll-up a sorted merge of aggregate rows.  The ``[dict]`` duel series
   and the ``TD-dict`` ledger layer time it; it is the one object ROADMAP
   item 4(iii) deletes.
+
+Both kernels report packed cuboids
+(:class:`~repro.core.packed.PackedCuboid`).  The columnar one packs
+straight from its group ids (:func:`~repro.core.packed.from_group_ids`),
+dropping every cell with a null digit, and decodes no key tuple; the
+dict one packs the ``strip_null_groups`` result.
 """
 
 from __future__ import annotations
@@ -73,13 +79,13 @@ from repro.core.algorithms.base import CubeAlgorithm, ExecutionContext
 from repro.core.bindings import FactRow, FactTable, GroupKey
 from repro.core.columnar import (
     ColumnarFactTable,
-    decode_group_ids,
     extend_group_ids,
     fold_group_ids,
     vector_lanes,
 )
-from repro.core.groupby import Cuboid, augmented_keys, strip_null_groups
+from repro.core.groupby import augmented_keys, strip_null_groups
 from repro.core.lattice import CubeLattice, LatticePoint
+from repro.core.packed import PackedCuboid, from_group_ids, pack
 
 AugCuboid = Dict[GroupKey, object]  # (null-augmented) key -> partial state
 
@@ -132,7 +138,7 @@ class TopDownWalk(CubeAlgorithm):
 
     def _compute(
         self, context: ExecutionContext, points: List[LatticePoint]
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+    ) -> Tuple[Dict[LatticePoint, PackedCuboid], int]:
         if context.use_columnar:
             return self._walk(context, points, _ColumnarKernel(context, self))
         return self._walk(context, points, _DictKernel(context, self))
@@ -142,10 +148,10 @@ class TopDownWalk(CubeAlgorithm):
         context: ExecutionContext,
         points: List[LatticePoint],
         kernel: "_Kernel[Built]",
-    ) -> Tuple[Dict[LatticePoint, Cuboid], int]:
+    ) -> Tuple[Dict[LatticePoint, PackedCuboid], int]:
         wanted = set(points)
         computed: Dict[LatticePoint, Built] = {}
-        cuboids: Dict[LatticePoint, Cuboid] = {}
+        cuboids: Dict[LatticePoint, PackedCuboid] = {}
         for point in context.lattice.topo_finer_first():
             if not self.rolls_up and point not in wanted:
                 continue
@@ -276,7 +282,7 @@ class _Kernel(Protocol[Built]):
         self, source: LatticePoint, built: Built, point: LatticePoint
     ) -> Built: ...
 
-    def report(self, built: Built) -> Cuboid: ...
+    def report(self, built: Built) -> PackedCuboid: ...
 
 
 class _DictKernel:
@@ -333,14 +339,14 @@ class _DictKernel:
         context.cost.charge_cpu(len(rows))
         return out
 
-    def report(self, built: AugCuboid) -> Cuboid:
+    def report(self, built: AugCuboid) -> PackedCuboid:
         finalize = self.fn.finalize
         cuboid = {key: finalize(state) for key, state in built.items()}
         if self.variant.rolls_up:
             # Without roll-ups the build's scan of the sorted runs already
             # finalized; with them reporting is a pass of its own.
             self.context.cost.charge_cpu(len(built))
-        return strip_null_groups(cuboid) if self.variant.augmented else cuboid
+        return pack(strip_null_groups(cuboid) if self.variant.augmented else cuboid)
 
 
 def _sortable(key: GroupKey) -> Tuple[Tuple[int, str], ...]:
@@ -391,20 +397,22 @@ class _ColumnarKernel:
             )
         )
 
-    def report(self, built: _Encoded) -> Cuboid:
-        """Finalize into reporting form; a group whose decoded key holds
-        a null digit (``None``) is dropped, as ``strip_null_groups``
-        does."""
-        keys = decode_group_ids(
-            [(dictionary, radix) for _, dictionary, radix in built.axes],
+    def report(self, built: _Encoded) -> PackedCuboid:
+        """Finalize and pack straight from the group ids; a group with a
+        null digit is dropped, as ``strip_null_groups`` does.  No key
+        tuple is decoded."""
+        axes: List[Tuple[str, ...]] = []
+        ranks: List[Tuple[Optional[int], ...]] = []
+        for position, _, radix in built.axes:
+            ordered, rank = self.encoded.columns[position].wire_ranks
+            axes.append(ordered)
+            # Past the dictionary, a digit is the null digit: dropped.
+            ranks.append(rank + (None,) * (radix - len(rank)))
+        out = from_group_ids(
+            tuple(axes),
+            ranks,
             built.cells.keys(),
-        )
-        finalize = self.fn.finalize
-        cells = zip(keys, built.cells.values())
-        out: Cuboid = (
-            {key: finalize(state) for key, state in cells if None not in key}
-            if self.variant.augmented
-            else {key: finalize(state) for key, state in cells}
+            map(self.fn.finalize, built.cells.values()),
         )
         self.context.cost.charge_cpu(len(built))
         return out

@@ -30,6 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 GroupKey = Tuple[Optional[str], ...]
 #: One table's distinct value tuples, each its own key.
 ValueSets = Dict[Tuple[str, ...], Tuple[str, ...]]
+#: Per axis, a sorted tuple of values (a packed cuboid's dictionaries).
+Dictionaries = Tuple[Tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,14 @@ class FactRow:
         return state
 
 
+def bound_values(rows: Sequence[FactRow], axis_count: int) -> Dictionaries:
+    """Per axis, the sorted distinct values ``rows`` bind (any state)."""
+    return tuple(
+        tuple(sorted({value.value for row in rows for value in row.axes[axis]}))
+        for axis in range(axis_count)
+    )
+
+
 class FactTable:
     """The materialized, annotated input of cube computation."""
 
@@ -132,6 +142,7 @@ class FactTable:
         self._columnar_cache: Optional[
             Tuple[Tuple[int, int], "ColumnarFactTable"]
         ] = None
+        self._dictionaries: Optional[Dictionaries] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -162,6 +173,47 @@ class FactTable:
     def invalidate_columnar(self) -> None:
         """Drop the cached columnar encoding (call after mutating rows)."""
         self._columnar_cache = None
+
+    # ------------------------------------------------------------------
+    # dictionaries
+    # ------------------------------------------------------------------
+    def dictionaries(self) -> Dictionaries:
+        """Per axis, the sorted distinct values the rows bind (under any
+        state): what NAIVE and the ``encoding="dict"`` kernels pack
+        their cuboids with.
+
+        Computed on first use and then kept, never recomputed:
+        :func:`~repro.core.incremental.ingest_rows` widens it with each
+        batch (:meth:`widen_dictionaries`), and
+        :func:`~repro.core.incremental.retract_rows` leaves it as it is,
+        because a superset codes the same cells.  So a cuboid packed
+        with it seldom meets a part its dictionaries lack when a later
+        insert patches it, and no run makes a pass over the rows for it
+        but the first.
+        """
+        if self._dictionaries is None:
+            self._dictionaries = bound_values(self.rows, self.lattice.axis_count)
+        return self._dictionaries
+
+    def widen_dictionaries(self, rows: Sequence[FactRow]) -> None:
+        """Add the values ``rows`` bind to the dictionaries, once they
+        have been computed."""
+        if self._dictionaries is not None:
+            from repro.core.packed import widened
+
+            self._dictionaries = tuple(
+                map(
+                    widened,
+                    self._dictionaries,
+                    bound_values(rows, self.lattice.axis_count),
+                )
+            )
+
+    def share_dictionaries(self, source: "FactTable") -> None:
+        """Pack with ``source``'s dictionaries (computed there first if
+        need be): a snapshot of a table's rows takes the live table's,
+        which hold every value the snapshot's rows bind."""
+        self._dictionaries = source.dictionaries()
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -36,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.bindings import FactTable, GroupKey
 from repro.core.lattice import CubeLattice, LatticePoint
+from repro.core.packed import PackedCuboid, pack
 from repro.core.properties import PropertyOracle
 from repro.errors import CubeError
 
@@ -231,9 +234,10 @@ class CubeResult:
 
     Attributes:
         lattice: the lattice the cube was computed over.
-        cuboids: point -> (group key -> aggregate value): a dict, or a
-            read-only :class:`~repro.core.packed.PackedCuboid` where the
-            kernel packs its cells (the columnar sweep).
+        cuboids: point -> (group key -> aggregate value), each a
+            read-only :class:`~repro.core.packed.PackedCuboid` in wire
+            order.  Every algorithm packs its cuboids itself; any other
+            mapping given here is packed on construction.
         algorithm: name of the algorithm that produced it.
         cost: typed cost snapshot taken right after the run.
         passes: number of data passes (COUNTER reports thrashing here).
@@ -253,7 +257,7 @@ class CubeResult:
     """
 
     lattice: CubeLattice
-    cuboids: Dict[LatticePoint, Mapping[GroupKey, float]]
+    cuboids: Dict[LatticePoint, PackedCuboid]
     algorithm: str = ""
     cost: CostSnapshot = field(default_factory=CostSnapshot)
     passes: int = 1
@@ -264,9 +268,12 @@ class CubeResult:
 
     def __post_init__(self) -> None:
         self.cost = _coerce_cost(self.cost)
+        self.cuboids = {
+            point: pack(cuboid) for point, cuboid in self.cuboids.items()
+        }
 
     # ------------------------------------------------------------------
-    def cuboid(self, point: LatticePoint) -> Mapping[GroupKey, float]:
+    def cuboid(self, point: LatticePoint) -> PackedCuboid:
         try:
             return self.cuboids[point]
         except KeyError:
@@ -274,7 +281,7 @@ class CubeResult:
                 f"no cuboid at {self.lattice.describe(point)}"
             ) from None
 
-    def cuboid_by_description(self, text: str) -> Mapping[GroupKey, float]:
+    def cuboid_by_description(self, text: str) -> PackedCuboid:
         return self.cuboid(self.lattice.point_by_description(text))
 
     def cell(self, point: LatticePoint, key: GroupKey) -> Optional[float]:
@@ -293,33 +300,27 @@ class CubeResult:
 
     # ------------------------------------------------------------------
     def same_contents(self, other: "CubeResult", tol: float = 1e-9) -> bool:
-        """Value equality of every cuboid (used to validate algorithms)."""
-        if set(self.cuboids) != set(other.cuboids):
-            return False
-        for point, cuboid in self.cuboids.items():
-            other_cuboid = other.cuboids[point]
-            if set(cuboid) != set(other_cuboid):
-                return False
-            for key, value in cuboid.items():
-                if abs(value - other_cuboid[key]) > tol:
-                    return False
-        return True
+        """Value equality of every cuboid (used to validate algorithms):
+        the same points, the same keys, values within ``tol``."""
+        return self.cuboids.keys() == other.cuboids.keys() and not any(
+            left is None or right is None or abs(left - right) > tol
+            for point, cuboid in self.cuboids.items()
+            for _, left, right in _differences(cuboid, other.cuboids[point])
+        )
 
     def diff(self, other: "CubeResult") -> List[str]:
         """Human-readable differences (first few) for test messages."""
         out: List[str] = []
+        empty = pack({})
         for point in sorted(set(self.cuboids) | set(other.cuboids)):
-            mine = self.cuboids.get(point, {})
-            theirs = other.cuboids.get(point, {})
-            for key in set(mine) | set(theirs):
-                left, right = mine.get(key), theirs.get(key)
-                if left != right:
-                    out.append(
-                        f"{self.lattice.describe(point)} {key}: "
-                        f"{left} != {right}"
-                    )
-                    if len(out) >= 10:
-                        return out
+            mine = self.cuboids.get(point, empty)
+            theirs = other.cuboids.get(point, empty)
+            for key, left, right in _differences(mine, theirs):
+                out.append(
+                    f"{self.lattice.describe(point)} {key}: {left} != {right}"
+                )
+                if len(out) >= 10:
+                    return out
         return out
 
     def summary(self) -> str:
@@ -328,6 +329,31 @@ class CubeResult:
             f"{self.total_cells()} cells, "
             f"{self.simulated_seconds:.3f} sim-s, passes={self.passes}"
         )
+
+
+def _differences(
+    mine: PackedCuboid, theirs: PackedCuboid
+) -> Iterator[Tuple[GroupKey, Optional[float], Optional[float]]]:
+    """``(key, mine, theirs)`` for every key whose values differ, in key
+    order, ``None`` where a side lacks the key: one merge of the two
+    cuboids' items, which both yield in key order."""
+    left, right = iter(mine.items()), iter(theirs.items())
+    a, b = next(left, None), next(right, None)
+    while a is not None and b is not None:
+        if a[0] < b[0]:
+            yield a[0], a[1], None
+            a = next(left, None)
+        elif b[0] < a[0]:
+            yield b[0], None, b[1]
+            b = next(right, None)
+        else:
+            if a[1] != b[1]:
+                yield a[0], a[1], b[1]
+            a, b = next(left, None), next(right, None)
+    if a is not None:
+        yield from ((key, value, None) for key, value in chain([a], left))
+    if b is not None:
+        yield from ((key, None, value) for key, value in chain([b], right))
 
 
 # ----------------------------------------------------------------------

@@ -42,13 +42,11 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from contextvars import copy_context
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import obs
-from repro.core.aggregates import AggregateFunction, CountAggregate
 from repro.core.bindings import FactTable
 from repro.core.cube import CubeResult, ExecutionOptions
-from repro.core.groupby import Cuboid
 from repro.core.engine.merge import (
     PartitionOutcome,
     merge_costs,
@@ -206,30 +204,6 @@ def _make_pool(engine: str, max_workers: int) -> Executor:
     )
 
 
-def _share_counts(
-    cuboids: Dict[LatticePoint, Cuboid], fn: AggregateFunction
-) -> None:
-    """Give process workers' COUNT cells their shared float again.
-
-    A cell unpickles as a fresh ``float``, not the
-    :data:`~repro.core.aggregates.COUNT_VALUES` object its worker's
-    finalize chose; finalizing it once more in the parent restores
-    that (a COUNT finalize takes its own integral floats).  Only NAIVE
-    and the top-down family return dicts; the columnar sweep and the BUC
-    family return packed cuboids (:mod:`repro.core.packed`), which hold
-    their counts in an ``array('d')``: there is no float object to
-    share.
-    """
-    if not isinstance(fn, CountAggregate):
-        return
-    finalize = fn.finalize
-    for cuboid in cuboids.values():
-        if not isinstance(cuboid, dict):
-            continue
-        for key, value in cuboid.items():
-            cuboid[key] = finalize(value)
-
-
 def execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
     """Run one cube computation under the given options.
 
@@ -333,8 +307,6 @@ def _execute(table: FactTable, options: ExecutionOptions) -> CubeResult:
             "engine.merge", category="engine", partitions=len(outcomes)
         ):
             cuboids = merge_cuboids(outcomes)
-            if in_processes:
-                _share_counts(cuboids, table.aggregate.fn)
         merge_seconds = time.perf_counter() - merge_begin
         total_wall = time.perf_counter() - total_begin
         cost = merge_costs(outcomes, merge_seconds, total_wall, max_workers)

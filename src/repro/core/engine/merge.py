@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.cube import CostSnapshot, WorkerCost
-from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 from repro.core.merge import merge_disjoint
+from repro.core.packed import PackedCuboid
 from repro.obs import TraceSpan
 
 
@@ -35,7 +35,7 @@ class PartitionOutcome:
 
     index: int
     points: int
-    cuboids: Dict[LatticePoint, Cuboid]
+    cuboids: Dict[LatticePoint, PackedCuboid]
     cost: Mapping[str, float]
     passes: int
     algorithm: str
@@ -55,7 +55,7 @@ class PartitionOutcome:
 
 def merge_cuboids(
     outcomes: List[PartitionOutcome],
-) -> Dict[LatticePoint, Cuboid]:
+) -> Dict[LatticePoint, PackedCuboid]:
     """Union of the per-partition cuboid maps; overlap is a plan bug.
 
     Thin adapter over the shared kernel's :func:`repro.core.merge

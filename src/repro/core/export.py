@@ -19,8 +19,12 @@ speaks XML on the way out too.  :func:`cube_to_xml` serializes a
 and :func:`cube_from_xml` reads it back given the lattice (which the
 query defines), so materialized cubes can be persisted and reloaded.
 Key components are child elements, so arbitrary value strings round-trip
-without any delimiter escaping; a null component (an augmented-cuboid
-key) is ``<k null="true"/>``.  The round-trip is property-tested.
+without any delimiter escaping.  Groups are written in each packed
+cuboid's stored order, which is key order.  A cube holds no null
+component (the top-down family strips its null groups before it
+reports), so the import refuses ``<k null="true"/>``, as it refuses a
+key given twice in one cuboid, with :class:`~repro.errors.CubeError`;
+each imported cuboid is packed.  The round-trip is property-tested.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.cube import CubeResult
 from repro.core.groupby import Cuboid
-from repro.core.lattice import CubeLattice
+from repro.core.lattice import CubeLattice, LatticePoint
+from repro.core.packed import PackedCuboid, pack
 from repro.core.query import X3Query
 from repro.errors import CubeError
 from repro.xmlmodel.nodes import Document, Element
@@ -64,19 +69,12 @@ def cube_to_xml(cube: CubeResult, query: Optional[X3Query] = None) -> str:
         cuboid_el = root.make_child(
             "cuboid", attrs={"point": lattice.describe(point)}
         )
-        for key in sorted(
-            cube.cuboids[point],
-            key=lambda k: tuple("" if part is None else part for part in k),
-        ):
+        for key, value in cube.cuboids[point].items():
             group_el = cuboid_el.make_child(
-                "group",
-                attrs={"result": repr(cube.cuboids[point][key])},
+                "group", attrs={"result": repr(value)}
             )
             for component in key:
-                if component is None:
-                    group_el.make_child("k", attrs={"null": "true"})
-                else:
-                    group_el.make_child("k", text=component)
+                group_el.make_child("k", text=component)
     return serialize(Document(root), pretty=True)
 
 
@@ -89,7 +87,7 @@ def cube_from_xml(text: str, lattice: CubeLattice) -> CubeResult:
     doc = parse(text)
     if doc.root.tag != "cube":
         raise CubeError("not a cube document")
-    cuboids: Dict = {}
+    cuboids: Dict[LatticePoint, PackedCuboid] = {}
     for cuboid_el in doc.root.find_children("cuboid"):
         description = cuboid_el.attrs.get("point", "")
         try:
@@ -107,8 +105,13 @@ def cube_from_xml(text: str, lattice: CubeLattice) -> CubeResult:
                 raise CubeError(
                     f"group key {key!r} does not have {arity} components"
                 )
+            if key in cuboid:
+                raise CubeError(
+                    f"group key {key!r} appears twice in cuboid "
+                    f"{description!r}"
+                )
             cuboid[key] = float(group_el.attrs["result"])
-        cuboids[point] = cuboid
+        cuboids[point] = pack(cuboid)
     return CubeResult(
         lattice=lattice,
         cuboids=cuboids,
@@ -117,11 +120,13 @@ def cube_from_xml(text: str, lattice: CubeLattice) -> CubeResult:
     )
 
 
-def _read_key(group_el: Element) -> Tuple[Optional[str], ...]:
+def _read_key(group_el: Element) -> Tuple[str, ...]:
     components = []
     for k_el in group_el.find_children("k"):
         if k_el.attrs.get("null") == "true":
-            components.append(None)
-        else:
-            components.append(k_el.text)
+            raise CubeError(
+                "a null key component (<k null=\"true\"/>) cannot be "
+                "loaded: a cube holds none"
+            )
+        components.append(k_el.text)
     return tuple(components)

@@ -27,7 +27,8 @@ def ingest_rows(table: FactTable, rows: Sequence[FactRow]) -> None:
 
     A fact id repeated within the batch or already in the table is a
     :class:`CubeError`, raised before the table changes: such a fact
-    could never be deleted again.
+    could never be deleted again.  The table's dictionaries, once
+    computed, are widened with the batch's values.
     """
     incoming = {row.fact_id for row in rows}
     if len(incoming) != len(rows) or not incoming.isdisjoint(
@@ -36,6 +37,7 @@ def ingest_rows(table: FactTable, rows: Sequence[FactRow]) -> None:
         raise CubeError("attempted to insert a fact id already present")
     table.rows.extend(rows)
     table.invalidate_columnar()
+    table.widen_dictionaries(rows)
 
 
 def retract_rows(table: FactTable, rows: Sequence[FactRow]) -> None:
@@ -43,7 +45,8 @@ def retract_rows(table: FactTable, rows: Sequence[FactRow]) -> None:
 
     Replaces ``table.rows`` with a fresh list (never mutates the old one
     in place), so concurrent readers holding a snapshot reference keep a
-    consistent view — the serving layer relies on this.
+    consistent view — the serving layer relies on this.  The table's
+    dictionaries stay as they are: a superset codes the same cells.
     """
     removed_ids = {row.fact_id for row in rows}
     before = len(table.rows)

@@ -38,7 +38,6 @@ from array import array
 from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.core.aggregates import AggregateFunction, get_function
-from repro.core.groupby import Cuboid
 from repro.core.lattice import LatticePoint
 from repro.core.packed import Axes, PackedCuboid, as_codes
 from repro.errors import CubeError
@@ -53,8 +52,8 @@ STATE_EXACT_AGGREGATES = frozenset({"COUNT", "SUM", "MIN", "MAX"})
 # disjoint point-map union (the engine's shape)
 # ----------------------------------------------------------------------
 def merge_disjoint(
-    point_maps: Iterable[Mapping[LatticePoint, Cuboid]],
-) -> Dict[LatticePoint, Cuboid]:
+    point_maps: Iterable[Mapping[LatticePoint, PackedCuboid]],
+) -> Dict[LatticePoint, PackedCuboid]:
     """Union per-partition ``point -> cuboid`` maps; overlap is an error.
 
     The engine's partition plan assigns every lattice point to exactly
@@ -62,7 +61,7 @@ def merge_disjoint(
     plan (not the data) is broken — fail loudly instead of silently
     keeping one of the two cuboids.
     """
-    merged: Dict[LatticePoint, Cuboid] = {}
+    merged: Dict[LatticePoint, PackedCuboid] = {}
     for point_map in point_maps:
         for point, cuboid in point_map.items():
             if point in merged:

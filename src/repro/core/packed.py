@@ -38,7 +38,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, ValuesView
 from itertools import repeat
-from operator import add
+from operator import add, gt
 from typing import (
     Any,
     Callable,
@@ -92,10 +92,15 @@ def as_codes(axes: Axes, codes: Iterable[int]) -> Codes:
     """``codes`` in the container their dictionaries ``axes`` allow: an
     ``array('q')`` while the radix product stays below
     :data:`CODE_LIMIT`, else a ``list``."""
+    return array("q", codes) if _product(axes) < CODE_LIMIT else list(codes)
+
+
+def _product(axes: Axes) -> int:
+    """The product of the radices: every code is below it."""
     product = 1
     for radix in _radices(axes):
         product *= radix
-    return array("q", codes) if product < CODE_LIMIT else list(codes)
+    return product
 
 
 def _sorted_packed(
@@ -371,17 +376,12 @@ class _Values(ValuesView[Any]):
         return iter(self._cuboid.cells)
 
 
-def at_least(
-    cuboid: Mapping[GroupKey, float], floor: float
-) -> Mapping[GroupKey, float]:
+def at_least(cuboid: PackedCuboid, floor: float) -> PackedCuboid:
     """The cells of ``cuboid`` whose value is at least ``floor`` (an
-    iceberg cut), in the form ``cuboid`` has: a packed cuboid is cut on
-    its codes and cells and stays packed, in wire order."""
-    if isinstance(cuboid, PackedCuboid):
-        return cuboid._kept(
-            at for at, value in enumerate(cuboid.cells) if value >= floor
-        )
-    return {key: value for key, value in cuboid.items() if value >= floor}
+    iceberg cut), cut on its codes and cells, in wire order."""
+    return cuboid._kept(
+        at for at, value in enumerate(cuboid.cells) if value >= floor
+    )
 
 
 def widened(axis: Tuple[str, ...], parts: Iterable[str]) -> Tuple[str, ...]:
@@ -422,9 +422,10 @@ def pack(
     float.  A packed cuboid is returned as is.
 
     ``dictionaries`` (sorted, one per key part) code the keys when they
-    hold every part: a server passes the values its table has seen on
-    each kept axis, so a later write seldom brings a part its cuboid
-    lacks (:meth:`PackedCuboid.updated` then re-ranks every code).
+    hold every part: NAIVE passes the values its table has bound on
+    each kept axis (:meth:`~repro.core.bindings.FactTable.dictionaries`),
+    so a later write seldom brings a part its cuboid lacks
+    (:meth:`PackedCuboid.updated` then re-ranks every code).
     Otherwise each axis's dictionary is the parts the keys hold — and
     an empty cuboid packed without ``dictionaries`` has no axes."""
     if isinstance(cuboid, PackedCuboid):
@@ -457,63 +458,84 @@ def _coded(
 
 def _digit_groups(
     ranks: Sequence[Sequence[int]], radices: Sequence[int], limit: int
-) -> List[Tuple[Sequence[int], int, int]]:
+) -> List[Tuple[Sequence[int], int, int, int]]:
     """Runs of consecutive axes, least significant first, each with a
     lookup from the run's part of a group id to its part of the code:
-    ``(lookup, below, span)``, the part being ``gid // below % span``.
+    ``(lookup, below, span, place)``, the id's part being
+    ``gid // below % span`` and the code's ``lookup[that] * place``.
 
-    A run grows while its radix product stays within ``limit`` (about
-    the cells to code, so a table costs no more than the lookups it
-    saves); its table then re-ranks all of its digits in one lookup.
-    An axis wider than ``limit`` is a run of its own, looked up in its
-    ranks alone."""
-    groups: List[Tuple[Sequence[int], int, int]] = []
-    table, span, below = [0], 1, 1
+    An axis's digit in a group id has ``len(ranks[i])`` values and its
+    code digit ``radices[i]``.  A run grows while its id span stays
+    within ``limit`` (about the cells to code, so a table costs no more
+    than the lookups it saves); its table then re-ranks all of its
+    digits in one lookup.  An axis wider than ``limit`` is a run of its
+    own, looked up in its ranks alone."""
+    groups: List[Tuple[Sequence[int], int, int, int]] = []
+    table, span, width, below, place = [0], 1, 1, 1, 1
     for rank, radix in zip(reversed(ranks), reversed(radices)):
-        if span > 1 and span * radix > limit:
-            groups.append((table, below, span))
-            table, span, below = [0], 1, below * span
-        if radix > limit:
-            groups.append((rank, below, radix))
-            below *= radix
+        digits = len(rank)
+        if span > 1 and span * digits > limit:
+            groups.append((table, below, span, place))
+            table, below, place = [0], below * span, place * width
+            span = width = 1
+        if digits > limit:
+            groups.append((rank, below, digits, place))
+            below, place = below * digits, place * radix
             continue
-        table = [rank[digit] * span + low for digit in range(radix) for low in table]
-        span *= radix
+        table = [rank[digit] * width + low for digit in range(digits) for low in table]
+        span, width = span * digits, width * radix
     if span > 1 or not groups:
-        groups.append((table, below, span))
+        groups.append((table, below, span, place))
     return groups
 
 
 def from_group_ids(
     axes: Axes,
-    ranks: Sequence[Sequence[int]],
+    ranks: Sequence[Sequence[Optional[int]]],
     gids: Collection[int],
     cells: Iterable[float],
 ) -> PackedCuboid:
     """Pack a kernel's cells straight from its group ids.
 
     ``gids`` are mixed-radix ids over first-seen dictionary codes, the
-    radix of each kept axis being ``max(1, len(axes[i]))``;
+    radix of kept axis ``i`` being ``len(ranks[i])``;
     ``ranks[i][code]`` is that code's index in the sorted dictionary
-    ``axes[i]``.  Re-ranking each digit turns an id into its packed
-    code; no key tuple is built.  ``cells`` yields the values in
-    ``gids`` order."""
+    ``axes[i]``.  A digit past the dictionary's codes ranks ``None``:
+    its cells are dropped (the Sec. 3.5 null digit).  Re-ranking each
+    digit turns an id into its packed code; no key tuple is built.
+    ``cells`` yields the values in ``gids`` order."""
     if not gids:
         return PackedCuboid(axes, as_codes(axes, ()), array("d"))
-    groups = _digit_groups(ranks, _radices(axes), max(len(gids), 16))
+    radices = _radices(axes)
+    bound = 0
+    if any(map(gt, map(len, ranks), map(len, axes))):
+        # A dropped digit ranks past its axis: its cells' codes land at
+        # or past the radix product, where they are cut off below.
+        bound = _product(axes)
+        ranks = [
+            [bound // scale if index is None else index for index in rank]
+            for rank, scale in zip(ranks, _scales(radices))
+        ]
+    groups = _digit_groups(
+        cast(Sequence[Sequence[int]], ranks), radices, max(len(gids), 16)
+    )
     if len(groups) == 1:
         codes = list(map(groups[0][0].__getitem__, gids))
     elif len(groups) == 2:
-        (low, _, split), (high, _, _) = groups
-        codes = [high[gid // split] * split + low[gid % split] for gid in gids]
+        (low, _, split, _), (high, _, _, place) = groups
+        codes = [high[gid // split] * place + low[gid % split] for gid in gids]
     else:
         codes = [0] * len(gids)
-        for lookup, below, span in groups:
+        for lookup, below, span, place in groups:
             codes = list(
                 map(
                     add,
                     codes,
-                    [lookup[gid // below % span] * below for gid in gids],
+                    [lookup[gid // below % span] * place for gid in gids],
                 )
             )
+    if bound:
+        kept = [(code, cell) for code, cell in zip(codes, cells) if code < bound]
+        codes = [code for code, _ in kept]
+        cells = [cell for _, cell in kept]
     return _sorted_packed(axes, codes, cells)

@@ -17,7 +17,7 @@ with every other tool (:mod:`repro.cli`, :mod:`repro.serve.replay`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.core.bindings import FactTable, GroupKey
 from repro.core.lattice import LatticePoint
@@ -29,7 +29,7 @@ from repro.serve.server import TIERS, CubeServer
 
 
 def print_cuboid(
-    label: str, cuboid: Dict[GroupKey, float], top: int
+    label: str, cuboid: Mapping[GroupKey, float], top: int
 ) -> None:
     """One cuboid, largest groups first (``x3 cube`` prints the same)."""
     print(f"-- {label} ({len(cuboid)} groups)")

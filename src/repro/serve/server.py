@@ -34,9 +34,9 @@ single-flight waiters and shard replicas share the one object, and
 answers hand it out read-only (:func:`repro.core.query.finish_query`).
 Every cuboid cached or answered is packed
 (:class:`~repro.core.packed.PackedCuboid`: sorted codes and values, in
-wire order) where it is made — the warm-up sweep packs from its group
-ids, a roll-up and a write's patch work on the codes, a recompute packs
-NAIVE's dict once.
+wire order) where it is made — the engine returns it packed (the
+warm-up sweep packs from its group ids, a recompute's NAIVE with the
+table's dictionaries), a roll-up and a write's patch work on the codes.
 Reads are versioned: the returned cuboid is correct for the table
 version reported alongside it, and an in-flight recompute whose version
 was overtaken by a write is served to its waiters (still correct at
@@ -73,7 +73,6 @@ from repro.core.incremental import (
 from repro.core.lattice import LatticePoint
 from repro.core.materialize import cuboid_sizes
 from repro.core.merge import STATE_EXACT_AGGREGATES
-from repro.core.packed import pack, widened
 from repro.core.properties import PropertyOracle
 from repro.core.query import Answer, CubeBackend, Plan, PointSpec
 from repro.core.rollup import derivable, rollup_cuboid
@@ -156,16 +155,6 @@ class ServeStats:
             f"{self.cold_cost_seconds:.4f}s "
             f"({self.modeled_speedup:.1f}x)"
         )
-
-
-def _sorted_values(
-    rows: Sequence[FactRow], axis_count: int
-) -> List[Tuple[str, ...]]:
-    """Per axis, the sorted distinct values the rows bind (any state)."""
-    return [
-        tuple(sorted({value.value for row in rows for value in row.axes[axis]}))
-        for axis in range(axis_count)
-    ]
 
 
 class _Ladder(NamedTuple):
@@ -261,9 +250,6 @@ class CubeServer(CubeBackend):
         self._measured_cost: Dict[LatticePoint, float] = {}
         self._sizes: Optional[Dict[LatticePoint, int]] = None
         self._snapshot: Optional[FactTable] = None
-        # Sorted values each axis has held, grown by inserts: what a
-        # recomputed cuboid is packed with (:meth:`_dictionaries`).
-        self._axis_values: Optional[List[Tuple[str, ...]]] = None
 
     # ------------------------------------------------------------------
     # versions and snapshots
@@ -303,16 +289,16 @@ class CubeServer(CubeBackend):
         """The serial engine job over ``points``; its size picks the
         kernel.
 
-        A one-point job (the recompute rung) runs NAIVE.  A job that
-        asks for several points at once (warm-up) runs the COLUMNAR
-        sweep, which shares the trie
-        prefixes across all of them over the version's one encoding
-        (:meth:`_snapshot_table`).  The one-point rung does not switch
-        on that encoding being there: right after a write it is not,
-        and the encode alone costs more than a NAIVE scan (DESIGN.md
-        Sec. 5c, "Set-up").  Both kernels are exact for every lattice
-        point, so no served answer depends on a summarizability
-        property.
+        A one-point job (the recompute rung) runs NAIVE, which packs
+        with the live table's dictionaries (:meth:`_recompute`).  A job
+        that asks for several points at once (warm-up) runs the
+        COLUMNAR sweep, which shares the trie prefixes across all of
+        them over the version's one encoding (:meth:`_snapshot_table`).
+        The one-point rung does not switch on that encoding being
+        there: right after a write it is not, and the encode alone
+        costs more than a NAIVE scan (DESIGN.md Sec. 5c, "Set-up").
+        Both kernels are exact for every lattice point, so no served
+        answer depends on a summarizability property.
         """
         algorithm = "COLUMNAR" if len(points) > 1 else "NAIVE"
         return ExecutionOptions(algorithm=algorithm, points=tuple(points))
@@ -466,6 +452,12 @@ class CubeServer(CubeBackend):
                 )
             if tier == "recompute":
                 snapshot = self._snapshot_table()[1]
+                # The values each axis has held in the table, computed
+                # at the first recompute and widened by every insert: a
+                # later insert seldom brings a part a recomputed
+                # cuboid's dictionaries lack, so its patch seldom
+                # re-ranks the codes.
+                snapshot.share_dictionaries(self.table)
         if tier == "rollup":
             # Rollup arithmetic runs outside the lock; admit only if no
             # write overtook the derivation.
@@ -575,6 +567,11 @@ class CubeServer(CubeBackend):
         point: LatticePoint,
         publish: Optional[Callable[[Any], None]] = None,
     ) -> Tuple[ServedCuboid, float]:
+        """``point``'s cuboid by serial NAIVE over ``snapshot``, and its
+        modeled cost.  NAIVE packs it as it goes, with the dictionaries
+        the snapshot shares with the live table (:meth:`_resolve`), so
+        nothing is packed twice and no pass over the rows collects
+        them."""
         with obs.span(
             "serve.recompute",
             category="serve",
@@ -590,24 +587,7 @@ class CubeServer(CubeBackend):
         cost = result.cost.simulated_seconds
         with self._lock:
             self._measured_cost[point] = cost
-            dictionaries = self._dictionaries(point)
-        return pack(result.cuboids[point], dictionaries), cost
-
-    def _dictionaries(self, point: LatticePoint) -> Tuple[Tuple[str, ...], ...]:
-        """The sorted values each kept axis of ``point`` has held in
-        the table, read at the first recompute and grown by every
-        insert.  Packing a recompute with them, not just with the parts
-        its keys hold, lets a later insert patch it without re-ranking
-        its codes (a value new to the cuboid is seldom new to the
-        table).  Call with the lock held."""
-        if self._axis_values is None:
-            self._axis_values = _sorted_values(
-                self.table.rows, self.lattice.axis_count
-            )
-        return tuple(
-            self._axis_values[position]
-            for position in self.lattice.kept_axes(point)
-        )
+        return result.cuboids[point], cost
 
     # ------------------------------------------------------------------
     # modeled costs
@@ -705,12 +685,10 @@ class CubeServer(CubeBackend):
         with self._lock:
             if self._version != version:
                 return []  # a write overtook the warmup; stay cold
-            # The result is this call's own: the cache takes its cuboids,
-            # packed (the sweep's already are; a one-point job's NAIVE
-            # dict packs with the parts it holds).
+            # The result is this call's own: the cache takes its cuboids.
             for point in chosen:
                 self._measured_cost.setdefault(point, share)
-                cuboid = pack(result.cuboids[point])
+                cuboid = result.cuboids[point]
                 if self.cache.put(point, cuboid, self._measured_cost[point]):
                     warmed.append(point)
         return warmed
@@ -770,14 +748,6 @@ class CubeServer(CubeBackend):
         ):
             if op == "insert":
                 ingest_rows(self.table, rows)
-                if self._axis_values is not None:
-                    self._axis_values = list(
-                        map(
-                            widened,
-                            self._axis_values,
-                            _sorted_values(rows, self.lattice.axis_count),
-                        )
-                    )
             else:
                 retract_rows(self.table, rows)
             patched_before = self._counters.patched_points

@@ -27,7 +27,7 @@ from repro.core.advisor import (  # noqa: F401  (choose_algorithm re-exported)
 from repro.core.bindings import FactTable
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
 from repro.core.extract import extract_from_documents
-from repro.core.groupby import Cuboid
+from repro.core.packed import PackedCuboid
 from repro.core.properties import PropertyOracle
 from repro.core.query import X3Query
 from repro.errors import QueryError
@@ -114,7 +114,7 @@ class CubeSession:
             return self.compute()
         return self._result
 
-    def cuboid(self, description: str) -> Cuboid:
+    def cuboid(self, description: str) -> PackedCuboid:
         return self.result.cuboid_by_description(description)
 
     def properties_report(self) -> Dict[str, Tuple[bool, bool]]:

@@ -2,8 +2,22 @@
 
 import pytest
 
-from repro.core.cube import ExecutionOptions, compute_cube
+from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
+from repro.core.packed import PackedCuboid
 from repro.errors import CubeError
+
+
+def first_cell(cube):
+    """The first point with a cell, and its first key."""
+    point = next(point for point, cuboid in cube.cuboids.items() if cuboid)
+    return point, next(iter(cube.cuboids[point]))
+
+
+def changed(cube, point, key, step, delta=None):
+    """Replace ``cube``'s cuboid at ``point`` by its successor once
+    ``step(current, delta)`` is the cell at ``key`` (``None`` removes
+    it): a published cuboid is never written to."""
+    cube.cuboids[point] = cube.cuboids[point].updated({key: delta}, step)
 
 
 class TestCubeResult:
@@ -36,12 +50,63 @@ class TestCubeResult:
     def test_same_contents_detects_value_diff(self, fig1_table):
         one = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
         two = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
-        point = next(iter(two.cuboids))
-        if two.cuboids[point]:
-            key = next(iter(two.cuboids[point]))
-            two.cuboids[point][key] += 1.0
-            assert not one.same_contents(two)
-            assert one.diff(two)
+        point, key = first_cell(two)
+        changed(two, point, key, lambda value, _: value + 1.0)
+        assert not one.same_contents(two)
+        assert one.diff(two) == [
+            f"{one.lattice.describe(point)} {key}: "
+            f"{one.cuboids[point][key]} != {two.cuboids[point][key]}"
+        ]
+
+    def test_same_contents_detects_an_extra_key(self, fig1_table):
+        one = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        two = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        point, key = first_cell(two)
+        extra = ("~",) * len(key)
+        changed(two, point, extra, lambda _, delta: delta, 3.0)
+        assert not one.same_contents(two)
+        assert not two.same_contents(one)
+        assert one.diff(two) == [
+            f"{one.lattice.describe(point)} {extra}: None != 3.0"
+        ]
+
+    def test_same_contents_detects_a_missing_key(self, fig1_table):
+        one = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        two = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        point, key = first_cell(two)
+        value = two.cuboids[point][key]
+        changed(two, point, key, lambda *_: None)
+        assert key not in two.cuboids[point]
+        assert not one.same_contents(two)
+        assert not two.same_contents(one)
+        assert one.diff(two) == [
+            f"{one.lattice.describe(point)} {key}: {value} != None"
+        ]
+
+    def test_same_contents_holds_within_tol(self, fig1_table):
+        one = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        two = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
+        point, key = first_cell(two)
+        changed(two, point, key, lambda value, _: value + 1e-3)
+        assert one.same_contents(two, tol=1e-2)
+        assert not one.same_contents(two, tol=1e-4)
+        assert not one.same_contents(two)
+
+    def test_a_hand_built_result_is_packed(self, fig1_table):
+        lattice = fig1_table.lattice
+        point = lattice.point_by_description("$n:LND, $p:LND, $y:rigid")
+        cube = CubeResult(
+            lattice=lattice, cuboids={point: {("2004",): 1, ("2003",): 2.0}}
+        )
+        cuboid = cube.cuboids[point]
+        assert isinstance(cuboid, PackedCuboid)
+        assert list(cuboid.items()) == [(("2003",), 2.0), (("2004",), 1.0)]
+        computed = compute_cube(
+            fig1_table, ExecutionOptions(algorithm="NAIVE", points=[point])
+        )
+        assert CubeResult(lattice, dict(computed.cuboids)).cuboids[
+            point
+        ] is computed.cuboids[point]
 
     def test_same_contents_detects_missing_point(self, fig1_table):
         one = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.cube import CubeResult, ExecutionOptions, compute_cube
 from repro.core.export import cube_from_xml, cube_to_xml
+from repro.core.packed import PackedCuboid
 from repro.datagen.publications import query1
 from repro.errors import CubeError
 
@@ -36,12 +37,12 @@ class TestRoundTrip:
         )
         assert list(again.cuboids) == [top]
 
-    def test_null_components_round_trip(self, fig1_table):
-        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="NAIVE"))
-        point = fig1_table.lattice.top
-        cube.cuboids[point][(None, "p1", "2003")] = 7.0
+    def test_groups_are_written_in_stored_order(self, fig1_table):
+        cube = compute_cube(fig1_table, ExecutionOptions(algorithm="TD"))
         again = cube_from_xml(cube_to_xml(cube), fig1_table.lattice)
-        assert again.cuboids[point][(None, "p1", "2003")] == 7.0
+        for point, cuboid in again.cuboids.items():
+            assert isinstance(cuboid, PackedCuboid)
+            assert list(cuboid.items()) == list(cube.cuboids[point].items())
 
 
 class TestErrors:
@@ -52,6 +53,27 @@ class TestErrors:
     def test_foreign_point_rejected(self, fig1_table):
         text = '<cube><cuboid point="$zz:rigid"/></cube>'
         with pytest.raises(CubeError):
+            cube_from_xml(text, fig1_table.lattice)
+
+    def test_null_component_refused(self, fig1_table):
+        """No cube holds a null part (the top-down family strips its
+        null groups before it reports), so none is loaded."""
+        text = (
+            '<cube><cuboid point="$n:rigid, $p:rigid, $y:rigid">'
+            '<group result="7.0"><k null="true"/><k>p1</k><k>2003</k></group>'
+            "</cuboid></cube>"
+        )
+        with pytest.raises(CubeError, match="null key component"):
+            cube_from_xml(text, fig1_table.lattice)
+
+    def test_duplicate_key_refused(self, fig1_table):
+        text = (
+            '<cube><cuboid point="$n:LND, $p:LND, $y:rigid">'
+            '<group result="1.0"><k>2003</k></group>'
+            '<group result="5.0"><k>2003</k></group>'
+            "</cuboid></cube>"
+        )
+        with pytest.raises(CubeError, match="appears twice"):
             cube_from_xml(text, fig1_table.lattice)
 
     def test_arity_mismatch_rejected(self, fig1_table):

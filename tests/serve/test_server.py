@@ -13,10 +13,11 @@ from dataclasses import replace
 
 import pytest
 
+import repro.core.bindings as bindings_module
 import repro.serve.server as server_module
 from repro import obs
 from repro.core.aggregates import AggregateSpec
-from repro.core.bindings import FactTable
+from repro.core.bindings import FactRow, FactTable
 from repro.core.columnar import ColumnarFactTable
 from repro.core.cube import ExecutionOptions, compute_cube
 from repro.core.incremental import split_rows
@@ -805,6 +806,72 @@ class TestSnapshotPerVersion:
         assert failures == [] and len(seen) == 4
         assert all(version == 0 for version, _ in seen)
         assert len({id(snapshot) for _, snapshot in seen}) == 1
+
+
+class TestTableDictionaries:
+    """A recompute packs with the table's dictionaries: computed once,
+    widened by inserts, kept by deletes."""
+
+    def test_an_insert_of_seen_parts_keeps_the_dictionaries(self):
+        table, oracle = fresh(n_facts=80)
+        initial, _ = split_rows(table, 0.7)
+        live = FactTable(table.lattice, list(initial), table.aggregate)
+        server = CubeServer(live, oracle, cache_cells=100000)
+        point = table.lattice.top
+        kept = table.lattice.kept_axes(point)
+        assert server.query(Query(point=point)).tier == "recompute"
+        resident = server.cache.peek(point)
+        assert resident.axes == tuple(live.dictionaries()[axis] for axis in kept)
+        # New facts whose parts the table has seen, in new combinations:
+        # each row's first axis with another row's others.
+        mixed = [
+            FactRow(
+                fact_id=(99, number),
+                measure=first.measure,
+                axes=(first.axes[0],) + second.axes[1:],
+            )
+            for number, (first, second) in enumerate(
+                zip(initial[:20], initial[7:27])
+            )
+        ]
+        keys = {key for row in mixed for key in live.key_combinations(row, point)}
+        assert keys - set(resident)  # the patch adds cells...
+        server.insert(mixed)
+        patched = server.cache.peek(point)
+        assert patched is not resident
+        # ... and re-ranks nothing: the dictionaries are the table's own.
+        assert patched.axes is resident.axes
+        assert all(
+            axis is live.dictionaries()[position]
+            for axis, position in zip(patched.axes, kept)
+        )
+        assert patched == reference_cuboid(table, live.rows, point)
+
+    def test_reads_collect_the_dictionaries_once(self, monkeypatch):
+        collected = []
+        bound_values = bindings_module.bound_values
+
+        def counting(rows, axis_count):
+            collected.append(len(rows))
+            return bound_values(rows, axis_count)
+
+        monkeypatch.setattr(bindings_module, "bound_values", counting)
+        table, oracle = fresh(n_facts=80)
+        initial, delta = split_rows(table, 0.7)
+        live = FactTable(table.lattice, list(initial), table.aggregate)
+        server = CubeServer(live, oracle, cache_cells=1)
+        server.sizes()
+        assert collected == []  # the columnar census needs none
+        points = list(table.lattice.points())
+        for point in points[:5]:
+            assert server.query(Query(point=point)).tier == "recompute"
+        assert collected == [len(initial)]
+        server.insert(delta)  # widened by the batch alone
+        server.delete(delta[:3])  # kept as they are
+        for point in points[:5]:
+            assert server.query(Query(point=point)).tier == "recompute"
+        assert collected == [len(initial), len(delta)]
+        assert_serves_exactly(server, live)
 
 
 class TestStats:
