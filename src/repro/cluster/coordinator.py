@@ -65,6 +65,7 @@ from repro.cluster.versions import VersionVector
 from repro.cost import CostModel
 from repro.errors import ClusterError, CubeError, ShardUnavailable, X3Error
 from repro.obs.events import RungDecision
+from repro.obs.request_log import RequestLog
 from repro.obs.trace_store import TraceStore
 from repro.serve.cache import ServedCuboid
 
@@ -183,7 +184,7 @@ class ClusterCoordinator(CubeBackend):
         self.n_replicas = replicas
         self.chaos = chaos
         self.hedge_deadline_seconds = hedge_deadline_seconds
-        self.events = TraceStore.request_log(LOG_CAPACITY)
+        self.events = RequestLog(LOG_CAPACITY)
         self.trace_store = trace_store
 
         slices = partition_rows(table.rows, n_shards)

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Any,
-    Collection,
     Dict,
     Iterable,
     List,
@@ -77,11 +76,6 @@ VECTOR_LANES = 8
 #: top-down build.  ``radix`` may exceed ``len(dictionary)`` by one when
 #: the axis carries the Sec. 3.5 null digit (augmented keys).
 KeptAxis = Tuple[Tuple[str, ...], int]
-
-#: Group key decoded from a mixed-radix id; ``None`` components are the
-#: null digits of augmented keys.
-DecodedKey = Tuple[Optional[str], ...]
-
 
 def vector_lanes(rows: int) -> int:
     """CPU ops charged for one batched pass over ``rows`` rows."""
@@ -197,35 +191,6 @@ def count_group_ids(gids: List[int]) -> int:
     count of the cuboid :func:`fold_group_ids` would build from it,
     without folding a measure or decoding a key."""
     return len(set(gids))
-
-
-def decode_group_ids(
-    kept: Sequence[KeptAxis], gids: Collection[int]
-) -> List[DecodedKey]:
-    """Group ids -> group keys, in ``gids`` order, decoded by column.
-
-    The mixed-radix digit of a kept axis is ``gid // scale % radix``,
-    ``scale`` being the product of the radices after it.  Each axis is
-    one list comprehension over all of ``gids`` (least significant axis
-    first, where ``scale == 1``); the columns zip into key tuples.  The
-    dictionary is padded with ``None`` up to ``radix``, so the
-    augmented-key null slot decodes to ``None``, matching
-    :func:`repro.core.groupby.augmented_keys`.
-    """
-    if not kept:
-        return [()] * len(gids)
-    columns: List[List[Optional[str]]] = []
-    scale = 1
-    for dictionary, radix in reversed(kept):
-        names: List[Optional[str]] = list(dictionary)
-        names += [None] * (radix - len(dictionary))
-        if scale == 1:
-            columns.append([names[g % radix] for g in gids])
-        else:
-            columns.append([names[g // scale % radix] for g in gids])
-        scale *= radix
-    columns.reverse()
-    return list(zip(*columns))
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ and the digit arithmetic are the same on both.
 A cell costs its 8-byte code and its 8-byte value instead of a dict slot,
 a key tuple and a float object.  A lookup bisects each key part in its
 dictionary, then the code in the codes; iteration decodes one column per
-axis, as :func:`~repro.core.columnar.decode_group_ids` does, and yields
-keys in wire order.  Nothing writes a published cuboid: every operation
-here (slice, dice, roll-up projection, a write's patch, a cluster
-gather's recode) builds a new one on the codes, never on decoded keys.
+axis (the place-value digit of every code, one comprehension an axis)
+and yields keys in wire order.  Nothing writes a published cuboid:
+every operation here (slice, dice, roll-up projection, a write's patch,
+a cluster gather's recode) builds a new one on the codes, never on
+decoded keys.
 
 :func:`pack` turns any mapping of ``str``-part key tuples to numbers
 into one, and refuses any other mapping with :class:`CubeError`.
@@ -484,7 +485,9 @@ def _digit_groups(
             continue
         table = [rank[digit] * width + low for digit in range(digits) for low in table]
         span, width = span * digits, width * radix
-    if span > 1 or not groups:
+    # A one-digit run still counts when a dropped digit ranks it past
+    # its axis (an empty dictionary's null digit).
+    if span > 1 or table[0] or not groups:
         groups.append((table, below, span, place))
     return groups
 

@@ -41,6 +41,7 @@ from repro.core.packed import PackedCuboid
 from repro.errors import InvalidQuery, QueryError, StaleVersion
 from repro.obs.events import RungDecision
 from repro.obs.live import LiveTelemetry
+from repro.obs.request_log import RequestLog
 from repro.obs.trace_store import TraceStore
 from repro.patterns.pattern import EdgeAxis, PatternNode, TreePattern
 from repro.patterns.relaxation import Relaxation, most_relaxed_pattern
@@ -505,7 +506,7 @@ class CubeBackend:
     aggregate: AggregateSpec
     #: The request log: one record per served read or write, in the
     #: JSONL ``x3 trace`` reads (``--log-jsonl``).
-    events: TraceStore
+    events: RequestLog
     #: When set and no span is bound (a direct caller, not the HTTP or
     #: cluster path or an ``obs.trace()`` session), every query opens
     #: its own trace root, so standalone sessions are traceable too.

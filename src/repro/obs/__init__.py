@@ -10,8 +10,8 @@ One subsystem for everything the stack measures:
   the parallel engine, the serving ladder, the cluster and the HTTP
   front door.  Spans land in the :class:`TraceSession` of an
   ``obs.trace()`` block or in a request-scoped :class:`TraceStore`;
-  every backend's request log is a :class:`TraceStore` too, one
-  finished root span per served read or write.
+  every backend's request log is a :class:`RequestLog`, one coded
+  root span per served read or write.
 - **Counts live on what produced them**, traced or not: a cube run's
   ``CubeResult.cost`` (page I/O, CPU ops) and ``CubeResult.phases``
   (base scans, placements, sorts by kind, ...), a backend's
@@ -82,6 +82,7 @@ from repro.obs.span import (
     span,
     trace,
 )
+from repro.obs.request_log import RequestLog
 from repro.obs.trace_store import TraceRecord, TraceStore
 
 __all__ = [
@@ -96,6 +97,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "OpenSpan",
+    "RequestLog",
     "RungDecision",
     "TRACEPARENT_HEADER",
     "Trace",

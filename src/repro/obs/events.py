@@ -10,7 +10,7 @@
   the victim's GreedyDual priority at eviction and the cells freed.
 
 Both land, as JSON values, in the attrs of the request's record in the
-backend's request log (:meth:`repro.obs.trace_store.TraceStore.request_log`):
+backend's request log (:class:`repro.obs.request_log.RequestLog`):
 the trail as :func:`rung_reasons`, the audit records as they are — an
 :class:`EvictionRecord` is a named tuple, so it is already a JSON array
 and costs no copy.

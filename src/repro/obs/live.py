@@ -15,6 +15,11 @@ server emits and maintains, per configured sliding window:
   scaled by the error budget ``1 - SLO_TARGET`` (a burn rate of 1.0
   spends the budget exactly; above 1.0 the SLO is burning down).
 
+The windows read one set of ring columns: the clock time, modeled and
+wall seconds of every request (``array('d')``), and its tier and point
+as codes into a small dictionary of labels (``array('i')``).  The time
+column only grows, so a window's first request is found by bisection.
+
 Everything is mirrored into a :class:`~repro.obs.metrics.MetricsRegistry`
 — cumulative histograms per ladder rung plus per-window gauges — so the
 existing Prometheus exporter (:func:`repro.obs.export.prometheus_text`)
@@ -27,9 +32,11 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import Counter, deque
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EvictionRecord
 from repro.obs.metrics import MetricsRegistry
@@ -63,11 +70,15 @@ MAX_SAMPLES = 65536
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of values already in ascending order."""
+    if not ordered:
         return 0.0
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {q}")
-    ordered = sorted(values)
     rank = math.ceil(q * len(ordered))
     return ordered[min(len(ordered), max(1, rank)) - 1]
 
@@ -86,18 +97,6 @@ class Exemplar:
     bucket_le: float  #: upper bound of the histogram bucket
     trace_id: str  #: 32-hex trace id
     modeled_seconds: float  #: the observed value
-
-
-@dataclass(frozen=True)
-class _Sample:
-    """One request, reduced to what the windows need."""
-
-    at: float  #: clock timestamp
-    tier: str
-    point: str
-    modeled: float
-    wall: float
-    hit: bool  #: answered above the recompute rung
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,20 @@ class LiveTelemetry:
         self._clock = clock
         self.top_k = top_k
         self._lock = threading.Lock()
-        self._samples: Deque[_Sample] = deque(maxlen=MAX_SAMPLES)
-        self._churn: Deque[Tuple[float, str]] = deque(maxlen=MAX_SAMPLES)
+        # One row per request, oldest first from ``_first``: the clock
+        # time, modeled and wall seconds, and tier and point label codes.
+        self._at = array("d")
+        self._modeled = array("d")
+        self._wall = array("d")
+        self._tiers = array("i")
+        self._points = array("i")
+        self._first = 0
+        # The clock time of every cache-state change, from ``_churn_first``.
+        self._churn = array("d")
+        self._churn_first = 0
+        # Label <-> code for tiers and points; re-coded on compaction.
+        self._codes: Dict[str, int] = {}
+        self._labels: List[str] = []
         self._exemplars: Dict[Tuple[str, float], Exemplar] = {}
         # When the newest entry the cap dropped was recorded: every
         # entry after it is still held.
@@ -180,20 +191,22 @@ class LiveTelemetry:
         """Absorb one served request into windows and registry:
         the rung that answered, the described point, modeled and wall
         seconds, and the trace id when the request was sampled."""
-        now = self._clock()
-        sample = _Sample(
-            at=now,
-            tier=tier,
-            point=point,
-            modeled=modeled,
-            wall=wall,
-            hit=tier != "recompute",
-        )
         with self._lock:
+            # Read under the lock, so the time column stays sorted.
+            now = self._clock()
             self._prune(now)
-            if len(self._samples) == MAX_SAMPLES:
-                self._dropped_at = max(self._dropped_at, self._samples[0].at)
-            self._samples.append(sample)
+            if len(self._at) - self._first == MAX_SAMPLES:
+                self._dropped_at = max(
+                    self._dropped_at, self._at[self._first]
+                )
+                self._first += 1
+            self._at.append(now)
+            self._modeled.append(modeled)
+            self._wall.append(wall)
+            self._tiers.append(self._code(tier))
+            self._points.append(self._code(point))
+            if self._first > len(self._at) >> 1:
+                self._compact()
             if trace_id:
                 for bound in SERVE_LATENCY_BUCKETS:
                     if modeled <= bound:
@@ -221,24 +234,59 @@ class LiveTelemetry:
 
     def record_eviction(self, record: EvictionRecord) -> None:
         """Absorb one cache audit record (churn gauge + counter)."""
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._prune(now)
-            if len(self._churn) == MAX_SAMPLES:
-                self._dropped_at = max(self._dropped_at, self._churn[0][0])
-            self._churn.append((now, record.kind))
+            churn = self._churn
+            if len(churn) - self._churn_first == MAX_SAMPLES:
+                self._dropped_at = max(
+                    self._dropped_at, churn[self._churn_first]
+                )
+                self._churn_first += 1
+            churn.append(now)
+            if self._churn_first > len(churn) >> 1:
+                del churn[: self._churn_first]
+                self._churn_first = 0
         self.registry.counter(
             "x3_serve_cache_audit_total", kind=record.kind
         ).inc()
+
+    def _code(self, label: str) -> int:
+        """``label``'s code, entering it if new (lock held)."""
+        code = self._codes.get(label)
+        if code is None:
+            code = self._codes[label] = len(self._labels)
+            self._labels.append(label)
+        return code
 
     def _prune(self, now: float) -> None:
         """Drop samples older than the longest window (lock held), so a
         full ring's oldest entry is inside it."""
         horizon = now - self.windows[-1]
-        while self._samples and self._samples[0].at < horizon:
-            self._samples.popleft()
-        while self._churn and self._churn[0][0] < horizon:
-            self._churn.popleft()
+        self._first = bisect_left(self._at, horizon, self._first)
+        self._churn_first = bisect_left(
+            self._churn, horizon, self._churn_first
+        )
+
+    def _compact(self) -> None:
+        """Cut the dropped rows off every column and keep only the
+        labels the live rows use (lock held)."""
+        first = self._first
+        columns = (
+            self._at, self._modeled, self._wall, self._tiers, self._points
+        )
+        for column in columns:
+            del column[:first]
+        self._first = 0
+        live = sorted(set(self._tiers).union(self._points))
+        if len(live) < len(self._labels):
+            renumber = dict(zip(live, range(len(live))))
+            self._labels = [self._labels[code] for code in live]
+            self._codes = {
+                label: code for code, label in enumerate(self._labels)
+            }
+            for column in (self._tiers, self._points):
+                column[:] = array("i", map(renumber.__getitem__, column))
 
     # ------------------------------------------------------------------
     # reads
@@ -256,35 +304,50 @@ class LiveTelemetry:
         with self._lock:
             dropped_at = self._dropped_at
             horizon = now - window
-            samples = [
-                s for s in self._samples
-                if s.at >= horizon and s.at > dropped_at
-            ]
-            churn = sum(
-                1 for at, _ in self._churn
-                if at >= horizon and at > dropped_at
-            )
-        modeled = [s.modeled for s in samples]
-        walls = [s.wall for s in samples]
-        tiers: Dict[str, int] = dict(Counter(s.tier for s in samples))
-        hits = sum(1 for s in samples if s.hit)
-        violations = sum(
-            1 for m in modeled if m > self.slo_modeled_seconds
+
+            def first(column: "array[float]", start: int) -> int:
+                # The first entry at or after the horizon and after the
+                # newest one the cap dropped: the column is sorted.
+                return max(
+                    bisect_left(column, horizon, start),
+                    bisect_right(column, dropped_at, start),
+                )
+
+            # Copies of the window's rows; everything else runs outside
+            # the lock.  A compaction re-binds ``_labels``, so the list
+            # taken here keeps decoding the codes copied with it.
+            start = first(self._at, self._first)
+            modeled_column = self._modeled[start:]
+            wall_column = self._wall[start:]
+            tier_codes = self._tiers[start:]
+            point_codes = self._points[start:]
+            labels = self._labels
+            churn = len(self._churn) - first(self._churn, self._churn_first)
+        modeled = sorted(modeled_column)
+        walls = sorted(wall_column)
+        tiers: Dict[str, int] = {
+            labels[code]: n for code, n in Counter(tier_codes).items()
+        }
+        hottest = [
+            (labels[code], n)
+            for code, n in Counter(point_codes).most_common(self.top_k)
+        ]
+        requests = len(modeled)
+        hits = requests - tiers.get("recompute", 0)
+        violations = requests - bisect_right(
+            modeled, self.slo_modeled_seconds
         )
         budget = 1.0 - SLO_TARGET
-        burn = (
-            (violations / len(samples)) / budget if samples else 0.0
-        )
-        hottest = Counter(s.point for s in samples).most_common(self.top_k)
+        burn = (violations / requests) / budget if requests else 0.0
         return WindowSnapshot(
             window_seconds=window,
-            requests=len(samples),
-            hit_ratio=(hits / len(samples)) if samples else 0.0,
+            requests=requests,
+            hit_ratio=(hits / requests) if requests else 0.0,
             modeled_quantiles={
-                q: percentile(modeled, q) for q in WINDOW_QUANTILES
+                q: _nearest_rank(modeled, q) for q in WINDOW_QUANTILES
             },
             wall_quantiles={
-                q: percentile(walls, q) for q in WINDOW_QUANTILES
+                q: _nearest_rank(walls, q) for q in WINDOW_QUANTILES
             },
             tiers=tiers,
             evictions=churn,

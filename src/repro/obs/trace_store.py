@@ -22,12 +22,11 @@ Sampling is two-stage:
   ring keeps the most recent traffic; the retained pool keeps the
   traffic worth debugging.
 
-The same class is also every backend's request log
-(:meth:`TraceStore.request_log`): a root-only, always-recording mode in
-which :meth:`TraceStore.add` appends one finished root span per served
-read, write or cluster operation — no sampling, no children, no tail
-retention.  Its records and the sampled traces share one record type
-and one JSONL format, so ``x3 trace`` reads both.
+A backend's request log is not a trace store: it is the coded ring
+:class:`~repro.obs.request_log.RequestLog`, one root span per served
+read, write or cluster operation.  Its records read back as the
+:class:`TraceRecord` s this store keeps, in the same JSONL format, so
+``x3 trace`` reads both.
 
 Everything exported is deterministic under the seeded replay: span ids
 are derived (:func:`~repro.obs.propagate.derive_span_id`) rather than
@@ -43,7 +42,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.propagate import (
     HeadSampler,
@@ -93,19 +92,6 @@ class TraceRecord:
         }
 
 
-def _logged(seq: int, span: TraceSpan) -> TraceRecord:
-    """A request-log span as the one-span record it is."""
-    return TraceRecord(
-        seq=seq,
-        trace_id=span.trace_id,
-        name=span.name,
-        status=span.status,
-        sim_seconds=span.sim_seconds,
-        wall_seconds=span.wall_seconds,
-        spans=(span,),
-    )
-
-
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
@@ -139,10 +125,6 @@ class TraceStore:
         self._ring: "OrderedDict[str, TraceRecord]" = OrderedDict()
         self._retained: "OrderedDict[str, TraceRecord]" = OrderedDict()
         self._durations: Deque[float] = deque(maxlen=SLOW_WINDOW)
-        #: The request log's ring (:meth:`request_log` only).  It holds
-        #: the spans alone: a record's ``seq`` is its position in the
-        #: log, ``dropped`` plus its index in the ring.
-        self._log: Optional[Deque[TraceSpan]] = None
         self._next_seq = 0
         self.started = 0
         self.sampled = 0
@@ -151,19 +133,6 @@ class TraceStore:
         #: Records evicted from the ring (or the retained pool).
         self.dropped = 0
         self.dropped_spans = 0
-
-    @classmethod
-    def request_log(cls, capacity: int) -> "TraceStore":
-        """The root-only, always-recording mode: a backend's request log.
-
-        Every served read, every write and every cluster operation
-        leaves exactly one record through :meth:`add`; the ring keeps
-        the newest ``capacity`` of them and counts the rest in
-        :attr:`dropped`.
-        """
-        store = cls(capacity, retained_capacity=0)
-        store._log = deque()
-        return store
 
     # ------------------------------------------------------------------
     # opening traces
@@ -238,37 +207,6 @@ class TraceStore:
         if root:
             self._finalize(span)
 
-    def add(
-        self,
-        name: str,
-        category: str,
-        sim_seconds: float,
-        wall_seconds: float,
-        trace_id: str = "",
-        status: str = "ok",
-        **attrs: Any,
-    ) -> None:
-        """Append one finished root span to the request log.
-
-        ``attrs`` are the operation's facts, all JSON values;
-        ``trace_id`` names the sampled trace the operation ran under,
-        if any.  Only a :meth:`request_log` store takes records this
-        way.
-        """
-        span = TraceSpan(
-            trace_id, "", "", name, category, status, sim_seconds,
-            0.0, wall_seconds, attrs,
-        )
-        with self._lock:
-            log = self._log
-            if log is None:
-                raise TypeError("add() records into a request_log() store")
-            if len(log) == self.capacity:
-                log.popleft()
-                self.dropped += 1
-            log.append(span)
-            self.finished += 1
-
     def _slow_threshold(self) -> float:
         """Nearest-rank p99 over the rolling duration window (0 when
         the window is too small to be meaningful)."""
@@ -336,11 +274,6 @@ class TraceStore:
     def traces(self) -> Tuple[TraceRecord, ...]:
         """Every stored trace (ring + retained), in finish order."""
         with self._lock:
-            if self._log is not None:
-                return tuple(
-                    _logged(self.dropped + index, span)
-                    for index, span in enumerate(self._log)
-                )
             merged = list(self._ring.values()) + list(
                 self._retained.values()
             )
@@ -367,28 +300,33 @@ class TraceStore:
                 "sampled": self.sampled,
                 "finished": self.finished,
                 "retained": self.retained,
-                "stored": len(self._ring)
-                + len(self._retained)
-                + len(self._log or ()),
+                "stored": len(self._ring) + len(self._retained),
                 "dropped_traces": self.dropped,
                 "dropped_spans": self.dropped_spans,
             }
 
     def to_jsonl(self) -> str:
-        """Stored traces as JSON Lines, canonically key-sorted so two
-        deterministic runs produce byte-identical dumps once the differ
-        strips the ``*wall_seconds`` fields."""
-        lines = [
-            json.dumps(
-                record.to_dict(), sort_keys=True, separators=(",", ":")
-            )
-            for record in self.traces()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Stored traces as JSON Lines (:func:`records_jsonl`)."""
+        return records_jsonl(self.traces())
 
     def write_jsonl(self, path: str) -> int:
         """Write :meth:`to_jsonl` to ``path``; returns traces written."""
-        text = self.to_jsonl()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return text.count("\n")
+        return write_text(path, self.to_jsonl())
+
+
+def records_jsonl(records: Iterable[TraceRecord]) -> str:
+    """Records as JSON Lines, canonically key-sorted so two
+    deterministic runs produce byte-identical dumps once the differ
+    strips the ``*wall_seconds`` fields."""
+    lines = [
+        json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
+        for record in records
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def write_text(path: str, text: str) -> int:
+    """Write JSON Lines ``text`` to ``path``; returns the lines written."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return text.count("\n")

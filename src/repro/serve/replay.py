@@ -99,9 +99,9 @@ def logged_read_seconds(backend: CubeBackend) -> List[float]:
     """The modeled latency of every successful read the backend's
     request log still holds, oldest first."""
     return [
-        record.sim_seconds
-        for record in backend.events.traces()
-        if record.name in READ_RECORDS and record.status == "ok"
+        sim_seconds
+        for name, status, sim_seconds in backend.events.scalars()
+        if name in READ_RECORDS and status == "ok"
     ]
 
 

@@ -79,6 +79,7 @@ from repro.core.rollup import derivable, rollup_cuboid
 from repro.cost import CostModel
 from repro.obs.events import EvictionRecord, RungDecision, rung_reasons
 from repro.obs.live import LiveTelemetry
+from repro.obs.request_log import RequestLog
 from repro.obs.trace_store import TraceStore
 from repro.serve.cache import CuboidCache, ServedCuboid
 from repro.serve.singleflight import SingleFlight
@@ -205,8 +206,7 @@ class CubeServer(CubeBackend):
 
     Every read and write through the server's door — ``query``,
     ``insert``, ``delete`` — leaves one record in :attr:`events`, the
-    request log (a
-    :meth:`~repro.obs.trace_store.TraceStore.request_log`): a
+    request log (a :class:`~repro.obs.request_log.RequestLog`): a
     ``serve.request`` or ``serve.write`` root span whose attrs are the
     operation's facts — for a read the rung trail (``rungs``, the
     reason per rung), the cache audit, the version and the cells.  A
@@ -240,7 +240,7 @@ class CubeServer(CubeBackend):
         self._lock = threading.RLock()
         self._version = 0
         self._counters = _Counters()
-        self.events = TraceStore.request_log(LOG_CAPACITY)
+        self.events = RequestLog(LOG_CAPACITY)
         self.telemetry = telemetry if telemetry is not None else LiveTelemetry()
         self.trace_store = trace_store
         self._audit_local = threading.local()
@@ -268,20 +268,31 @@ class CubeServer(CubeBackend):
         with self._lock:
             return self._version, tuple(self.table.rows)
 
-    def _snapshot_table(self) -> Tuple[int, FactTable]:
+    def _snapshot_table(
+        self, points: Sequence[LatticePoint] = ()
+    ) -> Tuple[int, FactTable]:
         """The current version and the private copy of the table at it —
-        what every engine job reads, so it can run outside the lock.
+        what every engine job over ``points`` reads, so it can run
+        outside the lock.
 
         One copy per version, shared by every job until the next write
         drops it (:meth:`_finish_write`); no job mutates it, so its
         memoised columnar encoding and state views are built once per
-        version however many jobs read them.
+        version however many jobs read them.  A NAIVE job (one point,
+        :meth:`_engine_options`) packs with the copy's dictionaries,
+        and the copy takes the live table's: the values each axis has
+        held, collected once, at the first such job, and widened by
+        every insert, so a later insert seldom brings a part a
+        recomputed cuboid's dictionaries lack and its patch seldom
+        re-ranks the codes.
         """
         with self._lock:
             if self._snapshot is None:
                 self._snapshot = FactTable(
                     self.lattice, self.table.rows, self.table.aggregate
                 )
+            if len(points) == 1:
+                self._snapshot.share_dictionaries(self.table)
             return self._version, self._snapshot
 
     @staticmethod
@@ -289,11 +300,12 @@ class CubeServer(CubeBackend):
         """The serial engine job over ``points``; its size picks the
         kernel.
 
-        A one-point job (the recompute rung) runs NAIVE, which packs
-        with the live table's dictionaries (:meth:`_recompute`).  A job
-        that asks for several points at once (warm-up) runs the
-        COLUMNAR sweep, which shares the trie prefixes across all of
-        them over the version's one encoding (:meth:`_snapshot_table`).
+        A one-point job (the recompute rung, a one-point warm-up) runs
+        NAIVE, which packs with the live table's dictionaries
+        (:meth:`_snapshot_table`).  A job that asks for several points
+        at once (warm-up) runs the COLUMNAR sweep, which shares the trie
+        prefixes across all of them over the version's one encoding
+        (:meth:`_snapshot_table`).
         The one-point rung does not switch on that encoding being
         there: right after a write it is not, and the encode alone
         costs more than a NAIVE scan (DESIGN.md Sec. 5c, "Set-up").
@@ -451,13 +463,7 @@ class CubeServer(CubeBackend):
                     source, version, tier, rungs, self._touch_cost(source)
                 )
             if tier == "recompute":
-                snapshot = self._snapshot_table()[1]
-                # The values each axis has held in the table, computed
-                # at the first recompute and widened by every insert: a
-                # later insert seldom brings a part a recomputed
-                # cuboid's dictionaries lack, so its patch seldom
-                # re-ranks the codes.
-                snapshot.share_dictionaries(self.table)
+                snapshot = self._snapshot_table((point,))[1]
         if tier == "rollup":
             # Rollup arithmetic runs outside the lock; admit only if no
             # write overtook the derivation.
@@ -569,9 +575,9 @@ class CubeServer(CubeBackend):
     ) -> Tuple[ServedCuboid, float]:
         """``point``'s cuboid by serial NAIVE over ``snapshot``, and its
         modeled cost.  NAIVE packs it as it goes, with the dictionaries
-        the snapshot shares with the live table (:meth:`_resolve`), so
-        nothing is packed twice and no pass over the rows collects
-        them."""
+        the snapshot shares with the live table
+        (:meth:`_snapshot_table`), so nothing is packed twice and no
+        pass over the rows collects them."""
         with obs.span(
             "serve.recompute",
             category="serve",
@@ -675,7 +681,7 @@ class CubeServer(CubeBackend):
             space += size
         if not chosen:
             return []
-        version, snapshot = self._snapshot_table()
+        version, snapshot = self._snapshot_table(chosen)
         with obs.span(
             "serve.warm", category="serve", points=len(chosen)
         ):

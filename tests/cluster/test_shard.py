@@ -9,7 +9,7 @@ from repro.cluster.shard import ShardReplica
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import Query
 from repro.obs.live import LiveTelemetry
-from repro.obs.trace_store import TraceStore
+from repro.obs.request_log import RequestLog
 from repro.testing import small_workload
 from tests.cluster.test_coordinator import (
     assert_cluster_serves_exactly,
@@ -70,8 +70,8 @@ class TestReadStates:
             make_replica(AggregateSpec()),
             make_replica(AggregateSpec("AVG", "@m")),
         ]
-        monkeypatch.setattr(TraceStore, "traces", refuse)
-        monkeypatch.setattr(TraceStore, "add", refuse)
+        monkeypatch.setattr(RequestLog, "traces", refuse)
+        monkeypatch.setattr(RequestLog, "add", refuse)
         monkeypatch.setattr(LiveTelemetry, "record", refuse)
         for replica, points in replicas:
             rows = list(replica.table.rows)[:3]

@@ -31,9 +31,10 @@ import pytest
 
 from repro.core.algorithms.base import ExecutionContext
 from repro.core.algorithms.topdown import _columnar_build, _rollup_columnar
-from repro.core.columnar import decode_group_ids
 from repro.core.extract import extract_fact_table
+from repro.core.packed import from_group_ids
 from repro.datagen.publications import figure1_document, query1
+from tests.prop.reference_decode import make_group_decoder
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "buc_td_fig1.json"
 
@@ -113,14 +114,28 @@ def td_group_id_snapshot(table):
 
 
 def gid_cells(cells, axes, fn):
-    """An encoded cuboid's cells in gid order, each key decoded."""
+    """An encoded cuboid's cells in gid order, each key decoded by the
+    per-gid reference decoder.  ``from_group_ids`` must pack the same
+    cells: every one whose key holds no null digit."""
     gids = sorted(cells)
-    keys = decode_group_ids(
-        [(dictionary, radix) for _, dictionary, radix in axes], gids
+    decode = make_group_decoder(
+        [(dictionary, radix) for _, dictionary, radix in axes]
+    )
+    keys = [decode(gid) for gid in gids]
+    values = [fn.finalize(cells[gid]) for gid in gids]
+    sorted_axes = tuple(tuple(sorted(dictionary)) for _, dictionary, _ in axes)
+    ranks = [
+        [axis.index(value) for value in dictionary]
+        + [None] * (radix - len(dictionary))
+        for (_, dictionary, radix), axis in zip(axes, sorted_axes)
+    ]
+    packed = from_group_ids(sorted_axes, ranks, gids, values)
+    assert list(packed.items()) == sorted(
+        (key, value) for key, value in zip(keys, values) if None not in key
     )
     return [
-        {"gid": gid, "key": list(key), "value": fn.finalize(cells[gid])}
-        for gid, key in zip(gids, keys)
+        {"gid": gid, "key": list(key), "value": value}
+        for gid, key, value in zip(gids, keys, values)
     ]
 
 

@@ -1,6 +1,6 @@
-"""Unit tests for the request log: ``TraceStore.request_log``, the
-root-only, always-recording store every backend keeps as ``events``,
-and the decision records its attrs carry (repro.obs.events)."""
+"""Unit tests for the request log: ``RequestLog``, the coded ring every
+backend keeps as ``events``, and the decision records its attrs carry
+(repro.obs.events)."""
 
 import dataclasses
 import json
@@ -11,6 +11,7 @@ import pytest
 from repro.obs import events
 from repro.obs.events import EVICTION_KINDS, EvictionRecord, RungDecision
 from repro.obs.trace_cli import load_traces
+from repro.obs.request_log import RequestLog
 from repro.obs.trace_store import TraceStore
 from repro.serve import TIERS
 
@@ -61,7 +62,7 @@ def seqs(log):
 
 class TestEventShapes:
     def test_request_to_dict_carries_type_and_trails(self):
-        log = TraceStore.request_log(8)
+        log = RequestLog(8)
         add_request(log)
         out = json.loads(log.to_jsonl())
         assert out["name"] == "serve.request"
@@ -74,7 +75,7 @@ class TestEventShapes:
         ]
 
     def test_write_to_dict(self):
-        log = TraceStore.request_log(8)
+        log = RequestLog(8)
         add_write(log)
         out = log.traces()[0].to_dict()
         assert out["name"] == "serve.write"
@@ -105,13 +106,13 @@ class TestEventShapes:
 
 class TestEventLog:
     def test_append_stamps_increasing_seq(self):
-        log = TraceStore.request_log(10)
+        log = RequestLog(10)
         for _ in range(5):
             add_request(log)
         assert seqs(log) == [0, 1, 2, 3, 4]
 
     def test_append_does_not_mutate_the_input(self):
-        log = TraceStore.request_log(10)
+        log = RequestLog(10)
         attrs = {"tier": "cache", "cells": 4}
         log.add("serve.request", "serve", 0.0, 0.0, **attrs)
         log.add("serve.request", "serve", 0.0, 0.0, **attrs)
@@ -121,7 +122,7 @@ class TestEventLog:
         assert seqs(log) == [0, 1]
 
     def test_ring_wraps_and_counts_dropped(self):
-        log = TraceStore.request_log(3)
+        log = RequestLog(3)
         for _ in range(7):
             add_request(log)
         stats = log.stats()
@@ -132,10 +133,10 @@ class TestEventLog:
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            TraceStore.request_log(0)
+            RequestLog(0)
 
     def test_requests_and_writes_filter_by_type(self):
-        log = TraceStore.request_log(10)
+        log = RequestLog(10)
         add_request(log)
         add_write(log)
         add_request(log)
@@ -143,7 +144,7 @@ class TestEventLog:
         assert [r.seq for r in log.named("serve.write")] == [1]
 
     def test_concurrent_appends_never_lose_or_duplicate_seq(self):
-        log = TraceStore.request_log(10_000)
+        log = RequestLog(10_000)
         per_thread = 200
         threads = [
             threading.Thread(
@@ -159,11 +160,11 @@ class TestEventLog:
         assert log.dropped == 0
 
     def test_only_a_request_log_takes_records(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             add_request(TraceStore())
 
     def test_nothing_is_sampled_or_retained(self):
-        log = TraceStore.request_log(10)
+        log = RequestLog(10)
         add_request(log, status="error")
         (record,) = log.traces()
         assert record.status == "error" and record.retained == ""
@@ -172,7 +173,7 @@ class TestEventLog:
 
 class TestJsonl:
     def test_to_jsonl_round_trips(self):
-        log = TraceStore.request_log(10)
+        log = RequestLog(10)
         add_request(log)
         add_write(log)
         lines = log.to_jsonl().splitlines()
@@ -183,10 +184,10 @@ class TestJsonl:
         assert first["seq"] == 0 and second["seq"] == 1
 
     def test_empty_log_exports_empty_string(self):
-        assert TraceStore.request_log(1).to_jsonl() == ""
+        assert RequestLog(1).to_jsonl() == ""
 
     def test_write_jsonl(self, tmp_path):
-        log = TraceStore.request_log(10)
+        log = RequestLog(10)
         add_request(log, trace_id="ab" * 16)
         target = tmp_path / "events.jsonl"
         assert log.write_jsonl(str(target)) == 1

@@ -1,5 +1,6 @@
-"""The per-gid group-key decoder, kept as the reference the column-wise
-:func:`repro.core.columnar.decode_group_ids` is tested against.
+"""The per-gid group-key decoder, kept as the reference that
+:func:`repro.core.packed.from_group_ids` (a kernel's group ids packed
+straight into a cuboid) is tested against.
 
 It decodes one group id at a time by reversed mixed-radix ``divmod``:
 one digit per kept axis, least significant (last) axis first, then the

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.obs.trace_store import TraceStore
+from repro.obs.request_log import RequestLog
 from repro.serve import TIERS
 from repro.datagen.publications import QUERY1_TEXT, figure1_document
 from repro.xmlmodel.serializer import serialize
@@ -237,14 +237,14 @@ class TestExplainSubcommand:
         """--verify compares the explanation with the request log's
         record, every rung's reason included: a record whose trail
         differs is a mismatch even though the served tier agrees."""
-        add = TraceStore.add
+        add = RequestLog.add
 
         def tampered(store, name, *args, **attrs):
             if name == "serve.request":
                 attrs["rungs"] = dict(attrs["rungs"], rollup="tampered")
             add(store, name, *args, **attrs)
 
-        monkeypatch.setattr(TraceStore, "add", tampered)
+        monkeypatch.setattr(RequestLog, "add", tampered)
         query, data = inputs
         code = main(
             [

@@ -874,6 +874,28 @@ class TestTableDictionaries:
         assert_serves_exactly(server, live)
 
 
+    def test_a_one_point_warm_up_shares_the_collection(self, monkeypatch):
+        """A one-point warm-up runs NAIVE on the version's snapshot with
+        the live table's dictionaries, so the recompute rung after it
+        collects nothing again."""
+        collected = []
+        bound_values = bindings_module.bound_values
+
+        def counting(rows, axis_count):
+            collected.append(len(rows))
+            return bound_values(rows, axis_count)
+
+        monkeypatch.setattr(bindings_module, "bound_values", counting)
+        table = small_workload(n_facts=80).fact_table()
+        server = CubeServer(table, None)
+        top = table.lattice.top
+        assert server.warm([top]) == [top]
+        other = next(p for p in table.lattice.points() if p != top)
+        assert server.query(Query(point=other)).tier == "recompute"
+        assert collected == [len(table.rows)]
+        assert_serves_exactly(server, table)
+
+
 class TestStats:
     def test_summary_mentions_tiers_and_costs(self):
         table, oracle = fresh()
